@@ -46,6 +46,14 @@ golden:
 fmt-check:
 	./scripts/fmt_check.sh
 
+# Unboxed-kernel gate: fails if any native object under
+# _build/default/lib calls the generic Bigarray stubs caml_ba_get_N /
+# caml_ba_set_N, i.e. a kernel helper left a Bigarray parameter
+# unannotated and boxes a float on every element access (see
+# docs/BATCHING.md, "Adding a batched twin").
+unboxed-check:
+	dune build && ./scripts/check_unboxed.sh
+
 # End-to-end crash/resume demo through the CLI: a straight run and a
 # crash-at-epoch-N + --resume run must produce byte-identical final
 # checkpoints (see docs/CHECKPOINTS.md). RESUME_DEMO_OUT keeps the
@@ -91,4 +99,4 @@ stream-smoke:
 	dune build bin/adapt_pnc.exe && \
 	  ./scripts/stream_smoke.sh $(STREAM_SMOKE_OUT)
 
-.PHONY: check bench golden fmt-check resume-demo serve-bench serve-smoke grid-smoke stream-smoke
+.PHONY: check bench golden fmt-check unboxed-check resume-demo serve-bench serve-smoke grid-smoke stream-smoke

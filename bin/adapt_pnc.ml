@@ -557,7 +557,13 @@ let serve_cmd =
               max_batch max_delay_ms
               (if reload_ms > 0. then Printf.sprintf "every %.0f ms" reload_ms else "off");
             Pnc_serve.Serve.run srv;
-            print_endline "serve: drained and stopped.")
+            (* [run] ignores SIGPIPE, so if the reader of stdout is gone
+               this write fails with EPIPE; the drain itself succeeded,
+               and a lost banner must not turn it into a failure exit.
+               Closing stdout drops the unwritten bytes, which the
+               at-exit flush would otherwise retry and raise on. *)
+            try print_endline "serve: drained and stopped."
+            with Sys_error _ -> close_out_noerr stdout)
   in
   Cmd.v
     (Cmd.info "serve"

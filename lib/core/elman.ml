@@ -64,9 +64,7 @@ let forward_multi m steps =
     steps;
   Var.add_rv (Var.matmul !h2 m.w_out) m.b_out
 
-let forward m x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi m steps
+let forward m x = forward_multi m (T.columns x)
 
 (* Pure-tensor forward for evaluation — same floating-point operation
    sequence as the Var path, no autodiff nodes. [`Fast] swaps the
@@ -96,18 +94,16 @@ let forward_multi_t ?precision m steps =
     steps;
   T.add_rv (T.matmul !h2 (Var.value m.w_out)) (Var.value m.b_out)
 
-let forward_t m x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_t m steps
+let forward_t m x = forward_multi_t m (T.columns x)
 
 (* Batched twin: the recurrence carries rows independently (matmuls by
    fixed weights + row-broadcast biases), so chunking the batch through
    zero-copy row views is bit-identical to one whole-batch forward for
    any batch size. *)
-let forward_batch_t ?batch_size ?precision m x =
-  let rows = T.rows x in
+let forward_multi_batch_t ?batch_size ?precision m steps =
+  assert (Array.length steps > 0);
+  let rows = T.rows steps.(0) in
   let block = Batch.resolve ?batch_size ~n:rows () in
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
   let t0 = Batch.start () in
   let out = T.zeros ~rows ~cols:m.n_classes in
   let blocks =
@@ -117,6 +113,9 @@ let forward_batch_t ?batch_size ?precision m x =
   in
   Batch.record ~block ~rows ~blocks ~t0;
   out
+
+let forward_batch_t ?batch_size ?precision m x =
+  forward_multi_batch_t ?batch_size ?precision m (T.columns x)
 
 let predict m x = T.argmax_rows (forward_t m x)
 

@@ -44,6 +44,16 @@ val forward_batch_t :
     [`Exact] (the default). [`Fast] substitutes
     {!Pnc_tensor.Fast_math.tanh} for the cell activations. *)
 
+val forward_multi_batch_t :
+  ?batch_size:int ->
+  ?precision:[ `Exact | `Fast ] ->
+  t ->
+  Pnc_tensor.Tensor.t array ->
+  Pnc_tensor.Tensor.t
+(** {!forward_batch_t} over pre-split time steps (one [batch x inputs]
+    tensor per step), so a caller evaluating one input many times
+    splits it once. *)
+
 val predict : t -> Pnc_tensor.Tensor.t -> int array
 (** Runs on the tensor fast path. *)
 

@@ -21,10 +21,14 @@ let logits_t ?(draw = Variation.deterministic) t x =
   | Circuit net -> Network.forward_t ~draw net x
   | Reference m -> Elman.forward_t m x
 
-let logits_batch_t ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t x =
+let logits_multi_batch_t ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t
+    steps =
   match t with
-  | Circuit net -> Network.forward_batch_t ?batch_size ?precision ?state_init ~draw net x
-  | Reference m -> Elman.forward_batch_t ?batch_size ?precision m x
+  | Circuit net -> Network.forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps
+  | Reference m -> Elman.forward_multi_batch_t ?batch_size ?precision m steps
+
+let logits_batch_t ?batch_size ?precision ?state_init ?draw t x =
+  logits_multi_batch_t ?batch_size ?precision ?state_init ?draw t (Pnc_tensor.Tensor.columns x)
 
 let predict ?(draw = Variation.deterministic) t x =
   Pnc_tensor.Tensor.argmax_rows (logits_t ~draw t x)

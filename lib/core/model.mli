@@ -42,6 +42,19 @@ val logits_batch_t :
     invariant under every value — see {!Network.forward_batch_t});
     ignored by the reference RNN, which has no filter state. *)
 
+val logits_multi_batch_t :
+  ?batch_size:int ->
+  ?precision:[ `Exact | `Fast ] ->
+  ?state_init:Filter_layer.state_init ->
+  ?draw:Variation.draw ->
+  t ->
+  Pnc_tensor.Tensor.t array ->
+  Pnc_tensor.Tensor.t
+(** {!logits_batch_t} over pre-split time steps — one [batch x inputs]
+    tensor per step, e.g. from {!Pnc_tensor.Tensor.columns}. Monte-Carlo
+    estimators split their input once and reuse the steps across every
+    draw and pool worker (the kernels only read them). *)
+
 val predict : ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> int array
 (** Runs on the tensor fast path. *)
 

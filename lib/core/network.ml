@@ -114,20 +114,16 @@ let forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net steps =
   forward_multi_readout ~readout:Integrated ~draw_crossbar ~draw_filter ~draw_act net steps
 
 let forward_readout ~readout ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_readout ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
+  forward_multi_readout ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net
+    (T.columns x)
 
 let forward_multi ~draw net steps =
   forward_multi_selective ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
 
 let forward_selective ~draw_crossbar ~draw_filter ~draw_act net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net steps
+  forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net (T.columns x)
 
-let forward ~draw net x =
-  let time = T.cols x in
-  let steps = Array.init time (fun k -> T.col x k) in
-  forward_multi ~draw net steps
+let forward ~draw net x = forward_multi ~draw net (T.columns x)
 
 (* Pure-tensor forward for evaluation: same sampling order and same
    floating-point operation sequence as the Var path, but no autodiff
@@ -245,8 +241,13 @@ let step_layer_t ?precision lr x =
    box both floats without flambda and cost more than the polynomial
    saves), `Exact the direct unboxed [Stdlib.tanh] extern. The
    per-element expression tree is identical to the former single-pass
-   form, so `Exact results stay bit-for-bit unchanged. *)
-let activation_rows ~fast od ~off ~cols e2 eo2 e1 eo1 =
+   form, so `Exact results stay bit-for-bit unchanged.
+
+   Every Bigarray parameter carries [T.buffer]: left unannotated, the
+   kind and layout generalize, and without flambda each [unsafe_get]
+   then compiles to the generic [caml_ba_get_1] C stub, which boxes the
+   float it returns (scripts/check_unboxed.sh rejects that). *)
+let activation_rows ~fast (od : T.buffer) ~off ~cols (e2 : T.buffer) eo2 (e1 : T.buffer) eo1 =
   let module BA = Bigarray.Array1 in
   if fast then Pnc_tensor.Fast_math.apply_range od ~off ~len:cols
   else
@@ -409,27 +410,21 @@ let forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps =
     ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
 
 let forward_selective_t ~draw_crossbar ~draw_filter ~draw_act net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_selective_t ~draw_crossbar ~draw_filter ~draw_act net steps
+  forward_multi_selective_t ~draw_crossbar ~draw_filter ~draw_act net (T.columns x)
 
 let forward_selective_batch_t ?batch_size ?precision ~draw_crossbar ~draw_filter ~draw_act
     net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
   forward_multi_readout_batch_t ?batch_size ?precision ~readout:Integrated ~draw_crossbar
-    ~draw_filter ~draw_act net steps
+    ~draw_filter ~draw_act net (T.columns x)
 
 let forward_readout_t ~readout ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
   forward_multi_readout_t ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net
-    steps
+    (T.columns x)
 
-let forward_t ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_t ~draw net steps
+let forward_t ~draw net x = forward_multi_t ~draw net (T.columns x)
 
 let forward_batch_t ?batch_size ?precision ?state_init ~draw net x =
-  let steps = Array.init (T.cols x) (fun k -> T.col x k) in
-  forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps
+  forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net (T.columns x)
 
 let predict ?(draw = Variation.deterministic) net x = T.argmax_rows (forward_t ~draw net x)
 

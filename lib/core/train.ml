@@ -203,13 +203,16 @@ let accuracy_under_variation ?batch_size ?precision ?pool ~rng ~spec ~draws mode
   assert (draws >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
   let x, y = to_xy d in
+  (* Split into time steps once per estimate: every draw and pool
+     worker reads the same steps. *)
+  let steps = T.columns x in
   (* One pre-split child stream per sampled instance — values and
      summation order are identical for every pool worker count. *)
   let rngs = Rng.split_n rng draws in
   let instance i =
     let draw = Variation.make_draw rngs.(i) spec in
     Pnc_util.Stats.accuracy
-      ~pred:(Model.predict_batch ?batch_size ?precision ~draw model x)
+      ~pred:(T.argmax_rows (Model.logits_multi_batch_t ?batch_size ?precision ~draw model steps))
       ~truth:y
   in
   let accs =

@@ -39,11 +39,11 @@ let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
          are identical in value and order for every pool worker
          count (and with no pool at all). *)
       let rngs = Pnc_util.Rng.split_n rng draws in
+      let steps = Pnc_tensor.Tensor.columns x in
       let instance i =
         let draw = Variation.make_draw rngs.(i) spec in
-        Pnc_util.Stats.accuracy
-          ~pred:(Model.predict_batch ?batch_size ~draw model x)
-          ~truth:y
+        let logits = Model.logits_multi_batch_t ?batch_size ~draw model steps in
+        Pnc_util.Stats.accuracy ~pred:(Pnc_tensor.Tensor.argmax_rows logits) ~truth:y
       in
       match pool with
       | None -> Array.init draws instance

@@ -245,6 +245,23 @@ module Http = struct
 
   let header hs k = List.assoc_opt k hs
 
+  (* A non-negative decimal integer as HTTP writes one: [1*DIGIT], no
+     sign, no [_] separators, no [0x]/[0o]/[0b] prefix (all of which
+     [int_of_string_opt] accepts). [None] also when the value would
+     exceed [max_int]. *)
+  let digits s =
+    let n = String.length s in
+    let rec go i acc =
+      if i = n then Some acc
+      else
+        match s.[i] with
+        | '0' .. '9' as ch ->
+            let d = Char.code ch - Char.code '0' in
+            if acc > (max_int - d) / 10 then None else go (i + 1) ((acc * 10) + d)
+        | _ -> None
+    in
+    if n = 0 then None else go 0 0
+
   let write_all fd s =
     let b = Bytes.of_string s in
     let n = Bytes.length b in
@@ -294,11 +311,11 @@ let read_request cfg (c : Http.bufconn) =
             match Http.header headers "content-length" with
             | None -> ""
             | Some v -> (
-                match int_of_string_opt (String.trim v) with
-                | Some n when n >= 0 ->
+                match Http.digits v with
+                | Some n ->
                     if n > cfg.max_body then raise (Http.Bad "body too large")
                     else Http.read_n c n
-                | _ -> raise (Http.Bad "malformed Content-Length"))
+                | None -> raise (Http.Bad "malformed Content-Length"))
           in
           let path = match String.index_opt path '?' with
             | Some i -> String.sub path 0 i
@@ -784,16 +801,20 @@ module Client = struct
     | status_line :: header_lines -> (
         match String.split_on_char ' ' status_line with
         | _http :: code :: _ -> (
-            match int_of_string_opt code with
-            | None -> failwith ("Client: malformed status line: " ^ status_line)
-            | Some status ->
+            (* status-code is exactly 3DIGIT. *)
+            match Http.digits code with
+            | Some status when String.length code = 3 ->
                 let headers = Http.parse_headers header_lines in
                 let body =
                   match Http.header headers "content-length" with
-                  | Some v -> Http.read_n c (int_of_string (String.trim v))
+                  | Some v -> (
+                      match Http.digits v with
+                      | Some n -> Http.read_n c n
+                      | None -> failwith ("Client: malformed Content-Length: " ^ v))
                   | None -> ""
                 in
-                { status; body })
+                { status; body }
+            | _ -> failwith ("Client: malformed status line: " ^ status_line))
         | _ -> failwith ("Client: malformed status line: " ^ status_line))
     | [] -> failwith "Client: empty response"
 

@@ -91,8 +91,28 @@ let rows_view t ~row ~len =
     invalid_arg "Tensor.rows_view: row range out of bounds";
   { t with rows = len; off = t.off + (row * t.cols) }
 
+(* Strided gather in a monomorphic loop over [buffer]: no per-element
+   closure, so no float is boxed on the way. *)
+let gather_col ~(dst : buffer) ~doff (t : t) c =
+  let src = t.data and soff = t.off + c and cols = t.cols in
+  for r = 0 to t.rows - 1 do
+    A.unsafe_set dst (doff + r) (A.unsafe_get src (soff + (r * cols)))
+  done
+
 let col t c =
-  init ~rows:t.rows ~cols:1 (fun r _ -> get t r c)
+  if c < 0 || c >= t.cols then invalid_arg "Tensor.col: column out of bounds";
+  let data = alloc t.rows in
+  gather_col ~dst:data ~doff:0 t c;
+  { rows = t.rows; cols = 1; off = 0; data }
+
+(* All columns at once: one transposed buffer, column [c] at offset
+   [c * rows], handed out as [rows x 1] views. *)
+let columns t =
+  let rows = t.rows in
+  let data = alloc (rows * t.cols) in
+  Array.init t.cols (fun c ->
+      gather_col ~dst:data ~doff:(c * rows) t c;
+      { rows; cols = 1; off = c * rows; data })
 
 let get_scalar t =
   assert (t.rows = 1 && t.cols = 1);

@@ -20,7 +20,8 @@ type t = private { rows : int; cols : int; off : int; data : buffer }
     exactly [rows * cols]; {!rows_view} produces contiguous views
     ([off > 0] possible) that share the buffer {e value} of the viewed
     tensor — never an [Array1.sub] proxy — so physical equality on
-    [data] remains a sound aliasing test for the kernels. *)
+    [data] remains a sound aliasing test for the kernels. {!columns}
+    returns views of one fresh buffer in the same way. *)
 
 val create : rows:int -> cols:int -> float -> t
 val zeros : rows:int -> cols:int -> t
@@ -52,7 +53,16 @@ val row : t -> int -> float array
 (** Copy of one row. *)
 
 val col : t -> int -> t
-(** Column [c] as an [rows x 1] tensor (copies). *)
+(** Column [c] as an [rows x 1] tensor (copies). Raises
+    [Invalid_argument] unless [0 <= c < cols t]. *)
+
+val columns : t -> t array
+(** [columns t] is [Array.init (cols t) (col t)] — the same elements,
+    bit for bit — built with one allocation: a transposed copy of [t]
+    whose columns come back as [rows x 1] views. The views share that
+    one buffer (with each other, never with [t]); the per-time-step
+    forwards only read them, so one split can serve any number of
+    draws and pool workers. *)
 
 val rows_view : t -> row:int -> len:int -> t
 (** [rows_view t ~row ~len] is the [len x cols t] block of consecutive

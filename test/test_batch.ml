@@ -334,6 +334,94 @@ let test_battery_catches_tiling_bug () =
          cancel, so the eps-0 comparison MUST see the divergence. *)
       not (eq0 (T.matmul a b) (buggy_tiled_matmul a b)))
 
+(* Time-step split and allocation --------------------------------------- *)
+
+let same_bits a b =
+  T.same_shape a b
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       (T.to_row_array a) (T.to_row_array b)
+
+let test_columns_match_col () =
+  Qgen.check ~count:30 ~name:"columns = col, bit for bit"
+    ~pp:(fun (rows, cols, seed) -> Printf.sprintf "rows=%d cols=%d seed=%d" rows cols seed)
+    (fun rng -> (Rng.int rng 12, 1 + Rng.int rng 12, Rng.int rng 10_000))
+    (fun (rows, cols, seed) ->
+      let rng = Rng.create ~seed in
+      let x = T.uniform rng ~rows ~cols ~lo:(-2.) ~hi:2. in
+      (* A row view exercises a non-zero source offset too. *)
+      let x = if rows > 2 then T.rows_view x ~row:1 ~len:(rows - 2) else x in
+      let split = T.columns x in
+      Array.length split = cols
+      && Array.for_all2 same_bits split (Array.init cols (T.col x)))
+
+let test_col_bounds () =
+  let x = T.uniform (Rng.create ~seed:5) ~rows:3 ~cols:4 ~lo:0. ~hi:1. in
+  List.iter
+    (fun c ->
+      match T.col x c with
+      | _ -> Alcotest.failf "T.col x %d did not raise" c
+      | exception Invalid_argument _ -> ())
+    [ -1; T.cols x ]
+
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* The no-grad draw path must be allocation-flat in the sequence
+   length: a boxed float per activation read (the generic Bigarray
+   stubs) costs thousands of words per step at this shape, the fused
+   kernel a handful. The block size is pinned so the per-block row
+   views do not depend on ADAPT_PNC_BATCH. *)
+let test_forward_alloc_per_step () =
+  let rows = 200 in
+  let net = Network.create ~hidden:4 (Rng.create ~seed:3) Network.Adapt ~inputs:1 ~classes:3 in
+  let x64 = T.uniform (Rng.create ~seed:4) ~rows ~cols:64 ~lo:(-1.) ~hi:1. in
+  let x128 = T.uniform (Rng.create ~seed:4) ~rows ~cols:128 ~lo:(-1.) ~hi:1. in
+  List.iter
+    (fun precision ->
+      let words x =
+        let run () =
+          ignore
+            (Network.forward_batch_t ~batch_size:rows ~precision
+               ~draw:(draw_of ~seed:9 ~level:0.1) net x)
+        in
+        run ();
+        let w0 = words_allocated () in
+        run ();
+        words_allocated () -. w0
+      in
+      let w64 = words x64 and w128 = words x128 in
+      let per_step = (w128 -. w64) /. 64. in
+      if per_step > 64. then
+        Alcotest.failf "%s: %.0f words per extra time step (%.0f at 64 steps, %.0f at 128)"
+          (Batch.precision_name precision) per_step w64 w128)
+    [ `Exact; `Fast ]
+
+(* Splitting the input once per estimate changes nothing: the estimate
+   equals the per-draw mean over [Model.predict_batch] on [x]. *)
+let test_accuracy_split_once () =
+  Qgen.check ~count:6 ~name:"split-once estimate = per-draw predict_batch" ~pp:pp_model_case
+    model_case
+    (fun (model, _, seed) ->
+      let rng = Rng.create ~seed in
+      let classes =
+        match model with
+        | Model.Circuit net -> Network.classes net
+        | Model.Reference e -> Elman.classes e
+      in
+      let ds = small_dataset ~classes ~batch:(5 + Rng.int rng 10) ~time:8 rng in
+      let spec = Variation.uniform 0.1 and draws = 4 in
+      let x, y = Train.to_xy ds in
+      let rngs = Rng.split_n (Rng.create ~seed) draws in
+      let per_draw =
+        Array.init draws (fun i ->
+            let draw = Variation.make_draw rngs.(i) spec in
+            Pnc_util.Stats.accuracy ~pred:(Model.predict_batch ~draw model x) ~truth:y)
+      in
+      Train.accuracy_under_variation ~rng:(Rng.create ~seed) ~spec ~draws model ds
+      = Array.fold_left ( +. ) 0. per_draw /. float_of_int draws)
+
 let () =
   Alcotest.run "pnc_batch"
     [
@@ -356,6 +444,14 @@ let () =
           Alcotest.test_case "accuracy under variation, pool x batch" `Quick
             test_accuracy_under_variation_pool_batch_invariance;
           Alcotest.test_case "Mc_loss.expected_value" `Quick test_mc_loss_batch_invariance;
+        ] );
+      ( "steps and allocation",
+        [
+          Alcotest.test_case "columns = col" `Quick test_columns_match_col;
+          Alcotest.test_case "col bounds" `Quick test_col_bounds;
+          Alcotest.test_case "forward allocation per step" `Quick test_forward_alloc_per_step;
+          Alcotest.test_case "accuracy under variation splits once" `Quick
+            test_accuracy_split_once;
         ] );
       ( "sensitivity",
         [

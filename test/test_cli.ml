@@ -158,6 +158,69 @@ let test_grid_status_half_done () =
   Alcotest.(check int) "merge on a half-done grid exits 3" 3 m.code;
   Alcotest.(check bool) "lists missing cells" true (contains ~needle:"2 cells missing" m.stderr)
 
+(* serve: a drained daemon exits 0 even when its stdout reader is gone.
+   The daemon ignores SIGPIPE, so its last banner write fails with EPIPE
+   after the drain; that must not become an uncaught Sys_error (exit
+   125). *)
+let test_serve_closed_stdout () =
+  let ckpt = Filename.temp_file "cli_serve" ".ckpt" in
+  let model =
+    Pnc_core.Model.Circuit
+      (Pnc_core.Network.create ~hidden:3 (Pnc_util.Rng.create ~seed:1) Pnc_core.Network.Adapt
+         ~inputs:1 ~classes:3)
+  in
+  Pnc_core.Persist.save_model ~path:ckpt model;
+  let err = Filename.temp_file "cli_err" ".txt" in
+  let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let args = [ "serve"; "--load"; ckpt; "--port"; "0"; "--reload-every-ms"; "0" ] in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin wr fd_err in
+  Unix.close wr;
+  Unix.close fd_err;
+  let ic = Unix.in_channel_of_descr rd in
+  (* "serving <model> (...) on http://127.0.0.1:<port>" *)
+  let banner = try input_line ic with End_of_file -> "" in
+  let port =
+    match String.rindex_opt banner ':' with
+    | Some i -> int_of_string_opt (String.sub banner (i + 1) (String.length banner - i - 1))
+    | None -> None
+  in
+  (match port with
+  | None ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.failf "no startup banner (got %S): %s" banner (slurp err)
+  | Some port ->
+      (* A health answer means the accept loop runs, so the signal
+         handlers are installed. *)
+      let c = Pnc_serve.Serve.Client.connect ~port () in
+      (match Pnc_serve.Serve.Client.health c with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "health: %s" msg);
+      Pnc_serve.Serve.Client.close c);
+  close_in ic;
+  Unix.kill pid Sys.sigterm;
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        wait ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.fail "daemon did not exit within 20 s of SIGTERM"
+    | _, status -> status
+  in
+  let status = wait () in
+  let stderr = slurp err in
+  Sys.remove err;
+  Sys.remove ckpt;
+  match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "exit %d; stderr: %s" c stderr
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Alcotest.failf "killed by signal %d" s
+
 let () =
   Random.self_init ();
   Alcotest.run "cli"
@@ -177,4 +240,7 @@ let () =
           Alcotest.test_case "half-done grid: status counts, merge exits 3" `Quick
             test_grid_status_half_done;
         ] );
+      ( "serve",
+        [ Alcotest.test_case "closed stdout: drained daemon exits 0" `Quick test_serve_closed_stdout ]
+      );
     ]

@@ -320,6 +320,119 @@ let test_concurrent_drain () =
   (* with_server joining [run] without a hang IS the drain check. *)
   Sys.remove ckpt
 
+(* Strict framing: HTTP writes Content-Length as 1*DIGIT. Each form
+   below is one that [int_of_string] accepts, spelled so that it names
+   the true body length — a lenient parser would read the body and
+   answer 200, so only a strict one fails these. *)
+let lenient_forms = function
+  | 10 -> [ "+10"; "0xa"; "0b1010"; "1_0"; "0o12" ]
+  | 14 -> [ "+14"; "0xe"; "0b1110"; "1_4"; "0o16" ]
+  | n -> Alcotest.failf "no lenient spellings of %d" n
+
+let huge_length = "99999999999999999999999999"
+
+(* One raw request on a fresh socket; returns everything the server
+   sends before closing. A receive timeout turns a server waiting for
+   a body into a test failure instead of a hang. *)
+let raw_exchange ~port request =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let b = Bytes.of_string request in
+      ignore (Unix.write fd b 0 (Bytes.length b));
+      let buf = Buffer.create 256 and chunk = Bytes.create 1024 in
+      let rec drain () =
+        match Unix.read fd chunk 0 1024 with
+        | 0 -> ()
+        | k ->
+            Buffer.add_subbytes buf chunk 0 k;
+            drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "server did not answer within 5 s (waiting for a body?)"
+      in
+      drain ();
+      Buffer.contents buf)
+
+let status_of response =
+  match String.split_on_char ' ' response with
+  | _ :: code :: _ -> int_of_string code
+  | _ -> Alcotest.failf "no status line in %S" response
+
+let test_strict_content_length_server () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 50);
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  with_server ~config ckpt (fun srv ->
+      let port = Serve.port srv in
+      let post length body =
+        Printf.sprintf "POST /v1/logits HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: %s\r\n\r\n%s"
+          length body
+      in
+      let body = {|{"series":[1]}|} in
+      Alcotest.(check int) "digits accepted" 200
+        (status_of (raw_exchange ~port (post (string_of_int (String.length body)) body)));
+      List.iter
+        (fun form ->
+          Alcotest.(check int) ("Content-Length: " ^ form) 400
+            (status_of (raw_exchange ~port (post form body))))
+        (lenient_forms (String.length body));
+      (* Overflowing length: rejected from the header alone, no body. *)
+      Alcotest.(check int) "huge Content-Length" 400
+        (status_of (raw_exchange ~port (post huge_length ""))));
+  Sys.remove ckpt
+
+(* A one-shot fake server: answers the first request on a loopback
+   port with [response] verbatim, then closes. *)
+let with_canned_server response f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port = match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  let serve () =
+    let fd, _ = Unix.accept lfd in
+    let buf = Bytes.create 4096 in
+    ignore (Unix.read fd buf 0 4096);
+    let b = Bytes.of_string response in
+    ignore (Unix.write fd b 0 (Bytes.length b));
+    Unix.close fd
+  in
+  let th = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join th;
+      Unix.close lfd)
+    (fun () -> f port)
+
+let client_outcome response =
+  with_canned_server response (fun port ->
+      let c = Serve.Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          match Serve.Client.request c ~meth:"GET" ~path:"/healthz" () with
+          | r -> Ok r.Serve.Client.status
+          | exception Failure msg -> Error msg))
+
+let test_strict_content_length_client () =
+  let reply ?(status = "200") length =
+    Printf.sprintf "HTTP/1.1 %s OK\r\nContent-Length: %s\r\n\r\n0123456789" status length
+  in
+  Alcotest.(check (result int string)) "digits accepted" (Ok 200) (client_outcome (reply "10"));
+  let rejects what response =
+    match client_outcome response with
+    | Error _ -> ()
+    | Ok st -> Alcotest.failf "%s: client accepted the response (status %d)" what st
+  in
+  List.iter (fun form -> rejects ("Content-Length: " ^ form) (reply form)) (lenient_forms 10);
+  rejects "huge Content-Length" (reply huge_length);
+  List.iter
+    (fun status -> rejects ("status " ^ status) (reply ~status "10"))
+    [ "+200"; "0xc8"; "2_00"; "20"; "2000" ]
+
 let () =
   Random.self_init ();
   Alcotest.run "serve"
@@ -337,5 +450,12 @@ let () =
           Alcotest.test_case "hot reload mid-load" `Quick test_hot_reload_mid_load;
           Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
           Alcotest.test_case "concurrent drain" `Quick test_concurrent_drain;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "server: strict Content-Length" `Quick
+            test_strict_content_length_server;
+          Alcotest.test_case "client: strict Content-Length and status" `Quick
+            test_strict_content_length_client;
         ] );
     ]
