@@ -50,7 +50,7 @@ fmt-check:
 # _build/default/lib calls the generic Bigarray stubs caml_ba_get_N /
 # caml_ba_set_N, i.e. a kernel helper left a Bigarray parameter
 # unannotated and boxes a float on every element access (see
-# docs/BATCHING.md, "Adding a batched twin").
+# docs/BATCHING.md, "Adding a layer kernel").
 unboxed-check:
 	dune build && ./scripts/check_unboxed.sh
 

@@ -23,6 +23,7 @@ module Table = Pnc_util.Table
 module Dataset = Pnc_data.Dataset
 module Registry = Pnc_data.Registry
 module Network = Pnc_core.Network
+module Batch = Pnc_core.Batch
 module Model = Pnc_core.Model
 module Train = Pnc_core.Train
 module Variation = Pnc_core.Variation
@@ -84,17 +85,19 @@ let train_with_readout ~readout split ~classes =
   let opt = Optimizer.adamw ~params () in
   let sched = Pnc_optim.Scheduler.plateau ~patience:12 ~init_lr:0.05 () in
   let xv, yv = Train.to_xy split.Dataset.valid in
+  let opts = { Batch.default with readout } in
   (try
      for _ = 1 to 180 do
        Optimizer.zero_grads opt;
-       let logits = Network.forward_readout ~readout ~draw:Variation.deterministic net x in
+       let logits = Network.forward ~readout ~draw:Variation.deterministic net x in
        Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y);
        Optimizer.clip_grad_norm opt ~max_norm:5.;
        Optimizer.step opt ~lr:(Pnc_optim.Scheduler.lr sched);
        Network.clamp net;
        let vl =
-         Network.forward_readout ~readout ~draw:Variation.deterministic net xv |> fun l ->
-         T.get_scalar (Var.value (Pnc_autodiff.Loss.softmax_cross_entropy ~logits:l ~labels:yv))
+         Pnc_autodiff.Loss.cross_entropy_value
+           ~logits:(Network.forward_batch_t ~opts ~draw:Variation.deterministic net xv)
+           ~labels:yv
        in
        match Pnc_optim.Scheduler.observe sched vl with
        | `Stop -> raise Exit
@@ -114,15 +117,16 @@ let readout_ablation () =
         let x, y = Train.to_xy split.Dataset.test in
         let pred =
           T.argmax_rows
-            (Var.value (Network.forward_readout ~readout ~draw:Variation.deterministic net x))
+            (Network.forward_batch_t ~opts:{ Batch.default with readout }
+               ~draw:Variation.deterministic net x)
         in
         Pnc_util.Stats.accuracy ~pred ~truth:y
       in
       Table.add_row t
         [
           name;
-          Printf.sprintf "%.3f" (eval Network.Last_step);
-          Printf.sprintf "%.3f" (eval Network.Integrated);
+          Printf.sprintf "%.3f" (eval Batch.Last_step);
+          Printf.sprintf "%.3f" (eval Batch.Integrated);
         ])
     datasets;
   Table.print t;

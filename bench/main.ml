@@ -88,7 +88,7 @@ let bechamel_table2 cfg =
 
 (* Tentpole benchmark: throughput of accuracy evaluation under
    variation — the Var-graph path (builds the full autodiff DAG per
-   draw) against the no-grad tensor fast path used by Model.predict /
+   draw) against the no-grad engine used by Model.predict_batch /
    Mc_loss.expected_value. Also reports training epochs/s for
    context. *)
 let bench_eval_throughput cfg =
@@ -104,6 +104,9 @@ let bench_eval_throughput cfg =
   let x, y = Pnc_core.Train.to_xy split.Pnc_data.Dataset.test in
   let spec = Pnc_core.Variation.uniform 0.1 in
   let n_draws = 20 in
+  let predict ?(opts = Pnc_core.Batch.default) ~draw net x =
+    Pnc_tensor.Tensor.argmax_rows (Pnc_core.Network.forward_batch_t ~opts ~draw net x)
+  in
   let eval_with forward () =
     let r = Pnc_util.Rng.create ~seed:7 in
     for _ = 1 to n_draws do
@@ -117,7 +120,7 @@ let bench_eval_throughput cfg =
         Pnc_tensor.Tensor.argmax_rows
           (Pnc_autodiff.Var.value (Pnc_core.Network.forward ~draw net x)))
   in
-  let eval_fast = eval_with (fun ~draw -> Pnc_core.Network.predict ~draw net x) in
+  let eval_fast = eval_with (fun ~draw -> predict ~draw net x) in
   eval_var ();
   eval_fast ();
   let t_var = Pnc_util.Timer.time_mean ~repeats:3 eval_var in
@@ -147,12 +150,12 @@ let bench_eval_throughput cfg =
 
   (* Batched vs single-sample no-grad path. Three regimes over the same
      protocol:
-     - single-sample: one [forward_t] call per series — the scalar
+     - single-sample: one no-grad forward per series — the scalar
        client loop the batched engine replaces. Evaluating one physical
        instance sample by sample forces the caller to replay the draw
        (copy the stream) for every series, so each call pays a full
        realization on top of the [1 x time] kernels.
-     - chunked block=1: [predict_batch ~batch_size:1] — realize once,
+     - chunked block=1: [batch_size = Some 1] — realize once,
        then per-sample row blocks through the blocked kernels.
      - batched: the whole split as one block (t_fast above).
      All three produce bit-identical predictions (checked below); only
@@ -163,8 +166,7 @@ let bench_eval_throughput cfg =
         (* Same physical instance for every series: replay the draw's
            stream per call, as a scalar consumer must. *)
         let draw = Pnc_core.Variation.make_draw (Pnc_util.Rng.copy rng_draw) spec in
-        (Pnc_core.Network.predict ~draw net
-           (Pnc_tensor.Tensor.rows_view x ~row:i ~len:1)).(0))
+        (predict ~draw net (Pnc_tensor.Tensor.rows_view x ~row:i ~len:1)).(0))
   in
   let eval_scalar () =
     let r = Pnc_util.Rng.create ~seed:7 in
@@ -172,14 +174,14 @@ let bench_eval_throughput cfg =
       let pred = scalar_predict ~rng_draw:r in
       (* Advance the parent stream exactly like [make_draw] + realize
          does on the batched paths. *)
-      ignore (Pnc_core.Network.predict ~draw:(Pnc_core.Variation.make_draw r spec) net
-                (Pnc_tensor.Tensor.rows_view x ~row:0 ~len:1));
+      ignore
+        (predict ~draw:(Pnc_core.Variation.make_draw r spec) net
+           (Pnc_tensor.Tensor.rows_view x ~row:0 ~len:1));
       ignore (Pnc_util.Stats.accuracy ~pred ~truth:y)
     done
   in
-  let eval_chunked =
-    eval_with (fun ~draw -> Pnc_core.Network.predict_batch ~batch_size:1 ~draw net x)
-  in
+  let block1 = { Pnc_core.Batch.default with batch_size = Some 1 } in
+  let eval_chunked = eval_with (fun ~draw -> predict ~opts:block1 ~draw net x) in
   eval_scalar ();
   eval_chunked ();
   let t_scalar = Pnc_util.Timer.time_mean ~repeats:3 eval_scalar in
@@ -193,13 +195,10 @@ let bench_eval_throughput cfg =
       let scalar = scalar_predict ~rng_draw:r1 in
       (* Advance r1's stream by one realization, like the other paths. *)
       ignore
-        (Pnc_core.Network.predict ~draw:(Pnc_core.Variation.make_draw r1 spec) net
+        (predict ~draw:(Pnc_core.Variation.make_draw r1 spec) net
            (Pnc_tensor.Tensor.rows_view x ~row:0 ~len:1));
-      let whole = Pnc_core.Network.predict ~draw:(Pnc_core.Variation.make_draw r2 spec) net x in
-      let chunked =
-        Pnc_core.Network.predict_batch ~batch_size:1
-          ~draw:(Pnc_core.Variation.make_draw r3 spec) net x
-      in
+      let whole = predict ~draw:(Pnc_core.Variation.make_draw r2 spec) net x in
+      let chunked = predict ~opts:block1 ~draw:(Pnc_core.Variation.make_draw r3 spec) net x in
       if scalar <> whole || chunked <> whole then ok := false
     done;
     !ok
@@ -237,9 +236,8 @@ let bench_eval_throughput cfg =
      see lib/tensor/fast_math.mli). Its parity contract is a bounded
      drift, not bit-identity: max |logit delta| against `Exact under
      the same draw, plus the prediction agreement rate. *)
-  let eval_tier precision =
-    eval_with (fun ~draw -> Pnc_core.Network.predict_batch ~precision ~draw net x)
-  in
+  let tier precision = { Pnc_core.Batch.default with precision } in
+  let eval_tier precision = eval_with (fun ~draw -> predict ~opts:(tier precision) ~draw net x) in
   let eval_exact_tier = eval_tier `Exact and eval_fast_tier = eval_tier `Fast in
   eval_exact_tier ();
   eval_fast_tier ();
@@ -247,8 +245,8 @@ let bench_eval_throughput cfg =
   let t_fast_tier = Pnc_util.Timer.time_mean ~repeats:3 eval_fast_tier in
   let drift, agree =
     let mk () = Pnc_core.Variation.make_draw (Pnc_util.Rng.create ~seed:7) spec in
-    let le = Pnc_core.Network.forward_batch_t ~precision:`Exact ~draw:(mk ()) net x in
-    let lf = Pnc_core.Network.forward_batch_t ~precision:`Fast ~draw:(mk ()) net x in
+    let le = Pnc_core.Network.forward_batch_t ~opts:(tier `Exact) ~draw:(mk ()) net x in
+    let lf = Pnc_core.Network.forward_batch_t ~opts:(tier `Fast) ~draw:(mk ()) net x in
     let d = ref 0. in
     for r = 0 to rows - 1 do
       for c = 0 to Pnc_tensor.Tensor.cols le - 1 do
@@ -360,24 +358,24 @@ let bench_stream cfg =
     if cfg.Config.eval_level > 0. then Some (Pnc_core.Variation.uniform cfg.Config.eval_level)
     else None
   in
-  let precision = cfg.Config.precision in
+  let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let protocol = { Online.default_protocol with Online.width = 8; stride = 8 } in
   let adapted_protocol = { protocol with Online.adapt = Online.All } in
   let rng () = Pnc_util.Rng.create ~seed:6000 in
-  let frozen ?batch_size ?pool () =
-    Online.eval ?batch_size ?pool ~precision ?spec ~rng:(rng ()) protocol model rz
+  let frozen ?(opts = opts) ?pool () =
+    Online.eval ~opts ?pool ?spec ~rng:(rng ()) protocol model rz
   in
   let reference = frozen () in
   let nw = Array.length reference.Online.points in
   let parity =
-    let chunked = frozen ~batch_size:1 () in
+    let chunked = frozen ~opts:{ opts with batch_size = Some 1 } () in
     let pooled = Pnc_util.Pool.with_pool ~size:2 (fun pool -> frozen ~pool ()) in
     chunked.Online.points = reference.Online.points
     && pooled.Online.points = reference.Online.points
   in
   let snap = Online.snapshot_params model in
   let adapted () =
-    let a = Online.eval ~precision ?spec ~rng:(rng ()) adapted_protocol model rz in
+    let a = Online.eval ~opts ?spec ~rng:(rng ()) adapted_protocol model rz in
     Online.restore_params model snap;
     a
   in

@@ -269,6 +269,7 @@ let eval_cmd =
   let run load dataset seed scale draws level batch precision jobs metrics_out trace =
     let batch_size = if batch > 0 then Some batch else None in
     let precision = Pnc_core.Batch.resolve_precision ?precision () in
+    let opts = { Pnc_core.Batch.default with batch_size; precision } in
     check_dataset dataset;
     let cfg = config_of ~scale in
     let model =
@@ -287,11 +288,11 @@ let eval_cmd =
               (Pnc_core.Model.label model) dataset seed
               (Pnc_core.Batch.precision_name precision);
             Printf.printf "accuracy, clean:            %.3f\n"
-              (Pnc_core.Train.accuracy ?batch_size ~precision model test);
+              (Pnc_core.Train.accuracy ~opts model test);
             if Pnc_core.Model.is_circuit model then
               Printf.printf "accuracy, ±%.0f%% components: %.3f (%d draws)\n"
                 (100. *. level)
-                (Pnc_core.Train.accuracy_under_variation ?batch_size ~precision ?pool
+                (Pnc_core.Train.accuracy_under_variation ~opts ?pool
                    ~rng:(Rng.create ~seed:(seed + 4000))
                    ~spec:(Pnc_core.Variation.uniform level) ~draws model test)
                 draws))

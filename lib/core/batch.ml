@@ -1,5 +1,5 @@
-(* Batch-size resolution and telemetry for the batched no-grad
-   evaluation path (see docs/BATCHING.md).
+(* Evaluation options, batch-size resolution and telemetry for the
+   batched no-grad evaluation path (see docs/BATCHING.md).
 
    The block size is a pure performance knob: every batched forward
    realizes the variation draw once and then chunks the batch through
@@ -7,6 +7,7 @@
    why the knob deliberately stays out of Config.fingerprint — grid
    cache entries remain valid whatever ADAPT_PNC_BATCH is set to. *)
 
+module T = Pnc_tensor.Tensor
 module Obs = Pnc_obs.Obs
 module Clock = Pnc_obs.Clock
 
@@ -107,13 +108,39 @@ let resolve_precision ?precision () =
   | Some p -> p
   | None -> ( match precision_env_default () with Some p -> p | None -> `Exact)
 
-let chunked ~rows ~block f =
+type readout = Integrated | Last_step
+type families = { crossbar : bool; filter : bool; activation : bool }
+
+let all_families = { crossbar = true; filter = true; activation = true }
+
+type opts = {
+  batch_size : int option;
+  precision : precision;
+  state_init : Filter_layer.state_init;
+  readout : readout;
+  varied : families;
+}
+
+let default =
+  {
+    batch_size = None;
+    precision = `Exact;
+    state_init = `V0;
+    readout = Integrated;
+    varied = all_families;
+  }
+
+let blocked opts ~rows ~cols f =
+  let block = resolve ?batch_size:opts.batch_size ~n:rows () in
+  let t0 = start () in
+  let out = T.zeros ~rows ~cols in
   let blocks = ref 0 in
   let r0 = ref 0 in
   while !r0 < rows do
     let len = Stdlib.min block (rows - !r0) in
-    f ~row:!r0 ~len;
+    T.blit_into ~dst:(T.rows_view out ~row:!r0 ~len) (f ~row:!r0 ~len);
     incr blocks;
     r0 := !r0 + len
   done;
-  !blocks
+  record ~block ~rows ~blocks:!blocks ~t0;
+  out

@@ -1,14 +1,10 @@
-(** Batch-size resolution and telemetry for the batched no-grad
-    evaluation path.
+(** Evaluation options and batch-size resolution for the batched
+    no-grad evaluation path.
 
-    Every [*_batch_t] forward takes a [?batch_size] knob resolved here:
-    an explicit argument wins, otherwise the [ADAPT_PNC_BATCH]
-    environment variable (a positive integer), otherwise the whole
-    split runs as one block. The knob only chooses how many rows each
-    kernel call carries — the variation draw is realized once per
-    forward and shared across blocks, so results are bit-identical for
-    every block size (enforced by test/test_batch.ml). It is therefore
-    deliberately excluded from {!Pnc_exp.Config.fingerprint}. *)
+    Every no-grad forward takes one {!opts} record. Its [batch_size] is
+    resolved here: an explicit value wins, otherwise the
+    [ADAPT_PNC_BATCH] environment variable (a positive integer),
+    otherwise the whole split runs as one block. *)
 
 val env_default : unit -> int option
 (** [ADAPT_PNC_BATCH] parsed as a positive block size, if set. A set
@@ -47,16 +43,49 @@ val resolve_precision : ?precision:precision -> unit -> precision
     library functions default to [`Exact] unconditionally, and every
     Fast run is recorded in {!Pnc_exp.Config.fingerprint}. *)
 
-val chunked : rows:int -> block:int -> (row:int -> len:int -> unit) -> int
-(** [chunked ~rows ~block f] calls [f] once per consecutive row block
-    (the final block may be ragged) and returns the block count. *)
+type readout = Integrated | Last_step
+(** [Integrated] (the default) time-averages the output voltages —
+    physically an RC integrator per class output; [Last_step] reads the
+    final instant only (the read-out ablation). *)
 
-val start : unit -> float
-(** Clock origin for {!record}; reads the clock only when the
-    observability sink is enabled. *)
+type families = { crossbar : bool; filter : bool; activation : bool }
+(** Which component families take the variation draw; the others are
+    realized nominal ({!Variation.deterministic}). *)
 
-val record : block:int -> rows:int -> blocks:int -> t0:float -> unit
-(** Account one batched forward: bumps the [eval.batch.samples] /
-    [eval.batch.blocks] counters (always), and — with an enabled sink —
-    observes [eval.batch_seconds] and emits an [eval.batch] event with
-    the throughput. *)
+val all_families : families
+
+type opts = {
+  batch_size : int option;
+      (** rows per kernel call, resolved by {!resolve}. The draw is
+          realized once per forward and shared across blocks, and every
+          kernel is row-independent, so [batch_size] never changes the
+          result (enforced by test/test_batch.ml). It is therefore
+          deliberately excluded from {!Pnc_exp.Config.fingerprint}. *)
+  precision : precision;  (** activation tier; library default [`Exact] *)
+  state_init : Filter_layer.state_init;
+      (** filter initial voltages (default [`V0]); pre-drawn for the
+          full batch, so block-size invariant under every value *)
+  readout : readout;
+  varied : families;
+}
+(** Options of one no-grad evaluation. Models without a component
+    (the reference RNN has no filters, no draw and a fixed read-out)
+    ignore the fields that do not apply. *)
+
+val default : opts
+(** [{ batch_size = None; precision = `Exact; state_init = `V0;
+    readout = Integrated; varied = all_families }]. *)
+
+val blocked :
+  opts ->
+  rows:int ->
+  cols:int ->
+  (row:int -> len:int -> Pnc_tensor.Tensor.t) ->
+  Pnc_tensor.Tensor.t
+(** [blocked opts ~rows ~cols f] runs one batched forward: [f] computes
+    the [len x cols] result of each consecutive row block (of
+    {!resolve}d size; the final block may be ragged), which is written
+    into those rows of the [rows x cols] output. Bumps the
+    [eval.batch.samples] / [eval.batch.blocks] counters and, with an
+    enabled sink, observes [eval.batch_seconds] and emits an
+    [eval.batch] event with the throughput. *)

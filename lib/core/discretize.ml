@@ -63,7 +63,7 @@ let accuracy_ladder ~levels_list net dataset =
     (fun levels ->
       let acc =
         with_quantized ~levels net (fun () ->
-            Pnc_util.Stats.accuracy ~pred:(Network.predict net x) ~truth:y)
+            Pnc_util.Stats.accuracy ~pred:(Model.predict_batch (Model.Circuit net) x) ~truth:y)
       in
       (levels, acc))
     levels_list

@@ -66,10 +66,10 @@ let forward_multi m steps =
 
 let forward m x = forward_multi m (T.columns x)
 
-(* Pure-tensor forward for evaluation — same floating-point operation
-   sequence as the Var path, no autodiff nodes. [`Fast] swaps the
-   per-element transcendental only. *)
-let cell_step_t ?(precision = `Exact) c h x =
+(* No-grad forward — same floating-point operation sequence as the Var
+   path, no autodiff nodes. [`Fast] swaps the per-element
+   transcendental only. *)
+let cell_step_t ~precision c h x =
   let pre =
     T.add_rv (T.add (T.matmul x (Var.value c.w)) (T.matmul h (Var.value c.u))) (Var.value c.b)
   in
@@ -82,42 +82,22 @@ let cell_step_t ?(precision = `Exact) c h x =
       Pnc_tensor.Fast_math.apply_range pre.T.data ~off:pre.T.off ~len:(T.numel pre);
       pre
 
-let forward_multi_t ?precision m steps =
-  assert (Array.length steps > 0);
+let forward_block ~precision m steps =
   let batch = T.rows steps.(0) in
   let h1 = ref (T.zeros ~rows:batch ~cols:m.n_hidden) in
   let h2 = ref (T.zeros ~rows:batch ~cols:m.n_hidden) in
   Array.iter
     (fun x_t ->
-      h1 := cell_step_t ?precision m.l1 !h1 x_t;
-      h2 := cell_step_t ?precision m.l2 !h2 !h1)
+      h1 := cell_step_t ~precision m.l1 !h1 x_t;
+      h2 := cell_step_t ~precision m.l2 !h2 !h1)
     steps;
   T.add_rv (T.matmul !h2 (Var.value m.w_out)) (Var.value m.b_out)
 
-let forward_t m x = forward_multi_t m (T.columns x)
-
-(* Batched twin: the recurrence carries rows independently (matmuls by
-   fixed weights + row-broadcast biases), so chunking the batch through
-   zero-copy row views is bit-identical to one whole-batch forward for
-   any batch size. *)
-let forward_multi_batch_t ?batch_size ?precision m steps =
+(* The recurrence carries rows independently (matmuls by fixed weights
+   + row-broadcast biases), so chunking the batch through zero-copy row
+   views is bit-identical to one whole-batch forward for any batch
+   size. *)
+let forward_multi_batch_t ?(opts = Batch.default) m steps =
   assert (Array.length steps > 0);
-  let rows = T.rows steps.(0) in
-  let block = Batch.resolve ?batch_size ~n:rows () in
-  let t0 = Batch.start () in
-  let out = T.zeros ~rows ~cols:m.n_classes in
-  let blocks =
-    Batch.chunked ~rows ~block (fun ~row ~len ->
-        let sub = Array.map (fun s -> T.rows_view s ~row ~len) steps in
-        T.blit_into ~dst:(T.rows_view out ~row ~len) (forward_multi_t ?precision m sub))
-  in
-  Batch.record ~block ~rows ~blocks ~t0;
-  out
-
-let forward_batch_t ?batch_size ?precision m x =
-  forward_multi_batch_t ?batch_size ?precision m (T.columns x)
-
-let predict m x = T.argmax_rows (forward_t m x)
-
-let predict_batch ?batch_size ?precision m x =
-  T.argmax_rows (forward_batch_t ?batch_size ?precision m x)
+  Batch.blocked opts ~rows:(T.rows steps.(0)) ~cols:m.n_classes (fun ~row ~len ->
+      forward_block ~precision:opts.precision m (Array.map (T.rows_view ~row ~len) steps))

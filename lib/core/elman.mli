@@ -24,43 +24,10 @@ val forward : t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
 
 val forward_multi : t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
 
-val forward_t : t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Pure-tensor forward (no autodiff nodes); bit-identical logits. *)
-
-val forward_multi_t :
-  ?precision:[ `Exact | `Fast ] ->
-  t ->
-  Pnc_tensor.Tensor.t array ->
-  Pnc_tensor.Tensor.t
-
-val forward_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-(** Batched twin of {!forward_t} ([?batch_size] resolved by
-    {!Batch.resolve}); bit-identical logits for any batch size under
-    [`Exact] (the default). [`Fast] substitutes
-    {!Pnc_tensor.Fast_math.tanh} for the cell activations. *)
-
 val forward_multi_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  t ->
-  Pnc_tensor.Tensor.t array ->
-  Pnc_tensor.Tensor.t
-(** {!forward_batch_t} over pre-split time steps (one [batch x inputs]
-    tensor per step), so a caller evaluating one input many times
-    splits it once. *)
-
-val predict : t -> Pnc_tensor.Tensor.t -> int array
-(** Runs on the tensor fast path. *)
-
-val predict_batch :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  int array
-(** {!predict} on the batched path. *)
+  ?opts:Batch.opts -> t -> Pnc_tensor.Tensor.t array -> Pnc_tensor.Tensor.t
+(** No-grad forward over pre-split time steps (one [batch x inputs]
+    tensor per step): bit-identical to {!forward_multi} under [`Exact]
+    precision; [`Fast] substitutes {!Pnc_tensor.Fast_math.tanh} for the
+    cell activations. Only [opts.batch_size] and [opts.precision]
+    apply. *)

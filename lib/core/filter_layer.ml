@@ -151,7 +151,7 @@ let init_state_t ?(init = `V0) real ~batch =
   reset_state_t ~init real st;
   st
 
-let step_t real (st : state_t) x =
+let step_batch_t real (st : state_t) x =
   let x_in = ref x in
   Array.iteri
     (fun i s ->
@@ -160,24 +160,6 @@ let step_t real (st : state_t) x =
       x_in := s)
     st;
   !x_in
-
-(* Batched twin: the per-channel RC update touches each batch row
-   independently, so advancing the state block of rows by block of rows
-   through zero-copy views is bit-identical to one whole-batch
-   [step_t] for any [block]. *)
-let step_batch_t ?block real (st : state_t) x =
-  let rows = T.rows x in
-  let b =
-    match block with Some b when b > 0 -> Stdlib.min b rows | _ -> rows
-  in
-  let r0 = ref 0 in
-  while !r0 < rows do
-    let len = Stdlib.min b (rows - !r0) in
-    let st_block = Array.map (fun s -> T.rows_view s ~row:!r0 ~len) st in
-    ignore (step_t real st_block (T.rows_view x ~row:!r0 ~len));
-    r0 := !r0 + len
-  done;
-  st.(Array.length st - 1)
 
 let kernel_t real = Array.map (fun sr -> (sr.a_t, sr.b_t)) real.stage_reals_t
 

@@ -58,7 +58,7 @@ val realize_t : draw:Variation.draw -> t -> realization_t
 
 type state_t = Pnc_tensor.Tensor.t array
 (** One [batch x features] voltage tensor per stage, mutated in place
-    by {!step_t}. *)
+    by {!step_batch_t}. *)
 
 type state_init = [ `V0 | `Zero | `Gaussian of Pnc_util.Rng.t * float ]
 (** Initial-voltage semantics for a fresh (or reused) state:
@@ -85,19 +85,14 @@ val init_state_t : ?init:state_init -> realization_t -> batch:int -> state_t
 (** Allocate and fill a fresh state; [init] defaults to [`V0], making
     this bit-identical to the historical entry point. *)
 
-val step_t : realization_t -> state_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
+val step_batch_t : realization_t -> state_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
 (** Advances the state in place and returns the last stage's voltages
-    (an alias of the state, valid until the next step). *)
-
-val step_batch_t :
-  ?block:int -> realization_t -> state_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** Batched twin of {!step_t}: advances the state block of rows at a
-    time (default: one block) through zero-copy row views —
-    bit-identical for any [block]. *)
+    (an alias of the state, valid until the next step) — the unfused
+    reference for the fused kernel in {!Network}. *)
 
 val kernel_t :
   realization_t -> (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array
-(** Per-stage [(a, b)] coefficient rows backing {!step_t} (the state
+(** Per-stage [(a, b)] coefficient rows backing {!step_batch_t} (the state
     update is [s' = s ∘ a + x ∘ b]), exposed so {!Network} can fuse the
     stage updates into its single-pass layer kernel. Read-only views. *)
 

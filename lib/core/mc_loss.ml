@@ -105,18 +105,18 @@ let expected ?(antithetic = false) ?(ni = false) ~rng ~spec ~n model ~x ~labels 
    nodes — which also makes it safe to distribute over a domain pool.
    The input is split into time steps once per estimate and shared
    read-only by every draw. *)
-let value_of_draw ?batch_size ?precision ~draw model ~steps ~labels =
+let value_of_draw ?opts ~draw model ~steps ~labels =
   Loss.cross_entropy_value
-    ~logits:(Model.logits_multi_batch_t ?batch_size ?precision ~draw model steps)
+    ~logits:(Model.logits_multi_batch_t ?opts ~draw model steps)
     ~labels
 
-let one_sample_value ?batch_size ?precision ~rng ~spec model ~steps ~labels =
+let one_sample_value ?opts ~rng ~spec model ~steps ~labels =
   let draw =
     if Model.is_circuit model then Variation.make_draw rng spec else Variation.deterministic
   in
-  value_of_draw ?batch_size ?precision ~draw model ~steps ~labels
+  value_of_draw ?opts ~draw model ~steps ~labels
 
-let expected_value ?(antithetic = false) ?batch_size ?precision ?pool ~rng ~spec ~n model
+let expected_value ?(antithetic = false) ?opts ?pool ~rng ~spec ~n model
     ~x ~labels =
   assert (n >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
@@ -127,11 +127,11 @@ let expected_value ?(antithetic = false) ?batch_size ?precision ?pool ~rng ~spec
     if antithetic then
       if j < n / 2 then begin
         let d1, d2 = Variation.antithetic_pair rngs.(j) spec in
-        value_of_draw ?batch_size ?precision ~draw:d1 model ~steps ~labels
-        +. value_of_draw ?batch_size ?precision ~draw:d2 model ~steps ~labels
+        value_of_draw ?opts ~draw:d1 model ~steps ~labels
+        +. value_of_draw ?opts ~draw:d2 model ~steps ~labels
       end
-      else one_sample_value ?batch_size ?precision ~rng:rngs.(j) ~spec model ~steps ~labels
-    else one_sample_value ?batch_size ?precision ~rng:rngs.(j) ~spec model ~steps ~labels
+      else one_sample_value ?opts ~rng:rngs.(j) ~spec model ~steps ~labels
+    else one_sample_value ?opts ~rng:rngs.(j) ~spec model ~steps ~labels
   in
   let n_tasks = Array.length rngs in
   let values =

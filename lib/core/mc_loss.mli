@@ -36,8 +36,7 @@ val expected :
 
 val expected_value :
   ?antithetic:bool ->
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
+  ?opts:Batch.opts ->
   ?pool:Pnc_util.Pool.t ->
   rng:Pnc_util.Rng.t ->
   spec:Variation.spec ->
@@ -52,6 +51,5 @@ val expected_value :
     distributed across the pool's worker domains; the result is
     bit-identical to the sequential path for every worker count (each
     draw owns a pre-split child stream and the summation order is
-    fixed). Each draw evaluates on the batched path; like the pool
-    size, [batch_size] never changes the result. [precision] does:
-    [`Fast] swaps in the bounded fast tanh (default [`Exact]). *)
+    fixed). Each draw evaluates on the no-grad engine
+    ({!Model.logits_multi_batch_t}) with [opts]. *)

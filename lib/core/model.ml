@@ -16,25 +16,16 @@ let logits ?(draw = Variation.deterministic) t x =
   | Circuit net -> Network.forward ~draw net x
   | Reference m -> Elman.forward m x
 
-let logits_t ?(draw = Variation.deterministic) t x =
+let logits_multi_batch_t ?opts ?(draw = Variation.deterministic) t steps =
   match t with
-  | Circuit net -> Network.forward_t ~draw net x
-  | Reference m -> Elman.forward_t m x
+  | Circuit net -> Network.forward_multi_batch_t ?opts ~draw net steps
+  | Reference m -> Elman.forward_multi_batch_t ?opts m steps
 
-let logits_multi_batch_t ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t
-    steps =
-  match t with
-  | Circuit net -> Network.forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps
-  | Reference m -> Elman.forward_multi_batch_t ?batch_size ?precision m steps
+let logits_batch_t ?opts ?draw t x =
+  logits_multi_batch_t ?opts ?draw t (Pnc_tensor.Tensor.columns x)
 
-let logits_batch_t ?batch_size ?precision ?state_init ?draw t x =
-  logits_multi_batch_t ?batch_size ?precision ?state_init ?draw t (Pnc_tensor.Tensor.columns x)
-
-let predict ?(draw = Variation.deterministic) t x =
-  Pnc_tensor.Tensor.argmax_rows (logits_t ~draw t x)
-
-let predict_batch ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) t x =
-  Pnc_tensor.Tensor.argmax_rows (logits_batch_t ?batch_size ?precision ?state_init ~draw t x)
+let predict_batch ?opts ?draw t x =
+  Pnc_tensor.Tensor.argmax_rows (logits_batch_t ?opts ?draw t x)
 
 let clamp = function Circuit net -> Network.clamp net | Reference _ -> ()
 let is_circuit = function Circuit _ -> true | Reference _ -> false

@@ -55,6 +55,12 @@ let named_params net =
 let n_params net =
   List.fold_left (fun acc v -> acc + T.numel (Var.value v)) 0 (params net)
 
+(* The draw each component family realizes with: the [varied] families
+   take [draw], the others run nominal. *)
+let family_draws (varied : Batch.families) draw =
+  let pick on = if on then draw else Variation.deterministic in
+  (pick varied.crossbar, pick varied.filter, pick varied.activation)
+
 (* One sampled physical instance of a layer, shared across time steps:
    the variation-folded component values are realized once, only the
    input-dependent computation runs per step. *)
@@ -65,7 +71,8 @@ type layer_real = {
   mutable filt_state : Filter_layer.state;
 }
 
-let realize_layers_selective ~draw_crossbar ~draw_filter ~draw_act ~batch net =
+let realize_layers ~varied ~draw ~batch net =
+  let draw_crossbar, draw_filter, draw_act = family_draws varied draw in
   List.map
     (fun (cb, fl, act) ->
       (* Explicit sampling order — filters, activation, crossbar. The
@@ -83,12 +90,10 @@ let step_layer lr x =
   lr.filt_state <- state';
   Ptanh.apply lr.act filtered
 
-type readout = Integrated | Last_step
-
-let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net steps =
+let forward_multi ?(readout = Batch.Integrated) ?(varied = Batch.all_families) ~draw net steps =
   assert (Array.length steps > 0);
   let batch = T.rows steps.(0) in
-  let reals = realize_layers_selective ~draw_crossbar ~draw_filter ~draw_act ~batch net in
+  let reals = realize_layers ~varied ~draw ~batch net in
   (* Default read-out: the class scores integrate the output voltage
      over the window — physically one slow RC stage per output (counted
      by Hardware). Reading only the final instant (Last_step, kept for
@@ -102,7 +107,7 @@ let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net ste
       acc :=
         Some
           (match (readout, !acc) with
-          | Last_step, _ | Integrated, None -> !signal
+          | Batch.Last_step, _ | Integrated, None -> !signal
           | Integrated, Some a -> Var.add a !signal))
     steps;
   match (readout, !acc) with
@@ -110,54 +115,25 @@ let forward_multi_readout ~readout ~draw_crossbar ~draw_filter ~draw_act net ste
   | Last_step, Some last -> last
   | _, None -> assert false
 
-let forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net steps =
-  forward_multi_readout ~readout:Integrated ~draw_crossbar ~draw_filter ~draw_act net steps
+let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw net (T.columns x)
 
-let forward_readout ~readout ~draw net x =
-  forward_multi_readout ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net
-    (T.columns x)
-
-let forward_multi ~draw net steps =
-  forward_multi_selective ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_selective ~draw_crossbar ~draw_filter ~draw_act net x =
-  forward_multi_selective ~draw_crossbar ~draw_filter ~draw_act net (T.columns x)
-
-let forward ~draw net x = forward_multi ~draw net (T.columns x)
-
-(* Pure-tensor forward for evaluation: same sampling order and same
-   floating-point operation sequence as the Var path, but no autodiff
-   nodes are allocated and the per-step kernels run in preallocated
-   buffers. Logits are bit-identical to [forward] under the same
-   draw(s).
+(* No-grad engine: same sampling order and same floating-point
+   operation sequence as the Var path, but no autodiff nodes are
+   allocated and each layer step runs as one fused pass over
+   preallocated buffers. Logits are bit-identical to [forward_multi]
+   under the same draw and options.
 
    Realization (the RNG-consuming part) is separated from the per-block
-   workspace (state + scratch buffers): the batched forwards below
-   realize ONCE per draw and then chunk the batch through zero-copy row
-   views, which is what makes the block size a pure performance knob —
-   every block sees the same physical circuit instance, so results are
-   bit-identical for any batch size. *)
-type layer_real_t = {
-  cb_t : Crossbar.realization_t;
-  filt_t : Filter_layer.realization_t;
-  act_t : Ptanh.realization_t;
-  n_out : int;
-}
+   workspace (state + scratch buffers): the draw is realized ONCE per
+   forward and the batch then runs through zero-copy row views, which
+   is what makes the block size a pure performance knob — every block
+   sees the same physical circuit instance, so results are
+   bit-identical for any batch size.
 
-let realize_net_t ~draw_crossbar ~draw_filter ~draw_act net =
-  List.map
-    (fun (cb, fl, act) ->
-      (* Same sampling order as the Var path: filters, activation,
-         crossbar. *)
-      let filt_t = Filter_layer.realize_t ~draw:draw_filter fl in
-      let act_t = Ptanh.realize_t ~draw:draw_act act in
-      let cb_t = Crossbar.realize_t ~draw:draw_crossbar cb in
-      { cb_t; filt_t; act_t; n_out = Crossbar.outputs cb })
-    net.layers
-
-(* Raw coefficient views of one realized layer, extracted once per
-   draw so the per-time-step loop below touches plain tensors only. *)
+   A realized layer is kept as raw coefficient views, extracted once
+   per draw so the per-time-step loop touches plain tensors only. *)
 type layer_kernel = {
+  k_filt : Filter_layer.realization_t;
   k_theta : T.t;
   k_bias : T.t;
   k_inv : T.t;
@@ -168,67 +144,47 @@ type layer_kernel = {
   k_e4 : T.t;
 }
 
-let make_kernel real =
-  let theta, bias, inv = Crossbar.kernel_t real.cb_t in
-  let e1, e2, e3, e4 = Ptanh.kernel_t real.act_t in
-  {
-    k_theta = theta;
-    k_bias = bias;
-    k_inv = inv;
-    k_stages = Filter_layer.kernel_t real.filt_t;
-    k_e1 = e1;
-    k_e2 = e2;
-    k_e3 = e3;
-    k_e4 = e4;
-  }
+let realize_net_t ~varied ~draw net =
+  let draw_crossbar, draw_filter, draw_act = family_draws varied draw in
+  List.map
+    (fun (cb, fl, act) ->
+      (* Same sampling order as the Var path: filters, activation,
+         crossbar. *)
+      let filt = Filter_layer.realize_t ~draw:draw_filter fl in
+      let act = Ptanh.realize_t ~draw:draw_act act in
+      let theta, bias, inv = Crossbar.kernel_t (Crossbar.realize_t ~draw:draw_crossbar cb) in
+      let e1, e2, e3, e4 = Ptanh.kernel_t act in
+      {
+        k_filt = filt;
+        k_theta = theta;
+        k_bias = bias;
+        k_inv = inv;
+        k_stages = Filter_layer.kernel_t filt;
+        k_e1 = e1;
+        k_e2 = e2;
+        k_e3 = e3;
+        k_e4 = e4;
+      })
+    net.layers
 
 type layer_ws = {
-  real : layer_real_t;
   kern : layer_kernel;
   filt_state_t : Filter_layer.state_t;
   cb_out : T.t;
   act_out : T.t;
 }
 
-(* [states], when given, hands each layer a pre-initialized filter
-   state for this block (usually row views of a full-batch state) —
-   the batched forwards use it to keep [`Gaussian] initial-state draws
-   independent of the block size. Otherwise a fresh state is drawn
-   here with [init] semantics. *)
-let make_ws ?(init = `V0) ?states ~batch reals =
-  let states =
-    match states with
-    | Some sts -> sts
-    | None -> List.map (fun real -> Filter_layer.init_state_t ~init real.filt_t ~batch) reals
-  in
-  List.map2
-    (fun real st ->
-      {
-        real;
-        kern = make_kernel real;
-        filt_state_t = st;
-        cb_out = T.zeros ~rows:batch ~cols:real.n_out;
-        act_out = T.zeros ~rows:batch ~cols:real.n_out;
-      })
-    reals states
-
-let step_layer_t ?precision lr x =
-  Crossbar.apply_t_into ~dst:lr.cb_out lr.real.cb_t x;
-  let filtered = Filter_layer.step_t lr.real.filt_t lr.filt_state_t lr.cb_out in
-  Ptanh.apply_t_into ?precision ~dst:lr.act_out lr.real.act_t filtered;
-  lr.act_out
-
 (* Fused layer step for the no-grad path: after the crossbar matmul,
    one elementwise pass applies bias + normalization, the RC filter
    stage update(s) and the printable-tanh activation. Every one of
    those kernels is elementwise over the same [batch x features] block
    with no cross-element reduction, and the fused loop evaluates the
-   exact per-element operation sequence of [step_layer_t]
-   (apply_t_into; step_t; Ptanh.apply_t_into) — so fusing the passes
-   changes memory traffic only, never a result bit. Unchecked accesses
-   are covered by the shape asserts plus the tensor view invariant.
-   Specialized for the two printable filter orders; any other stage
-   count falls back to the unfused sequence.
+   exact per-element operation sequence of the unfused reference
+   kernels (Crossbar.apply_batch_t; Filter_layer.step_batch_t;
+   Ptanh.apply_batch_t) — so fusing the passes changes memory traffic
+   only, never a result bit. Unchecked accesses are covered by the
+   shape asserts plus the tensor view invariant. Specialized for the
+   two printable filter orders.
 
    [~fast] selects the activation implementation: [false] is
    [Stdlib.tanh] (bit-identical to the Var path), [true] is
@@ -336,15 +292,24 @@ let fused_step_layer ~fast lr x =
         activation_rows ~fast od ~off:oo ~cols e2 eo2 e1 eo1
       done;
       out
-  | _ -> step_layer_t ~precision:(if fast then `Fast else `Exact) lr x
+  | _ -> assert false (* Filter_layer.order has exactly two constructors *)
 
 (* Run one block of rows through all time steps against an already
-   realized circuit instance. *)
-let forward_block ?(precision = `Exact) ?(state_init = `V0) ?states ~readout ~classes reals
-    steps =
-  let fast = match precision with `Fast -> true | `Exact -> false in
+   realized circuit instance, from the block's filter [states]. *)
+let forward_block ~fast ~readout ~classes kernels states steps =
   let batch = T.rows steps.(0) in
-  let ws = make_ws ~init:state_init ?states ~batch reals in
+  let ws =
+    List.map2
+      (fun kern filt_state_t ->
+        let n_out = T.cols kern.k_bias in
+        {
+          kern;
+          filt_state_t;
+          cb_out = T.zeros ~rows:batch ~cols:n_out;
+          act_out = T.zeros ~rows:batch ~cols:n_out;
+        })
+      kernels states
+  in
   let acc = T.zeros ~rows:batch ~cols:classes in
   let last = ref acc in
   Array.iter
@@ -352,7 +317,7 @@ let forward_block ?(precision = `Exact) ?(state_init = `V0) ?states ~readout ~cl
       let signal = ref x_t in
       List.iter (fun lr -> signal := fused_step_layer ~fast lr !signal) ws;
       (match readout with
-      | Integrated -> T.add_inplace acc !signal
+      | Batch.Integrated -> T.add_inplace acc !signal
       | Last_step -> ());
       last := !signal)
     steps;
@@ -360,76 +325,27 @@ let forward_block ?(precision = `Exact) ?(state_init = `V0) ?states ~readout ~cl
   | Integrated -> T.scale (1. /. float_of_int (Array.length steps)) acc
   | Last_step -> T.copy !last
 
-let forward_multi_readout_t ?state_init ~readout ~draw_crossbar ~draw_filter ~draw_act net
-    steps =
-  assert (Array.length steps > 0);
-  let reals = realize_net_t ~draw_crossbar ~draw_filter ~draw_act net in
-  forward_block ?state_init ~readout ~classes:net.n_classes reals steps
-
-let forward_multi_readout_batch_t ?batch_size ?precision ?(state_init = `V0) ~readout
-    ~draw_crossbar ~draw_filter ~draw_act net steps =
+let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   assert (Array.length steps > 0);
   let rows = T.rows steps.(0) in
-  let block = Batch.resolve ?batch_size ~n:rows () in
-  let reals = realize_net_t ~draw_crossbar ~draw_filter ~draw_act net in
-  (* Under [`Gaussian] the initial-state draws must not depend on the
-     block size: pre-draw the full-batch states once and hand each
-     block its row slice. [`V0] keeps the historical per-block init
-     (bit-identical, and row-independent anyway); [`Zero] rides the
-     same pre-draw path — it is row-independent too, so slicing
-     changes nothing. *)
-  let full_states =
-    match state_init with
-    | `V0 -> None
-    | init ->
-        Some
-          (List.map (fun real -> Filter_layer.init_state_t ~init real.filt_t ~batch:rows) reals)
+  let kernels = realize_net_t ~varied:opts.varied ~draw net in
+  (* Like the draw, the initial state describes the physical situation,
+     not the evaluation schedule: it is drawn once for the full batch
+     and each block gets its row slice, so [`Gaussian] states stay
+     block-size invariant. *)
+  let states =
+    List.map
+      (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.k_filt ~batch:rows)
+      kernels
   in
-  let t0 = Batch.start () in
-  let out = T.zeros ~rows ~cols:net.n_classes in
-  let blocks =
-    Batch.chunked ~rows ~block (fun ~row ~len ->
-        let sub = Array.map (fun s -> T.rows_view s ~row ~len) steps in
-        let states =
-          Option.map (List.map (Array.map (fun s -> T.rows_view s ~row ~len))) full_states
-        in
-        let logits = forward_block ?precision ?states ~readout ~classes:net.n_classes reals sub in
-        T.blit_into ~dst:(T.rows_view out ~row ~len) logits)
-  in
-  Batch.record ~block ~rows ~blocks ~t0;
-  out
+  let fast = match opts.precision with `Fast -> true | `Exact -> false in
+  Batch.blocked opts ~rows ~cols:net.n_classes (fun ~row ~len ->
+      let view s = T.rows_view s ~row ~len in
+      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels
+        (List.map (Array.map view) states)
+        (Array.map view steps))
 
-let forward_multi_selective_t ~draw_crossbar ~draw_filter ~draw_act net steps =
-  forward_multi_readout_t ~readout:Integrated ~draw_crossbar ~draw_filter ~draw_act net steps
-
-let forward_multi_t ~draw net steps =
-  forward_multi_selective_t ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net steps =
-  forward_multi_readout_batch_t ?batch_size ?precision ?state_init ~readout:Integrated
-    ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net steps
-
-let forward_selective_t ~draw_crossbar ~draw_filter ~draw_act net x =
-  forward_multi_selective_t ~draw_crossbar ~draw_filter ~draw_act net (T.columns x)
-
-let forward_selective_batch_t ?batch_size ?precision ~draw_crossbar ~draw_filter ~draw_act
-    net x =
-  forward_multi_readout_batch_t ?batch_size ?precision ~readout:Integrated ~draw_crossbar
-    ~draw_filter ~draw_act net (T.columns x)
-
-let forward_readout_t ~readout ~draw net x =
-  forward_multi_readout_t ~readout ~draw_crossbar:draw ~draw_filter:draw ~draw_act:draw net
-    (T.columns x)
-
-let forward_t ~draw net x = forward_multi_t ~draw net (T.columns x)
-
-let forward_batch_t ?batch_size ?precision ?state_init ~draw net x =
-  forward_multi_batch_t ?batch_size ?precision ?state_init ~draw net (T.columns x)
-
-let predict ?(draw = Variation.deterministic) net x = T.argmax_rows (forward_t ~draw net x)
-
-let predict_batch ?batch_size ?precision ?state_init ?(draw = Variation.deterministic) net x =
-  T.argmax_rows (forward_batch_t ?batch_size ?precision ?state_init ~draw net x)
+let forward_batch_t ?opts ~draw net x = forward_multi_batch_t ?opts ~draw net (T.columns x)
 
 let clamp net =
   List.iter

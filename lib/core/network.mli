@@ -40,138 +40,54 @@ val n_params : t -> int
 val layers : t -> (Crossbar.t * Filter_layer.t * Ptanh.t) list
 (** In order, for hardware costing and inspection. *)
 
-val forward : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
-(** [forward ~draw net x] runs the batch of series [x]
-    ([batch x time], univariate) and returns the logits
-    [batch x classes]: the time-average of the output voltages —
-    physically an RC integrator per class output (accounted for by
-    {!Hardware}). One component sample is
-    drawn per call and shared across all time steps — the circuit is
-    the same physical device throughout the sequence. *)
-
-val forward_multi :
-  draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array -> Pnc_autodiff.Var.t
-(** Multivariate variant: one [batch x inputs] tensor per time step. *)
-
-type readout = Integrated | Last_step
-
-val forward_readout :
-  readout:readout -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_autodiff.Var.t
-(** {!forward} with a selectable read-out: [Integrated] (the default,
-    time-averaged output) or [Last_step] (the final instant only) —
-    used by the read-out ablation bench. *)
-
-val forward_selective :
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
+val forward :
+  ?readout:Batch.readout ->
+  ?varied:Batch.families ->
+  draw:Variation.draw ->
   t ->
   Pnc_tensor.Tensor.t ->
   Pnc_autodiff.Var.t
-(** Forward with independent variation draws per component family —
-    lets {!Sensitivity} attribute robustness loss to crossbar
-    conductances, filter RC values or activation parameters
-    separately. *)
+(** [forward ~draw net x] runs the batch of series [x]
+    ([batch x time], univariate) and returns the logits
+    [batch x classes]: by default the time-average of the output
+    voltages — physically an RC integrator per class output (accounted
+    for by {!Hardware}). One component sample is drawn per call and
+    shared across all time steps — the circuit is the same physical
+    device throughout the sequence. Only the [varied] families (default
+    all) take the draw; the others run nominal, which lets
+    {!Sensitivity} attribute robustness loss to one family. This is the
+    training path and the oracle of the no-grad engine below. *)
 
-(** {1 Pure-tensor forward (no-grad evaluation path)}
-
-    Same sampling order and floating-point operation sequence as the
-    Var-based forwards above — logits are bit-identical under the same
-    draw — but no autodiff nodes are allocated and the per-step kernels
-    run in preallocated buffers. *)
-
-val forward_t : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-
-val forward_multi_t :
-  draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array -> Pnc_tensor.Tensor.t
-
-val forward_readout_t :
-  readout:readout -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-
-val forward_multi_selective_t :
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t array ->
-  Pnc_tensor.Tensor.t
-
-val forward_selective_t :
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-(** Tensor-path twin of {!forward_selective} — bit-identical logits
-    under the same draws, no autodiff nodes; safe inside a
-    {!Pnc_util.Pool} task. *)
-
-(** {1 Batched forwards}
-
-    Twins of the tensor forwards above with a [?batch_size] knob
-    (resolved by {!Batch.resolve}: explicit argument, else
-    [ADAPT_PNC_BATCH], else the whole batch as one block). The
-    variation draw is realized once per call and shared across all row
-    blocks, so the block size is a pure performance knob — logits are
-    bit-identical to the unbatched twin (and hence to the Var path) for
-    every batch size.
-
-    [?precision] selects the activation tier for the fused kernels:
-    [`Exact] (the default) keeps every result bit-identical to the Var
-    path; [`Fast] substitutes {!Pnc_tensor.Fast_math.tanh} (≤1e-7
-    absolute tanh error) for the per-element transcendental. The knob
-    affects arithmetic only — realization order, batching and shapes are
-    unchanged.
-
-    [?state_init] selects the filter initial-voltage semantics
-    ({!Filter_layer.state_init}; default [`V0], the historical
-    behaviour). Under [`Gaussian] the full-batch states are pre-drawn
-    before chunking, so the result stays bit-identical for every batch
-    size — like the draw, the initial state describes the physical
-    situation, not the evaluation schedule. *)
-
-val forward_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
+val forward_multi :
+  ?readout:Batch.readout ->
+  ?varied:Batch.families ->
   draw:Variation.draw ->
   t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
+  Pnc_tensor.Tensor.t array ->
+  Pnc_autodiff.Var.t
+(** Multivariate variant: one [batch x inputs] tensor per time step. *)
+
+(** {1 No-grad engine}
+
+    Same sampling order and floating-point operation sequence as
+    {!forward_multi} — logits are bit-identical under the same draw and
+    options at [`Exact] precision — but no autodiff nodes are
+    allocated, each layer step is one fused pass over preallocated
+    buffers, and the call is safe inside a {!Pnc_util.Pool} task. *)
 
 val forward_multi_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
+  ?opts:Batch.opts ->
   draw:Variation.draw ->
   t ->
   Pnc_tensor.Tensor.t array ->
   Pnc_tensor.Tensor.t
+(** Logits over pre-split time steps (one [batch x inputs] tensor per
+    step, e.g. from {!Pnc_tensor.Tensor.columns}); the steps are only
+    read, so many-draw callers split their input once. *)
 
-val forward_selective_batch_t :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  draw_crossbar:Variation.draw ->
-  draw_filter:Variation.draw ->
-  draw_act:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-
-val predict : ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> int array
-(** Argmax class per sample; deterministic unless a draw is given.
-    Runs on the tensor fast path. *)
-
-val predict_batch :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?state_init:Filter_layer.state_init ->
-  ?draw:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t ->
-  int array
-(** {!predict} on the batched path. *)
+val forward_batch_t :
+  ?opts:Batch.opts -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
+(** {!forward_multi_batch_t} on a univariate [batch x time] input. *)
 
 val clamp : t -> unit
 (** Project every component value into its printable window. *)

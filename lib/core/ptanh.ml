@@ -50,8 +50,9 @@ let realize_t ~draw a =
   let e i v = T.mul (Var.value v) eps.(i) in
   { e1_t = e 0 a.eta1; e2_t = e 1 a.eta2; e3_t = e 2 a.eta3; e4_t = e 3 a.eta4 }
 
-let apply_t_into ?(precision = `Exact) ~dst real x =
-  assert (T.same_shape dst x && T.cols x = T.cols real.e1_t);
+let apply_batch_t ?(precision = `Exact) real x =
+  assert (T.cols x = T.cols real.e1_t);
+  let dst = T.zeros ~rows:(T.rows x) ~cols:(T.cols x) in
   let fast = match precision with `Fast -> true | `Exact -> false in
   let cols = T.cols x in
   let module BA = Bigarray.Array1 in
@@ -95,25 +96,8 @@ let apply_t_into ?(precision = `Exact) ~dst real x =
         ((BA.unsafe_get od (oo + c) *. BA.unsafe_get e2 (eo2 + c))
         +. BA.unsafe_get e1 (eo1 + c))
     done
-  done
-
-(* Batched twin: row-independent elementwise kernel applied block by
-   block through zero-copy row views — bit-identical to a single
-   [apply_t_into] over the whole batch for any [block]. *)
-let apply_batch_t ?(precision = `Exact) ?block real x =
-  let rows = T.rows x in
-  let out = T.zeros ~rows ~cols:(T.cols x) in
-  let b = match block with Some b when b > 0 -> Stdlib.min b rows | _ -> rows in
-  let r0 = ref 0 in
-  while !r0 < rows do
-    let len = Stdlib.min b (rows - !r0) in
-    apply_t_into ~precision
-      ~dst:(T.rows_view out ~row:!r0 ~len)
-      real
-      (T.rows_view x ~row:!r0 ~len);
-    r0 := !r0 + len
   done;
-  out
+  dst
 
 let kernel_t real = (real.e1_t, real.e2_t, real.e3_t, real.e4_t)
 

@@ -38,34 +38,20 @@ type realization_t
 
 val realize_t : draw:Variation.draw -> t -> realization_t
 
-val apply_t_into :
-  ?precision:[ `Exact | `Fast ] ->
-  dst:Pnc_tensor.Tensor.t ->
-  realization_t ->
-  Pnc_tensor.Tensor.t ->
-  unit
-(** Writes ptanh of [x] into [dst] elementwise ([dst] may alias [x]).
-    [`Exact] (the default) uses [Stdlib.tanh] and is bit-identical to
-    the Var path; [`Fast] substitutes {!Pnc_tensor.Fast_math.tanh}
-    (≤1e-7 absolute tanh error, so ≤|η₂|·1e-7 ≤ 1e-7 per output
-    element) for the single transcendental. *)
-
 val apply_batch_t :
-  ?precision:[ `Exact | `Fast ] ->
-  ?block:int ->
-  realization_t ->
-  Pnc_tensor.Tensor.t ->
-  Pnc_tensor.Tensor.t
-(** Batched twin of {!apply_t_into}: applies the realized activation to
-    [x] block of rows by block of rows (default: one block) through
-    zero-copy row views. Bit-identical to the unblocked kernel at the
-    same [precision] for any [block]. *)
+  ?precision:[ `Exact | `Fast ] -> realization_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
+(** ptanh of [x], elementwise — the unfused reference for the fused
+    kernel in {!Network}. [`Exact] (the default) uses [Stdlib.tanh] and
+    is bit-identical to the Var path; [`Fast] substitutes
+    {!Pnc_tensor.Fast_math.tanh} (≤1e-7 absolute tanh error, so
+    ≤|η₂|·1e-7 ≤ 1e-7 per output element) for the single
+    transcendental. *)
 
 val kernel_t :
   realization_t ->
   Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
 (** The realized (η₁, η₂, η₃, η₄) coefficient rows backing
-    {!apply_t_into}, exposed so {!Network} can fuse the activation into
+    {!apply_batch_t}, exposed so {!Network} can fuse the activation into
     its single-pass layer kernel. Read-only views. *)
 
 val eta_values : t -> Pnc_tensor.Tensor.t array

@@ -16,26 +16,22 @@ let family_name = function
 
 type row = { family : family; accuracy : float; drop : float }
 
-(* Runs on the tensor fast path (bit-identical to the Var-path forward
-   under the same draws): pool tasks must not touch the global gradient
-   tape, and the analysis needs no gradients anyway. Draw i owns child
-   stream i, so the mean is worker-count-invariant. *)
-let accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net x y =
+let varied = function
+  | Crossbar_conductances -> { Batch.crossbar = true; filter = false; activation = false }
+  | Filter_rc -> { Batch.crossbar = false; filter = true; activation = false }
+  | Activation_eta -> { Batch.crossbar = false; filter = false; activation = true }
+  | All_families -> Batch.all_families
+
+(* Runs on the no-grad engine (bit-identical to the Var-path forward
+   under the same draw and family selection): pool tasks must not touch
+   the global gradient tape, and the analysis needs no gradients
+   anyway. Draw i owns child stream i, so the mean is
+   worker-count-invariant. *)
+let accuracy_with ~opts ?pool ~rng ~spec ~draws net steps y =
   let rngs = Rng.split_n rng draws in
   let instance i =
-    let varied = Variation.make_draw rngs.(i) spec in
-    let nominal = Variation.deterministic in
-    let draw_crossbar, draw_filter, draw_act =
-      match family with
-      | Crossbar_conductances -> (varied, nominal, nominal)
-      | Filter_rc -> (nominal, varied, nominal)
-      | Activation_eta -> (nominal, nominal, varied)
-      | All_families -> (varied, varied, varied)
-    in
-    let logits =
-      Network.forward_selective_batch_t ?batch_size ~draw_crossbar ~draw_filter ~draw_act
-        net x
-    in
+    let draw = Variation.make_draw rngs.(i) spec in
+    let logits = Network.forward_multi_batch_t ~opts ~draw net steps in
     Stats.accuracy ~pred:(T.argmax_rows logits) ~truth:y
   in
   let accs =
@@ -45,21 +41,24 @@ let accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net x y =
   in
   Array.fold_left ( +. ) 0. accs /. float_of_int draws
 
-let analyze ?batch_size ?pool ~rng ~level ~draws net dataset =
+let analyze ?(opts = Batch.default) ?pool ~rng ~level ~draws net dataset =
   assert (draws >= 1 && level >= 0.);
   Obs.Span.with_ ~attrs:[ ("level", Obs.Float level); ("draws", Obs.Int draws) ]
     "sensitivity.analyze"
   @@ fun () ->
   let x, y = Train.to_xy dataset in
+  (* Split into time steps once: every family and draw reads them. *)
+  let steps = T.columns x in
   let spec = Variation.uniform level in
   let nominal_pred =
-    T.argmax_rows (Network.forward_batch_t ?batch_size ~draw:Variation.deterministic net x)
+    T.argmax_rows (Network.forward_multi_batch_t ~opts ~draw:Variation.deterministic net steps)
   in
   let nominal = Stats.accuracy ~pred:nominal_pred ~truth:y in
   List.map
     (fun family ->
       let t0 = if Obs.enabled () then Clock.now () else 0. in
-      let accuracy = accuracy_with ?batch_size ?pool ~rng ~spec ~draws ~family net x y in
+      let opts = { opts with varied = varied family } in
+      let accuracy = accuracy_with ~opts ?pool ~rng ~spec ~draws net steps y in
       Obs.Counter.add draws_counter draws;
       if Obs.enabled () then begin
         let dt = Clock.elapsed t0 in

@@ -11,6 +11,10 @@ type family = Crossbar_conductances | Filter_rc | Activation_eta | All_families
 
 val family_name : family -> string
 
+val varied : family -> Batch.families
+(** The component families a row's draw varies; the others stay
+    nominal. *)
+
 type row = {
   family : family;
   accuracy : float;  (** mean accuracy with only this family varying *)
@@ -18,7 +22,7 @@ type row = {
 }
 
 val analyze :
-  ?batch_size:int ->
+  ?opts:Batch.opts ->
   ?pool:Pnc_util.Pool.t ->
   rng:Pnc_util.Rng.t ->
   level:float ->
@@ -28,10 +32,10 @@ val analyze :
   row list
 (** Rows for the three families plus [All_families], ordered as
     declared. The [All_families] row reproduces the standard
-    evaluation-under-variation number. Runs on the batched no-grad
-    tensor path; with [pool] the per-family Monte-Carlo draws evaluate
-    in parallel with worker-count-invariant results (pre-split child
-    streams). Like the pool size, [batch_size] never changes the
-    result. *)
+    evaluation-under-variation number. Runs on the no-grad engine
+    with [opts] (its [varied] is set per row) and splits the input into
+    time steps once; with [pool] the per-family Monte-Carlo draws
+    evaluate in parallel with worker-count-invariant results (pre-split
+    child streams). *)
 
 val report : row list -> string

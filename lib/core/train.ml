@@ -194,12 +194,12 @@ let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume
     val_loss_curve = Array.of_list (List.rev !val_curve);
   }
 
-let accuracy ?batch_size ?precision ?draw model d =
+let accuracy ?opts ?draw model d =
   let x, y = to_xy d in
-  let pred = Model.predict_batch ?batch_size ?precision ?draw model x in
+  let pred = Model.predict_batch ?opts ?draw model x in
   Pnc_util.Stats.accuracy ~pred ~truth:y
 
-let accuracy_under_variation ?batch_size ?precision ?pool ~rng ~spec ~draws model d =
+let accuracy_under_variation ?opts ?pool ~rng ~spec ~draws model d =
   assert (draws >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
   let x, y = to_xy d in
@@ -212,7 +212,7 @@ let accuracy_under_variation ?batch_size ?precision ?pool ~rng ~spec ~draws mode
   let instance i =
     let draw = Variation.make_draw rngs.(i) spec in
     Pnc_util.Stats.accuracy
-      ~pred:(T.argmax_rows (Model.logits_multi_batch_t ?batch_size ?precision ~draw model steps))
+      ~pred:(T.argmax_rows (Model.logits_multi_batch_t ?opts ~draw model steps))
       ~truth:y
   in
   let accs =

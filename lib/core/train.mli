@@ -81,21 +81,12 @@ val train :
     after that epoch's checkpoint is written. *)
 
 val accuracy :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
-  ?draw:Variation.draw ->
-  Model.t ->
-  Pnc_data.Dataset.t ->
-  float
-(** Deterministic accuracy unless a draw is supplied. Runs on the
-    batched no-grad path; [batch_size] (default: whole split, or
-    [ADAPT_PNC_BATCH]) only chunks the evaluation — the result is
-    identical for every value. [precision] selects the activation tier
-    (default [`Exact]). *)
+  ?opts:Batch.opts -> ?draw:Variation.draw -> Model.t -> Pnc_data.Dataset.t -> float
+(** Deterministic accuracy unless a draw is supplied; runs on the
+    no-grad engine with [opts]. *)
 
 val accuracy_under_variation :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
+  ?opts:Batch.opts ->
   ?pool:Pnc_util.Pool.t ->
   rng:Pnc_util.Rng.t ->
   spec:Variation.spec ->
@@ -106,10 +97,8 @@ val accuracy_under_variation :
 (** Mean accuracy over [draws] independent physical instances — the
     paper's "tested under ±10 % variation" protocol. Each instance owns
     a pre-split child stream; with [pool] the instances evaluate in
-    parallel with a result identical to the sequential one. Each
-    instance evaluates on the batched path; like the pool size,
-    [batch_size] never changes the result ([precision] can — [`Fast]
-    uses the bounded fast tanh). *)
+    parallel with a result identical to the sequential one. The input
+    is split into time steps once per estimate. *)
 
 val epoch_seconds : ?rng:Pnc_util.Rng.t -> config -> Model.t -> Pnc_data.Dataset.split -> float
 (** Wall-clock seconds of one training epoch (forward + backward +

@@ -28,7 +28,7 @@ let of_accuracies ~threshold accs =
     threshold;
   }
 
-let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
+let estimate ?opts ?pool ~rng ~spec ~threshold ~draws model dataset =
   assert (draws >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
   let x, y = Train.to_xy dataset in
@@ -42,7 +42,7 @@ let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
       let steps = Pnc_tensor.Tensor.columns x in
       let instance i =
         let draw = Variation.make_draw rngs.(i) spec in
-        let logits = Model.logits_multi_batch_t ?batch_size ~draw model steps in
+        let logits = Model.logits_multi_batch_t ?opts ~draw model steps in
         Pnc_util.Stats.accuracy ~pred:(Pnc_tensor.Tensor.argmax_rows logits) ~truth:y
       in
       match pool with
@@ -51,7 +51,7 @@ let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
     end
     else
       [|
-        Pnc_util.Stats.accuracy ~pred:(Model.predict_batch ?batch_size model x) ~truth:y;
+        Pnc_util.Stats.accuracy ~pred:(Model.predict_batch ?opts model x) ~truth:y;
       |]
   in
   let r = of_accuracies ~threshold accs in
@@ -70,12 +70,12 @@ let estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset =
   end;
   r
 
-let sweep_levels ?batch_size ?pool ~rng ~levels ~threshold ~draws model dataset =
+let sweep_levels ?opts ?pool ~rng ~levels ~threshold ~draws model dataset =
   List.map
     (fun level ->
       let spec = if level = 0. then Variation.none else Variation.uniform level in
       let draws = if level = 0. then 1 else draws in
-      (level, estimate ?batch_size ?pool ~rng ~spec ~threshold ~draws model dataset))
+      (level, estimate ?opts ?pool ~rng ~spec ~threshold ~draws model dataset))
     levels
 
 let describe r =

@@ -18,7 +18,7 @@ type result = {
 }
 
 val estimate :
-  ?batch_size:int ->
+  ?opts:Batch.opts ->
   ?pool:Pnc_util.Pool.t ->
   rng:Pnc_util.Rng.t ->
   spec:Variation.spec ->
@@ -31,12 +31,11 @@ val estimate :
     their result collapses to that accuracy. With [pool], the sampled
     instances are evaluated in parallel on the pool's domains; each
     instance owns a pre-split child stream, so the result is identical
-    for every worker count. Each instance evaluates on the batched
-    no-grad path; like the pool size, [batch_size] never changes the
-    result. *)
+    for every worker count. Each instance evaluates on the no-grad
+    engine with [opts]. *)
 
 val sweep_levels :
-  ?batch_size:int ->
+  ?opts:Batch.opts ->
   ?pool:Pnc_util.Pool.t ->
   rng:Pnc_util.Rng.t ->
   levels:float list ->

@@ -153,12 +153,12 @@ let train_run ?batch_size ?pool ?checkpoint_every ?checkpoint_path ?resume_from 
   let pert_test = Augment.perturb_dataset prng Augment.default_policy test in
   (* The configured tier flows into every no-grad evaluation below; a
      `Fast run keys its cells separately via the fingerprint. *)
-  let precision = cfg.Config.precision in
+  let opts = { Pnc_core.Batch.default with batch_size; precision = cfg.Config.precision } in
   let under_variation d =
     if Model.is_circuit model then
-      Train.accuracy_under_variation ?batch_size ~precision ?pool ~rng:erng ~spec
+      Train.accuracy_under_variation ~opts ?pool ~rng:erng ~spec
         ~draws:cfg.Config.eval_draws model d
-    else Train.accuracy ?batch_size ~precision model d
+    else Train.accuracy ~opts model d
   in
   (* Accuracy under spatially correlated variation (every variant gets
      the column, trained with NI or not). The draw stream comes from a
@@ -172,17 +172,17 @@ let train_run ?batch_size ?pool ?checkpoint_every ?checkpoint_path ?resume_from 
       let corr_spec =
         { (Variation.uniform cfg.Config.eval_level) with Variation.corr = Some (corr_of_cfg cfg) }
       in
-      Train.accuracy_under_variation ?batch_size ~precision ?pool
+      Train.accuracy_under_variation ~opts ?pool
         ~rng:(Rng.create ~seed:(seed + 7000))
         ~spec:corr_spec ~draws:(4 * cfg.Config.eval_draws) model test
-    else Train.accuracy ?batch_size ~precision model test
+    else Train.accuracy ~opts model test
   in
   {
     dataset;
     variant;
     seed;
     model;
-    clean_acc = Train.accuracy ?batch_size ~precision model test;
+    clean_acc = Train.accuracy ~opts model test;
     clean_var_acc = under_variation test;
     aug_var_acc = under_variation aug_test;
     pert_var_acc = under_variation pert_test;
@@ -435,11 +435,11 @@ let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~se
       Some (Variation.uniform cfg.Config.eval_level)
     else None
   in
-  let precision = cfg.Config.precision in
+  let opts = { Pnc_core.Batch.default with batch_size; precision = cfg.Config.precision } in
   let eval_rng () = Rng.create ~seed:(seed + 6000) in
   let snap = Online.snapshot_params r.model in
   let frozen =
-    Online.eval ?batch_size ~precision ?pool ?spec ~rng:(eval_rng ())
+    Online.eval ~opts ?pool ?spec ~rng:(eval_rng ())
       { protocol with Online.adapt = Online.Off }
       r.model rz
   in
@@ -447,7 +447,7 @@ let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~se
     if protocol.Online.adapt = Online.Off then None
     else begin
       let a =
-        Online.eval ?batch_size ~precision ?spec ~rng:(eval_rng ()) protocol r.model rz
+        Online.eval ~opts ?spec ~rng:(eval_rng ()) protocol r.model rz
       in
       (* Leave the cell's trained weights untouched for any later
          consumer (the cache holds the un-adapted model). *)
@@ -825,7 +825,7 @@ let variation_sweep_of_grid ?(levels = [ 0.; 0.05; 0.1; 0.2; 0.3 ]) ?(threshold 
              | best :: _ ->
                  let split, _ = load_split cfg ~dataset ~seed:best.seed in
                  let r =
-                   Yield.estimate ?batch_size ?pool
+                   Yield.estimate ~opts:{ Pnc_core.Batch.default with batch_size } ?pool
                      ~rng:(Rng.create ~seed:4242)
                      ~spec:(if level = 0. then Variation.none else Variation.uniform level)
                      ~threshold

@@ -71,9 +71,9 @@ val train_run :
   run
 (** Training itself stays on the (sequential) autodiff path; [pool]
     parallelizes the Monte-Carlo evaluation protocols with
-    worker-count-invariant results, and [batch_size] chunks each
-    evaluation on the batched no-grad path (neither changes any
-    result, which is why neither enters {!Config.fingerprint}). The
+    worker-count-invariant results, and [batch_size] is the block size
+    of every evaluation ({!Pnc_core.Batch.opts}); neither changes a
+    result, so neither enters {!Config.fingerprint}. The
     checkpoint arguments are passed through to
     {!Pnc_core.Train.train}. *)
 

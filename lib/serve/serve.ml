@@ -105,14 +105,22 @@ type t = {
   inflight : int Atomic.t; (* rows admitted, response not yet written *)
   pool : Pool.t option;
   stop_flag : bool Atomic.t;
-  (* connection registry, for kicking idle keep-alive readers at stop *)
+  (* connection registry, for kicking idle keep-alive readers at stop,
+     and the live-handler count the drain waits on *)
   conn_mu : Mutex.t;
+  handlers_done : Condition.t;
   mutable conns : Unix.file_descr list;
-  mutable handler_threads : Thread.t list;
+  mutable live_handlers : int;
 }
 
 let port t = t.actual_port
 let model_label t = Model.label t.model
+
+let live_handlers t =
+  Mutex.lock t.conn_mu;
+  let n = t.live_handlers in
+  Mutex.unlock t.conn_mu;
+  n
 
 let model_version t =
   Mutex.lock t.model_mu;
@@ -174,8 +182,9 @@ let create ?(config = default_config) ~checkpoint () =
               pool;
               stop_flag = Atomic.make false;
               conn_mu = Mutex.create ();
+              handlers_done = Condition.create ();
               conns = [];
-              handler_threads = [];
+              live_handlers = 0;
             })
 
 (* HTTP plumbing ---------------------------------------------------------- *)
@@ -433,6 +442,9 @@ let chunk_bounds ~rows ~workers =
 
 let compute_logits t model x =
   let rows = Tensor.rows x in
+  let opts =
+    { Pnc_core.Batch.default with batch_size = t.cfg.batch_size; precision = t.cfg.precision }
+  in
   match t.pool with
   | Some pool when rows >= 2 ->
       (* Row-chunking is bit-identical to the whole-batch call: each
@@ -442,9 +454,7 @@ let compute_logits t model x =
       let parts =
         Pool.init pool ~n:(Array.length bounds) (fun i ->
             let start, len = bounds.(i) in
-            Model.logits_batch_t ?batch_size:t.cfg.batch_size
-              ~precision:t.cfg.precision model
-              (Tensor.rows_view x ~row:start ~len))
+            Model.logits_batch_t ~opts model (Tensor.rows_view x ~row:start ~len))
       in
       Array.concat
         (Array.to_list
@@ -452,10 +462,7 @@ let compute_logits t model x =
               (fun part -> Array.init (Tensor.rows part) (fun i -> Tensor.row part i))
               parts))
   | _ ->
-      let l =
-        Model.logits_batch_t ?batch_size:t.cfg.batch_size ~precision:t.cfg.precision
-          model x
-      in
+      let l = Model.logits_batch_t ~opts model x in
       Array.init (Tensor.rows l) (fun i -> Tensor.row l i)
 
 let flush t group =
@@ -654,7 +661,16 @@ let deregister_conn t fd =
   t.conns <- List.filter (fun f -> f <> fd) t.conns;
   Mutex.unlock t.conn_mu
 
+(* A handler's last act, however it ends: leave the live count, waking
+   [run]'s drain at zero. *)
+let handler_exit t =
+  Mutex.lock t.conn_mu;
+  t.live_handlers <- t.live_handlers - 1;
+  if t.live_handlers = 0 then Condition.broadcast t.handlers_done;
+  Mutex.unlock t.conn_mu
+
 let handle_conn t fd =
+  Fun.protect ~finally:(fun () -> handler_exit t) @@ fun () ->
   let c = { Http.fd; residue = "" } in
   Obs.Counter.incr connections_c;
   let rec loop () =
@@ -698,7 +714,7 @@ let handle_conn t fd =
   (try loop () with
   | Unix.Unix_error _ | End_of_file | Sys_error _ -> ());
   deregister_conn t fd;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let stop t =
   Atomic.set t.stop_flag true;
@@ -738,8 +754,9 @@ let run ?(handle_signals = true) t =
             Unix.setsockopt fd Unix.TCP_NODELAY true;
             Mutex.lock t.conn_mu;
             t.conns <- fd :: t.conns;
-            t.handler_threads <- Thread.create (handle_conn t) fd :: t.handler_threads;
-            Mutex.unlock t.conn_mu
+            t.live_handlers <- t.live_handlers + 1;
+            Mutex.unlock t.conn_mu;
+            ignore (Thread.create (handle_conn t) fd)
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -756,13 +773,16 @@ let run ?(handle_signals = true) t =
   Mutex.unlock t.q_mu;
   Thread.join batcher_thread;
   Option.iter Thread.join reload_thread;
-  (* Kick idle keep-alive readers off their blocking reads, then join
-     every handler. *)
+  (* Kick idle keep-alive readers off their blocking reads, then wait
+     until every handler has finished. *)
   Mutex.lock t.conn_mu;
-  let fds = t.conns and threads = t.handler_threads in
+  List.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+    t.conns;
+  while t.live_handlers > 0 do
+    Condition.wait t.handlers_done t.conn_mu
+  done;
   Mutex.unlock t.conn_mu;
-  List.iter (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()) fds;
-  List.iter Thread.join threads;
   Option.iter Pool.shutdown t.pool;
   if Obs.enabled () then
     Obs.emit "serve.stop"

@@ -89,6 +89,10 @@ val model_version : t -> int
 
 val model_label : t -> string
 
+val live_handlers : t -> int
+(** Connection handler threads currently running; back to [0] once
+    every accepted connection has closed. *)
+
 val run : ?handle_signals:bool -> t -> unit
 (** Serve until {!stop} is called (or, with [handle_signals], until
     SIGINT/SIGTERM). Blocks the calling thread: it becomes the accept

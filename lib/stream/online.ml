@@ -114,7 +114,7 @@ let mean_acc = function
       in
       Some (float_of_int c /. float_of_int n)
 
-let eval ?batch_size ?precision ?pool ?spec ?v0_sigma ~rng protocol model
+let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol model
     (rz : Scenario.realized) =
   if protocol.width <= 0 || protocol.stride <= 0 then
     invalid_arg "Online.eval: width and stride must be positive";
@@ -124,6 +124,9 @@ let eval ?batch_size ?precision ?pool ?spec ?v0_sigma ~rng protocol model
   in
   let nw = Array.length windows in
   let x_all = T.of_rows rz.Scenario.x in
+  (* Split into time steps once per stream; each window scores row
+     views of them. *)
+  let steps_all = T.columns x_all in
   (* rng layout (part of the parity contract pinned by test_stream):
      child 0 carries the physical-instance draw — replayed per window
      via Rng.copy, so every window (and an offline comparator using a
@@ -147,10 +150,12 @@ let eval ?batch_size ?precision ?pool ?spec ?v0_sigma ~rng protocol model
   let score w =
     let t0 = if Obs.enabled () then Clock.now () else 0. in
     let win = windows.(w) in
-    let xw = T.rows_view x_all ~row:win.Window.start ~len:win.Window.len in
+    let steps = Array.map (T.rows_view ~row:win.Window.start ~len:win.Window.len) steps_all in
     let pred =
-      Model.predict_batch ?batch_size ?precision ~state_init:(state_init_for w)
-        ~draw:(mk_draw ()) model xw
+      T.argmax_rows
+        (Model.logits_multi_batch_t
+           ~opts:{ opts with state_init = state_init_for w }
+           ~draw:(mk_draw ()) model steps)
     in
     let correct = ref 0 in
     Array.iteri

@@ -2,7 +2,7 @@
     adaptation (prequential, test-then-train).
 
     The stream is cut into windows ({!Window.slice}); each window is
-    scored on the no-grad batched path ({!Pnc_core.Model.predict_batch})
+    scored on the no-grad engine ({!Pnc_core.Model.logits_multi_batch_t})
     and, when adaptation is on, the model then takes a few optimizer
     steps on that window's (x, y) buffer through the tape engine before
     the next window arrives.
@@ -17,7 +17,7 @@
     state stream per window, so [`Randomized] initial filter states
     depend on the window index alone. Consequences, pinned by
     [test/test_stream.ml]: results are invariant to the pool size and
-    to [?batch_size]/[ADAPT_PNC_BATCH], and with [adapt = Off],
+    to the block size, and with [adapt = Off],
     [stride = width] and [state_init = `V0] the overall streaming
     accuracy equals offline {!Pnc_core.Train.accuracy} on
     {!Scenario.to_dataset} at eps 0. *)
@@ -69,8 +69,7 @@ type result = {
 }
 
 val eval :
-  ?batch_size:int ->
-  ?precision:[ `Exact | `Fast ] ->
+  ?opts:Pnc_core.Batch.opts ->
   ?pool:Pnc_util.Pool.t ->
   ?spec:Pnc_core.Variation.spec ->
   ?v0_sigma:float ->
@@ -79,7 +78,9 @@ val eval :
   Pnc_core.Model.t ->
   Scenario.realized ->
   result
-(** Runs the protocol over the realized stream. [spec] fixes one
+(** Runs the protocol over the realized stream, scoring each window
+    with [opts] (its [state_init] is replaced by the protocol's, per
+    window). The input is split into time steps once. [spec] fixes one
     physical instance under component variation (absent = the
     deterministic nominal circuit). With [pool] and a frozen model the
     windows evaluate in parallel, bit-identically to the sequential

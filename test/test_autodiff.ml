@@ -465,7 +465,8 @@ let check_network_end_to_end seed =
     ~params:(Network.params net)
     ~loss_var:(fun () ->
       Loss.softmax_cross_entropy ~logits:(Network.forward ~draw net x) ~labels)
-    ~loss_val:(fun () -> Loss.cross_entropy_value ~logits:(Network.forward_t ~draw net x) ~labels)
+    ~loss_val:(fun () ->
+      Loss.cross_entropy_value ~logits:(Network.forward_batch_t ~draw net x) ~labels)
     ()
 
 let prop_network_gradients =
@@ -563,6 +564,7 @@ module Mc_loss = Pnc_core.Mc_loss
 module Model = Pnc_core.Model
 module Train = Pnc_core.Train
 module Pool = Pnc_util.Pool
+module Batch = Pnc_core.Batch
 
 let tensors_bit_equal a b =
   T.rows a = T.rows b && T.cols a = T.cols b
@@ -727,7 +729,8 @@ let test_corr_expected_value_pool_batch_invariant () =
   let x = T.uniform rngx ~rows:7 ~cols:9 ~lo:(-1.) ~hi:1. in
   let labels = Array.init 7 (fun i -> i mod 2) in
   let value ?batch_size ?pool ~antithetic () =
-    Mc_loss.expected_value ~antithetic ?batch_size ?pool ~rng:(Rng.create ~seed:62)
+    Mc_loss.expected_value ~antithetic ~opts:{ Batch.default with batch_size } ?pool
+      ~rng:(Rng.create ~seed:62)
       ~spec:ni_spec ~n:5 model ~x ~labels
   in
   let reference = value ~antithetic:false () in
@@ -754,7 +757,8 @@ let test_corr_accuracy_pool_batch_invariant () =
     { Pnc_data.Dataset.name = "tiny"; x = rows; y = Array.init 8 (fun i -> i mod 2); n_classes = 2 }
   in
   let acc ?batch_size ?pool () =
-    Train.accuracy_under_variation ?batch_size ?pool ~rng:(Rng.create ~seed:65) ~spec:ni_spec
+    Train.accuracy_under_variation ~opts:{ Batch.default with batch_size } ?pool
+      ~rng:(Rng.create ~seed:65) ~spec:ni_spec
       ~draws:4 model d
   in
   let reference = acc () in

@@ -1,8 +1,11 @@
-(* Differential-oracle battery for the batched no-grad inference
-   engine: every [*_batch_t] twin must be bit-identical (eps 0) to its
-   unblocked oracle for every block size — 1, primes, a ragged final
-   block, the whole split, past the split — because the variation draw
-   is realized once per forward and every kernel is row-independent.
+(* Differential-oracle battery for the no-grad engine: batched logits
+   must be bit-identical (eps 0) to the Var forward — the training path
+   and the oracle — for all three model families and every block size
+   (1, primes, a ragged final block, the whole split, past the split),
+   because the variation draw is realized once per forward and every
+   kernel is row-independent. The fused layer step is pinned to the
+   unfused per-layer kernels under both precision tiers, and the
+   per-family draw selection to an explicit per-family realization.
    The dune rules re-run this binary under POOL_SIZE=1/4 crossed with
    ADAPT_PNC_BATCH settings, so the parity claims hold under the
    multicore pool and the env knob alike.
@@ -14,6 +17,7 @@
    checks above would mean anything. *)
 
 module T = Pnc_tensor.Tensor
+module Var = Pnc_autodiff.Var
 module Rng = Pnc_util.Rng
 module Pool = Pnc_util.Pool
 module Batch = Pnc_core.Batch
@@ -26,6 +30,7 @@ module Elman = Pnc_core.Elman
 module Model = Pnc_core.Model
 module Train = Pnc_core.Train
 module Mc_loss = Pnc_core.Mc_loss
+module Sensitivity = Pnc_core.Sensitivity
 
 let env_pool_size =
   match Sys.getenv_opt "POOL_SIZE" with
@@ -34,6 +39,7 @@ let env_pool_size =
 
 let eq0 = T.equal_eps ~eps:0.
 let draw_of ~seed ~level = Variation.make_draw (Rng.create ~seed) (Variation.uniform level)
+let block bs = { Batch.default with batch_size = Some bs }
 
 (* Block sizes to exercise for a batch of [rows]: 1, small primes (a
    ragged final block whenever they don't divide [rows]), an
@@ -42,86 +48,128 @@ let block_sizes rows =
   List.sort_uniq compare
     (List.filter (fun b -> b >= 1) [ 1; 2; 3; 5; 7; rows - 1; rows; rows + 3 ])
 
-(* Layer twins ----------------------------------------------------------- *)
+(* Fused engine vs unfused kernels --------------------------------------- *)
 
-let crossbar_case rng =
-  let inputs = 1 + Rng.int rng 5 in
-  let outputs = 1 + Rng.int rng 5 in
-  let rows = 1 + Rng.int rng 40 in
-  let seed = Rng.int rng 10_000 in
-  let cb = Crossbar.create rng ~inputs ~outputs in
-  let x = T.uniform rng ~rows ~cols:inputs ~lo:(-1.) ~hi:1. in
-  (cb, x, outputs, seed)
-
-let test_crossbar_twin () =
-  Qgen.check ~count:30 ~name:"crossbar batch twin"
-    ~pp:(fun (cb, x, _, seed) ->
-      Printf.sprintf "crossbar %dx%d rows=%d seed=%d" (Crossbar.inputs cb)
-        (Crossbar.outputs cb) (T.rows x) seed)
-    crossbar_case
-    (fun (cb, x, outputs, seed) ->
-      let real = Crossbar.realize_t ~draw:(draw_of ~seed ~level:0.1) cb in
-      let oracle = T.zeros ~rows:(T.rows x) ~cols:outputs in
-      Crossbar.apply_t_into ~dst:oracle real x;
-      List.for_all
-        (fun block -> eq0 oracle (Crossbar.apply_batch_t ~block real x))
-        (block_sizes (T.rows x)))
-
-let ptanh_case rng =
-  let features = 1 + Rng.int rng 6 in
-  let rows = 1 + Rng.int rng 40 in
-  let seed = Rng.int rng 10_000 in
-  let pt = Ptanh.create rng ~features in
-  let x = T.uniform rng ~rows ~cols:features ~lo:(-1.5) ~hi:1.5 in
-  (pt, x, seed)
-
-let test_ptanh_twin () =
-  Qgen.check ~count:30 ~name:"ptanh batch twin"
-    ~pp:(fun (_, x, seed) -> Printf.sprintf "ptanh rows=%d cols=%d seed=%d" (T.rows x) (T.cols x) seed)
-    ptanh_case
-    (fun (pt, x, seed) ->
-      let real = Ptanh.realize_t ~draw:(draw_of ~seed ~level:0.1) pt in
-      let oracle = T.zeros ~rows:(T.rows x) ~cols:(T.cols x) in
-      Ptanh.apply_t_into ~dst:oracle real x;
-      List.for_all (fun block -> eq0 oracle (Ptanh.apply_batch_t ~block real x)) (block_sizes (T.rows x)))
-
-let filter_case rng =
-  let features = 1 + Rng.int rng 5 in
+(* Both circuit architectures — first-order (pTPNC) and second-order
+   (ADAPT) filters — over one input. *)
+let circuit_case rng =
+  let classes = 2 + Rng.int rng 3 in
   let rows = 1 + Rng.int rng 24 in
-  let time = 2 + Rng.int rng 6 in
+  let time = 2 + Rng.int rng 10 in
   let seed = Rng.int rng 10_000 in
-  let order = if Rng.bool rng then Filter_layer.First else Filter_layer.Second in
-  let fl = Filter_layer.create rng order ~features in
-  let xs =
-    Array.init time (fun _ -> T.uniform rng ~rows ~cols:features ~lo:(-1.) ~hi:1.)
+  let nets =
+    List.map
+      (fun arch -> Network.create ~hidden:(2 + Rng.int rng 4) rng arch ~inputs:1 ~classes)
+      [ Network.Ptpnc; Network.Adapt ]
   in
-  (fl, xs, seed)
+  (nets, T.uniform rng ~rows ~cols:time ~lo:(-1.) ~hi:1., seed)
 
-let test_filter_twin () =
-  Qgen.check ~count:30 ~name:"filter batch twin"
-    ~pp:(fun (fl, xs, seed) ->
-      Printf.sprintf "filter %s f=%d rows=%d time=%d seed=%d"
-        (match Filter_layer.order fl with First -> "1st" | Second -> "2nd")
-        (Filter_layer.features fl) (T.rows xs.(0)) (Array.length xs) seed)
-    filter_case
-    (fun (fl, xs, seed) ->
-      let rows = T.rows xs.(0) in
-      let real = Filter_layer.realize_t ~draw:(draw_of ~seed ~level:0.1) fl in
+let pp_circuit_case (_, x, seed) =
+  Printf.sprintf "rows=%d time=%d seed=%d" (T.rows x) (T.cols x) seed
+
+(* The engine recomposed from the unfused per-layer kernels, one time
+   step at a time, in the engine's sampling order (filter, activation,
+   crossbar) with one explicit draw per component family. *)
+let unfused_forward ~precision ~readout ~draws:(d_crossbar, d_filter, d_act) net x =
+  let rows = T.rows x in
+  let layers =
+    List.map
+      (fun (cb, fl, act) ->
+        let f = Filter_layer.realize_t ~draw:d_filter fl in
+        let a = Ptanh.realize_t ~draw:d_act act in
+        let c = Crossbar.realize_t ~draw:d_crossbar cb in
+        (c, f, a, Filter_layer.init_state_t f ~batch:rows))
+      (Network.layers net)
+  in
+  let acc = T.zeros ~rows ~cols:(Network.classes net) in
+  let last = ref acc in
+  Array.iter
+    (fun x_t ->
+      let out =
+        List.fold_left
+          (fun x (c, f, a, st) ->
+            Ptanh.apply_batch_t ~precision a
+              (Filter_layer.step_batch_t f st (Crossbar.apply_batch_t c x)))
+          x_t layers
+      in
+      T.add_inplace acc out;
+      last := out)
+    (T.columns x);
+  match readout with
+  | Batch.Integrated -> T.scale (1. /. float_of_int (T.cols x)) acc
+  | Last_step -> !last
+
+let test_fused_vs_unfused () =
+  Qgen.check ~count:20 ~name:"fused engine = unfused kernels" ~pp:pp_circuit_case circuit_case
+    (fun (nets, x, seed) ->
       List.for_all
-        (fun block ->
-          (* Fresh state per block size: the update mutates it. *)
-          let st_o = Filter_layer.init_state_t real ~batch:rows in
-          let st_b = Filter_layer.init_state_t real ~batch:rows in
-          Array.for_all
-            (fun x ->
-              let a = T.copy (Filter_layer.step_t real st_o x) in
-              let b = Filter_layer.step_batch_t ~block real st_b x in
-              eq0 a b)
-            xs
-          && Array.for_all2 eq0 st_o st_b)
-        (block_sizes rows))
+        (fun net ->
+          List.for_all
+            (fun (precision, readout) ->
+              let d = draw_of ~seed ~level:0.1 in
+              let reference = unfused_forward ~precision ~readout ~draws:(d, d, d) net x in
+              List.for_all
+                (fun bs ->
+                  eq0 reference
+                    (Network.forward_batch_t
+                       ~opts:{ (block bs) with precision; readout }
+                       ~draw:(draw_of ~seed ~level:0.1) net x))
+                (block_sizes (T.rows x)))
+            [
+              (`Exact, Batch.Integrated);
+              (`Exact, Last_step);
+              (`Fast, Integrated);
+              (`Fast, Last_step);
+            ])
+        nets)
 
-(* End-to-end twins ------------------------------------------------------ *)
+(* Per-family draws ------------------------------------------------------ *)
+
+let family_selections =
+  let only crossbar filter activation = { Batch.crossbar; filter; activation } in
+  [
+    (Sensitivity.Crossbar_conductances, only true false false);
+    (Filter_rc, only false true false);
+    (Activation_eta, only false false true);
+    (All_families, Batch.all_families);
+  ]
+
+(* For each of Sensitivity's families, batched logits under the
+   selection it names equal the Var forward under the expected
+   selection, and both equal the unfused kernels realized with the draw
+   handed to exactly the expected families — so a swap of two families
+   in Sensitivity's table or anywhere in the engine's wiring diverges at
+   eps 0. *)
+let test_family_parity () =
+  Qgen.check ~count:15 ~name:"per-family batched = Var" ~pp:pp_circuit_case circuit_case
+    (fun (nets, x, seed) ->
+      List.for_all
+        (fun net ->
+          List.for_all
+            (fun (family, (varied : Batch.families)) ->
+              let oracle =
+                Var.with_no_grad (fun () ->
+                    Var.value (Network.forward ~varied ~draw:(draw_of ~seed ~level:0.3) net x))
+              in
+              let d = draw_of ~seed ~level:0.3 in
+              let pick on = if on then d else Variation.deterministic in
+              let explicit =
+                unfused_forward ~precision:`Exact ~readout:Integrated
+                  ~draws:(pick varied.crossbar, pick varied.filter, pick varied.activation)
+                  net x
+              in
+              eq0 oracle explicit
+              && List.for_all
+                   (fun bs ->
+                     eq0 oracle
+                       (Network.forward_batch_t
+                          ~opts:{ (block bs) with varied = Sensitivity.varied family }
+                          ~draw:(draw_of ~seed ~level:0.3) net x))
+                   (block_sizes (T.rows x)))
+            family_selections)
+        nets)
+
+(* End-to-end parity ----------------------------------------------------- *)
 
 let model_case rng =
   let classes = 2 + Rng.int rng 3 in
@@ -142,24 +190,29 @@ let model_case rng =
 let pp_model_case (model, x, seed) =
   Printf.sprintf "%s rows=%d time=%d seed=%d" (Model.label model) (T.rows x) (T.cols x) seed
 
-let test_logits_batch_twin () =
-  Qgen.check ~count:30 ~name:"logits_batch_t = logits_t" ~pp:pp_model_case model_case
+(* Two draws from the same seed consume identical streams: one for the
+   oracle, one per batched evaluation. *)
+let var_logits ~seed model x =
+  Var.with_no_grad (fun () ->
+      Var.value (Model.logits ~draw:(draw_of ~seed ~level:0.1) model x))
+
+let test_logits_batch_parity () =
+  Qgen.check ~count:30 ~name:"logits_batch_t = Var logits" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      (* Two draws from the same seed consume identical streams: one
-         for the oracle, one per batched evaluation. *)
-      let oracle = Model.logits_t ~draw:(draw_of ~seed ~level:0.1) model x in
+      let oracle = var_logits ~seed model x in
       List.for_all
         (fun bs ->
-          eq0 oracle (Model.logits_batch_t ~batch_size:bs ~draw:(draw_of ~seed ~level:0.1) model x))
+          eq0 oracle
+            (Model.logits_batch_t ~opts:(block bs) ~draw:(draw_of ~seed ~level:0.1) model x))
         (block_sizes (T.rows x)))
 
-let test_predict_batch_twin () =
-  Qgen.check ~count:20 ~name:"predict_batch = predict" ~pp:pp_model_case model_case
+let test_predict_batch_parity () =
+  Qgen.check ~count:20 ~name:"predict_batch = Var argmax" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      let oracle = Model.predict ~draw:(draw_of ~seed ~level:0.1) model x in
+      let oracle = T.argmax_rows (var_logits ~seed model x) in
       List.for_all
         (fun bs ->
-          Model.predict_batch ~batch_size:bs ~draw:(draw_of ~seed ~level:0.1) model x = oracle)
+          Model.predict_batch ~opts:(block bs) ~draw:(draw_of ~seed ~level:0.1) model x = oracle)
         (block_sizes (T.rows x)))
 
 (* The env knob: under ADAPT_PNC_BATCH (set by the dune rules) the
@@ -168,8 +221,7 @@ let test_predict_batch_twin () =
 let test_env_knob_parity () =
   Qgen.check ~count:10 ~name:"ADAPT_PNC_BATCH parity" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      let oracle = Model.logits_t ~draw:(draw_of ~seed ~level:0.1) model x in
-      eq0 oracle (Model.logits_batch_t ~draw:(draw_of ~seed ~level:0.1) model x))
+      eq0 (var_logits ~seed model x) (Model.logits_batch_t ~draw:(draw_of ~seed ~level:0.1) model x))
 
 let test_resolve_precedence () =
   (* Explicit argument beats the environment, which beats whole-split;
@@ -212,7 +264,7 @@ let test_accuracy_batch_invariance () =
       in
       let ds = small_dataset ~classes ~batch:(5 + Rng.int rng 15) ~time:8 rng in
       let oracle = Train.accuracy model ds in
-      List.for_all (fun bs -> Train.accuracy ~batch_size:bs model ds = oracle)
+      List.for_all (fun bs -> Train.accuracy ~opts:(block bs) model ds = oracle)
         (block_sizes (Array.length ds.Pnc_data.Dataset.x)))
 
 let test_accuracy_under_variation_pool_batch_invariance () =
@@ -234,7 +286,7 @@ let test_accuracy_under_variation_pool_batch_invariance () =
       Pool.with_pool ~size:env_pool_size (fun pool ->
           List.for_all
             (fun bs ->
-              Train.accuracy_under_variation ~batch_size:bs ~pool ~rng:(Rng.create ~seed) ~spec
+              Train.accuracy_under_variation ~opts:(block bs) ~pool ~rng:(Rng.create ~seed) ~spec
                 ~draws:4 model ds
               = oracle)
             [ 1; 3; Array.length ds.Pnc_data.Dataset.x ]))
@@ -250,14 +302,42 @@ let test_mc_loss_batch_invariance () =
       in
       let labels = Array.init (T.rows x) (fun i -> i mod classes) in
       let spec = Variation.uniform 0.1 in
-      let value ?batch_size ?pool () =
-        Mc_loss.expected_value ?batch_size ?pool ~rng:(Rng.create ~seed) ~spec ~n:3 model ~x
-          ~labels
+      let value ?opts ?pool () =
+        Mc_loss.expected_value ?opts ?pool ~rng:(Rng.create ~seed) ~spec ~n:3 model ~x ~labels
       in
       let oracle = value () in
-      List.for_all (fun bs -> value ~batch_size:bs () = oracle) (block_sizes (T.rows x))
-      && Pool.with_pool ~size:env_pool_size (fun pool ->
-             value ~pool ~batch_size:2 () = oracle))
+      List.for_all (fun bs -> value ~opts:(block bs) () = oracle) (block_sizes (T.rows x))
+      && Pool.with_pool ~size:env_pool_size (fun pool -> value ~pool ~opts:(block 2) () = oracle))
+
+(* Sensitivity's rows run the selection their family names: each
+   row's accuracy is the per-draw mean over Var-forward accuracies with
+   that selection. *)
+let test_sensitivity_wiring () =
+  Qgen.check ~count:6 ~name:"sensitivity rows = Var oracle" ~pp:string_of_int
+    (fun rng -> Rng.int rng 10_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let net = Network.create ~hidden:3 rng Network.Adapt ~inputs:1 ~classes:2 in
+      let ds = small_dataset ~classes:2 ~batch:12 ~time:8 rng in
+      let x, y = Train.to_xy ds in
+      let level = 0.3 and draws = 3 in
+      let rows =
+        Sensitivity.analyze ~opts:(block 5) ~rng:(Rng.create ~seed) ~level ~draws net ds
+      in
+      List.for_all2
+        (fun (row : Sensitivity.row) (family, varied) ->
+          let accs =
+            Array.map
+              (fun r ->
+                let draw = Variation.make_draw r (Variation.uniform level) in
+                let logits =
+                  Var.with_no_grad (fun () -> Var.value (Network.forward ~varied ~draw net x))
+                in
+                Pnc_util.Stats.accuracy ~pred:(T.argmax_rows logits) ~truth:y)
+              (Rng.split_n (Rng.create ~seed) draws)
+          in
+          row.family = family && row.accuracy = Array.fold_left ( +. ) 0. accs /. float_of_int draws)
+        rows family_selections)
 
 (* Kernel oracle --------------------------------------------------------- *)
 
@@ -383,7 +463,7 @@ let test_forward_alloc_per_step () =
       let words x =
         let run () =
           ignore
-            (Network.forward_batch_t ~batch_size:rows ~precision
+            (Network.forward_batch_t ~opts:{ (block rows) with precision }
                ~draw:(draw_of ~seed:9 ~level:0.1) net x)
         in
         run ();
@@ -425,16 +505,15 @@ let test_accuracy_split_once () =
 let () =
   Alcotest.run "pnc_batch"
     [
-      ( "layer twins",
+      ( "fused engine",
         [
-          Alcotest.test_case "crossbar" `Quick test_crossbar_twin;
-          Alcotest.test_case "ptanh" `Quick test_ptanh_twin;
-          Alcotest.test_case "filter" `Quick test_filter_twin;
+          Alcotest.test_case "fused = unfused kernels" `Quick test_fused_vs_unfused;
+          Alcotest.test_case "per-family batched = Var" `Quick test_family_parity;
         ] );
       ( "end-to-end",
         [
-          Alcotest.test_case "logits_batch_t = logits_t" `Quick test_logits_batch_twin;
-          Alcotest.test_case "predict_batch = predict" `Quick test_predict_batch_twin;
+          Alcotest.test_case "logits_batch_t = Var logits" `Quick test_logits_batch_parity;
+          Alcotest.test_case "predict_batch = Var argmax" `Quick test_predict_batch_parity;
           Alcotest.test_case "ADAPT_PNC_BATCH parity" `Quick test_env_knob_parity;
           Alcotest.test_case "resolve precedence" `Quick test_resolve_precedence;
         ] );
@@ -444,6 +523,7 @@ let () =
           Alcotest.test_case "accuracy under variation, pool x batch" `Quick
             test_accuracy_under_variation_pool_batch_invariance;
           Alcotest.test_case "Mc_loss.expected_value" `Quick test_mc_loss_batch_invariance;
+          Alcotest.test_case "Sensitivity rows = Var oracle" `Quick test_sensitivity_wiring;
         ] );
       ( "steps and allocation",
         [

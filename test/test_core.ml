@@ -13,6 +13,7 @@ module Filter_layer = Pnc_core.Filter_layer
 module Network = Pnc_core.Network
 module Elman = Pnc_core.Elman
 module Model = Pnc_core.Model
+module Batch = Pnc_core.Batch
 module Mc_loss = Pnc_core.Mc_loss
 module Hardware = Pnc_core.Hardware
 module Coupling = Pnc_core.Coupling
@@ -419,10 +420,10 @@ let test_readout_variants () =
   let net = Network.create ~hidden:3 (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:3 ~cols:16 ~lo:(-1.) ~hi:1. in
   let integrated =
-    Var.value (Network.forward_readout ~readout:Network.Integrated ~draw:Variation.deterministic net x)
+    Var.value (Network.forward ~readout:Batch.Integrated ~draw:Variation.deterministic net x)
   in
   let last =
-    Var.value (Network.forward_readout ~readout:Network.Last_step ~draw:Variation.deterministic net x)
+    Var.value (Network.forward ~readout:Batch.Last_step ~draw:Variation.deterministic net x)
   in
   Alcotest.(check bool) "variants differ" false (T.equal_eps ~eps:1e-12 integrated last);
   let default = Var.value (Network.forward ~draw:Variation.deterministic net x) in
@@ -435,7 +436,7 @@ let test_model_dispatch () =
   Alcotest.(check string) "rnn label" "Elman RNN" (Model.label (Model.Reference e));
   Alcotest.(check bool) "is_circuit" true (Model.is_circuit (Model.Circuit net));
   let x = T.uniform (rng ()) ~rows:2 ~cols:8 ~lo:(-1.) ~hi:1. in
-  Alcotest.(check int) "predict length" 2 (Array.length (Model.predict (Model.Circuit net) x))
+  Alcotest.(check int) "predict length" 2 (Array.length (Model.predict_batch (Model.Circuit net) x))
 
 (* Elman -------------------------------------------------------------------------- *)
 
@@ -512,8 +513,8 @@ let test_hardware_g_scale () =
 let test_predict_with_draw_varies () =
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
   let x = T.uniform (rng ()) ~rows:20 ~cols:16 ~lo:(-1.) ~hi:1. in
-  let p1 = Network.predict net x in
-  let p2 = Network.predict net x in
+  let p1 = Model.predict_batch (Model.Circuit net) x in
+  let p2 = Model.predict_batch (Model.Circuit net) x in
   Alcotest.(check (array int)) "deterministic predict repeatable" p1 p2
 
 (* MC loss ------------------------------------------------------------------------- *)
@@ -606,7 +607,7 @@ let test_fast_path_parity_circuit () =
       let d_var = Variation.make_draw (Rng.create ~seed:42) spec in
       let d_fast = Variation.make_draw (Rng.create ~seed:42) spec in
       let var_logits = Var.value (Network.forward ~draw:d_var net x) in
-      let fast_logits = Network.forward_t ~draw:d_fast net x in
+      let fast_logits = Network.forward_batch_t ~draw:d_fast net x in
       Alcotest.(check bool)
         (Network.arch_name arch ^ " bit-identical logits")
         true
@@ -618,17 +619,19 @@ let test_fast_path_parity_circuit () =
         true
         (T.equal_eps ~eps:0.
            (Var.value (Model.logits model x))
-           (Model.logits_t model x)))
+           (Model.logits_batch_t model x)))
     [ Network.Ptpnc; Network.Adapt ]
 
 let test_fast_path_parity_reference () =
   let m = Elman.create (rng ()) ~inputs:1 ~classes:3 in
   let x = T.uniform (rng ()) ~rows:5 ~cols:24 ~lo:(-1.) ~hi:1. in
   Alcotest.(check bool) "elman bit-identical logits" true
-    (T.equal_eps ~eps:0. (Var.value (Elman.forward m x)) (Elman.forward_t m x));
+    (T.equal_eps ~eps:0.
+       (Var.value (Elman.forward m x))
+       (Elman.forward_multi_batch_t m (T.columns x)));
   let model = Model.Reference m in
   Alcotest.(check bool) "model dispatch parity" true
-    (T.equal_eps ~eps:0. (Var.value (Model.logits model x)) (Model.logits_t model x))
+    (T.equal_eps ~eps:0. (Var.value (Model.logits model x)) (Model.logits_batch_t model x))
 
 let test_fast_path_readouts_parity () =
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
@@ -639,9 +642,9 @@ let test_fast_path_readouts_parity () =
       let d2 = Variation.make_draw (Rng.create ~seed:9) (Variation.uniform 0.1) in
       Alcotest.(check bool) "readout parity" true
         (T.equal_eps ~eps:0.
-           (Var.value (Network.forward_readout ~readout ~draw:d1 net x))
-           (Network.forward_readout_t ~readout ~draw:d2 net x)))
-    [ Network.Integrated; Network.Last_step ]
+           (Var.value (Network.forward ~readout ~draw:d1 net x))
+           (Network.forward_batch_t ~opts:{ Batch.default with readout } ~draw:d2 net x)))
+    [ Batch.Integrated; Batch.Last_step ]
 
 let test_expected_value_matches_var_path () =
   (* The pure-tensor MC estimate consumes the same random stream and
@@ -708,13 +711,13 @@ let test_fast_path_allocates_no_var_nodes () =
   let x = T.uniform (rng ()) ~rows:4 ~cols:12 ~lo:(-1.) ~hi:1. in
   let labels = [| 0; 1; 0; 1 |] in
   let before = Var.nodes_created () in
-  let _ = Model.predict model x in
+  let _ = Model.predict_batch model x in
   let _ =
     Mc_loss.expected_value ~rng:(Rng.create ~seed:3) ~spec:(Variation.uniform 0.1) ~n:4 model
       ~x ~labels
   in
   let d = Variation.make_draw (Rng.create ~seed:4) (Variation.uniform 0.1) in
-  let _ = Model.predict ~draw:d model x in
+  let _ = Model.predict_batch ~draw:d model x in
   Alcotest.(check int) "zero Var nodes allocated" before (Var.nodes_created ())
 
 (* Hardware -------------------------------------------------------------------------- *)

@@ -2,8 +2,8 @@
    Bigarray kernels.
 
    Contracts under test:
-   - `Exact (the default) is bit-identical (eps 0) to the unbatched
-     tensor path — the seed parity contract is untouched by the tier
+   - `Exact (the default) is bit-identical (eps 0) to the Var
+     path — the seed parity contract is untouched by the tier
      machinery, and library defaults NEVER read ADAPT_PNC_PRECISION
      (this suite re-runs under exact/fast env settings via test/dune);
    - `Fast logits drift from `Exact by at most a small analytic bound
@@ -26,6 +26,9 @@ module Train = Pnc_core.Train
 module Batch = Pnc_core.Batch
 module Variation = Pnc_core.Variation
 module Config = Pnc_exp.Config
+module Var = Pnc_autodiff.Var
+
+let tier ?batch_size precision = { Batch.default with batch_size; precision }
 
 let gpovy_split () =
   let raw = Registry.load ~seed:3 ~n:80 "GPOVY" in
@@ -54,21 +57,24 @@ let max_logit_delta a b =
 
 let test_exact_is_bit_identical () =
   (* The default and the explicit `Exact must both reproduce the
-     unbatched path at eps 0 — even when ADAPT_PNC_PRECISION=fast is
+     Var path at eps 0 — even when ADAPT_PNC_PRECISION=fast is
      exported (the env-matrix rerun in test/dune): library defaults
      never consult the environment. *)
   let split = gpovy_split () in
   let x, _ = Train.to_xy split.Dataset.test in
   let model = make_circuit 5 in
   let draw_of seed = Variation.make_draw (Rng.create ~seed) (Variation.uniform 0.1) in
-  let reference = Model.logits_t ~draw:(draw_of 11) model x in
-  let default_logits = Model.logits_batch_t ~batch_size:7 ~draw:(draw_of 11) model x in
-  let exact_logits =
-    Model.logits_batch_t ~batch_size:7 ~precision:`Exact ~draw:(draw_of 11) model x
+  let reference = Var.value (Model.logits ~draw:(draw_of 11) model x) in
+  let default_logits =
+    Model.logits_batch_t ~opts:{ Batch.default with batch_size = Some 7 } ~draw:(draw_of 11)
+      model x
   in
-  Alcotest.(check bool) "default = unbatched at eps 0" true
+  let exact_logits =
+    Model.logits_batch_t ~opts:(tier ~batch_size:7 `Exact) ~draw:(draw_of 11) model x
+  in
+  Alcotest.(check bool) "default = Var at eps 0" true
     (T.equal_eps ~eps:0. reference default_logits);
-  Alcotest.(check bool) "`Exact = unbatched at eps 0" true
+  Alcotest.(check bool) "`Exact = Var at eps 0" true
     (T.equal_eps ~eps:0. reference exact_logits)
 
 let test_fast_drift_bounded_circuit () =
@@ -76,8 +82,8 @@ let test_fast_drift_bounded_circuit () =
   let x, _ = Train.to_xy split.Dataset.test in
   let model = make_circuit 5 in
   let draw_of seed = Variation.make_draw (Rng.create ~seed) (Variation.uniform 0.1) in
-  let exact = Model.logits_batch_t ~precision:`Exact ~draw:(draw_of 11) model x in
-  let fast = Model.logits_batch_t ~precision:`Fast ~draw:(draw_of 11) model x in
+  let exact = Model.logits_batch_t ~opts:(tier `Exact) ~draw:(draw_of 11) model x in
+  let fast = Model.logits_batch_t ~opts:(tier `Fast) ~draw:(draw_of 11) model x in
   let d = max_logit_delta exact fast in
   Alcotest.(check bool) (Printf.sprintf "circuit drift %.3g <= %.0e" d drift_bound) true
     (d <= drift_bound);
@@ -87,8 +93,8 @@ let test_fast_drift_bounded_elman () =
   let split = gpovy_split () in
   let x, _ = Train.to_xy split.Dataset.test in
   let model = Model.Reference (Elman.create (Rng.create ~seed:7) ~inputs:1 ~classes:2) in
-  let exact = Model.logits_batch_t ~precision:`Exact model x in
-  let fast = Model.logits_batch_t ~precision:`Fast model x in
+  let exact = Model.logits_batch_t ~opts:(tier `Exact) model x in
+  let fast = Model.logits_batch_t ~opts:(tier `Fast) model x in
   let d = max_logit_delta exact fast in
   Alcotest.(check bool) (Printf.sprintf "elman drift %.3g <= %.0e" d drift_bound) true
     (d <= drift_bound)
@@ -106,8 +112,8 @@ let test_end_to_end_drift () =
   in
   let _ = Train.train ~rng cfg model split in
   let test = split.Dataset.test in
-  let acc_exact = Train.accuracy ~precision:`Exact model test in
-  let acc_fast = Train.accuracy ~precision:`Fast model test in
+  let acc_exact = Train.accuracy ~opts:(tier `Exact) model test in
+  let acc_fast = Train.accuracy ~opts:(tier `Fast) model test in
   let n = Array.length test.Dataset.y in
   let floor = 1. /. float_of_int n in
   Alcotest.(check bool)
@@ -115,8 +121,8 @@ let test_end_to_end_drift () =
     true
     (Float.abs (acc_fast -. acc_exact) <= floor +. 1e-12);
   let x, _ = Train.to_xy test in
-  let pred_exact = Model.predict_batch ~precision:`Exact model x in
-  let pred_fast = Model.predict_batch ~precision:`Fast model x in
+  let pred_exact = Model.predict_batch ~opts:(tier `Exact) model x in
+  let pred_fast = Model.predict_batch ~opts:(tier `Fast) model x in
   let agree = ref 0 in
   Array.iteri (fun i p -> if p = pred_fast.(i) then incr agree) pred_exact;
   Alcotest.(check bool)

@@ -320,6 +320,27 @@ let test_concurrent_drain () =
   (* with_server joining [run] without a hang IS the drain check. *)
   Sys.remove ckpt
 
+(* Connection churn: 200 connect/request/close cycles leave no handler
+   behind while the daemon keeps running — each one leaves the live
+   count when its connection closes, so nothing accumulates. *)
+let test_handler_churn () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 50);
+  let config = { Serve.default_config with reload_every_s = 0. } in
+  with_server ~config ckpt (fun srv ->
+      let rng = Rng.create ~seed:51 in
+      for _ = 1 to 200 do
+        with_conn srv (fun c -> ignore (ok "churn" (Serve.Client.logits c (random_row rng))))
+      done;
+      (* A handler leaves the count after the client's close reaches
+         it; allow it a bounded moment to observe that. *)
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Serve.live_handlers srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 1e-3
+      done;
+      Alcotest.(check int) "no live handlers after churn" 0 (Serve.live_handlers srv));
+  Sys.remove ckpt
+
 (* Strict framing: HTTP writes Content-Length as 1*DIGIT. Each form
    below is one that [int_of_string] accepts, spelled so that it names
    the true body length — a lenient parser would read the body and
@@ -450,6 +471,7 @@ let () =
           Alcotest.test_case "hot reload mid-load" `Quick test_hot_reload_mid_load;
           Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
           Alcotest.test_case "concurrent drain" `Quick test_concurrent_drain;
+          Alcotest.test_case "handler churn leaves none live" `Quick test_handler_churn;
         ] );
       ( "framing",
         [

@@ -276,7 +276,7 @@ let param_image model =
 let eval_seed = 6011
 
 let eval ?batch_size ?pool ?(protocol = Online.default_protocol) ?(with_spec = true) model rz =
-  Online.eval ?batch_size ?pool
+  Online.eval ~opts:{ Pnc_core.Batch.default with batch_size } ?pool
     ?spec:(if with_spec then Some spec else None)
     ~rng:(Rng.create ~seed:eval_seed) protocol model rz
 
