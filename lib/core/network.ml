@@ -119,13 +119,13 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
 
 (* No-grad engine: same sampling order and same floating-point
    operation sequence as the Var path, but no autodiff nodes are
-   allocated and each layer step runs as one fused pass over
-   preallocated buffers. Logits are bit-identical to [forward_multi]
-   under the same draw and options.
+   allocated and each layer step runs as a few fused passes over
+   preallocated feature-major buffers. Logits are bit-identical to
+   [forward_multi] under the same draw and options.
 
    Realization (the RNG-consuming part) is separated from the per-block
    workspace (state + scratch buffers): the draw is realized ONCE per
-   forward and the batch then runs through zero-copy row views, which
+   forward and the batch then runs a block of rows at a time, which
    is what makes the block size a pure performance knob — every block
    sees the same physical circuit instance, so results are
    bit-identical for any batch size.
@@ -167,163 +167,173 @@ let realize_net_t ~varied ~draw net =
       })
     net.layers
 
+(* Per-block workspace of one layer, stored feature-major
+   ([features x rows], owned, offset 0): row [c] holds feature [c] for
+   every row of the block, so each pass below is a unit-stride loop over
+   the block's rows that reads the feature's coefficients once. *)
 type layer_ws = {
   kern : layer_kernel;
-  filt_state_t : Filter_layer.state_t;
-  cb_out : T.t;
-  act_out : T.t;
+  states : T.t array; (* one [n_out x rows] filter state per stage *)
+  pre : T.t; (* crossbar sums, then the normalised filter input *)
+  out : T.t; (* the layer's activations *)
 }
 
-(* Fused layer step for the no-grad path: after the crossbar matmul,
-   one elementwise pass applies bias + normalization, the RC filter
-   stage update(s) and the printable-tanh activation. Every one of
-   those kernels is elementwise over the same [batch x features] block
-   with no cross-element reduction, and the fused loop evaluates the
-   exact per-element operation sequence of the unfused reference
-   kernels (Crossbar.apply_batch_t; Filter_layer.step_batch_t;
-   Ptanh.apply_batch_t) — so fusing the passes changes memory traffic
-   only, never a result bit. Unchecked accesses are covered by the
-   shape asserts plus the tensor view invariant. Specialized for the
-   two printable filter orders.
+(* The passes of the fused layer step. Each runs over the [rows]
+   elements of one feature and evaluates exactly the per-element
+   operation sequence of the unfused reference kernel it stands for
+   (Crossbar.apply_batch_t, Filter_layer.step_batch_t,
+   Ptanh.apply_batch_t), so the layout changes memory traffic only and
+   `Exact results stay bit-identical to those kernels and to the Var
+   path. Unchecked accesses are covered by the shape asserts in
+   [forward_block] plus the tensor view invariant.
 
-   [~fast] selects the activation implementation: [false] is
-   [Stdlib.tanh] (bit-identical to the Var path), [true] is
-   [Fast_math.tanh] (≤1e-7 absolute tanh error; see docs/BATCHING.md).
-   Nothing else in the element sequence changes between the tiers. *)
-(* Activation pass over one row whose elements already hold the scaled
-   pre-activations: tanh in place, then the eta2/eta1 affine. Two entry
-   points for the transcendental — `Fast runs [Fast_math.apply_range]
-   (one unboxed in-module loop; a per-element cross-module call would
-   box both floats without flambda and cost more than the polynomial
-   saves), `Exact the direct unboxed [Stdlib.tanh] extern. The
-   per-element expression tree is identical to the former single-pass
-   form, so `Exact results stay bit-for-bit unchanged.
+   Coefficients travel as (buffer, offset) and each pass reads its
+   floats itself: without flambda, a float argument to a non-inlined
+   function is boxed at every call. Every Bigarray parameter carries
+   [T.buffer]; left unannotated, the kind and layout generalize and
+   each access compiles to the generic [caml_ba_get_1] stub, which
+   boxes the float it returns (scripts/check_unboxed.sh rejects that). *)
 
-   Every Bigarray parameter carries [T.buffer]: left unannotated, the
-   kind and layout generalize, and without flambda each [unsafe_get]
-   then compiles to the generic [caml_ba_get_1] C stub, which boxes the
-   float it returns (scripts/check_unboxed.sh rejects that). *)
-let activation_rows ~fast (od : T.buffer) ~off ~cols (e2 : T.buffer) eo2 (e1 : T.buffer) eo1 =
+(* Crossbar sums of one output feature, as [T.matmul_into]: [k]
+   ascending from [0.], exactly-zero inputs skipped. The [k = 0] loop
+   writes [0. +. x * w] (or [0.]) directly, which is what a zero fill
+   followed by the first accumulation computes, bit for bit. Input element
+   [(r, k)] is [x.{xo + r * rs + k * ks}]; weight [k] is
+   [th.{tho + k * n_out}]; [n_in >= 1]. *)
+let crossbar_pass ~rows (d : T.buffer) doff (x : T.buffer) xo ~rs ~ks ~n_in (th : T.buffer) tho
+    ~n_out =
   let module BA = Bigarray.Array1 in
-  if fast then Pnc_tensor.Fast_math.apply_range od ~off ~len:cols
-  else
-    for c = 0 to cols - 1 do
-      BA.unsafe_set od (off + c) (Stdlib.tanh (BA.unsafe_get od (off + c)))
-    done;
-  for c = 0 to cols - 1 do
-    BA.unsafe_set od (off + c)
-      ((BA.unsafe_get od (off + c) *. BA.unsafe_get e2 (eo2 + c))
-      +. BA.unsafe_get e1 (eo1 + c))
+  let w = BA.unsafe_get th tho in
+  for r = 0 to rows - 1 do
+    let xv = BA.unsafe_get x (xo + (r * rs)) in
+    BA.unsafe_set d (doff + r) (if xv <> 0. then 0. +. (xv *. w) else 0.)
+  done;
+  for k = 1 to n_in - 1 do
+    let w = BA.unsafe_get th (tho + (k * n_out)) and xk = xo + (k * ks) in
+    for r = 0 to rows - 1 do
+      let xv = BA.unsafe_get x (xk + (r * rs)) in
+      if xv <> 0. then BA.unsafe_set d (doff + r) (BA.unsafe_get d (doff + r) +. (xv *. w))
+    done
   done
 
-let fused_step_layer ~fast lr x =
+(* Bias and normalisation, as [T.add_mul_rv_inplace]. *)
+let normalise_pass ~rows (d : T.buffer) doff (bias : T.buffer) bo (inv : T.buffer) io =
   let module BA = Bigarray.Array1 in
-  let k = lr.kern in
-  let mm = lr.cb_out and out = lr.act_out in
-  let rows = T.rows mm and cols = T.cols mm in
-  assert (T.cols k.k_bias = cols && T.cols k.k_inv = cols && T.cols k.k_e1 = cols);
-  let md = mm.T.data and od = out.T.data in
-  let bd = k.k_bias.T.data and bo = k.k_bias.T.off in
-  let id = k.k_inv.T.data and io = k.k_inv.T.off in
-  let e1 = k.k_e1.T.data and eo1 = k.k_e1.T.off in
-  let e2 = k.k_e2.T.data and eo2 = k.k_e2.T.off in
-  let e3 = k.k_e3.T.data and eo3 = k.k_e3.T.off in
-  let e4 = k.k_e4.T.data and eo4 = k.k_e4.T.off in
-  match (lr.filt_state_t, k.k_stages) with
-  | [| s1; s2 |], [| (a1, b1); (a2, b2) |] ->
-      T.matmul_into ~dst:mm x k.k_theta;
-      assert (T.same_shape s1 mm && T.same_shape s2 mm);
-      assert (T.cols a1 = cols && T.cols b1 = cols && T.cols a2 = cols && T.cols b2 = cols);
-      let s1d = s1.T.data and s2d = s2.T.data in
-      let a1d = a1.T.data and a1o = a1.T.off in
-      let b1d = b1.T.data and b1o = b1.T.off in
-      let a2d = a2.T.data and a2o = a2.T.off in
-      let b2d = b2.T.data and b2o = b2.T.off in
-      for r = 0 to rows - 1 do
-        let mo = mm.T.off + (r * cols)
-        and oo = out.T.off + (r * cols)
-        and s1o = s1.T.off + (r * cols)
-        and s2o = s2.T.off + (r * cols) in
-        for c = 0 to cols - 1 do
-          let v =
-            (BA.unsafe_get md (mo + c) +. BA.unsafe_get bd (bo + c))
-            *. BA.unsafe_get id (io + c)
-          in
-          let s1v =
-            (BA.unsafe_get s1d (s1o + c) *. BA.unsafe_get a1d (a1o + c))
-            +. (v *. BA.unsafe_get b1d (b1o + c))
-          in
-          BA.unsafe_set s1d (s1o + c) s1v;
-          let s2v =
-            (BA.unsafe_get s2d (s2o + c) *. BA.unsafe_get a2d (a2o + c))
-            +. (s1v *. BA.unsafe_get b2d (b2o + c))
-          in
-          BA.unsafe_set s2d (s2o + c) s2v;
-          BA.unsafe_set od (oo + c)
-            ((s2v +. -.BA.unsafe_get e3 (eo3 + c)) *. BA.unsafe_get e4 (eo4 + c))
-        done;
-        activation_rows ~fast od ~off:oo ~cols e2 eo2 e1 eo1
-      done;
-      out
-  | [| s1 |], [| (a1, b1) |] ->
-      T.matmul_into ~dst:mm x k.k_theta;
-      assert (T.same_shape s1 mm);
-      assert (T.cols a1 = cols && T.cols b1 = cols);
-      let s1d = s1.T.data in
-      let a1d = a1.T.data and a1o = a1.T.off in
-      let b1d = b1.T.data and b1o = b1.T.off in
-      for r = 0 to rows - 1 do
-        let mo = mm.T.off + (r * cols)
-        and oo = out.T.off + (r * cols)
-        and s1o = s1.T.off + (r * cols) in
-        for c = 0 to cols - 1 do
-          let v =
-            (BA.unsafe_get md (mo + c) +. BA.unsafe_get bd (bo + c))
-            *. BA.unsafe_get id (io + c)
-          in
-          let s1v =
-            (BA.unsafe_get s1d (s1o + c) *. BA.unsafe_get a1d (a1o + c))
-            +. (v *. BA.unsafe_get b1d (b1o + c))
-          in
-          BA.unsafe_set s1d (s1o + c) s1v;
-          BA.unsafe_set od (oo + c)
-            ((s1v +. -.BA.unsafe_get e3 (eo3 + c)) *. BA.unsafe_get e4 (eo4 + c))
-        done;
-        activation_rows ~fast od ~off:oo ~cols e2 eo2 e1 eo1
-      done;
-      out
-  | _ -> assert false (* Filter_layer.order has exactly two constructors *)
+  let b = BA.unsafe_get bias bo and s = BA.unsafe_get inv io in
+  for r = 0 to rows - 1 do
+    BA.unsafe_set d (doff + r) ((BA.unsafe_get d (doff + r) +. b) *. s)
+  done
 
-(* Run one block of rows through all time steps against an already
-   realized circuit instance, from the block's filter [states]. *)
-let forward_block ~fast ~readout ~classes kernels states steps =
-  let batch = T.rows steps.(0) in
+(* One RC stage fed by [v], as [T.affine_rv_into]: s <- s * a + v * b. *)
+let stage_pass ~rows (s : T.buffer) soff (v : T.buffer) voff (a : T.buffer) ao (b : T.buffer) bo =
+  let module BA = Bigarray.Array1 in
+  let a = BA.unsafe_get a ao and b = BA.unsafe_get b bo in
+  for r = 0 to rows - 1 do
+    BA.unsafe_set s (soff + r)
+      ((BA.unsafe_get s (soff + r) *. a) +. (BA.unsafe_get v (voff + r) *. b))
+  done
+
+(* Printable tanh of [v] into [o], as [Ptanh.apply_batch_t]: the scaled
+   pre-activation (v + -e3) * e4, tanh, then the e2/e1 affine. `Fast
+   runs the tanh as [Fast_math.apply_range] over the row (one unboxed
+   in-module loop, <=1e-7 absolute error; see docs/BATCHING.md), so it
+   takes three loops. `Exact needs only one: the unboxed [Stdlib.tanh]
+   extern sits inside the same expression tree, bit-identical to the
+   Var path. *)
+let activation_pass ~fast ~rows (o : T.buffer) oo (v : T.buffer) voff (e1 : T.buffer) eo1
+    (e2 : T.buffer) eo2 (e3 : T.buffer) eo3 (e4 : T.buffer) eo4 =
+  let module BA = Bigarray.Array1 in
+  let e1 = BA.unsafe_get e1 eo1
+  and e2 = BA.unsafe_get e2 eo2
+  and e3 = BA.unsafe_get e3 eo3
+  and e4 = BA.unsafe_get e4 eo4 in
+  if fast then begin
+    for r = 0 to rows - 1 do
+      BA.unsafe_set o (oo + r) ((BA.unsafe_get v (voff + r) +. -.e3) *. e4)
+    done;
+    Pnc_tensor.Fast_math.apply_range o ~off:oo ~len:rows;
+    for r = 0 to rows - 1 do
+      BA.unsafe_set o (oo + r) ((BA.unsafe_get o (oo + r) *. e2) +. e1)
+    done
+  end
+  else
+    for r = 0 to rows - 1 do
+      BA.unsafe_set o (oo + r)
+        ((Stdlib.tanh ((BA.unsafe_get v (voff + r) +. -.e3) *. e4) *. e2) +. e1)
+    done
+
+(* One time step of one layer: for each output feature, the crossbar,
+   normalisation, filter-stage and activation passes in turn. The
+   filter order is just the number of stages. Input element [(r, k)]
+   is [x.{xo + r * rs + k * ks}]: the first layer reads its row-major
+   [rows x n_in] step with [rs = n_in, ks = 1], later layers the
+   previous feature-major activations with [rs = 1, ks = rows]. *)
+let fused_step_layer ~fast ~rows lr (x : T.buffer) xo ~rs ~ks =
+  let k = lr.kern in
+  let n_in = T.rows k.k_theta and n_out = T.cols k.k_theta in
+  let pd = lr.pre.T.data and od = lr.out.T.data in
+  for c = 0 to n_out - 1 do
+    let fo = c * rows in
+    crossbar_pass ~rows pd fo x xo ~rs ~ks ~n_in k.k_theta.T.data (k.k_theta.T.off + c) ~n_out;
+    normalise_pass ~rows pd fo k.k_bias.T.data (k.k_bias.T.off + c) k.k_inv.T.data
+      (k.k_inv.T.off + c);
+    let v = ref pd in
+    for i = 0 to Array.length lr.states - 1 do
+      let s = lr.states.(i).T.data and a, b = k.k_stages.(i) in
+      stage_pass ~rows s fo !v fo a.T.data (a.T.off + c) b.T.data (b.T.off + c);
+      v := s
+    done;
+    activation_pass ~fast ~rows od fo !v fo k.k_e1.T.data (k.k_e1.T.off + c) k.k_e2.T.data
+      (k.k_e2.T.off + c) k.k_e3.T.data (k.k_e3.T.off + c) k.k_e4.T.data (k.k_e4.T.off + c)
+  done
+
+(* Run rows [row, row + rows) of the batch through all time steps
+   against an already realized circuit instance, from the full-batch
+   row-major filter [states]. The block reads its rows of each step in
+   place, transposes its state slice in once and its logits out once,
+   and allocates nothing per time step. *)
+let forward_block ~fast ~readout ~classes kernels states steps ~row ~rows =
+  let fm ~n = T.zeros ~rows:n ~cols:rows in
   let ws =
-    List.map2
-      (fun kern filt_state_t ->
-        let n_out = T.cols kern.k_bias in
-        {
-          kern;
-          filt_state_t;
-          cb_out = T.zeros ~rows:batch ~cols:n_out;
-          act_out = T.zeros ~rows:batch ~cols:n_out;
-        })
-      kernels states
+    Array.of_list
+      (List.map2
+         (fun kern st ->
+           let n_out = T.cols kern.k_theta in
+           List.iter
+             (fun t -> assert (T.rows t = 1 && T.cols t = n_out))
+             [ kern.k_bias; kern.k_inv; kern.k_e1; kern.k_e2; kern.k_e3; kern.k_e4 ];
+           assert (Array.length st = Array.length kern.k_stages);
+           Array.iter2
+             (fun s (a, b) ->
+               assert (T.cols s = n_out && T.cols a = n_out && T.cols b = n_out))
+             st kern.k_stages;
+           {
+             kern;
+             states = Array.map (fun s -> T.transpose (T.rows_view s ~row ~len:rows)) st;
+             pre = fm ~n:n_out;
+             out = fm ~n:n_out;
+           })
+         kernels states)
   in
-  let acc = T.zeros ~rows:batch ~cols:classes in
-  let last = ref acc in
-  Array.iter
-    (fun x_t ->
-      let signal = ref x_t in
-      List.iter (fun lr -> signal := fused_step_layer ~fast lr !signal) ws;
-      (match readout with
-      | Batch.Integrated -> T.add_inplace acc !signal
-      | Last_step -> ());
-      last := !signal)
-    steps;
+  let n_layers = Array.length ws in
+  for l = 1 to n_layers - 1 do
+    assert (T.rows ws.(l).kern.k_theta = T.cols ws.(l - 1).kern.k_theta)
+  done;
+  let n_in = T.rows ws.(0).kern.k_theta and last = ws.(n_layers - 1).out in
+  assert (T.rows last = classes);
+  let acc = fm ~n:classes in
+  for t = 0 to Array.length steps - 1 do
+    let x = steps.(t) in
+    assert (T.cols x = n_in && row >= 0 && row + rows <= T.rows x);
+    fused_step_layer ~fast ~rows ws.(0) x.T.data (x.T.off + (row * n_in)) ~rs:n_in ~ks:1;
+    for l = 1 to n_layers - 1 do
+      fused_step_layer ~fast ~rows ws.(l) ws.(l - 1).out.T.data 0 ~rs:1 ~ks:rows
+    done;
+    match readout with Batch.Integrated -> T.add_inplace acc last | Last_step -> ()
+  done;
   match readout with
-  | Integrated -> T.scale (1. /. float_of_int (Array.length steps)) acc
-  | Last_step -> T.copy !last
+  | Integrated -> T.transpose (T.scale (1. /. float_of_int (Array.length steps)) acc)
+  | Last_step -> T.transpose last
 
 let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   assert (Array.length steps > 0);
@@ -340,10 +350,8 @@ let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
   Batch.blocked opts ~rows ~cols:net.n_classes (fun ~row ~len ->
-      let view s = T.rows_view s ~row ~len in
-      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels
-        (List.map (Array.map view) states)
-        (Array.map view steps))
+      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels states steps ~row
+        ~rows:len)
 
 let forward_batch_t ?opts ~draw net x = forward_multi_batch_t ?opts ~draw net (T.columns x)
 

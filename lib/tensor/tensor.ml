@@ -317,7 +317,15 @@ let matmul a b =
   matmul_into ~dst:out a b;
   out
 
-let transpose t = init ~rows:t.cols ~cols:t.rows (fun r c -> get t c r)
+(* Row [c] of the transpose is column [c] of [t]: the same gather as
+   [columns], into a fresh owned [cols x rows] tensor. *)
+let transpose t =
+  let rows = t.rows and cols = t.cols in
+  let data = alloc (rows * cols) in
+  for c = 0 to cols - 1 do
+    gather_col ~dst:data ~doff:(c * rows) t c
+  done;
+  { rows = cols; cols = rows; off = 0; data }
 
 let sum t =
   let acc = ref 0. in

@@ -137,6 +137,8 @@ val matmul_into : dst:t -> t -> t -> unit
     them). *)
 
 val transpose : t -> t
+(** Fresh [cols x rows] copy with element [(c, r)] = [get t r c]; works
+    on views. One unboxed pass, no per-element closure. *)
 
 (** {1 Reductions} *)
 

@@ -70,8 +70,8 @@ let pp_circuit_case (_, x, seed) =
 (* The engine recomposed from the unfused per-layer kernels, one time
    step at a time, in the engine's sampling order (filter, activation,
    crossbar) with one explicit draw per component family. *)
-let unfused_forward ~precision ~readout ~draws:(d_crossbar, d_filter, d_act) net x =
-  let rows = T.rows x in
+let unfused_forward_multi ~precision ~readout ~draws:(d_crossbar, d_filter, d_act) net steps =
+  let rows = T.rows steps.(0) in
   let layers =
     List.map
       (fun (cb, fl, act) ->
@@ -94,10 +94,16 @@ let unfused_forward ~precision ~readout ~draws:(d_crossbar, d_filter, d_act) net
       in
       T.add_inplace acc out;
       last := out)
-    (T.columns x);
+    steps;
   match readout with
-  | Batch.Integrated -> T.scale (1. /. float_of_int (T.cols x)) acc
+  | Batch.Integrated -> T.scale (1. /. float_of_int (Array.length steps)) acc
   | Last_step -> !last
+
+let unfused_forward ~precision ~readout ~draws net x =
+  unfused_forward_multi ~precision ~readout ~draws net (T.columns x)
+
+let tiers_and_readouts =
+  [ (`Exact, Batch.Integrated); (`Exact, Last_step); (`Fast, Integrated); (`Fast, Last_step) ]
 
 let test_fused_vs_unfused () =
   Qgen.check ~count:20 ~name:"fused engine = unfused kernels" ~pp:pp_circuit_case circuit_case
@@ -115,12 +121,57 @@ let test_fused_vs_unfused () =
                        ~opts:{ (block bs) with precision; readout }
                        ~draw:(draw_of ~seed ~level:0.1) net x))
                 (block_sizes (T.rows x)))
-            [
-              (`Exact, Batch.Integrated);
-              (`Exact, Last_step);
-              (`Fast, Integrated);
-              (`Fast, Last_step);
-            ])
+            tiers_and_readouts)
+        nets)
+
+(* Multivariate circuits (2-3 inputs) fed [rows x inputs] steps salted
+   with exact zeros of both signs: the first layer's strided read of
+   the step and the crossbar's exactly-zero-input skip, which the
+   univariate uniform inputs above never reach. *)
+let multi_input_case rng =
+  let classes = 2 + Rng.int rng 3 in
+  let inputs = 2 + Rng.int rng 2 in
+  let rows = 1 + Rng.int rng 24 in
+  let time = 2 + Rng.int rng 10 in
+  let seed = Rng.int rng 10_000 in
+  let nets =
+    List.map
+      (fun arch -> Network.create ~hidden:(2 + Rng.int rng 4) rng arch ~inputs ~classes)
+      [ Network.Ptpnc; Network.Adapt ]
+  in
+  let entry _ _ =
+    match Rng.int rng 4 with 0 -> 0. | 1 -> -0. | _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.
+  in
+  (nets, Array.init time (fun _ -> T.init ~rows ~cols:inputs entry), seed)
+
+let pp_multi_input_case (_, steps, seed) =
+  Printf.sprintf "rows=%d inputs=%d time=%d seed=%d" (T.rows steps.(0)) (T.cols steps.(0))
+    (Array.length steps) seed
+
+let test_multi_input_parity () =
+  Qgen.check ~count:20 ~name:"multi-input fused engine = unfused kernels = Var"
+    ~pp:pp_multi_input_case multi_input_case (fun (nets, steps, seed) ->
+      List.for_all
+        (fun net ->
+          List.for_all
+            (fun (precision, readout) ->
+              let d = draw_of ~seed ~level:0.1 in
+              let reference = unfused_forward_multi ~precision ~readout ~draws:(d, d, d) net steps in
+              (* The Var forward is the `Exact oracle only. *)
+              (precision = `Fast
+              || eq0 reference
+                   (Var.with_no_grad (fun () ->
+                        Var.value
+                          (Network.forward_multi ~readout ~draw:(draw_of ~seed ~level:0.1) net
+                             steps))))
+              && List.for_all
+                   (fun bs ->
+                     eq0 reference
+                       (Network.forward_multi_batch_t
+                          ~opts:{ (block bs) with precision; readout }
+                          ~draw:(draw_of ~seed ~level:0.1) net steps))
+                   (block_sizes (T.rows steps.(0))))
+            tiers_and_readouts)
         nets)
 
 (* Per-family draws ------------------------------------------------------ *)
@@ -450,20 +501,23 @@ let words_allocated () =
 
 (* The no-grad draw path must be allocation-flat in the sequence
    length: a boxed float per activation read (the generic Bigarray
-   stubs) costs thousands of words per step at this shape, the fused
-   kernel a handful. The block size is pinned so the per-block row
-   views do not depend on ADAPT_PNC_BATCH. *)
+   stubs, or a float argument to a non-inlined helper) costs thousands
+   of words per step at this shape, the fused kernel a handful. The
+   block size is pinned so the blocking does not depend on
+   ADAPT_PNC_BATCH: one whole-batch block, and blocks of 7 (a ragged
+   final block), where anything allocated per block and step would
+   count 29 times. Both read-outs. *)
 let test_forward_alloc_per_step () =
   let rows = 200 in
   let net = Network.create ~hidden:4 (Rng.create ~seed:3) Network.Adapt ~inputs:1 ~classes:3 in
   let x64 = T.uniform (Rng.create ~seed:4) ~rows ~cols:64 ~lo:(-1.) ~hi:1. in
   let x128 = T.uniform (Rng.create ~seed:4) ~rows ~cols:128 ~lo:(-1.) ~hi:1. in
   List.iter
-    (fun precision ->
+    (fun (precision, bs, readout) ->
       let words x =
         let run () =
           ignore
-            (Network.forward_batch_t ~opts:{ (block rows) with precision }
+            (Network.forward_batch_t ~opts:{ (block bs) with precision; readout }
                ~draw:(draw_of ~seed:9 ~level:0.1) net x)
         in
         run ();
@@ -474,9 +528,17 @@ let test_forward_alloc_per_step () =
       let w64 = words x64 and w128 = words x128 in
       let per_step = (w128 -. w64) /. 64. in
       if per_step > 64. then
-        Alcotest.failf "%s: %.0f words per extra time step (%.0f at 64 steps, %.0f at 128)"
-          (Batch.precision_name precision) per_step w64 w128)
-    [ `Exact; `Fast ]
+        Alcotest.failf
+          "%s, block %d, %s: %.0f words per extra time step (%.0f at 64 steps, %.0f at 128)"
+          (Batch.precision_name precision) bs
+          (match readout with Batch.Integrated -> "integrated" | Last_step -> "last step")
+          per_step w64 w128)
+    (List.concat_map
+       (fun precision ->
+         List.concat_map
+           (fun bs -> List.map (fun readout -> (precision, bs, readout)) [ Batch.Integrated; Last_step ])
+           [ rows; 7 ])
+       [ `Exact; `Fast ])
 
 (* Splitting the input once per estimate changes nothing: the estimate
    equals the per-draw mean over [Model.predict_batch] on [x]. *)
@@ -508,6 +570,7 @@ let () =
       ( "fused engine",
         [
           Alcotest.test_case "fused = unfused kernels" `Quick test_fused_vs_unfused;
+          Alcotest.test_case "multi-input steps with zeros" `Quick test_multi_input_parity;
           Alcotest.test_case "per-family batched = Var" `Quick test_family_parity;
         ] );
       ( "end-to-end",

@@ -416,6 +416,36 @@ let test_diff_view_ops () =
       && T.max_abs c = T.max_abs v
       && T.to_row_array c = T.to_row_array v)
 
+let test_diff_transpose () =
+  (* [transpose] is a direct gather over the buffer; it must reproduce
+     the former [init]-through-[get] definition bit for bit (signed
+     zeros included), on owned tensors and on views with off <> 0, down
+     to single-row and single-column shapes. *)
+  let reference t = T.init ~rows:(T.cols t) ~cols:(T.rows t) (fun r c -> T.get t c r) in
+  let same_bits a b =
+    T.same_shape a b
+    && List.for_all
+         (fun i ->
+           let r = i / T.cols a and c = i mod T.cols a in
+           Int64.bits_of_float (T.get a r c) = Int64.bits_of_float (T.get b r c))
+         (List.init (T.numel a) Fun.id)
+  in
+  let gen =
+    Qgen.bind (Qgen.triple gen_dim gen_dim Qgen.bool) (fun (m, n, viewed) ->
+        if viewed then gen_viewed m n else gen_mat m n)
+  in
+  Qgen.check ~count:80 ~pp:pp_t ~name:"transpose = init-based transpose" gen (fun t ->
+      same_bits (reference t) (T.transpose t));
+  List.iter
+    (fun (rows, cols) ->
+      let parent = T.of_array ~rows:(rows + 3) ~cols (Array.init ((rows + 3) * cols) float_of_int) in
+      let v = T.rows_view parent ~row:2 ~len:rows in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d view at row 2" rows cols)
+        true
+        (same_bits (reference v) (T.transpose v)))
+    [ (1, 1); (1, 7); (7, 1); (3, 4) ]
+
 let test_diff_rows_view_bounds () =
   (* Fuzzed bounds: every (row, len) pair either yields a view whose
      contents match the oracle slice, or raises Invalid_argument —
@@ -590,6 +620,7 @@ let () =
             test_diff_broadcast_kernels;
           Alcotest.test_case "affine_rv_into = oracle" `Quick test_diff_affine_rv_into;
           Alcotest.test_case "ops on views = ops on copies" `Quick test_diff_view_ops;
+          Alcotest.test_case "transpose = init-based definition" `Quick test_diff_transpose;
           Alcotest.test_case "rows_view bounds (fuzzed)" `Quick test_diff_rows_view_bounds;
           Alcotest.test_case "blit_into overlap" `Quick test_diff_blit_overlap;
           Alcotest.test_case "alias guard (fuzzed)" `Quick test_diff_alias_guard_fuzzed;
