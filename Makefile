@@ -99,4 +99,11 @@ stream-smoke:
 	dune build bin/adapt_pnc.exe && \
 	  ./scripts/stream_smoke.sh $(STREAM_SMOKE_OUT)
 
-.PHONY: check bench golden fmt-check unboxed-check resume-demo serve-bench serve-smoke grid-smoke stream-smoke
+# Powers-of-five table gate: regenerates lib/obs/pow5.ml (the 128-bit
+# table of the Eisel-Lemire number parser in Obs.Json) from
+# scripts/gen_pow5.py and fails on any difference from the checked-in
+# file.
+pow5-check:
+	python3 scripts/gen_pow5.py | diff -u lib/obs/pow5.ml - && echo "pow5-check: OK"
+
+.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-bench serve-smoke grid-smoke stream-smoke

@@ -276,172 +276,316 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = failwith (Printf.sprintf "Json.parse: %s at offset %d" msg !pos) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else fail ("expected " ^ word)
-    in
-    let parse_string () =
-      expect '"';
+  (* Eisel–Lemire ("Number Parsing at a Gigabyte per Second", Lemire
+     2021; this is the variant with a fallback, as in Go's strconv):
+     the correctly rounded double nearest [man * 10^e10], or [nan] when
+     the 128-bit product cannot decide the rounding (the caller then
+     falls back to [float_of_string_opt]), or the result is subnormal,
+     zero or infinite. [man] is in [1, 10^18]. Int64 words are unsigned; every
+     int64 is let-bound and unboxed by the native compiler. *)
+
+  let[@inline] ult (a : int64) (b : int64) = Int64.(add a min_int < add b min_int)
+
+  (* High 64 bits of the unsigned 128-bit product [a * b]. *)
+  let[@inline] mul_hi a b =
+    let open Int64 in
+    let m32 = 0xFFFF_FFFFL in
+    let a0 = logand a m32 and a1 = shift_right_logical a 32 in
+    let b0 = logand b m32 and b1 = shift_right_logical b 32 in
+    let p00 = mul a0 b0 and p01 = mul a0 b1 and p10 = mul a1 b0 in
+    let mid = add (add (shift_right_logical p00 32) (logand p01 m32)) (logand p10 m32) in
+    add
+      (add (add (mul a1 b1) (shift_right_logical p01 32)) (shift_right_logical p10 32))
+      (shift_right_logical mid 32)
+
+  (* Bits needed to write [x >= 0]. *)
+  let bit_length x =
+    let n = ref 0 and x = ref x in
+    if !x lsr 32 <> 0 then (x := !x lsr 32; n := 32);
+    if !x lsr 16 <> 0 then (x := !x lsr 16; n := !n + 16);
+    if !x lsr 8 <> 0 then (x := !x lsr 8; n := !n + 8);
+    if !x lsr 4 <> 0 then (x := !x lsr 4; n := !n + 4);
+    if !x lsr 2 <> 0 then (x := !x lsr 2; n := !n + 2);
+    if !x lsr 1 <> 0 then (x := !x lsr 1; n := !n + 1);
+    !n + !x
+
+  let[@inline] eisel_lemire man e10 =
+    if e10 < Pow5.min_q || e10 > Pow5.max_q then nan
+    else
+      let open Int64 in
+      let clz = 64 - bit_length man in
+      let w = shift_left (of_int man) clz in
+      let i = 2 * (e10 - Pow5.min_q) in
+      let p_hi = Array.unsafe_get Pow5.table i in
+      let x_hi = ref (mul_hi w p_hi) and x_lo = ref (mul w p_hi) and undecided = ref false in
+      (* Widen to the table's low word only when the truncated product
+         could carry into the bits that decide rounding. *)
+      if logand !x_hi 0x1FFL = 0x1FFL && ult (add !x_lo w) w then begin
+        let p_lo = Array.unsafe_get Pow5.table (i + 1) in
+        let y_hi = mul_hi w p_lo and y_lo = mul w p_lo in
+        let m_lo = add !x_lo y_hi in
+        if ult m_lo !x_lo then x_hi := succ !x_hi;
+        x_lo := m_lo;
+        undecided := logand !x_hi 0x1FFL = 0x1FFL && m_lo = minus_one && ult (add y_lo w) w
+      end;
+      let msb = to_int (shift_right_logical !x_hi 63) in
+      let mant = to_int (shift_right_logical !x_hi (msb + 9)) in
+      let e2 = ((217706 * e10) asr 16) + 64 + 1023 - clz - (1 - msb) in
+      if !undecided || (!x_lo = zero && logand !x_hi 0x1FFL = zero && mant land 3 = 1) then nan
+      else
+        (* Round half up from 54 to 53 bits (the half-way case was
+           excluded above), renormalising on carry. *)
+        let mant = (mant + (mant land 1)) lsr 1 in
+        let carry = mant lsr 53 in
+        let mant = mant lsr carry and e2 = e2 + carry in
+        if e2 <= 0 || e2 >= 0x7FF then nan
+        else
+          float_of_bits
+            (logor (shift_left (of_int e2) 52) (of_int (mant land 0xF_FFFF_FFFF_FFFF)))
+
+  (* Cursor: the one lexer behind [parse] and the tree-free decoders
+     built on it (the serve daemon's request bodies). *)
+  module Cursor = struct
+    type nonrec t = { s : string; mutable pos : int }
+
+    let max_depth = 512
+    let make s = { s; pos = 0 }
+    let fail c msg = failwith (Printf.sprintf "Json.parse: %s at offset %d" msg c.pos)
+
+    let rec skip_ws c =
+      if c.pos < String.length c.s then
+        match String.unsafe_get c.s c.pos with
+        | ' ' | '\t' | '\n' | '\r' ->
+            c.pos <- c.pos + 1;
+            skip_ws c
+        | _ -> ()
+
+    let peek c =
+      skip_ws c;
+      if c.pos < String.length c.s then String.unsafe_get c.s c.pos else '\000'
+
+    let advance c = c.pos <- c.pos + 1
+
+    let expect c ch = if peek c = ch then advance c else fail c (Printf.sprintf "expected %c" ch)
+
+    let finish c =
+      skip_ws c;
+      if c.pos < String.length c.s then fail c "trailing garbage"
+
+    let string c =
+      expect c '"';
+      let s = c.s and n = String.length c.s in
       let b = Buffer.create 16 in
       let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some '"' -> Buffer.add_char b '"'; advance (); go ()
-            | Some '\\' -> Buffer.add_char b '\\'; advance (); go ()
-            | Some '/' -> Buffer.add_char b '/'; advance (); go ()
-            | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-            | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-            | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-            | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-            | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-            | Some 'u' ->
-                advance ();
-                if !pos + 4 > n then fail "truncated \\u escape";
-                (* Strict 4-hex-digit validation through the parser's
-                   typed [fail]: [int_of_string "0x…"] would raise an
-                   untyped [Failure] on junk like \uZZZZ and silently
-                   accept '_' separators inside the four digits. *)
-                let hex_digit c =
-                  match c with
-                  | '0' .. '9' -> Char.code c - Char.code '0'
-                  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                  | _ -> fail "invalid \\u escape (want exactly 4 hex digits)"
-                in
-                let code = ref 0 in
-                for _ = 1 to 4 do
-                  code := (!code lsl 4) lor hex_digit s.[!pos];
-                  advance ()
-                done;
-                let code = !code in
-                (* Surrogate halves are not code points. The telemetry
-                   contract is ASCII (docs/OBSERVABILITY.md); this
-                   parser never emits them, so decide deterministically:
-                   reject rather than decode garbage pairs. *)
-                if code >= 0xD800 && code <= 0xDFFF then
-                  fail "surrogate code point in \\u escape";
-                (* Telemetry strings are ASCII; encode BMP code points
-                   as UTF-8 without surrogate-pair handling. *)
-                if code < 0x80 then Buffer.add_char b (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                go ()
-            | _ -> fail "bad escape")
-        | Some c ->
-            Buffer.add_char b c;
-            advance ();
+        if c.pos >= n then fail c "unterminated string";
+        match s.[c.pos] with
+        | '"' -> advance c
+        | '\\' ->
+            advance c;
+            let esc ch =
+              Buffer.add_char b ch;
+              advance c;
+              go ()
+            in
+            if c.pos >= n then fail c "bad escape";
+            begin
+              match s.[c.pos] with
+              | '"' -> esc '"'
+              | '\\' -> esc '\\'
+              | '/' -> esc '/'
+              | 'n' -> esc '\n'
+              | 't' -> esc '\t'
+              | 'r' -> esc '\r'
+              | 'b' -> esc '\b'
+              | 'f' -> esc '\012'
+              | 'u' ->
+                  advance c;
+                  if c.pos + 4 > n then fail c "truncated \\u escape";
+                  (* Strict 4-hex-digit validation through the typed
+                     [fail]: [int_of_string "0x…"] would raise an untyped
+                     [Failure] on junk like \uZZZZ and silently accept
+                     '_' separators inside the four digits. *)
+                  let hex_digit ch =
+                    match ch with
+                    | '0' .. '9' -> Char.code ch - Char.code '0'
+                    | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+                    | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+                    | _ -> fail c "invalid \\u escape (want exactly 4 hex digits)"
+                  in
+                  let code = ref 0 in
+                  for _ = 1 to 4 do
+                    code := (!code lsl 4) lor hex_digit s.[c.pos];
+                    advance c
+                  done;
+                  let code = !code in
+                  (* Surrogate halves are not code points. The telemetry
+                     contract is ASCII (docs/OBSERVABILITY.md); this
+                     parser never emits them, so decide deterministically:
+                     reject rather than decode garbage pairs. *)
+                  if code >= 0xD800 && code <= 0xDFFF then
+                    fail c "surrogate code point in \\u escape";
+                  (* Telemetry strings are ASCII; encode BMP code points
+                     as UTF-8 without surrogate-pair handling. *)
+                  if code < 0x80 then Buffer.add_char b (Char.chr code)
+                  else if code < 0x800 then begin
+                    Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+                    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+                  else begin
+                    Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+                    Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                    Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+                  end;
+                  go ()
+              | _ -> fail c "bad escape"
+            end
+        | ch ->
+            Buffer.add_char b ch;
+            advance c;
             go ()
       in
       go ();
       Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char c =
-        match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-      in
-      while (match peek () with Some c when num_char c -> true | _ -> false) do
-        advance ()
+
+    let num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    let[@inline] is_digit ch = ch >= '0' && ch <= '9'
+
+    (* A number token is the maximal run of [num_char]s, and its value is
+       [float_of_string_opt] of that run. A run in the strict form
+       -?d+(.d+)?([eE][+-]?d+)? with at most 18 significant digits and a
+       decision from [eisel_lemire] never reaches strtod: both return the
+       correctly rounded double. Anything else falls back to the
+       substring, so the accepted set and every result stay exactly
+       those of [float_of_string_opt]. *)
+    let number c =
+      skip_ws c;
+      let s = c.s and n = String.length c.s in
+      let start = c.pos in
+      let i = ref start and man = ref 0 and nsig = ref 0 and e10 = ref 0 in
+      let neg = start < n && String.unsafe_get s start = '-' in
+      if neg then incr i;
+      let first = !i in
+      while !i < n && is_digit (String.unsafe_get s !i) do
+        let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+        if !nsig > 0 || d > 0 then begin
+          incr nsig;
+          if !nsig <= 18 then man := (!man * 10) + d
+        end;
+        incr i
       done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some v -> v
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
+      let strict = ref (!i > first) in
+      if !strict && !i < n && String.unsafe_get s !i = '.' then begin
+        incr i;
+        let first = !i in
+        while !i < n && is_digit (String.unsafe_get s !i) do
+          let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+          if !nsig > 0 || d > 0 then begin
+            incr nsig;
+            if !nsig <= 18 then man := (!man * 10) + d
+          end;
+          decr e10;
+          incr i
+        done;
+        strict := !i > first
+      end;
+      if !strict && !i < n && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E')
+      then begin
+        incr i;
+        let eneg = !i < n && String.unsafe_get s !i = '-' in
+        if eneg || (!i < n && String.unsafe_get s !i = '+') then incr i;
+        let first = !i and e = ref 0 in
+        while !i < n && is_digit (String.unsafe_get s !i) do
+          (* Saturate: anything past 10^6 is out of table range. *)
+          if !e < 1_000_000 then e := (!e * 10) + Char.code (String.unsafe_get s !i) - Char.code '0';
+          incr i
+        done;
+        e10 := if eneg then !e10 - !e else !e10 + !e;
+        strict := !i > first
+      end;
+      if !i < n && num_char (String.unsafe_get s !i) then strict := false;
+      let v =
+        if not !strict || !nsig > 18 then nan
+        else if !nsig = 0 then 0.
+        else eisel_lemire !man !e10
+      in
+      if Float.is_nan v then begin
+        while !i < n && num_char (String.unsafe_get s !i) do
+          incr i
+        done;
+        c.pos <- !i;
+        if !i = start then fail c "expected number";
+        match float_of_string_opt (String.sub s start (!i - start)) with
+        | Some v -> v
+        | None -> fail c "malformed number"
+      end
+      else begin
+        c.pos <- !i;
+        if neg then -.v else v
+      end
+
+    let literal c word v =
+      let l = String.length word in
+      if c.pos + l <= String.length c.s && String.sub c.s c.pos l = word then begin
+        c.pos <- c.pos + l;
+        v
+      end
+      else fail c ("expected " ^ word)
+
+    let rec value c ~depth =
+      match peek c with
+      | _ when c.pos >= String.length c.s -> fail c "unexpected end of input"
+      | ('{' | '[') when depth >= max_depth -> fail c "nesting too deep"
+      | '{' ->
+          advance c;
+          if peek c = '}' then begin
+            advance c;
             Obj []
           end
-          else begin
+          else
             let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
+              let k = string c in
+              expect c ':';
+              let v = value c ~depth:(depth + 1) in
+              match peek c with
+              | ',' ->
+                  advance c;
                   members ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
+              | '}' ->
+                  advance c;
                   List.rev ((k, v) :: acc)
-              | _ -> fail "expected , or }"
+              | _ -> fail c "expected , or }"
             in
             Obj (members [])
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
+      | '[' ->
+          advance c;
+          if peek c = ']' then begin
+            advance c;
             List []
           end
-          else begin
+          else
             let rec elements acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
+              let v = value c ~depth:(depth + 1) in
+              match peek c with
+              | ',' ->
+                  advance c;
                   elements (v :: acc)
-              | Some ']' ->
-                  advance ();
+              | ']' ->
+                  advance c;
                   List.rev (v :: acc)
-              | _ -> fail "expected , or ]"
+              | _ -> fail c "expected , or ]"
             in
             List (elements [])
-          end
-      | Some '"' -> String (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
+      | '"' -> String (string c)
+      | 't' -> literal c "true" (Bool true)
+      | 'f' -> literal c "false" (Bool false)
+      | 'n' -> literal c "null" Null
+      | _ -> Num (number c)
+  end
+
+  let parse s =
+    let c = Cursor.make s in
+    let v = Cursor.value c ~depth:0 in
+    Cursor.finish c;
     v
 
   let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

@@ -157,7 +157,62 @@ module Json : sig
       [fail], so callers can rely on catching [Failure] alone.
       [\u] escapes must be exactly four hex digits ([0-9a-fA-F]);
       surrogate-range code points (U+D800–U+DFFF) are rejected, per the
-      ASCII-telemetry contract (docs/OBSERVABILITY.md). *)
+      ASCII-telemetry contract (docs/OBSERVABILITY.md). Containers nest
+      at most {!Cursor.max_depth} deep (["nesting too deep"]), so
+      parsing runs in bounded stack whatever the input. Numbers are
+      read by {!Cursor.number}. *)
+
+  (** Streaming access to one JSON text: the lexer {!parse} is built
+      on, for decoders that read a known shape straight into their own
+      buffers instead of building a tree. Every operation first skips
+      whitespace, and every rejection raises the same [Failure] as
+      {!parse}. *)
+  module Cursor : sig
+    type json := t
+    type t
+
+    val max_depth : int
+    (** [512]: the deepest container nesting {!value} accepts. *)
+
+    val make : string -> t
+    (** A cursor at the start of the text. *)
+
+    val peek : t -> char
+    (** The next non-whitespace byte, not consumed; ['\000'] at the end
+        of the text. *)
+
+    val advance : t -> unit
+    (** Consume the byte {!peek} returned. *)
+
+    val expect : t -> char -> unit
+    (** Consume the next non-whitespace byte, which must be the given
+        one. *)
+
+    val string : t -> string
+    (** Consume one string token and return its decoded contents. *)
+
+    val number : t -> float
+    (** Consume one number token: the maximal run of [0-9+-.eE] bytes,
+        valued exactly as [float_of_string_opt] values that run (and
+        rejected exactly when it returns [None]). Runs of the form
+        [-?d+(.d+)?([eE][+-]?d+)?] with at most 18 significant digits
+        are converted by the Eisel–Lemire algorithm over a 128-bit
+        powers-of-five table, without allocating a substring; the rare
+        run it cannot round with certainty, and every other run, falls
+        back to [float_of_string_opt]. *)
+
+    val value : t -> depth:int -> json
+    (** Consume one complete value enclosed in [depth] containers
+        already opened by the caller; fails if it would nest deeper
+        than {!max_depth}. *)
+
+    val finish : t -> unit
+    (** Require that only whitespace remains. *)
+
+    val fail : t -> string -> 'a
+    (** Raise {!parse}'s [Failure] for a syntax error at the cursor's
+        offset. *)
+  end
 
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] for other constructors. *)

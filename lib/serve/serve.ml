@@ -75,9 +75,15 @@ type mailbox = {
   mutable mb_reply : reply option;
 }
 
+(* A decoded request body: [rows x cols] values, row-major, in the
+   first [rows * cols] slots of [data]. *)
+type block = { data : floatarray; rows : int; cols : int; single : bool }
+
+(* [p_block.data] is the handler's decode buffer: the handler blocks in
+   [submit] until [flush] has copied the block out and replied, so the
+   buffer is reused only after the batcher is done with it. *)
 type pending = {
-  p_rows : float array array;
-  p_cols : int;
+  p_block : block;
   p_enq_t : float;
   p_mb : mailbox;
 }
@@ -202,7 +208,10 @@ module Http = struct
 
   let find_sub s sub from =
     let n = String.length s and m = String.length sub in
-    let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
+    let rec matches i j =
+      j = m || (String.unsafe_get s (i + j) = String.unsafe_get sub j && matches i (j + 1))
+    in
+    let rec go i = if i + m > n then None else if matches i 0 then Some i else go (i + 1) in
     go from
 
   let read_more c =
@@ -228,13 +237,27 @@ module Http = struct
     in
     go 0
 
+  (* The next [n] bytes: what the residue holds of them, then reads
+     straight into one buffer of exactly [n] bytes. *)
   let read_n c n =
-    while String.length c.residue < n do
-      read_more c
-    done;
-    let body = String.sub c.residue 0 n in
-    c.residue <- String.sub c.residue n (String.length c.residue - n);
-    body
+    let have = String.length c.residue in
+    if have >= n then begin
+      let body = String.sub c.residue 0 n in
+      c.residue <- String.sub c.residue n (have - n);
+      body
+    end
+    else begin
+      let b = Bytes.create n in
+      Bytes.blit_string c.residue 0 b 0 have;
+      c.residue <- "";
+      let off = ref have in
+      while !off < n do
+        let k = Unix.read c.fd b !off (n - !off) in
+        if k = 0 then raise Closed;
+        off := !off + k
+      done;
+      Bytes.unsafe_to_string b
+    end
 
   let split_lines head = String.split_on_char '\n' head |> List.map (fun l ->
       let l = if String.length l > 0 && l.[String.length l - 1] = '\r' then
@@ -316,15 +339,25 @@ let read_request cfg (c : Http.bufconn) =
       | [ meth; path; version ]
         when version = "HTTP/1.1" || version = "HTTP/1.0" ->
           let headers = Http.parse_headers header_lines in
+          (* Bodies are framed by Content-Length alone. A chunked body
+             read as empty would leave its chunks to be parsed as the
+             next request, so any Transfer-Encoding, like lengths that
+             disagree, is a framing error. *)
+          if Http.header headers "transfer-encoding" <> None then
+            raise (Http.Bad "Transfer-Encoding is not supported");
+          let lengths =
+            List.filter_map (fun (k, v) -> if k = "content-length" then Some v else None) headers
+          in
           let body =
-            match Http.header headers "content-length" with
-            | None -> ""
-            | Some v -> (
+            match List.sort_uniq compare lengths with
+            | [] -> ""
+            | [ v ] -> (
                 match Http.digits v with
                 | Some n ->
                     if n > cfg.max_body then raise (Http.Bad "body too large")
                     else Http.read_n c n
                 | None -> raise (Http.Bad "malformed Content-Length"))
+            | _ -> raise (Http.Bad "conflicting Content-Length headers")
           in
           let path = match String.index_opt path '?' with
             | Some i -> String.sub path 0 i
@@ -335,33 +368,107 @@ let read_request cfg (c : Http.bufconn) =
 
 (* JSON bodies ------------------------------------------------------------ *)
 
-let json_num = function
-  | Json.Num v when Float.is_finite v -> v
-  | Json.Num _ -> raise (Http.Bad "non-finite number in input")
-  | _ -> raise (Http.Bad "expected a number")
+let shape_error = "body must have exactly one of \"series\" or \"batch\""
 
-let row_of_json = function
-  | Json.List [] -> raise (Http.Bad "empty series")
-  | Json.List xs -> Array.of_list (List.map json_num xs)
-  | _ -> raise (Http.Bad "expected an array of numbers")
-
-(* Decode {"series":[…]} or {"batch":[[…],…]} into rows. Raises
-   [Http.Bad] on every malformed shape — a served body must never crash
-   the daemon, so everything funnels into a 400. *)
-let rows_of_body cfg j =
-  match (Json.member "series" j, Json.member "batch" j) with
-  | Some s, None -> [| row_of_json s |]
-  | None, Some (Json.List []) -> raise (Http.Bad "empty batch")
-  | None, Some (Json.List rows) ->
-      if List.length rows > cfg.max_rows then raise (Http.Bad "too many rows in one request");
-      let rows = Array.of_list (List.map row_of_json rows) in
-      let cols = Array.length rows.(0) in
-      Array.iter
-        (fun r -> if Array.length r <> cols then raise (Http.Bad "ragged batch rows"))
-        rows;
-      rows
-  | None, Some _ -> raise (Http.Bad "batch must be an array of rows")
-  | _ -> raise (Http.Bad "body must have exactly one of \"series\" or \"batch\"")
+(* Decode {"series":[…]} or {"batch":[[…],…]} in one pass over the
+   body, numbers going straight into [into] (grown when too small).
+   Unknown members are validated and skipped; of duplicate keys the
+   first counts. Raises [Failure] on every malformed body — a served
+   body must never crash the daemon, so everything funnels into a
+   400. *)
+let decode_body ~max_rows ?(into = Float.Array.create 0) body =
+  let module C = Json.Cursor in
+  let c = C.make body in
+  let data = ref into and len = ref 0 in
+  let push v =
+    if !len = Float.Array.length !data then begin
+      let bigger = Float.Array.create (max 64 (2 * !len)) in
+      Float.Array.blit !data 0 bigger 0 !len;
+      data := bigger
+    end;
+    Float.Array.unsafe_set !data !len v;
+    incr len
+  in
+  (* One array of numbers; returns its length, failing as soon as it
+     passes [limit]. *)
+  let row ~limit =
+    if C.peek c <> '[' then failwith "expected an array of numbers";
+    C.advance c;
+    if C.peek c = ']' then failwith "empty series";
+    let rec elements k =
+      (match C.peek c with
+      | '{' | '[' | '"' | 't' | 'f' | 'n' -> failwith "expected a number"
+      | _ ->
+          let v = C.number c in
+          if not (Float.is_finite v) then failwith "non-finite number in input";
+          push v);
+      if k > limit then failwith "ragged batch rows";
+      match C.peek c with
+      | ',' ->
+          C.advance c;
+          elements (k + 1)
+      | ']' ->
+          C.advance c;
+          k
+      | _ -> C.fail c "expected , or ]"
+    in
+    elements 1
+  in
+  let rows = ref 0 and cols = ref 0 in
+  let batch () =
+    if C.peek c <> '[' then failwith "batch must be an array of rows";
+    C.advance c;
+    if C.peek c = ']' then failwith "empty batch";
+    let rec next () =
+      if !rows = max_rows then failwith "too many rows in one request";
+      let k = row ~limit:(if !rows = 0 then max_int else !cols) in
+      if !rows = 0 then cols := k else if k <> !cols then failwith "ragged batch rows";
+      incr rows;
+      match C.peek c with
+      | ',' ->
+          C.advance c;
+          next ()
+      | ']' -> C.advance c
+      | _ -> C.fail c "expected , or ]"
+    in
+    next ()
+  in
+  if C.peek c <> '{' then begin
+    (* Valid JSON but not an object: it has neither key. *)
+    ignore (C.value c ~depth:0);
+    C.finish c;
+    failwith shape_error
+  end;
+  C.advance c;
+  let series = ref false and batched = ref false in
+  if C.peek c = '}' then C.advance c
+  else begin
+    let rec members () =
+      let k = C.string c in
+      C.expect c ':';
+      (match k with
+      | "series" when not !series ->
+          if !batched then failwith shape_error;
+          series := true;
+          cols := row ~limit:max_int;
+          rows := 1
+      | "batch" when not !batched ->
+          if !series then failwith shape_error;
+          batched := true;
+          batch ()
+      | _ -> ignore (C.value c ~depth:1));
+      match C.peek c with
+      | ',' ->
+          C.advance c;
+          members ()
+      | '}' -> C.advance c
+      | _ -> C.fail c "expected , or }"
+    in
+    members ()
+  end;
+  C.finish c;
+  if !rows = 0 then failwith shape_error;
+  { data = !data; rows = !rows; cols = !cols; single = !series }
 
 let json_of_row r = Json.List (Array.to_list (Array.map (fun v -> Json.Num v) r))
 
@@ -369,14 +476,14 @@ let error_body msg = Json.render (Json.Obj [ ("error", Json.String msg) ])
 
 (* Admission -------------------------------------------------------------- *)
 
-(* Enqueue rows and block until the batcher replies. The stop check and
+(* Enqueue a block and block until the batcher replies. The stop check and
    the push share the queue mutex, and the batcher exits only after a
    final is-empty check under the same mutex with the stop flag set, so
    a request is either admitted and answered, or rejected — never
    admitted and dropped. *)
-let submit t rows =
+let submit t block =
   let mb = { mb_mu = Mutex.create (); mb_cv = Condition.create (); mb_reply = None } in
-  let p = { p_rows = rows; p_cols = Array.length rows.(0); p_enq_t = Clock.now (); p_mb = mb } in
+  let p = { p_block = block; p_enq_t = Clock.now (); p_mb = mb } in
   Mutex.lock t.q_mu;
   if Atomic.get t.stop_flag then begin
     Mutex.unlock t.q_mu;
@@ -384,8 +491,8 @@ let submit t rows =
   end
   else begin
     Queue.push p t.q;
-    t.q_rows <- t.q_rows + Array.length rows;
-    Atomic.fetch_and_add t.inflight (Array.length rows) |> ignore;
+    t.q_rows <- t.q_rows + block.rows;
+    Atomic.fetch_and_add t.inflight block.rows |> ignore;
     Condition.signal t.q_cv;
     Mutex.unlock t.q_mu;
     Mutex.lock mb.mb_mu;
@@ -413,18 +520,18 @@ let take_group t =
   match Queue.peek_opt t.q with
   | None -> []
   | Some head ->
-      let cols = head.p_cols in
+      let cols = head.p_block.cols in
       let acc = ref [] in
       let rows = ref 0 in
       let stop = ref false in
       while not !stop do
         match Queue.peek_opt t.q with
         | Some p
-          when p.p_cols = cols
-               && (!rows = 0 || !rows + Array.length p.p_rows <= t.cfg.max_batch) ->
+          when p.p_block.cols = cols
+               && (!rows = 0 || !rows + p.p_block.rows <= t.cfg.max_batch) ->
             ignore (Queue.pop t.q);
-            t.q_rows <- t.q_rows - Array.length p.p_rows;
-            rows := !rows + Array.length p.p_rows;
+            t.q_rows <- t.q_rows - p.p_block.rows;
+            rows := !rows + p.p_block.rows;
             acc := p :: !acc
         | _ -> stop := true
       done;
@@ -470,14 +577,23 @@ let flush t group =
   Mutex.lock t.model_mu;
   let model = t.model and version = t.version in
   Mutex.unlock t.model_mu;
-  let all_rows = Array.concat (List.map (fun p -> p.p_rows) group) in
-  let n = Array.length all_rows in
-  let x = Tensor.of_rows all_rows in
+  let n = List.fold_left (fun n p -> n + p.p_block.rows) 0 group in
+  let x = Tensor.zeros ~rows:n ~cols:(List.hd group).p_block.cols in
+  let dst = x.Tensor.data in
+  ignore
+    (List.fold_left
+       (fun off { p_block = b; _ } ->
+         let len = b.rows * b.cols in
+         for i = 0 to len - 1 do
+           Bigarray.Array1.unsafe_set dst (off + i) (Float.Array.unsafe_get b.data i)
+         done;
+         off + len)
+       0 group);
   let logit_rows = compute_logits t model x in
   let idx = ref 0 in
   List.iter
     (fun p ->
-      let k = Array.length p.p_rows in
+      let k = p.p_block.rows in
       let out = Array.sub logit_rows !idx k in
       idx := !idx + k;
       Obs.Histogram.observe queue_wait_h (t0 -. p.p_enq_t);
@@ -608,20 +724,24 @@ let metrics_body t =
 (* Handle one parsed request; returns (status, body, admitted) where
    [admitted] is the number of in-flight rows the handler must release
    after the response bytes are written (the graceful-drain barrier in
-   [run] waits for that release). *)
-let route t req =
+   [run] waits for that release). [scratch] is the connection's decode
+   buffer, kept across its requests up to [scratch_keep] floats (512 KB,
+   a full [max_rows] batch of 64-step rows at the defaults) so an idle
+   connection never holds on to one huge body's worth. *)
+let scratch_keep = 1 lsl 16
+
+let route t scratch req =
   match (req.meth, req.path) with
   | "GET", "/healthz" -> (200, healthz_body t, 0)
   | "GET", "/metrics" -> (200, metrics_body t, 0)
   | "POST", ("/v1/logits" | "/v1/predict") -> (
-      let body_json =
-        match Json.parse req.body with
-        | j -> j
+      let block =
+        match decode_body ~max_rows:t.cfg.max_rows ~into:!scratch req.body with
+        | b -> b
         | exception Failure msg -> raise (Http.Bad msg)
       in
-      let single = Json.member "series" body_json <> None in
-      let rows = rows_of_body t.cfg body_json in
-      match submit t rows with
+      if Float.Array.length block.data <= scratch_keep then scratch := block.data;
+      match submit t block with
       | R_shutdown -> (503, error_body "shutting down", 0)
       | R_ok { version; logits } ->
           let version_field = ("model_version", Json.Num (float_of_int version)) in
@@ -633,7 +753,7 @@ let route t req =
           let body =
             if req.path = "/v1/logits" then
               let payload =
-                if single then json_of_row logits.(0)
+                if block.single then json_of_row logits.(0)
                 else Json.List (Array.to_list (Array.map json_of_row logits))
               in
               Json.render (Json.Obj [ version_field; precision_field; ("logits", payload) ])
@@ -647,11 +767,11 @@ let route t req =
                   logits
               in
               let payload =
-                if single then classes.(0) else Json.List (Array.to_list classes)
+                if block.single then classes.(0) else Json.List (Array.to_list classes)
               in
               Json.render (Json.Obj [ version_field; precision_field; ("classes", payload) ])
           in
-          (200, body, Array.length rows))
+          (200, body, block.rows))
   | _, ("/healthz" | "/metrics" | "/v1/logits" | "/v1/predict") ->
       (405, error_body "method not allowed", 0)
   | _ -> (404, error_body "not found", 0)
@@ -672,6 +792,7 @@ let handler_exit t =
 let handle_conn t fd =
   Fun.protect ~finally:(fun () -> handler_exit t) @@ fun () ->
   let c = { Http.fd; residue = "" } in
+  let scratch = ref (Float.Array.create 0) in
   Obs.Counter.incr connections_c;
   let rec loop () =
     match read_request t.cfg c with
@@ -685,7 +806,7 @@ let handle_conn t fd =
         Obs.Counter.incr requests_c;
         let t0 = Clock.now () in
         let status, body, admitted =
-          match route t req with
+          match route t scratch req with
           | sb -> sb
           | exception Http.Bad msg ->
               Obs.Counter.incr http_errors_c;

@@ -39,9 +39,11 @@
     - [GET /metrics]     → current {!Pnc_obs.Obs} metrics as one JSON
       object.
 
-    Malformed input — bad HTTP framing, bad JSON (including invalid
-    [\u] escapes), wrong shapes, non-finite numbers, oversized bodies —
-    is answered with a 4xx JSON error and never crashes the daemon. *)
+    Malformed input — bad HTTP framing (including any
+    [Transfer-Encoding] and disagreeing [Content-Length] headers), bad
+    JSON (including invalid [\u] escapes and nesting deeper than 512),
+    wrong shapes, non-finite numbers, oversized bodies — is answered
+    with a 4xx JSON error and never crashes the daemon. *)
 
 type config = {
   host : string;  (** bind address (default ["127.0.0.1"]) *)
@@ -107,6 +109,27 @@ val stop : t -> unit
 (** Request a graceful shutdown: stop accepting, answer everything
     in flight, then return from {!run}. Safe to call from any thread
     and idempotent. *)
+
+(** {1 Request bodies} *)
+
+type block = { data : floatarray; rows : int; cols : int; single : bool }
+(** A decoded [/v1] request body: [rows x cols] values, row-major, in
+    the first [rows * cols] slots of [data]; [single] for a ["series"]
+    body (one row). *)
+
+val decode_body : max_rows:int -> ?into:floatarray -> string -> block
+(** Decode a [{"series":[…]}] or [{"batch":[[…],…]}] body in one pass,
+    writing each number (read by {!Pnc_obs.Obs.Json.Cursor.number})
+    straight into [into], or into a larger buffer when it is too small
+    (the result's [data]; pass it back as [into] to reuse it). Members
+    other than the first ["series"] or ["batch"] are validated as JSON
+    and skipped. Raises [Failure] with the 400 message on malformed
+    JSON (including nesting deeper than
+    {!Pnc_obs.Obs.Json.Cursor.max_depth}), on both keys or neither, an
+    empty or ragged row, a non-number or non-finite element, or more
+    than [max_rows] rows (checked while scanning, before the excess
+    row is read). Accepts exactly the bodies that {!Pnc_obs.Obs.Json.parse}
+    plus the shape rules accept, with the same values. *)
 
 (** {1 Client}
 

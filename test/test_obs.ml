@@ -262,6 +262,110 @@ let read_jsonl path =
   in
   go []
 
+(* Number lexer vs float_of_string_opt ----------------------------------
+
+   [Json.parse] reads every number through [Json.Cursor.number]:
+   Eisel–Lemire for strict tokens of at most 18 significant digits,
+   [float_of_string_opt] of the token for everything else. The split
+   must be invisible: over the number alphabet [0-9+-.eE], [Json.parse s]
+   is [Num v] exactly when [float_of_string_opt s = Some v], bit for
+   bit, and fails exactly when that is [None]. *)
+
+let lexed s =
+  match Json.parse s with
+  | Json.Num v -> Some v
+  | _ -> Alcotest.failf "%S parsed to a non-number" s
+  | exception Failure _ -> None
+
+let same_as_strtod s =
+  match (lexed s, float_of_string_opt s) with
+  | None, None -> true
+  | Some a, Some b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  | _ -> false
+
+let number_corpus =
+  [
+    "0"; "-0"; "+5"; "1."; ".5"; "00012"; "-00012.50"; "9007199254740993"; "9007199254740992.5";
+    "4.9406564584124654e-324"; "5e-324"; "2e-324"; "2.2250738585072011e-308";
+    "2.2250738585072014e-308"; "1.7976931348623157e308"; "1.7976931348623159e308"; "1e400";
+    "-1e400"; "1e-400"; "0e999999999999999999999"; "0.0000e-5"; "1e308"; "1e309"; "1e-342";
+    "1e-343"; "0.1"; "0.3"; "1e22"; "1e23"; "1e-22"; "123e-2"; "8.98846567431158e307";
+    "123456789012345678"; "1234567890123456789"; "12345678901234567890123";
+    "1.00000000000000011102230246251565404236316680908203125";
+    "1.00000000000000011102230246251565404236316680908203126"; "7.2057594037927933e16";
+    "0.84147098480789650"; "-3.1415926535897931e-05"; ""; "-"; "+"; "."; "e5"; "E5"; "1e";
+    "1e+"; "1e-"; "--1"; "+-1"; "1..2"; "1.2.3"; "1e5e5"; "1e5.5"; "12-3"; "1+2"; "-.5";
+    "-5."; ".e1"; "1.e1"; "0.e-0"; "1E+0"; "-1E-0";
+  ]
+
+let test_number_corpus () =
+  List.iter
+    (fun s ->
+      if not (same_as_strtod s) then
+        Alcotest.failf "%S: lexer %s, float_of_string_opt %s" s
+          (match lexed s with Some v -> Printf.sprintf "%h" v | None -> "rejects")
+          (match float_of_string_opt s with Some v -> Printf.sprintf "%h" v | None -> "rejects"))
+    number_corpus
+
+(* Random doubles at three precisions, random digit strings of 1-25
+   digits with exponents in +-350 (past both ends of the 5^q table and
+   of the 18-digit fast path), and random runs of the number alphabet. *)
+let number_strings_gen =
+  let open QCheck.Gen in
+  let from_bits =
+    let* bits = ui64 in
+    let v = Int64.float_of_bits bits in
+    let v = if Float.is_finite v then v else Float.of_int (Int64.to_int bits) in
+    let* fmt = oneofl [ `G17; `G15; `E3 ] in
+    return
+      (match fmt with
+      | `G17 -> Printf.sprintf "%.17g" v
+      | `G15 -> Printf.sprintf "%.15g" v
+      | `E3 -> Printf.sprintf "%.3e" v)
+  in
+  let digit_string =
+    let* digits = string_size ~gen:(char_range '0' '9') (int_range 1 25) in
+    let* point = int_range 0 (String.length digits) in
+    let* sign = oneofl [ ""; "-" ] in
+    let* exp = oneof [ return ""; map (Printf.sprintf "e%d") (int_range (-350) 350) ] in
+    let n = String.length digits in
+    let mantissa =
+      if point = n then digits else String.sub digits 0 point ^ "." ^ String.sub digits point (n - point)
+    in
+    return (sign ^ mantissa ^ exp)
+  in
+  let alphabet_run = string_size ~gen:(oneofl (List.of_seq (String.to_seq "0123456789+-.eE"))) (int_range 1 10) in
+  frequency [ (4, from_bits); (4, digit_string); (1, alphabet_run) ]
+
+let prop_number_lexer =
+  QCheck.Test.make ~count:20_000 ~name:"number lexer = float_of_string_opt, bit for bit"
+    (QCheck.make ~print:(Printf.sprintf "%S") number_strings_gen)
+    same_as_strtod
+
+(* Depth cap: containers nest at most Cursor.max_depth deep, so a body of
+   4 MiB of '[' fails fast at a fixed offset instead of recursing once
+   per byte. *)
+let test_json_depth_cap () =
+  let d = Json.Cursor.max_depth in
+  let nested_lists k = String.make k '[' ^ String.make k ']' in
+  let nested_objects k = String.concat "" (List.init k (fun _ -> {|{"a":|})) ^ "1" ^ String.make k '}' in
+  let fails_with s expect =
+    match Json.parse s with
+    | _ -> Alcotest.failf "accepted %d bytes nested too deep" (String.length s)
+    | exception Failure msg -> Alcotest.(check string) "typed depth failure" expect msg
+  in
+  (match Json.parse (nested_lists d) with
+  | Json.List [ _ ] -> ()
+  | _ -> Alcotest.fail "depth max_depth lists");
+  (match Json.parse (nested_objects d) with
+  | Json.Obj [ _ ] -> ()
+  | _ -> Alcotest.fail "depth max_depth objects");
+  fails_with (nested_lists (d + 1)) (Printf.sprintf "Json.parse: nesting too deep at offset %d" d);
+  fails_with (nested_objects (d + 1))
+    (Printf.sprintf "Json.parse: nesting too deep at offset %d" (5 * d));
+  fails_with (String.make (4 * 1024 * 1024) '[')
+    (Printf.sprintf "Json.parse: nesting too deep at offset %d" d)
+
 let test_jsonl_roundtrip () =
   let path = Filename.temp_file "pnc_obs" ".jsonl" in
   Fun.protect
@@ -490,6 +594,9 @@ let () =
           Alcotest.test_case "\\u escape fuzz" `Quick test_json_u_escape_fuzz;
           Alcotest.test_case "\\u escape cases" `Quick test_json_u_escape_cases;
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
+          Alcotest.test_case "number lexer corpus" `Quick test_number_corpus;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) prop_number_lexer;
+          Alcotest.test_case "nesting depth cap" `Quick test_json_depth_cap;
         ] );
       ( "pipeline",
         [

@@ -15,6 +15,7 @@ module Model = Pnc_core.Model
 module Network = Pnc_core.Network
 module Persist = Pnc_core.Persist
 module Serve = Pnc_serve.Serve
+module Json = Pnc_obs.Obs.Json
 
 let cols = 8
 let classes = 3
@@ -67,6 +68,13 @@ let check_bits what (expect : float array) (got : float array) =
 let ok what = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "%s: unexpected HTTP error: %s" what msg
+
+let count_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  go 0 0
 
 (* Flush mode 1: max_batch = 1, so every request is its own batch. *)
 let test_parity_per_request () =
@@ -175,6 +183,188 @@ let test_malformed_bodies () =
           let row = random_row (Rng.create ~seed:3) in
           let _, got = ok "after errors" (Serve.Client.logits c row) in
           check_bits "after errors" (offline model [| row |]).(0) got));
+  Sys.remove ckpt
+
+(* One-pass body decoding vs a tree oracle ----------------------------
+
+   The daemon decodes bodies straight from the bytes into a flat
+   buffer. Its contract is the old two-step path: [Json.parse], then
+   the shape rules below (first duplicate key wins, exactly one of
+   "series"/"batch", non-empty rows of finite numbers, equal widths, at
+   most [max_rows] rows). For every body the decoder must return the
+   same rows bit for bit, or fail (a 400) where the oracle does. *)
+
+let oracle ~max_rows body =
+  let num = function Json.Num v when Float.is_finite v -> v | _ -> raise Exit in
+  let row = function
+    | Json.List (_ :: _ as xs) -> Array.of_list (List.map num xs)
+    | _ -> raise Exit
+  in
+  match Json.parse body with
+  | exception Failure _ -> None
+  | j -> (
+      try
+        match (Json.member "series" j, Json.member "batch" j) with
+        | Some s, None -> Some (true, [| row s |])
+        | None, Some (Json.List (_ :: _ as rows)) ->
+            if List.length rows > max_rows then raise Exit;
+            let rows = Array.of_list (List.map row rows) in
+            if Array.exists (fun r -> Array.length r <> Array.length rows.(0)) rows then raise Exit;
+            Some (false, rows)
+        | _ -> raise Exit
+      with Exit -> None)
+
+let decoded ~max_rows ?into body =
+  match Serve.decode_body ~max_rows ?into body with
+  | exception Failure _ -> None
+  | b ->
+      Some
+        ( b.Serve.single,
+          Array.init b.Serve.rows (fun r ->
+              Array.init b.Serve.cols (fun k -> Float.Array.get b.Serve.data ((r * b.Serve.cols) + k))) )
+
+let same_rows a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (s1, r1), Some (s2, r2) ->
+      s1 = s2
+      && Array.length r1 = Array.length r2
+      && Array.for_all2
+           (fun x y ->
+             Array.length x = Array.length y
+             && Array.for_all2 (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v) x y)
+           r1 r2
+  | _ -> false
+
+(* Body generator: canonical bodies under whitespace variants, extra,
+   duplicate, escaped and nested unknown members, and every malformed
+   class of [test_malformed_bodies] (broken JSON, bad \u escapes, ragged
+   and empty rows, non-finite and non-number elements, neither or both
+   keys), plus too many rows, trailing garbage, non-object bodies and
+   over-deep nesting. *)
+let body_gen : string Qgen.gen =
+ fun rng ->
+  let pick xs = List.nth xs (Rng.int rng (List.length xs)) in
+  let chance k = Rng.int rng k = 0 in
+  let ws () = if chance 2 then "" else pick [ " "; "\n"; "\t "; "\r\n  " ] in
+  let number () =
+    if chance 12 then pick [ "1e999"; "-1e999"; "-0"; "+5"; "1."; ".5"; "00012"; "1.2.3"; "-"; "1e" ]
+    else if chance 3 then string_of_int (Rng.int rng 2000 - 1000)
+    else Printf.sprintf "%.17g" (Rng.uniform rng ~lo:(-3.) ~hi:3.)
+  in
+  let element () =
+    if chance 25 then pick [ {|"x"|}; "null"; "true"; "[1]"; "{}" ] else ws () ^ number () ^ ws ()
+  in
+  let row width =
+    let width = if chance 20 then width + pick [ -1; 1 ] else width in
+    if width <= 0 then "[" ^ ws () ^ "]"
+    else "[" ^ String.concat "," (List.init width (fun _ -> element ())) ^ "]"
+  in
+  let width = 1 + Rng.int rng 5 in
+  let series () = row width in
+  let batch () =
+    if chance 20 then pick [ "[]"; "[1,2]"; {|"rows"|} ]
+    else "[" ^ String.concat ("," ^ ws ()) (List.init (1 + Rng.int rng 4) (fun _ -> row width)) ^ "]"
+  in
+  let rec junk depth =
+    match Rng.int rng (if depth > 2 then 4 else 6) with
+    | 0 -> number ()
+    | 1 -> pick [ {|"s"|}; {|"\né"|}; "true"; "null"; "[]"; "{}" ]
+    | 2 -> pick [ {|"\uZZZZ"|}; {|"\u00_9"|}; {|"\ud800"|}; {|"open|}; "tru" ]
+    | 3 -> if chance 8 then String.make 600 '[' ^ String.make 600 ']' else "[1,[2,{}]]"
+    | 4 -> "[" ^ junk (depth + 1) ^ "," ^ ws () ^ junk (depth + 1) ^ "]"
+    | _ -> {|{"k":|} ^ junk (depth + 1) ^ "}"
+  in
+  let member key value = ws () ^ key ^ ws () ^ ":" ^ ws () ^ value ^ ws () in
+  let main = if chance 2 then (pick [ {|"series"|}; {|"ser\u0069es"|} ], series) else (pick [ {|"batch"|}; {|"\u0062atch"|} ], batch) in
+  let members =
+    (if chance 12 then [] else [ member (fst main) ((snd main) ()) ])
+    @ (if chance 4 then [ member (pick [ {|"meta"|}; {|"x"|}; {|"rows"|} ]) (junk 0) ] else [])
+    @ (if chance 6 then [ member (pick [ {|"series"|}; {|"batch"|} ]) (pick [ series (); batch (); junk 0 ]) ]
+       else [])
+  in
+  let members = if chance 2 then List.rev members else members in
+  let body = ws () ^ "{" ^ String.concat "," members ^ ws () ^ "}" ^ ws () in
+  if chance 15 then
+    pick
+      [
+        String.sub body 0 (Rng.int rng (String.length body));
+        body ^ " x";
+        "[" ^ series () ^ "]";
+        series ();
+        {|"series"|};
+        body ^ "}";
+      ]
+  else body
+
+let test_decoder_vs_oracle () =
+  let max_rows = 3 in
+  Qgen.check ~count:3000 ~name:"decode_body = Json.parse + shape rules" ~pp:(Printf.sprintf "%S")
+    body_gen
+    (fun body ->
+      (* A fresh buffer and one too small to hold the body both work. *)
+      let expect = oracle ~max_rows body in
+      same_rows expect (decoded ~max_rows body)
+      && same_rows expect (decoded ~max_rows ~into:(Float.Array.create 1) body))
+
+(* The old path allocated 68 words per number for this body (the
+   parse tree, a substring and boxed float per token, the row lists;
+   measured before the one-pass decoder replaced it). The decoder
+   boxes each number once as it returns from the lexer (2 words), plus
+   a constant per body. *)
+let test_decoder_alloc_per_number () =
+  let rng = Rng.create ~seed:52 in
+  let rows = Array.init 32 (fun _ -> Array.init 64 (fun _ -> Rng.uniform rng ~lo:(-2.) ~hi:2.)) in
+  let body =
+    Json.render
+      (Json.Obj
+         [
+           ( "batch",
+             Json.List
+               (Array.to_list
+                  (Array.map (fun r -> Json.List (Array.to_list (Array.map (fun v -> Json.Num v) r))) rows))
+           );
+         ])
+  in
+  let into = (Serve.decode_body ~max_rows:1024 body).Serve.data in
+  let w0 = Gc.minor_words () in
+  ignore (Serve.decode_body ~max_rows:1024 ~into body);
+  let per_number = (Gc.minor_words () -. w0) /. 2048. in
+  if per_number > 3. then Alcotest.failf "%.2f minor words per decoded number (bound 3)" per_number
+
+(* The daemon's peak resident set, in kB ([None] off Linux). *)
+let vm_hwm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line -> Scanf.sscanf_opt line "VmHWM: %d kB" Fun.id)
+        (String.split_on_char '\n' status)
+
+(* A 4 MiB body of '[' (inside max_body) once recursed per byte and
+   took the process from 4 MB to 488 MB peak RSS. With the depth cap it
+   is one 400 that leaves the connection serving, and the peak grows by
+   at most the body's few copies in flight (client request, socket
+   read) — bounded here at 64 MB. *)
+let test_deep_nesting_body () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 53 in
+  save_model ckpt model;
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  with_server ~config ckpt (fun srv ->
+      with_conn srv (fun c ->
+          let body = String.make config.Serve.max_body '[' in
+          let before = vm_hwm_kb () in
+          let r = Serve.Client.request c ~meth:"POST" ~path:"/v1/logits" ~body () in
+          Alcotest.(check int) "status" 400 r.Serve.Client.status;
+          Alcotest.(check bool) "typed depth error" true (count_sub r.Serve.Client.body "nesting too deep" = 1);
+          (match (before, vm_hwm_kb ()) with
+          | Some b, Some a when a - b > 64 * 1024 ->
+              Alcotest.failf "peak RSS grew by %d kB on one deep body (bound 65536 kB)" (a - b)
+          | _ -> ());
+          let row = random_row (Rng.create ~seed:54) in
+          let _, got = ok "after deep body" (Serve.Client.logits c row) in
+          check_bits "after deep body" (offline model [| row |]).(0) got));
   Sys.remove ckpt
 
 (* Hot reload under load: requests racing a checkpoint swap must each
@@ -405,6 +595,46 @@ let test_strict_content_length_server () =
         (status_of (raw_exchange ~port (post huge_length ""))));
   Sys.remove ckpt
 
+(* Bodies are framed by Content-Length only. A chunked request used to
+   be read as an empty body (400, keep-alive) and its chunk bytes then
+   parsed as a second request; lengths that disagree left the body's
+   extent to header order. Each now gets exactly one 400 and the
+   connection closes — [raw_exchange] returns only once the server
+   hangs up. Identical repeated lengths are one length. *)
+let test_transfer_encoding_and_conflicting_lengths () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 55);
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  with_server ~config ckpt (fun srv ->
+      let port = Serve.port srv in
+      let body = {|{"series":[1]}|} in
+      let one_400_then_close what request =
+        let response = raw_exchange ~port request in
+        Alcotest.(check int) (what ^ ": status") 400 (status_of response);
+        Alcotest.(check int) (what ^ ": responses") 1 (count_sub response "HTTP/1.1 ");
+        Alcotest.(check bool) (what ^ ": Connection: close") true
+          (count_sub response "Connection: close" = 1)
+      in
+      one_400_then_close "chunked"
+        (Printf.sprintf
+           "POST /v1/logits HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n"
+           (String.length body) body);
+      one_400_then_close "Transfer-Encoding with Content-Length"
+        (Printf.sprintf
+           "POST /v1/logits HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\nTransfer-Encoding: identity\r\n\r\n%s"
+           (String.length body) body);
+      one_400_then_close "conflicting Content-Length"
+        (Printf.sprintf
+           "POST /v1/logits HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\nContent-Length: %d\r\n\r\n%s"
+           (String.length body) (String.length body + 1) body);
+      Alcotest.(check int) "repeated equal Content-Length" 200
+        (status_of
+           (raw_exchange ~port
+              (Printf.sprintf
+                 "POST /v1/logits HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: %d\r\nContent-Length: %d\r\n\r\n%s"
+                 (String.length body) (String.length body) body))));
+  Sys.remove ckpt
+
 (* A one-shot fake server: answers the first request on a loopback
    port with [response] verbatim, then closes. *)
 let with_canned_server response f =
@@ -468,6 +698,9 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "malformed bodies survive" `Quick test_malformed_bodies;
+          Alcotest.test_case "decoder = parse + shape rules" `Quick test_decoder_vs_oracle;
+          Alcotest.test_case "decoder allocation per number" `Quick test_decoder_alloc_per_number;
+          Alcotest.test_case "deep nesting body: 400, bounded memory" `Quick test_deep_nesting_body;
           Alcotest.test_case "hot reload mid-load" `Quick test_hot_reload_mid_load;
           Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
           Alcotest.test_case "concurrent drain" `Quick test_concurrent_drain;
@@ -477,6 +710,8 @@ let () =
         [
           Alcotest.test_case "server: strict Content-Length" `Quick
             test_strict_content_length_server;
+          Alcotest.test_case "server: Transfer-Encoding and conflicting lengths" `Quick
+            test_transfer_encoding_and_conflicting_lengths;
           Alcotest.test_case "client: strict Content-Length and status" `Quick
             test_strict_content_length_client;
         ] );
