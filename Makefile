@@ -4,9 +4,9 @@
 # Results are worker-count-invariant; only wall-clock changes.
 JOBS ?= 4
 
-# BENCH_OUT streams every bench section (plus a final metrics
-# snapshot) as JSON Lines alongside the human-readable report.
-BENCH_OUT ?= docs/bench_pr9.json
+# BENCH_OUT, when set, streams every bench section (plus a final
+# metrics snapshot) as JSON Lines alongside the human-readable report.
+BENCH_OUT ?=
 
 # BATCH, when set, is exported as ADAPT_PNC_BATCH: the block size of
 # the batched no-grad evaluation path (see docs/BATCHING.md). Results
@@ -62,17 +62,6 @@ resume-demo:
 	dune build bin/adapt_pnc.exe && \
 	  ./scripts/resume_demo.sh $(RESUME_DEMO_OUT)
 
-# Load generator for the serving daemon (docs/SERVING.md): hundreds of
-# concurrent connections against an in-process daemon, every response
-# parity-checked bit-for-bit against the offline engine, with a
-# checkpoint hot-swap mid-run. SERVE_BENCH_OUT streams the summary
-# (and metrics snapshot) as JSON Lines.
-SERVE_BENCH_OUT ?= docs/bench_serve.json
-serve-bench:
-	dune build bench/serve_bench.exe && \
-	  ADAPT_PNC_JOBS=$(JOBS) BENCH_OUT=$(SERVE_BENCH_OUT) \
-	  dune exec bench/serve_bench.exe
-
 # Sharded-grid crash demo: a 1-shard reference run vs SHARDS worker
 # processes with one SIGKILLed mid-grid and resumed; the merged tables
 # must be byte-identical (scripts/grid_demo.sh cmp's them, docs/GRID.md
@@ -106,4 +95,4 @@ stream-smoke:
 pow5-check:
 	python3 scripts/gen_pow5.py | diff -u lib/obs/pow5.ml - && echo "pow5-check: OK"
 
-.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-bench serve-smoke grid-smoke stream-smoke
+.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-smoke grid-smoke stream-smoke

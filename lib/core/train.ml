@@ -234,11 +234,11 @@ let accuracy_under_variation ?opts ?pool ~rng ~spec ~draws model d =
   end;
   acc
 
-let epoch_seconds ?(rng = Rng.create ~seed:0) cfg model split =
+let epoch ?(rng = Rng.create ~seed:0) cfg model split =
   let x_train, y_train = to_xy split.Dataset.train in
   let params = Model.params model in
   let opt = Optimizer.adamw ~weight_decay:cfg.weight_decay ~params () in
-  let run () =
+  fun () ->
     Optimizer.zero_grads opt;
     let loss =
       Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng
@@ -247,7 +247,3 @@ let epoch_seconds ?(rng = Rng.create ~seed:0) cfg model split =
     Var.backward loss;
     Optimizer.step opt ~lr:1e-4;
     Model.clamp model
-  in
-  (* One warm-up epoch, then the timed mean of three. *)
-  run ();
-  Pnc_util.Timer.time_mean ~repeats:3 run

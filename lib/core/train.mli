@@ -100,6 +100,10 @@ val accuracy_under_variation :
     parallel with a result identical to the sequential one. The input
     is split into time steps once per estimate. *)
 
-val epoch_seconds : ?rng:Pnc_util.Rng.t -> config -> Model.t -> Pnc_data.Dataset.split -> float
-(** Wall-clock seconds of one training epoch (forward + backward +
-    step), used for the runtime comparison (Table II). *)
+val epoch : ?rng:Pnc_util.Rng.t -> config -> Model.t -> Pnc_data.Dataset.split -> unit -> unit
+(** [epoch cfg model split] builds the optimizer once and returns a
+    closure that runs one full-batch training epoch on [split]'s train
+    set: the MC objective of [cfg] (weight decay, antithetic draws,
+    noise injection), backward, one AdamW step, [Model.clamp]. This is
+    the unit the runtime comparison (Table II) times, both with
+    [Timer.time_mean] and under Bechamel. *)

@@ -619,7 +619,10 @@ let table2 ?(progress = fun _ -> ()) cfg =
           let train_cfg =
             if uses_variation_aware variant then cfg.Config.train_va else cfg.Config.train_base
           in
-          Train.epoch_seconds train_cfg model split)
+          let epoch = Train.epoch train_cfg model split in
+          (* One warm-up epoch, then the timed mean of three. *)
+          epoch ();
+          Pnc_util.Timer.time_mean ~repeats:3 epoch)
         sample_datasets
     in
     Stats.mean (Array.of_list times)

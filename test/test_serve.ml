@@ -367,10 +367,11 @@ let test_deep_nesting_body () =
           check_bits "after deep body" (offline model [| row |]).(0) got));
   Sys.remove ckpt
 
-(* Hot reload under load: requests racing a checkpoint swap must each
-   match the offline logits of the model version they were answered
-   with — never a torn or mixed result. *)
-let test_hot_reload_mid_load () =
+(* Hot reload under load: requests from [conns] concurrent keep-alive
+   connections racing a checkpoint swap must each match the offline
+   logits of the model version they were answered with — never a torn
+   or mixed result. *)
+let test_hot_reload_mid_load conns () =
   let ckpt = fresh_ckpt () in
   let model_a = make_model 46 in
   let model_b = make_model 47 in
@@ -415,7 +416,7 @@ let test_hot_reload_mid_load () =
                     expect
             done)
       in
-      let ths = Array.init 4 (fun wi -> Thread.create worker wi) in
+      let ths = Array.init conns (fun wi -> Thread.create worker wi) in
       (* Swap the checkpoint while the workers hammer the daemon. *)
       Thread.delay 0.05;
       save_model ckpt model_b;
@@ -701,7 +702,9 @@ let () =
           Alcotest.test_case "decoder = parse + shape rules" `Quick test_decoder_vs_oracle;
           Alcotest.test_case "decoder allocation per number" `Quick test_decoder_alloc_per_number;
           Alcotest.test_case "deep nesting body: 400, bounded memory" `Quick test_deep_nesting_body;
-          Alcotest.test_case "hot reload mid-load" `Quick test_hot_reload_mid_load;
+          Alcotest.test_case "hot reload mid-load" `Quick (test_hot_reload_mid_load 4);
+          Alcotest.test_case "hot reload mid-load, 64 connections" `Quick
+            (test_hot_reload_mid_load 64);
           Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
           Alcotest.test_case "concurrent drain" `Quick test_concurrent_drain;
           Alcotest.test_case "handler churn leaves none live" `Quick test_handler_churn;

@@ -136,7 +136,7 @@ let test_epoch_seconds_positive () =
   let split = gpovy_split () in
   let rng = Rng.create ~seed:13 in
   let net = Network.create ~hidden:2 rng Network.Ptpnc ~inputs:1 ~classes:2 in
-  let s = Train.epoch_seconds smoke (Model.Circuit net) split in
+  let s = Pnc_util.Timer.time_mean ~repeats:1 (Train.epoch smoke (Model.Circuit net) split) in
   Alcotest.(check bool) "positive" true (s > 0.)
 
 let test_variation_aware_helps_under_variation () =
