@@ -5,6 +5,9 @@ type t = {
   value : T.t;
   mutable grad : T.t option; (* allocated lazily on first contribution *)
   parents : (t * (T.t -> T.t)) list;
+  sweep : (T.t -> (t -> T.t -> unit) -> unit) option;
+      (* a fused node's hand-written backward; its [parents] edges then
+         only record the parents and are never called *)
   requires : bool;
 }
 
@@ -81,18 +84,21 @@ let with_no_grad f =
   no_grad := true;
   Fun.protect ~finally:(fun () -> no_grad := saved) f
 
-let mk ?(requires = true) value parents =
+let mk ?(requires = true) ?sweep value parents =
   if !no_grad then
-    { id = next_id (); value; grad = None; parents = []; requires = false }
+    { id = next_id (); value; grad = None; parents = []; sweep = None; requires = false }
   else begin
     let requires = requires && List.exists (fun (p, _) -> p.requires) parents in
-    let v = { id = next_id (); value; grad = None; parents; requires } in
+    let v = { id = next_id (); value; grad = None; parents; sweep; requires } in
     Tape.push v;
     v
   end
 
-let param value = { id = next_id (); value; grad = None; parents = []; requires = true }
-let const value = { id = next_id (); value; grad = None; parents = []; requires = false }
+let leaf ~requires value =
+  { id = next_id (); value; grad = None; parents = []; sweep = None; requires }
+
+let param value = leaf ~requires:true value
+let const value = leaf ~requires:false value
 let scalar x = const (T.scalar x)
 let zero_grad v = v.grad <- None
 
@@ -241,6 +247,14 @@ let concat_cols vs =
   in
   mk out parents
 
+(* Fused nodes ---------------------------------------------------------- *)
+
+let swept_edge _ = invalid_arg "Var: a fused node's edges are swept, not called"
+
+let fused value ~parents sweep =
+  assert (parents <> []);
+  mk ~sweep value (List.map (fun p -> (p, swept_edge)) parents)
+
 (* Backward ------------------------------------------------------------- *)
 
 let reachable root =
@@ -264,6 +278,12 @@ let backward root =
      pending gradients have drained, instead of scanning the stale
      region of long-dead graphs below the current one. *)
   let pending = ref (if root.parents = [] then 0 else 1) in
+  let emit p gp =
+    if p.requires then begin
+      if p.grad = None && p.parents <> [] then incr pending;
+      accumulate p gp
+    end
+  in
   let a = !Tape.arr in
   let i = ref (!Tape.len - 1) in
   while !pending > 0 && !i >= 0 do
@@ -273,14 +293,11 @@ let backward root =
         | None -> ()
         | Some g ->
             decr pending;
-            if v.requires then
-              List.iter
-                (fun (p, back) ->
-                  if p.requires then begin
-                    if p.grad = None && p.parents <> [] then incr pending;
-                    accumulate p (back g)
-                  end)
-                v.parents;
+            if v.requires then begin
+              match v.sweep with
+              | Some sweep -> sweep g emit
+              | None -> List.iter (fun (p, back) -> if p.requires then emit p (back g)) v.parents
+            end;
             (* Interior node gradients are only needed during
                propagation; release them so repeated forward/backward
                passes do not retain the DAG. *)

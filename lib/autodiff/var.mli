@@ -122,6 +122,26 @@ val sum_rows : t -> t
 val concat_cols : t list -> t
 (** Horizontal concatenation of matrices with equal row counts. *)
 
+(** {1 Fused nodes} *)
+
+val fused :
+  Pnc_tensor.Tensor.t ->
+  parents:t list ->
+  (Pnc_tensor.Tensor.t -> (t -> Pnc_tensor.Tensor.t -> unit) -> unit) ->
+  t
+(** [fused value ~parents sweep] records one tape node that stands for
+    a whole subgraph whose backward pass is written by hand. When
+    {!backward} reaches the node, it calls [sweep g emit] once with the
+    node's output gradient [g]. Each [emit p gp] accumulates [gp] into
+    [p], which must be one of [parents], exactly like one combinator
+    contribution: the first one is copied, later ones are added, and
+    parents without [requires_grad] ignore it. A sweep that emits the
+    per-op graph's contributions in that graph's reverse order therefore
+    leaves bit-identical gradients. [emit] may be called any number of
+    times per parent; [gp] is only read during the call. Under
+    {!with_no_grad} the node is constant-like, as for every
+    combinator. *)
+
 (** {1 Backward pass} *)
 
 val backward : t -> unit

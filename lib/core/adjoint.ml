@@ -1,0 +1,517 @@
+module T = Pnc_tensor.Tensor
+module Var = Pnc_autodiff.Var
+module Loss = Pnc_autodiff.Loss
+module Rng = Pnc_util.Rng
+module BA = Bigarray.Array1
+
+(* {1 One draw}
+
+   What the sweep needs of one draw beyond the kernel the forward runs:
+   the variation factors that [Network.realize_net_t] folded in
+   (replayed from a copy of the draw's stream) and the realization
+   values the per-op graph kept on its nodes. Everything is captured
+   when the node is built, as the tape captures its node values. *)
+
+type stage = {
+  eps_r : T.t;
+  eps_c : T.t;
+  mu : T.t;
+  r_eff : T.t; (* after the drift multiplier *)
+  c_eff : T.t;
+  den : T.t; (* µτ + Δt *)
+}
+
+type layer = {
+  kern : Network.layer_kernel;
+  theta_eps : T.t;
+  bias_eps : T.t;
+  bias_eff : T.t; (* θ_b·ε, whose sign the |θ_b| term needs *)
+  stages : stage array;
+  eta_eps : T.t array;
+  init : T.t array; (* initial filter states, [rows x n_out] per stage *)
+}
+
+type sample = {
+  ste : bool;
+  rm : float; (* drift multipliers on R and C *)
+  cm : float;
+  layers : layer array;
+  mutable logits : T.t;
+  mutable value : float; (* the draw's cross-entropy *)
+}
+
+let realize_draw d net ~rows =
+  let replay = { d with Variation.rng = Rng.copy d.Variation.rng } in
+  let kernels = Network.realize_net_t ~varied:Batch.all_families ~draw:d net in
+  let rm = Variation.drift_r_mult d and cm = Variation.drift_c_mult d in
+  let layers =
+    List.map2
+      (fun (cb, fl, act) (kern : Network.layer_kernel) ->
+        (* Same order as realize_net_t: filters, activation, crossbar. *)
+        let factors = Filter_layer.stage_factors ~draw:replay fl in
+        let eta_eps = Ptanh.sample_eps ~draw:replay act in
+        let theta_eps, bias_eps = Crossbar.sample_eps ~draw:replay cb in
+        let leaves = Array.of_list (Filter_layer.params fl) in
+        let stages =
+          Array.mapi
+            (fun i (eps_r, eps_c, mu) ->
+              (* Filter_layer.realize_t's arithmetic, kept per stage. *)
+              let drift m t = if m = 1. then t else T.scale m t in
+              let r_eff = drift rm (T.mul (Var.value leaves.(2 * i)) eps_r) in
+              let c_eff = drift cm (T.mul (Var.value leaves.((2 * i) + 1)) eps_c) in
+              let tau = T.scale Filter_layer.tau_max (T.mul r_eff c_eff) in
+              let den = T.add_scalar Printed.dt (T.mul mu tau) in
+              { eps_r; eps_c; mu; r_eff; c_eff; den })
+            factors
+        in
+        let theta_b = List.nth (Crossbar.params cb) 1 in
+        {
+          kern;
+          theta_eps;
+          bias_eps;
+          bias_eff = T.mul (Var.value theta_b) bias_eps;
+          stages;
+          eta_eps;
+          init = Filter_layer.init_state_t kern.Network.k_filt ~batch:rows;
+        })
+      (Network.layers net) kernels
+  in
+  {
+    ste = d.Variation.ste;
+    rm;
+    cm;
+    layers = Array.of_list layers;
+    logits = T.zeros ~rows:0 ~cols:0;
+    value = nan;
+  }
+
+(* {1 Workspace}
+
+   One draw's trajectory plus the sweep's scratch, feature-major like
+   the no-grad engine's block workspace: a slot is an [n_out x rows]
+   plane, feature [c] at offset [c * rows]. States keep steps + 1 slots
+   (slot 0 is the initial state, slot t + 1 the state after step t);
+   the filter inputs, tanh values and activations keep one per step.
+   One workspace per domain is kept and reused for as long as the
+   shapes match, across draws, nodes and epochs. *)
+
+type layer_ws = {
+  n_in : int;
+  n_out : int;
+  st : T.buffer array;
+  dv : T.buffer; (* normalised crossbar output, the filter input *)
+  th : T.buffer; (* tanh of the scaled filter output *)
+  out : T.buffer; (* activations *)
+  gst : T.buffer array; (* per stage, dL/dS at the step being swept *)
+  gout : T.buffer; (* dL/d activations at the step being swept *)
+  (* The gradients of one draw's realization nodes, summed over the
+     steps; turned in place into the leaves' contributions. *)
+  g_theta : T.t;
+  g_bias : T.t;
+  g_den : T.t;
+  g_a : T.t array;
+  g_b : T.t array;
+  g_eta : T.t array;
+}
+
+type ws = {
+  rows : int;
+  steps : int;
+  lws : layer_ws array;
+  scratch : T.buffer; (* one feature's running gradient, [rows] *)
+  acc : T.t; (* read-out sums, [classes x rows] *)
+  mutable stamp : int; (* the node whose last forwarded draw the trajectory holds *)
+}
+
+let buffer n = (T.zeros ~rows:1 ~cols:n).T.data
+let row n = T.zeros ~rows:1 ~cols:n
+
+let make_ws ~rows ~steps (d : sample) =
+  let lws =
+    Array.map
+      (fun l ->
+        let n_in = T.rows l.kern.Network.k_theta and n_out = T.cols l.kern.Network.k_theta in
+        let n_st = Array.length l.stages in
+        let plane = n_out * rows in
+        {
+          n_in;
+          n_out;
+          st = Array.init n_st (fun _ -> buffer ((steps + 1) * plane));
+          dv = buffer (steps * plane);
+          th = buffer (steps * plane);
+          out = buffer (steps * plane);
+          gst = Array.init n_st (fun _ -> buffer plane);
+          gout = buffer plane;
+          g_theta = T.zeros ~rows:n_in ~cols:n_out;
+          g_bias = row n_out;
+          g_den = row n_out;
+          g_a = Array.init n_st (fun _ -> row n_out);
+          g_b = Array.init n_st (fun _ -> row n_out);
+          g_eta = Array.init 4 (fun _ -> row n_out);
+        })
+      d.layers
+  in
+  let classes = lws.(Array.length lws - 1).n_out in
+  { rows; steps; lws; scratch = buffer rows; acc = T.zeros ~rows:classes ~cols:rows; stamp = 0 }
+
+let fits ws ~rows ~steps (d : sample) =
+  ws.rows = rows && ws.steps = steps
+  && Array.length ws.lws = Array.length d.layers
+  && Array.for_all2
+       (fun lw l ->
+         lw.n_in = T.rows l.kern.Network.k_theta
+         && lw.n_out = T.cols l.kern.Network.k_theta
+         && Array.length lw.st = Array.length l.stages)
+       ws.lws d.layers
+
+let ws_key : ws option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let workspace ~rows ~steps d =
+  let cell = Domain.DLS.get ws_key in
+  match !cell with
+  | Some ws when fits ws ~rows ~steps d -> ws
+  | _ ->
+      let ws = make_ws ~rows ~steps d in
+      cell := Some ws;
+      ws
+
+let stamps = Atomic.make 0
+
+(* {1 Forward}
+
+   [Network.forward_block]'s passes over the whole batch, with each
+   step's states, filter inputs, tanh values and activations left in
+   the workspace. The logits are bit-identical to the no-grad engine's:
+   the state carry is a copy, and the activation pass below evaluates
+   [Network.activation_pass]'s `Exact expression with the tanh kept. *)
+
+let copy_pass ~rows (d : T.buffer) doff (s : T.buffer) soff =
+  for r = 0 to rows - 1 do
+    BA.unsafe_set d (doff + r) (BA.unsafe_get s (soff + r))
+  done
+
+let activation_keep_pass ~rows (th : T.buffer) tho (o : T.buffer) oo (v : T.buffer) voff
+    (e1 : T.buffer) eo1 (e2 : T.buffer) eo2 (e3 : T.buffer) eo3 (e4 : T.buffer) eo4 =
+  let e1 = BA.unsafe_get e1 eo1
+  and e2 = BA.unsafe_get e2 eo2
+  and e3 = BA.unsafe_get e3 eo3
+  and e4 = BA.unsafe_get e4 eo4 in
+  for r = 0 to rows - 1 do
+    let y = Stdlib.tanh ((BA.unsafe_get v (voff + r) +. -.e3) *. e4) in
+    BA.unsafe_set th (tho + r) y;
+    BA.unsafe_set o (oo + r) ((y *. e2) +. e1)
+  done
+
+(* Step [t] of one layer: input element [(r, k)] is at
+   [xo + r * rs + k * ks]. *)
+let forward_step ~rows ~t lw (l : layer) (x : T.buffer) xo ~rs ~ks =
+  let k = l.kern in
+  let n_out = lw.n_out in
+  let plane = n_out * rows in
+  let th = k.Network.k_theta and bias = k.Network.k_bias and inv = k.Network.k_inv in
+  let e1 = k.Network.k_e1 and e2 = k.Network.k_e2 and e3 = k.Network.k_e3 in
+  let e4 = k.Network.k_e4 in
+  for c = 0 to n_out - 1 do
+    let fo = (t * plane) + (c * rows) in
+    Network.crossbar_pass ~rows lw.dv fo x xo ~rs ~ks ~n_in:lw.n_in th.T.data (th.T.off + c)
+      ~n_out;
+    Network.normalise_pass ~rows lw.dv fo bias.T.data (bias.T.off + c) inv.T.data
+      (inv.T.off + c);
+    let v = ref lw.dv and voff = ref fo in
+    for i = 0 to Array.length lw.st - 1 do
+      let s = lw.st.(i) and a, b = k.Network.k_stages.(i) in
+      copy_pass ~rows s (fo + plane) s fo;
+      Network.stage_pass ~rows s (fo + plane) !v !voff a.T.data (a.T.off + c) b.T.data
+        (b.T.off + c);
+      v := s;
+      voff := fo + plane
+    done;
+    activation_keep_pass ~rows lw.th fo lw.out fo !v !voff e1.T.data (e1.T.off + c) e2.T.data
+      (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c)
+  done
+
+let forward ws (d : sample) (steps : T.t array) =
+  let rows = ws.rows and n_layers = Array.length ws.lws in
+  Array.iteri
+    (fun li lw ->
+      Array.iteri
+        (fun i s ->
+          let s0 = d.layers.(li).init.(i) in
+          for c = 0 to lw.n_out - 1 do
+            for r = 0 to rows - 1 do
+              BA.unsafe_set s ((c * rows) + r) (T.get s0 r c)
+            done
+          done)
+        lw.st)
+    ws.lws;
+  let acc = ws.acc in
+  T.fill acc 0.;
+  let last = ws.lws.(n_layers - 1) in
+  let plane_last = last.n_out * rows in
+  for t = 0 to ws.steps - 1 do
+    let x = steps.(t) in
+    forward_step ~rows ~t ws.lws.(0) d.layers.(0) x.T.data x.T.off ~rs:ws.lws.(0).n_in ~ks:1;
+    for li = 1 to n_layers - 1 do
+      let prev = ws.lws.(li - 1) in
+      forward_step ~rows ~t ws.lws.(li) d.layers.(li) prev.out (t * prev.n_out * rows) ~rs:1
+        ~ks:rows
+    done;
+    (* Read-out, as [T.add_inplace] on the last layer's activations. *)
+    let ad = acc.T.data in
+    for i = 0 to plane_last - 1 do
+      BA.unsafe_set ad i (BA.unsafe_get ad i +. BA.unsafe_get last.out ((t * plane_last) + i))
+    done
+  done;
+  T.transpose (T.scale (1. /. float_of_int ws.steps) acc)
+
+(* {1 Reverse sweep}
+
+   Each pass covers one feature of one step and evaluates, per element,
+   the backward closure of the per-op node it stands for ([Var.mul_rv],
+   [Var.tanh], [Var.affine_rv], [Var.div_rv], [Var.matmul], ...), with
+   the same operands in the same order. A per-feature reduction
+   ([T.sum_rows], the matmul's inner sum) runs over rows from [0.] as
+   there; across steps a realization node's gradient starts as the
+   contribution of the last step and adds each earlier one, which is
+   [Var.backward]'s accumulation order ([first] marks the last step). *)
+
+(* [acc.{i}] takes the step's sum [s]: set at the last step, added
+   before it. *)
+let[@inline] add_into ~first (acc : T.buffer) i s =
+  BA.unsafe_set acc i (if first then s else BA.unsafe_get acc i +. s)
+
+(* Printed tanh of one feature: from dL/dOUT, the η₁..η₄ contributions
+   into [g1]..[g4] and dL/d(filter output) into [scratch]. *)
+let ptanh_back ~rows ~first (gout : T.buffer) go (th : T.buffer) fo (s : T.buffer) so
+    (scratch : T.buffer) (e2 : T.buffer) eo2 (e3 : T.buffer) eo3 (e4 : T.buffer) eo4
+    (g1 : T.buffer) (g2 : T.buffer) (g3 : T.buffer) (g4 : T.buffer) c =
+  let e2 = BA.unsafe_get e2 eo2 and e3 = BA.unsafe_get e3 eo3 and e4 = BA.unsafe_get e4 eo4 in
+  let s1 = ref 0. and s2 = ref 0. and s3 = ref 0. and s4 = ref 0. in
+  for r = 0 to rows - 1 do
+    let g = BA.unsafe_get gout (go + r) and y = BA.unsafe_get th (fo + r) in
+    s1 := !s1 +. g;
+    s2 := !s2 +. (g *. y);
+    let gm = g *. e2 *. (1. -. (y *. y)) in
+    s4 := !s4 +. (gm *. (BA.unsafe_get s (so + r) +. -.e3));
+    let gv = gm *. e4 in
+    s3 := !s3 +. gv;
+    BA.unsafe_set scratch r gv
+  done;
+  add_into ~first g1 c !s1;
+  add_into ~first g2 c !s2;
+  add_into ~first g3 c (-. !s3);
+  add_into ~first g4 c !s4
+
+(* Stage [i] of one feature: [scratch] holds the input-side gradient of
+   S_i(t); [gst] carries dL/dS_i(t+1) and leaves with dL/dS_i(t). The
+   coefficient contributions use S_i(t-1) ([prev]) and the stage input
+   ([xin]); [scratch] leaves holding dL/dS_i(t) * b, the input-side
+   gradient of the stage below (or of the crossbar output). *)
+let stage_back ~rows ~first (gst : T.buffer) go (scratch : T.buffer) (prev : T.buffer) po
+    (xin : T.buffer) xo (a : T.buffer) ao (b : T.buffer) bo (g_a : T.buffer) (g_b : T.buffer) c =
+  let a = BA.unsafe_get a ao and b = BA.unsafe_get b bo in
+  let sa = ref 0. and sb = ref 0. in
+  for r = 0 to rows - 1 do
+    let inp = BA.unsafe_get scratch r in
+    let g = if first then inp else (BA.unsafe_get gst (go + r) *. a) +. inp in
+    BA.unsafe_set gst (go + r) g;
+    sa := !sa +. (g *. BA.unsafe_get prev (po + r));
+    sb := !sb +. (g *. BA.unsafe_get xin (xo + r));
+    BA.unsafe_set scratch r (g *. b)
+  done;
+  add_into ~first g_a c !sa;
+  add_into ~first g_b c !sb
+
+(* Bias and normalisation of one feature ([Var.div_rv] over
+   [Var.add_rv]): [scratch] goes from dL/d(normalised sum) to dL/d(sum). *)
+let normalise_back ~rows ~first (scratch : T.buffer) (y : T.buffer) yo (inv : T.buffer) io
+    (g_den : T.buffer) (g_bias : T.buffer) c =
+  let inv = BA.unsafe_get inv io in
+  let sd = ref 0. and sbias = ref 0. in
+  for r = 0 to rows - 1 do
+    let g = BA.unsafe_get scratch r in
+    sd := !sd +. (g *. BA.unsafe_get y (yo + r) *. inv);
+    let gs = g *. inv in
+    sbias := !sbias +. gs;
+    BA.unsafe_set scratch r gs
+  done;
+  add_into ~first g_den c (-. !sd);
+  add_into ~first g_bias c !sbias
+
+(* [Var.matmul]'s weight side for one (input, output) pair: the inner
+   sum over rows with exactly-zero inputs skipped. *)
+let theta_back ~rows ~first (x : T.buffer) xo ~rs (scratch : T.buffer) (g_theta : T.buffer) idx =
+  let s = ref 0. in
+  for r = 0 to rows - 1 do
+    let xv = BA.unsafe_get x (xo + (r * rs)) in
+    if xv <> 0. then s := !s +. (xv *. BA.unsafe_get scratch r)
+  done;
+  add_into ~first g_theta idx !s
+
+(* [Var.matmul]'s input side: output feature [c]'s share of dL/d(layer
+   input) for one input, added in ascending [c] like the matmul's inner
+   loop, zero gradients skipped. *)
+let input_back ~rows (gin : T.buffer) gio (scratch : T.buffer) (w : T.buffer) wo =
+  let w = BA.unsafe_get w wo in
+  for r = 0 to rows - 1 do
+    let g = BA.unsafe_get scratch r in
+    if g <> 0. then BA.unsafe_set gin (gio + r) (BA.unsafe_get gin (gio + r) +. (g *. w))
+  done
+
+(* Sweep step [t] of layer [li], whose dL/d activations are in [gout]. *)
+let sweep_step ws (d : sample) (steps : T.t array) ~t ~li (gout : T.buffer) =
+  let rows = ws.rows and lw = ws.lws.(li) and l = d.layers.(li) in
+  let first = t = ws.steps - 1 in
+  let n_out = lw.n_out and n_st = Array.length lw.st in
+  let plane = n_out * rows in
+  let k = l.kern in
+  let th = k.Network.k_theta and inv = k.Network.k_inv in
+  let e2 = k.Network.k_e2 and e3 = k.Network.k_e3 and e4 = k.Network.k_e4 in
+  let g1 = lw.g_eta.(0).T.data and g2 = lw.g_eta.(1).T.data in
+  let g3 = lw.g_eta.(2).T.data and g4 = lw.g_eta.(3).T.data in
+  (* The layer input at step t: the data, or the layer below. *)
+  let below = ws.lws.(if li = 0 then 0 else li - 1) in
+  let x = if li = 0 then steps.(t).T.data else below.out in
+  let xo = if li = 0 then steps.(t).T.off else t * below.n_out * rows in
+  let rs = if li = 0 then lw.n_in else 1 and ks = if li = 0 then 1 else rows in
+  if li > 0 then BA.fill ws.lws.(li - 1).gout 0.;
+  for c = 0 to n_out - 1 do
+    let go = c * rows and fo = (t * plane) + (c * rows) in
+    ptanh_back ~rows ~first gout go lw.th fo lw.st.(n_st - 1) (fo + plane) ws.scratch e2.T.data
+      (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c) g1 g2 g3 g4 c;
+    for i = n_st - 1 downto 0 do
+      let a, b = k.Network.k_stages.(i) in
+      let xin = if i = 0 then lw.dv else lw.st.(i - 1) and xio = if i = 0 then fo else fo + plane in
+      stage_back ~rows ~first lw.gst.(i) go ws.scratch lw.st.(i) fo xin xio a.T.data
+        (a.T.off + c) b.T.data (b.T.off + c) lw.g_a.(i).T.data lw.g_b.(i).T.data c
+    done;
+    normalise_back ~rows ~first ws.scratch lw.dv fo inv.T.data (inv.T.off + c) lw.g_den.T.data
+      lw.g_bias.T.data c;
+    for i = 0 to lw.n_in - 1 do
+      theta_back ~rows ~first x (xo + (i * ks)) ~rs ws.scratch lw.g_theta.T.data
+        ((i * n_out) + c)
+    done;
+    if li > 0 then
+      for i = 0 to lw.n_in - 1 do
+        input_back ~rows ws.lws.(li - 1).gout (i * rows) ws.scratch th.T.data
+          (th.T.off + (i * n_out) + c)
+      done
+  done
+
+let sign u = if u > 0. then 1. else if u < 0. then -1. else 0.
+
+(* The realization nodes of one layer, from the step gradients summed in
+   the accumulators to each leaf's contribution (computed in place),
+   then emitted. Per feature, the scalar arithmetic of the per-op
+   nodes: the crossbar's V_supply·θ_b numerator and |θ_eff|
+   denominator, the filter's a = τ/(µτ + Δt) and b = Δt/(µτ + Δt) with
+   τ = τ_max·R·C and drift-scaled R and C, and each fold (×ε, or
+   straight through under noise injection). *)
+let realization_back ~emit (smp : sample) lw (l : layer) (cb, fl, act) =
+  let fold g eps = if smp.ste then g else g *. eps in
+  let n_out = lw.n_out in
+  let theta, theta_b = match Crossbar.params cb with [ t; b ] -> (t, b) | _ -> assert false in
+  for c = 0 to n_out - 1 do
+    let gden = T.get lw.g_den 0 c in
+    let gb = (gden *. sign (T.get l.bias_eff 0 c)) +. (Printed.v_supply *. T.get lw.g_bias 0 c) in
+    T.set lw.g_bias 0 c (fold gb (T.get l.bias_eps 0 c));
+    for i = 0 to lw.n_in - 1 do
+      let g = T.get lw.g_theta i c +. (gden *. sign (T.get l.kern.Network.k_theta i c)) in
+      T.set lw.g_theta i c (fold g (T.get l.theta_eps i c))
+    done
+  done;
+  emit theta lw.g_theta;
+  emit theta_b lw.g_bias;
+  let leaves = Array.of_list (Filter_layer.params fl) in
+  let drift m g = if m = 1. then g else m *. g in
+  Array.iteri
+    (fun i (s : stage) ->
+      let a, b = l.kern.Network.k_stages.(i) in
+      for c = 0 to n_out - 1 do
+        let ga = T.get lw.g_a.(i) 0 c and gb = T.get lw.g_b.(i) 0 c in
+        let den = T.get s.den 0 c in
+        let gden = -.(gb *. T.get b 0 c /. den) +. -.(ga *. T.get a 0 c /. den) in
+        let gtau = (ga /. den) +. (gden *. T.get s.mu 0 c) in
+        let gm = Filter_layer.tau_max *. gtau in
+        let gr = drift smp.rm (gm *. T.get s.c_eff 0 c)
+        and gc = drift smp.cm (gm *. T.get s.r_eff 0 c) in
+        T.set lw.g_a.(i) 0 c (fold gr (T.get s.eps_r 0 c));
+        T.set lw.g_b.(i) 0 c (fold gc (T.get s.eps_c 0 c))
+      done;
+      emit leaves.(2 * i) lw.g_a.(i);
+      emit leaves.((2 * i) + 1) lw.g_b.(i))
+    l.stages;
+  List.iteri
+    (fun j eta ->
+      let g = lw.g_eta.(j) in
+      for c = 0 to n_out - 1 do
+        T.set g 0 c (fold (T.get g 0 c) (T.get l.eta_eps.(j) 0 c))
+      done;
+      emit eta g)
+    (Ptanh.params act)
+
+(* One draw's reverse sweep. [gl] is dL/d(this draw's cross-entropy);
+   the trajectory in [ws] must be this draw's. *)
+let sweep ws (smp : sample) steps ~gl ~labels ~emit net =
+  let rows = ws.rows and n_layers = Array.length ws.lws in
+  let top = ws.lws.(n_layers - 1) in
+  (* dL/d(output activations), the same at every step: the read-out's
+     1/T times the cross-entropy's (softmax − onehot)/batch. *)
+  let probs = Loss.softmax_rows smp.logits in
+  let inv_t = 1. /. float_of_int ws.steps and nb = float_of_int rows in
+  for c = 0 to top.n_out - 1 do
+    for r = 0 to rows - 1 do
+      let y = if labels.(r) = c then 1. else 0. in
+      BA.unsafe_set top.gout ((c * rows) + r) (inv_t *. (gl *. ((T.get probs r c -. y) /. nb)))
+    done
+  done;
+  for t = ws.steps - 1 downto 0 do
+    for li = n_layers - 1 downto 0 do
+      sweep_step ws smp steps ~t ~li ws.lws.(li).gout
+    done
+  done;
+  List.iteri
+    (fun li layer -> realization_back ~emit smp ws.lws.(li) smp.layers.(li) layer)
+    (Network.layers net)
+
+(* {1 The node} *)
+
+let expected ~n ~tasks net ~x ~labels =
+  let steps = T.columns x in
+  let rows = T.rows x and n_steps = Array.length steps in
+  (* The passes read unchecked: univariate steps into a one-input net. *)
+  assert (n_steps > 0 && Network.inputs net = 1 && Array.length labels = rows);
+  let samples = Array.map (Array.map (fun d -> realize_draw d net ~rows)) tasks in
+  (* The per-op objective summed the tasks in order and built a pair as
+     [Var.add (loss d1) (loss d2)], whose arguments OCaml evaluates
+     right to left: the tape swept tasks last to first and, within a
+     pair, d1 before d2. The sweep visits the samples in that order. *)
+  let order = Array.concat (List.rev (Array.to_list samples)) in
+  let ws = workspace ~rows ~steps:n_steps order.(0) in
+  let stamp = 1 + Atomic.fetch_and_add stamps 1 in
+  (* Forward in the reverse of the sweep's order, so the trajectory left
+     in the workspace is the first one the sweep needs. *)
+  for k = Array.length order - 1 downto 0 do
+    let smp = order.(k) in
+    smp.logits <- forward ws smp steps;
+    smp.value <- Loss.cross_entropy_value ~logits:smp.logits ~labels
+  done;
+  ws.stamp <- stamp;
+  (* [Mc_loss.expected_value]'s sum: per task, then over tasks. *)
+  let task_value = function
+    | [| s |] -> s.value
+    | [| s1; s2 |] -> s1.value +. s2.value
+    | _ -> invalid_arg "Adjoint.expected: a task holds one draw or an antithetic pair"
+  in
+  let value = 1. /. float_of_int n *. Array.fold_left ( +. ) 0. (Array.map task_value samples) in
+  Var.fused (T.scalar value) ~parents:(Network.params net) (fun g emit ->
+      let gl = 1. /. float_of_int n *. T.get_scalar g in
+      let ws = workspace ~rows ~steps:n_steps order.(0) in
+      Array.iteri
+        (fun k smp ->
+          if k > 0 || ws.stamp <> stamp then begin
+            ignore (forward ws smp steps);
+            ws.stamp <- 0
+          end;
+          sweep ws smp steps ~gl ~labels ~emit net)
+        order)

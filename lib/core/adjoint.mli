@@ -1,0 +1,37 @@
+(** The training objective of a circuit network as one fused tape node.
+
+    {!expected} evaluates the Monte-Carlo cross-entropy of {!Mc_loss}
+    (Eq. 12–14) over a set of variation draws and returns it as a single
+    {!Pnc_autodiff.Var.fused} node whose parents are the network's
+    parameter leaves. Its value comes from a forward pass that runs
+    {!Network}'s no-grad layer passes over the whole batch and keeps
+    each step's filter states, filter inputs, tanh values and
+    activations in a per-domain workspace, allocated once and reused
+    across draws, nodes and epochs. Its backward pass is a hand-written
+    reverse-time sweep over every draw: the softmax cross-entropy, the
+    integrated read-out, the printed tanh's η₁..η₄, the filter stages
+    (a/b through R, C, drift, µ and τ) and the crossbar's θ/θ_b with its
+    |θ_eff| denominator, under plain or straight-through folds.
+
+    {b Accumulation-order contract.} The sweep evaluates every backward
+    closure of the per-op graph that [Network.forward] and
+    [Loss.softmax_cross_entropy] build, with the same operands, and sums
+    contributions in [Var.backward]'s order: steps from last to first,
+    draws in the tape's reverse order, the |θ_eff| and realization terms
+    last. The gradients it leaves on the leaves are therefore
+    bit-identical to the per-op tape's, and the node's value equals
+    {!Mc_loss.expected_value}'s bit for bit. *)
+
+val expected :
+  n:int ->
+  tasks:Variation.draw array array ->
+  Network.t ->
+  x:Pnc_tensor.Tensor.t ->
+  labels:int array ->
+  Pnc_autodiff.Var.t
+(** [expected ~n ~tasks net ~x ~labels] is [1/n] times the sum over
+    [tasks] of each task's summed per-draw mean cross-entropy on the
+    univariate [batch x time] input [x] (a [1 x 1] node). A task is one
+    draw or an antithetic pair [[| d1; d2 |]]; draws marked [ste] fold
+    their variation straight through. The draws are realized here, in
+    order, each consuming its own stream. *)

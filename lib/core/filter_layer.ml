@@ -163,6 +163,20 @@ let step_batch_t real (st : state_t) x =
 
 let kernel_t real = Array.map (fun sr -> (sr.a_t, sr.b_t)) real.stage_reals_t
 
+(* The factors [realize_t] folds into each stage, replayed: the same
+   draws in the same order, the initial voltages included (and
+   discarded), so a copy of a draw's stream taken before [realize_t]
+   yields exactly the (ε_R, ε_C, µ) it used. *)
+let stage_factors ~draw f =
+  Array.map
+    (fun _ ->
+      let eps_r = Variation.eps_for draw ~rows:1 ~cols:f.n in
+      let eps_c = Variation.eps_for draw ~rows:1 ~cols:f.n in
+      let mu = Variation.mu_for draw ~cols:f.n in
+      ignore (Variation.v0_for draw ~cols:f.n);
+      (eps_r, eps_c, mu))
+    f.stages
+
 let r_values f =
   Array.map
     (fun s -> Array.map (fun x -> x *. Printed.filter_r_max) (T.row (Var.value s.r_norm) 0))

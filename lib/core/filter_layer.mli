@@ -96,6 +96,19 @@ val kernel_t :
     update is [s' = s ∘ a + x ∘ b]), exposed so {!Network} can fuse the
     stage updates into its single-pass layer kernel. Read-only views. *)
 
+val stage_factors :
+  draw:Variation.draw ->
+  t ->
+  (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array
+(** Per stage, the [(ε_R, ε_C, µ)] rows that {!realize_t} folds in,
+    replayed by consuming [draw]'s stream exactly as {!realize_t} does
+    (initial voltages included). Run it on a copy of the stream taken
+    before {!realize_t} to recover that realization's factors. *)
+
+val tau_max : float
+(** [R_max · C_max]: the time constant of a stage at r_norm = c_norm = 1;
+    a stage's τ is [tau_max · r_eff · c_eff]. *)
+
 (** {1 Physical values} *)
 
 val r_values : t -> float array array

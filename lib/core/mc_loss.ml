@@ -40,59 +40,51 @@ let emit_corr ~spec ~n =
           ]
     | None -> ()
 
-let loss_of_draw ~draw model ~x ~labels =
-  Loss.softmax_cross_entropy ~logits:(Model.logits ~draw model x) ~labels
-
-let one_sample ?ste ~rng ~spec model ~x ~labels =
-  let draw =
-    if Model.is_circuit model then Variation.make_draw ?ste rng spec
-    else Variation.deterministic
+(* The draws of one estimate. Per-draw stream pre-splitting is the
+   engine's determinism contract: every MC draw, or antithetic pair,
+   owns one child generator derived by indexed splitting from the
+   caller's stream. Draw i is then a function of (parent state, i)
+   alone, so the per-draw values are identical whether the draws run
+   sequentially or distributed over a domain pool of any size, and both
+   estimators below consume randomness identically. A task is [n/2]
+   mirrored pairs (plus one plain draw if [n] is odd) or [n] plain
+   draws; the reference RNN takes one deterministic draw. [ste] marks
+   every draw as straight-through. *)
+let task_draws ?(ste = false) ~antithetic ~rng ~spec ~n model =
+  let circuit = Model.is_circuit model in
+  let n = if circuit then n else 1 in
+  let antithetic = antithetic && circuit && n >= 2 in
+  let rngs = Rng.split_n rng (if antithetic then (n / 2) + (n mod 2) else n) in
+  let tasks =
+    Array.mapi
+      (fun j r ->
+        if antithetic && j < n / 2 then begin
+          let d1, d2 = Variation.antithetic_pair ~ste r spec in
+          [| d1; d2 |]
+        end
+        else if circuit then [| Variation.make_draw ~ste r spec |]
+        else [| Variation.deterministic |])
+      rngs
   in
-  loss_of_draw ~draw model ~x ~labels
-
-(* Per-draw stream pre-splitting (the engine's determinism contract):
-   every MC draw — or antithetic pair — owns one child generator,
-   derived by indexed splitting from the caller's stream. Draw i is
-   then a function of (parent state, i) alone, so the per-draw values
-   are identical whether the draws run sequentially or distributed
-   over a domain pool of any size, and the Var and tensor paths below
-   consume randomness identically. *)
-let draw_rngs ~antithetic ~rng ~n =
-  let tasks = if antithetic then (n / 2) + (n mod 2) else n in
-  Rng.split_n rng tasks
-
-let normalize ~antithetic ~n model =
-  let n = if Model.is_circuit model then n else 1 in
-  (n, antithetic && Model.is_circuit model && n >= 2)
+  (n, tasks)
 
 let expected ?(antithetic = false) ?(ni = false) ~rng ~spec ~n model ~x ~labels =
   assert (n >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
-  let n, antithetic = normalize ~antithetic ~n model in
-  let rngs = draw_rngs ~antithetic ~rng ~n in
   (* [ni] marks every draw as straight-through: forward losses (and so
      the reported objective) are bit-identical to the plain estimator;
      only the gradients change. *)
-  let tasks =
-    if antithetic then
-      (* n/2 mirrored pairs (plus one plain sample if n is odd); each
-         task contributes the pair's summed loss so the accumulation
-         order matches [expected_value] exactly. *)
-      Array.init (Array.length rngs) (fun j ->
-          if j < n / 2 then begin
-            let d1, d2 = Variation.antithetic_pair ~ste:ni rngs.(j) spec in
-            Var.add (loss_of_draw ~draw:d1 model ~x ~labels) (loss_of_draw ~draw:d2 model ~x ~labels)
-          end
-          else one_sample ~ste:ni ~rng:rngs.(j) ~spec model ~x ~labels)
-    else Array.init n (fun i -> one_sample ~ste:ni ~rng:rngs.(i) ~spec model ~x ~labels)
-  in
-  let sum =
-    Array.fold_left
-      (fun acc l -> match acc with None -> Some l | Some a -> Some (Var.add a l))
-      None tasks
-  in
+  let n, tasks = task_draws ~ste:ni ~antithetic ~rng ~spec ~n model in
   let result =
-    match sum with Some s -> Var.scale (1. /. float_of_int n) s | None -> assert false
+    match model with
+    | Model.Circuit net -> Adjoint.expected ~n ~tasks net ~x ~labels
+    | Model.Reference _ ->
+        (* The reference RNN stays on the per-op tape: one deterministic
+           draw, [n = 1]. *)
+        let loss draw =
+          Loss.softmax_cross_entropy ~logits:(Model.logits ~draw model x) ~labels
+        in
+        Var.scale (1. /. float_of_int n) (loss tasks.(0).(0))
   in
   Obs.Counter.add draws_counter n;
   emit_eval ~path:"var" ~n ~t0;
@@ -110,30 +102,18 @@ let value_of_draw ?opts ~draw model ~steps ~labels =
     ~logits:(Model.logits_multi_batch_t ?opts ~draw model steps)
     ~labels
 
-let one_sample_value ?opts ~rng ~spec model ~steps ~labels =
-  let draw =
-    if Model.is_circuit model then Variation.make_draw rng spec else Variation.deterministic
-  in
-  value_of_draw ?opts ~draw model ~steps ~labels
-
-let expected_value ?(antithetic = false) ?opts ?pool ~rng ~spec ~n model
-    ~x ~labels =
+let expected_value ?(antithetic = false) ?opts ?pool ~rng ~spec ~n model ~x ~labels =
   assert (n >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
-  let n, antithetic = normalize ~antithetic ~n model in
-  let rngs = draw_rngs ~antithetic ~rng ~n in
+  let n, tasks = task_draws ~antithetic ~rng ~spec ~n model in
   let steps = Pnc_tensor.Tensor.columns x in
+  let value draw = value_of_draw ?opts ~draw model ~steps ~labels in
   let task j =
-    if antithetic then
-      if j < n / 2 then begin
-        let d1, d2 = Variation.antithetic_pair rngs.(j) spec in
-        value_of_draw ?opts ~draw:d1 model ~steps ~labels
-        +. value_of_draw ?opts ~draw:d2 model ~steps ~labels
-      end
-      else one_sample_value ?opts ~rng:rngs.(j) ~spec model ~steps ~labels
-    else one_sample_value ?opts ~rng:rngs.(j) ~spec model ~steps ~labels
+    match tasks.(j) with
+    | [| d1; d2 |] -> value d1 +. value d2
+    | ds -> value ds.(0)
   in
-  let n_tasks = Array.length rngs in
+  let n_tasks = Array.length tasks in
   let values =
     match pool with
     | None -> Array.init n_tasks task

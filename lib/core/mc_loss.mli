@@ -11,8 +11,8 @@
     {!Pnc_util.Rng.split_n}: draw i consumes child i and nothing else,
     so the per-draw values — and their fixed-order sum — are identical
     whether the draws run sequentially or distributed over a
-    {!Pnc_util.Pool} of any worker count, and the Var and tensor paths
-    consume randomness identically. *)
+    {!Pnc_util.Pool} of any worker count, and the training node and the
+    tensor path consume randomness identically. *)
 
 val expected :
   ?antithetic:bool ->
@@ -25,6 +25,11 @@ val expected :
   labels:int array ->
   Pnc_autodiff.Var.t
 (** Mean cross-entropy over [n] Monte-Carlo draws (a [1 x 1] node).
+    For a circuit model it is one fused tape node ({!Adjoint.expected}):
+    its value equals {!expected_value}'s bit for bit, and its gradients
+    equal those of the per-op graph built from {!Network.forward} and
+    {!Pnc_autodiff.Loss.softmax_cross_entropy} bit for bit. The
+    reference RNN builds that per-op graph.
     With [antithetic] (default false; an extension, not in the paper),
     draws come in mirrored pairs ({!Variation.antithetic_pair}), which
     reduces the estimator's variance at equal cost. With [ni] (default

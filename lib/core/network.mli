@@ -89,5 +89,69 @@ val forward_batch_t :
   ?opts:Batch.opts -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
 (** {!forward_multi_batch_t} on a univariate [batch x time] input. *)
 
+(** {1 Kernel internals}
+
+    The pieces of the no-grad engine that {!Adjoint}'s training sweep
+    reuses, so its saved forward runs the very passes above. Buffers
+    are addressed as [(buffer, offset)] and each pass covers [rows]
+    consecutive elements of one feature. *)
+
+type layer_kernel = {
+  k_filt : Filter_layer.realization_t;
+  k_theta : Pnc_tensor.Tensor.t;  (** effective crossbar conductances [n_in x n_out] *)
+  k_bias : Pnc_tensor.Tensor.t;  (** bias numerators [1 x n_out] *)
+  k_inv : Pnc_tensor.Tensor.t;  (** reciprocal normalisations [1 x n_out] *)
+  k_stages : (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array;  (** per-stage [(a, b)] *)
+  k_e1 : Pnc_tensor.Tensor.t;
+  k_e2 : Pnc_tensor.Tensor.t;
+  k_e3 : Pnc_tensor.Tensor.t;
+  k_e4 : Pnc_tensor.Tensor.t;  (** effective ptanh η₁..η₄ *)
+}
+(** One layer realized under one draw, as raw coefficient rows. *)
+
+val realize_net_t : varied:Batch.families -> draw:Variation.draw -> t -> layer_kernel list
+(** Realize every layer, consuming [draw]'s stream in the sampling order
+    of {!forward_multi}: per layer, filters, activation, crossbar. *)
+
+val crossbar_pass :
+  rows:int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  rs:int ->
+  ks:int ->
+  n_in:int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  n_out:int ->
+  unit
+(** Crossbar sums of one output feature; input element [(r, k)] is at
+    [xo + r * rs + k * ks], weight [k] at [tho + k * n_out]. *)
+
+val normalise_pass :
+  rows:int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  unit
+(** [d <- (d + bias) * inv] for one feature. *)
+
+val stage_pass :
+  rows:int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  Pnc_tensor.Tensor.buffer ->
+  int ->
+  unit
+(** One RC stage in place: [s <- s * a + v * b]. *)
+
 val clamp : t -> unit
 (** Project every component value into its printable window. *)

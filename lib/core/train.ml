@@ -78,6 +78,21 @@ let restore params snap =
       done)
     params snap
 
+(* One full-batch training step, shared by [train] and [epoch]: the MC
+   objective of [cfg], its gradient, clipping per [cfg.grad_clip], one
+   optimizer step and the printability clamp. Returns the objective. *)
+let step cfg opt ~rng ~lr model ~x ~labels =
+  Optimizer.zero_grads opt;
+  let loss =
+    Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng ~spec:cfg.variation
+      ~n:cfg.mc_samples model ~x ~labels
+  in
+  Var.backward loss;
+  Option.iter (fun m -> Optimizer.clip_grad_norm opt ~max_norm:m) cfg.grad_clip;
+  Optimizer.step opt ~lr;
+  Model.clamp model;
+  T.get_scalar (Var.value loss)
+
 exception Killed of int
 
 let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume_from
@@ -138,22 +153,12 @@ let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume
     incr epoch;
     Obs.Counter.incr epochs_counter;
     let t0 = if Obs.enabled () then Clock.now () else 0. in
-    Optimizer.zero_grads opt;
-    let loss =
-      Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng
-        ~spec:cfg.variation ~n:cfg.mc_samples model ~x:x_train ~labels:y_train
-    in
-    Var.backward loss;
-    (match cfg.grad_clip with
-    | Some m -> Optimizer.clip_grad_norm opt ~max_norm:m
-    | None -> ());
-    Optimizer.step opt ~lr:(Scheduler.lr sched);
-    Model.clamp model;
+    let train_loss = step cfg opt ~rng ~lr:(Scheduler.lr sched) model ~x:x_train ~labels:y_train in
     let val_loss =
       Mc_loss.expected_value ~antithetic:cfg.antithetic ~rng ~spec:cfg.variation
         ~n:cfg.mc_samples_val model ~x:x_val ~labels:y_val
     in
-    train_curve := T.get_scalar (Var.value loss) :: !train_curve;
+    train_curve := train_loss :: !train_curve;
     val_curve := val_loss :: !val_curve;
     if val_loss < !best then begin
       best := val_loss;
@@ -165,7 +170,7 @@ let train ?(rng = Rng.create ~seed:0) ?checkpoint_every ?checkpoint_path ?resume
       Obs.emit "train.epoch"
         [
           ("epoch", Obs.Int !epoch);
-          ("train_loss", Obs.Float (T.get_scalar (Var.value loss)));
+          ("train_loss", Obs.Float train_loss);
           ("val_loss", Obs.Float val_loss);
           ("lr", Obs.Float (Scheduler.lr sched));
           ("grad_norm", Obs.Float (Optimizer.grad_norm opt));
@@ -238,12 +243,4 @@ let epoch ?(rng = Rng.create ~seed:0) cfg model split =
   let x_train, y_train = to_xy split.Dataset.train in
   let params = Model.params model in
   let opt = Optimizer.adamw ~weight_decay:cfg.weight_decay ~params () in
-  fun () ->
-    Optimizer.zero_grads opt;
-    let loss =
-      Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng
-        ~spec:cfg.variation ~n:cfg.mc_samples model ~x:x_train ~labels:y_train
-    in
-    Var.backward loss;
-    Optimizer.step opt ~lr:1e-4;
-    Model.clamp model
+  fun () -> ignore (step cfg opt ~rng ~lr:1e-4 model ~x:x_train ~labels:y_train)

@@ -103,7 +103,10 @@ val accuracy_under_variation :
 val epoch : ?rng:Pnc_util.Rng.t -> config -> Model.t -> Pnc_data.Dataset.split -> unit -> unit
 (** [epoch cfg model split] builds the optimizer once and returns a
     closure that runs one full-batch training epoch on [split]'s train
-    set: the MC objective of [cfg] (weight decay, antithetic draws,
-    noise injection), backward, one AdamW step, [Model.clamp]. This is
-    the unit the runtime comparison (Table II) times, both with
-    [Timer.time_mean] and under Bechamel. *)
+    set through the same step function as {!train}: zero the gradients,
+    the MC objective of [cfg] (antithetic draws, noise injection),
+    backward, gradient clipping per [cfg.grad_clip], one AdamW step
+    (weight decay per [cfg]) at a fixed learning rate of 1e-4,
+    [Model.clamp]. Only the validation pass and the schedule are left
+    out. This is the unit the runtime comparison (Table II) times, both
+    with [Timer.time_mean] and under Bechamel. *)

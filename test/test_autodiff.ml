@@ -772,6 +772,224 @@ let test_corr_accuracy_pool_batch_invariant () =
   Pool.with_pool ~size:3 (fun pool ->
       Alcotest.(check bool) "pool 3 bit-identical" true (acc ~pool () = reference))
 
+(* The fused training node -------------------------------------------------
+
+   [Mc_loss.expected] on a circuit is one [Var.fused] node whose sweep is
+   written by hand. The oracle is the per-op objective it replaced,
+   rebuilt here from [Network.forward], [Loss.softmax_cross_entropy] and
+   [Var.add]/[Var.scale], with the same draw construction: the fused
+   node must leave bit-identical gradients on every leaf. *)
+
+let per_op_expected ~antithetic ~ni ~rng ~spec ~n net ~x ~labels =
+  let loss draw = Loss.softmax_cross_entropy ~logits:(Network.forward ~draw net x) ~labels in
+  let anti = antithetic && n >= 2 in
+  let tasks = if anti then (n / 2) + (n mod 2) else n in
+  let rngs = Rng.split_n rng tasks in
+  let terms =
+    Array.init tasks (fun j ->
+        if anti && j < n / 2 then begin
+          let d1, d2 = Variation.antithetic_pair ~ste:ni rngs.(j) spec in
+          Var.add (loss d1) (loss d2)
+        end
+        else loss (Variation.make_draw ~ste:ni rngs.(j) spec))
+  in
+  let sum = Array.fold_left Var.add terms.(0) (Array.sub terms 1 (tasks - 1)) in
+  Var.scale (1. /. float_of_int n) sum
+
+let grads_of params loss =
+  List.iter Var.zero_grad params;
+  Var.backward loss;
+  List.map (fun p -> T.copy (Var.grad p)) params
+
+let random_circuit ~arch rng =
+  let hidden = 2 + Rng.int rng 3 and classes = 2 + Rng.int rng 2 in
+  let batch = 2 + Rng.int rng 4 and time = 3 + Rng.int rng 6 in
+  let net = Network.create ~hidden rng arch ~inputs:1 ~classes in
+  let x = T.uniform rng ~rows:batch ~cols:time ~lo:(-1.) ~hi:1. in
+  (net, x, random_labels rng ~batch ~classes)
+
+let check_fused_parity ~what ~antithetic ~ni ~spec ~n ~seed net ~x ~labels =
+  let params = Network.params net in
+  let fused =
+    Mc_loss.expected ~antithetic ~ni ~rng:(Rng.create ~seed) ~spec ~n (Model.Circuit net) ~x
+      ~labels
+  in
+  (* Half the matrix builds a second node first, so the sweep finds the
+     shared workspace holding another node's draw and must re-run its
+     own; the other half sweeps the trajectory its forward left. *)
+  if antithetic then
+    ignore
+      (Mc_loss.expected ~rng:(Rng.create ~seed:(seed + 1)) ~spec ~n:1 (Model.Circuit net) ~x
+         ~labels);
+  let reference = per_op_expected ~antithetic ~ni ~rng:(Rng.create ~seed) ~spec ~n net ~x ~labels in
+  let value = T.get_scalar (Var.value fused) in
+  let expect =
+    Mc_loss.expected_value ~antithetic ~rng:(Rng.create ~seed) ~spec ~n (Model.Circuit net) ~x
+      ~labels
+  in
+  if not (Int64.bits_of_float value = Int64.bits_of_float expect) then
+    Alcotest.failf "%s: fused value %.17g <> expected_value %.17g" what value expect;
+  let ref_value = T.get_scalar (Var.value reference) in
+  if Float.abs (value -. ref_value) > 1e-12 then
+    Alcotest.failf "%s: fused value %.17g vs per-op %.17g" what value ref_value;
+  let gf = grads_of params fused and gr = grads_of params reference in
+  List.iteri
+    (fun i (a, b) ->
+      if not (tensors_bit_equal a b) then
+        Alcotest.failf "%s: param %d gradient differs from the per-op tape (max |diff| %.3g)"
+          what i
+          (T.max_abs (T.sub a b)))
+    (List.combine gf gr)
+
+(* Correlated variation plus a temperature/aging drift point, so the
+   filter's drift multipliers are not 1. *)
+let drift_spec =
+  Variation.correlated
+    ~drift:{ Variation.temp_c = 45.; age_hours = 500. }
+    ~rho:0.6 ~clen:1.5 (Variation.gaussian 0.2)
+
+let test_fused_parity_matrix () =
+  let specs =
+    [
+      ("uniform 0.1", Variation.uniform 0.1);
+      ("none", Variation.none);
+      ("correlated+drift", drift_spec);
+    ]
+  in
+  List.iteri
+    (fun k (arch, seed) ->
+      let rng = Rng.create ~seed in
+      let net, x, labels = random_circuit ~arch rng in
+      List.iter
+        (fun (spec_name, spec) ->
+          List.iter
+            (fun n ->
+              List.iter
+                (fun (antithetic, ni) ->
+                  let what =
+                    Printf.sprintf "seed=%d %s spec=%s n=%d anti=%b ni=%b" seed
+                      (Network.arch_name (Network.arch net))
+                      spec_name n antithetic ni
+                  in
+                  check_fused_parity ~what ~antithetic ~ni ~spec ~n ~seed:(seed + k + n) net ~x
+                    ~labels)
+                [ (false, false); (true, false); (false, true); (true, true) ])
+            [ 1; 2; 3 ])
+        specs)
+    [ (Network.Ptpnc, 3); (Network.Adapt, 14); (Network.Ptpnc, 159); (Network.Adapt, 2653) ]
+
+(* Central differences against the fused node's gradients, through the
+   no-grad objective at the same draws. Plain folds take an h step on
+   each leaf. Under noise injection the gradient is dL/d(leaf·ε): one
+   draw, and the leaf moves by h/ε so its folded value moves by h. The
+   draw's factors are replayed in the realization order (per layer:
+   filter stages, activation, crossbar) and listed in [Network.params]
+   order. *)
+let leaf_eps net (draw : Variation.draw) =
+  List.concat_map
+    (fun (cb, fl, act) ->
+      let stages = Filter_layer.stage_factors ~draw fl in
+      let eta = Ptanh.sample_eps ~draw act in
+      let theta_eps, bias_eps = Crossbar.sample_eps ~draw cb in
+      [ theta_eps; bias_eps ]
+      @ List.concat_map (fun (er, ec, _) -> [ er; ec ]) (Array.to_list stages)
+      @ Array.to_list eta)
+    (Network.layers net)
+
+let check_fused_fd ~what ~ni ~spec ~n ~seed net ~x ~labels =
+  let model = Model.Circuit net in
+  let params = Network.params net in
+  let analytic =
+    grads_of params
+      (Mc_loss.expected ~ni ~rng:(Rng.create ~seed) ~spec ~n model ~x ~labels)
+  in
+  let eps =
+    if ni then
+      let child = (Rng.split_n (Rng.create ~seed) 1).(0) in
+      leaf_eps net (Variation.make_draw child spec)
+    else List.map (fun p -> T.map (fun _ -> 1.) (Var.value p)) params
+  in
+  let crossbar = List.concat_map (fun (cb, _, _) -> Crossbar.params cb) (Network.layers net) in
+  let loss () = Mc_loss.expected_value ~rng:(Rng.create ~seed) ~spec ~n model ~x ~labels in
+  let h = 1e-5 and checked = ref 0 in
+  List.iteri
+    (fun pi (p, (g, e)) ->
+      let v = Var.value p in
+      for r = 0 to T.rows v - 1 do
+        for c = 0 to T.cols v - 1 do
+          let orig = T.get v r c in
+          (* Crossbar leaves stay clear of the |θ_eff| kink. *)
+          if Float.abs orig > 0.05 || not (List.memq p crossbar) then begin
+            incr checked;
+            let step = h /. T.get e r c in
+            T.set v r c (orig +. step);
+            let f_plus = loss () in
+            T.set v r c (orig -. step);
+            let f_minus = loss () in
+            T.set v r c orig;
+            let fd = (f_plus -. f_minus) /. (2. *. h) and an = T.get g r c in
+            let scale = Float.max 1. (Float.max (Float.abs fd) (Float.abs an)) in
+            if Float.abs (fd -. an) /. scale > 1e-5 then
+              Alcotest.failf "%s: param %d (%d,%d): fd=%.10f fused=%.10f" what pi r c fd an
+          end
+        done
+      done)
+    (List.combine params (List.combine analytic eps));
+  if !checked < 10 then Alcotest.failf "%s: only %d entries checked" what !checked
+
+let test_fused_fd_oracle () =
+  List.iter
+    (fun (arch, seed) ->
+      let net, x, labels = random_circuit ~arch (Rng.create ~seed) in
+      let what = Printf.sprintf "seed=%d %s" seed (Network.arch_name arch) in
+      check_fused_fd ~what:(what ^ " plain n=2") ~ni:false ~spec:(Variation.uniform 0.1) ~n:2
+        ~seed net ~x ~labels;
+      check_fused_fd ~what:(what ^ " plain drift n=2") ~ni:false ~spec:drift_spec ~n:2 ~seed net
+        ~x ~labels;
+      check_fused_fd ~what:(what ^ " ni drift n=1") ~ni:true ~spec:drift_spec ~n:1 ~seed net ~x
+        ~labels)
+    [ (Network.Ptpnc, 31); (Network.Adapt, 41); (Network.Adapt, 59) ]
+
+(* One training epoch at the fast scale's GPOVY shape (ADAPT, hidden 4,
+   two MC draws over 64 steps) records one tape node and allocates a
+   small, fixed amount once the per-domain workspace exists: 43571
+   words with OCaml 5.1 on x86_64, the optimizer and the validation
+   objective included. The per-op tape recorded 2808 nodes and about
+   18.6 Mwords per epoch at this shape. *)
+let epoch_words_bound = 50_000.
+
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_fused_epoch_tape_and_allocation () =
+  let fast = Pnc_exp.Config.of_scale Pnc_exp.Config.Fast in
+  let raw = Pnc_data.Registry.load ~n:(Option.get fast.Pnc_exp.Config.dataset_n) ~seed:1 "GPOVY" in
+  let split = Pnc_data.Dataset.preprocess (Rng.create ~seed:2) raw in
+  let classes = raw.Pnc_data.Dataset.n_classes in
+  let model =
+    Model.Circuit
+      (Network.create ~hidden:(min 8 (max 4 (2 * classes))) (Rng.create ~seed:3) Network.Adapt
+         ~inputs:1 ~classes)
+  in
+  let epoch = Train.epoch ~rng:(Rng.create ~seed:4) fast.Pnc_exp.Config.train_va model split in
+  epoch ();
+  epoch ();
+  let measure () =
+    let n0 = Var.tape_recorded () and w0 = words_allocated () in
+    epoch ();
+    (Var.tape_recorded () - n0, words_allocated () -. w0)
+  in
+  let runs = List.init 5 (fun _ -> measure ()) in
+  List.iter
+    (fun (nodes, words) ->
+      Alcotest.(check int) "tape nodes per epoch" 1 nodes;
+      if words > epoch_words_bound then
+        Alcotest.failf "epoch allocated %.0f words (bound %.0f)" words epoch_words_bound)
+    runs;
+  Alcotest.(check bool) "allocation repeats exactly" true
+    (List.for_all (fun (_, w) -> w = snd (List.hd runs)) runs)
+
 let () =
   Alcotest.run "pnc_autodiff"
     [
@@ -839,6 +1057,13 @@ let () =
           Alcotest.test_case "plain grad = eps*ste grad" `Quick
             test_ni_times_eps_equals_plain_gradient;
           Alcotest.test_case "MC loss value unchanged" `Quick test_ni_mc_loss_value_unchanged;
+        ] );
+      ( "fused training node",
+        [
+          Alcotest.test_case "bit parity with the per-op tape" `Quick test_fused_parity_matrix;
+          Alcotest.test_case "central differences (h/eps under ni)" `Quick test_fused_fd_oracle;
+          Alcotest.test_case "one node, bounded allocation per epoch" `Quick
+            test_fused_epoch_tape_and_allocation;
         ] );
       ( "correlated invariance",
         [

@@ -648,8 +648,7 @@ let test_fast_path_readouts_parity () =
 
 let test_expected_value_matches_var_path () =
   (* The pure-tensor MC estimate consumes the same random stream and
-     computes (up to the fused-loss value trick, an ulp) the same
-     number as the Var-graph estimate. *)
+     computes the same number, bit for bit, as the training node. *)
   let net = Network.create (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
   let model = Model.Circuit net in
   let x = T.uniform (rng ()) ~rows:6 ~cols:12 ~lo:(-1.) ~hi:1. in
@@ -667,9 +666,10 @@ let test_expected_value_matches_var_path () =
           ~spec:(Variation.uniform 0.1) ~n:3 model ~x ~labels
       in
       Alcotest.(check bool)
-        (Printf.sprintf "mc estimate agrees (antithetic=%b)" antithetic)
+        (Printf.sprintf "mc estimate bit-equal (antithetic=%b): %.17g vs %.17g" antithetic v_var
+           v_fast)
         true
-        (Float.abs (v_var -. v_fast) <= 1e-12))
+        (Int64.bits_of_float v_var = Int64.bits_of_float v_fast))
     [ false; true ]
 
 let test_expected_value_reseed_regression () =
