@@ -21,8 +21,10 @@ let logits_multi_batch_t ?opts ?(draw = Variation.deterministic) t steps =
   | Circuit net -> Network.forward_multi_batch_t ?opts ~draw net steps
   | Reference m -> Elman.forward_multi_batch_t ?opts m steps
 
-let logits_batch_t ?opts ?draw t x =
-  logits_multi_batch_t ?opts ?draw t (Pnc_tensor.Tensor.columns x)
+let logits_batch_t ?opts ?(draw = Variation.deterministic) t x =
+  match t with
+  | Circuit net -> Network.forward_batch_t ?opts ~draw net x
+  | Reference m -> Elman.forward_multi_batch_t ?opts m (Pnc_tensor.Tensor.columns x)
 
 let predict_batch ?opts ?draw t x =
   Pnc_tensor.Tensor.argmax_rows (logits_batch_t ?opts ?draw t x)

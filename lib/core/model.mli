@@ -39,7 +39,8 @@ val logits_batch_t :
   t ->
   Pnc_tensor.Tensor.t ->
   Pnc_tensor.Tensor.t
-(** {!logits_multi_batch_t} on a [batch x time] input. *)
+(** {!logits_multi_batch_t} on a [batch x time] input; a circuit reads
+    it in place ({!Network.forward_batch_t}). *)
 
 val predict_batch :
   ?opts:Batch.opts -> ?draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> int array

@@ -287,12 +287,21 @@ let fused_step_layer ~fast ~rows lr (x : T.buffer) xo ~rs ~ks =
       (k.k_e2.T.off + c) k.k_e3.T.data (k.k_e3.T.off + c) k.k_e4.T.data (k.k_e4.T.off + c)
   done
 
+(* The batch input: one [rows x n_in] tensor per time step, or one
+   [rows x steps] series tensor of a single-input circuit, whose step
+   [t] is column [t]. *)
+type input = Steps of T.t array | Series of T.t
+
+let input_steps = function Steps steps -> Array.length steps | Series x -> T.cols x
+let input_rows = function Steps steps -> T.rows steps.(0) | Series x -> T.rows x
+
 (* Run rows [row, row + rows) of the batch through all time steps
    against an already realized circuit instance, from the full-batch
    row-major filter [states]. The block reads its rows of each step in
-   place, transposes its state slice in once and its logits out once,
-   and allocates nothing per time step. *)
-let forward_block ~fast ~readout ~classes kernels states steps ~row ~rows =
+   place (a series at row stride [T.cols x]), transposes its state
+   slice in once and its logits out once, and allocates nothing per
+   time step. *)
+let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
   let fm ~n = T.zeros ~rows:n ~cols:rows in
   let ws =
     Array.of_list
@@ -322,22 +331,31 @@ let forward_block ~fast ~readout ~classes kernels states steps ~row ~rows =
   let n_in = T.rows ws.(0).kern.k_theta and last = ws.(n_layers - 1).out in
   assert (T.rows last = classes);
   let acc = fm ~n:classes in
-  for t = 0 to Array.length steps - 1 do
-    let x = steps.(t) in
-    assert (T.cols x = n_in && row >= 0 && row + rows <= T.rows x);
-    fused_step_layer ~fast ~rows ws.(0) x.T.data (x.T.off + (row * n_in)) ~rs:n_in ~ks:1;
+  let n_steps = input_steps input in
+  (match input with Series _ -> assert (n_in = 1) | Steps _ -> ());
+  for t = 0 to n_steps - 1 do
+    (match input with
+    | Steps steps ->
+        let x = steps.(t) in
+        assert (T.cols x = n_in && row >= 0 && row + rows <= T.rows x);
+        fused_step_layer ~fast ~rows ws.(0) x.T.data (x.T.off + (row * n_in)) ~rs:n_in ~ks:1
+    | Series x ->
+        assert (row >= 0 && row + rows <= T.rows x);
+        fused_step_layer ~fast ~rows ws.(0) x.T.data
+          (x.T.off + (row * n_steps) + t)
+          ~rs:n_steps ~ks:1);
     for l = 1 to n_layers - 1 do
       fused_step_layer ~fast ~rows ws.(l) ws.(l - 1).out.T.data 0 ~rs:1 ~ks:rows
     done;
     match readout with Batch.Integrated -> T.add_inplace acc last | Last_step -> ()
   done;
   match readout with
-  | Integrated -> T.transpose (T.scale (1. /. float_of_int (Array.length steps)) acc)
+  | Integrated -> T.transpose (T.scale (1. /. float_of_int n_steps) acc)
   | Last_step -> T.transpose last
 
-let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
-  assert (Array.length steps > 0);
-  let rows = T.rows steps.(0) in
+let forward_input ~(opts : Batch.opts) ~draw net input =
+  assert (input_steps input > 0);
+  let rows = input_rows input in
   let kernels = realize_net_t ~varied:opts.varied ~draw net in
   (* Like the draw, the initial state describes the physical situation,
      not the evaluation schedule: it is drawn once for the full batch
@@ -350,10 +368,13 @@ let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
   Batch.blocked opts ~rows ~cols:net.n_classes (fun ~row ~len ->
-      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels states steps ~row
+      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels states input ~row
         ~rows:len)
 
-let forward_batch_t ?opts ~draw net x = forward_multi_batch_t ?opts ~draw net (T.columns x)
+let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
+  forward_input ~opts ~draw net (Steps steps)
+
+let forward_batch_t ?(opts = Batch.default) ~draw net x = forward_input ~opts ~draw net (Series x)
 
 let clamp net =
   List.iter

@@ -87,7 +87,10 @@ val forward_multi_batch_t :
 
 val forward_batch_t :
   ?opts:Batch.opts -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** {!forward_multi_batch_t} on a univariate [batch x time] input. *)
+(** {!forward_multi_batch_t} on a univariate [batch x time] input,
+    read in place: step [t] is column [t] at row stride [time], so no
+    per-step tensors are built. Bit-identical to
+    [forward_multi_batch_t (Tensor.columns x)]. *)
 
 (** {1 Kernel internals}
 

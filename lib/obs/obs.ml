@@ -52,8 +52,13 @@ let json_escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* The C primitive behind [Printf]'s float conversions: with "%.17g" it
+   returns exactly the bytes [Printf.sprintf "%.17g"] does, without
+   interpreting a format at run time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let json_float b v =
-  if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.17g" v)
+  if Float.is_finite v then Buffer.add_string b (format_float "%.17g" v)
   else Buffer.add_string b "null"
 
 let json_value b = function
@@ -346,14 +351,22 @@ module Json = struct
   (* Cursor: the one lexer behind [parse] and the tree-free decoders
      built on it (the serve daemon's request bodies). *)
   module Cursor = struct
-    type nonrec t = { s : string; mutable pos : int }
+    (* The text is [s.[base .. stop - 1]]; [pos] is an index into [s]
+       and errors report it relative to [base]. *)
+    type nonrec t = { s : string; mutable pos : int; stop : int; base : int }
 
     let max_depth = 512
-    let make s = { s; pos = 0 }
-    let fail c msg = failwith (Printf.sprintf "Json.parse: %s at offset %d" msg c.pos)
+
+    let make_sub s ~off ~len =
+      if off < 0 || len < 0 || off > String.length s - len then
+        invalid_arg "Json.Cursor.make_sub: slice out of bounds";
+      { s; pos = off; stop = off + len; base = off }
+
+    let make s = make_sub s ~off:0 ~len:(String.length s)
+    let fail c msg = failwith (Printf.sprintf "Json.parse: %s at offset %d" msg (c.pos - c.base))
 
     let rec skip_ws c =
-      if c.pos < String.length c.s then
+      if c.pos < c.stop then
         match String.unsafe_get c.s c.pos with
         | ' ' | '\t' | '\n' | '\r' ->
             c.pos <- c.pos + 1;
@@ -362,7 +375,7 @@ module Json = struct
 
     let peek c =
       skip_ws c;
-      if c.pos < String.length c.s then String.unsafe_get c.s c.pos else '\000'
+      if c.pos < c.stop then String.unsafe_get c.s c.pos else '\000'
 
     let advance c = c.pos <- c.pos + 1
 
@@ -370,11 +383,11 @@ module Json = struct
 
     let finish c =
       skip_ws c;
-      if c.pos < String.length c.s then fail c "trailing garbage"
+      if c.pos < c.stop then fail c "trailing garbage"
 
     let string c =
       expect c '"';
-      let s = c.s and n = String.length c.s in
+      let s = c.s and n = c.stop in
       let b = Buffer.create 16 in
       let rec go () =
         if c.pos >= n then fail c "unterminated string";
@@ -459,7 +472,7 @@ module Json = struct
        those of [float_of_string_opt]. *)
     let number c =
       skip_ws c;
-      let s = c.s and n = String.length c.s in
+      let s = c.s and n = c.stop in
       let start = c.pos in
       let i = ref start and man = ref 0 and nsig = ref 0 and e10 = ref 0 in
       let neg = start < n && String.unsafe_get s start = '-' in
@@ -525,7 +538,7 @@ module Json = struct
 
     let literal c word v =
       let l = String.length word in
-      if c.pos + l <= String.length c.s && String.sub c.s c.pos l = word then begin
+      if c.pos + l <= c.stop && String.sub c.s c.pos l = word then begin
         c.pos <- c.pos + l;
         v
       end
@@ -533,7 +546,7 @@ module Json = struct
 
     let rec value c ~depth =
       match peek c with
-      | _ when c.pos >= String.length c.s -> fail c "unexpected end of input"
+      | _ when c.pos >= c.stop -> fail c "unexpected end of input"
       | ('{' | '[') when depth >= max_depth -> fail c "nesting too deep"
       | '{' ->
           advance c;
@@ -596,6 +609,8 @@ module Json = struct
      a decimal point, so [to_int] round-trips); output is deterministic
      byte-for-byte — the checkpoint format relies on that for its
      byte-stability guarantee. *)
+  let add_number = json_float
+
   let render v =
     let b = Buffer.create 256 in
     let rec go = function

@@ -177,6 +177,12 @@ module Json : sig
     val make : string -> t
     (** A cursor at the start of the text. *)
 
+    val make_sub : string -> off:int -> len:int -> t
+    (** A cursor over the text [String.sub s off len], read in place:
+        it behaves exactly as [make] of that substring, error offsets
+        included (they count from [off]). Raises [Invalid_argument]
+        when the slice is out of bounds. *)
+
     val peek : t -> char
     (** The next non-whitespace byte, not consumed; ['\000'] at the end
         of the text. *)
@@ -225,6 +231,12 @@ module Json : sig
 
   val to_string : t -> string
   (** [String]; raises [Failure] otherwise. *)
+
+  val add_number : Buffer.t -> float -> unit
+  (** The number writer behind {!render}: a finite float as [%.17g]
+      (byte for byte what [Printf.sprintf "%.17g"] gives, so it
+      round-trips exactly), anything else as [null]. For writers that
+      render a known shape straight into a buffer. *)
 
   val render : t -> string
   (** Serialize a value as compact JSON, the inverse of {!parse}.

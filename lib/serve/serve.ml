@@ -6,13 +6,23 @@
 
    Threading model: the caller of [run] is the accept loop; each
    connection gets one systhread (they spend their life blocked in
-   socket I/O or waiting on a reply mailbox, so hundreds are fine);
-   one batcher thread owns the admission queue's consumer side; one
-   optional reload thread polls the checkpoint. Batch compute happens
-   on the batcher thread, or fanned out across Pool worker domains
-   when [pool_size > 1] — row-chunking a batch is bit-identical to
-   computing it whole (the batched-kernel parity contract), so the
-   fan-out never changes a served number. *)
+   socket I/O or waiting on a reply mailbox, so hundreds are fine); one
+   batcher thread; one optional reload thread polls the checkpoint.
+   Flushing is event-driven: the handler whose request brings the
+   queue to [max_batch] rows takes the full groups and computes them
+   on its own thread, and the batcher only sleeps until the queue
+   head's deadline and flushes what no request filled (and, at stop,
+   everything). Batch compute runs on the flushing thread, or fanned
+   out across Pool worker domains when [pool_size > 1] — row-chunking
+   a batch is bit-identical to computing it whole (the batched-kernel
+   parity contract), so neither the flusher nor the fan-out ever
+   changes a served number.
+
+   Copies: a connection reads into one byte buffer it owns; the body
+   is decoded where it lies, straight into the connection's float
+   buffer; the flusher copies the group's rows into its own batch
+   tensor, which the kernels read in place; and the reply is rendered
+   from the logits rows into the connection's reply buffer. *)
 
 module Model = Pnc_core.Model
 module Persist = Pnc_core.Persist
@@ -27,6 +37,7 @@ let requests_c = Obs.Counter.make "serve.requests"
 let rows_c = Obs.Counter.make "serve.rows"
 let http_errors_c = Obs.Counter.make "serve.http_errors"
 let batches_c = Obs.Counter.make "serve.batches"
+let deadline_flushes_c = Obs.Counter.make "serve.deadline_flushes"
 let reloads_c = Obs.Counter.make "serve.reloads"
 let reload_failures_c = Obs.Counter.make "serve.reload_failures"
 let connections_c = Obs.Counter.make "serve.connections"
@@ -62,11 +73,13 @@ let default_config =
   }
 
 (* Admission queue entries. A request is one or more equal-length rows
-   plus a mailbox the batcher fulfills; the handler thread blocks on
-   the mailbox condition until its reply arrives. *)
+   plus its connection's mailbox, which whichever thread flushes the
+   request fulfills; the handler thread blocks on the mailbox condition
+   until its reply arrives. A reply is rows [first, first + rows) of
+   the flushed block's logits, which no later flush writes to. *)
 
 type reply =
-  | R_ok of { version : int; logits : float array array }
+  | R_ok of { version : int; logits : Tensor.t; first : int }
   | R_shutdown
 
 type mailbox = {
@@ -81,7 +94,7 @@ type block = { data : floatarray; rows : int; cols : int; single : bool }
 
 (* [p_block.data] is the handler's decode buffer: the handler blocks in
    [submit] until [flush] has copied the block out and replied, so the
-   buffer is reused only after the batcher is done with it. *)
+   buffer is reused only after the flush is done with it. *)
 type pending = {
   p_block : block;
   p_enq_t : float;
@@ -96,7 +109,7 @@ type t = {
   listen_fd : Unix.file_descr;
   actual_port : int;
   started : float;
-  (* current model; the mutex orders reload swaps against batcher
+  (* current model; the mutex orders reload swaps against flush
      snapshots (a snapshot is two field reads, kept atomic w.r.t. the
      swap so a batch never pairs new params with an old version). *)
   model_mu : Mutex.t;
@@ -195,69 +208,94 @@ let create ?(config = default_config) ~checkpoint () =
 
 (* HTTP plumbing ---------------------------------------------------------- *)
 
+exception Bad_request of string
+
 (* Shared by the server side and [Client]: buffered reads off a socket
-   with a residue string, so pipelined requests and keep-alive reuse
-   just work. *)
+   into one byte buffer per connection, so pipelined requests and
+   keep-alive reuse just work without a copy per read. *)
 module Http = struct
-  type bufconn = { fd : Unix.file_descr; mutable residue : string }
+  (* The unread bytes are [buf.[pos .. lim - 1]]. The buffer is
+     compacted in place and grown to the largest message read so far;
+     a server connection never grows it past [max_head + max_body]. *)
+  type bufconn = {
+    fd : Unix.file_descr;
+    mutable buf : Bytes.t;
+    mutable pos : int;
+    mutable lim : int;
+    max_body : int;
+  }
 
   let max_head = 16 * 1024
 
-  exception Closed
-  exception Bad of string
+  let bufconn ~max_body fd = { fd; buf = Bytes.create 4096; pos = 0; lim = 0; max_body }
 
-  let find_sub s sub from =
-    let n = String.length s and m = String.length sub in
-    let rec matches i j =
-      j = m || (String.unsafe_get s (i + j) = String.unsafe_get sub j && matches i (j + 1))
+  (* Room for [need] unread bytes from [pos]: move the unread bytes to
+     the front, growing the buffer when even that is not enough. *)
+  let reserve c need =
+    if c.pos + need > Bytes.length c.buf then begin
+      let have = c.lim - c.pos in
+      let cap = if c.max_body > max_int - max_head then max_int else max_head + c.max_body in
+      let len = Bytes.length c.buf in
+      let dst = if need > len then Bytes.create (max need (min cap (2 * len))) else c.buf in
+      Bytes.blit c.buf c.pos dst 0 have;
+      c.buf <- dst;
+      c.pos <- 0;
+      c.lim <- have
+    end
+
+  (* One read into the free tail, which [reserve] made non-empty. *)
+  let read_more c =
+    let k = Unix.read c.fd c.buf c.lim (Bytes.length c.buf - c.lim) in
+    if k = 0 then raise End_of_file;
+    c.lim <- c.lim + k
+
+  (* Index of the first CRLFCRLF in [buf.[from .. lim - 1]]. *)
+  let find_blank_line c from =
+    let b = c.buf in
+    let rec go i =
+      if i + 4 > c.lim then None
+      else if Bytes.unsafe_get b (i + 3) <> '\n' then go (i + 1)
+      else if Bytes.unsafe_get b i = '\r' && Bytes.unsafe_get b (i + 1) = '\n'
+              && Bytes.unsafe_get b (i + 2) = '\r'
+      then Some i
+      else go (i + 1)
     in
-    let rec go i = if i + m > n then None else if matches i 0 then Some i else go (i + 1) in
     go from
 
-  let read_more c =
-    let buf = Bytes.create 8192 in
-    let k = Unix.read c.fd buf 0 8192 in
-    if k = 0 then raise Closed;
-    c.residue <- c.residue ^ Bytes.sub_string buf 0 k
-
   (* Read up to and including the blank line; returns the head (without
-     the terminating CRLFCRLF), leaving the rest in the residue. *)
+     the terminating CRLFCRLF) and consumes it. *)
   let read_head c =
-    let rec go scanned =
-      match find_sub c.residue "\r\n\r\n" (max 0 (scanned - 3)) with
+    let rec go seen =
+      match find_blank_line c (c.pos + max 0 (seen - 3)) with
       | Some i ->
-          let head = String.sub c.residue 0 i in
-          c.residue <- String.sub c.residue (i + 4) (String.length c.residue - i - 4);
+          let head = Bytes.sub_string c.buf c.pos (i - c.pos) in
+          c.pos <- i + 4;
           head
       | None ->
-          if String.length c.residue > max_head then raise (Bad "headers too large");
-          let len = String.length c.residue in
+          let have = c.lim - c.pos in
+          if have > max_head then raise (Bad_request "headers too large");
+          reserve c (have + 1);
           read_more c;
-          go len
+          go have
     in
     go 0
 
-  (* The next [n] bytes: what the residue holds of them, then reads
-     straight into one buffer of exactly [n] bytes. *)
+  (* Consume the next [n] bytes, reading until they are all buffered;
+     returns their offset in [buf], valid until the next read on [c]. *)
+  let take c n =
+    if c.lim - c.pos < n then begin
+      reserve c n;
+      while c.lim - c.pos < n do
+        read_more c
+      done
+    end;
+    let off = c.pos in
+    c.pos <- c.pos + n;
+    off
+
   let read_n c n =
-    let have = String.length c.residue in
-    if have >= n then begin
-      let body = String.sub c.residue 0 n in
-      c.residue <- String.sub c.residue n (have - n);
-      body
-    end
-    else begin
-      let b = Bytes.create n in
-      Bytes.blit_string c.residue 0 b 0 have;
-      c.residue <- "";
-      let off = ref have in
-      while !off < n do
-        let k = Unix.read c.fd b !off (n - !off) in
-        if k = 0 then raise Closed;
-        off := !off + k
-      done;
-      Bytes.unsafe_to_string b
-    end
+    let off = take c n in
+    Bytes.sub_string c.buf off n
 
   let split_lines head = String.split_on_char '\n' head |> List.map (fun l ->
       let l = if String.length l > 0 && l.[String.length l - 1] = '\r' then
@@ -294,12 +332,17 @@ module Http = struct
     in
     if n = 0 then None else go 0 0
 
-  let write_all fd s =
-    let b = Bytes.of_string s in
-    let n = Bytes.length b in
+  let write_bytes fd b n =
     let off = ref 0 in
     while !off < n do
       off := !off + Unix.write fd b !off (n - !off)
+    done
+
+  let write_all fd s =
+    let n = String.length s in
+    let off = ref 0 in
+    while !off < n do
+      off := !off + Unix.write_substring fd s !off (n - !off)
     done
 
   let status_text = function
@@ -311,29 +354,71 @@ module Http = struct
     | 503 -> "Service Unavailable"
     | _ -> "Error"
 
-  let response ~status ~keep_alive body =
+  let response_head ~status ~keep_alive ~length =
     Printf.sprintf
       "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: \
-       %s\r\n\r\n%s"
-      status (status_text status) (String.length body)
+       %s\r\n\r\n"
+      status (status_text status) length
       (if keep_alive then "keep-alive" else "close")
-      body
 end
+
+(* Per-connection buffers are kept across requests up to
+   [scratch_keep] floats (512 KB, a full [max_rows] batch of 64-step
+   rows at the defaults), so an idle connection never holds on to one
+   huge body's worth of decoded numbers. *)
+let scratch_keep = 1 lsl 16
+
+(* One server connection: its receive buffer, the decode buffer its
+   request bodies are read into, the buffers its replies are rendered
+   and written from, its reply mailbox and the batch input tensor of
+   the blocks it flushes. All of it lives as long as the connection:
+   one request at a time is in flight on it. *)
+type conn = {
+  rx : Http.bufconn;
+  mutable scratch : floatarray;
+  reply : Buffer.t;
+  mutable tx : Bytes.t;
+  mb : mailbox;
+  batch : Tensor.t ref;
+}
+
+let conn ~max_body fd =
+  {
+    rx = Http.bufconn ~max_body fd;
+    scratch = Float.Array.create 0;
+    reply = Buffer.create 4096;
+    tx = Bytes.create 0;
+    mb = { mb_mu = Mutex.create (); mb_cv = Condition.create (); mb_reply = None };
+    batch = ref (Tensor.zeros ~rows:0 ~cols:0);
+  }
+
+(* Write the response: status line and headers, then [c.reply] as the
+   body, assembled in [c.tx] for one write loop. *)
+let respond c ~status ~keep_alive =
+  let head = Http.response_head ~status ~keep_alive ~length:(Buffer.length c.reply) in
+  let h = String.length head and n = Buffer.length c.reply in
+  if Bytes.length c.tx < h + n then c.tx <- Bytes.create (max (h + n) (2 * Bytes.length c.tx));
+  Bytes.blit_string head 0 c.tx 0 h;
+  Buffer.blit c.reply 0 c.tx h n;
+  Http.write_bytes c.rx.Http.fd c.tx (h + n)
 
 type request = {
   meth : string;
   path : string;
   http11 : bool;
   headers : (string * string) list;
-  body : string;
+  body_off : int;
+  body_len : int;
 }
 
-(* Read one request off the connection. [Http.Closed] propagates (end
-   of keep-alive); framing errors raise [Http.Bad]. *)
-let read_request cfg (c : Http.bufconn) =
-  let head = Http.read_head c in
+(* Read one request off the connection. [End_of_file] propagates (end
+   of keep-alive); framing errors raise [Bad_request]. The body stays in
+   the receive buffer, at [body_off]. *)
+let read_request c =
+  let rx = c.rx in
+  let head = Http.read_head rx in
   match Http.split_lines head with
-  | [] -> raise (Http.Bad "empty request")
+  | [] -> raise (Bad_request "empty request")
   | request_line :: header_lines -> (
       match String.split_on_char ' ' request_line with
       | [ meth; path; version ]
@@ -344,27 +429,27 @@ let read_request cfg (c : Http.bufconn) =
              next request, so any Transfer-Encoding, like lengths that
              disagree, is a framing error. *)
           if Http.header headers "transfer-encoding" <> None then
-            raise (Http.Bad "Transfer-Encoding is not supported");
+            raise (Bad_request "Transfer-Encoding is not supported");
           let lengths =
             List.filter_map (fun (k, v) -> if k = "content-length" then Some v else None) headers
           in
-          let body =
+          let body_len =
             match List.sort_uniq compare lengths with
-            | [] -> ""
+            | [] -> 0
             | [ v ] -> (
                 match Http.digits v with
                 | Some n ->
-                    if n > cfg.max_body then raise (Http.Bad "body too large")
-                    else Http.read_n c n
-                | None -> raise (Http.Bad "malformed Content-Length"))
-            | _ -> raise (Http.Bad "conflicting Content-Length headers")
+                    if n > rx.Http.max_body then raise (Bad_request "body too large") else n
+                | None -> raise (Bad_request "malformed Content-Length"))
+            | _ -> raise (Bad_request "conflicting Content-Length headers")
           in
+          let body_off = Http.take rx body_len in
           let path = match String.index_opt path '?' with
             | Some i -> String.sub path 0 i
             | None -> path
           in
-          { meth; path; http11 = version = "HTTP/1.1"; headers; body }
-      | _ -> raise (Http.Bad "malformed request line"))
+          { meth; path; http11 = version = "HTTP/1.1"; headers; body_off; body_len }
+      | _ -> raise (Bad_request "malformed request line"))
 
 (* JSON bodies ------------------------------------------------------------ *)
 
@@ -376,9 +461,11 @@ let shape_error = "body must have exactly one of \"series\" or \"batch\""
    first counts. Raises [Failure] on every malformed body — a served
    body must never crash the daemon, so everything funnels into a
    400. *)
-let decode_body ~max_rows ?(into = Float.Array.create 0) body =
+let decode_body ~max_rows ?(into = Float.Array.create 0) ?(off = 0) ?len body =
   let module C = Json.Cursor in
-  let c = C.make body in
+  let c =
+    C.make_sub body ~off ~len:(match len with Some l -> l | None -> String.length body - off)
+  in
   let data = ref into and len = ref 0 in
   let push v =
     if !len = Float.Array.length !data then begin
@@ -470,39 +557,52 @@ let decode_body ~max_rows ?(into = Float.Array.create 0) body =
   if !rows = 0 then failwith shape_error;
   { data = !data; rows = !rows; cols = !cols; single = !series }
 
-let json_of_row r = Json.List (Array.to_list (Array.map (fun v -> Json.Num v) r))
+(* The body of [req], decoded where it lies in the receive buffer. The
+   bytes are only read, and only until the next read on [c]. *)
+let decode_request ~max_rows ?into c req =
+  decode_body ~max_rows ?into ~off:req.body_off ~len:req.body_len
+    (Bytes.unsafe_to_string c.rx.Http.buf)
 
 let error_body msg = Json.render (Json.Obj [ ("error", Json.String msg) ])
 
-(* Admission -------------------------------------------------------------- *)
+(* A /v1 reply written straight from rows [first, first + rows) of the
+   logits: byte for byte the [Json.render] of
+   {"model_version":v,"precision":p,"logits":…} (or "classes", the
+   argmax per row), a bare row or class for a single-series request.
+   Precision names need no JSON escaping. *)
+let render_reply b ~version ~precision ~classes ~single (logits : Tensor.t) ~first ~rows =
+  let d = logits.Tensor.data and k = Tensor.cols logits in
+  let base r = logits.Tensor.off + ((first + r) * k) in
+  Buffer.add_string b "{\"model_version\":";
+  Json.add_number b (float_of_int version);
+  Buffer.add_string b ",\"precision\":\"";
+  Buffer.add_string b (Pnc_core.Batch.precision_name precision);
+  Buffer.add_string b (if classes then "\",\"classes\":" else "\",\"logits\":");
+  if not single then Buffer.add_char b '[';
+  for r = 0 to rows - 1 do
+    if r > 0 then Buffer.add_char b ',';
+    let o = base r in
+    if classes then begin
+      let best = ref 0 in
+      for i = 1 to k - 1 do
+        if Bigarray.Array1.unsafe_get d (o + i) > Bigarray.Array1.unsafe_get d (o + !best) then
+          best := i
+      done;
+      Json.add_number b (float_of_int !best)
+    end
+    else begin
+      Buffer.add_char b '[';
+      for i = 0 to k - 1 do
+        if i > 0 then Buffer.add_char b ',';
+        Json.add_number b (Bigarray.Array1.unsafe_get d (o + i))
+      done;
+      Buffer.add_char b ']'
+    end
+  done;
+  if not single then Buffer.add_char b ']';
+  Buffer.add_char b '}'
 
-(* Enqueue a block and block until the batcher replies. The stop check and
-   the push share the queue mutex, and the batcher exits only after a
-   final is-empty check under the same mutex with the stop flag set, so
-   a request is either admitted and answered, or rejected — never
-   admitted and dropped. *)
-let submit t block =
-  let mb = { mb_mu = Mutex.create (); mb_cv = Condition.create (); mb_reply = None } in
-  let p = { p_block = block; p_enq_t = Clock.now (); p_mb = mb } in
-  Mutex.lock t.q_mu;
-  if Atomic.get t.stop_flag then begin
-    Mutex.unlock t.q_mu;
-    R_shutdown
-  end
-  else begin
-    Queue.push p t.q;
-    t.q_rows <- t.q_rows + block.rows;
-    Atomic.fetch_and_add t.inflight block.rows |> ignore;
-    Condition.signal t.q_cv;
-    Mutex.unlock t.q_mu;
-    Mutex.lock mb.mb_mu;
-    while mb.mb_reply = None do
-      Condition.wait mb.mb_cv mb.mb_mu
-    done;
-    let r = Option.get mb.mb_reply in
-    Mutex.unlock mb.mb_mu;
-    r
-  end
+(* Batching ---------------------------------------------------------------- *)
 
 let fulfill (p : pending) reply =
   Mutex.lock p.p_mb.mb_mu;
@@ -510,7 +610,11 @@ let fulfill (p : pending) reply =
   Condition.signal p.p_mb.mb_cv;
   Mutex.unlock p.p_mb.mb_mu
 
-(* Batcher ---------------------------------------------------------------- *)
+(* What flushed a block: a request that brought the queue to
+   [max_batch] rows, the head's [max_delay_s], or shutdown. *)
+type trigger = Fill | Deadline | Drain
+
+let trigger_name = function Fill -> "fill" | Deadline -> "deadline" | Drain -> "drain"
 
 (* Pop a maximal run of equal-width requests from the queue head, up to
    [max_batch] coalesced rows (the first request is always taken whole,
@@ -563,22 +667,36 @@ let compute_logits t model x =
             let start, len = bounds.(i) in
             Model.logits_batch_t ~opts model (Tensor.rows_view x ~row:start ~len))
       in
-      Array.concat
-        (Array.to_list
-           (Array.map
-              (fun part -> Array.init (Tensor.rows part) (fun i -> Tensor.row part i))
-              parts))
-  | _ ->
-      let l = Model.logits_batch_t ~opts model x in
-      Array.init (Tensor.rows l) (fun i -> Tensor.row l i)
+      let out = Tensor.zeros ~rows ~cols:(Tensor.cols parts.(0)) in
+      Array.iteri
+        (fun i part ->
+          let start, len = bounds.(i) in
+          Tensor.blit_into ~dst:(Tensor.rows_view out ~row:start ~len) part)
+        parts;
+      out
+  | _ -> Model.logits_batch_t ~opts model x
 
-let flush t group =
+(* The [rows x cols] batch input, a view of the flusher's own tensor
+   [buf], which is regrown when too small and kept up to [scratch_keep]
+   floats. Each flusher (a connection's handler, or the batcher) runs
+   one flush at a time, so its tensor is free again once [flush]
+   returns: the kernels only read it, and the logits are fresh. *)
+let batch_input buf ~rows ~cols =
+  let x = !buf in
+  if Tensor.cols x = cols && Tensor.rows x >= rows then Tensor.rows_view x ~row:0 ~len:rows
+  else begin
+    let x = Tensor.zeros ~rows ~cols in
+    if rows * cols <= scratch_keep then buf := x;
+    x
+  end
+
+let flush t buf ~trigger group =
   let t0 = Clock.now () in
   Mutex.lock t.model_mu;
   let model = t.model and version = t.version in
   Mutex.unlock t.model_mu;
   let n = List.fold_left (fun n p -> n + p.p_block.rows) 0 group in
-  let x = Tensor.zeros ~rows:n ~cols:(List.hd group).p_block.cols in
+  let x = batch_input buf ~rows:n ~cols:(List.hd group).p_block.cols in
   let dst = x.Tensor.data in
   ignore
     (List.fold_left
@@ -588,18 +706,17 @@ let flush t group =
            Bigarray.Array1.unsafe_set dst (off + i) (Float.Array.unsafe_get b.data i)
          done;
          off + len)
+       x.Tensor.off group);
+  let logits = compute_logits t model x in
+  ignore
+    (List.fold_left
+       (fun first p ->
+         Obs.Histogram.observe queue_wait_h (t0 -. p.p_enq_t);
+         fulfill p (R_ok { version; logits; first });
+         first + p.p_block.rows)
        0 group);
-  let logit_rows = compute_logits t model x in
-  let idx = ref 0 in
-  List.iter
-    (fun p ->
-      let k = p.p_block.rows in
-      let out = Array.sub logit_rows !idx k in
-      idx := !idx + k;
-      Obs.Histogram.observe queue_wait_h (t0 -. p.p_enq_t);
-      fulfill p (R_ok { version; logits = out }))
-    group;
   Obs.Counter.incr batches_c;
+  if trigger = Deadline then Obs.Counter.incr deadline_flushes_c;
   Obs.Counter.add rows_c n;
   Obs.Histogram.observe batch_fill_h (float_of_int n);
   if Obs.enabled () then
@@ -609,10 +726,58 @@ let flush t group =
         ("requests", Obs.Int (List.length group));
         ("cols", Obs.Int (Tensor.cols x));
         ("model_version", Obs.Int version);
+        ("trigger", Obs.Str (trigger_name trigger));
         ("compute_s", Obs.Float (Clock.elapsed t0));
       ]
 
+(* Admit [block] and wait for its reply. A request that brings the
+   queue to [max_batch] rows or more flushes the full groups itself, on
+   its handler thread, before it waits; everything else waits for
+   another request to fill its block or for the batcher's deadline.
+   The stop check and the push share the queue mutex, and the batcher
+   exits only after a final is-empty check under the same mutex with
+   the stop flag set, so a request is either admitted and answered, or
+   rejected — never admitted and dropped. *)
+let submit t c block =
+  let mb = c.mb in
+  mb.mb_reply <- None;
+  let p = { p_block = block; p_enq_t = Clock.now (); p_mb = mb } in
+  Mutex.lock t.q_mu;
+  if Atomic.get t.stop_flag then begin
+    Mutex.unlock t.q_mu;
+    R_shutdown
+  end
+  else begin
+    if Queue.is_empty t.q then Condition.signal t.q_cv;
+    Queue.push p t.q;
+    t.q_rows <- t.q_rows + block.rows;
+    Atomic.fetch_and_add t.inflight block.rows |> ignore;
+    while t.q_rows >= t.cfg.max_batch do
+      let group = take_group t in
+      Mutex.unlock t.q_mu;
+      flush t c.batch ~trigger:Fill group;
+      Mutex.lock t.q_mu
+    done;
+    Mutex.unlock t.q_mu;
+    Mutex.lock mb.mb_mu;
+    while mb.mb_reply = None do
+      Condition.wait mb.mb_cv mb.mb_mu
+    done;
+    let r = Option.get mb.mb_reply in
+    Mutex.unlock mb.mb_mu;
+    r
+  end
+
+(* The longest the batcher sleeps before looking at the queue again,
+   so a stop is noticed promptly however long [max_delay_s] is. *)
+let max_sleep_s = 0.05
+
+(* The batcher flushes what no request filled: the queue head once it
+   has waited [max_delay_s], and everything at stop. It sleeps until
+   the head's deadline (in slices of at most [max_sleep_s]) and on the
+   queue condition while the queue is empty. *)
 let batcher t =
+  let buf = ref (Tensor.zeros ~rows:0 ~cols:0) in
   let rec main () =
     Mutex.lock t.q_mu;
     while Queue.is_empty t.q && not (Atomic.get t.stop_flag) do
@@ -620,26 +785,17 @@ let batcher t =
     done;
     if Queue.is_empty t.q then Mutex.unlock t.q_mu (* stopping, drained *)
     else begin
-      let head = Queue.peek t.q in
-      let deadline = head.p_enq_t +. t.cfg.max_delay_s in
-      (* Fill window: flush at the row threshold or the deadline,
-         whichever first. Polled in sub-ms slices — Condition has no
-         timed wait; the slice bounds added latency at ~0.3 ms. *)
-      let rec wait_fill () =
-        if t.q_rows < t.cfg.max_batch && not (Atomic.get t.stop_flag) then begin
-          let now = Clock.now () in
-          if now < deadline then begin
-            Mutex.unlock t.q_mu;
-            Thread.delay (Float.min (deadline -. now) 3e-4);
-            Mutex.lock t.q_mu;
-            wait_fill ()
-          end
-        end
-      in
-      wait_fill ();
-      let group = take_group t in
-      Mutex.unlock t.q_mu;
-      (match group with [] -> () | g -> flush t g);
+      let stopping = Atomic.get t.stop_flag in
+      let wait = (Queue.peek t.q).p_enq_t +. t.cfg.max_delay_s -. Clock.now () in
+      if stopping || wait <= 0. then begin
+        let group = take_group t in
+        Mutex.unlock t.q_mu;
+        flush t buf ~trigger:(if stopping then Drain else Deadline) group
+      end
+      else begin
+        Mutex.unlock t.q_mu;
+        Thread.delay (Float.min wait max_sleep_s)
+      end;
       main ()
     end
   in
@@ -721,60 +877,45 @@ let metrics_body t =
     (Json.Obj
        (("model_version", Json.Num (float_of_int (model_version t))) :: metrics))
 
-(* Handle one parsed request; returns (status, body, admitted) where
-   [admitted] is the number of in-flight rows the handler must release
-   after the response bytes are written (the graceful-drain barrier in
-   [run] waits for that release). [scratch] is the connection's decode
-   buffer, kept across its requests up to [scratch_keep] floats (512 KB,
-   a full [max_rows] batch of 64-step rows at the defaults) so an idle
-   connection never holds on to one huge body's worth. *)
-let scratch_keep = 1 lsl 16
-
-let route t scratch req =
+(* Handle one parsed request, rendering the response body into
+   [c.reply]; returns (status, admitted) where [admitted] is the number
+   of in-flight rows the handler must release after the response bytes
+   are written (the graceful-drain barrier in [run] waits for that
+   release). *)
+let route t c req =
+  let b = c.reply in
+  Buffer.clear b;
   match (req.meth, req.path) with
-  | "GET", "/healthz" -> (200, healthz_body t, 0)
-  | "GET", "/metrics" -> (200, metrics_body t, 0)
+  | "GET", "/healthz" ->
+      Buffer.add_string b (healthz_body t);
+      (200, 0)
+  | "GET", "/metrics" ->
+      Buffer.add_string b (metrics_body t);
+      (200, 0)
   | "POST", ("/v1/logits" | "/v1/predict") -> (
       let block =
-        match decode_body ~max_rows:t.cfg.max_rows ~into:!scratch req.body with
+        match decode_request ~max_rows:t.cfg.max_rows ~into:c.scratch c req with
         | b -> b
-        | exception Failure msg -> raise (Http.Bad msg)
+        | exception Failure msg -> raise (Bad_request msg)
       in
-      if Float.Array.length block.data <= scratch_keep then scratch := block.data;
-      match submit t block with
-      | R_shutdown -> (503, error_body "shutting down", 0)
-      | R_ok { version; logits } ->
-          let version_field = ("model_version", Json.Num (float_of_int version)) in
-          (* Echo the tier so clients of a `Fast deployment can tell
-             their logits carry the ≤1e-7 approximation. *)
-          let precision_field =
-            ("precision", Json.String (Pnc_core.Batch.precision_name t.cfg.precision))
-          in
-          let body =
-            if req.path = "/v1/logits" then
-              let payload =
-                if block.single then json_of_row logits.(0)
-                else Json.List (Array.to_list (Array.map json_of_row logits))
-              in
-              Json.render (Json.Obj [ version_field; precision_field; ("logits", payload) ])
-            else
-              let classes =
-                Array.map
-                  (fun row ->
-                    let best = ref 0 in
-                    Array.iteri (fun i v -> if v > row.(!best) then best := i) row;
-                    Json.Num (float_of_int !best))
-                  logits
-              in
-              let payload =
-                if block.single then classes.(0) else Json.List (Array.to_list classes)
-              in
-              Json.render (Json.Obj [ version_field; precision_field; ("classes", payload) ])
-          in
-          (200, body, block.rows))
+      if Float.Array.length block.data <= scratch_keep then c.scratch <- block.data;
+      match submit t c block with
+      | R_shutdown ->
+          Buffer.add_string b (error_body "shutting down");
+          (503, 0)
+      | R_ok { version; logits; first } ->
+          (* The tier is echoed so clients of a `Fast deployment can
+             tell their logits carry the ≤1e-7 approximation. *)
+          render_reply b ~version ~precision:t.cfg.precision
+            ~classes:(req.path = "/v1/predict") ~single:block.single logits ~first
+            ~rows:block.rows;
+          (200, block.rows))
   | _, ("/healthz" | "/metrics" | "/v1/logits" | "/v1/predict") ->
-      (405, error_body "method not allowed", 0)
-  | _ -> (404, error_body "not found", 0)
+      Buffer.add_string b (error_body "method not allowed");
+      (405, 0)
+  | _ ->
+      Buffer.add_string b (error_body "not found");
+      (404, 0)
 
 let deregister_conn t fd =
   Mutex.lock t.conn_mu;
@@ -791,26 +932,30 @@ let handler_exit t =
 
 let handle_conn t fd =
   Fun.protect ~finally:(fun () -> handler_exit t) @@ fun () ->
-  let c = { Http.fd; residue = "" } in
-  let scratch = ref (Float.Array.create 0) in
+  let c = conn ~max_body:t.cfg.max_body fd in
+  let error msg =
+    Obs.Counter.incr http_errors_c;
+    Buffer.clear c.reply;
+    Buffer.add_string c.reply (error_body msg)
+  in
   Obs.Counter.incr connections_c;
   let rec loop () =
-    match read_request t.cfg c with
-    | exception Http.Closed -> ()
-    | exception Http.Bad msg ->
+    match read_request c with
+    | exception End_of_file -> ()
+    | exception Bad_request msg ->
         (* Framing is broken: answer and drop the connection (we cannot
            trust the stream position any more). *)
-        Obs.Counter.incr http_errors_c;
-        Http.write_all fd (Http.response ~status:400 ~keep_alive:false (error_body msg))
+        error msg;
+        respond c ~status:400 ~keep_alive:false
     | req ->
         Obs.Counter.incr requests_c;
         let t0 = Clock.now () in
-        let status, body, admitted =
-          match route t scratch req with
-          | sb -> sb
-          | exception Http.Bad msg ->
-              Obs.Counter.incr http_errors_c;
-              (400, error_body msg, 0)
+        let status, admitted =
+          match route t c req with
+          | sa -> sa
+          | exception Bad_request msg ->
+              error msg;
+              (400, 0)
         in
         let keep_alive =
           req.http11
@@ -819,9 +964,7 @@ let handle_conn t fd =
           && not (Atomic.get t.stop_flag)
         in
         let write_result =
-          match Http.write_all fd (Http.response ~status ~keep_alive body) with
-          | () -> Ok ()
-          | exception e -> Error e
+          match respond c ~status ~keep_alive with () -> Ok () | exception e -> Error e
         in
         (* Release admitted-row accounting only after the response
            write attempt: [run]'s graceful-drain barrier waits for
@@ -925,7 +1068,7 @@ module Client = struct
      with e ->
        (try Unix.close fd with _ -> ());
        raise e);
-    { Http.fd; residue = "" }
+    Http.bufconn ~max_body:max_int fd
 
   let close (c : conn) = try Unix.close c.Http.fd with Unix.Unix_error _ -> ()
 
@@ -937,7 +1080,7 @@ module Client = struct
       (Printf.sprintf "%s %s HTTP/1.1\r\nHost: localhost%s\r\n\r\n%s" meth path
          (if has_body then Printf.sprintf "\r\nContent-Length: %d" (String.length body) else "")
          body);
-    let head = try Http.read_head c with Http.Closed -> raise End_of_file in
+    let head = Http.read_head c in
     match Http.split_lines head with
     | status_line :: header_lines -> (
         match String.split_on_char ' ' status_line with

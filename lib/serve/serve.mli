@@ -3,10 +3,11 @@
     This is the "millions of users" front-end over the batched no-grad
     inference engine: a TCP (HTTP/1.1 over [Unix]) daemon that admits
     concurrent JSON requests into a shared queue, coalesces them into
-    blocks for {!Pnc_core.Model.logits_batch_t} (flushing when the
-    queued row count reaches [max_batch] {e or} when the oldest queued
-    request has waited [max_delay_s]), and fans the compute out over
-    {!Pnc_util.Pool} worker domains.
+    blocks for {!Pnc_core.Model.logits_batch_t} and fans the compute
+    out over {!Pnc_util.Pool} worker domains. A block is flushed by
+    the request that brings the queued row count to [max_batch], on
+    its own handler thread, or by the batcher thread once the oldest
+    queued request has waited [max_delay_s].
 
     {b Parity contract.} Serving never changes a number: the logits
     returned over the wire are bit-identical (eps 0) to an offline
@@ -52,7 +53,9 @@ type config = {
   max_delay_s : float;
       (** flush when the oldest queued request has waited this long,
           even if the batch is not full — the latency bound under light
-          load *)
+          load. A request that fills its block never waits for it: the
+          batcher thread sleeps until the queue head's deadline and
+          flushes only what no request filled. *)
   batch_size : int option;
       (** kernel block size forwarded to [Model.logits_batch_t]
           ([None] = whole coalesced block; a pure throughput knob) *)
@@ -99,8 +102,12 @@ val run : ?handle_signals:bool -> t -> unit
 (** Serve until {!stop} is called (or, with [handle_signals], until
     SIGINT/SIGTERM). Blocks the calling thread: it becomes the accept
     loop, with one handler thread per connection, one batcher thread
-    and (if enabled) one reload thread. Returns after the graceful
-    drain completes; every thread is joined and every socket closed.
+    and (if enabled) one reload thread. A handler whose request brings
+    the queue to [max_batch] rows computes the full blocks itself
+    (flush trigger [fill]); the batcher flushes the queue head at its
+    deadline ([deadline]) and everything left at stop ([drain]).
+    Returns after the graceful drain completes; every thread is joined
+    and every socket closed.
     [handle_signals] (default [true]) also ignores SIGPIPE and maps
     SIGINT/SIGTERM to {!stop}; pass [false] when embedding the server
     in a test harness (SIGPIPE is still ignored). *)
@@ -117,11 +124,16 @@ type block = { data : floatarray; rows : int; cols : int; single : bool }
     the first [rows * cols] slots of [data]; [single] for a ["series"]
     body (one row). *)
 
-val decode_body : max_rows:int -> ?into:floatarray -> string -> block
+val decode_body :
+  max_rows:int -> ?into:floatarray -> ?off:int -> ?len:int -> string -> block
 (** Decode a [{"series":[…]}] or [{"batch":[[…],…]}] body in one pass,
     writing each number (read by {!Pnc_obs.Obs.Json.Cursor.number})
     straight into [into], or into a larger buffer when it is too small
-    (the result's [data]; pass it back as [into] to reuse it). Members
+    (the result's [data]; pass it back as [into] to reuse it). The body
+    is the slice of [len] bytes at [off] (default: the whole string),
+    read in place through {!Pnc_obs.Obs.Json.Cursor.make_sub}: the
+    result and every error message, offsets included, are those of
+    decoding [String.sub s off len]. Members
     other than the first ["series"] or ["batch"] are validated as JSON
     and skipped. Raises [Failure] with the 400 message on malformed
     JSON (including nesting deeper than
@@ -130,6 +142,41 @@ val decode_body : max_rows:int -> ?into:floatarray -> string -> block
     than [max_rows] rows (checked while scanning, before the excess
     row is read). Accepts exactly the bodies that {!Pnc_obs.Obs.Json.parse}
     plus the shape rules accept, with the same values. *)
+
+(** {1 Receive path}
+
+    How a handler reads its connection: one byte buffer per
+    connection, bodies decoded where they lie in it. *)
+
+type conn
+(** The server side of one connection: its receive buffer (compacted
+    in place and grown to the largest message, never past 16 KiB of
+    head plus [max_body]), its decode, reply and batch buffers. *)
+
+val conn : max_body:int -> Unix.file_descr -> conn
+
+type request = {
+  meth : string;
+  path : string;  (** without the query string *)
+  http11 : bool;
+  headers : (string * string) list;  (** lower-cased names, trimmed values *)
+  body_off : int;  (** where the body lies in the receive buffer *)
+  body_len : int;
+}
+
+exception Bad_request of string
+(** A framing error, with the message of its 400 answer. *)
+
+val read_request : conn -> request
+(** Read one request, head and [Content-Length] body, however the
+    bytes arrive (split across reads, or pipelined behind the previous
+    request). Raises [End_of_file] when the peer closes and
+    [Bad_request] on a framing error. *)
+
+val decode_request : max_rows:int -> ?into:floatarray -> conn -> request -> block
+(** {!decode_body} of the request's body, in place in the receive
+    buffer. Valid only before the next {!read_request} on the
+    connection, which may move or overwrite those bytes. *)
 
 (** {1 Client}
 

@@ -124,6 +124,40 @@ let test_fused_vs_unfused () =
             tiers_and_readouts)
         nets)
 
+(* [forward_batch_t] reads a [rows x time] series in place, at row
+   stride [time] (and from a row view's offset); the split-steps path
+   reads one transposed tensor per step. Same numbers, bit for bit, for
+   both circuit architectures, both tiers, both read-outs and blocks of
+   1, 7, 32 and the whole batch. *)
+let test_series_in_place () =
+  let case rng =
+    let classes = 2 + Rng.int rng 3 and rows = 1 + Rng.int rng 70 and time = 2 + Rng.int rng 10 in
+    let seed = Rng.int rng 10_000 in
+    let nets =
+      List.map
+        (fun arch -> Network.create ~hidden:(2 + Rng.int rng 4) rng arch ~inputs:1 ~classes)
+        [ Network.Ptpnc; Network.Adapt ]
+    in
+    let x = T.uniform rng ~rows:(rows + 2) ~cols:time ~lo:(-1.) ~hi:1. in
+    (nets, T.rows_view x ~row:1 ~len:rows, seed)
+  in
+  Qgen.check ~count:20 ~name:"forward_batch_t = forward_multi_batch_t (columns x)"
+    ~pp:pp_circuit_case case
+    (fun (nets, x, seed) ->
+      List.for_all
+        (fun net ->
+          List.for_all
+            (fun ((precision, readout), batch_size) ->
+              let opts = { Batch.default with batch_size; precision; readout } in
+              eq0
+                (Network.forward_multi_batch_t ~opts ~draw:(draw_of ~seed ~level:0.1) net
+                   (T.columns x))
+                (Network.forward_batch_t ~opts ~draw:(draw_of ~seed ~level:0.1) net x))
+            (List.concat_map
+               (fun tr -> List.map (fun bs -> (tr, bs)) [ Some 1; Some 7; Some 32; None ])
+               tiers_and_readouts))
+        nets)
+
 (* Multivariate circuits (2-3 inputs) fed [rows x inputs] steps salted
    with exact zeros of both signs: the first layer's strided read of
    the step and the crossbar's exactly-zero-input skip, which the
@@ -571,6 +605,7 @@ let () =
         [
           Alcotest.test_case "fused = unfused kernels" `Quick test_fused_vs_unfused;
           Alcotest.test_case "multi-input steps with zeros" `Quick test_multi_input_parity;
+          Alcotest.test_case "series read in place = split steps" `Quick test_series_in_place;
           Alcotest.test_case "per-family batched = Var" `Quick test_family_parity;
         ] );
       ( "end-to-end",

@@ -342,6 +342,60 @@ let prop_number_lexer =
     (QCheck.make ~print:(Printf.sprintf "%S") number_strings_gen)
     same_as_strtod
 
+(* The shared number writer calls the C primitive behind [Printf]
+   directly; its bytes must be exactly [Printf.sprintf "%.17g"]'s, and
+   non-finite values render as [null]. Doubles from random bit
+   patterns (normal and subnormal, both signs), small and large
+   integers, and the extremes. *)
+let number_writer_gen =
+  let open QCheck.Gen in
+  let from_bits = map Int64.float_of_bits ui64 in
+  let subnormal = map (fun m -> Int64.float_of_bits (Int64.logand m 0x800F_FFFF_FFFF_FFFFL)) ui64 in
+  let integer = map Float.of_int (oneof [ int_range (-1_000_000) 1_000_000; int ]) in
+  let extreme =
+    oneofl
+      [ 0.; -0.; Float.min_float; -.Float.min_float; Float.max_float; -.Float.max_float;
+        Float.epsilon; 4.9406564584124654e-324; -4.9406564584124654e-324; 1e22; 1e23;
+        9007199254740993.; Float.infinity; Float.neg_infinity; Float.nan ]
+  in
+  frequency [ (4, from_bits); (2, subnormal); (2, integer); (1, extreme) ]
+
+let prop_number_writer =
+  QCheck.Test.make ~count:20_000 ~name:"add_number = Printf %.17g, byte for byte"
+    (QCheck.make ~print:(Printf.sprintf "%h") number_writer_gen)
+    (fun v ->
+      let b = Buffer.create 32 in
+      Json.add_number b v;
+      Buffer.contents b = if Float.is_finite v then Printf.sprintf "%.17g" v else "null")
+
+(* A cursor over a slice reads only the slice, and fails exactly as a
+   cursor over the copied substring would, offsets included. *)
+let test_cursor_slice () =
+  let outcome c =
+    match
+      let v = Json.Cursor.value c ~depth:0 in
+      Json.Cursor.finish c;
+      v
+    with
+    | v -> Ok v
+    | exception Failure msg -> Error msg
+  in
+  List.iter
+    (fun text ->
+      List.iter
+        (fun (pre, post) ->
+          let s = pre ^ text ^ post in
+          let sliced =
+            outcome (Json.Cursor.make_sub s ~off:(String.length pre) ~len:(String.length text))
+          in
+          if sliced <> outcome (Json.Cursor.make text) then
+            Alcotest.failf "slice of %S between %S and %S decodes differently" text pre post)
+        [ ("", ""); ("[1,", "]"); ("xx", "1e5"); ("\"", "\"") ])
+    [ "[1,2.5,-3e2]"; {|{"a":"b"}|}; "12"; "1"; "[1,"; "tru"; "nul"; {|"open|}; "  "; "" ];
+  match Json.Cursor.make_sub "abc" ~off:2 ~len:2 with
+  | _ -> Alcotest.fail "out-of-bounds slice accepted"
+  | exception Invalid_argument _ -> ()
+
 (* Depth cap: containers nest at most Cursor.max_depth deep, so a body of
    4 MiB of '[' fails fast at a fixed offset instead of recursing once
    per byte. *)
@@ -596,6 +650,8 @@ let () =
           Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "number lexer corpus" `Quick test_number_corpus;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |]) prop_number_lexer;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 16 |]) prop_number_writer;
+          Alcotest.test_case "cursor over a slice" `Quick test_cursor_slice;
           Alcotest.test_case "nesting depth cap" `Quick test_json_depth_cap;
         ] );
       ( "pipeline",

@@ -155,6 +155,170 @@ let test_parity_deadline_flush () =
           done));
   Sys.remove ckpt
 
+(* Flush triggers --------------------------------------------------------
+
+   A block is flushed by the request that fills it (trigger "fill"), by
+   the batcher at the queue head's deadline ("deadline"), or at stop
+   ("drain"). The cases below pin which one answers, and when; the
+   [serve.batch] events and the [serve.deadline_flushes] counter must
+   agree with them. *)
+
+module Obs = Pnc_obs.Obs
+
+(* Run [f] with a sink collecting the [trigger] of every [serve.batch]
+   event; returns [f]'s result and the triggers in emission order. *)
+let with_triggers f =
+  let mu = Mutex.create () and seen = ref [] in
+  let write ~t:_ ~seq:_ ~name fields =
+    if name = "serve.batch" then
+      match List.assoc_opt "trigger" fields with
+      | Some (Obs.Str tr) ->
+          Mutex.lock mu;
+          seen := tr :: !seen;
+          Mutex.unlock mu
+      | _ -> Alcotest.fail "serve.batch event without a trigger"
+  in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  let r = try Ok (f ()) with e -> Error e in
+  Obs.set_sink None;
+  match r with Ok v -> (v, List.rev !seen) | Error e -> raise e
+
+(* The daemon's [serve.deadline_flushes] counter, read over /metrics. *)
+let deadline_flushes srv =
+  with_conn srv (fun c ->
+      let r = Serve.Client.request c ~meth:"GET" ~path:"/metrics" () in
+      match Json.member "serve.deadline_flushes" (Json.parse r.Serve.Client.body) with
+      | Some m -> Json.to_int (Option.get (Json.member "value" m))
+      | None -> Alcotest.fail "/metrics has no serve.deadline_flushes")
+
+let check_triggers what expect got =
+  Alcotest.(check (list string)) (what ^ ": flush triggers") expect got
+
+(* Two clients, max_batch = 2: the second request fills the block and
+   its handler computes it, so neither waits out the 10 s deadline. *)
+let test_fill_flush_skips_deadline () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 56 in
+  save_model ckpt model;
+  let config =
+    { Serve.default_config with max_batch = 2; max_delay_s = 10.; reload_every_s = 0. }
+  in
+  with_server ~config ckpt (fun srv ->
+      let before = deadline_flushes srv in
+      let rng = Rng.create ~seed:57 in
+      let rows = Array.init 2 (fun _ -> random_row rng) in
+      let results = Array.make 2 None in
+      let t0 = Unix.gettimeofday () in
+      let (), triggers =
+        with_triggers (fun () ->
+            let ths =
+              Array.init 2 (fun i ->
+                  Thread.create
+                    (fun () -> with_conn srv (fun c -> results.(i) <- Some (Serve.Client.logits c rows.(i))))
+                    ())
+            in
+            Array.iter Thread.join ths)
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 5. then Alcotest.failf "a filled block waited %.1f s for its deadline" dt;
+      Array.iteri
+        (fun i r ->
+          let _, got = ok "fill" (Option.get r) in
+          check_bits (Printf.sprintf "client %d" i) (offline model [| rows.(i) |]).(0) got)
+        results;
+      check_triggers "two clients" [ "fill" ] triggers;
+      Alcotest.(check int) "no deadline flush" before (deadline_flushes srv));
+  Sys.remove ckpt
+
+(* One request larger than max_batch fills a block on its own. *)
+let test_oversized_request_flushes_at_once () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 58 in
+  save_model ckpt model;
+  let config =
+    { Serve.default_config with max_batch = 2; max_delay_s = 10.; reload_every_s = 0. }
+  in
+  with_server ~config ckpt (fun srv ->
+      let before = deadline_flushes srv in
+      let rng = Rng.create ~seed:59 in
+      let batch = Array.init 5 (fun _ -> random_row rng) in
+      let t0 = Unix.gettimeofday () in
+      let (_, got), triggers =
+        with_triggers (fun () -> with_conn srv (fun c -> ok "oversized" (Serve.Client.logits_batch c batch)))
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt > 5. then Alcotest.failf "a 5-row request against max_batch = 2 waited %.1f s" dt;
+      Array.iteri (fun i e -> check_bits (Printf.sprintf "row %d" i) e got.(i)) (offline model batch);
+      check_triggers "oversized request" [ "fill" ] triggers;
+      Alcotest.(check int) "no deadline flush" before (deadline_flushes srv));
+  Sys.remove ckpt
+
+(* A lone request below max_batch is the batcher's: never answered
+   before its 50 ms deadline, and counted as a deadline flush. *)
+let test_lone_request_waits_for_deadline () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 60 in
+  save_model ckpt model;
+  let config =
+    { Serve.default_config with max_batch = 64; max_delay_s = 0.05; reload_every_s = 0. }
+  in
+  with_server ~config ckpt (fun srv ->
+      let before = deadline_flushes srv in
+      let rng = Rng.create ~seed:61 in
+      let n = 4 in
+      let (), triggers =
+        with_triggers (fun () ->
+            with_conn srv (fun c ->
+                for i = 1 to n do
+                  let row = random_row rng in
+                  let t0 = Unix.gettimeofday () in
+                  let _, got = ok "lone" (Serve.Client.logits c row) in
+                  let dt = Unix.gettimeofday () -. t0 in
+                  if dt < config.Serve.max_delay_s then
+                    Alcotest.failf "request %d answered after %.1f ms, before its 50 ms deadline" i
+                      (1000. *. dt);
+                  check_bits (Printf.sprintf "lone %d" i) (offline model [| row |]).(0) got
+                done))
+      in
+      check_triggers "lone requests" (List.init n (fun _ -> "deadline")) triggers;
+      Alcotest.(check int) "deadline flushes" (before + n) (deadline_flushes srv));
+  Sys.remove ckpt
+
+(* 64 connections against max_batch = 4 and a 2-domain pool: many
+   handlers flush full blocks at once, each on its own batch tensor,
+   while the batcher takes the stragglers. Every row stays bit-exact. *)
+let test_overlapping_fill_flushes () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 62 in
+  save_model ckpt model;
+  let config =
+    { Serve.default_config with max_batch = 4; max_delay_s = 0.002; reload_every_s = 0.; pool_size = 2 }
+  in
+  with_server ~config ckpt (fun srv ->
+      let failures = Atomic.make 0 in
+      let worker wi =
+        let rng = Rng.create ~seed:(300 + wi) in
+        with_conn srv (fun c ->
+            for _ = 1 to 8 do
+              let batch = Array.init (1 + Rng.int rng 3) (fun _ -> random_row rng) in
+              match Serve.Client.logits_batch c batch with
+              | Error _ -> Atomic.incr failures
+              | Ok (_, got) ->
+                  Array.iteri
+                    (fun i e ->
+                      Array.iteri
+                        (fun j v ->
+                          if Int64.bits_of_float v <> Int64.bits_of_float got.(i).(j) then
+                            Atomic.incr failures)
+                        e)
+                    (offline model batch)
+            done)
+      in
+      let ths = Array.init 64 (fun wi -> Thread.create worker wi) in
+      Array.iter Thread.join ths;
+      Alcotest.(check int) "no failures at 64 connections" 0 (Atomic.get failures));
+  Sys.remove ckpt
+
 (* Malformed bodies must get a 4xx and leave the daemon (and, for
    body-level errors, even the connection) healthy. *)
 let test_malformed_bodies () =
@@ -306,6 +470,162 @@ let test_decoder_vs_oracle () =
       let expect = oracle ~max_rows body in
       same_rows expect (decoded ~max_rows body)
       && same_rows expect (decoded ~max_rows ~into:(Float.Array.create 1) body))
+
+(* A body decoded where it lies inside a larger string gives the same
+   block as the copied body, or fails with the same message — error
+   offsets count from the slice. *)
+let test_slice_decode () =
+  let outcome ?off ?len s =
+    match Serve.decode_body ~max_rows:3 ?off ?len s with
+    | b ->
+        Ok
+          ( b.Serve.single,
+            b.Serve.rows,
+            b.Serve.cols,
+            List.init (b.Serve.rows * b.Serve.cols) (fun i ->
+                Int64.bits_of_float (Float.Array.get b.Serve.data i)) )
+    | exception Failure msg -> Error msg
+  in
+  let gen rng =
+    let alphabet = "{[1, \"]}x" in
+    let junk () =
+      String.init (Rng.int rng 6) (fun _ -> alphabet.[Rng.int rng (String.length alphabet)])
+    in
+    let pre = junk () in
+    let body = body_gen rng in
+    (pre, body, junk ())
+  in
+  Qgen.check ~count:2000 ~name:"slice decode = decode of the copy"
+    ~pp:(fun (pre, body, post) -> Printf.sprintf "%S ^ %S ^ %S" pre body post)
+    gen
+    (fun (pre, body, post) ->
+      outcome ~off:(String.length pre) ~len:(String.length body) (pre ^ body ^ post) = outcome body)
+
+(* Receive path ------------------------------------------------------------
+
+   Random valid requests written as one stream and split at random
+   chunk sizes — single bytes included, so heads and bodies straddle
+   reads, and later requests arrive pipelined behind earlier ones —
+   must read and decode exactly as each request read alone. *)
+
+type wire_request = { text : string; expect_path : string }
+
+let wire_request_gen rng =
+  let pick xs = List.nth xs (Rng.int rng (List.length xs)) in
+  let number () =
+    if Rng.int rng 3 = 0 then string_of_int (Rng.int rng 200 - 100)
+    else Printf.sprintf "%.17g" (Rng.uniform rng ~lo:(-3.) ~hi:3.)
+  in
+  let row cols = "[" ^ String.concat "," (List.init cols (fun _ -> number ())) ^ "]" in
+  let cols = 1 + Rng.int rng 16 in
+  (* Up to 60 rows of 16: bodies past the buffer's initial 4 KiB. *)
+  let body =
+    match Rng.int rng 4 with
+    | 0 -> ""
+    | 1 -> {|{"series":|} ^ row cols ^ "}"
+    | _ -> {|{"batch":[|} ^ String.concat "," (List.init (1 + Rng.int rng 60) (fun _ -> row cols)) ^ "]}"
+  in
+  let path = pick [ "/v1/logits"; "/v1/predict"; "/healthz"; "/x" ] in
+  let query = pick [ ""; "?a=1"; "?" ] in
+  let meth = if body = "" then pick [ "GET"; "POST" ] else "POST" in
+  let extra =
+    List.init (Rng.int rng 3) (fun i -> Printf.sprintf "X-Extra-%d:%s v%d " i (pick [ ""; " " ]) i)
+  in
+  let headers =
+    ("Host: localhost" :: extra)
+    @ if body = "" && Rng.bool rng then [] else [ Printf.sprintf "Content-Length: %d" (String.length body) ]
+  in
+  let version = pick [ "HTTP/1.1"; "HTTP/1.0" ] in
+  {
+    text =
+      Printf.sprintf "%s %s%s %s\r\n%s\r\n\r\n%s" meth path query version
+        (String.concat "\r\n" headers) body;
+    expect_path = path;
+  }
+
+(* What the server sees of one request: its parsed head and its block
+   (or the decode error). *)
+let received c =
+  let r = Serve.read_request c in
+  let block =
+    if r.Serve.body_len = 0 then None
+    else
+      Some
+        (match Serve.decode_request ~max_rows:1024 c r with
+        | b ->
+            Ok
+              ( b.Serve.single,
+                b.Serve.rows,
+                b.Serve.cols,
+                List.init (b.Serve.rows * b.Serve.cols) (fun i ->
+                    Int64.bits_of_float (Float.Array.get b.Serve.data i)) )
+        | exception Failure msg -> Error msg)
+  in
+  (r.Serve.meth, r.Serve.path, r.Serve.http11, r.Serve.headers, r.Serve.body_len, block)
+
+(* Write [chunks] of [stream] into one end of a socket pair from a
+   thread, closing it after the last, while [f] reads the other end. *)
+let with_stream stream chunks f =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        ignore
+          (List.fold_left
+             (fun off len ->
+               let len = min len (String.length stream - off) in
+               if len > 0 then ignore (Unix.write_substring w stream off len);
+               off + len)
+             0 chunks);
+        Unix.close w)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join writer;
+      Unix.close r)
+    (fun () -> f (Serve.conn ~max_body:(1 lsl 20) r))
+
+let read_alone req =
+  with_stream req.text [ String.length req.text ] (fun c ->
+      let got = received c in
+      (match Serve.read_request c with
+      | _ -> Alcotest.fail "a second request out of one"
+      | exception End_of_file -> ());
+      got)
+
+let test_split_stream () =
+  let gen rng =
+    let reqs = List.init (1 + Rng.int rng 5) (fun _ -> wire_request_gen rng) in
+    let total = List.fold_left (fun n r -> n + String.length r.text) 0 reqs in
+    let mode = Rng.int rng 3 in
+    let rec chunks left =
+      if left <= 0 then []
+      else
+        let k =
+          match mode with
+          | 0 -> 1
+          | 1 -> 1 + Rng.int rng 16
+          | _ -> if Rng.bool rng then 1 else 1 + Rng.int rng 5000
+        in
+        k :: chunks (left - k)
+    in
+    (reqs, chunks total)
+  in
+  Qgen.check ~count:150 ~name:"split, pipelined stream = requests read alone"
+    ~pp:(fun (reqs, chunks) ->
+      Printf.sprintf "%d requests in %d chunks: %s" (List.length reqs) (List.length chunks)
+        (String.concat "" (List.map (fun r -> r.text) reqs)))
+    gen
+    (fun (reqs, chunks) ->
+      let stream = String.concat "" (List.map (fun r -> r.text) reqs) in
+      let alone = List.map read_alone reqs in
+      List.iter
+        (fun ((_, path, _, _, _, _), r) -> Alcotest.(check string) "path" r.expect_path path)
+        (List.combine alone reqs);
+      with_stream stream chunks (fun c ->
+          List.for_all (fun a -> received c = a) alone
+          && match Serve.read_request c with _ -> false | exception End_of_file -> true))
 
 (* The old path allocated 68 words per number for this body (the
    parse tree, a substring and boxed float per token, the row lists;
@@ -695,6 +1015,22 @@ let () =
           Alcotest.test_case "threshold flush, concurrent clients" `Quick
             test_parity_threshold_flush;
           Alcotest.test_case "deadline flush" `Quick test_parity_deadline_flush;
+        ] );
+      ( "flush triggers",
+        [
+          Alcotest.test_case "filled block skips a 10 s deadline" `Quick
+            test_fill_flush_skips_deadline;
+          Alcotest.test_case "request over max_batch flushes at once" `Quick
+            test_oversized_request_flushes_at_once;
+          Alcotest.test_case "lone request waits for its deadline" `Quick
+            test_lone_request_waits_for_deadline;
+          Alcotest.test_case "overlapping fill flushes, 64 connections" `Quick
+            test_overlapping_fill_flushes;
+        ] );
+      ( "receive path",
+        [
+          Alcotest.test_case "slice decode = decode of the copy" `Quick test_slice_decode;
+          Alcotest.test_case "split, pipelined stream" `Quick test_split_stream;
         ] );
       ( "robustness",
         [
