@@ -1,5 +1,6 @@
 # JOBS selects the worker count for the pool-parity test suite
-# (exported as POOL_SIZE, read by test/test_pool.ml) and the
+# (exported as POOL_SIZE, read by test/test_pool.ml, and by
+# test/test_serve.ml as the daemon's domain count) and the
 # evaluation pool of the bench harness (ADAPT_PNC_JOBS).
 # Results are worker-count-invariant; only wall-clock changes.
 JOBS ?= 4

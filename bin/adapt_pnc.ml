@@ -525,6 +525,20 @@ let serve_cmd =
     let doc = "Checkpoint poll period for hot reload, in milliseconds (0 disables)." in
     Arg.(value & opt float 500.0 & info [ "reload-every-ms" ] ~docv:"MS" ~doc)
   in
+  let jobs_arg =
+    let doc =
+      "Domains the daemon serves on (default: the runtime's recommended domain count, one per \
+       core, at most 64). Connection handlers are spread round-robin over N domains and every \
+       flushed batch is split over an N-worker compute pool, so the daemon runs 2N domains; 1 \
+       runs everything on one domain. Every domain it spawns runs on a fixed 256 KB minor \
+       heap, so memory stays close to that of a one-domain daemon. A throughput knob only — \
+       served logits are identical for every value."
+    in
+    Arg.(
+      value
+      & opt int Pnc_serve.Serve.default_config.pool_size
+      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  in
   let run load host port max_batch max_delay_ms batch precision reload_ms jobs metrics_out
       trace =
     let precision = Pnc_core.Batch.resolve_precision ?precision () in

@@ -162,7 +162,7 @@ module Histogram = struct
     name : string;
     counts : int Atomic.t array; (* 64 fixed log-scale buckets *)
     n : int Atomic.t;
-    mutable total : float; (* main-domain observers only *)
+    total : float Atomic.t; (* summed with a CAS loop: observers run on any domain *)
   }
 
   let n_buckets = 64
@@ -178,7 +178,7 @@ module Histogram = struct
 
   let upper_bound i = Float.ldexp 1. (i - 32)
   let count t = Atomic.get t.n
-  let sum t = t.total
+  let sum t = Atomic.get t.total
 
   let buckets t =
     let out = ref [] in
@@ -194,7 +194,7 @@ module Histogram = struct
         name;
         counts = Array.init n_buckets (fun _ -> Atomic.make 0);
         n = Atomic.make 0;
-        total = 0.;
+        total = Atomic.make 0.;
       }
     in
     register
@@ -206,20 +206,26 @@ module Histogram = struct
               Array.to_list (buckets t)
               |> List.map (fun (ub, c) -> (Printf.sprintf "le_%.3g" ub, Int c))
             in
-            [ ("kind", Str "histogram"); ("count", Int (count t)); ("sum", Float t.total) ]
+            [ ("kind", Str "histogram"); ("count", Int (count t)); ("sum", Float (sum t)) ]
             @ bucket_fields);
         reset =
           (fun () ->
             Array.iter (fun c -> Atomic.set c 0) t.counts;
             Atomic.set t.n 0;
-            t.total <- 0.);
+            Atomic.set t.total 0.);
       };
     t
 
   let observe t v =
     ignore (Atomic.fetch_and_add t.counts.(bucket_of v) 1);
     ignore (Atomic.fetch_and_add t.n 1);
-    t.total <- t.total +. v
+    (* The CAS compares the boxed float read just before by identity,
+       so it fails exactly when another observer added in between. *)
+    let rec add () =
+      let old = Atomic.get t.total in
+      if not (Atomic.compare_and_set t.total old (old +. v)) then add ()
+    in
+    add ()
 end
 
 let metrics_snapshot () =

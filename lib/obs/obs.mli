@@ -106,6 +106,10 @@ module Histogram : sig
       absorbing under-/overflow. *)
 
   val observe : t -> float -> unit
+  (** Safe to call from any domain: the bucket, the count and the sum
+      are each updated atomically, so concurrent observers lose
+      nothing. *)
+
   val count : t -> int
   val sum : t -> float
 

@@ -1,22 +1,32 @@
 (* Model-serving daemon: HTTP/1.1 over Unix sockets, an admission
    queue that coalesces concurrent requests into micro-batches for
-   Model.logits_batch_t, worker domains from Pnc_util.Pool, checkpoint
-   hot reload, graceful drain on shutdown. See serve.mli and
-   docs/SERVING.md for the contracts.
+   Model.logits_batch_t, handler threads spread over domains, compute
+   fanned out over a Pnc_util.Pool, checkpoint hot reload, graceful
+   drain on shutdown. See serve.mli and docs/SERVING.md for the
+   contracts.
 
-   Threading model: the caller of [run] is the accept loop; each
-   connection gets one systhread (they spend their life blocked in
-   socket I/O or waiting on a reply mailbox, so hundreds are fine); one
-   batcher thread; one optional reload thread polls the checkpoint.
-   Flushing is event-driven: the handler whose request brings the
-   queue to [max_batch] rows takes the full groups and computes them
-   on its own thread, and the batcher only sleeps until the queue
-   head's deadline and flushes what no request filled (and, at stop,
-   everything). Batch compute runs on the flushing thread, or fanned
-   out across Pool worker domains when [pool_size > 1] — row-chunking
-   a batch is bit-identical to computing it whole (the batched-kernel
-   parity contract), so neither the flusher nor the fan-out ever
-   changes a served number.
+   Threading model: connection handlers run on [n = max 1 pool_size]
+   domains. The caller of [run] is the accept loop and hands accepted
+   connections round-robin to the [n] domains, its own included; each
+   other domain runs a spawner that starts the handler systhread of
+   every connection handed to it inside that domain. So reading,
+   decoding, fill flushes and reply rendering for different
+   connections run in parallel, one connection per systhread (they
+   spend their life blocked in socket I/O or waiting on a reply
+   mailbox, so hundreds are fine). One batcher thread and one optional
+   reload thread run on the caller's domain. Flushing is event-driven:
+   the handler whose request brings the queue to [max_batch] rows
+   takes the full groups and computes them on its own thread, and the
+   batcher only sleeps until the queue head's deadline and flushes
+   what no request filled (and, at stop, everything). Batch compute is
+   fanned out across an [n]-worker Pool when [n > 1]: the clients
+   whose requests share a block all wait on it, so while it computes
+   the other domains have little to do, and splitting it is what keeps
+   [n] cores busy. Row-chunking a batch is bit-identical to computing
+   it whole (the batched-kernel parity contract), so neither the
+   flusher nor the fan-out ever changes a served number. The domains
+   [run] spawns run on a fixed small minor heap ([minor_heap_words]),
+   so resident memory barely grows with [n].
 
    Copies: a connection reads into one byte buffer it owns; the body
    is decoded where it lies, straight into the connection's float
@@ -58,6 +68,11 @@ type config = {
   max_rows : int;
 }
 
+(* [run] uses [2 x pool_size] domains: the caller's, [pool_size - 1]
+   handler domains and a [pool_size]-worker pool. OCaml 5.1 runs at
+   most 128 domains in a process (Max_domains). *)
+let max_pool_size = 64
+
 let default_config =
   {
     host = "127.0.0.1";
@@ -66,7 +81,7 @@ let default_config =
     max_delay_s = 2e-3;
     batch_size = None;
     precision = `Exact;
-    pool_size = 0;
+    pool_size = min max_pool_size (Domain.recommended_domain_count ());
     reload_every_s = 0.5;
     max_body = 4 * 1024 * 1024;
     max_rows = 1024;
@@ -122,7 +137,8 @@ type t = {
   q : pending Queue.t;
   mutable q_rows : int;
   inflight : int Atomic.t; (* rows admitted, response not yet written *)
-  pool : Pool.t option;
+  (* the compute pool, started by [run] before any thread that reads it *)
+  mutable pool : Pool.t option;
   stop_flag : bool Atomic.t;
   (* connection registry, for kicking idle keep-alive readers at stop,
      and the live-handler count the drain waits on *)
@@ -153,6 +169,12 @@ let stat_sig path =
   | exception Unix.Unix_error _ -> None
 
 let create ?(config = default_config) ~checkpoint () =
+  if config.pool_size > max_pool_size then
+    Error
+      (Printf.sprintf
+         "pool_size %d: the daemon runs 2 x pool_size domains, and OCaml at most 128 (pool_size <= %d)"
+         config.pool_size max_pool_size)
+  else
   match Persist.load_model ~path:checkpoint with
   | Error e ->
       Error
@@ -179,9 +201,6 @@ let create ?(config = default_config) ~checkpoint () =
           let actual_port =
             match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> config.port
           in
-          let pool =
-            if config.pool_size > 1 then Some (Pool.create ~size:config.pool_size ()) else None
-          in
           Ok
             {
               cfg = config;
@@ -198,7 +217,7 @@ let create ?(config = default_config) ~checkpoint () =
               q = Queue.create ();
               q_rows = 0;
               inflight = Atomic.make 0;
-              pool;
+              pool = None;
               stop_flag = Atomic.make false;
               conn_mu = Mutex.create ();
               handlers_done = Condition.create ();
@@ -690,6 +709,11 @@ let batch_input buf ~rows ~cols =
     x
   end
 
+(* Which of the daemon's domains the current thread runs on: 0 for the
+   caller of [run], 1 .. n-1 for the handler domains it spawns. Read
+   only for telemetry. *)
+let domain_index : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
+
 let flush t buf ~trigger group =
   let t0 = Clock.now () in
   Mutex.lock t.model_mu;
@@ -727,6 +751,7 @@ let flush t buf ~trigger group =
         ("cols", Obs.Int (Tensor.cols x));
         ("model_version", Obs.Int version);
         ("trigger", Obs.Str (trigger_name trigger));
+        ("domain", Obs.Int (Domain.DLS.get domain_index));
         ("compute_s", Obs.Float (Clock.elapsed t0));
       ]
 
@@ -986,6 +1011,47 @@ let stop t =
   Condition.broadcast t.q_cv;
   Mutex.unlock t.q_mu
 
+(* The minor heap, in words, of each domain [run] spawns (handler
+   domains and pool workers): 32k words (256 KB) in place of the
+   runtime's 256k (2 MB), which a spawned OCaml 5 domain gets whatever
+   its parent set. What a request allocates dies young (a 10 s
+   benchmark run promotes 0.25 of 145 Mwords), so the smaller heap
+   costs few promotions, and the [2n - 1] spawned domains hold little
+   more memory than the caller's alone. *)
+let minor_heap_words = 32 * 1024
+
+(* A handler domain's inbox: [run] hands it each accepted socket, then
+   [None] once no more will come. *)
+type lane = { l_mu : Mutex.t; l_cv : Condition.t; l_fds : Unix.file_descr option Queue.t }
+
+let hand_over l fd =
+  Mutex.lock l.l_mu;
+  Queue.push fd l.l_fds;
+  Condition.signal l.l_cv;
+  Mutex.unlock l.l_mu
+
+(* The body of handler domain [i]: start a handler thread for each
+   socket handed over, until [None]. A domain whose body has returned
+   ends only after every thread it started has, so joining the domain
+   joins its handlers. *)
+let spawner t i l () =
+  Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words };
+  Domain.DLS.set domain_index i;
+  let rec next () =
+    Mutex.lock l.l_mu;
+    while Queue.is_empty l.l_fds do
+      Condition.wait l.l_cv l.l_mu
+    done;
+    let fd = Queue.pop l.l_fds in
+    Mutex.unlock l.l_mu;
+    match fd with
+    | Some fd ->
+        ignore (Thread.create (handle_conn t) fd);
+        next ()
+    | None -> ()
+  in
+  next ()
+
 let run ?(handle_signals = true) t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if handle_signals then begin
@@ -996,6 +1062,33 @@ let run ?(handle_signals = true) t =
     Sys.set_signal Sys.sigint h;
     Sys.set_signal Sys.sigterm h
   end;
+  let n = max 1 t.cfg.pool_size in
+  let lanes =
+    Array.init (n - 1) (fun _ ->
+        { l_mu = Mutex.create (); l_cv = Condition.create (); l_fds = Queue.create () })
+  in
+  let domains = ref [] in
+  (* Each spawner leaves at [None]; its domain then ends once the
+     handler threads it started have. *)
+  let join_domains () =
+    Array.iter (fun l -> hand_over l None) lanes;
+    List.iter Domain.join !domains;
+    Option.iter Pool.shutdown t.pool
+  in
+  (match
+     if n > 1 then t.pool <- Some (Pool.create ~size:n ~minor_heap_size:minor_heap_words ());
+     Array.iteri (fun i l -> domains := Domain.spawn (spawner t (i + 1) l) :: !domains) lanes
+   with
+  | () -> ()
+  | exception e ->
+      (* Other domains in the process can leave too few for ours
+         ([Pool.create] stops its own workers when it fails). No
+         connection has been accepted yet, so the domains started end
+         at once; closing the socket refuses clients instead of
+         leaving them unanswered. *)
+      join_domains ();
+      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+      raise e);
   let batcher_thread = Thread.create batcher t in
   let reload_thread =
     if t.cfg.reload_every_s > 0. then Some (Thread.create reloader t) else None
@@ -1007,9 +1100,12 @@ let run ?(handle_signals = true) t =
         ("max_batch", Obs.Int t.cfg.max_batch);
         ("max_delay_s", Obs.Float t.cfg.max_delay_s);
         ("pool_size", Obs.Int t.cfg.pool_size);
+        ("domains", Obs.Int n);
       ];
   (* Accept loop: select with a short timeout so a signal-flipped stop
-     flag is noticed promptly. *)
+     flag is noticed promptly. Connection [k] goes to domain [k mod n],
+     0 being this one. *)
+  let accepted = ref 0 in
   while not (Atomic.get t.stop_flag) do
     match Unix.select [ t.listen_fd ] [] [] 0.05 with
     | [ _ ], _, _ -> (
@@ -1020,7 +1116,10 @@ let run ?(handle_signals = true) t =
             t.conns <- fd :: t.conns;
             t.live_handlers <- t.live_handlers + 1;
             Mutex.unlock t.conn_mu;
-            ignore (Thread.create (handle_conn t) fd)
+            let d = !accepted mod n in
+            incr accepted;
+            if d = 0 then ignore (Thread.create (handle_conn t) fd)
+            else hand_over lanes.(d - 1) (Some fd)
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -1038,7 +1137,9 @@ let run ?(handle_signals = true) t =
   Thread.join batcher_thread;
   Option.iter Thread.join reload_thread;
   (* Kick idle keep-alive readers off their blocking reads, then wait
-     until every handler has finished. *)
+     until every handler has finished. A socket still waiting in a
+     lane is counted live already; its handler starts, finds the
+     socket shut down and leaves. *)
   Mutex.lock t.conn_mu;
   List.iter
     (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
@@ -1047,7 +1148,7 @@ let run ?(handle_signals = true) t =
     Condition.wait t.handlers_done t.conn_mu
   done;
   Mutex.unlock t.conn_mu;
-  Option.iter Pool.shutdown t.pool;
+  join_domains ();
   if Obs.enabled () then
     Obs.emit "serve.stop"
       [

@@ -4,7 +4,8 @@
     inference engine: a TCP (HTTP/1.1 over [Unix]) daemon that admits
     concurrent JSON requests into a shared queue, coalesces them into
     blocks for {!Pnc_core.Model.logits_batch_t} and fans the compute
-    out over {!Pnc_util.Pool} worker domains. A block is flushed by
+    out over {!Pnc_util.Pool} worker domains. Connection handlers are
+    spread round-robin over [pool_size] domains. A block is flushed by
     the request that brings the queued row count to [max_batch], on
     its own handler thread, or by the batcher thread once the oldest
     queued request has waited [max_delay_s].
@@ -65,8 +66,14 @@ type config = {
           and in /healthz so clients can tell a [`Fast] deployment's
           logits carry the ≤1e-7 approximation *)
   pool_size : int;
-      (** worker domains for batch compute ([<= 1] computes inline on
-          the batcher thread) *)
+      (** the domains the daemon runs on: connection handlers are
+          spread round-robin over [max 1 pool_size] domains, and when
+          [pool_size > 1] each flushed block is split over a
+          [pool_size]-worker {!Pnc_util.Pool}. [<= 1] runs the whole
+          daemon on the caller's domain, computing each block whole on
+          the thread that flushes it. The daemon runs [2 x pool_size]
+          domains and OCaml 5.1 at most 128, so {!create} refuses a
+          [pool_size] above 64. *)
   reload_every_s : float;
       (** checkpoint poll period for hot reload ([<= 0] disables it) *)
   max_body : int;  (** request body size cap, bytes *)
@@ -75,7 +82,8 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:8080], [max_batch = 64], [max_delay_s = 2e-3],
-    [batch_size = None], [precision = `Exact], [pool_size = 0],
+    [batch_size = None], [precision = `Exact],
+    [pool_size = min 64 (Domain.recommended_domain_count ())],
     [reload_every_s = 0.5], [max_body = 4 MiB], [max_rows = 1024]. *)
 
 type t
@@ -83,8 +91,8 @@ type t
 val create : ?config:config -> checkpoint:string -> unit -> (t, string) result
 (** Load the model from [checkpoint] ({!Pnc_core.Persist.load_model};
     kind ["model"] or ["train"]), bind and listen. No thread is started
-    until {!run}. [Error] carries a printable reason (unreadable
-    checkpoint, bind failure). *)
+    until {!run}. [Error] carries a printable reason ([pool_size] above
+    64, unreadable checkpoint, bind failure). *)
 
 val port : t -> int
 (** The bound port — the kernel-assigned one when [config.port = 0]. *)
@@ -102,12 +110,20 @@ val run : ?handle_signals:bool -> t -> unit
 (** Serve until {!stop} is called (or, with [handle_signals], until
     SIGINT/SIGTERM). Blocks the calling thread: it becomes the accept
     loop, with one handler thread per connection, one batcher thread
-    and (if enabled) one reload thread. A handler whose request brings
-    the queue to [max_batch] rows computes the full blocks itself
-    (flush trigger [fill]); the batcher flushes the queue head at its
-    deadline ([deadline]) and everything left at stop ([drain]).
-    Returns after the graceful drain completes; every thread is joined
-    and every socket closed.
+    and (if enabled) one reload thread. With [n = pool_size > 1] it
+    also starts [n - 1] handler domains, which take every connection
+    [k] with [k mod n <> 0] (the rest stay on the caller's domain),
+    and an [n]-worker compute pool. Each of these domains runs on a
+    fixed 32k-word minor heap, so resident memory barely grows with
+    [n]; the caller's domain is left as it is. A handler whose request
+    brings the queue to [max_batch] rows computes the full blocks
+    itself (flush trigger [fill]); the batcher flushes the queue head
+    at its deadline ([deadline]) and everything left at stop
+    ([drain]). Returns after the graceful drain completes; every
+    thread and every domain it started is joined and every socket
+    closed. Raises [Failure] if the process has too few domains left
+    to start its own, after ending those it did start and closing the
+    listening socket.
     [handle_signals] (default [true]) also ignores SIGPIPE and maps
     SIGINT/SIGTERM to {!stop}; pass [false] when embedding the server
     in a test harness (SIGPIPE is still ignored). *)

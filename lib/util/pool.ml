@@ -24,8 +24,9 @@ let default_size () = Stdlib.max 0 (Domain.recommended_domain_count () - 1)
    eagerly instead of wedging. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let worker_loop pool w () =
+let worker_loop pool w minor_heap_size () =
   Domain.DLS.set in_worker true;
+  Option.iter (fun words -> Gc.set { (Gc.get ()) with minor_heap_size = words }) minor_heap_size;
   let rec next () =
     Mutex.lock pool.mutex;
     let rec take () =
@@ -54,7 +55,7 @@ let worker_loop pool w () =
   in
   next ()
 
-let create ?size () =
+let create ?size ?minor_heap_size () =
   let size = match size with Some s -> s | None -> default_size () in
   if size < 0 then invalid_arg "Pool.create: negative size";
   let slots = Stdlib.max 1 size in
@@ -72,7 +73,23 @@ let create ?size () =
       busy_s = Array.make slots 0.;
     }
   in
-  if size > 1 then pool.workers <- Array.init size (fun w -> Domain.spawn (worker_loop pool w));
+  if size > 1 then begin
+    let started = ref [] in
+    (try
+       for w = 0 to size - 1 do
+         started := Domain.spawn (worker_loop pool w minor_heap_size) :: !started
+       done
+     with e ->
+       (* The runtime ran out of domains: stop the workers already
+          started, so a failed [create] leaves none behind. *)
+       Mutex.lock pool.mutex;
+       pool.stop <- true;
+       Condition.broadcast pool.has_work;
+       Mutex.unlock pool.mutex;
+       List.iter Domain.join !started;
+       raise e);
+    pool.workers <- Array.of_list (List.rev !started)
+  end;
   pool
 
 let size pool = pool.size

@@ -70,6 +70,35 @@ let test_histogram () =
   Alcotest.(check (float 0.)) "second bucket ub" 4. ub1;
   Alcotest.(check int) "second bucket count" 2 c1
 
+(* Observers on four domains at once: every observation lands. The
+   values are powers of two, so each partial sum is exact and any lost
+   update shows as a wrong total. *)
+let test_histogram_across_domains () =
+  let h = Obs.Histogram.make "test.histogram_domains" in
+  let per_domain = 10_000 in
+  let values = [| 0.25; 0.5; 1.; 2. |] in
+  let go = Atomic.make false in
+  let domains =
+    Array.map
+      (fun v ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            for _ = 1 to per_domain do
+              Obs.Histogram.observe h v
+            done))
+      values
+  in
+  Atomic.set go true;
+  Array.iter Domain.join domains;
+  Alcotest.(check int) "count" (4 * per_domain) (Obs.Histogram.count h);
+  Alcotest.(check (float 0.)) "sum" (float_of_int per_domain *. 3.75) (Obs.Histogram.sum h);
+  Alcotest.(check (array (pair (float 0.) int)))
+    "one bucket per value"
+    (Array.map (fun v -> (2. *. v, per_domain)) values)
+    (Obs.Histogram.buckets h)
+
 let test_enabled_flag () =
   Alcotest.(check bool) "disabled by default" false (Obs.enabled ());
   let events = with_memory_sink (fun () -> Alcotest.(check bool) "enabled inside" true (Obs.enabled ())) in
@@ -636,6 +665,7 @@ let () =
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram buckets" `Quick test_histogram;
+          Alcotest.test_case "histogram across 4 domains" `Quick test_histogram_across_domains;
           Alcotest.test_case "enabled flag" `Quick test_enabled_flag;
           Alcotest.test_case "emit routing" `Quick test_emit_routing;
           Alcotest.test_case "span nesting + exceptions" `Quick test_span_nesting_and_exceptions;

@@ -332,6 +332,26 @@ let test_reseeded_run_reproduces_draw_sequence () =
   let v2 = Mc_loss.expected_value ~rng:(Rng.create ~seed:13) ~spec ~n model ~x ~labels in
   Alcotest.(check bool) "re-seeded MC estimate identical" true (v1 = v2)
 
+(* Each domain has its own minor heap: workers started with
+   [~minor_heap_size] run on that size, and a default pool's workers on
+   the runtime's default, which this (main) domain was given too. *)
+let test_worker_minor_heap () =
+  let default = (Gc.get ()).minor_heap_size in
+  let worker_heaps ?minor_heap_size () =
+    let pool = Pool.create ~size:2 ?minor_heap_size () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    (* Enough slow-ish tasks that both workers take some. *)
+    Pool.init pool ~n:16 (fun _ ->
+        Unix.sleepf 1e-3;
+        (Gc.get ()).minor_heap_size)
+  in
+  let requested = if default = 32 * 1024 then 64 * 1024 else 32 * 1024 in
+  Array.iter
+    (fun w -> Alcotest.(check int) "worker with ~minor_heap_size" requested w)
+    (worker_heaps ~minor_heap_size:requested ());
+  Array.iter (fun w -> Alcotest.(check int) "default worker" default w) (worker_heaps ());
+  Alcotest.(check int) "caller's heap untouched" default (Gc.get ()).minor_heap_size
+
 let () =
   Alcotest.run "pnc_pool"
     [
@@ -343,6 +363,7 @@ let () =
           Alcotest.test_case "shutdown joins + rejects" `Quick test_shutdown_joins_and_rejects;
           Alcotest.test_case "1000 tiny tasks" `Quick test_stress_many_tiny_tasks;
           Alcotest.test_case "nested submit rejected" `Quick test_nested_submit_rejected;
+          Alcotest.test_case "worker minor heap size" `Quick test_worker_minor_heap;
         ] );
       ( "parity",
         [

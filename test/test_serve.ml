@@ -7,7 +7,12 @@
    parity test below pins one flush trigger — per-request batches
    (max_batch = 1), the size threshold under concurrent load, and the
    deadline under a single in-flight request — plus hot reload,
-   malformed-body survival, kill-and-restart and a drain check. *)
+   malformed-body survival, kill-and-restart and a drain check.
+
+   The POOL_SIZE environment variable (default 4) sets the daemon's
+   domain count in every suite that does not test a count of its own,
+   so `make check JOBS=1` and `JOBS=4` serve them from one domain and
+   from four. *)
 
 module T = Pnc_tensor.Tensor
 module Rng = Pnc_util.Rng
@@ -16,6 +21,11 @@ module Network = Pnc_core.Network
 module Persist = Pnc_core.Persist
 module Serve = Pnc_serve.Serve
 module Json = Pnc_obs.Obs.Json
+
+let env_pool_size =
+  match Sys.getenv_opt "POOL_SIZE" with
+  | Some s -> ( try int_of_string (String.trim s) with _ -> 4)
+  | None -> 4
 
 let cols = 8
 let classes = 3
@@ -81,7 +91,15 @@ let test_parity_per_request () =
   let ckpt = fresh_ckpt () in
   let model = make_model 42 in
   save_model ckpt model;
-  let config = { Serve.default_config with max_batch = 1; max_delay_s = 1.0; reload_every_s = 0. } in
+  let config =
+    {
+      Serve.default_config with
+      max_batch = 1;
+      max_delay_s = 1.0;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
+  in
   with_server ~config ckpt (fun srv ->
       with_conn srv (fun c ->
           let rng = Rng.create ~seed:7 in
@@ -110,7 +128,13 @@ let test_parity_threshold_flush () =
   let model = make_model 43 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 4; max_delay_s = 0.25; reload_every_s = 0.; pool_size = 2 }
+    {
+      Serve.default_config with
+      max_batch = 4;
+      max_delay_s = 0.25;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       let rng = Rng.create ~seed:11 in
@@ -140,7 +164,13 @@ let test_parity_deadline_flush () =
   let model = make_model 44 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 1024; max_delay_s = 0.005; reload_every_s = 0. }
+    {
+      Serve.default_config with
+      max_batch = 1024;
+      max_delay_s = 0.005;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       with_conn srv (fun c ->
@@ -201,7 +231,13 @@ let test_fill_flush_skips_deadline () =
   let model = make_model 56 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 2; max_delay_s = 10.; reload_every_s = 0. }
+    {
+      Serve.default_config with
+      max_batch = 2;
+      max_delay_s = 10.;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       let before = deadline_flushes srv in
@@ -236,7 +272,13 @@ let test_oversized_request_flushes_at_once () =
   let model = make_model 58 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 2; max_delay_s = 10.; reload_every_s = 0. }
+    {
+      Serve.default_config with
+      max_batch = 2;
+      max_delay_s = 10.;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       let before = deadline_flushes srv in
@@ -260,7 +302,13 @@ let test_lone_request_waits_for_deadline () =
   let model = make_model 60 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 64; max_delay_s = 0.05; reload_every_s = 0. }
+    {
+      Serve.default_config with
+      max_batch = 64;
+      max_delay_s = 0.05;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       let before = deadline_flushes srv in
@@ -284,7 +332,7 @@ let test_lone_request_waits_for_deadline () =
       Alcotest.(check int) "deadline flushes" (before + n) (deadline_flushes srv));
   Sys.remove ckpt
 
-(* 64 connections against max_batch = 4 and a 2-domain pool: many
+(* 64 connections against max_batch = 4 and a POOL_SIZE-domain daemon: many
    handlers flush full blocks at once, each on its own batch tensor,
    while the batcher takes the stragglers. Every row stays bit-exact. *)
 let test_overlapping_fill_flushes () =
@@ -292,7 +340,13 @@ let test_overlapping_fill_flushes () =
   let model = make_model 62 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 4; max_delay_s = 0.002; reload_every_s = 0.; pool_size = 2 }
+    {
+      Serve.default_config with
+      max_batch = 4;
+      max_delay_s = 0.002;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       let failures = Atomic.make 0 in
@@ -325,7 +379,7 @@ let test_malformed_bodies () =
   let ckpt = fresh_ckpt () in
   let model = make_model 45 in
   save_model ckpt model;
-  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = env_pool_size } in
   with_server ~config ckpt (fun srv ->
       with_conn srv (fun c ->
           let post body =
@@ -670,7 +724,7 @@ let test_deep_nesting_body () =
   let ckpt = fresh_ckpt () in
   let model = make_model 53 in
   save_model ckpt model;
-  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = env_pool_size } in
   with_server ~config ckpt (fun srv ->
       with_conn srv (fun c ->
           let body = String.make config.Serve.max_body '[' in
@@ -697,7 +751,13 @@ let test_hot_reload_mid_load conns () =
   let model_b = make_model 47 in
   save_model ckpt model_a;
   let config =
-    { Serve.default_config with max_batch = 4; max_delay_s = 0.002; reload_every_s = 0.02 }
+    {
+      Serve.default_config with
+      max_batch = 4;
+      max_delay_s = 0.002;
+      reload_every_s = 0.02;
+      pool_size = env_pool_size;
+    }
   in
   with_server ~config ckpt (fun srv ->
       (* Sanity before the swap. *)
@@ -770,7 +830,15 @@ let test_kill_and_restart () =
   let ckpt = fresh_ckpt () in
   let model = make_model 48 in
   save_model ckpt model;
-  let config = { Serve.default_config with max_batch = 2; max_delay_s = 0.002; reload_every_s = 0. } in
+  let config =
+    {
+      Serve.default_config with
+      max_batch = 2;
+      max_delay_s = 0.002;
+      reload_every_s = 0.;
+      pool_size = env_pool_size;
+    }
+  in
   let row = random_row (Rng.create ~seed:9) in
   let expect = (offline model [| row |]).(0) in
   let first_port = ref 0 in
@@ -837,7 +905,7 @@ let test_concurrent_drain () =
 let test_handler_churn () =
   let ckpt = fresh_ckpt () in
   save_model ckpt (make_model 50);
-  let config = { Serve.default_config with reload_every_s = 0. } in
+  let config = { Serve.default_config with reload_every_s = 0.; pool_size = env_pool_size } in
   with_server ~config ckpt (fun srv ->
       let rng = Rng.create ~seed:51 in
       for _ = 1 to 200 do
@@ -850,6 +918,200 @@ let test_handler_churn () =
         Thread.delay 1e-3
       done;
       Alcotest.(check int) "no live handlers after churn" 0 (Serve.live_handlers srv));
+  Sys.remove ckpt
+
+(* Domains ------------------------------------------------------------------
+
+   The daemon runs on [pool_size] domains: connection k's handler runs
+   on domain k mod n, and [run] joins every domain it started. *)
+
+(* Two connections on a 2-domain daemon, max_batch = 1: every request
+   fills its own block and its handler computes it, so the serve.batch
+   events name both domains, three flushes each. *)
+let test_flushes_spread_over_domains () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 63 in
+  save_model ckpt model;
+  let config =
+    { Serve.default_config with max_batch = 1; max_delay_s = 10.; reload_every_s = 0.; pool_size = 2 }
+  in
+  let mu = Mutex.create () and started = ref [] and flushed = ref [] in
+  let int_field name fields =
+    match List.assoc_opt name fields with
+    | Some (Obs.Int d) -> d
+    | _ -> Alcotest.failf "event without an int %s field" name
+  in
+  let write ~t:_ ~seq:_ ~name fields =
+    Mutex.lock mu;
+    (match name with
+    | "serve.start" -> started := int_field "domains" fields :: !started
+    | "serve.batch" -> flushed := int_field "domain" fields :: !flushed
+    | _ -> ());
+    Mutex.unlock mu
+  in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) (fun () ->
+      with_server ~config ckpt (fun srv ->
+          let rng = Rng.create ~seed:64 in
+          let c0 = Serve.Client.connect ~port:(Serve.port srv) () in
+          let c1 = Serve.Client.connect ~port:(Serve.port srv) () in
+          Fun.protect
+            ~finally:(fun () -> List.iter Serve.Client.close [ c0; c1 ])
+            (fun () ->
+              for i = 1 to 3 do
+                List.iter
+                  (fun c ->
+                    let row = random_row rng in
+                    let _, got = ok "spread" (Serve.Client.logits c row) in
+                    check_bits (Printf.sprintf "request %d" i) (offline model [| row |]).(0) got)
+                  [ c0; c1 ]
+              done)));
+  Alcotest.(check (list int)) "serve.start domains" [ 2 ] !started;
+  Alcotest.(check (list int)) "serve.batch domains" [ 0; 0; 0; 1; 1; 1 ] (List.sort compare !flushed);
+  Sys.remove ckpt
+
+(* Start, serve and stop a 2-domain daemon 50 times. Each cycle starts
+   one handler domain and two pool workers, so a [run] that left them
+   running would pass OCaml 5.1's limit of 128 domains within the
+   loop. Each cycle answers requests on two connections, one per
+   domain, and stops while four clients keep requests in flight: an
+   admitted request gets its bit-exact logits, a late one a 503 or a
+   closed connection. *)
+let test_no_domain_leak () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 65 in
+  save_model ckpt model;
+  let config =
+    { Serve.default_config with max_batch = 4; max_delay_s = 0.002; reload_every_s = 0.; pool_size = 2 }
+  in
+  let rng = Rng.create ~seed:66 in
+  let rows = Array.init 8 (fun _ -> random_row rng) in
+  let expect = offline model rows in
+  for cycle = 1 to 50 do
+    let answered = Atomic.make 0 and bad = Atomic.make 0 in
+    let client ~port k () =
+      match Serve.Client.connect ~port () with
+      | exception Unix.Unix_error _ -> ()
+      | c ->
+          let rec loop i =
+            let row = (k + i) mod Array.length rows in
+            match Serve.Client.logits c rows.(row) with
+            | Ok (_, got) ->
+                if Array.for_all2 (fun e g -> Int64.bits_of_float e = Int64.bits_of_float g)
+                     expect.(row) got
+                then Atomic.incr answered
+                else Atomic.incr bad;
+                loop (i + 1)
+            | Error msg -> if count_sub msg "HTTP 503" = 0 then Atomic.incr bad
+            | exception (Unix.Unix_error _ | End_of_file | Failure _) -> ()
+          in
+          loop 0;
+          Serve.Client.close c
+    in
+    let clients, srv =
+      with_server ~config ckpt (fun srv ->
+          let port = Serve.port srv in
+          (* Connections 0 and 1 land on domains 0 and 1. *)
+          with_conn srv (fun c0 ->
+              with_conn srv (fun c1 ->
+                  List.iteri
+                    (fun i c ->
+                      let _, got = ok "cycle" (Serve.Client.logits c rows.(i)) in
+                      check_bits (Printf.sprintf "cycle %d, connection %d" cycle i) expect.(i) got)
+                    [ c0; c1 ]));
+          let clients = List.init 4 (fun k -> Thread.create (client ~port k) ()) in
+          let deadline = Unix.gettimeofday () +. 10. in
+          while Atomic.get answered < 4 do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.failf "cycle %d: clients answered %d requests in 10 s" cycle
+                (Atomic.get answered);
+            Thread.delay 1e-3
+          done;
+          (clients, srv))
+    in
+    Alcotest.(check int) (Printf.sprintf "cycle %d: live handlers after run" cycle) 0
+      (Serve.live_handlers srv);
+    List.iter Thread.join clients;
+    Alcotest.(check int) (Printf.sprintf "cycle %d: bad replies" cycle) 0 (Atomic.get bad)
+  done;
+  Sys.remove ckpt
+
+(* The daemon runs 2 x pool_size domains and OCaml 5.1 at most 128:
+   [create] refuses a larger [pool_size] before any socket is bound,
+   and the default fits. *)
+let test_pool_size_over_limit_rejected () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 67);
+  let config = { Serve.default_config with port = 0; pool_size = 65 } in
+  (match Serve.create ~config ~checkpoint:ckpt () with
+  | Ok _ -> Alcotest.fail "pool_size 65 accepted"
+  | Error msg ->
+      Alcotest.(check bool) ("error names the limit: " ^ msg) true (count_sub msg "<= 64" > 0));
+  Alcotest.(check bool) "default fits" true (Serve.default_config.pool_size <= 64);
+  Sys.remove ckpt
+
+(* When the process has too few domains left for the daemon, [run]
+   raises instead of serving, after ending the domains it did start
+   and closing its socket. A 2-domain daemon spawns three: two pool
+   workers, then one handler domain. The test holds every domain slot
+   but [free]: with one free, the pool's second worker fails; with
+   two, the handler domain. Either way the slots are free again once
+   [run] has raised. *)
+let test_spawn_failure_cleans_up free () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 68);
+  let config = { Serve.default_config with port = 0; reload_every_s = 0.; pool_size = 2 } in
+  let srv =
+    match Serve.create ~config ~checkpoint:ckpt () with
+    | Ok srv -> srv
+    | Error msg -> Alcotest.failf "Serve.create: %s" msg
+  in
+  (* A gate parks the domains spawned on it until it is released. *)
+  let gates = ref [] in
+  let gate () =
+    let m = Mutex.create () in
+    Mutex.lock m;
+    let g = (m, ref [], ref true) in
+    gates := g :: !gates;
+    g
+  in
+  let park (m, ds, _) = ds := Domain.spawn (fun () -> Mutex.lock m; Mutex.unlock m) :: !ds in
+  let release (m, ds, shut) =
+    if !shut then begin
+      shut := false;
+      Mutex.unlock m;
+      List.iter Domain.join !ds
+    end
+  in
+  let spare = gate () and rest = gate () and probe = gate () in
+  Fun.protect
+    ~finally:(fun () -> List.iter release !gates)
+    (fun () ->
+      for _ = 1 to free do
+        park spare
+      done;
+      (try
+         while true do
+           park rest
+         done
+       with Failure _ -> ());
+      release spare;
+      (match Serve.run ~handle_signals:false srv with
+      | () -> Alcotest.fail "run served with too few domains"
+      | exception Failure _ -> ());
+      (match Serve.Client.connect ~port:(Serve.port srv) () with
+      | c ->
+          Serve.Client.close c;
+          Alcotest.fail "socket still accepting after a failed run"
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
+      match
+        for _ = 1 to free do
+          park probe
+        done
+      with
+      | () -> ()
+      | exception Failure _ ->
+          Alcotest.failf "fewer than %d domain slots free after the failed run" free);
   Sys.remove ckpt
 
 (* Strict framing: HTTP writes Content-Length as 1*DIGIT. Each form
@@ -896,7 +1158,7 @@ let status_of response =
 let test_strict_content_length_server () =
   let ckpt = fresh_ckpt () in
   save_model ckpt (make_model 50);
-  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = env_pool_size } in
   with_server ~config ckpt (fun srv ->
       let port = Serve.port srv in
       let post length body =
@@ -925,7 +1187,7 @@ let test_strict_content_length_server () =
 let test_transfer_encoding_and_conflicting_lengths () =
   let ckpt = fresh_ckpt () in
   save_model ckpt (make_model 55);
-  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0. } in
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = env_pool_size } in
   with_server ~config ckpt (fun srv ->
       let port = Serve.port srv in
       let body = {|{"series":[1]}|} in
@@ -1044,6 +1306,16 @@ let () =
           Alcotest.test_case "kill and restart" `Quick test_kill_and_restart;
           Alcotest.test_case "concurrent drain" `Quick test_concurrent_drain;
           Alcotest.test_case "handler churn leaves none live" `Quick test_handler_churn;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "flushes spread over domains" `Quick test_flushes_spread_over_domains;
+          Alcotest.test_case "no domain leaks over 50 runs" `Quick test_no_domain_leak;
+          Alcotest.test_case "pool_size over the domain limit rejected" `Quick
+            test_pool_size_over_limit_rejected;
+          Alcotest.test_case "failed pool spawn cleans up" `Quick (test_spawn_failure_cleans_up 1);
+          Alcotest.test_case "failed handler domain spawn cleans up" `Quick
+            (test_spawn_failure_cleans_up 2);
         ] );
       ( "framing",
         [
