@@ -77,6 +77,8 @@ grid-smoke:
 # End-to-end smoke of the real `adapt_pnc serve` daemon over HTTP:
 # train a smoke checkpoint, boot the daemon, drive health/inference/
 # malformed-body requests with curl, SIGTERM, require a clean drain.
+# `make serve-smoke JOBS=n` serves on n domains (`serve --jobs n`);
+# without JOBS on the command line the daemon takes its default.
 serve-smoke:
 	dune build bin/adapt_pnc.exe && \
 	  ./scripts/serve_smoke.sh $(SERVE_SMOKE_OUT)

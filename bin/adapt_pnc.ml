@@ -503,15 +503,12 @@ let serve_cmd =
     Arg.(value & opt int 8080 & info [ "p"; "port" ] ~docv:"PORT" ~doc)
   in
   let max_batch_arg =
-    let doc = "Flush the admission queue once this many rows have coalesced." in
-    Arg.(value & opt int 64 & info [ "max-batch" ] ~docv:"ROWS" ~doc)
-  in
-  let max_delay_arg =
     let doc =
-      "Flush when the oldest queued request has waited this long (milliseconds), even if \
-       the batch is not full — the latency bound under light load."
+      "The most rows one flush takes off the admission queue. A request that finds a lane \
+       free computes at once; requests that arrive while every lane is busy queue and \
+       coalesce into blocks of up to this many rows."
     in
-    Arg.(value & opt float 2.0 & info [ "max-delay-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt int 64 & info [ "max-batch" ] ~docv:"ROWS" ~doc)
   in
   let batch_size_arg =
     let doc =
@@ -528,19 +525,18 @@ let serve_cmd =
   let jobs_arg =
     let doc =
       "Domains the daemon serves on (default: the runtime's recommended domain count, one per \
-       core, at most 64). Connection handlers are spread round-robin over N domains and every \
-       flushed batch is split over an N-worker compute pool, so the daemon runs 2N domains; 1 \
-       runs everything on one domain. Every domain it spawns runs on a fixed 256 KB minor \
-       heap, so memory stays close to that of a one-domain daemon. A throughput knob only — \
-       served logits are identical for every value."
+       core, at most 128). Connection handlers are spread round-robin over N domains, and at \
+       most N lanes compute blocks at once, each on its handler's thread; 1 runs everything \
+       on one domain. Every domain it spawns runs on a fixed 256 KB minor heap, so memory \
+       stays close to that of a one-domain daemon. A throughput knob only — served logits \
+       are identical for every value."
     in
     Arg.(
       value
       & opt int Pnc_serve.Serve.default_config.pool_size
       & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run load host port max_batch max_delay_ms batch precision reload_ms jobs metrics_out
-      trace =
+  let run load host port max_batch batch precision reload_ms jobs metrics_out trace =
     let precision = Pnc_core.Batch.resolve_precision ?precision () in
     let config =
       {
@@ -548,7 +544,6 @@ let serve_cmd =
         host;
         port;
         max_batch;
-        max_delay_s = max_delay_ms /. 1000.;
         batch_size = (if batch > 0 then Some batch else None);
         precision;
         pool_size = jobs;
@@ -567,9 +562,9 @@ let serve_cmd =
               (Pnc_core.Batch.precision_name precision)
               host (Pnc_serve.Serve.port srv);
             Printf.printf
-              "micro-batching: flush at %d rows or %.1f ms; hot reload: %s; SIGINT/SIGTERM \
-               drain and exit\n%!"
-              max_batch max_delay_ms
+              "micro-batching: up to %d rows per flush, %d lane%s; hot reload: %s; \
+               SIGINT/SIGTERM drain and exit\n%!"
+              max_batch (max 1 jobs) (if jobs > 1 then "s" else "")
               (if reload_ms > 0. then Printf.sprintf "every %.0f ms" reload_ms else "off");
             Pnc_serve.Serve.run srv;
             (* [run] ignores SIGPIPE, so if the reader of stdout is gone
@@ -585,9 +580,8 @@ let serve_cmd =
        ~doc:"Serve a checkpointed model over HTTP/1.1 with dynamic micro-batching (see \
              docs/SERVING.md).")
     Term.(
-      const run $ load_arg $ host_arg $ port_arg $ max_batch_arg $ max_delay_arg
-      $ batch_size_arg $ precision_arg $ reload_arg $ jobs_arg $ metrics_out_arg
-      $ trace_arg)
+      const run $ load_arg $ host_arg $ port_arg $ max_batch_arg $ batch_size_arg
+      $ precision_arg $ reload_arg $ jobs_arg $ metrics_out_arg $ trace_arg)
 
 (* ckpt ---------------------------------------------------------------------- *)
 

@@ -1,43 +1,44 @@
-(* Model-serving daemon: HTTP/1.1 over Unix sockets, an admission
-   queue that coalesces concurrent requests into micro-batches for
-   Model.logits_batch_t, handler threads spread over domains, compute
-   fanned out over a Pnc_util.Pool, checkpoint hot reload, graceful
-   drain on shutdown. See serve.mli and docs/SERVING.md for the
-   contracts.
+(* Model-serving daemon: HTTP/1.1 over Unix sockets, work-conserving
+   admission into micro-batches for Model.logits_batch_t, handler
+   threads spread over domains, checkpoint hot reload, graceful drain
+   on shutdown. See serve.mli and docs/SERVING.md for the contracts.
 
    Threading model: connection handlers run on [n = max 1 pool_size]
    domains. The caller of [run] is the accept loop and hands accepted
    connections round-robin to the [n] domains, its own included; each
    other domain runs a spawner that starts the handler systhread of
    every connection handed to it inside that domain. So reading,
-   decoding, fill flushes and reply rendering for different
-   connections run in parallel, one connection per systhread (they
-   spend their life blocked in socket I/O or waiting on a reply
-   mailbox, so hundreds are fine). One batcher thread and one optional
-   reload thread run on the caller's domain. Flushing is event-driven:
-   the handler whose request brings the queue to [max_batch] rows
-   takes the full groups and computes them on its own thread, and the
-   batcher only sleeps until the queue head's deadline and flushes
-   what no request filled (and, at stop, everything). Batch compute is
-   fanned out across an [n]-worker Pool when [n > 1]: the clients
-   whose requests share a block all wait on it, so while it computes
-   the other domains have little to do, and splitting it is what keeps
-   [n] cores busy. Row-chunking a batch is bit-identical to computing
-   it whole (the batched-kernel parity contract), so neither the
-   flusher nor the fan-out ever changes a served number. The domains
-   [run] spawns run on a fixed small minor heap ([minor_heap_words]),
-   so resident memory barely grows with [n].
+   decoding, compute and reply rendering for different connections run
+   in parallel, one connection per systhread (they spend their life
+   blocked in socket I/O or waiting on a reply mailbox, so hundreds are
+   fine). One optional reload thread runs on the caller's domain.
+
+   Admission is work-conserving over [n] lanes, a lane being one flush
+   loop in progress. A request that arrives while fewer than [n] lanes
+   run opens one on its own handler thread and computes at once,
+   taking whatever is queued up to [max_batch] rows; a request that
+   arrives while all [n] are busy queues, and a lane that finishes its
+   group takes the queued work, so under load blocks coalesce. No
+   request waits on a timer. A lane leaves once the queue is empty or
+   once its own request has been taken and it has flushed at most one
+   further group; if work is still queued it hands its slot to a
+   waiting handler, so queued work always has a lane. More than [n]
+   lanes would only time-slice the same domains. Each block is
+   computed whole on the lane's thread; row-chunking a batch is
+   bit-identical to computing it whole (the batched-kernel parity
+   contract), so the grouping never changes a served number. The
+   domains [run] spawns run on a fixed small minor heap
+   ([minor_heap_words]), so resident memory barely grows with [n].
 
    Copies: a connection reads into one byte buffer it owns; the body
    is decoded where it lies, straight into the connection's float
-   buffer; the flusher copies the group's rows into its own batch
-   tensor, which the kernels read in place; and the reply is rendered
-   from the logits rows into the connection's reply buffer. *)
+   buffer; the lane copies the group's rows into its own batch tensor,
+   which the kernels read in place; and the reply is rendered from the
+   logits rows into the connection's reply buffer. *)
 
 module Model = Pnc_core.Model
 module Persist = Pnc_core.Persist
 module Tensor = Pnc_tensor.Tensor
-module Pool = Pnc_util.Pool
 module Obs = Pnc_obs.Obs
 module Clock = Pnc_obs.Clock
 module Json = Pnc_obs.Obs.Json
@@ -47,7 +48,6 @@ let requests_c = Obs.Counter.make "serve.requests"
 let rows_c = Obs.Counter.make "serve.rows"
 let http_errors_c = Obs.Counter.make "serve.http_errors"
 let batches_c = Obs.Counter.make "serve.batches"
-let deadline_flushes_c = Obs.Counter.make "serve.deadline_flushes"
 let reloads_c = Obs.Counter.make "serve.reloads"
 let reload_failures_c = Obs.Counter.make "serve.reload_failures"
 let connections_c = Obs.Counter.make "serve.connections"
@@ -59,7 +59,6 @@ type config = {
   host : string;
   port : int;
   max_batch : int;
-  max_delay_s : float;
   batch_size : int option;
   precision : Pnc_core.Batch.precision;
   pool_size : int;
@@ -68,17 +67,16 @@ type config = {
   max_rows : int;
 }
 
-(* [run] uses [2 x pool_size] domains: the caller's, [pool_size - 1]
-   handler domains and a [pool_size]-worker pool. OCaml 5.1 runs at
-   most 128 domains in a process (Max_domains). *)
-let max_pool_size = 64
+(* [run] uses [pool_size] domains: the caller's and [pool_size - 1]
+   handler domains. OCaml 5.1 runs at most 128 domains in a process
+   (Max_domains). *)
+let max_pool_size = 128
 
 let default_config =
   {
     host = "127.0.0.1";
     port = 8080;
     max_batch = 64;
-    max_delay_s = 2e-3;
     batch_size = None;
     precision = `Exact;
     pool_size = min max_pool_size (Domain.recommended_domain_count ());
@@ -88,10 +86,11 @@ let default_config =
   }
 
 (* Admission queue entries. A request is one or more equal-length rows
-   plus its connection's mailbox, which whichever thread flushes the
+   plus its connection's mailbox, which whichever lane flushes the
    request fulfills; the handler thread blocks on the mailbox condition
-   until its reply arrives. A reply is rows [first, first + rows) of
-   the flushed block's logits, which no later flush writes to. *)
+   until its reply arrives, or until a leaving lane hands it a lane
+   ([mb_lane]). A reply is rows [first, first + rows) of the flushed
+   block's logits, which no later flush writes to. *)
 
 type reply =
   | R_ok of { version : int; logits : Tensor.t; first : int }
@@ -101,6 +100,7 @@ type mailbox = {
   mb_mu : Mutex.t;
   mb_cv : Condition.t;
   mutable mb_reply : reply option;
+  mutable mb_lane : bool;
 }
 
 (* A decoded request body: [rows x cols] values, row-major, in the
@@ -109,11 +109,15 @@ type block = { data : floatarray; rows : int; cols : int; single : bool }
 
 (* [p_block.data] is the handler's decode buffer: the handler blocks in
    [submit] until [flush] has copied the block out and replied, so the
-   buffer is reused only after the flush is done with it. *)
+   buffer is reused only after the flush is done with it. [p_lane]: the
+   request's handler runs (or has been handed) a lane; [p_taken]: a
+   lane has taken the request off the queue. Both under [q_mu]. *)
 type pending = {
   p_block : block;
   p_enq_t : float;
   p_mb : mailbox;
+  mutable p_lane : bool;
+  mutable p_taken : bool;
 }
 
 type ckpt_sig = { cs_ino : int; cs_mtime : float; cs_size : int }
@@ -131,14 +135,12 @@ type t = {
   mutable model : Model.t;
   mutable version : int;
   mutable ckpt_sig : ckpt_sig option;
-  (* admission queue *)
+  (* admission queue and the lanes flushing it: [busy] of [lanes] *)
   q_mu : Mutex.t;
-  q_cv : Condition.t;
   q : pending Queue.t;
-  mutable q_rows : int;
+  lanes : int;
+  mutable busy : int;
   inflight : int Atomic.t; (* rows admitted, response not yet written *)
-  (* the compute pool, started by [run] before any thread that reads it *)
-  mutable pool : Pool.t option;
   stop_flag : bool Atomic.t;
   (* connection registry, for kicking idle keep-alive readers at stop,
      and the live-handler count the drain waits on *)
@@ -172,7 +174,7 @@ let create ?(config = default_config) ~checkpoint () =
   if config.pool_size > max_pool_size then
     Error
       (Printf.sprintf
-         "pool_size %d: the daemon runs 2 x pool_size domains, and OCaml at most 128 (pool_size <= %d)"
+         "pool_size %d: the daemon runs pool_size domains, and OCaml at most 128 (pool_size <= %d)"
          config.pool_size max_pool_size)
   else
   match Persist.load_model ~path:checkpoint with
@@ -213,11 +215,10 @@ let create ?(config = default_config) ~checkpoint () =
               version = 1;
               ckpt_sig = stat_sig checkpoint;
               q_mu = Mutex.create ();
-              q_cv = Condition.create ();
               q = Queue.create ();
-              q_rows = 0;
+              lanes = max 1 config.pool_size;
+              busy = 0;
               inflight = Atomic.make 0;
-              pool = None;
               stop_flag = Atomic.make false;
               conn_mu = Mutex.create ();
               handlers_done = Condition.create ();
@@ -407,7 +408,7 @@ let conn ~max_body fd =
     scratch = Float.Array.create 0;
     reply = Buffer.create 4096;
     tx = Bytes.create 0;
-    mb = { mb_mu = Mutex.create (); mb_cv = Condition.create (); mb_reply = None };
+    mb = { mb_mu = Mutex.create (); mb_cv = Condition.create (); mb_reply = None; mb_lane = false };
     batch = ref (Tensor.zeros ~rows:0 ~cols:0);
   }
 
@@ -629,11 +630,12 @@ let fulfill (p : pending) reply =
   Condition.signal p.p_mb.mb_cv;
   Mutex.unlock p.p_mb.mb_mu
 
-(* What flushed a block: a request that brought the queue to
-   [max_batch] rows, the head's [max_delay_s], or shutdown. *)
-type trigger = Fill | Deadline | Drain
+(* Why a lane flushed: its request found a lane free, or it is taking
+   queued work (after its own group, or handed the backlog by a
+   leaving lane). *)
+type trigger = Free_lane | Backlog
 
-let trigger_name = function Fill -> "fill" | Deadline -> "deadline" | Drain -> "drain"
+let trigger_name = function Free_lane -> "free_lane" | Backlog -> "backlog"
 
 (* Pop a maximal run of equal-width requests from the queue head, up to
    [max_batch] coalesced rows (the first request is always taken whole,
@@ -653,53 +655,18 @@ let take_group t =
           when p.p_block.cols = cols
                && (!rows = 0 || !rows + p.p_block.rows <= t.cfg.max_batch) ->
             ignore (Queue.pop t.q);
-            t.q_rows <- t.q_rows - p.p_block.rows;
+            p.p_taken <- true;
             rows := !rows + p.p_block.rows;
             acc := p :: !acc
         | _ -> stop := true
       done;
       List.rev !acc
 
-(* Chunk bounds for fanning one coalesced batch across pool workers:
-   contiguous row ranges, as even as possible. *)
-let chunk_bounds ~rows ~workers =
-  let w = min workers rows in
-  let base = rows / w and extra = rows mod w in
-  Array.init w (fun i ->
-      let len = base + if i < extra then 1 else 0 in
-      let start = (i * base) + min i extra in
-      (start, len))
-
-let compute_logits t model x =
-  let rows = Tensor.rows x in
-  let opts =
-    { Pnc_core.Batch.default with batch_size = t.cfg.batch_size; precision = t.cfg.precision }
-  in
-  match t.pool with
-  | Some pool when rows >= 2 ->
-      (* Row-chunking is bit-identical to the whole-batch call: each
-         output row depends only on its own input row and the model
-         (kernel parity contract, docs/BATCHING.md). *)
-      let bounds = chunk_bounds ~rows ~workers:(Pool.size pool) in
-      let parts =
-        Pool.init pool ~n:(Array.length bounds) (fun i ->
-            let start, len = bounds.(i) in
-            Model.logits_batch_t ~opts model (Tensor.rows_view x ~row:start ~len))
-      in
-      let out = Tensor.zeros ~rows ~cols:(Tensor.cols parts.(0)) in
-      Array.iteri
-        (fun i part ->
-          let start, len = bounds.(i) in
-          Tensor.blit_into ~dst:(Tensor.rows_view out ~row:start ~len) part)
-        parts;
-      out
-  | _ -> Model.logits_batch_t ~opts model x
-
-(* The [rows x cols] batch input, a view of the flusher's own tensor
+(* The [rows x cols] batch input, a view of the lane's own tensor
    [buf], which is regrown when too small and kept up to [scratch_keep]
-   floats. Each flusher (a connection's handler, or the batcher) runs
-   one flush at a time, so its tensor is free again once [flush]
-   returns: the kernels only read it, and the logits are fresh. *)
+   floats. A connection's handler runs one flush at a time, so its
+   tensor is free again once [flush] returns: the kernels only read it,
+   and the logits are fresh. *)
 let batch_input buf ~rows ~cols =
   let x = !buf in
   if Tensor.cols x = cols && Tensor.rows x >= rows then Tensor.rows_view x ~row:0 ~len:rows
@@ -714,7 +681,10 @@ let batch_input buf ~rows ~cols =
    only for telemetry. *)
 let domain_index : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-let flush t buf ~trigger group =
+(* Compute [group] as one block and fulfill each request's mailbox.
+   [extra] counts the groups the lane has taken since its own request
+   was taken, this one included (the starvation bound keeps it <= 1). *)
+let flush t buf ~trigger ~extra group =
   let t0 = Clock.now () in
   Mutex.lock t.model_mu;
   let model = t.model and version = t.version in
@@ -731,7 +701,10 @@ let flush t buf ~trigger group =
          done;
          off + len)
        x.Tensor.off group);
-  let logits = compute_logits t model x in
+  let opts =
+    { Pnc_core.Batch.default with batch_size = t.cfg.batch_size; precision = t.cfg.precision }
+  in
+  let logits = Model.logits_batch_t ~opts model x in
   ignore
     (List.fold_left
        (fun first p ->
@@ -740,7 +713,6 @@ let flush t buf ~trigger group =
          first + p.p_block.rows)
        0 group);
   Obs.Counter.incr batches_c;
-  if trigger = Deadline then Obs.Counter.incr deadline_flushes_c;
   Obs.Counter.add rows_c n;
   Obs.Histogram.observe batch_fill_h (float_of_int n);
   if Obs.enabled () then
@@ -751,80 +723,92 @@ let flush t buf ~trigger group =
         ("cols", Obs.Int (Tensor.cols x));
         ("model_version", Obs.Int version);
         ("trigger", Obs.Str (trigger_name trigger));
+        ("extra", Obs.Int extra);
         ("domain", Obs.Int (Domain.DLS.get domain_index));
         ("compute_s", Obs.Float (Clock.elapsed t0));
       ]
 
-(* Admit [block] and wait for its reply. A request that brings the
-   queue to [max_batch] rows or more flushes the full groups itself, on
-   its handler thread, before it waits; everything else waits for
-   another request to fill its block or for the batcher's deadline.
-   The stop check and the push share the queue mutex, and the batcher
-   exits only after a final is-empty check under the same mutex with
-   the stop flag set, so a request is either admitted and answered, or
-   rejected — never admitted and dropped. *)
+(* Leave a lane, [q_mu] held. If work is still queued, the lane's slot
+   goes to the first queued request whose handler runs no lane: it is
+   marked and its mailbox signalled before [q_mu] is released, so no
+   lane can answer that request before the handler sees the hand-over.
+   If every queued request belongs to a running lane, those lanes stay
+   until their requests are taken, and the slot is simply freed. *)
+let leave_lane t =
+  (match Seq.find (fun p -> not p.p_lane) (Queue.to_seq t.q) with
+  | Some p ->
+      p.p_lane <- true;
+      let mb = p.p_mb in
+      Mutex.lock mb.mb_mu;
+      mb.mb_lane <- true;
+      Condition.signal mb.mb_cv;
+      Mutex.unlock mb.mb_mu
+  | None -> t.busy <- t.busy - 1);
+  Mutex.unlock t.q_mu
+
+(* Run a lane for request [p] of connection [c], holding [q_mu] and one
+   of the [lanes] slots: flush groups off the queue head until the
+   queue is empty, or until [p] has been taken and one further group
+   flushed (so a handler whose reply is ready writes it after at most
+   one more block), then leave. Returns with [q_mu] released. *)
+let run_lane t c p ~trigger =
+  let rec go trigger extra =
+    if Queue.is_empty t.q || (p.p_taken && extra >= 1) then leave_lane t
+    else begin
+      let extra = if p.p_taken then extra + 1 else extra in
+      let group = take_group t in
+      Mutex.unlock t.q_mu;
+      flush t c.batch ~trigger ~extra group;
+      Mutex.lock t.q_mu;
+      go Backlog extra
+    end
+  in
+  go trigger 0
+
+(* Admit [block] and wait for its reply. A request that finds fewer
+   than [lanes] lanes running opens one and computes at once; otherwise
+   it queues, and its handler waits for a lane to answer it or to hand
+   it a lane. The stop check and the push share the queue mutex, and
+   queued work always has a lane, so a request is either admitted and
+   answered, or rejected — never admitted and dropped. *)
 let submit t c block =
   let mb = c.mb in
   mb.mb_reply <- None;
-  let p = { p_block = block; p_enq_t = Clock.now (); p_mb = mb } in
+  let p = { p_block = block; p_enq_t = Clock.now (); p_mb = mb; p_lane = false; p_taken = false } in
   Mutex.lock t.q_mu;
   if Atomic.get t.stop_flag then begin
     Mutex.unlock t.q_mu;
     R_shutdown
   end
   else begin
-    if Queue.is_empty t.q then Condition.signal t.q_cv;
     Queue.push p t.q;
-    t.q_rows <- t.q_rows + block.rows;
     Atomic.fetch_and_add t.inflight block.rows |> ignore;
-    while t.q_rows >= t.cfg.max_batch do
-      let group = take_group t in
-      Mutex.unlock t.q_mu;
-      flush t c.batch ~trigger:Fill group;
-      Mutex.lock t.q_mu
-    done;
-    Mutex.unlock t.q_mu;
-    Mutex.lock mb.mb_mu;
-    while mb.mb_reply = None do
-      Condition.wait mb.mb_cv mb.mb_mu
-    done;
-    let r = Option.get mb.mb_reply in
-    Mutex.unlock mb.mb_mu;
-    r
-  end
-
-(* The longest the batcher sleeps before looking at the queue again,
-   so a stop is noticed promptly however long [max_delay_s] is. *)
-let max_sleep_s = 0.05
-
-(* The batcher flushes what no request filled: the queue head once it
-   has waited [max_delay_s], and everything at stop. It sleeps until
-   the head's deadline (in slices of at most [max_sleep_s]) and on the
-   queue condition while the queue is empty. *)
-let batcher t =
-  let buf = ref (Tensor.zeros ~rows:0 ~cols:0) in
-  let rec main () =
-    Mutex.lock t.q_mu;
-    while Queue.is_empty t.q && not (Atomic.get t.stop_flag) do
-      Condition.wait t.q_cv t.q_mu
-    done;
-    if Queue.is_empty t.q then Mutex.unlock t.q_mu (* stopping, drained *)
-    else begin
-      let stopping = Atomic.get t.stop_flag in
-      let wait = (Queue.peek t.q).p_enq_t +. t.cfg.max_delay_s -. Clock.now () in
-      if stopping || wait <= 0. then begin
-        let group = take_group t in
-        Mutex.unlock t.q_mu;
-        flush t buf ~trigger:(if stopping then Drain else Deadline) group
+    if t.busy < t.lanes then begin
+      t.busy <- t.busy + 1;
+      p.p_lane <- true;
+      run_lane t c p ~trigger:Free_lane
+    end
+    else Mutex.unlock t.q_mu;
+    let rec await () =
+      Mutex.lock mb.mb_mu;
+      while mb.mb_reply = None && not mb.mb_lane do
+        Condition.wait mb.mb_cv mb.mb_mu
+      done;
+      if mb.mb_lane then begin
+        mb.mb_lane <- false;
+        Mutex.unlock mb.mb_mu;
+        Mutex.lock t.q_mu;
+        run_lane t c p ~trigger:Backlog;
+        await ()
       end
       else begin
-        Mutex.unlock t.q_mu;
-        Thread.delay (Float.min wait max_sleep_s)
-      end;
-      main ()
-    end
-  in
-  main ()
+        let r = Option.get mb.mb_reply in
+        Mutex.unlock mb.mb_mu;
+        r
+      end
+    in
+    await ()
+  end
 
 (* Hot reload ------------------------------------------------------------- *)
 
@@ -1005,45 +989,40 @@ let handle_conn t fd =
   deregister_conn t fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let stop t =
-  Atomic.set t.stop_flag true;
-  Mutex.lock t.q_mu;
-  Condition.broadcast t.q_cv;
-  Mutex.unlock t.q_mu
+let stop t = Atomic.set t.stop_flag true
 
-(* The minor heap, in words, of each domain [run] spawns (handler
-   domains and pool workers): 32k words (256 KB) in place of the
-   runtime's 256k (2 MB), which a spawned OCaml 5 domain gets whatever
-   its parent set. What a request allocates dies young (a 10 s
-   benchmark run promotes 0.25 of 145 Mwords), so the smaller heap
-   costs few promotions, and the [2n - 1] spawned domains hold little
-   more memory than the caller's alone. *)
+(* The minor heap, in words, of each handler domain [run] spawns: 32k
+   words (256 KB) in place of the runtime's 256k (2 MB), which a
+   spawned OCaml 5 domain gets whatever its parent set. What a request
+   allocates dies young (a 10 s benchmark run promotes 0.25 of 145
+   Mwords), so the smaller heap costs few promotions, and the [n - 1]
+   spawned domains hold little more memory than the caller's alone. *)
 let minor_heap_words = 32 * 1024
 
 (* A handler domain's inbox: [run] hands it each accepted socket, then
    [None] once no more will come. *)
-type lane = { l_mu : Mutex.t; l_cv : Condition.t; l_fds : Unix.file_descr option Queue.t }
+type inbox = { i_mu : Mutex.t; i_cv : Condition.t; i_fds : Unix.file_descr option Queue.t }
 
-let hand_over l fd =
-  Mutex.lock l.l_mu;
-  Queue.push fd l.l_fds;
-  Condition.signal l.l_cv;
-  Mutex.unlock l.l_mu
+let hand_over ib fd =
+  Mutex.lock ib.i_mu;
+  Queue.push fd ib.i_fds;
+  Condition.signal ib.i_cv;
+  Mutex.unlock ib.i_mu
 
 (* The body of handler domain [i]: start a handler thread for each
    socket handed over, until [None]. A domain whose body has returned
    ends only after every thread it started has, so joining the domain
    joins its handlers. *)
-let spawner t i l () =
+let spawner t i ib () =
   Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words };
   Domain.DLS.set domain_index i;
   let rec next () =
-    Mutex.lock l.l_mu;
-    while Queue.is_empty l.l_fds do
-      Condition.wait l.l_cv l.l_mu
+    Mutex.lock ib.i_mu;
+    while Queue.is_empty ib.i_fds do
+      Condition.wait ib.i_cv ib.i_mu
     done;
-    let fd = Queue.pop l.l_fds in
-    Mutex.unlock l.l_mu;
+    let fd = Queue.pop ib.i_fds in
+    Mutex.unlock ib.i_mu;
     match fd with
     | Some fd ->
         ignore (Thread.create (handle_conn t) fd);
@@ -1062,34 +1041,30 @@ let run ?(handle_signals = true) t =
     Sys.set_signal Sys.sigint h;
     Sys.set_signal Sys.sigterm h
   end;
-  let n = max 1 t.cfg.pool_size in
-  let lanes =
+  let n = t.lanes in
+  let inboxes =
     Array.init (n - 1) (fun _ ->
-        { l_mu = Mutex.create (); l_cv = Condition.create (); l_fds = Queue.create () })
+        { i_mu = Mutex.create (); i_cv = Condition.create (); i_fds = Queue.create () })
   in
   let domains = ref [] in
   (* Each spawner leaves at [None]; its domain then ends once the
      handler threads it started have. *)
   let join_domains () =
-    Array.iter (fun l -> hand_over l None) lanes;
-    List.iter Domain.join !domains;
-    Option.iter Pool.shutdown t.pool
+    Array.iter (fun ib -> hand_over ib None) inboxes;
+    List.iter Domain.join !domains
   in
   (match
-     if n > 1 then t.pool <- Some (Pool.create ~size:n ~minor_heap_size:minor_heap_words ());
-     Array.iteri (fun i l -> domains := Domain.spawn (spawner t (i + 1) l) :: !domains) lanes
+     Array.iteri (fun i ib -> domains := Domain.spawn (spawner t (i + 1) ib) :: !domains) inboxes
    with
   | () -> ()
   | exception e ->
-      (* Other domains in the process can leave too few for ours
-         ([Pool.create] stops its own workers when it fails). No
+      (* Other domains in the process can leave too few for ours. No
          connection has been accepted yet, so the domains started end
          at once; closing the socket refuses clients instead of
          leaving them unanswered. *)
       join_domains ();
       (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
       raise e);
-  let batcher_thread = Thread.create batcher t in
   let reload_thread =
     if t.cfg.reload_every_s > 0. then Some (Thread.create reloader t) else None
   in
@@ -1098,7 +1073,6 @@ let run ?(handle_signals = true) t =
       [
         ("port", Obs.Int t.actual_port);
         ("max_batch", Obs.Int t.cfg.max_batch);
-        ("max_delay_s", Obs.Float t.cfg.max_delay_s);
         ("pool_size", Obs.Int t.cfg.pool_size);
         ("domains", Obs.Int n);
       ];
@@ -1119,26 +1093,23 @@ let run ?(handle_signals = true) t =
             let d = !accepted mod n in
             incr accepted;
             if d = 0 then ignore (Thread.create (handle_conn t) fd)
-            else hand_over lanes.(d - 1) (Some fd)
+            else hand_over inboxes.(d - 1) (Some fd)
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   (* Graceful drain: stop admission (submit rejects once the flag is
-     up), answer everything already admitted, then close. *)
+     up), let the lanes answer everything already admitted, then
+     close. *)
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   let deadline = Clock.now () +. 10. in
   while Atomic.get t.inflight > 0 && Clock.now () < deadline do
     Thread.delay 5e-3
   done;
-  Mutex.lock t.q_mu;
-  Condition.broadcast t.q_cv;
-  Mutex.unlock t.q_mu;
-  Thread.join batcher_thread;
   Option.iter Thread.join reload_thread;
   (* Kick idle keep-alive readers off their blocking reads, then wait
-     until every handler has finished. A socket still waiting in a
-     lane is counted live already; its handler starts, finds the
+     until every handler has finished. A socket still waiting in an
+     inbox is counted live already; its handler starts, finds the
      socket shut down and leaves. *)
   Mutex.lock t.conn_mu;
   List.iter

@@ -2,18 +2,20 @@
 
     This is the "millions of users" front-end over the batched no-grad
     inference engine: a TCP (HTTP/1.1 over [Unix]) daemon that admits
-    concurrent JSON requests into a shared queue, coalesces them into
-    blocks for {!Pnc_core.Model.logits_batch_t} and fans the compute
-    out over {!Pnc_util.Pool} worker domains. Connection handlers are
-    spread round-robin over [pool_size] domains. A block is flushed by
-    the request that brings the queued row count to [max_batch], on
-    its own handler thread, or by the batcher thread once the oldest
-    queued request has waited [max_delay_s].
+    concurrent JSON requests into a shared queue and coalesces them
+    into blocks for {!Pnc_core.Model.logits_batch_t}. Connection
+    handlers are spread round-robin over [pool_size] domains, and at
+    most [pool_size] lanes (flush loops) run at once. A request that
+    finds a lane free computes at once on its own handler thread,
+    taking whatever is queued up to [max_batch] rows; one that finds
+    every lane busy queues, and the lanes take the queued work as they
+    finish, so blocks coalesce under load. No request waits on a
+    timer.
 
     {b Parity contract.} Serving never changes a number: the logits
     returned over the wire are bit-identical (eps 0) to an offline
     [Model.logits_batch_t] call on the same checkpoint, whatever the
-    flush size, micro-batch grouping, worker count or kernel block
+    flush size, micro-batch grouping, domain count or kernel block
     size. Micro-batching only groups rows, and every row's computation
     is independent of its neighbours (the blocked kernels guarantee
     this; see docs/BATCHING.md); floats travel as [%.17g] decimal,
@@ -50,13 +52,9 @@
 type config = {
   host : string;  (** bind address (default ["127.0.0.1"]) *)
   port : int;  (** TCP port; [0] picks an ephemeral port (see {!port}) *)
-  max_batch : int;  (** flush the queue at this many coalesced rows *)
-  max_delay_s : float;
-      (** flush when the oldest queued request has waited this long,
-          even if the batch is not full — the latency bound under light
-          load. A request that fills its block never waits for it: the
-          batcher thread sleeps until the queue head's deadline and
-          flushes only what no request filled. *)
+  max_batch : int;
+      (** the most coalesced rows a lane takes off the queue in one
+          group (a single larger request is still taken whole) *)
   batch_size : int option;
       (** kernel block size forwarded to [Model.logits_batch_t]
           ([None] = whole coalesced block; a pure throughput knob) *)
@@ -66,14 +64,13 @@ type config = {
           and in /healthz so clients can tell a [`Fast] deployment's
           logits carry the ≤1e-7 approximation *)
   pool_size : int;
-      (** the domains the daemon runs on: connection handlers are
-          spread round-robin over [max 1 pool_size] domains, and when
-          [pool_size > 1] each flushed block is split over a
-          [pool_size]-worker {!Pnc_util.Pool}. [<= 1] runs the whole
-          daemon on the caller's domain, computing each block whole on
-          the thread that flushes it. The daemon runs [2 x pool_size]
-          domains and OCaml 5.1 at most 128, so {!create} refuses a
-          [pool_size] above 64. *)
+      (** the domains the daemon runs on, and its lane count:
+          connection handlers are spread round-robin over
+          [n = max 1 pool_size] domains and at most [n] lanes flush at
+          once, each computing its block whole on its handler's
+          thread. [<= 1] runs the whole daemon on the caller's domain.
+          OCaml 5.1 runs at most 128 domains, so {!create} refuses a
+          [pool_size] above 128. *)
   reload_every_s : float;
       (** checkpoint poll period for hot reload ([<= 0] disables it) *)
   max_body : int;  (** request body size cap, bytes *)
@@ -81,9 +78,9 @@ type config = {
 }
 
 val default_config : config
-(** [127.0.0.1:8080], [max_batch = 64], [max_delay_s = 2e-3],
+(** [127.0.0.1:8080], [max_batch = 64],
     [batch_size = None], [precision = `Exact],
-    [pool_size = min 64 (Domain.recommended_domain_count ())],
+    [pool_size = min 128 (Domain.recommended_domain_count ())],
     [reload_every_s = 0.5], [max_body = 4 MiB], [max_rows = 1024]. *)
 
 type t
@@ -92,7 +89,7 @@ val create : ?config:config -> checkpoint:string -> unit -> (t, string) result
 (** Load the model from [checkpoint] ({!Pnc_core.Persist.load_model};
     kind ["model"] or ["train"]), bind and listen. No thread is started
     until {!run}. [Error] carries a printable reason ([pool_size] above
-    64, unreadable checkpoint, bind failure). *)
+    128, unreadable checkpoint, bind failure). *)
 
 val port : t -> int
 (** The bound port — the kernel-assigned one when [config.port = 0]. *)
@@ -109,17 +106,19 @@ val live_handlers : t -> int
 val run : ?handle_signals:bool -> t -> unit
 (** Serve until {!stop} is called (or, with [handle_signals], until
     SIGINT/SIGTERM). Blocks the calling thread: it becomes the accept
-    loop, with one handler thread per connection, one batcher thread
-    and (if enabled) one reload thread. With [n = pool_size > 1] it
-    also starts [n - 1] handler domains, which take every connection
-    [k] with [k mod n <> 0] (the rest stay on the caller's domain),
-    and an [n]-worker compute pool. Each of these domains runs on a
-    fixed 32k-word minor heap, so resident memory barely grows with
-    [n]; the caller's domain is left as it is. A handler whose request
-    brings the queue to [max_batch] rows computes the full blocks
-    itself (flush trigger [fill]); the batcher flushes the queue head
-    at its deadline ([deadline]) and everything left at stop
-    ([drain]). Returns after the graceful drain completes; every
+    loop, with one handler thread per connection and (if enabled) one
+    reload thread. With [n = pool_size > 1] it also starts [n - 1]
+    handler domains, which take every connection [k] with
+    [k mod n <> 0] (the rest stay on the caller's domain). Each of
+    these domains runs on a fixed 32k-word minor heap, so resident
+    memory barely grows with [n]; the caller's domain is left as it
+    is. A request that finds fewer than [n] lanes running opens one
+    and flushes on its handler thread (flush trigger [free_lane]);
+    every further flush of a lane takes queued work ([backlog]). A
+    lane leaves once the queue is empty, or once its own request has
+    been taken and it has flushed at most one further group; a lane
+    that leaves with work queued hands its slot to a waiting handler.
+    Returns after the graceful drain completes; every
     thread and every domain it started is joined and every socket
     closed. Raises [Failure] if the process has too few domains left
     to start its own, after ending those it did start and closing the

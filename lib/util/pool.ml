@@ -24,9 +24,8 @@ let default_size () = Stdlib.max 0 (Domain.recommended_domain_count () - 1)
    eagerly instead of wedging. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let worker_loop pool w minor_heap_size () =
+let worker_loop pool w () =
   Domain.DLS.set in_worker true;
-  Option.iter (fun words -> Gc.set { (Gc.get ()) with minor_heap_size = words }) minor_heap_size;
   let rec next () =
     Mutex.lock pool.mutex;
     let rec take () =
@@ -55,7 +54,7 @@ let worker_loop pool w minor_heap_size () =
   in
   next ()
 
-let create ?size ?minor_heap_size () =
+let create ?size () =
   let size = match size with Some s -> s | None -> default_size () in
   if size < 0 then invalid_arg "Pool.create: negative size";
   let slots = Stdlib.max 1 size in
@@ -77,7 +76,7 @@ let create ?size ?minor_heap_size () =
     let started = ref [] in
     (try
        for w = 0 to size - 1 do
-         started := Domain.spawn (worker_loop pool w minor_heap_size) :: !started
+         started := Domain.spawn (worker_loop pool w) :: !started
        done
      with e ->
        (* The runtime ran out of domains: stop the workers already

@@ -25,23 +25,13 @@ val default_size : unit -> int
     worker per available core, leaving a core for the submitting
     domain. *)
 
-val create : ?size:int -> ?minor_heap_size:int -> unit -> t
+val create : ?size:int -> unit -> t
 (** Spawn a pool of [size] workers (default {!default_size}). Sizes 0
     and 1 spawn {e no} domains: every task then runs sequentially in
     the caller, making single-core behaviour identical to not having a
     pool at all. Raises [Invalid_argument] on negative sizes, and
     [Failure] when the runtime cannot spawn another domain, after
-    stopping and joining the workers already started.
-
-    Each OCaml 5 domain has its own minor heap, and a spawned domain
-    starts with the runtime's default (256k words unless
-    [OCAMLRUNPARAM] says otherwise), whatever its parent set with
-    [Gc.set]. [minor_heap_size] (in words) makes every worker set its
-    own minor heap to that size as it starts — a long-lived process
-    that keeps many mostly idle domains uses it to bound its resident
-    memory. Without it the workers keep the runtime's default, which
-    compute-bound pools want: a smaller minor heap promotes more and
-    costs draws/s. *)
+    stopping and joining the workers already started. *)
 
 val size : t -> int
 

@@ -4,29 +4,32 @@
 # (health, single + batch inference, malformed bodies), then SIGTERM
 # it and require a clean graceful drain.
 #
-# Usage: scripts/serve_smoke.sh [OUTDIR]
+# Usage: [JOBS=N] scripts/serve_smoke.sh [OUTDIR]
 # Needs curl. OUTDIR keeps the checkpoint and daemon log so CI can
-# upload them as artifacts.
+# upload them as artifacts. JOBS, when set, is passed as `serve --jobs`
+# (the daemon's domain and lane count; default one per core).
 set -eu
 
 OUT=${1:-$(mktemp -d "${TMPDIR:-/tmp}/serve-smoke-XXXXXX")}
 DATASET=${DATASET:-GPOVY}
 SCALE=${SCALE:-smoke}
 PORT=${PORT:-18473}
+JOBS_ARG=${JOBS:+--jobs $JOBS}
 CLI="dune exec --no-print-directory bin/adapt_pnc.exe --"
 
 command -v curl >/dev/null 2>&1 || { echo "serve_smoke: curl not found" >&2; exit 1; }
 
 mkdir -p "$OUT/ckpt"
 
-echo "== serve smoke: $DATASET @ $SCALE scale on port $PORT =="
+echo "== serve smoke: $DATASET @ $SCALE scale on port $PORT${JOBS:+ (--jobs $JOBS)} =="
 
 echo "-- training the checkpoint --"
 $CLI train -d "$DATASET" --scale "$SCALE" --checkpoint-dir "$OUT/ckpt"
 
 echo "-- starting the daemon --"
-$CLI serve --load "$OUT/ckpt/model.ckpt" -p "$PORT" --max-batch 8 \
-  --max-delay-ms 2 >"$OUT/serve.log" 2>&1 &
+# shellcheck disable=SC2086 # JOBS_ARG is empty or two words
+$CLI serve --load "$OUT/ckpt/model.ckpt" -p "$PORT" --max-batch 8 $JOBS_ARG \
+  >"$OUT/serve.log" 2>&1 &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 

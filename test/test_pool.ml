@@ -95,6 +95,49 @@ let test_nested_submit_rejected () =
       Alcotest.(check (array int)) "pool usable after" (Array.init 32 Fun.id)
         (Pool.init pool ~n:32 Fun.id))
 
+(* When the runtime runs out of domains part-way through [create], the
+   workers already started are stopped and joined before [Failure]
+   escapes. The test holds every domain slot but one, so a 3-worker
+   pool starts its first worker and fails on the second; that slot
+   must be free again once [create] has raised. *)
+let test_failed_spawn_stops_started_workers () =
+  (* A gate parks the domains spawned on it until it is released. *)
+  let gates = ref [] in
+  let gate () =
+    let m = Mutex.create () in
+    Mutex.lock m;
+    let g = (m, ref [], ref true) in
+    gates := g :: !gates;
+    g
+  in
+  let park (m, ds, _) = ds := Domain.spawn (fun () -> Mutex.lock m; Mutex.unlock m) :: !ds in
+  let release (m, ds, shut) =
+    if !shut then begin
+      shut := false;
+      Mutex.unlock m;
+      List.iter Domain.join !ds
+    end
+  in
+  let spare = gate () and rest = gate () and probe = gate () in
+  Fun.protect
+    ~finally:(fun () -> List.iter release !gates)
+    (fun () ->
+      park spare;
+      (try
+         while true do
+           park rest
+         done
+       with Failure _ -> ());
+      release spare;
+      (match Pool.create ~size:3 () with
+      | pool ->
+          Pool.shutdown pool;
+          Alcotest.fail "a 3-worker pool started with one domain slot free"
+      | exception Failure _ -> ());
+      match park probe with
+      | () -> ()
+      | exception Failure _ -> Alcotest.fail "the started worker still holds its slot")
+
 (* Parallel parity properties ------------------------------------------- *)
 
 (* Random small eval configurations — a qgen generator: each case
@@ -332,26 +375,6 @@ let test_reseeded_run_reproduces_draw_sequence () =
   let v2 = Mc_loss.expected_value ~rng:(Rng.create ~seed:13) ~spec ~n model ~x ~labels in
   Alcotest.(check bool) "re-seeded MC estimate identical" true (v1 = v2)
 
-(* Each domain has its own minor heap: workers started with
-   [~minor_heap_size] run on that size, and a default pool's workers on
-   the runtime's default, which this (main) domain was given too. *)
-let test_worker_minor_heap () =
-  let default = (Gc.get ()).minor_heap_size in
-  let worker_heaps ?minor_heap_size () =
-    let pool = Pool.create ~size:2 ?minor_heap_size () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    (* Enough slow-ish tasks that both workers take some. *)
-    Pool.init pool ~n:16 (fun _ ->
-        Unix.sleepf 1e-3;
-        (Gc.get ()).minor_heap_size)
-  in
-  let requested = if default = 32 * 1024 then 64 * 1024 else 32 * 1024 in
-  Array.iter
-    (fun w -> Alcotest.(check int) "worker with ~minor_heap_size" requested w)
-    (worker_heaps ~minor_heap_size:requested ());
-  Array.iter (fun w -> Alcotest.(check int) "default worker" default w) (worker_heaps ());
-  Alcotest.(check int) "caller's heap untouched" default (Gc.get ()).minor_heap_size
-
 let () =
   Alcotest.run "pnc_pool"
     [
@@ -363,7 +386,8 @@ let () =
           Alcotest.test_case "shutdown joins + rejects" `Quick test_shutdown_joins_and_rejects;
           Alcotest.test_case "1000 tiny tasks" `Quick test_stress_many_tiny_tasks;
           Alcotest.test_case "nested submit rejected" `Quick test_nested_submit_rejected;
-          Alcotest.test_case "worker minor heap size" `Quick test_worker_minor_heap;
+          Alcotest.test_case "failed spawn stops started workers" `Quick
+            test_failed_spawn_stops_started_workers;
         ] );
       ( "parity",
         [

@@ -3,11 +3,13 @@
    The load-bearing property is the parity contract from
    lib/serve/serve.mli: logits served over the wire are bit-identical
    (eps 0) to an offline [Model.logits_batch_t] call on the same
-   checkpoint, whatever flush mode produced the micro-batch. Each
-   parity test below pins one flush trigger — per-request batches
-   (max_batch = 1), the size threshold under concurrent load, and the
-   deadline under a single in-flight request — plus hot reload,
-   malformed-body survival, kill-and-restart and a drain check.
+   checkpoint, whatever flush mode produced the micro-batch. The
+   parity tests pin per-request batches (max_batch = 1), blocks
+   coalesced under concurrent load, and a lone request on an idle
+   daemon; the lane tests pin admission (coalescing behind a busy
+   lane, the one-group starvation bound, a stop with a backlog); plus
+   hot reload, malformed-body survival, kill-and-restart and a drain
+   check.
 
    The POOL_SIZE environment variable (default 4) sets the daemon's
    domain count in every suite that does not test a count of its own,
@@ -92,13 +94,7 @@ let test_parity_per_request () =
   let model = make_model 42 in
   save_model ckpt model;
   let config =
-    {
-      Serve.default_config with
-      max_batch = 1;
-      max_delay_s = 1.0;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
+    { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = env_pool_size }
   in
   with_server ~config ckpt (fun srv ->
       with_conn srv (fun c ->
@@ -117,24 +113,16 @@ let test_parity_per_request () =
           Array.iteri (fun i e -> check_bits (Printf.sprintf "batch row %d" i) e got.(i)) expect));
   Sys.remove ckpt
 
-(* Flush mode 2: the size threshold. Eight single-row requests from
-   eight concurrent connections against max_batch = 4 coalesce into
-   cross-request micro-batches; every answer must still be the row the
-   offline engine computes for that client's input. max_delay_s is the
-   safety valve so the test cannot wedge if the scheduler staggers the
-   admissions. *)
-let test_parity_threshold_flush () =
+(* Flush mode 2: coalescing. Eight single-row requests from eight
+   concurrent connections against max_batch = 4: whichever requests
+   share a block, every answer must still be the row the offline
+   engine computes for that client's input. *)
+let test_parity_coalesced_flush () =
   let ckpt = fresh_ckpt () in
   let model = make_model 43 in
   save_model ckpt model;
   let config =
-    {
-      Serve.default_config with
-      max_batch = 4;
-      max_delay_s = 0.25;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
+    { Serve.default_config with max_batch = 4; reload_every_s = 0.; pool_size = env_pool_size }
   in
   with_server ~config ckpt (fun srv ->
       let rng = Rng.create ~seed:11 in
@@ -156,21 +144,71 @@ let test_parity_threshold_flush () =
         results);
   Sys.remove ckpt
 
-(* Flush mode 3: the deadline. With max_batch far above what one
-   request supplies, only the max_delay_s timer can flush — the request
-   must still be answered promptly and bit-identically. *)
-let test_parity_deadline_flush () =
+(* Lanes -------------------------------------------------------------------
+
+   A request that finds a lane free computes at once (trigger
+   "free_lane"); requests that arrive while every lane is busy queue,
+   and the lanes take them as they finish ("backlog"). The cases below
+   read the [serve.batch] events; a slow sink holds a lane inside its
+   flush so that a backlog forms deterministically. *)
+
+module Obs = Pnc_obs.Obs
+
+type batch_event = { trigger : string; rows : int; extra : int }
+
+(* Run [f] with a sink collecting every [serve.batch] event; [on_batch]
+   runs on the flushing lane's thread, inside its flush, after each
+   event is recorded. Returns [f]'s result and the events in emission
+   order. *)
+let with_batches ?(on_batch = fun (_ : batch_event) -> ()) f =
+  let mu = Mutex.create () and seen = ref [] in
+  let write ~t:_ ~seq:_ ~name fields =
+    if name = "serve.batch" then begin
+      let int k =
+        match List.assoc_opt k fields with
+        | Some (Obs.Int v) -> v
+        | _ -> Alcotest.failf "serve.batch event without an int %s" k
+      in
+      let trigger =
+        match List.assoc_opt "trigger" fields with
+        | Some (Obs.Str tr) -> tr
+        | _ -> Alcotest.fail "serve.batch event without a trigger"
+      in
+      let e = { trigger; rows = int "rows"; extra = int "extra" } in
+      Mutex.lock mu;
+      seen := e :: !seen;
+      Mutex.unlock mu;
+      on_batch e
+    end
+  in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  let r = try Ok (f ()) with e -> Error e in
+  Obs.set_sink None;
+  match r with Ok v -> (v, List.rev !seen) | Error e -> raise e
+
+let triggers events = List.map (fun e -> e.trigger) events
+
+let check_triggers what expect got =
+  Alcotest.(check (list string)) (what ^ ": flush triggers") expect (triggers got)
+
+(* A counter of the process-wide metrics registry. *)
+let counter name =
+  match List.assoc_opt name (Obs.metrics_snapshot ()) with
+  | Some fields -> (
+      match List.assoc_opt "value" fields with
+      | Some (Obs.Int v) -> v
+      | _ -> Alcotest.failf "%s is not a counter" name)
+  | None -> Alcotest.failf "no metric %s" name
+
+(* Flush mode 3: a lone request on an idle daemon. With max_batch far
+   above what one request supplies, the request finds a lane free and
+   is answered by exactly one flush, at once and bit-identically. *)
+let test_lone_request_idle_daemon () =
   let ckpt = fresh_ckpt () in
   let model = make_model 44 in
   save_model ckpt model;
   let config =
-    {
-      Serve.default_config with
-      max_batch = 1024;
-      max_delay_s = 0.005;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
+    { Serve.default_config with max_batch = 1024; reload_every_s = 0.; pool_size = env_pool_size }
   in
   with_server ~config ckpt (fun srv ->
       with_conn srv (fun c ->
@@ -178,175 +216,203 @@ let test_parity_deadline_flush () =
           for i = 1 to 5 do
             let row = random_row rng in
             let t0 = Unix.gettimeofday () in
-            let _, got = ok "logits" (Serve.Client.logits c row) in
+            let (_, got), events =
+              with_batches (fun () -> ok "logits" (Serve.Client.logits c row))
+            in
             let dt = Unix.gettimeofday () -. t0 in
-            check_bits (Printf.sprintf "deadline %d" i) (offline model [| row |]).(0) got;
-            if dt > 2.0 then Alcotest.failf "deadline flush took %.3fs (timer not firing?)" dt
+            check_bits (Printf.sprintf "lone %d" i) (offline model [| row |]).(0) got;
+            check_triggers (Printf.sprintf "lone %d" i) [ "free_lane" ] events;
+            if dt > 1.0 then Alcotest.failf "lone request %d took %.3f s" i dt
           done));
   Sys.remove ckpt
 
-(* Flush triggers --------------------------------------------------------
-
-   A block is flushed by the request that fills it (trigger "fill"), by
-   the batcher at the queue head's deadline ("deadline"), or at stop
-   ("drain"). The cases below pin which one answers, and when; the
-   [serve.batch] events and the [serve.deadline_flushes] counter must
-   agree with them. *)
-
-module Obs = Pnc_obs.Obs
-
-(* Run [f] with a sink collecting the [trigger] of every [serve.batch]
-   event; returns [f]'s result and the triggers in emission order. *)
-let with_triggers f =
-  let mu = Mutex.create () and seen = ref [] in
-  let write ~t:_ ~seq:_ ~name fields =
-    if name = "serve.batch" then
-      match List.assoc_opt "trigger" fields with
-      | Some (Obs.Str tr) ->
-          Mutex.lock mu;
-          seen := tr :: !seen;
-          Mutex.unlock mu
-      | _ -> Alcotest.fail "serve.batch event without a trigger"
-  in
-  Obs.set_sink (Some { Obs.write; flush = ignore });
-  let r = try Ok (f ()) with e -> Error e in
-  Obs.set_sink None;
-  match r with Ok v -> (v, List.rev !seen) | Error e -> raise e
-
-(* The daemon's [serve.deadline_flushes] counter, read over /metrics. *)
-let deadline_flushes srv =
-  with_conn srv (fun c ->
-      let r = Serve.Client.request c ~meth:"GET" ~path:"/metrics" () in
-      match Json.member "serve.deadline_flushes" (Json.parse r.Serve.Client.body) with
-      | Some m -> Json.to_int (Option.get (Json.member "value" m))
-      | None -> Alcotest.fail "/metrics has no serve.deadline_flushes")
-
-let check_triggers what expect got =
-  Alcotest.(check (list string)) (what ^ ": flush triggers") expect got
-
-(* Two clients, max_batch = 2: the second request fills the block and
-   its handler computes it, so neither waits out the 10 s deadline. *)
-let test_fill_flush_skips_deadline () =
-  let ckpt = fresh_ckpt () in
-  let model = make_model 56 in
-  save_model ckpt model;
-  let config =
-    {
-      Serve.default_config with
-      max_batch = 2;
-      max_delay_s = 10.;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
-  in
-  with_server ~config ckpt (fun srv ->
-      let before = deadline_flushes srv in
-      let rng = Rng.create ~seed:57 in
-      let rows = Array.init 2 (fun _ -> random_row rng) in
-      let results = Array.make 2 None in
-      let t0 = Unix.gettimeofday () in
-      let (), triggers =
-        with_triggers (fun () ->
-            let ths =
-              Array.init 2 (fun i ->
-                  Thread.create
-                    (fun () -> with_conn srv (fun c -> results.(i) <- Some (Serve.Client.logits c rows.(i))))
-                    ())
-            in
-            Array.iter Thread.join ths)
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt > 5. then Alcotest.failf "a filled block waited %.1f s for its deadline" dt;
-      Array.iteri
-        (fun i r ->
-          let _, got = ok "fill" (Option.get r) in
-          check_bits (Printf.sprintf "client %d" i) (offline model [| rows.(i) |]).(0) got)
-        results;
-      check_triggers "two clients" [ "fill" ] triggers;
-      Alcotest.(check int) "no deadline flush" before (deadline_flushes srv));
-  Sys.remove ckpt
-
-(* One request larger than max_batch fills a block on its own. *)
+(* One request larger than max_batch is taken whole by its own lane. *)
 let test_oversized_request_flushes_at_once () =
   let ckpt = fresh_ckpt () in
   let model = make_model 58 in
   save_model ckpt model;
   let config =
-    {
-      Serve.default_config with
-      max_batch = 2;
-      max_delay_s = 10.;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
+    { Serve.default_config with max_batch = 2; reload_every_s = 0.; pool_size = env_pool_size }
   in
   with_server ~config ckpt (fun srv ->
-      let before = deadline_flushes srv in
       let rng = Rng.create ~seed:59 in
       let batch = Array.init 5 (fun _ -> random_row rng) in
       let t0 = Unix.gettimeofday () in
-      let (_, got), triggers =
-        with_triggers (fun () -> with_conn srv (fun c -> ok "oversized" (Serve.Client.logits_batch c batch)))
+      let (_, got), events =
+        with_batches (fun () -> with_conn srv (fun c -> ok "oversized" (Serve.Client.logits_batch c batch)))
       in
       let dt = Unix.gettimeofday () -. t0 in
       if dt > 5. then Alcotest.failf "a 5-row request against max_batch = 2 waited %.1f s" dt;
       Array.iteri (fun i e -> check_bits (Printf.sprintf "row %d" i) e got.(i)) (offline model batch);
-      check_triggers "oversized request" [ "fill" ] triggers;
-      Alcotest.(check int) "no deadline flush" before (deadline_flushes srv));
+      check_triggers "oversized request" [ "free_lane" ] events;
+      Alcotest.(check (list int)) "one 5-row block" [ 5 ] (List.map (fun e -> e.rows) events));
   Sys.remove ckpt
 
-(* A lone request below max_batch is the batcher's: never answered
-   before its 50 ms deadline, and counted as a deadline flush. *)
-let test_lone_request_waits_for_deadline () =
+(* [clients] concurrent connections against a one-domain daemon, each
+   sending [per_client] single-row requests, while every flush sleeps
+   [hold] seconds inside its lane (the runtime lock is released, so
+   the other handlers read and queue meanwhile). Returns the batch
+   events; every reply must be bit-identical to the offline logits. *)
+let one_lane_under_load ~seed ~max_batch ~clients ~per_client ~hold =
   let ckpt = fresh_ckpt () in
-  let model = make_model 60 in
+  let model = make_model seed in
   save_model ckpt model;
-  let config =
-    {
-      Serve.default_config with
-      max_batch = 64;
-      max_delay_s = 0.05;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
+  let config = { Serve.default_config with max_batch; reload_every_s = 0.; pool_size = 1 } in
+  let failures = Atomic.make 0 in
+  let (), events =
+    with_batches
+      ~on_batch:(fun _ -> Thread.delay hold)
+      (fun () ->
+        with_server ~config ckpt (fun srv ->
+            let worker wi =
+              let rng = Rng.create ~seed:(seed + 1000 + wi) in
+              try
+                with_conn srv (fun c ->
+                    for _ = 1 to per_client do
+                      let row = random_row rng in
+                      match Serve.Client.logits c row with
+                      | Error _ -> Atomic.incr failures
+                      | Ok (_, got) ->
+                          if not
+                               (Array.for_all2
+                                  (fun e g -> Int64.bits_of_float e = Int64.bits_of_float g)
+                                  (offline model [| row |]).(0) got)
+                          then Atomic.incr failures
+                    done)
+              with _ -> Atomic.incr failures
+            in
+            let ths = Array.init clients (fun wi -> Thread.create worker wi) in
+            Array.iter Thread.join ths))
   in
-  with_server ~config ckpt (fun srv ->
-      let before = deadline_flushes srv in
-      let rng = Rng.create ~seed:61 in
-      let n = 4 in
-      let (), triggers =
-        with_triggers (fun () ->
-            with_conn srv (fun c ->
-                for i = 1 to n do
-                  let row = random_row rng in
-                  let t0 = Unix.gettimeofday () in
-                  let _, got = ok "lone" (Serve.Client.logits c row) in
-                  let dt = Unix.gettimeofday () -. t0 in
-                  if dt < config.Serve.max_delay_s then
-                    Alcotest.failf "request %d answered after %.1f ms, before its 50 ms deadline" i
-                      (1000. *. dt);
-                  check_bits (Printf.sprintf "lone %d" i) (offline model [| row |]).(0) got
-                done))
-      in
-      check_triggers "lone requests" (List.init n (fun _ -> "deadline")) triggers;
-      Alcotest.(check int) "deadline flushes" (before + n) (deadline_flushes srv));
+  Sys.remove ckpt;
+  Alcotest.(check int) "every reply bit-identical to the offline logits" 0 (Atomic.get failures);
+  events
+
+(* One lane, 16 clients: requests that arrive while the lane computes
+   coalesce, so there are fewer blocks than requests, and no block
+   exceeds max_batch rows. *)
+let test_one_lane_coalesces () =
+  let max_batch = 4 and clients = 16 and per_client = 6 in
+  let events = one_lane_under_load ~seed:60 ~max_batch ~clients ~per_client ~hold:2e-3 in
+  let requests = clients * per_client in
+  Alcotest.(check int) "rows flushed" requests
+    (List.fold_left (fun a e -> a + e.rows) 0 events);
+  if List.length events >= requests then
+    Alcotest.failf "%d blocks for %d requests: nothing coalesced" (List.length events) requests;
+  List.iter
+    (fun e -> if e.rows > max_batch then Alcotest.failf "a %d-row block over max_batch" e.rows)
+    events;
+  if not (List.mem "backlog" (triggers events)) then
+    Alcotest.fail "no lane took queued work"
+
+(* The starvation bound: a lane whose own request has been taken
+   flushes at most one further group before its handler writes the
+   reply ([extra] <= 1), however deep the backlog. *)
+let test_one_group_after_own () =
+  let events = one_lane_under_load ~seed:61 ~max_batch:2 ~clients:16 ~per_client:4 ~hold:2e-3 in
+  List.iter
+    (fun e -> if e.extra > 1 then Alcotest.failf "a lane flushed %d groups after its own" e.extra)
+    events;
+  if not (List.exists (fun e -> e.extra = 1) events) then
+    Alcotest.fail "no lane took a further group: the backlog never formed"
+
+(* A stop while requests are queued behind a busy lane: the lane (and
+   the handlers it hands the backlog to) still answer every admitted
+   request, bit-identically; a request that arrives after the stop
+   gets a 503. The one-lane daemon's first flush is held until all
+   clients' requests have been read and the stop is requested. *)
+let test_stop_with_backlog () =
+  let ckpt = fresh_ckpt () in
+  let model = make_model 69 in
+  save_model ckpt model;
+  let config = { Serve.default_config with max_batch = 2; reload_every_s = 0.; pool_size = 1 } in
+  let clients = 16 in
+  let rng = Rng.create ~seed:70 in
+  let rows = Array.init clients (fun _ -> random_row rng) in
+  let expect = offline model rows in
+  let mu = Mutex.create () and cv = Condition.create () in
+  let held = ref false and released = ref false and after_stop = ref 0 in
+  let on_batch _ =
+    Mutex.lock mu;
+    if !released then incr after_stop
+    else begin
+      held := true;
+      Condition.broadcast cv;
+      while not !released do
+        Condition.wait cv mu
+      done
+    end;
+    Mutex.unlock mu
+  in
+  let release () =
+    Mutex.lock mu;
+    released := true;
+    Condition.broadcast cv;
+    Mutex.unlock mu
+  in
+  let is_held () =
+    Mutex.lock mu;
+    let h = !held in
+    Mutex.unlock mu;
+    h
+  in
+  let results = Array.make clients None in
+  let (), _events =
+    with_batches ~on_batch (fun () ->
+        with_server ~config ckpt (fun srv ->
+            let port = Serve.port srv in
+            let conns = Array.init clients (fun _ -> Serve.Client.connect ~port ()) in
+            let base = counter "serve.requests" in
+            let ths =
+              Array.init clients (fun i ->
+                  Thread.create
+                    (fun () -> results.(i) <- Some (Serve.Client.logits conns.(i) rows.(i)))
+                    ())
+            in
+            Fun.protect
+              ~finally:(fun () ->
+                release ();
+                Array.iter Thread.join ths;
+                Array.iter Serve.Client.close conns)
+              (fun () ->
+                let deadline = Unix.gettimeofday () +. 10. in
+                while not (is_held ()) do
+                  if Unix.gettimeofday () > deadline then Alcotest.fail "no flush within 10 s";
+                  Thread.delay 1e-3
+                done;
+                (* Every request read; give the handlers a moment to queue. *)
+                while
+                  counter "serve.requests" < base + clients && Unix.gettimeofday () < deadline
+                do
+                  Thread.delay 1e-3
+                done;
+                Thread.delay 0.05;
+                Serve.stop srv)))
+  in
+  let answered = ref 0 in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Ok (_, got)) ->
+          incr answered;
+          check_bits (Printf.sprintf "client %d" i) expect.(i) got
+      | Some (Error msg) when count_sub msg "HTTP 503" > 0 -> ()
+      | Some (Error msg) -> Alcotest.failf "client %d: %s" i msg
+      | None -> Alcotest.failf "client %d got no reply" i)
+    results;
+  if !after_stop = 0 then Alcotest.fail "no block was flushed after the stop: no backlog";
+  if !answered < 2 then Alcotest.failf "only %d requests answered" !answered;
   Sys.remove ckpt
 
-(* 64 connections against max_batch = 4 and a POOL_SIZE-domain daemon: many
-   handlers flush full blocks at once, each on its own batch tensor,
-   while the batcher takes the stragglers. Every row stays bit-exact. *)
-let test_overlapping_fill_flushes () =
+(* 64 connections against max_batch = 4 and a POOL_SIZE-domain daemon:
+   many lanes flush at once, each on its own batch tensor, while the
+   rest queue. Every row stays bit-exact. *)
+let test_overlapping_lanes () =
   let ckpt = fresh_ckpt () in
   let model = make_model 62 in
   save_model ckpt model;
   let config =
-    {
-      Serve.default_config with
-      max_batch = 4;
-      max_delay_s = 0.002;
-      reload_every_s = 0.;
-      pool_size = env_pool_size;
-    }
+    { Serve.default_config with max_batch = 4; reload_every_s = 0.; pool_size = env_pool_size }
   in
   with_server ~config ckpt (fun srv ->
       let failures = Atomic.make 0 in
@@ -754,7 +820,6 @@ let test_hot_reload_mid_load conns () =
     {
       Serve.default_config with
       max_batch = 4;
-      max_delay_s = 0.002;
       reload_every_s = 0.02;
       pool_size = env_pool_size;
     }
@@ -834,7 +899,6 @@ let test_kill_and_restart () =
     {
       Serve.default_config with
       max_batch = 2;
-      max_delay_s = 0.002;
       reload_every_s = 0.;
       pool_size = env_pool_size;
     }
@@ -869,7 +933,7 @@ let test_concurrent_drain () =
   let model = make_model 49 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 8; max_delay_s = 0.002; reload_every_s = 0.; pool_size = 2 }
+    { Serve.default_config with max_batch = 8; reload_every_s = 0.; pool_size = 2 }
   in
   with_server ~config ckpt (fun srv ->
       let failures = Atomic.make 0 in
@@ -925,15 +989,15 @@ let test_handler_churn () =
    The daemon runs on [pool_size] domains: connection k's handler runs
    on domain k mod n, and [run] joins every domain it started. *)
 
-(* Two connections on a 2-domain daemon, max_batch = 1: every request
-   fills its own block and its handler computes it, so the serve.batch
+(* Two connections on a 2-domain daemon, taking turns: every request
+   finds a lane free and its handler computes it, so the serve.batch
    events name both domains, three flushes each. *)
 let test_flushes_spread_over_domains () =
   let ckpt = fresh_ckpt () in
   let model = make_model 63 in
   save_model ckpt model;
   let config =
-    { Serve.default_config with max_batch = 1; max_delay_s = 10.; reload_every_s = 0.; pool_size = 2 }
+    { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = 2 }
   in
   let mu = Mutex.create () and started = ref [] and flushed = ref [] in
   let int_field name fields =
@@ -970,20 +1034,61 @@ let test_flushes_spread_over_domains () =
   Alcotest.(check (list int)) "serve.batch domains" [ 0; 0; 0; 1; 1; 1 ] (List.sort compare !flushed);
   Sys.remove ckpt
 
-(* Start, serve and stop a 2-domain daemon 50 times. Each cycle starts
-   one handler domain and two pool workers, so a [run] that left them
-   running would pass OCaml 5.1's limit of 128 domains within the
-   loop. Each cycle answers requests on two connections, one per
-   domain, and stops while four clients keep requests in flight: an
-   admitted request gets its bit-exact logits, a late one a 503 or a
-   closed connection. *)
+(* Each OCaml 5 domain has its own minor heap. The handler domains
+   [run] spawns set theirs to [Serve.minor_heap_words] (32k words); the
+   caller's domain keeps its own. A flush runs on its handler's domain,
+   so the sink reads that domain's heap size for each [serve.batch]. *)
+let test_handler_domain_minor_heap () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 69);
+  let config =
+    { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = 2 }
+  in
+  let mu = Mutex.create () and heaps = ref [] in
+  let write ~t:_ ~seq:_ ~name fields =
+    if name = "serve.batch" then begin
+      let domain =
+        match List.assoc_opt "domain" fields with
+        | Some (Obs.Int d) -> d
+        | _ -> Alcotest.fail "serve.batch event without an int domain"
+      in
+      let words = (Gc.get ()).minor_heap_size in
+      Mutex.lock mu;
+      heaps := (domain, words) :: !heaps;
+      Mutex.unlock mu
+    end
+  in
+  let caller = (Gc.get ()).minor_heap_size in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) (fun () ->
+      with_server ~config ckpt (fun srv ->
+          let rng = Rng.create ~seed:70 in
+          (* Connections 0 and 1 land on domains 0 and 1. *)
+          with_conn srv (fun c0 ->
+              with_conn srv (fun c1 ->
+                  List.iter
+                    (fun c -> ignore (ok "heap" (Serve.Client.logits c (random_row rng))))
+                    [ c0; c1 ]))));
+  Alcotest.(check (list (pair int int)))
+    "minor heap words per flushing domain"
+    [ (0, caller); (1, 32 * 1024) ]
+    (List.sort compare !heaps);
+  Alcotest.(check int) "caller's heap untouched" caller (Gc.get ()).minor_heap_size;
+  Sys.remove ckpt
+
+(* Start, serve and stop a 4-domain daemon 50 times. Each cycle spawns
+   n - 1 = 3 handler domains, so a [run] that left them running would
+   pass OCaml 5.1's limit of 128 domains within the loop. Each cycle
+   answers requests on four connections, one per domain, and stops
+   while four clients keep requests in flight: an admitted request
+   gets its bit-exact logits, a late one a 503 or a closed
+   connection. *)
 let test_no_domain_leak () =
   let ckpt = fresh_ckpt () in
   let model = make_model 65 in
   save_model ckpt model;
-  let config =
-    { Serve.default_config with max_batch = 4; max_delay_s = 0.002; reload_every_s = 0.; pool_size = 2 }
-  in
+  let n = 4 in
+  let config = { Serve.default_config with max_batch = 4; reload_every_s = 0.; pool_size = n } in
   let rng = Rng.create ~seed:66 in
   let rows = Array.init 8 (fun _ -> random_row rng) in
   let expect = offline model rows in
@@ -1011,14 +1116,16 @@ let test_no_domain_leak () =
     let clients, srv =
       with_server ~config ckpt (fun srv ->
           let port = Serve.port srv in
-          (* Connections 0 and 1 land on domains 0 and 1. *)
-          with_conn srv (fun c0 ->
-              with_conn srv (fun c1 ->
-                  List.iteri
-                    (fun i c ->
-                      let _, got = ok "cycle" (Serve.Client.logits c rows.(i)) in
-                      check_bits (Printf.sprintf "cycle %d, connection %d" cycle i) expect.(i) got)
-                    [ c0; c1 ]));
+          (* Connection k lands on domain k. *)
+          let conns = List.init n (fun _ -> Serve.Client.connect ~port ()) in
+          Fun.protect
+            ~finally:(fun () -> List.iter Serve.Client.close conns)
+            (fun () ->
+              List.iteri
+                (fun i c ->
+                  let _, got = ok "cycle" (Serve.Client.logits c rows.(i)) in
+                  check_bits (Printf.sprintf "cycle %d, connection %d" cycle i) expect.(i) got)
+                conns);
           let clients = List.init 4 (fun k -> Thread.create (client ~port k) ()) in
           let deadline = Unix.gettimeofday () +. 10. in
           while Atomic.get answered < 4 do
@@ -1036,31 +1143,31 @@ let test_no_domain_leak () =
   done;
   Sys.remove ckpt
 
-(* The daemon runs 2 x pool_size domains and OCaml 5.1 at most 128:
+(* The daemon runs pool_size domains and OCaml 5.1 at most 128:
    [create] refuses a larger [pool_size] before any socket is bound,
    and the default fits. *)
 let test_pool_size_over_limit_rejected () =
   let ckpt = fresh_ckpt () in
   save_model ckpt (make_model 67);
-  let config = { Serve.default_config with port = 0; pool_size = 65 } in
+  let config = { Serve.default_config with port = 0; pool_size = 129 } in
   (match Serve.create ~config ~checkpoint:ckpt () with
-  | Ok _ -> Alcotest.fail "pool_size 65 accepted"
+  | Ok _ -> Alcotest.fail "pool_size 129 accepted"
   | Error msg ->
-      Alcotest.(check bool) ("error names the limit: " ^ msg) true (count_sub msg "<= 64" > 0));
-  Alcotest.(check bool) "default fits" true (Serve.default_config.pool_size <= 64);
+      Alcotest.(check bool) ("error names the limit: " ^ msg) true (count_sub msg "<= 128" > 0));
+  Alcotest.(check bool) "default fits" true (Serve.default_config.pool_size <= 128);
   Sys.remove ckpt
 
 (* When the process has too few domains left for the daemon, [run]
    raises instead of serving, after ending the domains it did start
-   and closing its socket. A 2-domain daemon spawns three: two pool
-   workers, then one handler domain. The test holds every domain slot
-   but [free]: with one free, the pool's second worker fails; with
-   two, the handler domain. Either way the slots are free again once
-   [run] has raised. *)
-let test_spawn_failure_cleans_up free () =
+   and closing its socket. A 3-domain daemon spawns two handler
+   domains. The test holds every domain slot but one, so the first
+   handler domain starts and the second fails; the slot is free again
+   once [run] has raised. *)
+let test_spawn_failure_cleans_up () =
+  let free = 1 in
   let ckpt = fresh_ckpt () in
   save_model ckpt (make_model 68);
-  let config = { Serve.default_config with port = 0; reload_every_s = 0.; pool_size = 2 } in
+  let config = { Serve.default_config with port = 0; reload_every_s = 0.; pool_size = 3 } in
   let srv =
     match Serve.create ~config ~checkpoint:ckpt () with
     | Ok srv -> srv
@@ -1274,20 +1381,22 @@ let () =
       ( "parity",
         [
           Alcotest.test_case "per-request flush (max_batch=1)" `Quick test_parity_per_request;
-          Alcotest.test_case "threshold flush, concurrent clients" `Quick
-            test_parity_threshold_flush;
-          Alcotest.test_case "deadline flush" `Quick test_parity_deadline_flush;
+          Alcotest.test_case "coalesced flush, concurrent clients" `Quick
+            test_parity_coalesced_flush;
+          Alcotest.test_case "lone request, idle daemon: one flush" `Quick
+            test_lone_request_idle_daemon;
         ] );
-      ( "flush triggers",
+      ( "lanes",
         [
-          Alcotest.test_case "filled block skips a 10 s deadline" `Quick
-            test_fill_flush_skips_deadline;
           Alcotest.test_case "request over max_batch flushes at once" `Quick
             test_oversized_request_flushes_at_once;
-          Alcotest.test_case "lone request waits for its deadline" `Quick
-            test_lone_request_waits_for_deadline;
-          Alcotest.test_case "overlapping fill flushes, 64 connections" `Quick
-            test_overlapping_fill_flushes;
+          Alcotest.test_case "one lane, 16 clients: blocks coalesce" `Quick
+            test_one_lane_coalesces;
+          Alcotest.test_case "at most one group after a lane's own" `Quick
+            test_one_group_after_own;
+          Alcotest.test_case "stop with a backlog answers every admitted request" `Quick
+            test_stop_with_backlog;
+          Alcotest.test_case "overlapping lanes, 64 connections" `Quick test_overlapping_lanes;
         ] );
       ( "receive path",
         [
@@ -1310,12 +1419,13 @@ let () =
       ( "domains",
         [
           Alcotest.test_case "flushes spread over domains" `Quick test_flushes_spread_over_domains;
+          Alcotest.test_case "handler domains run a 32k-word minor heap" `Quick
+            test_handler_domain_minor_heap;
           Alcotest.test_case "no domain leaks over 50 runs" `Quick test_no_domain_leak;
           Alcotest.test_case "pool_size over the domain limit rejected" `Quick
             test_pool_size_over_limit_rejected;
-          Alcotest.test_case "failed pool spawn cleans up" `Quick (test_spawn_failure_cleans_up 1);
           Alcotest.test_case "failed handler domain spawn cleans up" `Quick
-            (test_spawn_failure_cleans_up 2);
+            test_spawn_failure_cleans_up;
         ] );
       ( "framing",
         [
