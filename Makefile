@@ -91,6 +91,12 @@ stream-smoke:
 	dune build bin/adapt_pnc.exe && \
 	  ./scripts/stream_smoke.sh $(STREAM_SMOKE_OUT)
 
+# Runs every examples/*.exe to completion under a timeout
+# (scripts/examples_smoke.sh); building them alone does not exercise
+# the library paths only they call.
+examples-smoke:
+	./scripts/examples_smoke.sh
+
 # Powers-of-five table gate: regenerates lib/obs/pow5.ml (the 128-bit
 # table of the Eisel-Lemire number parser in Obs.Json) from
 # scripts/gen_pow5.py and fails on any difference from the checked-in
@@ -98,4 +104,4 @@ stream-smoke:
 pow5-check:
 	python3 scripts/gen_pow5.py | diff -u lib/obs/pow5.ml - && echo "pow5-check: OK"
 
-.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-smoke grid-smoke stream-smoke
+.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-smoke grid-smoke stream-smoke examples-smoke

@@ -673,7 +673,7 @@ let grid_worker_cmd =
   let run cache_dir scale datasets variants_s precision lease_ttl worker_id metrics_out trace =
     let variants = grid_variants_of ~variants:variants_s in
     let cfg = grid_config ~scale ~precision ~datasets in
-    Grid.mkdir_p cache_dir;
+    Experiments.mkdir_p cache_dir;
     with_obs ~metrics_out ~trace (fun () ->
         let cells = Grid.cells_of_config ~dir:cache_dir cfg ~variants in
         let owner = Printf.sprintf "worker-%d" worker_id in
@@ -706,7 +706,7 @@ let grid_run_cmd =
     end;
     let variants = grid_variants_of ~variants:variants_s in
     let cfg = grid_config ~scale ~precision ~datasets in
-    Grid.mkdir_p cache_dir;
+    Experiments.mkdir_p cache_dir;
     with_obs ~metrics_out ~trace (fun () ->
         if shards = 1 then begin
           let cells = Grid.cells_of_config ~dir:cache_dir cfg ~variants in

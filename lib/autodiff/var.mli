@@ -7,11 +7,14 @@
     monotonically, so decreasing id is a valid reverse topological
     order for any DAG built by these combinators).
 
-    The engine is the PyTorch-autograd substitute used to train every
-    model in the paper: the printed crossbar surrogate, the learnable
-    filters (first- and second-order), the printed tanh activation and
-    the Elman RNN reference. Gradients are property-tested against
-    central finite differences in [test/test_autodiff.ml]. *)
+    The engine is the PyTorch-autograd substitute: it trains the Elman
+    RNN reference, and it records the printed circuits' Monte-Carlo
+    objective as one {!fused} node whose hand-written backward
+    ([Pnc_core.Adjoint]) is tested bit for bit against the per-op graph
+    of the printed crossbar surrogate, the learnable filters (first- and
+    second-order) and the printed tanh activation built from these
+    combinators. Gradients are property-tested against central finite
+    differences in [test/test_autodiff.ml]. *)
 
 type t
 

@@ -1,86 +1,31 @@
 module T = Pnc_tensor.Tensor
 module Var = Pnc_autodiff.Var
 module Loss = Pnc_autodiff.Loss
-module Rng = Pnc_util.Rng
 module BA = Bigarray.Array1
 
 (* {1 One draw}
 
-   What the sweep needs of one draw beyond the kernel the forward runs:
-   the variation factors that [Network.realize_net_t] folded in
-   (replayed from a copy of the draw's stream) and the realization
-   values the per-op graph kept on its nodes. Everything is captured
+   What the sweep needs of one draw: the records that
+   [Network.realize_net_t] realized it into, which keep the variation
+   factors beside the effective values the per-op graph computed from
+   them, and each layer's initial filter states. Everything is captured
    when the node is built, as the tape captures its node values. *)
-
-type stage = {
-  eps_r : T.t;
-  eps_c : T.t;
-  mu : T.t;
-  r_eff : T.t; (* after the drift multiplier *)
-  c_eff : T.t;
-  den : T.t; (* µτ + Δt *)
-}
-
-type layer = {
-  kern : Network.layer_kernel;
-  theta_eps : T.t;
-  bias_eps : T.t;
-  bias_eff : T.t; (* θ_b·ε, whose sign the |θ_b| term needs *)
-  stages : stage array;
-  eta_eps : T.t array;
-  init : T.t array; (* initial filter states, [rows x n_out] per stage *)
-}
 
 type sample = {
   ste : bool;
-  rm : float; (* drift multipliers on R and C *)
-  cm : float;
-  layers : layer array;
+  reals : Network.layer_t array;
+  init : T.t array array; (* per layer, the initial filter states, [rows x n_out] per stage *)
   mutable logits : T.t;
   mutable value : float; (* the draw's cross-entropy *)
 }
 
 let realize_draw d net ~rows =
-  let replay = { d with Variation.rng = Rng.copy d.Variation.rng } in
-  let kernels = Network.realize_net_t ~varied:Batch.all_families ~draw:d net in
-  let rm = Variation.drift_r_mult d and cm = Variation.drift_c_mult d in
-  let layers =
-    List.map2
-      (fun (cb, fl, act) (kern : Network.layer_kernel) ->
-        (* Same order as realize_net_t: filters, activation, crossbar. *)
-        let factors = Filter_layer.stage_factors ~draw:replay fl in
-        let eta_eps = Ptanh.sample_eps ~draw:replay act in
-        let theta_eps, bias_eps = Crossbar.sample_eps ~draw:replay cb in
-        let leaves = Array.of_list (Filter_layer.params fl) in
-        let stages =
-          Array.mapi
-            (fun i (eps_r, eps_c, mu) ->
-              (* Filter_layer.realize_t's arithmetic, kept per stage. *)
-              let drift m t = if m = 1. then t else T.scale m t in
-              let r_eff = drift rm (T.mul (Var.value leaves.(2 * i)) eps_r) in
-              let c_eff = drift cm (T.mul (Var.value leaves.((2 * i) + 1)) eps_c) in
-              let tau = T.scale Filter_layer.tau_max (T.mul r_eff c_eff) in
-              let den = T.add_scalar Printed.dt (T.mul mu tau) in
-              { eps_r; eps_c; mu; r_eff; c_eff; den })
-            factors
-        in
-        let theta_b = List.nth (Crossbar.params cb) 1 in
-        {
-          kern;
-          theta_eps;
-          bias_eps;
-          bias_eff = T.mul (Var.value theta_b) bias_eps;
-          stages;
-          eta_eps;
-          init = Filter_layer.init_state_t kern.Network.k_filt ~batch:rows;
-        })
-      (Network.layers net) kernels
-  in
+  let reals = Array.of_list (Network.realize_net_t ~varied:Batch.all_families ~draw:d net) in
   {
     ste = d.Variation.ste;
-    rm;
-    cm;
-    layers = Array.of_list layers;
+    reals;
+    init =
+      Array.map (fun (r : Network.layer_t) -> Filter_layer.init_state_t r.filt ~batch:rows) reals;
     logits = T.zeros ~rows:0 ~cols:0;
     value = nan;
   }
@@ -129,9 +74,9 @@ let row n = T.zeros ~rows:1 ~cols:n
 let make_ws ~rows ~steps (d : sample) =
   let lws =
     Array.map
-      (fun l ->
-        let n_in = T.rows l.kern.Network.k_theta and n_out = T.cols l.kern.Network.k_theta in
-        let n_st = Array.length l.stages in
+      (fun (l : Network.layer_t) ->
+        let n_in = T.rows l.cb.theta_eff and n_out = T.cols l.cb.theta_eff in
+        let n_st = Array.length l.filt.stages_t in
         let plane = n_out * rows in
         {
           n_in;
@@ -149,20 +94,20 @@ let make_ws ~rows ~steps (d : sample) =
           g_b = Array.init n_st (fun _ -> row n_out);
           g_eta = Array.init 4 (fun _ -> row n_out);
         })
-      d.layers
+      d.reals
   in
   let classes = lws.(Array.length lws - 1).n_out in
   { rows; steps; lws; scratch = buffer rows; acc = T.zeros ~rows:classes ~cols:rows; stamp = 0 }
 
 let fits ws ~rows ~steps (d : sample) =
   ws.rows = rows && ws.steps = steps
-  && Array.length ws.lws = Array.length d.layers
+  && Array.length ws.lws = Array.length d.reals
   && Array.for_all2
-       (fun lw l ->
-         lw.n_in = T.rows l.kern.Network.k_theta
-         && lw.n_out = T.cols l.kern.Network.k_theta
-         && Array.length lw.st = Array.length l.stages)
-       ws.lws d.layers
+       (fun lw (l : Network.layer_t) ->
+         lw.n_in = T.rows l.cb.theta_eff
+         && lw.n_out = T.cols l.cb.theta_eff
+         && Array.length lw.st = Array.length l.filt.stages_t)
+       ws.lws d.reals
 
 let ws_key : ws option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
@@ -204,13 +149,12 @@ let activation_keep_pass ~rows (th : T.buffer) tho (o : T.buffer) oo (v : T.buff
 
 (* Step [t] of one layer: input element [(r, k)] is at
    [xo + r * rs + k * ks]. *)
-let forward_step ~rows ~t lw (l : layer) (x : T.buffer) xo ~rs ~ks =
-  let k = l.kern in
+let forward_step ~rows ~t lw (l : Network.layer_t) (x : T.buffer) xo ~rs ~ks =
   let n_out = lw.n_out in
   let plane = n_out * rows in
-  let th = k.Network.k_theta and bias = k.Network.k_bias and inv = k.Network.k_inv in
-  let e1 = k.Network.k_e1 and e2 = k.Network.k_e2 and e3 = k.Network.k_e3 in
-  let e4 = k.Network.k_e4 in
+  let th = l.cb.theta_eff and bias = l.cb.bias_num and inv = l.cb.inv_den in
+  let e1 = l.act.eta.(0) and e2 = l.act.eta.(1) and e3 = l.act.eta.(2) in
+  let e4 = l.act.eta.(3) in
   for c = 0 to n_out - 1 do
     let fo = (t * plane) + (c * rows) in
     Network.crossbar_pass ~rows lw.dv fo x xo ~rs ~ks ~n_in:lw.n_in th.T.data (th.T.off + c)
@@ -219,7 +163,7 @@ let forward_step ~rows ~t lw (l : layer) (x : T.buffer) xo ~rs ~ks =
       (inv.T.off + c);
     let v = ref lw.dv and voff = ref fo in
     for i = 0 to Array.length lw.st - 1 do
-      let s = lw.st.(i) and a, b = k.Network.k_stages.(i) in
+      let s = lw.st.(i) and a = l.filt.stages_t.(i).a and b = l.filt.stages_t.(i).b in
       copy_pass ~rows s (fo + plane) s fo;
       Network.stage_pass ~rows s (fo + plane) !v !voff a.T.data (a.T.off + c) b.T.data
         (b.T.off + c);
@@ -236,7 +180,7 @@ let forward ws (d : sample) (steps : T.t array) =
     (fun li lw ->
       Array.iteri
         (fun i s ->
-          let s0 = d.layers.(li).init.(i) in
+          let s0 = d.init.(li).(i) in
           for c = 0 to lw.n_out - 1 do
             for r = 0 to rows - 1 do
               BA.unsafe_set s ((c * rows) + r) (T.get s0 r c)
@@ -250,10 +194,10 @@ let forward ws (d : sample) (steps : T.t array) =
   let plane_last = last.n_out * rows in
   for t = 0 to ws.steps - 1 do
     let x = steps.(t) in
-    forward_step ~rows ~t ws.lws.(0) d.layers.(0) x.T.data x.T.off ~rs:ws.lws.(0).n_in ~ks:1;
+    forward_step ~rows ~t ws.lws.(0) d.reals.(0) x.T.data x.T.off ~rs:ws.lws.(0).n_in ~ks:1;
     for li = 1 to n_layers - 1 do
       let prev = ws.lws.(li - 1) in
-      forward_step ~rows ~t ws.lws.(li) d.layers.(li) prev.out (t * prev.n_out * rows) ~rs:1
+      forward_step ~rows ~t ws.lws.(li) d.reals.(li) prev.out (t * prev.n_out * rows) ~rs:1
         ~ks:rows
     done;
     (* Read-out, as [T.add_inplace] on the last layer's activations. *)
@@ -360,13 +304,12 @@ let input_back ~rows (gin : T.buffer) gio (scratch : T.buffer) (w : T.buffer) wo
 
 (* Sweep step [t] of layer [li], whose dL/d activations are in [gout]. *)
 let sweep_step ws (d : sample) (steps : T.t array) ~t ~li (gout : T.buffer) =
-  let rows = ws.rows and lw = ws.lws.(li) and l = d.layers.(li) in
+  let rows = ws.rows and lw = ws.lws.(li) and l = d.reals.(li) in
   let first = t = ws.steps - 1 in
   let n_out = lw.n_out and n_st = Array.length lw.st in
   let plane = n_out * rows in
-  let k = l.kern in
-  let th = k.Network.k_theta and inv = k.Network.k_inv in
-  let e2 = k.Network.k_e2 and e3 = k.Network.k_e3 and e4 = k.Network.k_e4 in
+  let th = l.cb.theta_eff and inv = l.cb.inv_den in
+  let e2 = l.act.eta.(1) and e3 = l.act.eta.(2) and e4 = l.act.eta.(3) in
   let g1 = lw.g_eta.(0).T.data and g2 = lw.g_eta.(1).T.data in
   let g3 = lw.g_eta.(2).T.data and g4 = lw.g_eta.(3).T.data in
   (* The layer input at step t: the data, or the layer below. *)
@@ -380,7 +323,7 @@ let sweep_step ws (d : sample) (steps : T.t array) ~t ~li (gout : T.buffer) =
     ptanh_back ~rows ~first gout go lw.th fo lw.st.(n_st - 1) (fo + plane) ws.scratch e2.T.data
       (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c) g1 g2 g3 g4 c;
     for i = n_st - 1 downto 0 do
-      let a, b = k.Network.k_stages.(i) in
+      let a = l.filt.stages_t.(i).a and b = l.filt.stages_t.(i).b in
       let xin = if i = 0 then lw.dv else lw.st.(i - 1) and xio = if i = 0 then fo else fo + plane in
       stage_back ~rows ~first lw.gst.(i) go ws.scratch lw.st.(i) fo xin xio a.T.data
         (a.T.off + c) b.T.data (b.T.off + c) lw.g_a.(i).T.data lw.g_b.(i).T.data c
@@ -407,17 +350,19 @@ let sign u = if u > 0. then 1. else if u < 0. then -1. else 0.
    denominator, the filter's a = τ/(µτ + Δt) and b = Δt/(µτ + Δt) with
    τ = τ_max·R·C and drift-scaled R and C, and each fold (×ε, or
    straight through under noise injection). *)
-let realization_back ~emit (smp : sample) lw (l : layer) (cb, fl, act) =
+let realization_back ~emit (smp : sample) lw (l : Network.layer_t) (cb, fl, act) =
   let fold g eps = if smp.ste then g else g *. eps in
   let n_out = lw.n_out in
   let theta, theta_b = match Crossbar.params cb with [ t; b ] -> (t, b) | _ -> assert false in
   for c = 0 to n_out - 1 do
     let gden = T.get lw.g_den 0 c in
-    let gb = (gden *. sign (T.get l.bias_eff 0 c)) +. (Printed.v_supply *. T.get lw.g_bias 0 c) in
-    T.set lw.g_bias 0 c (fold gb (T.get l.bias_eps 0 c));
+    let gb =
+      (gden *. sign (T.get l.cb.bias_eff 0 c)) +. (Printed.v_supply *. T.get lw.g_bias 0 c)
+    in
+    T.set lw.g_bias 0 c (fold gb (T.get l.cb.bias_eps 0 c));
     for i = 0 to lw.n_in - 1 do
-      let g = T.get lw.g_theta i c +. (gden *. sign (T.get l.kern.Network.k_theta i c)) in
-      T.set lw.g_theta i c (fold g (T.get l.theta_eps i c))
+      let g = T.get lw.g_theta i c +. (gden *. sign (T.get l.cb.theta_eff i c)) in
+      T.set lw.g_theta i c (fold g (T.get l.cb.theta_eps i c))
     done
   done;
   emit theta lw.g_theta;
@@ -425,27 +370,26 @@ let realization_back ~emit (smp : sample) lw (l : layer) (cb, fl, act) =
   let leaves = Array.of_list (Filter_layer.params fl) in
   let drift m g = if m = 1. then g else m *. g in
   Array.iteri
-    (fun i (s : stage) ->
-      let a, b = l.kern.Network.k_stages.(i) in
+    (fun i (s : Filter_layer.stage_t) ->
       for c = 0 to n_out - 1 do
         let ga = T.get lw.g_a.(i) 0 c and gb = T.get lw.g_b.(i) 0 c in
         let den = T.get s.den 0 c in
-        let gden = -.(gb *. T.get b 0 c /. den) +. -.(ga *. T.get a 0 c /. den) in
+        let gden = -.(gb *. T.get s.b 0 c /. den) +. -.(ga *. T.get s.a 0 c /. den) in
         let gtau = (ga /. den) +. (gden *. T.get s.mu 0 c) in
         let gm = Filter_layer.tau_max *. gtau in
-        let gr = drift smp.rm (gm *. T.get s.c_eff 0 c)
-        and gc = drift smp.cm (gm *. T.get s.r_eff 0 c) in
+        let gr = drift l.filt.r_mult (gm *. T.get s.c_eff 0 c)
+        and gc = drift l.filt.c_mult (gm *. T.get s.r_eff 0 c) in
         T.set lw.g_a.(i) 0 c (fold gr (T.get s.eps_r 0 c));
         T.set lw.g_b.(i) 0 c (fold gc (T.get s.eps_c 0 c))
       done;
       emit leaves.(2 * i) lw.g_a.(i);
       emit leaves.((2 * i) + 1) lw.g_b.(i))
-    l.stages;
+    l.filt.stages_t;
   List.iteri
     (fun j eta ->
       let g = lw.g_eta.(j) in
       for c = 0 to n_out - 1 do
-        T.set g 0 c (fold (T.get g 0 c) (T.get l.eta_eps.(j) 0 c))
+        T.set g 0 c (fold (T.get g 0 c) (T.get l.act.eps.(j) 0 c))
       done;
       emit eta g)
     (Ptanh.params act)
@@ -471,7 +415,7 @@ let sweep ws (smp : sample) steps ~gl ~labels ~emit net =
     done
   done;
   List.iteri
-    (fun li layer -> realization_back ~emit smp ws.lws.(li) smp.layers.(li) layer)
+    (fun li layer -> realization_back ~emit smp ws.lws.(li) smp.reals.(li) layer)
     (Network.layers net)
 
 (* {1 The node} *)

@@ -26,67 +26,65 @@ let outputs cb = cb.n_out
 let params cb = [ cb.theta; cb.theta_b ]
 let named_params cb = [ ("theta", cb.theta); ("theta_b", cb.theta_b) ]
 
-let sample_eps ~draw cb =
-  ( Variation.eps_for draw ~rows:cb.n_in ~cols:cb.n_out,
-    Variation.eps_for draw ~rows:1 ~cols:cb.n_out )
-
 (* The crossbar is one physical device: its effective conductances are
    fixed for a whole sequence, so they are realized once and only the
    input-dependent part (matmul + bias + normalization) runs per time
-   step. *)
-type realization = { theta_eff : Var.t; bias_num : Var.t; denominator : Var.t }
-
-let realize_const ?(ste = false) ~theta_eps ~bias_eps cb =
-  (* [ste] swaps the variation fold for the straight-through estimator:
-     forward values are bit-identical, only the backward rule changes
-     (noise-injection training sees the perturbed crossbar but updates
-     the clean conductances). *)
-  let fold v eps = if ste then Var.ste_mul v eps else Var.mul v (Var.const eps) in
-  let theta_eff = fold cb.theta theta_eps in
-  let bias_eff = fold cb.theta_b bias_eps in
-  {
-    theta_eff;
-    bias_num = Var.scale Printed.v_supply bias_eff;
-    denominator =
-      Var.add_scalar g_dummy (Var.add (Var.sum_rows (Var.abs theta_eff)) (Var.abs bias_eff));
-  }
-
-let realize ~draw cb =
-  let theta_eps, bias_eps = sample_eps ~draw cb in
-  realize_const ~ste:draw.Variation.ste ~theta_eps ~bias_eps cb
-
-let apply real x =
-  Var.div_rv (Var.add_rv (Var.matmul x real.theta_eff) real.bias_num) real.denominator
-
-let forward_const ~theta_eps ~bias_eps cb x = apply (realize_const ~theta_eps ~bias_eps cb) x
-let forward ~draw cb x = apply (realize ~draw cb) x
-
-(* Pure-tensor realization for the no-grad evaluation path. Applies the
-   exact floating-point operation sequence of [realize]/[apply] on raw
-   tensors (the normalization divides by multiplying with a precomputed
-   reciprocal, as [Var.div_rv] does), so logits are bit-identical to the
-   Var path under the same draw. *)
-type realization_t = { theta_eff_t : T.t; bias_num_t : T.t; inv_den_t : T.t }
+   step. [realize_t] is the one place a crossbar samples its draw; the
+   per-op graph, the fused kernel in [Network] and the adjoint sweep
+   all read its record. The normalization divides by multiplying with a
+   precomputed reciprocal, as [Var.div_rv] does, so logits are
+   bit-identical between the paths under the same draw. *)
+type realization_t = {
+  theta_eps : T.t;
+  bias_eps : T.t;
+  theta_eff : T.t;
+  bias_eff : T.t;
+  bias_num : T.t;
+  inv_den : T.t;
+}
 
 let realize_t ~draw cb =
-  let theta_eps, bias_eps = sample_eps ~draw cb in
+  (* θ_b's factors come off the stream before θ's: the order every
+     trained model and cached grid cell was sampled in. *)
+  let bias_eps = Variation.eps_for draw ~rows:1 ~cols:cb.n_out in
+  let theta_eps = Variation.eps_for draw ~rows:cb.n_in ~cols:cb.n_out in
   let theta_eff = T.mul (Var.value cb.theta) theta_eps in
   let bias_eff = T.mul (Var.value cb.theta_b) bias_eps in
   let den =
     T.add_scalar g_dummy (T.add (T.sum_rows (T.map Float.abs theta_eff)) (T.map Float.abs bias_eff))
   in
   {
-    theta_eff_t = theta_eff;
-    bias_num_t = T.scale Printed.v_supply bias_eff;
-    inv_den_t = T.map (fun x -> 1. /. x) den;
+    theta_eps;
+    bias_eps;
+    theta_eff;
+    bias_eff;
+    bias_num = T.scale Printed.v_supply bias_eff;
+    inv_den = T.map (fun x -> 1. /. x) den;
   }
 
-let kernel_t real = (real.theta_eff_t, real.bias_num_t, real.inv_den_t)
+type realization = { w : Var.t; num : Var.t; den : Var.t }
+
+let realize ~ste cb (r : realization_t) =
+  (* [ste] swaps the variation fold for the straight-through estimator:
+     forward values are bit-identical, only the backward rule changes
+     (noise-injection training sees the perturbed crossbar but updates
+     the clean conductances). *)
+  let fold v eps = if ste then Var.ste_mul v eps else Var.mul v (Var.const eps) in
+  let theta_eff = fold cb.theta r.theta_eps in
+  let bias_eff = fold cb.theta_b r.bias_eps in
+  {
+    w = theta_eff;
+    num = Var.scale Printed.v_supply bias_eff;
+    den = Var.add_scalar g_dummy (Var.add (Var.sum_rows (Var.abs theta_eff)) (Var.abs bias_eff));
+  }
+
+let apply real x = Var.div_rv (Var.add_rv (Var.matmul x real.w) real.num) real.den
+let forward ~draw cb x = apply (realize ~ste:draw.Variation.ste cb (realize_t ~draw cb)) x
 
 let apply_batch_t real x =
-  let out = T.zeros ~rows:(T.rows x) ~cols:(T.cols real.theta_eff_t) in
-  T.matmul_into ~dst:out x real.theta_eff_t;
-  T.add_mul_rv_inplace out ~add:real.bias_num_t ~mul:real.inv_den_t;
+  let out = T.zeros ~rows:(T.rows x) ~cols:(T.cols real.theta_eff) in
+  T.matmul_into ~dst:out x real.theta_eff;
+  T.add_mul_rv_inplace out ~add:real.bias_num ~mul:real.inv_den;
   out
 
 let theta_values cb = T.copy (Var.value cb.theta)

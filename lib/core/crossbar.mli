@@ -25,21 +25,22 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 (** Stable checkpoint path names ([theta], [theta_b]); same order as
     {!params}. *)
 
-val forward : draw:Variation.draw -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-(** Map a [batch x inputs] node to [batch x outputs]. A fresh ε sample
-    is taken from [draw] per call (per Monte-Carlo sample). *)
+(** {1 Realization}
 
-type realization
-(** One physical instance of the crossbar: effective conductances with
-    ε folded in, shared across all time steps of a sequence. *)
+    One physical instance of the crossbar under one draw, shared across
+    all time steps of a sequence. {!realize_t} is the only function
+    that samples a crossbar's draw: it takes θ_b's ε factors from the
+    stream, then θ's. *)
 
-val realize : draw:Variation.draw -> t -> realization
-val apply : realization -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-
-type realization_t
-(** Pure-tensor realization for the no-grad evaluation path; consumes
-    the draw's random stream exactly like {!realize} and produces
-    bit-identical outputs without building autodiff nodes. *)
+type realization_t = private {
+  theta_eps : Pnc_tensor.Tensor.t;  (** ε of θ, [inputs x outputs] *)
+  bias_eps : Pnc_tensor.Tensor.t;  (** ε of θ_b, [1 x outputs] *)
+  theta_eff : Pnc_tensor.Tensor.t;  (** θ·ε *)
+  bias_eff : Pnc_tensor.Tensor.t;  (** θ_b·ε *)
+  bias_num : Pnc_tensor.Tensor.t;  (** V_b·θ_b·ε *)
+  inv_den : Pnc_tensor.Tensor.t;  (** 1 / (Σᵢ|θᵢ·ε| + |θ_b·ε| + g_d) *)
+}
+(** The sampled factors and the effective values they give. *)
 
 val realize_t : draw:Variation.draw -> t -> realization_t
 
@@ -48,24 +49,18 @@ val apply_batch_t : realization_t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
     response — the unfused reference for the fused kernel in
     {!Network}. *)
 
-val kernel_t :
-  realization_t -> Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
-(** [(theta_eff, bias_num, 1/denominator)] — the raw coefficient
-    tensors backing {!apply_batch_t}, exposed so {!Network} can fuse the
-    bias-plus-normalization step into its single-pass layer kernel.
-    Read-only views; mutating them voids the parity guarantees. *)
+type realization
+(** The autodiff nodes of a realization: θ and θ_b folded with its ε. *)
 
-val forward_const :
-  theta_eps:Pnc_tensor.Tensor.t ->
-  bias_eps:Pnc_tensor.Tensor.t ->
-  t ->
-  Pnc_autodiff.Var.t ->
-  Pnc_autodiff.Var.t
-(** Forward with explicit ε factors (used to share one component draw
-    across all time steps of a sequence). *)
+val realize : ste:bool -> t -> realization_t -> realization
+(** [ste] folds with {!Pnc_autodiff.Var.ste_mul} — identical forward,
+    straight-through backward. *)
 
-val sample_eps : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
-(** One joint ε sample (theta, bias) matching this crossbar's shape. *)
+val apply : realization -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
+
+val forward : draw:Variation.draw -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
+(** Map a [batch x inputs] node to [batch x outputs] through a fresh
+    realization under [draw]. *)
 
 val theta_values : t -> Pnc_tensor.Tensor.t
 (** Current surrogate weights (inputs x outputs), for hardware

@@ -37,59 +37,28 @@ let named_params f =
          ])
        (Array.to_list f.stages))
 
-type stage_real = { a : Var.t; b : Var.t; v0 : T.t }
-type realization = { stage_reals : stage_real array }
+(* One physical sample of the filter bank. [realize_t] is the one place
+   a filter bank samples its draw: per stage ε_R, ε_C, µ, then V₀. The
+   record keeps the factors, the SPICE-characterized drift multipliers
+   on R (temperature) and C (aging) and the intermediate values of
+   a = τ/(µτ + Δt), b = Δt/(µτ + Δt); the per-op graph, the fused
+   kernel in [Network] and the adjoint sweep read it. A multiplier is
+   exactly 1. when the spec has no drift point, in which case the
+   scaling is skipped entirely so the realization stays bit-identical
+   to the drift-free model. *)
+type stage_t = {
+  eps_r : T.t;
+  eps_c : T.t;
+  mu : T.t;
+  v0 : T.t;
+  r_eff : T.t;
+  c_eff : T.t;
+  den : T.t;
+  a : T.t;
+  b : T.t;
+}
 
-let realize ~draw f =
-  (* SPICE-characterized drift multipliers on R (temperature) and C
-     (aging). Exactly 1. when the spec has no drift point, in which
-     case the scaling is skipped entirely so the realization stays
-     bit-identical to the drift-free model. *)
-  let rm = Variation.drift_r_mult draw and cm = Variation.drift_c_mult draw in
-  let drift m v = if m = 1. then v else Var.scale m v in
-  let realize_stage (s : stage) =
-    let eps_r = Variation.eps_for draw ~rows:1 ~cols:f.n in
-    let eps_c = Variation.eps_for draw ~rows:1 ~cols:f.n in
-    let mu = Variation.mu_for draw ~cols:f.n in
-    let mul_eps v e =
-      if draw.Variation.ste then Var.ste_mul v e else Var.mul v (Var.const e)
-    in
-    let r_eff = drift rm (mul_eps s.r_norm eps_r) in
-    let c_eff = drift cm (mul_eps s.c_norm eps_c) in
-    let tau = Var.scale tau_max (Var.mul r_eff c_eff) in
-    let den = Var.add_scalar Printed.dt (Var.mul (Var.const mu) tau) in
-    let a = Var.div tau den in
-    let b = Var.div (Var.const (T.create ~rows:1 ~cols:f.n Printed.dt)) den in
-    { a; b; v0 = Variation.v0_for draw ~cols:f.n }
-  in
-  { stage_reals = Array.map realize_stage f.stages }
-
-type state = Var.t array (* one [batch x features] node per stage *)
-
-let init_state real ~batch =
-  Array.map
-    (fun sr ->
-      Var.const (T.init ~rows:batch ~cols:(T.cols sr.v0) (fun _ c -> T.get sr.v0 0 c)))
-    real.stage_reals
-
-let step real (st : state) x =
-  let x_in = ref x in
-  let st' =
-    Array.mapi
-      (fun i s ->
-        let sr = real.stage_reals.(i) in
-        let s' = Var.affine_rv s sr.a !x_in sr.b in
-        x_in := s';
-        s')
-      st
-  in
-  (st', !x_in)
-
-(* Pure-tensor realization for the no-grad evaluation path: same
-   sampling order and floating-point operation sequence as [realize],
-   on raw tensors. *)
-type stage_real_t = { a_t : T.t; b_t : T.t; v0_t : T.t }
-type realization_t = { stage_reals_t : stage_real_t array }
+type realization_t = { r_mult : float; c_mult : float; stages_t : stage_t array }
 
 let realize_t ~draw f =
   let rm = Variation.drift_r_mult draw and cm = Variation.drift_c_mult draw in
@@ -98,17 +67,53 @@ let realize_t ~draw f =
     let eps_r = Variation.eps_for draw ~rows:1 ~cols:f.n in
     let eps_c = Variation.eps_for draw ~rows:1 ~cols:f.n in
     let mu = Variation.mu_for draw ~cols:f.n in
+    let v0 = Variation.v0_for draw ~cols:f.n in
     let r_eff = drift rm (T.mul (Var.value s.r_norm) eps_r) in
     let c_eff = drift cm (T.mul (Var.value s.c_norm) eps_c) in
     let tau = T.scale tau_max (T.mul r_eff c_eff) in
     let den = T.add_scalar Printed.dt (T.mul mu tau) in
-    {
-      a_t = T.div tau den;
-      b_t = T.div (T.create ~rows:1 ~cols:f.n Printed.dt) den;
-      v0_t = Variation.v0_for draw ~cols:f.n;
-    }
+    let a = T.div tau den and b = T.div (T.create ~rows:1 ~cols:f.n Printed.dt) den in
+    { eps_r; eps_c; mu; v0; r_eff; c_eff; den; a; b }
   in
-  { stage_reals_t = Array.map realize_stage f.stages }
+  { r_mult = rm; c_mult = cm; stages_t = Array.map realize_stage f.stages }
+
+(* The per-op graph of a realization: each stage's (a, b) nodes, with
+   the same floating-point operation sequence as [realize_t]. *)
+type realization = { nodes : (Var.t * Var.t) array; sampled : realization_t }
+
+let realize ~ste f (r : realization_t) =
+  let drift m v = if m = 1. then v else Var.scale m v in
+  let fold v e = if ste then Var.ste_mul v e else Var.mul v (Var.const e) in
+  let realize_stage (s : stage) (st : stage_t) =
+    let r_eff = drift r.r_mult (fold s.r_norm st.eps_r) in
+    let c_eff = drift r.c_mult (fold s.c_norm st.eps_c) in
+    let tau = Var.scale tau_max (Var.mul r_eff c_eff) in
+    let den = Var.add_scalar Printed.dt (Var.mul (Var.const st.mu) tau) in
+    let a = Var.div tau den in
+    let b = Var.div (Var.const (T.create ~rows:1 ~cols:f.n Printed.dt)) den in
+    (a, b)
+  in
+  { nodes = Array.map2 realize_stage f.stages r.stages_t; sampled = r }
+
+type state = Var.t array (* one [batch x features] node per stage *)
+
+let init_state real ~batch =
+  Array.map
+    (fun st -> Var.const (T.init ~rows:batch ~cols:(T.cols st.v0) (fun _ c -> T.get st.v0 0 c)))
+    real.sampled.stages_t
+
+let step real (st : state) x =
+  let x_in = ref x in
+  let st' =
+    Array.mapi
+      (fun i s ->
+        let a, b = real.nodes.(i) in
+        let s' = Var.affine_rv s a !x_in b in
+        x_in := s';
+        s')
+      st
+  in
+  (st', !x_in)
 
 type state_t = T.t array
 
@@ -127,12 +132,12 @@ type state_init = [ `V0 | `Zero | `Gaussian of Rng.t * float ]
 let reset_state_t ?(init = `V0) real (st : state_t) =
   Array.iteri
     (fun i s ->
-      let sr = real.stage_reals_t.(i) in
+      let v0 = real.stages_t.(i).v0 in
       match init with
       | `V0 ->
           for r = 0 to T.rows s - 1 do
             for c = 0 to T.cols s - 1 do
-              T.set s r c (T.get sr.v0_t 0 c)
+              T.set s r c (T.get v0 0 c)
             done
           done
       | `Zero -> T.fill s 0.
@@ -146,7 +151,7 @@ let reset_state_t ?(init = `V0) real (st : state_t) =
 
 let init_state_t ?(init = `V0) real ~batch =
   let st =
-    Array.map (fun sr -> T.zeros ~rows:batch ~cols:(T.cols sr.v0_t)) real.stage_reals_t
+    Array.map (fun st -> T.zeros ~rows:batch ~cols:(T.cols st.v0)) real.stages_t
   in
   reset_state_t ~init real st;
   st
@@ -155,27 +160,11 @@ let step_batch_t real (st : state_t) x =
   let x_in = ref x in
   Array.iteri
     (fun i s ->
-      let sr = real.stage_reals_t.(i) in
-      T.affine_rv_into ~dst:s s sr.a_t !x_in sr.b_t;
+      let sr = real.stages_t.(i) in
+      T.affine_rv_into ~dst:s s sr.a !x_in sr.b;
       x_in := s)
     st;
   !x_in
-
-let kernel_t real = Array.map (fun sr -> (sr.a_t, sr.b_t)) real.stage_reals_t
-
-(* The factors [realize_t] folds into each stage, replayed: the same
-   draws in the same order, the initial voltages included (and
-   discarded), so a copy of a draw's stream taken before [realize_t]
-   yields exactly the (ε_R, ε_C, µ) it used. *)
-let stage_factors ~draw f =
-  Array.map
-    (fun _ ->
-      let eps_r = Variation.eps_for draw ~rows:1 ~cols:f.n in
-      let eps_c = Variation.eps_for draw ~rows:1 ~cols:f.n in
-      let mu = Variation.mu_for draw ~cols:f.n in
-      ignore (Variation.v0_for draw ~cols:f.n);
-      (eps_r, eps_c, mu))
-    f.stages
 
 let r_values f =
   Array.map

@@ -28,15 +28,42 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 (** Stable checkpoint path names ([stage<i>/r_norm], [stage<i>/c_norm]);
     same order as {!params}. *)
 
-(** {1 Per-forward-pass realization}
+(** {1 Realization}
 
-    One physical sample of the filter bank: coefficient nodes with ε
-    and µ folded in, plus the sampled initial voltages. Realize once
-    per forward pass, then step through the sequence. *)
+    One physical sample of the filter bank under one draw, shared
+    across the time steps of a sequence. {!realize_t} is the only
+    function that samples a filter bank's draw: per stage ε_R, ε_C, µ,
+    then V₀. *)
+
+type stage_t = private {
+  eps_r : Pnc_tensor.Tensor.t;  (** ε of R *)
+  eps_c : Pnc_tensor.Tensor.t;  (** ε of C *)
+  mu : Pnc_tensor.Tensor.t;  (** coupling factor µ *)
+  v0 : Pnc_tensor.Tensor.t;  (** initial voltage V₀ *)
+  r_eff : Pnc_tensor.Tensor.t;  (** r_norm·ε_R, times the R drift multiplier *)
+  c_eff : Pnc_tensor.Tensor.t;  (** c_norm·ε_C, times the C drift multiplier *)
+  den : Pnc_tensor.Tensor.t;  (** µτ + Δt, τ = {!tau_max}·r_eff·c_eff *)
+  a : Pnc_tensor.Tensor.t;  (** τ / (µτ + Δt) *)
+  b : Pnc_tensor.Tensor.t;  (** Δt / (µτ + Δt) *)
+}
+(** One stage's sampled factors and coefficient rows, [1 x features]
+    each; the state update is [s' = s ∘ a + x ∘ b]. *)
+
+type realization_t = private {
+  r_mult : float;  (** {!Variation.drift_r_mult} of the draw *)
+  c_mult : float;  (** {!Variation.drift_c_mult} of the draw *)
+  stages_t : stage_t array;
+}
+
+val realize_t : draw:Variation.draw -> t -> realization_t
 
 type realization
+(** The autodiff nodes of a realization: each stage's a and b as
+    functions of R and C. *)
 
-val realize : draw:Variation.draw -> t -> realization
+val realize : ste:bool -> t -> realization_t -> realization
+(** [ste] folds ε with {!Pnc_autodiff.Var.ste_mul} — identical
+    forward, straight-through backward. *)
 
 type state
 
@@ -46,15 +73,10 @@ val step : realization -> state -> Pnc_autodiff.Var.t -> state * Pnc_autodiff.Va
 (** Advance the filter bank by one time step: input and output are
     [batch x features] nodes. *)
 
-(** {1 Pure-tensor realization (no-grad evaluation path)}
+(** {1 No-grad stepping}
 
-    Consumes the draw's random stream exactly like {!realize} and steps
-    through the same floating-point update in place, without building
-    autodiff nodes. *)
-
-type realization_t
-
-val realize_t : draw:Variation.draw -> t -> realization_t
+    The same floating-point update as {!step}, in place on raw
+    tensors. *)
 
 type state_t = Pnc_tensor.Tensor.t array
 (** One [batch x features] voltage tensor per stage, mutated in place
@@ -89,21 +111,6 @@ val step_batch_t : realization_t -> state_t -> Pnc_tensor.Tensor.t -> Pnc_tensor
 (** Advances the state in place and returns the last stage's voltages
     (an alias of the state, valid until the next step) — the unfused
     reference for the fused kernel in {!Network}. *)
-
-val kernel_t :
-  realization_t -> (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array
-(** Per-stage [(a, b)] coefficient rows backing {!step_batch_t} (the state
-    update is [s' = s ∘ a + x ∘ b]), exposed so {!Network} can fuse the
-    stage updates into its single-pass layer kernel. Read-only views. *)
-
-val stage_factors :
-  draw:Variation.draw ->
-  t ->
-  (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array
-(** Per stage, the [(ε_R, ε_C, µ)] rows that {!realize_t} folds in,
-    replayed by consuming [draw]'s stream exactly as {!realize_t} does
-    (initial voltages included). Run it on a copy of the stream taken
-    before {!realize_t} to recover that realization's factors. *)
 
 val tau_max : float
 (** [R_max · C_max]: the time constant of a stage at r_norm = c_norm = 1;

@@ -61,34 +61,55 @@ let family_draws (varied : Batch.families) draw =
   let pick on = if on then draw else Variation.deterministic in
   (pick varied.crossbar, pick varied.filter, pick varied.activation)
 
-(* One sampled physical instance of a layer, shared across time steps:
-   the variation-folded component values are realized once, only the
-   input-dependent computation runs per step. *)
+(* One layer realized under one draw: its three components'
+   realizations. *)
+type layer_t = {
+  cb : Crossbar.realization_t;
+  filt : Filter_layer.realization_t;
+  act : Ptanh.realization_t;
+}
+
+(* The one place that fixes a circuit's sampling order: per layer,
+   filters, activation, crossbar. Every path (per-op graph, fused
+   engine, adjoint sweep) realizes through here. *)
+let realize_net_t ~varied ~draw net =
+  let draw_crossbar, draw_filter, draw_act = family_draws varied draw in
+  List.map
+    (fun (cb, fl, act) ->
+      let filt = Filter_layer.realize_t ~draw:draw_filter fl in
+      let act = Ptanh.realize_t ~draw:draw_act act in
+      let cb = Crossbar.realize_t ~draw:draw_crossbar cb in
+      { cb; filt; act })
+    net.layers
+
+(* The per-op graph of a realized layer, shared across time steps: the
+   variation-folded component values are built once, only the
+   input-dependent computation runs per step. A nominal family's ε are
+   exactly 1, so folding them straight through under [ste] is the plain
+   fold bit for bit. *)
 type layer_real = {
-  cb : Crossbar.realization;
-  filt : Filter_layer.realization;
-  act : Ptanh.realization;
+  cb_v : Crossbar.realization;
+  filt_v : Filter_layer.realization;
+  act_v : Ptanh.realization;
   mutable filt_state : Filter_layer.state;
 }
 
 let realize_layers ~varied ~draw ~batch net =
-  let draw_crossbar, draw_filter, draw_act = family_draws varied draw in
-  List.map
-    (fun (cb, fl, act) ->
-      (* Explicit sampling order — filters, activation, crossbar. The
-         tensor path below must consume the draws' random streams in
-         exactly this order for realization parity. *)
-      let filt = Filter_layer.realize ~draw:draw_filter fl in
-      let act = Ptanh.realize ~draw:draw_act act in
-      let cb = Crossbar.realize ~draw:draw_crossbar cb in
-      { cb; filt; act; filt_state = Filter_layer.init_state filt ~batch })
+  let ste = draw.Variation.ste in
+  List.map2
+    (fun (cb, fl, act) r ->
+      let filt_v = Filter_layer.realize ~ste fl r.filt in
+      let act_v = Ptanh.realize ~ste act r.act in
+      let cb_v = Crossbar.realize ~ste cb r.cb in
+      { cb_v; filt_v; act_v; filt_state = Filter_layer.init_state filt_v ~batch })
     net.layers
+    (realize_net_t ~varied ~draw net)
 
 let step_layer lr x =
-  let summed = Crossbar.apply lr.cb x in
-  let state', filtered = Filter_layer.step lr.filt lr.filt_state summed in
+  let summed = Crossbar.apply lr.cb_v x in
+  let state', filtered = Filter_layer.step lr.filt_v lr.filt_state summed in
   lr.filt_state <- state';
-  Ptanh.apply lr.act filtered
+  Ptanh.apply lr.act_v filtered
 
 let forward_multi ?(readout = Batch.Integrated) ?(varied = Batch.all_families) ~draw net steps =
   assert (Array.length steps > 0);
@@ -128,51 +149,14 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
    forward and the batch then runs a block of rows at a time, which
    is what makes the block size a pure performance knob — every block
    sees the same physical circuit instance, so results are
-   bit-identical for any batch size.
-
-   A realized layer is kept as raw coefficient views, extracted once
-   per draw so the per-time-step loop touches plain tensors only. *)
-type layer_kernel = {
-  k_filt : Filter_layer.realization_t;
-  k_theta : T.t;
-  k_bias : T.t;
-  k_inv : T.t;
-  k_stages : (T.t * T.t) array;
-  k_e1 : T.t;
-  k_e2 : T.t;
-  k_e3 : T.t;
-  k_e4 : T.t;
-}
-
-let realize_net_t ~varied ~draw net =
-  let draw_crossbar, draw_filter, draw_act = family_draws varied draw in
-  List.map
-    (fun (cb, fl, act) ->
-      (* Same sampling order as the Var path: filters, activation,
-         crossbar. *)
-      let filt = Filter_layer.realize_t ~draw:draw_filter fl in
-      let act = Ptanh.realize_t ~draw:draw_act act in
-      let theta, bias, inv = Crossbar.kernel_t (Crossbar.realize_t ~draw:draw_crossbar cb) in
-      let e1, e2, e3, e4 = Ptanh.kernel_t act in
-      {
-        k_filt = filt;
-        k_theta = theta;
-        k_bias = bias;
-        k_inv = inv;
-        k_stages = Filter_layer.kernel_t filt;
-        k_e1 = e1;
-        k_e2 = e2;
-        k_e3 = e3;
-        k_e4 = e4;
-      })
-    net.layers
+   bit-identical for any batch size. *)
 
 (* Per-block workspace of one layer, stored feature-major
    ([features x rows], owned, offset 0): row [c] holds feature [c] for
    every row of the block, so each pass below is a unit-stride loop over
    the block's rows that reads the feature's coefficients once. *)
 type layer_ws = {
-  kern : layer_kernel;
+  kern : layer_t;
   states : T.t array; (* one [n_out x rows] filter state per stage *)
   pre : T.t; (* crossbar sums, then the normalised filter input *)
   out : T.t; (* the layer's activations *)
@@ -269,22 +253,23 @@ let activation_pass ~fast ~rows (o : T.buffer) oo (v : T.buffer) voff (e1 : T.bu
    [rows x n_in] step with [rs = n_in, ks = 1], later layers the
    previous feature-major activations with [rs = 1, ks = rows]. *)
 let fused_step_layer ~fast ~rows lr (x : T.buffer) xo ~rs ~ks =
-  let k = lr.kern in
-  let n_in = T.rows k.k_theta and n_out = T.cols k.k_theta in
+  let cb = lr.kern.cb and stages = lr.kern.filt.stages_t and eta = lr.kern.act.eta in
+  let th = cb.theta_eff and bias = cb.bias_num and inv = cb.inv_den in
+  let e1 = eta.(0) and e2 = eta.(1) and e3 = eta.(2) and e4 = eta.(3) in
+  let n_in = T.rows th and n_out = T.cols th in
   let pd = lr.pre.T.data and od = lr.out.T.data in
   for c = 0 to n_out - 1 do
     let fo = c * rows in
-    crossbar_pass ~rows pd fo x xo ~rs ~ks ~n_in k.k_theta.T.data (k.k_theta.T.off + c) ~n_out;
-    normalise_pass ~rows pd fo k.k_bias.T.data (k.k_bias.T.off + c) k.k_inv.T.data
-      (k.k_inv.T.off + c);
+    crossbar_pass ~rows pd fo x xo ~rs ~ks ~n_in th.T.data (th.T.off + c) ~n_out;
+    normalise_pass ~rows pd fo bias.T.data (bias.T.off + c) inv.T.data (inv.T.off + c);
     let v = ref pd in
     for i = 0 to Array.length lr.states - 1 do
-      let s = lr.states.(i).T.data and a, b = k.k_stages.(i) in
+      let s = lr.states.(i).T.data and a = stages.(i).a and b = stages.(i).b in
       stage_pass ~rows s fo !v fo a.T.data (a.T.off + c) b.T.data (b.T.off + c);
       v := s
     done;
-    activation_pass ~fast ~rows od fo !v fo k.k_e1.T.data (k.k_e1.T.off + c) k.k_e2.T.data
-      (k.k_e2.T.off + c) k.k_e3.T.data (k.k_e3.T.off + c) k.k_e4.T.data (k.k_e4.T.off + c)
+    activation_pass ~fast ~rows od fo !v fo e1.T.data (e1.T.off + c) e2.T.data (e2.T.off + c)
+      e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c)
   done
 
 (* The batch input: one [rows x n_in] tensor per time step, or one
@@ -307,15 +292,15 @@ let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
     Array.of_list
       (List.map2
          (fun kern st ->
-           let n_out = T.cols kern.k_theta in
+           let n_out = T.cols kern.cb.theta_eff in
            List.iter
              (fun t -> assert (T.rows t = 1 && T.cols t = n_out))
-             [ kern.k_bias; kern.k_inv; kern.k_e1; kern.k_e2; kern.k_e3; kern.k_e4 ];
-           assert (Array.length st = Array.length kern.k_stages);
+             (kern.cb.bias_num :: kern.cb.inv_den :: Array.to_list kern.act.eta);
+           assert (Array.length st = Array.length kern.filt.stages_t);
            Array.iter2
-             (fun s (a, b) ->
-               assert (T.cols s = n_out && T.cols a = n_out && T.cols b = n_out))
-             st kern.k_stages;
+             (fun s (sr : Filter_layer.stage_t) ->
+               assert (T.cols s = n_out && T.cols sr.a = n_out && T.cols sr.b = n_out))
+             st kern.filt.stages_t;
            {
              kern;
              states = Array.map (fun s -> T.transpose (T.rows_view s ~row ~len:rows)) st;
@@ -326,9 +311,9 @@ let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
   in
   let n_layers = Array.length ws in
   for l = 1 to n_layers - 1 do
-    assert (T.rows ws.(l).kern.k_theta = T.cols ws.(l - 1).kern.k_theta)
+    assert (T.rows ws.(l).kern.cb.theta_eff = T.cols ws.(l - 1).kern.cb.theta_eff)
   done;
-  let n_in = T.rows ws.(0).kern.k_theta and last = ws.(n_layers - 1).out in
+  let n_in = T.rows ws.(0).kern.cb.theta_eff and last = ws.(n_layers - 1).out in
   assert (T.rows last = classes);
   let acc = fm ~n:classes in
   let n_steps = input_steps input in
@@ -363,7 +348,7 @@ let forward_input ~(opts : Batch.opts) ~draw net input =
      block-size invariant. *)
   let states =
     List.map
-      (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.k_filt ~batch:rows)
+      (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.filt ~batch:rows)
       kernels
   in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in

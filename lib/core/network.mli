@@ -56,7 +56,10 @@ val forward :
     device throughout the sequence. Only the [varied] families (default
     all) take the draw; the others run nominal, which lets
     {!Sensitivity} attribute robustness loss to one family. This is the
-    training path and the oracle of the no-grad engine below. *)
+    per-op graph: circuits train their Monte-Carlo objective through
+    {!Adjoint}'s fused node, which is tested against it; online
+    adaptation and calibration trimming take their gradient steps
+    through it; and it is the oracle of the no-grad engine below. *)
 
 val forward_multi :
   ?readout:Batch.readout ->
@@ -99,22 +102,19 @@ val forward_batch_t :
     are addressed as [(buffer, offset)] and each pass covers [rows]
     consecutive elements of one feature. *)
 
-type layer_kernel = {
-  k_filt : Filter_layer.realization_t;
-  k_theta : Pnc_tensor.Tensor.t;  (** effective crossbar conductances [n_in x n_out] *)
-  k_bias : Pnc_tensor.Tensor.t;  (** bias numerators [1 x n_out] *)
-  k_inv : Pnc_tensor.Tensor.t;  (** reciprocal normalisations [1 x n_out] *)
-  k_stages : (Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t) array;  (** per-stage [(a, b)] *)
-  k_e1 : Pnc_tensor.Tensor.t;
-  k_e2 : Pnc_tensor.Tensor.t;
-  k_e3 : Pnc_tensor.Tensor.t;
-  k_e4 : Pnc_tensor.Tensor.t;  (** effective ptanh η₁..η₄ *)
+type layer_t = {
+  cb : Crossbar.realization_t;
+  filt : Filter_layer.realization_t;
+  act : Ptanh.realization_t;
 }
-(** One layer realized under one draw, as raw coefficient rows. *)
+(** One layer realized under one draw: its components' realizations. *)
 
-val realize_net_t : varied:Batch.families -> draw:Variation.draw -> t -> layer_kernel list
-(** Realize every layer, consuming [draw]'s stream in the sampling order
-    of {!forward_multi}: per layer, filters, activation, crossbar. *)
+val realize_net_t : varied:Batch.families -> draw:Variation.draw -> t -> layer_t list
+(** Realize every layer, consuming [draw]'s stream in the circuit's one
+    sampling order: per layer, filters, activation, crossbar. The
+    families left out of [varied] realize nominal. {!forward_multi}
+    builds its nodes from these records, so every path runs the same
+    physical instance. *)
 
 val crossbar_pass :
   rows:int ->

@@ -35,6 +35,17 @@ let meta_int meta name =
   | Some (Json.Num v) when Float.is_integer v && v >= 0. -> Ok (int_of_float v)
   | _ -> Error (Ckpt.Bad_header ("meta: missing or bad " ^ name))
 
+(* A model dimension is 1 .. [max_dim]. The largest model the code
+   builds has 10 hidden units; outside the bound a corrupt header would
+   reach the constructors' asserts, or allocate without limit. *)
+let max_dim = 1024
+
+let meta_dim meta name =
+  match List.assoc_opt name meta with
+  | Some (Json.Num v) when Float.is_integer v && v >= 1. && v <= float_of_int max_dim ->
+      Ok (int_of_float v)
+  | _ -> Error (Ckpt.Bad_header (Printf.sprintf "meta: missing or bad %s (1..%d)" name max_dim))
+
 let meta_string meta name =
   match List.assoc_opt name meta with
   | Some (Json.String s) -> Ok s
@@ -42,9 +53,9 @@ let meta_string meta name =
 
 let model_of_meta meta =
   let* family = meta_string meta "family" in
-  let* inputs = meta_int meta "inputs" in
-  let* hidden = meta_int meta "hidden" in
-  let* classes = meta_int meta "classes" in
+  let* inputs = meta_dim meta "inputs" in
+  let* hidden = meta_dim meta "hidden" in
+  let* classes = meta_dim meta "classes" in
   (* The freshly created parameters are overwritten from the checkpoint
      immediately afterwards, so the construction seed is irrelevant. *)
   let rng = Rng.create ~seed:0 in

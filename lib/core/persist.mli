@@ -28,7 +28,8 @@ val model_meta : Model.t -> (string * Json.t) list
 
 val model_of_meta : (string * Json.t) list -> (Model.t, Ckpt.error) result
 (** Rebuild a model skeleton (freshly initialised parameters) from
-    header metadata. *)
+    header metadata. [Bad_header] unless [inputs], [hidden] and
+    [classes] are each an integer in 1..1024. *)
 
 (** {1 Parameter sections} *)
 

@@ -21,50 +21,42 @@ let params a = [ a.eta1; a.eta2; a.eta3; a.eta4 ]
 let named_params a =
   [ ("eta1", a.eta1); ("eta2", a.eta2); ("eta3", a.eta3); ("eta4", a.eta4) ]
 
-let sample_eps ~draw a =
-  Array.init 4 (fun _ -> Variation.eps_for draw ~rows:1 ~cols:a.n)
-
 (* Effective (variation-folded) eta rows are constant over a sequence;
-   realize them once per forward pass. *)
+   realize them once per forward pass. [realize_t] is the one place an
+   activation samples its draw. *)
+type realization_t = { eps : T.t array; eta : T.t array }
+
+let realize_t ~draw a =
+  let eps = Array.init 4 (fun _ -> Variation.eps_for draw ~rows:1 ~cols:a.n) in
+  { eps; eta = Array.mapi (fun i v -> T.mul (Var.value v) eps.(i)) (Array.of_list (params a)) }
+
 type realization = { e1 : Var.t; e2 : Var.t; e3 : Var.t; e4 : Var.t }
 
-let realize_const ?(ste = false) ~eps a =
-  assert (Array.length eps = 4);
-  let e i v = if ste then Var.ste_mul v eps.(i) else Var.mul v (Var.const eps.(i)) in
+let realize ~ste a (r : realization_t) =
+  let e i v = if ste then Var.ste_mul v r.eps.(i) else Var.mul v (Var.const r.eps.(i)) in
   { e1 = e 0 a.eta1; e2 = e 1 a.eta2; e3 = e 2 a.eta3; e4 = e 3 a.eta4 }
-
-let realize ~draw a = realize_const ~ste:draw.Variation.ste ~eps:(sample_eps ~draw a) a
 
 let apply real x =
   let scaled = Var.mul_rv (Var.sub_rv x real.e3) real.e4 in
   Var.add_rv (Var.mul_rv (Var.tanh scaled) real.e2) real.e1
 
-let forward_const ?ste ~eps a x = apply (realize_const ?ste ~eps a) x
-let forward ~draw a x = forward_const ~ste:draw.Variation.ste ~eps:(sample_eps ~draw a) a x
-
-(* Pure-tensor realization for the no-grad evaluation path. *)
-type realization_t = { e1_t : T.t; e2_t : T.t; e3_t : T.t; e4_t : T.t }
-
-let realize_t ~draw a =
-  let eps = sample_eps ~draw a in
-  let e i v = T.mul (Var.value v) eps.(i) in
-  { e1_t = e 0 a.eta1; e2_t = e 1 a.eta2; e3_t = e 2 a.eta3; e4_t = e 3 a.eta4 }
+let forward ~draw a x = apply (realize ~ste:draw.Variation.ste a (realize_t ~draw a)) x
 
 let apply_batch_t ?(precision = `Exact) real x =
-  assert (T.cols x = T.cols real.e1_t);
+  assert (T.cols x = T.cols real.eta.(0));
   let dst = T.zeros ~rows:(T.rows x) ~cols:(T.cols x) in
   let fast = match precision with `Fast -> true | `Exact -> false in
   let cols = T.cols x in
   let module BA = Bigarray.Array1 in
   let xd = x.T.data and od = dst.T.data in
-  let e1 = real.e1_t.T.data
-  and e2 = real.e2_t.T.data
-  and e3 = real.e3_t.T.data
-  and e4 = real.e4_t.T.data in
-  let eo1 = real.e1_t.T.off
-  and eo2 = real.e2_t.T.off
-  and eo3 = real.e3_t.T.off
-  and eo4 = real.e4_t.T.off in
+  let e1 = real.eta.(0).T.data
+  and e2 = real.eta.(1).T.data
+  and e3 = real.eta.(2).T.data
+  and e4 = real.eta.(3).T.data in
+  let eo1 = real.eta.(0).T.off
+  and eo2 = real.eta.(1).T.off
+  and eo3 = real.eta.(2).T.off
+  and eo4 = real.eta.(3).T.off in
   for r = 0 to T.rows x - 1 do
     let xo = x.T.off + (r * cols) and oo = dst.T.off + (r * cols) in
     for c = 0 to cols - 1 do
@@ -98,8 +90,6 @@ let apply_batch_t ?(precision = `Exact) real x =
     done
   done;
   dst
-
-let kernel_t real = (real.e1_t, real.e2_t, real.e3_t, real.e4_t)
 
 let eta_values a = Array.map (fun v -> T.copy (Var.value v)) [| a.eta1; a.eta2; a.eta3; a.eta4 |]
 

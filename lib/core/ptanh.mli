@@ -16,25 +16,17 @@ val named_params : t -> (string * Pnc_autodiff.Var.t) list
 (** Stable checkpoint path names ([eta1] .. [eta4]); same order as
     {!params}. *)
 
-val forward_const :
-  ?ste:bool -> eps:Pnc_tensor.Tensor.t array -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-(** [eps] holds four [1 x features] factors for η₁..η₄. [ste] (default
-    false) folds them with {!Pnc_autodiff.Var.ste_mul} — identical
-    forward, straight-through backward. *)
+(** {1 Realization}
 
-val forward : draw:Variation.draw -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
+    One physical instance (ε folded into the η rows) under one draw,
+    shared across the time steps of a sequence. {!realize_t} is the
+    only function that samples an activation's draw: the ε of η₁..η₄
+    in turn. *)
 
-val sample_eps : draw:Variation.draw -> t -> Pnc_tensor.Tensor.t array
-
-type realization
-(** One physical instance (ε folded into the η rows), shared across the
-    time steps of a sequence. *)
-
-val realize : draw:Variation.draw -> t -> realization
-val apply : realization -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
-
-type realization_t
-(** Pure-tensor realization for the no-grad evaluation path. *)
+type realization_t = private {
+  eps : Pnc_tensor.Tensor.t array;  (** ε of η₁..η₄, [1 x features] each *)
+  eta : Pnc_tensor.Tensor.t array;  (** η·ε, the realized η₁..η₄ rows *)
+}
 
 val realize_t : draw:Variation.draw -> t -> realization_t
 
@@ -47,12 +39,17 @@ val apply_batch_t :
     ≤|η₂|·1e-7 ≤ 1e-7 per output element) for the single
     transcendental. *)
 
-val kernel_t :
-  realization_t ->
-  Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t * Pnc_tensor.Tensor.t
-(** The realized (η₁, η₂, η₃, η₄) coefficient rows backing
-    {!apply_batch_t}, exposed so {!Network} can fuse the activation into
-    its single-pass layer kernel. Read-only views. *)
+type realization
+(** The autodiff nodes of a realization: each η folded with its ε. *)
+
+val realize : ste:bool -> t -> realization_t -> realization
+(** [ste] folds with {!Pnc_autodiff.Var.ste_mul} — identical forward,
+    straight-through backward. *)
+
+val apply : realization -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
+
+val forward : draw:Variation.draw -> t -> Pnc_autodiff.Var.t -> Pnc_autodiff.Var.t
+(** ptanh of a node through a fresh realization under [draw]. *)
 
 val eta_values : t -> Pnc_tensor.Tensor.t array
 (** Current η₁..η₄ rows, for inspection and hardware costing. *)

@@ -107,6 +107,11 @@ val load_cell :
     are observable (surfaced as [stale] by [grid status]) instead of
     silently recomputed on the next full run. *)
 
+val mkdir_p : string -> unit
+(** Recursive, race-tolerant directory creation (the cache dir is
+    created by whichever of [run_grid], `grid run` or `grid worker`
+    gets there first). *)
+
 val run_grid :
   ?progress:(string -> unit) ->
   ?batch_size:int ->

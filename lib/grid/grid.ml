@@ -289,12 +289,6 @@ let print_status st =
 
 (* Orchestration ------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
 let spawn_workers ~shards ~argv =
   let pids =
     List.init shards (fun i ->

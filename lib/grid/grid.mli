@@ -4,8 +4,7 @@
     artifact is sharded across N worker {e processes} that coordinate
     solely through the filesystem of one cache directory — no pipes,
     sockets or shared memory (domains add overhead on small
-    containers, see ROADMAP item 4; processes also make crash faults
-    honest). The protocol (docs/GRID.md):
+    containers; processes also make crash faults honest). The protocol (docs/GRID.md):
 
     - a {e cell} is one (dataset, variant, seed) training run, cached
       as a CRC-checked ["grid-cell"] checkpoint at
@@ -149,11 +148,6 @@ val status_json_lines : status -> string list
 val print_status : status -> unit
 
 (** {1 Orchestration} *)
-
-val mkdir_p : string -> unit
-(** Recursive, race-tolerant directory creation (the cache dir is
-    created by whichever of `grid run` / `grid worker` gets there
-    first). *)
 
 val spawn_workers :
   shards:int -> argv:(worker_id:int -> string array) -> (int * Unix.process_status) list

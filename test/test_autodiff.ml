@@ -501,7 +501,9 @@ let check_filter_grads seed =
     Array.init time (fun _ -> T.uniform rng ~rows:batch ~cols:features ~lo:(-1.) ~hi:1.)
   in
   let loss_var () =
-    let realization = Filter_layer.realize ~draw:Variation.deterministic fl in
+    let realization =
+      Filter_layer.realize ~ste:false fl (Filter_layer.realize_t ~draw:Variation.deterministic fl)
+    in
     let state = ref (Filter_layer.init_state realization ~batch) in
     let acc = ref None in
     Array.iter
@@ -616,9 +618,8 @@ let test_ni_crossbar_fd_oracle () =
      moves theta_eff by exactly h (the h/eps trick), so the central
      difference converges to the STE gradient — a plain h-step would
      measure eps_ij * dL/dtheta_eff instead. The draw is replayed from
-     one saved stream state (Rng.copy); eps replay follows the
-     documented realization order of Crossbar.realize (theta_eps then
-     bias_eps from the same draw). *)
+     one saved stream state (Rng.copy), and its eps are read off the
+     realization. *)
   let rng = Rng.create ~seed:77 in
   let inputs = 3 and outputs = 4 in
   let cb = Crossbar.create rng ~inputs ~outputs in
@@ -626,9 +627,8 @@ let test_ni_crossbar_fd_oracle () =
   let rng0 = Rng.create ~seed:78 in
   let mk_draw ~ste () = Variation.make_draw ~ste (Rng.copy rng0) ni_spec in
   let theta_eps, bias_eps =
-    let d = mk_draw ~ste:false () in
-    ( Variation.eps_for d ~rows:inputs ~cols:outputs,
-      Variation.eps_for d ~rows:1 ~cols:outputs )
+    let r = Crossbar.realize_t ~draw:(mk_draw ~ste:false ()) cb in
+    (r.Crossbar.theta_eps, r.Crossbar.bias_eps)
   in
   let loss_var ~ste () = Var.sum (Var.sqr (Crossbar.forward ~draw:(mk_draw ~ste ()) cb x)) in
   (* ni changes gradients only: the loss value itself is bit-identical. *)
@@ -680,8 +680,8 @@ let test_ni_times_eps_equals_plain_gradient () =
   let rng0 = Rng.create ~seed:82 in
   let mk_draw ~ste () = Variation.make_draw ~ste (Rng.copy rng0) ni_spec in
   let theta_eps, bias_eps =
-    let d = mk_draw ~ste:false () in
-    (Variation.eps_for d ~rows:2 ~cols:3, Variation.eps_for d ~rows:1 ~cols:3)
+    let r = Crossbar.realize_t ~draw:(mk_draw ~ste:false ()) cb in
+    (r.Crossbar.theta_eps, r.Crossbar.bias_eps)
   in
   let grads ~ste =
     let params = Crossbar.params cb in
@@ -882,20 +882,8 @@ let test_fused_parity_matrix () =
    no-grad objective at the same draws. Plain folds take an h step on
    each leaf. Under noise injection the gradient is dL/d(leaf·ε): one
    draw, and the leaf moves by h/ε so its folded value moves by h. The
-   draw's factors are replayed in the realization order (per layer:
-   filter stages, activation, crossbar) and listed in [Network.params]
-   order. *)
-let leaf_eps net (draw : Variation.draw) =
-  List.concat_map
-    (fun (cb, fl, act) ->
-      let stages = Filter_layer.stage_factors ~draw fl in
-      let eta = Ptanh.sample_eps ~draw act in
-      let theta_eps, bias_eps = Crossbar.sample_eps ~draw cb in
-      [ theta_eps; bias_eps ]
-      @ List.concat_map (fun (er, ec, _) -> [ er; ec ]) (Array.to_list stages)
-      @ Array.to_list eta)
-    (Network.layers net)
-
+   draw's factors come from the sampling-order oracle
+   ([Replay.leaf_eps]), in [Network.params] order. *)
 let check_fused_fd ~what ~ni ~spec ~n ~seed net ~x ~labels =
   let model = Model.Circuit net in
   let params = Network.params net in
@@ -906,7 +894,7 @@ let check_fused_fd ~what ~ni ~spec ~n ~seed net ~x ~labels =
   let eps =
     if ni then
       let child = (Rng.split_n (Rng.create ~seed) 1).(0) in
-      leaf_eps net (Variation.make_draw child spec)
+      Replay.leaf_eps net (Variation.make_draw child spec)
     else List.map (fun p -> T.map (fun _ -> 1.) (Var.value p)) params
   in
   let crossbar = List.concat_map (fun (cb, _, _) -> Crossbar.params cb) (Network.layers net) in

@@ -216,6 +216,44 @@ let test_load_into_wrong_model () =
     (fun (n, v) t -> check_same_tensor ("untouched " ^ n) (Var.value v) t)
     (Model.named_params b) before
 
+(* A header whose dimensions no model can have is a typed [Bad_header],
+   for both model families: 0 (which the constructors' asserts reject,
+   or an Elman net accepts), a value past the 1..1024 cap, and one too
+   large for an int. *)
+let test_bad_dimensions_rejected () =
+  let models =
+    [
+      Model.Circuit
+        (Network.create ~hidden:3 (Rng.create ~seed:1) Network.Adapt ~inputs:1 ~classes:2);
+      Model.Reference (Elman.create ~hidden:3 (Rng.create ~seed:2) ~inputs:1 ~classes:2);
+    ]
+  in
+  List.iter
+    (fun m ->
+      let meta = Persist.model_meta m in
+      (match Persist.model_of_meta meta with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "valid meta rejected: %s" (Ckpt.error_to_string e));
+      List.iter
+        (fun (key, v) ->
+          let bad = List.map (fun (k, x) -> if k = key then (k, Json.Num v) else (k, x)) meta in
+          match Persist.model_of_meta bad with
+          | Error (Ckpt.Bad_header _) -> ()
+          | Error e ->
+              Alcotest.failf "%s %g: expected Bad_header, got %s" key v (Ckpt.error_to_string e)
+          | Ok _ -> Alcotest.failf "%s %g accepted" key v
+          | exception e -> Alcotest.failf "%s %g raised %s" key v (Printexc.to_string e))
+        [
+          ("hidden", 0.);
+          ("classes", 0.);
+          ("inputs", 0.);
+          ("hidden", 1e300);
+          ("hidden", 1025.);
+          ("classes", -1.);
+          ("hidden", 2.5);
+        ])
+    models
+
 (* Fault injection ---------------------------------------------------------- *)
 
 let make_reference_image () =
@@ -531,6 +569,7 @@ let () =
           Alcotest.test_case "named_params order = params" `Quick
             test_named_params_order_invariant;
           Alcotest.test_case "wrong model rejected, untouched" `Quick test_load_into_wrong_model;
+          Alcotest.test_case "bad dimensions rejected" `Quick test_bad_dimensions_rejected;
         ] );
       ( "fault-injection",
         [

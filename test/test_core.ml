@@ -214,7 +214,7 @@ let filter_coeff_of_layer fl ~stage ~ch ~mu =
 
 let run_filter_layer fl ~draw input =
   (* input: float array (single channel, batch 1) *)
-  let real = Filter_layer.realize ~draw fl in
+  let real = Filter_layer.realize ~ste:false fl (Filter_layer.realize_t ~draw fl) in
   let state = ref (Filter_layer.init_state real ~batch:1) in
   Array.map
     (fun x ->
@@ -247,7 +247,9 @@ let test_filter_gradients () =
   let params = Filter_layer.params fl in
   let xs = Array.init 6 (fun i -> T.of_rows [| [| sin (0.4 *. float_of_int i); 0.3 |] |]) in
   let f () =
-    let real = Filter_layer.realize ~draw:Variation.deterministic fl in
+    let real =
+      Filter_layer.realize ~ste:false fl (Filter_layer.realize_t ~draw:Variation.deterministic fl)
+    in
     let state = ref (Filter_layer.init_state real ~batch:1) in
     let last = ref (Var.const (T.zeros ~rows:1 ~cols:2)) in
     Array.iter

@@ -147,6 +147,39 @@ let test_variation_sweep_on_fake_grid () =
     rows;
   E.print_variation_sweep ~threshold:0.5 rows
 
+(* A cell whose model header names impossible dimensions loads as
+   [None] (and is recomputed), for a circuit and an Elman cell alike. *)
+let test_bad_cell_dimensions () =
+  let module Ckpt = Pnc_ckpt.Ckpt in
+  let module Json = Pnc_obs.Obs.Json in
+  let cfg = smoke_cfg () in
+  let path = Filename.temp_file "cell" ".ckpt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  List.iter
+    (fun (r : E.run) ->
+      let load () =
+        E.load_cell ~path cfg ~dataset:r.E.dataset ~variant:r.E.variant ~seed:r.E.seed
+      in
+      E.save_cell ~path cfg r;
+      Alcotest.(check bool) "intact cell loads" true (load () <> None);
+      let ck = Ckpt.load_exn ~path in
+      List.iter
+        (fun (key, v) ->
+          let meta =
+            List.map (fun (k, x) -> if k = key then (k, Json.Num v) else (k, x)) ck.Ckpt.meta
+          in
+          Ckpt.save ~path ~kind:ck.Ckpt.kind ~meta ~sections:ck.Ckpt.sections;
+          match load () with
+          | None -> ()
+          | Some _ -> Alcotest.failf "%s %s %g loaded" (E.variant_tag r.E.variant) key v
+          | exception e ->
+              Alcotest.failf "%s %s %g raised %s" (E.variant_tag r.E.variant) key v
+                (Printexc.to_string e))
+        [ ("hidden", 0.); ("classes", 0.); ("hidden", 1e300) ])
+    (List.filter
+       (fun (r : E.run) -> r.E.variant = E.Reference || r.E.variant = E.Full)
+       (fake_grid cfg))
+
 let test_fig6_entries () =
   let entries = E.fig6 () in
   Alcotest.(check int) "original + 5 transforms" 6 (List.length entries);
@@ -187,6 +220,7 @@ let () =
         [
           Alcotest.test_case "print paths" `Quick test_print_paths_do_not_raise;
           Alcotest.test_case "variation sweep (fake grid)" `Quick test_variation_sweep_on_fake_grid;
+          Alcotest.test_case "bad cell dimensions -> None" `Quick test_bad_cell_dimensions;
           Alcotest.test_case "fig6 entries" `Quick test_fig6_entries;
           Alcotest.test_case "paper table embedded" `Quick test_paper_table1_embedded;
           Alcotest.test_case "mu survey" `Quick test_mu_survey_shape;

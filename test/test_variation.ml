@@ -486,6 +486,87 @@ let test_drift_reference_point_exact_unity () =
   check_close ~eps:0. "r_mult at 25C/0h" (Variation.drift_r_mult d) 1.;
   check_close ~eps:0. "c_mult at 25C/0h" (Variation.drift_c_mult d) 1.
 
+(* {1 Sampling order}
+
+   Every realization against [Replay.factors]: the factors rebuilt from
+   [Variation]'s samplers in the documented order must be bit-equal to
+   the ones the realization folded in, and the realization must leave
+   the stream exactly where the replay does. Both circuit
+   architectures, every spec family, plain, straight-through and both
+   halves of an antithetic pair, under every family subset that
+   [Sensitivity] varies. *)
+
+let order_specs =
+  [
+    ("uniform", Variation.uniform 0.2);
+    ("gaussian", Variation.gaussian 0.2);
+    ("gmm", Variation.default_gmm 0.2);
+    ( "correlated+drift",
+      Variation.correlated
+        ~drift:{ Variation.temp_c = 45.; age_hours = 500. }
+        ~rho:0.6 ~clen:1.5 (Variation.gaussian 0.2) );
+  ]
+
+let order_draws spec ~seed =
+  let d1, d2 = Variation.antithetic_pair (Rng.create ~seed) spec in
+  [
+    ("plain", Variation.make_draw (Rng.create ~seed) spec);
+    ("ste", Variation.make_draw ~ste:true (Rng.create ~seed) spec);
+    ("antithetic", d1);
+    ("mirror", d2);
+  ]
+
+let check_layer ~what (f : Replay.layer) (r : Network.layer_t) =
+  let module Filter_layer = Pnc_core.Filter_layer in
+  let same name a b =
+    if not (T.equal_eps ~eps:0. a b) then Alcotest.failf "%s: %s differs from the replay" what name
+  in
+  same "theta eps" r.cb.theta_eps f.Replay.theta;
+  same "bias eps" r.cb.bias_eps f.Replay.bias;
+  Array.iteri (fun j e -> same (Printf.sprintf "eta%d eps" (j + 1)) r.act.eps.(j) e) f.Replay.eta;
+  if Array.length r.filt.stages_t <> Array.length f.Replay.stages then
+    Alcotest.failf "%s: stage count differs" what;
+  Array.iteri
+    (fun i (s : Replay.stage) ->
+      let st = r.filt.stages_t.(i) and name = Printf.sprintf "stage %d %s" i in
+      same (name "eps_r") st.Filter_layer.eps_r s.Replay.eps_r;
+      same (name "eps_c") st.eps_c s.Replay.eps_c;
+      same (name "mu") st.mu s.Replay.mu;
+      same (name "v0") st.v0 s.Replay.v0)
+    f.Replay.stages;
+  if (r.filt.r_mult, r.filt.c_mult) <> f.Replay.drift then
+    Alcotest.failf "%s: drift multipliers differ" what
+
+let test_sampling_order () =
+  let module Sensitivity = Pnc_core.Sensitivity in
+  List.iter
+    (fun (arch, seed) ->
+      let rng = Rng.create ~seed in
+      let hidden = 2 + Rng.int rng 3 in
+      let inputs = 1 + Rng.int rng 2 in
+      let net = Network.create ~hidden rng arch ~inputs ~classes:(2 + Rng.int rng 2) in
+      List.iter
+        (fun (spec_name, spec) ->
+          List.iter
+            (fun (draw_name, d) ->
+              List.iter
+                (fun family ->
+                  let varied = Sensitivity.varied family in
+                  let what =
+                    Printf.sprintf "%s seed=%d %s %s %s" (Network.arch_name arch) seed spec_name
+                      draw_name (Sensitivity.family_name family)
+                  in
+                  let d = Replay.copy d in
+                  let replay = Replay.copy d in
+                  let reals = Network.realize_net_t ~varied ~draw:d net in
+                  List.iter2 (check_layer ~what) (Replay.factors ~varied net replay) reals;
+                  if Rng.to_bytes d.Variation.rng <> Rng.to_bytes replay.Variation.rng then
+                    Alcotest.failf "%s: the realization consumed a different amount of stream" what)
+                Sensitivity.[ Crossbar_conductances; Filter_rc; Activation_eta; All_families ])
+            (order_draws spec ~seed:(seed + 1)))
+        order_specs)
+    [ (Network.Ptpnc, 5); (Network.Adapt, 6); (Network.Adapt, 71) ]
+
 let () =
   Alcotest.run "pnc_variation"
     [
@@ -525,4 +606,5 @@ let () =
           Alcotest.test_case "reference point exactly 1" `Quick
             test_drift_reference_point_exact_unity;
         ] );
+      ("sampling order", [ Alcotest.test_case "realization = replay" `Quick test_sampling_order ]);
     ]
