@@ -127,24 +127,19 @@ let stamps = Atomic.make 0
    [Network.forward_block]'s passes over the whole batch, with each
    step's states, filter inputs, tanh values and activations left in
    the workspace. The logits are bit-identical to the no-grad engine's:
-   the state carry is a copy, and the activation pass below evaluates
-   [Network.activation_pass]'s `Exact expression with the tanh kept. *)
+   the filter pass reads each state from plane t and writes plane t + 1
+   with the same arithmetic, and the tanh pass below evaluates
+   [Network]'s `Exact expression with the tanh kept. *)
 
-let copy_pass ~rows (d : T.buffer) doff (s : T.buffer) soff =
+(* Feature [c]'s tanh of the pre-activations in [th], kept in place,
+   and its activations [tanh *. e2 +. e1] into [o]. *)
+let tanh_keep_pass ~rows (l : Network.layer_t) c (th : T.buffer) (o : T.buffer) fo =
+  let e1 = l.act.eta.(0) and e2 = l.act.eta.(1) in
+  let e1 = BA.unsafe_get e1.T.data (e1.T.off + c) and e2 = BA.unsafe_get e2.T.data (e2.T.off + c) in
   for r = 0 to rows - 1 do
-    BA.unsafe_set d (doff + r) (BA.unsafe_get s (soff + r))
-  done
-
-let activation_keep_pass ~rows (th : T.buffer) tho (o : T.buffer) oo (v : T.buffer) voff
-    (e1 : T.buffer) eo1 (e2 : T.buffer) eo2 (e3 : T.buffer) eo3 (e4 : T.buffer) eo4 =
-  let e1 = BA.unsafe_get e1 eo1
-  and e2 = BA.unsafe_get e2 eo2
-  and e3 = BA.unsafe_get e3 eo3
-  and e4 = BA.unsafe_get e4 eo4 in
-  for r = 0 to rows - 1 do
-    let y = Stdlib.tanh ((BA.unsafe_get v (voff + r) +. -.e3) *. e4) in
-    BA.unsafe_set th (tho + r) y;
-    BA.unsafe_set o (oo + r) ((y *. e2) +. e1)
+    let y = Stdlib.tanh (BA.unsafe_get th (fo + r)) in
+    BA.unsafe_set th (fo + r) y;
+    BA.unsafe_set o (fo + r) ((y *. e2) +. e1)
   done
 
 (* Step [t] of one layer: input element [(r, k)] is at
@@ -152,26 +147,13 @@ let activation_keep_pass ~rows (th : T.buffer) tho (o : T.buffer) oo (v : T.buff
 let forward_step ~rows ~t lw (l : Network.layer_t) (x : T.buffer) xo ~rs ~ks =
   let n_out = lw.n_out in
   let plane = n_out * rows in
-  let th = l.cb.theta_eff and bias = l.cb.bias_num and inv = l.cb.inv_den in
-  let e1 = l.act.eta.(0) and e2 = l.act.eta.(1) and e3 = l.act.eta.(2) in
-  let e4 = l.act.eta.(3) in
+  let th = l.cb.theta_eff in
   for c = 0 to n_out - 1 do
     let fo = (t * plane) + (c * rows) in
     Network.crossbar_pass ~rows lw.dv fo x xo ~rs ~ks ~n_in:lw.n_in th.T.data (th.T.off + c)
       ~n_out;
-    Network.normalise_pass ~rows lw.dv fo bias.T.data (bias.T.off + c) inv.T.data
-      (inv.T.off + c);
-    let v = ref lw.dv and voff = ref fo in
-    for i = 0 to Array.length lw.st - 1 do
-      let s = lw.st.(i) and a = l.filt.stages_t.(i).a and b = l.filt.stages_t.(i).b in
-      copy_pass ~rows s (fo + plane) s fo;
-      Network.stage_pass ~rows s (fo + plane) !v !voff a.T.data (a.T.off + c) b.T.data
-        (b.T.off + c);
-      v := s;
-      voff := fo + plane
-    done;
-    activation_keep_pass ~rows lw.th fo lw.out fo !v !voff e1.T.data (e1.T.off + c) e2.T.data
-      (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c)
+    Network.filter_pass ~rows l c lw.dv fo lw.st ~rd:fo ~wr:(fo + plane) lw.th fo;
+    tanh_keep_pass ~rows l c lw.th lw.out fo
   done
 
 let forward ws (d : sample) (steps : T.t array) =

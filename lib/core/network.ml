@@ -157,26 +157,28 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
    the block's rows that reads the feature's coefficients once. *)
 type layer_ws = {
   kern : layer_t;
-  states : T.t array; (* one [n_out x rows] filter state per stage *)
+  states : T.buffer array; (* one [n_out x rows] filter state per stage *)
   pre : T.t; (* crossbar sums, then the normalised filter input *)
   out : T.t; (* the layer's activations *)
 }
 
-(* The passes of the fused layer step. Each runs over the [rows]
-   elements of one feature and evaluates exactly the per-element
-   operation sequence of the unfused reference kernel it stands for
-   (Crossbar.apply_batch_t, Filter_layer.step_batch_t,
-   Ptanh.apply_batch_t), so the layout changes memory traffic only and
-   `Exact results stay bit-identical to those kernels and to the Var
-   path. Unchecked accesses are covered by the shape asserts in
-   [forward_block] plus the tensor view invariant.
+(* The three passes of the fused layer step: crossbar, filter, tanh.
+   Each runs over the [rows] elements of one feature and evaluates
+   exactly the per-element operation sequence of the unfused reference
+   kernels it stands for (Crossbar.apply_batch_t,
+   Filter_layer.step_batch_t, Ptanh.apply_batch_t), so the fusion and
+   the layout change memory traffic only and `Exact results stay
+   bit-identical to those kernels and to the Var path. Unchecked
+   accesses are covered by the shape asserts in [forward_block] plus
+   the tensor view invariant.
 
-   Coefficients travel as (buffer, offset) and each pass reads its
-   floats itself: without flambda, a float argument to a non-inlined
-   function is boxed at every call. Every Bigarray parameter carries
-   [T.buffer]; left unannotated, the kind and layout generalize and
-   each access compiles to the generic [caml_ba_get_1] stub, which
-   boxes the float it returns (scripts/check_unboxed.sh rejects that). *)
+   Coefficients travel as (buffer, offset), or as the realization
+   record, and each pass reads its floats itself: without flambda, a
+   float argument to a non-inlined function is boxed at every call.
+   Every Bigarray parameter carries [T.buffer]; left unannotated, the
+   kind and layout generalize and each access compiles to the generic
+   [caml_ba_get_1] stub, which boxes the float it returns
+   (scripts/check_unboxed.sh rejects that). *)
 
 (* Crossbar sums of one output feature, as [T.matmul_into]: [k]
    ascending from [0.], exactly-zero inputs skipped. The [k = 0] loop
@@ -200,41 +202,62 @@ let crossbar_pass ~rows (d : T.buffer) doff (x : T.buffer) xo ~rs ~ks ~n_in (th 
     done
   done
 
-(* Bias and normalisation, as [T.add_mul_rv_inplace]. *)
-let normalise_pass ~rows (d : T.buffer) doff (bias : T.buffer) bo (inv : T.buffer) io =
+(* Normalisation, every filter stage and the scaled pre-activation of
+   output feature [c], in one loop over its rows: per element,
+   [T.add_mul_rv_inplace]'s (d + bias) * inv, each stage's
+   [T.affine_rv_into] s * a + v * b, and [Ptanh.apply_batch_t]'s
+   (v + -e3) * e4, in that order. [d] holds the crossbar sums and leaves
+   holding the normalised filter input; stage [i]'s state is read from
+   [st.(i)] at [rd + r] and written at [wr + r] (equal offsets update it
+   in place); the pre-activation goes to [o]. The filter order is the
+   number of stages. *)
+let filter_pass ~rows (l : layer_t) c (d : T.buffer) doff (st : T.buffer array) ~rd ~wr
+    (o : T.buffer) oo =
   let module BA = Bigarray.Array1 in
-  let b = BA.unsafe_get bias bo and s = BA.unsafe_get inv io in
-  for r = 0 to rows - 1 do
-    BA.unsafe_set d (doff + r) ((BA.unsafe_get d (doff + r) +. b) *. s)
-  done
+  let bias = l.cb.bias_num and inv = l.cb.inv_den in
+  let e3 = l.act.eta.(2) and e4 = l.act.eta.(3) in
+  let bias = BA.unsafe_get bias.T.data (bias.T.off + c)
+  and inv = BA.unsafe_get inv.T.data (inv.T.off + c)
+  and e3 = BA.unsafe_get e3.T.data (e3.T.off + c)
+  and e4 = BA.unsafe_get e4.T.data (e4.T.off + c) in
+  match (l.filt.stages_t, st) with
+  | [| f1 |], [| s1 |] ->
+      let a1 = BA.unsafe_get f1.a.T.data (f1.a.T.off + c)
+      and b1 = BA.unsafe_get f1.b.T.data (f1.b.T.off + c) in
+      for r = 0 to rows - 1 do
+        let v = (BA.unsafe_get d (doff + r) +. bias) *. inv in
+        BA.unsafe_set d (doff + r) v;
+        let v = (BA.unsafe_get s1 (rd + r) *. a1) +. (v *. b1) in
+        BA.unsafe_set s1 (wr + r) v;
+        BA.unsafe_set o (oo + r) ((v +. -.e3) *. e4)
+      done
+  | [| f1; f2 |], [| s1; s2 |] ->
+      let a1 = BA.unsafe_get f1.a.T.data (f1.a.T.off + c)
+      and b1 = BA.unsafe_get f1.b.T.data (f1.b.T.off + c)
+      and a2 = BA.unsafe_get f2.a.T.data (f2.a.T.off + c)
+      and b2 = BA.unsafe_get f2.b.T.data (f2.b.T.off + c) in
+      for r = 0 to rows - 1 do
+        let v = (BA.unsafe_get d (doff + r) +. bias) *. inv in
+        BA.unsafe_set d (doff + r) v;
+        let v = (BA.unsafe_get s1 (rd + r) *. a1) +. (v *. b1) in
+        BA.unsafe_set s1 (wr + r) v;
+        let v = (BA.unsafe_get s2 (rd + r) *. a2) +. (v *. b2) in
+        BA.unsafe_set s2 (wr + r) v;
+        BA.unsafe_set o (oo + r) ((v +. -.e3) *. e4)
+      done
+  | _ -> invalid_arg "Network.filter_pass: one state per stage, one or two stages"
 
-(* One RC stage fed by [v], as [T.affine_rv_into]: s <- s * a + v * b. *)
-let stage_pass ~rows (s : T.buffer) soff (v : T.buffer) voff (a : T.buffer) ao (b : T.buffer) bo =
+(* The rest of [Ptanh.apply_batch_t] for feature [c], in place over the
+   pre-activations in [o]: tanh, then the e2/e1 affine. `Fast runs the
+   tanh as [Fast_math.apply_range] over the row (one unboxed in-module
+   loop, <=1e-7 absolute error; see docs/BATCHING.md). `Exact calls the
+   unboxed [Stdlib.tanh] extern inside the same expression, bit-identical
+   to the Var path. *)
+let tanh_pass ~fast ~rows (l : layer_t) c (o : T.buffer) oo =
   let module BA = Bigarray.Array1 in
-  let a = BA.unsafe_get a ao and b = BA.unsafe_get b bo in
-  for r = 0 to rows - 1 do
-    BA.unsafe_set s (soff + r)
-      ((BA.unsafe_get s (soff + r) *. a) +. (BA.unsafe_get v (voff + r) *. b))
-  done
-
-(* Printable tanh of [v] into [o], as [Ptanh.apply_batch_t]: the scaled
-   pre-activation (v + -e3) * e4, tanh, then the e2/e1 affine. `Fast
-   runs the tanh as [Fast_math.apply_range] over the row (one unboxed
-   in-module loop, <=1e-7 absolute error; see docs/BATCHING.md), so it
-   takes three loops. `Exact needs only one: the unboxed [Stdlib.tanh]
-   extern sits inside the same expression tree, bit-identical to the
-   Var path. *)
-let activation_pass ~fast ~rows (o : T.buffer) oo (v : T.buffer) voff (e1 : T.buffer) eo1
-    (e2 : T.buffer) eo2 (e3 : T.buffer) eo3 (e4 : T.buffer) eo4 =
-  let module BA = Bigarray.Array1 in
-  let e1 = BA.unsafe_get e1 eo1
-  and e2 = BA.unsafe_get e2 eo2
-  and e3 = BA.unsafe_get e3 eo3
-  and e4 = BA.unsafe_get e4 eo4 in
+  let e1 = l.act.eta.(0) and e2 = l.act.eta.(1) in
+  let e1 = BA.unsafe_get e1.T.data (e1.T.off + c) and e2 = BA.unsafe_get e2.T.data (e2.T.off + c) in
   if fast then begin
-    for r = 0 to rows - 1 do
-      BA.unsafe_set o (oo + r) ((BA.unsafe_get v (voff + r) +. -.e3) *. e4)
-    done;
     Pnc_tensor.Fast_math.apply_range o ~off:oo ~len:rows;
     for r = 0 to rows - 1 do
       BA.unsafe_set o (oo + r) ((BA.unsafe_get o (oo + r) *. e2) +. e1)
@@ -242,34 +265,24 @@ let activation_pass ~fast ~rows (o : T.buffer) oo (v : T.buffer) voff (e1 : T.bu
   end
   else
     for r = 0 to rows - 1 do
-      BA.unsafe_set o (oo + r)
-        ((Stdlib.tanh ((BA.unsafe_get v (voff + r) +. -.e3) *. e4) *. e2) +. e1)
+      BA.unsafe_set o (oo + r) ((Stdlib.tanh (BA.unsafe_get o (oo + r)) *. e2) +. e1)
     done
 
 (* One time step of one layer: for each output feature, the crossbar,
-   normalisation, filter-stage and activation passes in turn. The
-   filter order is just the number of stages. Input element [(r, k)]
-   is [x.{xo + r * rs + k * ks}]: the first layer reads its row-major
-   [rows x n_in] step with [rs = n_in, ks = 1], later layers the
-   previous feature-major activations with [rs = 1, ks = rows]. *)
+   filter and tanh passes in turn, the filter states updated in place.
+   Input element [(r, k)] is [x.{xo + r * rs + k * ks}]: the first
+   layer reads its row-major [rows x n_in] step with [rs = n_in, ks =
+   1], later layers the previous feature-major activations with [rs =
+   1, ks = rows]. *)
 let fused_step_layer ~fast ~rows lr (x : T.buffer) xo ~rs ~ks =
-  let cb = lr.kern.cb and stages = lr.kern.filt.stages_t and eta = lr.kern.act.eta in
-  let th = cb.theta_eff and bias = cb.bias_num and inv = cb.inv_den in
-  let e1 = eta.(0) and e2 = eta.(1) and e3 = eta.(2) and e4 = eta.(3) in
+  let th = lr.kern.cb.theta_eff in
   let n_in = T.rows th and n_out = T.cols th in
   let pd = lr.pre.T.data and od = lr.out.T.data in
   for c = 0 to n_out - 1 do
     let fo = c * rows in
     crossbar_pass ~rows pd fo x xo ~rs ~ks ~n_in th.T.data (th.T.off + c) ~n_out;
-    normalise_pass ~rows pd fo bias.T.data (bias.T.off + c) inv.T.data (inv.T.off + c);
-    let v = ref pd in
-    for i = 0 to Array.length lr.states - 1 do
-      let s = lr.states.(i).T.data and a = stages.(i).a and b = stages.(i).b in
-      stage_pass ~rows s fo !v fo a.T.data (a.T.off + c) b.T.data (b.T.off + c);
-      v := s
-    done;
-    activation_pass ~fast ~rows od fo !v fo e1.T.data (e1.T.off + c) e2.T.data (e2.T.off + c)
-      e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c)
+    filter_pass ~rows lr.kern c pd fo lr.states ~rd:fo ~wr:fo od fo;
+    tanh_pass ~fast ~rows lr.kern c od fo
   done
 
 (* The batch input: one [rows x n_in] tensor per time step, or one
@@ -303,7 +316,7 @@ let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
              st kern.filt.stages_t;
            {
              kern;
-             states = Array.map (fun s -> T.transpose (T.rows_view s ~row ~len:rows)) st;
+             states = Array.map (fun s -> (T.transpose (T.rows_view s ~row ~len:rows)).T.data) st;
              pre = fm ~n:n_out;
              out = fm ~n:n_out;
            })

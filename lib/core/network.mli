@@ -132,29 +132,23 @@ val crossbar_pass :
 (** Crossbar sums of one output feature; input element [(r, k)] is at
     [xo + r * rs + k * ks], weight [k] at [tho + k * n_out]. *)
 
-val normalise_pass :
+val filter_pass :
   rows:int ->
-  Pnc_tensor.Tensor.buffer ->
+  layer_t ->
   int ->
   Pnc_tensor.Tensor.buffer ->
   int ->
+  Pnc_tensor.Tensor.buffer array ->
+  rd:int ->
+  wr:int ->
   Pnc_tensor.Tensor.buffer ->
   int ->
   unit
-(** [d <- (d + bias) * inv] for one feature. *)
-
-val stage_pass :
-  rows:int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  unit
-(** One RC stage in place: [s <- s * a + v * b]. *)
+(** [filter_pass ~rows l c d doff st ~rd ~wr o oo]: for output feature
+    [c], the crossbar sums in [d] are normalised in place, run through
+    every filter stage (stage [i]'s state read from [st.(i)] at
+    [rd + r], written at [wr + r]) and scaled into the activation's
+    pre-activation [(v - e3) * e4], written to [o]. *)
 
 val clamp : t -> unit
 (** Project every component value into its printable window. *)

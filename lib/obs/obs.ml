@@ -358,15 +358,25 @@ module Json = struct
      built on it (the serve daemon's request bodies). *)
   module Cursor = struct
     (* The text is [s.[base .. stop - 1]]; [pos] is an index into [s]
-       and errors report it relative to [base]. *)
-    type nonrec t = { s : string; mutable pos : int; stop : int; base : int }
+       and errors report it relative to [base]. [man] and [nsig] are
+       the number lexer's mantissa and significant-digit count, and
+       [num] the slot {!number} reads its value back from. *)
+    type nonrec t = {
+      s : string;
+      mutable pos : int;
+      stop : int;
+      base : int;
+      mutable man : int;
+      mutable nsig : int;
+      num : floatarray;
+    }
 
     let max_depth = 512
 
     let make_sub s ~off ~len =
       if off < 0 || len < 0 || off > String.length s - len then
         invalid_arg "Json.Cursor.make_sub: slice out of bounds";
-      { s; pos = off; stop = off + len; base = off }
+      { s; pos = off; stop = off + len; base = off; man = 0; nsig = 0; num = Float.Array.create 1 }
 
     let make s = make_sub s ~off:0 ~len:(String.length s)
     let fail c msg = failwith (Printf.sprintf "Json.parse: %s at offset %d" msg (c.pos - c.base))
@@ -469,42 +479,86 @@ module Json = struct
     let num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
     let[@inline] is_digit ch = ch >= '0' && ch <= '9'
 
+    (* Eight ASCII digits at once (Lemire 2021, as in simdjson): [w]
+       holds the bytes little-endian, first byte lowest. Every byte is a
+       digit exactly when its high nibble is 3 and adding 6 keeps it 3;
+       a byte past '9' or below '0' breaks one of the two, and a carry
+       out of a byte only comes from a byte that already fails. *)
+    let[@inline] eight_digits (w : int64) =
+      let open Int64 in
+      let hi = 0xF0F0_F0F0_F0F0_F0F0L in
+      logor (logand w hi) (shift_right_logical (logand (add w 0x0606_0606_0606_0606L) hi) 4)
+      = 0x3333_3333_3333_3333L
+
+    (* Their value, with three multiplies: pairs, then quads, then the
+       two quads. *)
+    let[@inline] eight_digits_value (w : int64) =
+      let open Int64 in
+      let w = sub w 0x3030_3030_3030_3030L in
+      let w = add (mul w 10L) (shift_right_logical w 8) in
+      let mask = 0x0000_00FF_0000_00FFL in
+      to_int
+        (shift_right_logical
+           (add
+              (mul (logand w mask) 0x000F_4240_0000_0064L)
+              (mul (logand (shift_right_logical w 16) mask) 0x0000_2710_0000_0001L))
+           32)
+
+    (* Consume the digit run at [i], folding its digits into [c.man] and
+       [c.nsig] (the mantissa keeps the first 18 significant digits,
+       [nsig] counts them all); returns where the run ends. Once a
+       significant digit is in and eight more still fit, the run is read
+       eight bytes at a time, never past [stop]: the bytes after a slice
+       may be the next request. *)
+    let digit_run c i =
+      let s = c.s and n = c.stop in
+      let i = ref i and man = ref c.man and nsig = ref c.nsig and chunks = ref true in
+      while !i < n && is_digit (String.unsafe_get s !i) do
+        if !chunks && !nsig > 0 && !nsig <= 10 && !i + 8 <= n then begin
+          let w = String.get_int64_le s !i in
+          if eight_digits w then begin
+            man := (!man * 100_000_000) + eight_digits_value w;
+            nsig := !nsig + 8;
+            i := !i + 8
+          end
+          else (* a non-digit lies within the next eight bytes *)
+            chunks := false
+        end
+        else begin
+          let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+          if !nsig > 0 || d > 0 then begin
+            incr nsig;
+            if !nsig <= 18 then man := (!man * 10) + d
+          end;
+          incr i
+        end
+      done;
+      c.man <- !man;
+      c.nsig <- !nsig;
+      !i
+
     (* A number token is the maximal run of [num_char]s, and its value is
        [float_of_string_opt] of that run. A run in the strict form
        -?d+(.d+)?([eE][+-]?d+)? with at most 18 significant digits and a
        decision from [eisel_lemire] never reaches strtod: both return the
        correctly rounded double. Anything else falls back to the
        substring, so the accepted set and every result stay exactly
-       those of [float_of_string_opt]. *)
-    let number c =
+       those of [float_of_string_opt]. The value goes straight into
+       [dst.(k)], so the fast path allocates nothing. *)
+    let number_into c dst k =
       skip_ws c;
       let s = c.s and n = c.stop in
       let start = c.pos in
-      let i = ref start and man = ref 0 and nsig = ref 0 and e10 = ref 0 in
+      c.man <- 0;
+      c.nsig <- 0;
       let neg = start < n && String.unsafe_get s start = '-' in
-      if neg then incr i;
-      let first = !i in
-      while !i < n && is_digit (String.unsafe_get s !i) do
-        let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
-        if !nsig > 0 || d > 0 then begin
-          incr nsig;
-          if !nsig <= 18 then man := (!man * 10) + d
-        end;
-        incr i
-      done;
+      let first = if neg then start + 1 else start in
+      let i = ref (digit_run c first) and e10 = ref 0 in
       let strict = ref (!i > first) in
       if !strict && !i < n && String.unsafe_get s !i = '.' then begin
-        incr i;
-        let first = !i in
-        while !i < n && is_digit (String.unsafe_get s !i) do
-          let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
-          if !nsig > 0 || d > 0 then begin
-            incr nsig;
-            if !nsig <= 18 then man := (!man * 10) + d
-          end;
-          decr e10;
-          incr i
-        done;
+        let first = !i + 1 in
+        i := digit_run c first;
+        e10 := first - !i;
         strict := !i > first
       end;
       if !strict && !i < n && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E')
@@ -523,9 +577,9 @@ module Json = struct
       end;
       if !i < n && num_char (String.unsafe_get s !i) then strict := false;
       let v =
-        if not !strict || !nsig > 18 then nan
-        else if !nsig = 0 then 0.
-        else eisel_lemire !man !e10
+        if not !strict || c.nsig > 18 then nan
+        else if c.nsig = 0 then 0.
+        else eisel_lemire c.man !e10
       in
       if Float.is_nan v then begin
         while !i < n && num_char (String.unsafe_get s !i) do
@@ -534,13 +588,17 @@ module Json = struct
         c.pos <- !i;
         if !i = start then fail c "expected number";
         match float_of_string_opt (String.sub s start (!i - start)) with
-        | Some v -> v
+        | Some v -> Float.Array.set dst k v
         | None -> fail c "malformed number"
       end
       else begin
         c.pos <- !i;
-        if neg then -.v else v
+        Float.Array.set dst k (if neg then -.v else v)
       end
+
+    let number c =
+      number_into c c.num 0;
+      Float.Array.unsafe_get c.num 0
 
     let literal c word v =
       let l = String.length word in

@@ -207,9 +207,19 @@ module Json : sig
         rejected exactly when it returns [None]). Runs of the form
         [-?d+(.d+)?([eE][+-]?d+)?] with at most 18 significant digits
         are converted by the Eisel–Lemire algorithm over a 128-bit
-        powers-of-five table, without allocating a substring; the rare
-        run it cannot round with certainty, and every other run, falls
-        back to [float_of_string_opt]. *)
+        powers-of-five table, without allocating a substring; once a
+        significant digit is read, their digits are taken eight at a
+        time (one 64-bit load, a SWAR digit test and three multiplies),
+        never reading past the end of the text. The rare run Eisel–Lemire
+        cannot round with certainty, and every other run, falls back to
+        [float_of_string_opt]. The result is boxed on return; a decoder
+        that stores numbers uses {!number_into}. *)
+
+    val number_into : t -> floatarray -> int -> unit
+    (** [number_into c dst i] is [Float.Array.set dst i (number c)]
+        without boxing the value: on the Eisel–Lemire path it allocates
+        nothing. Raises [Invalid_argument] when [i] is out of bounds,
+        with the token already consumed. *)
 
     val value : t -> depth:int -> json
     (** Consume one complete value enclosed in [depth] containers

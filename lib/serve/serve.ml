@@ -335,6 +335,17 @@ module Http = struct
 
   let header hs k = List.assoc_opt k hs
 
+  (* Whether the Connection header asks to close: its value is a
+     comma-separated list of case-insensitive options (RFC 9110
+     §7.6.1), so "Close" and "keep-alive, close" both do. *)
+  let wants_close hs =
+    match header hs "connection" with
+    | None -> false
+    | Some v ->
+        List.exists
+          (fun o -> String.lowercase_ascii (String.trim o) = "close")
+          (String.split_on_char ',' v)
+
   (* A non-negative decimal integer as HTTP writes one: [1*DIGIT], no
      sign, no [_] separators, no [0x]/[0o]/[0b] prefix (all of which
      [int_of_string_opt] accepts). [None] also when the value would
@@ -487,39 +498,37 @@ let decode_body ~max_rows ?(into = Float.Array.create 0) ?(off = 0) ?len body =
     C.make_sub body ~off ~len:(match len with Some l -> l | None -> String.length body - off)
   in
   let data = ref into and len = ref 0 in
-  let push v =
-    if !len = Float.Array.length !data then begin
-      let bigger = Float.Array.create (max 64 (2 * !len)) in
-      Float.Array.blit !data 0 bigger 0 !len;
-      data := bigger
-    end;
-    Float.Array.unsafe_set !data !len v;
-    incr len
-  in
   (* One array of numbers; returns its length, failing as soon as it
-     passes [limit]. *)
+     passes [limit]. A loop, not a recursive closure, so a row
+     allocates nothing: each number is written into [data] in place. *)
   let row ~limit =
     if C.peek c <> '[' then failwith "expected an array of numbers";
     C.advance c;
     if C.peek c = ']' then failwith "empty series";
-    let rec elements k =
+    let k = ref 0 and more = ref true in
+    while !more do
       (match C.peek c with
       | '{' | '[' | '"' | 't' | 'f' | 'n' -> failwith "expected a number"
       | _ ->
-          let v = C.number c in
-          if not (Float.is_finite v) then failwith "non-finite number in input";
-          push v);
-      if k > limit then failwith "ragged batch rows";
+          if !len = Float.Array.length !data then begin
+            let bigger = Float.Array.create (max 64 (2 * !len)) in
+            Float.Array.blit !data 0 bigger 0 !len;
+            data := bigger
+          end;
+          C.number_into c !data !len;
+          if not (Float.is_finite (Float.Array.unsafe_get !data !len)) then
+            failwith "non-finite number in input";
+          incr len);
+      incr k;
+      if !k > limit then failwith "ragged batch rows";
       match C.peek c with
-      | ',' ->
-          C.advance c;
-          elements (k + 1)
+      | ',' -> C.advance c
       | ']' ->
           C.advance c;
-          k
+          more := false
       | _ -> C.fail c "expected , or ]"
-    in
-    elements 1
+    done;
+    !k
   in
   let rows = ref 0 and cols = ref 0 in
   let batch () =
@@ -968,7 +977,7 @@ let handle_conn t fd =
         in
         let keep_alive =
           req.http11
-          && Http.header req.headers "connection" <> Some "close"
+          && not (Http.wants_close req.headers)
           && status <> 503
           && not (Atomic.get t.stop_flag)
         in

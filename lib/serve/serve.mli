@@ -142,9 +142,11 @@ type block = { data : floatarray; rows : int; cols : int; single : bool }
 val decode_body :
   max_rows:int -> ?into:floatarray -> ?off:int -> ?len:int -> string -> block
 (** Decode a [{"series":[…]}] or [{"batch":[[…],…]}] body in one pass,
-    writing each number (read by {!Pnc_obs.Obs.Json.Cursor.number})
+    writing each number with {!Pnc_obs.Obs.Json.Cursor.number_into}
     straight into [into], or into a larger buffer when it is too small
-    (the result's [data]; pass it back as [into] to reuse it). The body
+    (the result's [data]; pass it back as [into] to reuse it). Into a
+    large-enough [into] the numbers allocate nothing: a body costs a
+    constant number of words whatever its size. The body
     is the slice of [len] bytes at [off] (default: the whole string),
     read in place through {!Pnc_obs.Obs.Json.Cursor.make_sub}: the
     result and every error message, offsets included, are those of

@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end smoke of the real serving daemon: train a smoke-scale
 # checkpoint, boot `adapt_pnc serve` on it, drive the HTTP API
-# (health, single + batch inference, malformed bodies), then SIGTERM
+# (health, single + batch inference, a case-insensitive Connection:
+# Close, malformed bodies), then SIGTERM
 # it and require a clean graceful drain.
 #
 # Usage: [JOBS=N] scripts/serve_smoke.sh [OUTDIR]
@@ -54,6 +55,14 @@ curl -sf -X POST --data '{"series":[0.1,-0.2,0.3,0.05]}' \
 echo "-- batch inference --"
 curl -sf -X POST --data '{"batch":[[0.1,0.2,0.3,0.4],[1,2,3,4]]}' \
   "http://127.0.0.1:$PORT/v1/logits" | grep -q '"logits"'
+
+echo "-- Connection options are case-insensitive tokens --"
+# RFC 9110 7.6.1: "Close" asks for a close just as "close" does.
+hdrs=$(curl -sf -D - -o /dev/null -H 'Connection: Close' -X POST \
+  --data '{"series":[0.1,-0.2,0.3,0.05]}' "http://127.0.0.1:$PORT/v1/logits" | tr -d '\r')
+printf '%s\n' "$hdrs" | grep -qx 'Connection: close' || {
+  echo "expected Connection: close for Connection: Close, got:"; printf '%s\n' "$hdrs"; exit 1;
+}
 
 echo "-- malformed bodies get 400s, daemon stays up --"
 for body in '{"series":[1,' '{"series":[1],"t":"\uZZZZ"}' '{"batch":[[1,2],[1]]}'; do

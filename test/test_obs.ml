@@ -306,11 +306,36 @@ let lexed s =
   | _ -> Alcotest.failf "%S parsed to a non-number" s
   | exception Failure _ -> None
 
-let same_as_strtod s =
-  match (lexed s, float_of_string_opt s) with
+let same_result = function
   | None, None -> true
   | Some a, Some b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
   | _ -> false
+
+let same_as_strtod s = same_result (lexed s, float_of_string_opt s)
+
+(* The token read from a cursor over a slice of a longer string that
+   goes on with more digits (and starts with some): the lexer must stop
+   at the slice end, however many digits lie behind it. Read once with
+   [Cursor.number] and once with [Cursor.number_into]. *)
+let sliced_same_as_strtod tok =
+  let s = "98" ^ tok ^ "1234567890123456789" in
+  let read get =
+    let c = Json.Cursor.make_sub s ~off:2 ~len:(String.length tok) in
+    match
+      let v = get c in
+      Json.Cursor.finish c;
+      v
+    with
+    | v -> Some v
+    | exception Failure _ -> None
+  in
+  let into c =
+    let dst = Float.Array.make 3 nan in
+    Json.Cursor.number_into c dst 1;
+    Float.Array.get dst 1
+  in
+  let expect = float_of_string_opt tok in
+  same_result (read Json.Cursor.number, expect) && same_result (read into, expect)
 
 let number_corpus =
   [
@@ -324,13 +349,16 @@ let number_corpus =
     "1.00000000000000011102230246251565404236316680908203126"; "7.2057594037927933e16";
     "0.84147098480789650"; "-3.1415926535897931e-05"; ""; "-"; "+"; "."; "e5"; "E5"; "1e";
     "1e+"; "1e-"; "--1"; "+-1"; "1..2"; "1.2.3"; "1e5e5"; "1e5.5"; "12-3"; "1+2"; "-.5";
-    "-5."; ".e1"; "1.e1"; "0.e-0"; "1E+0"; "-1E-0";
+    "-5."; ".e1"; "1.e1"; "0.e-0"; "1E+0"; "-1E-0"; "12345678"; "1234567812345678";
+    "12345678123456781"; "123456781234567812"; "1234567812345678123"; "0.000000001234567890123";
+    "00000000000000000012345678901234567"; "1.2345678e-5"; "9999999999999999.99"; "1234567:9";
+    "12345678/"; "1234567/8"; "1.23456789012345678e300";
   ]
 
 let test_number_corpus () =
   List.iter
     (fun s ->
-      if not (same_as_strtod s) then
+      if not (same_as_strtod s && sliced_same_as_strtod s) then
         Alcotest.failf "%S: lexer %s, float_of_string_opt %s" s
           (match lexed s with Some v -> Printf.sprintf "%h" v | None -> "rejects")
           (match float_of_string_opt s with Some v -> Printf.sprintf "%h" v | None -> "rejects"))
@@ -364,12 +392,33 @@ let number_strings_gen =
     return (sign ^ mantissa ^ exp)
   in
   let alphabet_run = string_size ~gen:(oneofl (List.of_seq (String.to_seq "0123456789+-.eE"))) (int_range 1 10) in
-  frequency [ (4, from_bits); (4, digit_string); (1, alphabet_run) ]
+  (* The lexer's eight-digits-at-a-time path: runs of exactly 8, 16,
+     17, 18 and 19 significant digits (the chunk boundaries and both
+     sides of the 18-digit limit), behind up to 20 leading zeros (so
+     zeros span a chunk), with the point anywhere in the run. *)
+  let chunked =
+    let* nsig = oneofl [ 8; 16; 17; 18; 19 ] in
+    let* lead = string_size ~gen:(char_range '1' '9') (return 1) in
+    let* rest = string_size ~gen:(char_range '0' '9') (return (nsig - 1)) in
+    let* zeros = int_range 0 20 in
+    let digits = String.make zeros '0' ^ lead ^ rest in
+    let n = String.length digits in
+    let* point = int_range 0 n in
+    let* sign = oneofl [ ""; "-" ] in
+    let* exp = oneof [ return ""; map (Printf.sprintf "e%d") (int_range (-30) 30) ] in
+    let mantissa =
+      if point = n then digits
+      else if point = 0 then "0." ^ digits
+      else String.sub digits 0 point ^ "." ^ String.sub digits point (n - point)
+    in
+    return (sign ^ mantissa ^ exp)
+  in
+  frequency [ (4, from_bits); (4, digit_string); (1, alphabet_run); (4, chunked) ]
 
 let prop_number_lexer =
   QCheck.Test.make ~count:20_000 ~name:"number lexer = float_of_string_opt, bit for bit"
     (QCheck.make ~print:(Printf.sprintf "%S") number_strings_gen)
-    same_as_strtod
+    (fun s -> same_as_strtod s && sliced_same_as_strtod s)
 
 (* The shared number writer calls the C primitive behind [Printf]
    directly; its bytes must be exactly [Printf.sprintf "%.17g"]'s, and

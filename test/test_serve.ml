@@ -621,6 +621,46 @@ let test_slice_decode () =
     (fun (pre, body, post) ->
       outcome ~off:(String.length pre) ~len:(String.length body) (pre ^ body ^ post) = outcome body)
 
+(* A body decoded where it lies stops at its slice end, even when the
+   bytes behind it go on with digits (the next pipelined request may lie
+   there). Numbers of 1-19 significant digits behind 0-12 leading zeros
+   cover both sides of the lexer's eight-digit chunks. Sliced after the
+   whole body, every number is bit-equal to [float_of_string_opt] of its
+   token; sliced right after a number token, the slice fails exactly as
+   its copy does. *)
+let test_slice_ends_in_number () =
+  let token rng =
+    let nsig = List.nth [ 1; 7; 8; 9; 10; 16; 17; 18; 19 ] (Rng.int rng 9) in
+    let digit k = if k = 0 then Char.chr (49 + Rng.int rng 9) else Char.chr (48 + Rng.int rng 10) in
+    let digits = String.make (Rng.int rng 13) '0' ^ String.init nsig digit in
+    let n = String.length digits and point = Rng.int rng (String.length digits + 1) in
+    let mantissa =
+      if point = n then digits
+      else (if point = 0 then "0" else String.sub digits 0 point) ^ "." ^ String.sub digits point (n - point)
+    in
+    (if Rng.int rng 2 = 0 then "-" else "") ^ mantissa
+  in
+  let gen rng = (String.make (Rng.int rng 3) '7', List.init (1 + Rng.int rng 4) (fun _ -> token rng)) in
+  let outcome ~off ~len s =
+    match Serve.decode_body ~max_rows:3 ~off ~len s with
+    | b -> Ok (List.init b.Serve.cols (fun i -> Int64.bits_of_float (Float.Array.get b.Serve.data i)))
+    | exception Failure msg -> Error msg
+  in
+  let tail = "1234567890123456789]}" in
+  Qgen.check ~count:2000 ~name:"slice ends in a number"
+    ~pp:(fun (pre, toks) -> Printf.sprintf "%S ^ %S" pre (String.concat "," toks))
+    gen
+    (fun (pre, toks) ->
+      let off = String.length pre in
+      let open_body = {|{"series":[|} ^ String.concat "," toks in
+      let body = open_body ^ "]}" in
+      let expect =
+        Ok (List.map (fun t -> Int64.bits_of_float (Option.get (float_of_string_opt t))) toks)
+      in
+      outcome ~off ~len:(String.length body) (pre ^ body ^ tail) = expect
+      && outcome ~off ~len:(String.length open_body) (pre ^ open_body ^ tail)
+         = outcome ~off:0 ~len:(String.length open_body) open_body)
+
 (* Receive path ------------------------------------------------------------
 
    Random valid requests written as one stream and split at random
@@ -747,30 +787,37 @@ let test_split_stream () =
           List.for_all (fun a -> received c = a) alone
           && match Serve.read_request c with _ -> false | exception End_of_file -> true))
 
-(* The old path allocated 68 words per number for this body (the
-   parse tree, a substring and boxed float per token, the row lists;
-   measured before the one-pass decoder replaced it). The decoder
-   boxes each number once as it returns from the lexer (2 words), plus
-   a constant per body. *)
-let test_decoder_alloc_per_number () =
+(* Decoding allocates a constant per body, whatever its size: each
+   number goes straight into [into] through [Json.Cursor.number_into]
+   and each row is read by a loop, so what is left is the cursor, the
+   decoder's closures and refs, and the result record. An 8x64 and a
+   32x64 body decoded into a large-enough [into] each stay within 128
+   words; one boxed float per number would be 1,024 and 4,096. *)
+let test_decoder_alloc_per_body () =
   let rng = Rng.create ~seed:52 in
-  let rows = Array.init 32 (fun _ -> Array.init 64 (fun _ -> Rng.uniform rng ~lo:(-2.) ~hi:2.)) in
-  let body =
+  let body rows =
     Json.render
       (Json.Obj
          [
            ( "batch",
              Json.List
-               (Array.to_list
-                  (Array.map (fun r -> Json.List (Array.to_list (Array.map (fun v -> Json.Num v) r))) rows))
+               (List.init rows (fun _ ->
+                    Json.List (List.init 64 (fun _ -> Json.Num (Rng.uniform rng ~lo:(-2.) ~hi:2.)))))
            );
          ])
   in
-  let into = (Serve.decode_body ~max_rows:1024 body).Serve.data in
-  let w0 = Gc.minor_words () in
-  ignore (Serve.decode_body ~max_rows:1024 ~into body);
-  let per_number = (Gc.minor_words () -. w0) /. 2048. in
-  if per_number > 3. then Alcotest.failf "%.2f minor words per decoded number (bound 3)" per_number
+  let into = Float.Array.create (32 * 64) in
+  List.iter
+    (fun rows ->
+      let body = body rows in
+      ignore (Serve.decode_body ~max_rows:1024 ~into body);
+      let w0 = Gc.minor_words () in
+      let b = Serve.decode_body ~max_rows:1024 ~into body in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) "decoded into [into]" true (b.Serve.data == into);
+      if words > 128. then
+        Alcotest.failf "%.0f minor words to decode a %dx64 body (bound 128)" words rows)
+    [ 8; 32 ]
 
 (* The daemon's peak resident set, in kB ([None] off Linux). *)
 let vm_hwm_kb () =
@@ -1285,6 +1332,38 @@ let test_strict_content_length_server () =
         (status_of (raw_exchange ~port (post huge_length ""))));
   Sys.remove ckpt
 
+(* The Connection header is a comma-separated list of case-insensitive
+   options (RFC 9110 §7.6.1), so "Close" and "keep-alive, close" each
+   get one reply saying Connection: close, then EOF ([raw_exchange]
+   returns only once the server hangs up). An option that merely
+   contains "close" keeps the connection: of two pipelined requests,
+   the first is answered keep-alive and the second closes. *)
+let test_connection_close_options () =
+  let ckpt = fresh_ckpt () in
+  save_model ckpt (make_model 56);
+  let config = { Serve.default_config with max_batch = 1; reload_every_s = 0.; pool_size = env_pool_size } in
+  with_server ~config ckpt (fun srv ->
+      let port = Serve.port srv in
+      let body = {|{"series":[1]}|} in
+      let post connection =
+        Printf.sprintf "POST /v1/logits HTTP/1.1\r\nHost: x\r\nConnection: %s\r\nContent-Length: %d\r\n\r\n%s"
+          connection (String.length body) body
+      in
+      List.iter
+        (fun connection ->
+          let response = raw_exchange ~port (post connection) in
+          Alcotest.(check int) (connection ^ ": status") 200 (status_of response);
+          Alcotest.(check int) (connection ^ ": responses") 1 (count_sub response "HTTP/1.1 ");
+          Alcotest.(check int) (connection ^ ": Connection: close") 1
+            (count_sub response "Connection: close"))
+        [ "Close"; "keep-alive, close"; "CLOSE"; "close ,keep-alive"; "Keep-Alive,\tClose" ];
+      let response = raw_exchange ~port (post "closed, x-close" ^ post "close") in
+      Alcotest.(check int) "pipelined: responses" 2 (count_sub response "HTTP/1.1 200");
+      Alcotest.(check int) "pipelined: first kept alive" 1
+        (count_sub response "Connection: keep-alive");
+      Alcotest.(check int) "pipelined: second closes" 1 (count_sub response "Connection: close"));
+  Sys.remove ckpt
+
 (* Bodies are framed by Content-Length only. A chunked request used to
    be read as an empty body (400, keep-alive) and its chunk bytes then
    parsed as a second request; lengths that disagree left the body's
@@ -1401,13 +1480,14 @@ let () =
       ( "receive path",
         [
           Alcotest.test_case "slice decode = decode of the copy" `Quick test_slice_decode;
+          Alcotest.test_case "slice ends in a number" `Quick test_slice_ends_in_number;
           Alcotest.test_case "split, pipelined stream" `Quick test_split_stream;
         ] );
       ( "robustness",
         [
           Alcotest.test_case "malformed bodies survive" `Quick test_malformed_bodies;
           Alcotest.test_case "decoder = parse + shape rules" `Quick test_decoder_vs_oracle;
-          Alcotest.test_case "decoder allocation per number" `Quick test_decoder_alloc_per_number;
+          Alcotest.test_case "decoder allocation per body" `Quick test_decoder_alloc_per_body;
           Alcotest.test_case "deep nesting body: 400, bounded memory" `Quick test_deep_nesting_body;
           Alcotest.test_case "hot reload mid-load" `Quick (test_hot_reload_mid_load 4);
           Alcotest.test_case "hot reload mid-load, 64 connections" `Quick
@@ -1435,5 +1515,6 @@ let () =
             test_transfer_encoding_and_conflicting_lengths;
           Alcotest.test_case "client: strict Content-Length and status" `Quick
             test_strict_content_length_client;
+          Alcotest.test_case "server: Connection options" `Quick test_connection_close_options;
         ] );
     ]
