@@ -9,12 +9,6 @@ JOBS ?= 4
 # metrics snapshot) as JSON Lines alongside the human-readable report.
 BENCH_OUT ?=
 
-# BATCH, when set, is exported as ADAPT_PNC_BATCH: the block size of
-# the batched no-grad evaluation path (see docs/BATCHING.md). Results
-# are bit-identical for every block size (the batch-parity suite
-# enforces this); only memory traffic and wall-clock change.
-BATCH ?=
-
 # PRECISION, when set, is exported as ADAPT_PNC_PRECISION: the
 # activation tier (exact|fast) resolved by entry points. Library
 # defaults never read it, so the `Exact bit-parity suites must stay
@@ -23,14 +17,12 @@ PRECISION ?=
 
 # STREAM=1 additionally runs the end-to-end streaming smoke after the
 # test suite: the CLI streams a drifting, perturbed sensor stream under
-# a sequential and a 4-worker pool with different batch chunking and
-# scripts/stream_smoke.sh cmp's the accuracy-over-time tables
+# a sequential and a 4-worker pool and scripts/stream_smoke.sh cmp's the accuracy-over-time tables
 # byte-for-byte (see docs/STREAMING.md).
 STREAM ?=
 
 check:
-	dune build && POOL_SIZE=$(JOBS) ADAPT_PNC_BATCH=$(BATCH) \
-	  ADAPT_PNC_PRECISION=$(PRECISION) dune runtest
+	dune build && POOL_SIZE=$(JOBS) ADAPT_PNC_PRECISION=$(PRECISION) dune runtest
 	@if [ "$(STREAM)" = "1" ]; then $(MAKE) stream-smoke; fi
 
 bench:

@@ -258,18 +258,9 @@ let eval_cmd =
     let doc = "Component variation level (0.1 = ±10%)." in
     Arg.(value & opt float 0.1 & info [ "level" ] ~docv:"L" ~doc)
   in
-  let batch_size_arg =
-    let doc =
-      "Evaluation batch size (rows per kernel call on the batched no-grad path). 0 or \
-       negative means the whole test split as one block; results are identical for every \
-       value — this is a throughput knob only."
-    in
-    Arg.(value & opt int 0 & info [ "batch-size" ] ~docv:"N" ~doc)
-  in
-  let run load dataset seed scale draws level batch precision jobs metrics_out trace =
-    let batch_size = if batch > 0 then Some batch else None in
-    let precision = Pnc_core.Batch.resolve_precision ?precision () in
-    let opts = { Pnc_core.Batch.default with batch_size; precision } in
+  let run load dataset seed scale draws level precision jobs metrics_out trace =
+    let precision = Pnc_core.Batch.entry_precision ?precision () in
+    let opts = { Pnc_core.Batch.default with precision } in
     check_dataset dataset;
     let cfg = config_of ~scale in
     let model =
@@ -303,7 +294,7 @@ let eval_cmd =
              and under variation.")
     Term.(
       const run $ load_arg $ dataset_arg $ seed_arg $ scale_arg $ draws_arg $ level_arg
-      $ batch_size_arg $ precision_arg $ jobs_arg $ metrics_out_arg $ trace_arg)
+      $ precision_arg $ jobs_arg $ metrics_out_arg $ trace_arg)
 
 (* stream -------------------------------------------------------------------- *)
 
@@ -405,13 +396,6 @@ let stream_cmd =
     let doc = "Accuracy drop below the reference level that fires the drift detector." in
     Arg.(value & opt float 0.25 & info [ "detect-drop" ] ~docv:"D" ~doc)
   in
-  let batch_size_arg =
-    let doc =
-      "Window-scoring batch size (rows per kernel call); 0 = each window as one block. A \
-       throughput knob only — results are identical for every value."
-    in
-    Arg.(value & opt int 0 & info [ "batch-size" ] ~docv:"N" ~doc)
-  in
   let cache_dir_arg =
     let doc =
       "Grid-cell cache directory (same files and keys as `grid run --cache-dir`): the \
@@ -421,8 +405,7 @@ let stream_cmd =
   in
   let run dataset model seed scale samples length drift_at drift_ramp drift_shift burst_rate
       burst_sigma dropout_rate wander_amp wander_period width stride state_init state_sigma
-      adapt adapt_lr adapt_steps detect_baseline detect_drop batch cache_dir jobs metrics_out
-      trace =
+      adapt adapt_lr adapt_steps detect_baseline detect_drop cache_dir jobs metrics_out trace =
     check_dataset dataset;
     let cfg = config_of ~scale in
     let variant = variant_of_string model in
@@ -463,12 +446,10 @@ let stream_cmd =
         detect_drop;
       }
     in
-    let batch_size = if batch > 0 then Some batch else None in
     with_obs ~metrics_out ~trace (fun () ->
         with_jobs jobs (fun pool ->
             let sr =
-              Experiments.stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol
-                ~variant ~seed
+              Experiments.stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed
             in
             Experiments.print_stream ~scenario ~protocol sr))
   in
@@ -482,8 +463,8 @@ let stream_cmd =
       $ drift_at_arg $ drift_ramp_arg $ drift_shift_arg $ burst_rate_arg $ burst_sigma_arg
       $ dropout_rate_arg $ wander_amp_arg $ wander_period_arg $ width_arg $ stride_arg
       $ state_init_arg $ state_sigma_arg $ adapt_arg $ adapt_lr_arg $ adapt_steps_arg
-      $ detect_baseline_arg $ detect_drop_arg $ batch_size_arg $ cache_dir_arg $ jobs_arg
-      $ metrics_out_arg $ trace_arg)
+      $ detect_baseline_arg $ detect_drop_arg $ cache_dir_arg $ jobs_arg $ metrics_out_arg
+      $ trace_arg)
 
 (* serve --------------------------------------------------------------------- *)
 
@@ -510,14 +491,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "max-batch" ] ~docv:"ROWS" ~doc)
   in
-  let batch_size_arg =
-    let doc =
-      "Kernel block size for the batched forward (rows per kernel call); 0 or negative \
-       runs each coalesced batch as one block. A throughput knob only — served logits are \
-       identical for every value."
-    in
-    Arg.(value & opt int 0 & info [ "batch-size" ] ~docv:"N" ~doc)
-  in
   let reload_arg =
     let doc = "Checkpoint poll period for hot reload, in milliseconds (0 disables)." in
     Arg.(value & opt float 500.0 & info [ "reload-every-ms" ] ~docv:"MS" ~doc)
@@ -536,15 +509,14 @@ let serve_cmd =
       & opt int Pnc_serve.Serve.default_config.pool_size
       & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let run load host port max_batch batch precision reload_ms jobs metrics_out trace =
-    let precision = Pnc_core.Batch.resolve_precision ?precision () in
+  let run load host port max_batch precision reload_ms jobs metrics_out trace =
+    let precision = Pnc_core.Batch.entry_precision ?precision () in
     let config =
       {
         Pnc_serve.Serve.default_config with
         host;
         port;
         max_batch;
-        batch_size = (if batch > 0 then Some batch else None);
         precision;
         pool_size = jobs;
         reload_every_s = reload_ms /. 1000.;
@@ -580,8 +552,8 @@ let serve_cmd =
        ~doc:"Serve a checkpointed model over HTTP/1.1 with dynamic micro-batching (see \
              docs/SERVING.md).")
     Term.(
-      const run $ load_arg $ host_arg $ port_arg $ max_batch_arg $ batch_size_arg
-      $ precision_arg $ reload_arg $ jobs_arg $ metrics_out_arg $ trace_arg)
+      const run $ load_arg $ host_arg $ port_arg $ max_batch_arg $ precision_arg $ reload_arg
+      $ jobs_arg $ metrics_out_arg $ trace_arg)
 
 (* ckpt ---------------------------------------------------------------------- *)
 
@@ -644,7 +616,7 @@ let lease_ttl_arg =
 
 let grid_config ~scale ~precision ~datasets =
   let cfg = config_of ~scale in
-  let precision = Pnc_core.Batch.resolve_precision ?precision () in
+  let precision = Pnc_core.Batch.entry_precision ?precision () in
   let cfg = { cfg with Pnc_exp.Config.precision } in
   match datasets with
   | [] -> cfg

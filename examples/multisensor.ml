@@ -74,8 +74,8 @@ let steps_of x =
           if c = 0 then gas.(k) else temp.(k)))
 
 let accuracy net steps y =
-  let logits = Network.forward_multi ~draw:Variation.deterministic net steps in
-  Pnc_util.Stats.accuracy ~pred:(T.argmax_rows (Var.value logits)) ~truth:y
+  let logits = Network.forward_multi_batch_t ~draw:Variation.deterministic net steps in
+  Pnc_util.Stats.accuracy ~pred:(T.argmax_rows logits) ~truth:y
 
 let () =
   let rng = Rng.create ~seed:31 in

@@ -29,7 +29,7 @@ type outcome = { before : float; after : float }
 
 let chip_accuracy ~chip net dataset =
   let x, y = Train.to_xy dataset in
-  let pred = T.argmax_rows (Var.value (Network.forward ~draw:(chip ()) net x)) in
+  let pred = T.argmax_rows (Network.forward_batch_t ~draw:(chip ()) net x) in
   Pnc_util.Stats.accuracy ~pred ~truth:y
 
 let evaluate ?epochs ?lr ~chip net ~calibration ~test =
@@ -38,13 +38,5 @@ let evaluate ?epochs ?lr ~chip net ~calibration ~test =
   trim ?epochs ?lr ~chip net calibration;
   let after = chip_accuracy ~chip net test in
   (* Restore the design: each physical chip is trimmed independently. *)
-  List.iter2
-    (fun p s ->
-      let t = Var.value p in
-      for r = 0 to T.rows t - 1 do
-        for c = 0 to T.cols t - 1 do
-          T.set t r c (T.get s r c)
-        done
-      done)
-    (bias_params net) saved;
+  List.iter2 (fun p s -> T.blit_into ~dst:(Var.value p) s) (bias_params net) saved;
   { before; after }

@@ -93,11 +93,7 @@ let forward_block ~precision m steps =
     steps;
   T.add_rv (T.matmul !h2 (Var.value m.w_out)) (Var.value m.b_out)
 
-(* The recurrence carries rows independently (matmuls by fixed weights
-   + row-broadcast biases), so chunking the batch through zero-copy row
-   views is bit-identical to one whole-batch forward for any batch
-   size. *)
 let forward_multi_batch_t ?(opts = Batch.default) m steps =
   assert (Array.length steps > 0);
-  Batch.blocked opts ~rows:(T.rows steps.(0)) ~cols:m.n_classes (fun ~row ~len ->
-      forward_block ~precision:opts.precision m (Array.map (T.rows_view ~row ~len) steps))
+  Batch.timed opts ~rows:(T.rows steps.(0)) (fun () ->
+      forward_block ~precision:opts.precision m steps)

@@ -29,5 +29,4 @@ val forward_multi_batch_t :
 (** No-grad forward over pre-split time steps (one [batch x inputs]
     tensor per step): bit-identical to {!forward_multi} under [`Exact]
     precision; [`Fast] substitutes {!Pnc_tensor.Fast_math.tanh} for the
-    cell activations. Only [opts.batch_size] and [opts.precision]
-    apply. *)
+    cell activations. Only [opts.precision] applies. *)

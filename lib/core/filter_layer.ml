@@ -126,9 +126,7 @@ type state_init = [ `V0 | `Zero | `Gaussian of Rng.t * float ]
    exemplar LearnableFilter, where each window meets the filter bank
    mid-transient. The gaussian stream is consumed stage-major then
    row-major, so a full-batch reset followed by row-sliced views is
-   bit-identical to resetting the full batch directly (the batched
-   forwards rely on this to keep the block size a pure performance
-   knob). *)
+   bit-identical to resetting the full batch directly. *)
 let reset_state_t ?(init = `V0) real (st : state_t) =
   Array.iteri
     (fun i s ->

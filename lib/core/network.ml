@@ -144,17 +144,15 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
    preallocated feature-major buffers. Logits are bit-identical to
    [forward_multi] under the same draw and options.
 
-   Realization (the RNG-consuming part) is separated from the per-block
+   Realization (the RNG-consuming part) is separated from the
    workspace (state + scratch buffers): the draw is realized ONCE per
-   forward and the batch then runs a block of rows at a time, which
-   is what makes the block size a pure performance knob — every block
-   sees the same physical circuit instance, so results are
-   bit-identical for any batch size. *)
+   forward and the whole batch then runs through that one physical
+   circuit instance. *)
 
-(* Per-block workspace of one layer, stored feature-major
-   ([features x rows], owned, offset 0): row [c] holds feature [c] for
-   every row of the block, so each pass below is a unit-stride loop over
-   the block's rows that reads the feature's coefficients once. *)
+(* Workspace of one layer, stored feature-major ([features x rows],
+   owned, offset 0): row [c] holds feature [c] for every row of the
+   batch, so each pass below is a unit-stride loop over the rows that
+   reads the feature's coefficients once. *)
 type layer_ws = {
   kern : layer_t;
   states : T.buffer array; (* one [n_out x rows] filter state per stage *)
@@ -293,13 +291,13 @@ type input = Steps of T.t array | Series of T.t
 let input_steps = function Steps steps -> Array.length steps | Series x -> T.cols x
 let input_rows = function Steps steps -> T.rows steps.(0) | Series x -> T.rows x
 
-(* Run rows [row, row + rows) of the batch through all time steps
-   against an already realized circuit instance, from the full-batch
-   row-major filter [states]. The block reads its rows of each step in
-   place (a series at row stride [T.cols x]), transposes its state
-   slice in once and its logits out once, and allocates nothing per
-   time step. *)
-let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
+(* Run the batch through all time steps against an already realized
+   circuit instance, from the row-major filter [states]. The batch reads
+   each step in place (a series at row stride [T.cols x]), transposes
+   its states in once and its logits out once, and allocates nothing
+   per time step. *)
+let forward_block ~fast ~readout ~classes kernels states input =
+  let rows = input_rows input in
   let fm ~n = T.zeros ~rows:n ~cols:rows in
   let ws =
     Array.of_list
@@ -312,11 +310,12 @@ let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
            assert (Array.length st = Array.length kern.filt.stages_t);
            Array.iter2
              (fun s (sr : Filter_layer.stage_t) ->
-               assert (T.cols s = n_out && T.cols sr.a = n_out && T.cols sr.b = n_out))
+               assert (T.rows s = rows && T.cols s = n_out);
+               assert (T.cols sr.a = n_out && T.cols sr.b = n_out))
              st kern.filt.stages_t;
            {
              kern;
-             states = Array.map (fun s -> (T.transpose (T.rows_view s ~row ~len:rows)).T.data) st;
+             states = Array.map (fun s -> (T.transpose s).T.data) st;
              pre = fm ~n:n_out;
              out = fm ~n:n_out;
            })
@@ -335,13 +334,9 @@ let forward_block ~fast ~readout ~classes kernels states input ~row ~rows =
     (match input with
     | Steps steps ->
         let x = steps.(t) in
-        assert (T.cols x = n_in && row >= 0 && row + rows <= T.rows x);
-        fused_step_layer ~fast ~rows ws.(0) x.T.data (x.T.off + (row * n_in)) ~rs:n_in ~ks:1
-    | Series x ->
-        assert (row >= 0 && row + rows <= T.rows x);
-        fused_step_layer ~fast ~rows ws.(0) x.T.data
-          (x.T.off + (row * n_steps) + t)
-          ~rs:n_steps ~ks:1);
+        assert (T.cols x = n_in && T.rows x = rows);
+        fused_step_layer ~fast ~rows ws.(0) x.T.data x.T.off ~rs:n_in ~ks:1
+    | Series x -> fused_step_layer ~fast ~rows ws.(0) x.T.data (x.T.off + t) ~rs:n_steps ~ks:1);
     for l = 1 to n_layers - 1 do
       fused_step_layer ~fast ~rows ws.(l) ws.(l - 1).out.T.data 0 ~rs:1 ~ks:rows
     done;
@@ -355,19 +350,16 @@ let forward_input ~(opts : Batch.opts) ~draw net input =
   assert (input_steps input > 0);
   let rows = input_rows input in
   let kernels = realize_net_t ~varied:opts.varied ~draw net in
-  (* Like the draw, the initial state describes the physical situation,
-     not the evaluation schedule: it is drawn once for the full batch
-     and each block gets its row slice, so [`Gaussian] states stay
-     block-size invariant. *)
+  (* Like the draw, the initial state describes the physical situation:
+     it is drawn once for the whole batch. *)
   let states =
     List.map
       (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.filt ~batch:rows)
       kernels
   in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
-  Batch.blocked opts ~rows ~cols:net.n_classes (fun ~row ~len ->
-      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels states input ~row
-        ~rows:len)
+  Batch.timed opts ~rows (fun () ->
+      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels states input)
 
 let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   forward_input ~opts ~draw net (Steps steps)

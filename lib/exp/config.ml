@@ -181,4 +181,4 @@ let from_env () =
     | None -> cfg.corr
     | Some s -> Some (corr_of_string s)
   in
-  { cfg with precision = Pnc_core.Batch.resolve_precision (); corr }
+  { cfg with precision = Pnc_core.Batch.entry_precision (); corr }

@@ -57,5 +57,5 @@ val corr_of_string : string -> Pnc_core.Variation.corr
 val from_env : unit -> t
 (** Reads the ADAPT_PNC_SCALE environment variable (default fast), the
     ADAPT_PNC_PRECISION tier (via
-    {!Pnc_core.Batch.resolve_precision}; default exact), and
+    {!Pnc_core.Batch.entry_precision}; default exact), and
     ADAPT_PNC_CORR (a {!corr_of_string} spec; default absent). *)

@@ -101,7 +101,7 @@ let build_model cfg ~variant ~classes ~seed =
       Model.Circuit
         (Network.create ~hidden:(adapt_hidden ~classes) rng Network.Adapt ~inputs:1 ~classes)
 
-let train_run ?batch_size ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
+let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
     cfg ~dataset ~variant ~seed =
   let split, classes = load_split cfg ~dataset ~seed in
   let model = build_model cfg ~variant ~classes ~seed in
@@ -153,7 +153,7 @@ let train_run ?batch_size ?pool ?checkpoint_every ?checkpoint_path ?resume_from 
   let pert_test = Augment.perturb_dataset prng Augment.default_policy test in
   (* The configured tier flows into every no-grad evaluation below; a
      `Fast run keys its cells separately via the fingerprint. *)
-  let opts = { Pnc_core.Batch.default with batch_size; precision = cfg.Config.precision } in
+  let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let under_variation d =
     if Model.is_circuit model then
       Train.accuracy_under_variation ~opts ?pool ~rng:erng ~spec
@@ -322,7 +322,7 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
   end
 
-let run_grid ?(progress = fun _ -> ()) ?batch_size ?pool ?cache_dir cfg ~variants =
+let run_grid ?(progress = fun _ -> ()) ?pool ?cache_dir cfg ~variants =
   Obs.Span.with_ "grid" @@ fun () ->
   Option.iter mkdir_p cache_dir;
   List.map
@@ -360,7 +360,7 @@ let run_grid ?(progress = fun _ -> ()) ?batch_size ?pool ?cache_dir cfg ~variant
       match cached with
       | Some r -> r
       | None ->
-          let r = train_run ?batch_size ?pool cfg ~dataset ~variant ~seed in
+          let r = train_run ?pool cfg ~dataset ~variant ~seed in
           (match cache_dir with
           | Some dir -> save_cell ~path:(cell_path ~dir cfg ~dataset ~variant ~seed) cfg r
           | None -> ());
@@ -393,9 +393,8 @@ type stream_run = {
 }
 
 (* Adaptation knobs change the reported numbers, so they are part of the
-   cache/provenance key; chunking (batch size) and pool size are
-   result-invariant and deliberately absent — same policy as
-   Config.fingerprint. *)
+   cache/provenance key; the pool size is result-invariant and
+   deliberately absent — same policy as Config.fingerprint. *)
 let stream_fingerprint cfg ~scenario ~protocol =
   String.concat "|"
     [ Config.fingerprint cfg; Scenario.fingerprint scenario; Online.fingerprint protocol ]
@@ -403,7 +402,7 @@ let stream_fingerprint cfg ~scenario ~protocol =
 (* Train one grid cell, or reuse it from the same on-disk cell cache the
    grid harness keys by Config.fingerprint — a streaming run over an
    already-computed grid pays only the evaluation. *)
-let trained_cell ?batch_size ?pool ?cache_dir cfg ~dataset ~variant ~seed =
+let trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed =
   let path = Option.map (fun dir -> cell_path ~dir cfg ~dataset ~variant ~seed) cache_dir in
   let cached =
     match path with
@@ -413,7 +412,7 @@ let trained_cell ?batch_size ?pool ?cache_dir cfg ~dataset ~variant ~seed =
   match cached with
   | Some r -> r
   | None ->
-      let r = train_run ?batch_size ?pool cfg ~dataset ~variant ~seed in
+      let r = train_run ?pool cfg ~dataset ~variant ~seed in
       Option.iter
         (fun path ->
           Option.iter mkdir_p cache_dir;
@@ -421,10 +420,10 @@ let trained_cell ?batch_size ?pool ?cache_dir cfg ~dataset ~variant ~seed =
         path;
       r
 
-let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
+let stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
   Obs.Span.with_ "stream" @@ fun () ->
   let dataset = scenario.Scenario.dataset in
-  let r = trained_cell ?batch_size ?pool ?cache_dir cfg ~dataset ~variant ~seed in
+  let r = trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed in
   let rz = Scenario.realize scenario in
   (* Same physical-instance policy as the offline protocols: circuits
      stream under ±eval_level component variation, the reference RNN
@@ -435,7 +434,7 @@ let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~se
       Some (Variation.uniform cfg.Config.eval_level)
     else None
   in
-  let opts = { Pnc_core.Batch.default with batch_size; precision = cfg.Config.precision } in
+  let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let eval_rng () = Rng.create ~seed:(seed + 6000) in
   let snap = Online.snapshot_params r.model in
   let frozen =
@@ -459,7 +458,7 @@ let stream_run ?batch_size ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~se
 
 (* Deterministic accuracy-over-time table: no wall-clock columns, so two
    runs of the same protocol print byte-identical tables whatever the
-   pool size or batch chunking (the CI stream job cmp's them). *)
+   pool size (the CI stream job cmp's them). *)
 let print_stream ~scenario ~protocol sr =
   Printf.printf "Streaming: %s\n" (Scenario.fingerprint scenario);
   Printf.printf "Protocol:  %s\n" (Online.fingerprint protocol);
@@ -817,8 +816,9 @@ type sweep_row = {
 }
 
 let variation_sweep_of_grid ?(levels = [ 0.; 0.05; 0.1; 0.2; 0.3 ]) ?(threshold = 0.6)
-    ?batch_size ?pool cfg runs =
+    ?pool cfg runs =
   let module Yield = Pnc_core.Yield in
+  let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let eval_variant variant level =
     let accs, yields =
       List.split
@@ -828,7 +828,7 @@ let variation_sweep_of_grid ?(levels = [ 0.; 0.05; 0.1; 0.2; 0.3 ]) ?(threshold 
              | best :: _ ->
                  let split, _ = load_split cfg ~dataset ~seed:best.seed in
                  let r =
-                   Yield.estimate ~opts:{ Pnc_core.Batch.default with batch_size } ?pool
+                   Yield.estimate ~opts ?pool
                      ~rng:(Rng.create ~seed:4242)
                      ~spec:(if level = 0. then Variation.none else Variation.uniform level)
                      ~threshold

@@ -58,7 +58,6 @@ type run = {
 }
 
 val train_run :
-  ?batch_size:int ->
   ?pool:Pnc_util.Pool.t ->
   ?checkpoint_every:int ->
   ?checkpoint_path:string ->
@@ -71,9 +70,9 @@ val train_run :
   run
 (** Training itself stays on the (sequential) autodiff path; [pool]
     parallelizes the Monte-Carlo evaluation protocols with
-    worker-count-invariant results, and [batch_size] is the block size
-    of every evaluation ({!Pnc_core.Batch.opts}); neither changes a
-    result, so neither enters {!Config.fingerprint}. The
+    worker-count-invariant results, so it does not enter
+    {!Config.fingerprint}; every evaluation runs at the configured
+    [cfg.precision] tier. The
     checkpoint arguments are passed through to
     {!Pnc_core.Train.train}. *)
 
@@ -114,7 +113,6 @@ val mkdir_p : string -> unit
 
 val run_grid :
   ?progress:(string -> unit) ->
-  ?batch_size:int ->
   ?pool:Pnc_util.Pool.t ->
   ?cache_dir:string ->
   Config.t ->
@@ -150,11 +148,10 @@ val stream_fingerprint :
   Config.t -> scenario:Pnc_stream.Scenario.t -> protocol:Pnc_stream.Online.protocol -> string
 (** Provenance key for one streaming result:
     {!Config.fingerprint} + scenario + protocol. Adaptation knobs are
-    result-affecting and included; batch chunking and pool size are
-    result-invariant and excluded (same policy as the grid cache). *)
+    result-affecting and included; the pool size is result-invariant
+    and excluded (same policy as the grid cache). *)
 
 val stream_run :
-  ?batch_size:int ->
   ?pool:Pnc_util.Pool.t ->
   ?cache_dir:string ->
   Config.t ->
@@ -179,7 +176,7 @@ val print_stream :
   unit
 (** Accuracy-over-time table plus summary lines. Deliberately free of
     wall-clock columns: two runs of the same protocol print
-    byte-identical output for any pool size / batch chunking, which the
+    byte-identical output for any pool size, which the
     CI stream job checks with [cmp]. *)
 
 (** {1 Artifacts} *)
@@ -255,13 +252,13 @@ type sweep_row = {
 val variation_sweep_of_grid :
   ?levels:float list ->
   ?threshold:float ->
-  ?batch_size:int ->
   ?pool:Pnc_util.Pool.t ->
   Config.t ->
   run list ->
   sweep_row list
-(** Defaults: levels 0/5/10/20/30 %, yield threshold 0.6. [pool]
-    parallelizes the per-level yield estimation. *)
+(** Defaults: levels 0/5/10/20/30 %, yield threshold 0.6. Yields are
+    estimated at the config's precision tier, the one the grid was
+    scored at. [pool] parallelizes the per-level yield estimation. *)
 
 val print_variation_sweep : threshold:float -> sweep_row list -> unit
 

@@ -123,7 +123,7 @@ end
 
 (* The experiment-grid instance ------------------------------------------- *)
 
-let cells_of_config ?batch_size ~dir cfg ~variants =
+let cells_of_config ~dir cfg ~variants =
   List.map
     (fun (dataset, variant, seed) ->
       let path = E.cell_path ~dir cfg ~dataset ~variant ~seed in
@@ -133,7 +133,7 @@ let cells_of_config ?batch_size ~dir cfg ~variants =
         is_valid = (fun () -> E.load_cell ~path cfg ~dataset ~variant ~seed <> None);
         compute =
           (fun () ->
-            let r = E.train_run ?batch_size cfg ~dataset ~variant ~seed in
+            let r = E.train_run cfg ~dataset ~variant ~seed in
             E.save_cell ~path cfg r);
       })
     (E.grid_keys cfg ~variants)

@@ -80,7 +80,6 @@ end
 (** {1 The experiment grid instance} *)
 
 val cells_of_config :
-  ?batch_size:int ->
   dir:string ->
   Config.t ->
   variants:Experiments.variant list ->

@@ -24,8 +24,8 @@
    further group; if work is still queued it hands its slot to a
    waiting handler, so queued work always has a lane. More than [n]
    lanes would only time-slice the same domains. Each block is
-   computed whole on the lane's thread; row-chunking a batch is
-   bit-identical to computing it whole (the batched-kernel parity
+   computed whole on the lane's thread; every row is computed
+   independently of its neighbours (the batched-kernel parity
    contract), so the grouping never changes a served number. The
    domains [run] spawns run on a fixed small minor heap
    ([minor_heap_words]), so resident memory barely grows with [n].
@@ -59,7 +59,6 @@ type config = {
   host : string;
   port : int;
   max_batch : int;
-  batch_size : int option;
   precision : Pnc_core.Batch.precision;
   pool_size : int;
   reload_every_s : float;
@@ -77,7 +76,6 @@ let default_config =
     host = "127.0.0.1";
     port = 8080;
     max_batch = 64;
-    batch_size = None;
     precision = `Exact;
     pool_size = min max_pool_size (Domain.recommended_domain_count ());
     reload_every_s = 0.5;
@@ -648,8 +646,7 @@ let trigger_name = function Free_lane -> "free_lane" | Backlog -> "backlog"
 
 (* Pop a maximal run of equal-width requests from the queue head, up to
    [max_batch] coalesced rows (the first request is always taken whole,
-   even if it alone exceeds the threshold — logits_batch_t chunks
-   internally). Caller holds [q_mu]. *)
+   even if it alone exceeds the threshold). Caller holds [q_mu]. *)
 let take_group t =
   match Queue.peek_opt t.q with
   | None -> []
@@ -710,9 +707,7 @@ let flush t buf ~trigger ~extra group =
          done;
          off + len)
        x.Tensor.off group);
-  let opts =
-    { Pnc_core.Batch.default with batch_size = t.cfg.batch_size; precision = t.cfg.precision }
-  in
+  let opts = { Pnc_core.Batch.default with precision = t.cfg.precision } in
   let logits = Model.logits_batch_t ~opts model x in
   ignore
     (List.fold_left

@@ -15,10 +15,10 @@
     {b Parity contract.} Serving never changes a number: the logits
     returned over the wire are bit-identical (eps 0) to an offline
     [Model.logits_batch_t] call on the same checkpoint, whatever the
-    flush size, micro-batch grouping, domain count or kernel block
-    size. Micro-batching only groups rows, and every row's computation
-    is independent of its neighbours (the blocked kernels guarantee
-    this; see docs/BATCHING.md); floats travel as [%.17g] decimal,
+    flush size, micro-batch grouping or domain count. Micro-batching
+    only groups rows, and every row's computation is independent of
+    its neighbours (the row-independent kernels guarantee this; see
+    docs/BATCHING.md); floats travel as [%.17g] decimal,
     which round-trips every finite double exactly. Enforced by
     [test/test_serve.ml] and the load generator's parity check.
 
@@ -55,9 +55,6 @@ type config = {
   max_batch : int;
       (** the most coalesced rows a lane takes off the queue in one
           group (a single larger request is still taken whole) *)
-  batch_size : int option;
-      (** kernel block size forwarded to [Model.logits_batch_t]
-          ([None] = whole coalesced block; a pure throughput knob) *)
   precision : Pnc_core.Batch.precision;
       (** activation tier for batch compute (default [`Exact]); the
           tier is echoed as a ["precision"] field in every /v1 response
@@ -78,8 +75,7 @@ type config = {
 }
 
 val default_config : config
-(** [127.0.0.1:8080], [max_batch = 64],
-    [batch_size = None], [precision = `Exact],
+(** [127.0.0.1:8080], [max_batch = 64], [precision = `Exact],
     [pool_size = min 128 (Domain.recommended_domain_count ())],
     [reload_every_s = 0.5], [max_body = 4 MiB], [max_rows = 1024]. *)
 

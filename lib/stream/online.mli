@@ -16,8 +16,8 @@
     bit-identical to the streaming ones. Child 1 is pre-split into one
     state stream per window, so [`Randomized] initial filter states
     depend on the window index alone. Consequences, pinned by
-    [test/test_stream.ml]: results are invariant to the pool size and
-    to the block size, and with [adapt = Off],
+    [test/test_stream.ml]: results are invariant to the pool size, and
+    with [adapt = Off],
     [stride = width] and [state_init = `V0] the overall streaming
     accuracy equals offline {!Pnc_core.Train.accuracy} on
     {!Scenario.to_dataset} at eps 0. *)
@@ -53,8 +53,8 @@ val default_protocol : protocol
 
 val fingerprint : protocol -> string
 (** Canonical text over every result-affecting knob (window geometry,
-    state init, adaptation, detector thresholds). Chunking and pool
-    knobs are result-invariant and deliberately absent. *)
+    state init, adaptation, detector thresholds). The pool size is
+    result-invariant and deliberately absent. *)
 
 type point = { w : int; start : int; len : int; correct : int; acc : float }
 

@@ -68,9 +68,7 @@ val rows_view : t -> row:int -> len:int -> t
 (** [rows_view t ~row ~len] is the [len x cols t] block of consecutive
     rows starting at [row], sharing [t]'s buffer — no copy; writes
     through the view are visible in [t] and vice versa. Raises
-    [Invalid_argument] when the row range falls outside [t]. This is
-    the batch-chunking primitive of the no-grad evaluation path (see
-    docs/BATCHING.md). *)
+    [Invalid_argument] when the row range falls outside [t]. *)
 
 val blit_into : dst:t -> t -> unit
 (** [blit_into ~dst src] copies the elements of [src] into [dst];

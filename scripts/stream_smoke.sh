@@ -3,9 +3,9 @@
 # train a smoke-scale model (cached as a grid cell so both runs share
 # it), stream a drifting, perturbed sensor stream over it — frozen
 # baseline plus online test-time adaptation — under a sequential pool
-# and a 4-worker pool with different batch chunking, and require the
-# printed accuracy-over-time tables to be byte-identical (the
-# pool/batch-invariance contract, checked here with cmp end to end).
+# and a 4-worker pool, and require the printed accuracy-over-time
+# tables to be byte-identical (the pool-invariance contract, checked
+# here with cmp end to end).
 #
 # Usage: scripts/stream_smoke.sh [OUTDIR]
 # OUTDIR keeps the tables and the per-window telemetry JSONL so CI can
@@ -34,12 +34,12 @@ echo "== stream smoke: $DATASET @ $SCALE scale =="
 echo "-- sequential pool (trains and caches the cell) --"
 run_stream -j 1 --metrics-out "$OUT/stream-j1.jsonl" >"$OUT/stream-j1.txt"
 
-echo "-- 4-worker pool, ragged batch chunking (reuses the cached cell) --"
-run_stream -j 4 --batch-size 3 --metrics-out "$OUT/stream-j4.jsonl" >"$OUT/stream-j4.txt"
+echo "-- 4-worker pool (reuses the cached cell) --"
+run_stream -j 4 --metrics-out "$OUT/stream-j4.jsonl" >"$OUT/stream-j4.txt"
 
-echo "-- parity: tables must be byte-identical across pool/batch --"
+echo "-- parity: tables must be byte-identical across pool sizes --"
 cmp "$OUT/stream-j1.txt" "$OUT/stream-j4.txt" || {
-  echo "POOL/BATCH PARITY VIOLATION between stream-j1.txt and stream-j4.txt" >&2
+  echo "POOL PARITY VIOLATION between stream-j1.txt and stream-j4.txt" >&2
   diff "$OUT/stream-j1.txt" "$OUT/stream-j4.txt" >&2 || true
   exit 1
 }

@@ -566,7 +566,6 @@ module Mc_loss = Pnc_core.Mc_loss
 module Model = Pnc_core.Model
 module Train = Pnc_core.Train
 module Pool = Pnc_util.Pool
-module Batch = Pnc_core.Batch
 
 let tensors_bit_equal a b =
   T.rows a = T.rows b && T.cols a = T.cols b
@@ -721,33 +720,25 @@ let test_ni_mc_loss_value_unchanged () =
 
 (* Correlated-draw estimator invariance ----------------------------------- *)
 
-let test_corr_expected_value_pool_batch_invariant () =
+let test_corr_expected_value_pool_invariant () =
   let model =
     Model.Circuit (Network.create ~hidden:3 (Rng.create ~seed:60) Network.Adapt ~inputs:1 ~classes:2)
   in
   let rngx = Rng.create ~seed:61 in
   let x = T.uniform rngx ~rows:7 ~cols:9 ~lo:(-1.) ~hi:1. in
   let labels = Array.init 7 (fun i -> i mod 2) in
-  let value ?batch_size ?pool ~antithetic () =
-    Mc_loss.expected_value ~antithetic ~opts:{ Batch.default with batch_size } ?pool
-      ~rng:(Rng.create ~seed:62)
-      ~spec:ni_spec ~n:5 model ~x ~labels
+  let value ?pool ~antithetic () =
+    Mc_loss.expected_value ~antithetic ?pool ~rng:(Rng.create ~seed:62) ~spec:ni_spec ~n:5 model
+      ~x ~labels
   in
   let reference = value ~antithetic:false () in
-  List.iter
-    (fun bs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "batch %d bit-identical" bs)
-        true
-        (value ~batch_size:bs ~antithetic:false () = reference))
-    [ 1; 3; 100 ];
   Pool.with_pool ~size:3 (fun pool ->
       Alcotest.(check bool) "pool 3 bit-identical" true
         (value ~pool ~antithetic:false () = reference);
       Alcotest.(check bool) "antithetic pool = antithetic sequential" true
         (value ~pool ~antithetic:true () = value ~antithetic:true ()))
 
-let test_corr_accuracy_pool_batch_invariant () =
+let test_corr_accuracy_pool_invariant () =
   let model =
     Model.Circuit (Network.create ~hidden:3 (Rng.create ~seed:63) Network.Adapt ~inputs:1 ~classes:2)
   in
@@ -756,19 +747,10 @@ let test_corr_accuracy_pool_batch_invariant () =
   let d =
     { Pnc_data.Dataset.name = "tiny"; x = rows; y = Array.init 8 (fun i -> i mod 2); n_classes = 2 }
   in
-  let acc ?batch_size ?pool () =
-    Train.accuracy_under_variation ~opts:{ Batch.default with batch_size } ?pool
-      ~rng:(Rng.create ~seed:65) ~spec:ni_spec
-      ~draws:4 model d
+  let acc ?pool () =
+    Train.accuracy_under_variation ?pool ~rng:(Rng.create ~seed:65) ~spec:ni_spec ~draws:4 model d
   in
   let reference = acc () in
-  List.iter
-    (fun bs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "batch %d bit-identical" bs)
-        true
-        (acc ~batch_size:bs () = reference))
-    [ 1; 3 ];
   Pool.with_pool ~size:3 (fun pool ->
       Alcotest.(check bool) "pool 3 bit-identical" true (acc ~pool () = reference))
 
@@ -1055,8 +1037,7 @@ let () =
         ] );
       ( "correlated invariance",
         [
-          Alcotest.test_case "expected_value pool/batch" `Quick
-            test_corr_expected_value_pool_batch_invariant;
-          Alcotest.test_case "accuracy pool/batch" `Quick test_corr_accuracy_pool_batch_invariant;
+          Alcotest.test_case "expected_value pool" `Quick test_corr_expected_value_pool_invariant;
+          Alcotest.test_case "accuracy pool" `Quick test_corr_accuracy_pool_invariant;
         ] );
     ]

@@ -1,14 +1,11 @@
 (* Differential-oracle battery for the no-grad engine: batched logits
    must be bit-identical (eps 0) to the Var forward — the training path
-   and the oracle — for all three model families and every block size
-   (1, primes, a ragged final block, the whole split, past the split),
-   because the variation draw is realized once per forward and every
-   kernel is row-independent. The fused layer step is pinned to the
-   unfused per-layer kernels under both precision tiers, and the
-   per-family draw selection to an explicit per-family realization.
-   The dune rules re-run this binary under POOL_SIZE=1/4 crossed with
-   ADAPT_PNC_BATCH settings, so the parity claims hold under the
-   multicore pool and the env knob alike.
+   and the oracle — for all three model families, on whole tensors and
+   on row views at a non-zero offset, down to a single row. The fused
+   layer step is pinned to the unfused per-layer kernels under both
+   precision tiers, and the per-family draw selection to an explicit
+   per-family realization. The dune rules re-run this binary under
+   POOL_SIZE=1/4, so the parity claims hold under the multicore pool.
 
    The battery's own sensitivity is verified at the end: a locally
    reimplemented tiled matmul with a classic off-by-one (the ragged
@@ -39,14 +36,6 @@ let env_pool_size =
 
 let eq0 = T.equal_eps ~eps:0.
 let draw_of ~seed ~level = Variation.make_draw (Rng.create ~seed) (Variation.uniform level)
-let block bs = { Batch.default with batch_size = Some bs }
-
-(* Block sizes to exercise for a batch of [rows]: 1, small primes (a
-   ragged final block whenever they don't divide [rows]), an
-   almost-whole block, the whole batch, and past the end. *)
-let block_sizes rows =
-  List.sort_uniq compare
-    (List.filter (fun b -> b >= 1) [ 1; 2; 3; 5; 7; rows - 1; rows; rows + 3 ])
 
 (* Fused engine vs unfused kernels --------------------------------------- *)
 
@@ -113,22 +102,17 @@ let test_fused_vs_unfused () =
           List.for_all
             (fun (precision, readout) ->
               let d = draw_of ~seed ~level:0.1 in
-              let reference = unfused_forward ~precision ~readout ~draws:(d, d, d) net x in
-              List.for_all
-                (fun bs ->
-                  eq0 reference
-                    (Network.forward_batch_t
-                       ~opts:{ (block bs) with precision; readout }
-                       ~draw:(draw_of ~seed ~level:0.1) net x))
-                (block_sizes (T.rows x)))
+              eq0
+                (unfused_forward ~precision ~readout ~draws:(d, d, d) net x)
+                (Network.forward_batch_t ~opts:{ Batch.default with precision; readout }
+                   ~draw:(draw_of ~seed ~level:0.1) net x))
             tiers_and_readouts)
         nets)
 
 (* [forward_batch_t] reads a [rows x time] series in place, at row
    stride [time] (and from a row view's offset); the split-steps path
    reads one transposed tensor per step. Same numbers, bit for bit, for
-   both circuit architectures, both tiers, both read-outs and blocks of
-   1, 7, 32 and the whole batch. *)
+   both circuit architectures, both tiers and both read-outs. *)
 let test_series_in_place () =
   let case rng =
     let classes = 2 + Rng.int rng 3 and rows = 1 + Rng.int rng 70 and time = 2 + Rng.int rng 10 in
@@ -147,15 +131,13 @@ let test_series_in_place () =
       List.for_all
         (fun net ->
           List.for_all
-            (fun ((precision, readout), batch_size) ->
-              let opts = { Batch.default with batch_size; precision; readout } in
+            (fun (precision, readout) ->
+              let opts = { Batch.default with precision; readout } in
               eq0
                 (Network.forward_multi_batch_t ~opts ~draw:(draw_of ~seed ~level:0.1) net
                    (T.columns x))
                 (Network.forward_batch_t ~opts ~draw:(draw_of ~seed ~level:0.1) net x))
-            (List.concat_map
-               (fun tr -> List.map (fun bs -> (tr, bs)) [ Some 1; Some 7; Some 32; None ])
-               tiers_and_readouts))
+            tiers_and_readouts)
         nets)
 
 (* Multivariate circuits (2-3 inputs) fed [rows x inputs] steps salted
@@ -198,13 +180,9 @@ let test_multi_input_parity () =
                         Var.value
                           (Network.forward_multi ~readout ~draw:(draw_of ~seed ~level:0.1) net
                              steps))))
-              && List.for_all
-                   (fun bs ->
-                     eq0 reference
-                       (Network.forward_multi_batch_t
-                          ~opts:{ (block bs) with precision; readout }
-                          ~draw:(draw_of ~seed ~level:0.1) net steps))
-                   (block_sizes (T.rows steps.(0))))
+              && eq0 reference
+                   (Network.forward_multi_batch_t ~opts:{ Batch.default with precision; readout }
+                      ~draw:(draw_of ~seed ~level:0.1) net steps))
             tiers_and_readouts)
         nets)
 
@@ -244,21 +222,21 @@ let test_family_parity () =
                   net x
               in
               eq0 oracle explicit
-              && List.for_all
-                   (fun bs ->
-                     eq0 oracle
-                       (Network.forward_batch_t
-                          ~opts:{ (block bs) with varied = Sensitivity.varied family }
-                          ~draw:(draw_of ~seed ~level:0.3) net x))
-                   (block_sizes (T.rows x)))
+              && eq0 oracle
+                   (Network.forward_batch_t
+                      ~opts:{ Batch.default with varied = Sensitivity.varied family }
+                      ~draw:(draw_of ~seed ~level:0.3) net x))
             family_selections)
         nets)
 
 (* End-to-end parity ----------------------------------------------------- *)
 
+(* The input is a row view at a non-zero offset into a larger tensor,
+   so every family's kernels read their rows from an offset; a single
+   row is among the generated sizes. *)
 let model_case rng =
   let classes = 2 + Rng.int rng 3 in
-  let rows = 2 + Rng.int rng 22 in
+  let rows = 1 + Rng.int rng 23 in
   let time = 4 + Rng.int rng 9 in
   let seed = Rng.int rng 10_000 in
   let model =
@@ -269,11 +247,13 @@ let model_case rng =
     | _ ->
         Model.Circuit (Network.create ~hidden:(2 + Rng.int rng 4) rng Network.Adapt ~inputs:1 ~classes)
   in
-  let x = T.uniform rng ~rows ~cols:time ~lo:(-1.) ~hi:1. in
-  (model, x, seed)
+  let pad = 1 + Rng.int rng 3 in
+  let x = T.uniform rng ~rows:(rows + pad + 1) ~cols:time ~lo:(-1.) ~hi:1. in
+  (model, T.rows_view x ~row:pad ~len:rows, seed)
 
 let pp_model_case (model, x, seed) =
-  Printf.sprintf "%s rows=%d time=%d seed=%d" (Model.label model) (T.rows x) (T.cols x) seed
+  Printf.sprintf "%s rows=%d time=%d off=%d seed=%d" (Model.label model) (T.rows x) (T.cols x)
+    x.T.off seed
 
 (* Two draws from the same seed consume identical streams: one for the
    oracle, one per batched evaluation. *)
@@ -284,48 +264,14 @@ let var_logits ~seed model x =
 let test_logits_batch_parity () =
   Qgen.check ~count:30 ~name:"logits_batch_t = Var logits" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      let oracle = var_logits ~seed model x in
-      List.for_all
-        (fun bs ->
-          eq0 oracle
-            (Model.logits_batch_t ~opts:(block bs) ~draw:(draw_of ~seed ~level:0.1) model x))
-        (block_sizes (T.rows x)))
+      eq0 (var_logits ~seed model x)
+        (Model.logits_batch_t ~draw:(draw_of ~seed ~level:0.1) model x))
 
 let test_predict_batch_parity () =
   Qgen.check ~count:20 ~name:"predict_batch = Var argmax" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
-      let oracle = T.argmax_rows (var_logits ~seed model x) in
-      List.for_all
-        (fun bs ->
-          Model.predict_batch ~opts:(block bs) ~draw:(draw_of ~seed ~level:0.1) model x = oracle)
-        (block_sizes (T.rows x)))
-
-(* The env knob: under ADAPT_PNC_BATCH (set by the dune rules) the
-   default-resolved path must still match the oracle, and explicit
-   arguments must win over the environment. *)
-let test_env_knob_parity () =
-  Qgen.check ~count:10 ~name:"ADAPT_PNC_BATCH parity" ~pp:pp_model_case model_case
-    (fun (model, x, seed) ->
-      eq0 (var_logits ~seed model x) (Model.logits_batch_t ~draw:(draw_of ~seed ~level:0.1) model x))
-
-let test_resolve_precedence () =
-  (* Explicit argument beats the environment, which beats whole-split;
-     everything is clamped to [1, n]. *)
-  let env = Batch.env_default () in
-  Alcotest.(check int) "explicit wins" 4 (Batch.resolve ~batch_size:4 ~n:10 ());
-  Alcotest.(check int) "clamped to n" 10 (Batch.resolve ~batch_size:64 ~n:10 ());
-  (* An explicit non-positive block size is a caller bug, not a request
-     for the default: it must be rejected, not silently whole-split. *)
-  Alcotest.check_raises "non-positive arg rejected"
-    (Invalid_argument "Batch.resolve: batch_size must be positive (got -3)") (fun () ->
-      ignore (Batch.resolve ~batch_size:(-3) ~n:10 ()));
-  Alcotest.check_raises "zero arg rejected"
-    (Invalid_argument "Batch.resolve: batch_size must be positive (got 0)") (fun () ->
-      ignore (Batch.resolve ~batch_size:0 ~n:10 ()));
-  (match env with
-  | Some b -> Alcotest.(check int) "env wins over default" (min b 10) (Batch.resolve ~n:10 ())
-  | None -> Alcotest.(check int) "default = whole split" 10 (Batch.resolve ~n:10 ()));
-  Alcotest.(check int) "n floor" 1 (Batch.resolve ~n:0 ())
+      Model.predict_batch ~draw:(draw_of ~seed ~level:0.1) model x
+      = T.argmax_rows (var_logits ~seed model x))
 
 (* Consumers ------------------------------------------------------------- *)
 
@@ -337,8 +283,10 @@ let small_dataset ~classes ~batch ~time rng =
     n_classes = classes;
   }
 
-let test_accuracy_batch_invariance () =
-  Qgen.check ~count:8 ~name:"accuracy invariant in batch size" ~pp:pp_model_case model_case
+(* [Train.accuracy] under a draw is the accuracy of the Var forward's
+   argmax under the same draw. *)
+let test_accuracy_vs_var () =
+  Qgen.check ~count:8 ~name:"Train.accuracy = Var argmax accuracy" ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
       ignore x;
       let rng = Rng.create ~seed in
@@ -348,12 +296,12 @@ let test_accuracy_batch_invariance () =
         | Model.Reference e -> Elman.classes e
       in
       let ds = small_dataset ~classes ~batch:(5 + Rng.int rng 15) ~time:8 rng in
-      let oracle = Train.accuracy model ds in
-      List.for_all (fun bs -> Train.accuracy ~opts:(block bs) model ds = oracle)
-        (block_sizes (Array.length ds.Pnc_data.Dataset.x)))
+      let xs, y = Train.to_xy ds in
+      Train.accuracy ~draw:(draw_of ~seed ~level:0.1) model ds
+      = Pnc_util.Stats.accuracy ~pred:(T.argmax_rows (var_logits ~seed model xs)) ~truth:y)
 
-let test_accuracy_under_variation_pool_batch_invariance () =
-  Qgen.check ~count:6 ~name:"accuracy under variation: pool x batch invariant"
+let test_accuracy_under_variation_pool_invariance () =
+  Qgen.check ~count:6 ~name:"accuracy under variation: pool invariant"
     ~pp:pp_model_case model_case
     (fun (model, x, seed) ->
       ignore x;
@@ -369,15 +317,11 @@ let test_accuracy_under_variation_pool_batch_invariance () =
         Train.accuracy_under_variation ~rng:(Rng.create ~seed) ~spec ~draws:4 model ds
       in
       Pool.with_pool ~size:env_pool_size (fun pool ->
-          List.for_all
-            (fun bs ->
-              Train.accuracy_under_variation ~opts:(block bs) ~pool ~rng:(Rng.create ~seed) ~spec
-                ~draws:4 model ds
-              = oracle)
-            [ 1; 3; Array.length ds.Pnc_data.Dataset.x ]))
+          Train.accuracy_under_variation ~pool ~rng:(Rng.create ~seed) ~spec ~draws:4 model ds
+          = oracle))
 
-let test_mc_loss_batch_invariance () =
-  Qgen.check ~count:8 ~name:"expected_value invariant in batch size" ~pp:pp_model_case
+let test_mc_loss_pool_invariance () =
+  Qgen.check ~count:8 ~name:"expected_value invariant in the pool" ~pp:pp_model_case
     model_case
     (fun (model, x, seed) ->
       let classes =
@@ -387,12 +331,11 @@ let test_mc_loss_batch_invariance () =
       in
       let labels = Array.init (T.rows x) (fun i -> i mod classes) in
       let spec = Variation.uniform 0.1 in
-      let value ?opts ?pool () =
-        Mc_loss.expected_value ?opts ?pool ~rng:(Rng.create ~seed) ~spec ~n:3 model ~x ~labels
+      let value ?pool () =
+        Mc_loss.expected_value ?pool ~rng:(Rng.create ~seed) ~spec ~n:3 model ~x ~labels
       in
       let oracle = value () in
-      List.for_all (fun bs -> value ~opts:(block bs) () = oracle) (block_sizes (T.rows x))
-      && Pool.with_pool ~size:env_pool_size (fun pool -> value ~pool ~opts:(block 2) () = oracle))
+      Pool.with_pool ~size:env_pool_size (fun pool -> value ~pool () = oracle))
 
 (* Sensitivity's rows run the selection their family names: each
    row's accuracy is the per-draw mean over Var-forward accuracies with
@@ -406,9 +349,7 @@ let test_sensitivity_wiring () =
       let ds = small_dataset ~classes:2 ~batch:12 ~time:8 rng in
       let x, y = Train.to_xy ds in
       let level = 0.3 and draws = 3 in
-      let rows =
-        Sensitivity.analyze ~opts:(block 5) ~rng:(Rng.create ~seed) ~level ~draws net ds
-      in
+      let rows = Sensitivity.analyze ~rng:(Rng.create ~seed) ~level ~draws net ds in
       List.for_all2
         (fun (row : Sensitivity.row) (family, varied) ->
           let accs =
@@ -536,22 +477,19 @@ let words_allocated () =
 (* The no-grad draw path must be allocation-flat in the sequence
    length: a boxed float per activation read (the generic Bigarray
    stubs, or a float argument to a non-inlined helper) costs thousands
-   of words per step at this shape, the fused kernel a handful. The
-   block size is pinned so the blocking does not depend on
-   ADAPT_PNC_BATCH: one whole-batch block, and blocks of 7 (a ragged
-   final block), where anything allocated per block and step would
-   count 29 times. Both read-outs. *)
+   of words per step at this shape, the fused kernel a handful. Both
+   tiers and both read-outs, on the whole batch. *)
 let test_forward_alloc_per_step () =
   let rows = 200 in
   let net = Network.create ~hidden:4 (Rng.create ~seed:3) Network.Adapt ~inputs:1 ~classes:3 in
   let x64 = T.uniform (Rng.create ~seed:4) ~rows ~cols:64 ~lo:(-1.) ~hi:1. in
   let x128 = T.uniform (Rng.create ~seed:4) ~rows ~cols:128 ~lo:(-1.) ~hi:1. in
   List.iter
-    (fun (precision, bs, readout) ->
+    (fun (precision, readout) ->
       let words x =
         let run () =
           ignore
-            (Network.forward_batch_t ~opts:{ (block bs) with precision; readout }
+            (Network.forward_batch_t ~opts:{ Batch.default with precision; readout }
                ~draw:(draw_of ~seed:9 ~level:0.1) net x)
         in
         run ();
@@ -563,16 +501,11 @@ let test_forward_alloc_per_step () =
       let per_step = (w128 -. w64) /. 64. in
       if per_step > 64. then
         Alcotest.failf
-          "%s, block %d, %s: %.0f words per extra time step (%.0f at 64 steps, %.0f at 128)"
-          (Batch.precision_name precision) bs
+          "%s, %s: %.0f words per extra time step (%.0f at 64 steps, %.0f at 128)"
+          (Batch.precision_name precision)
           (match readout with Batch.Integrated -> "integrated" | Last_step -> "last step")
           per_step w64 w128)
-    (List.concat_map
-       (fun precision ->
-         List.concat_map
-           (fun bs -> List.map (fun readout -> (precision, bs, readout)) [ Batch.Integrated; Last_step ])
-           [ rows; 7 ])
-       [ `Exact; `Fast ])
+    tiers_and_readouts
 
 (* Splitting the input once per estimate changes nothing: the estimate
    equals the per-draw mean over [Model.predict_batch] on [x]. *)
@@ -598,6 +531,85 @@ let test_accuracy_split_once () =
       Train.accuracy_under_variation ~rng:(Rng.create ~seed) ~spec ~draws model ds
       = Array.fold_left ( +. ) 0. per_draw /. float_of_int draws)
 
+(* One block per forward ---------------------------------------------- *)
+
+module Obs = Pnc_obs.Obs
+
+let samples_count () =
+  match List.assoc_opt "eval.batch.samples" (Obs.metrics_snapshot ()) with
+  | Some fields -> ( match List.assoc_opt "value" fields with Some (Obs.Int n) -> n | _ -> -1)
+  | None -> -1
+
+(* [f] under a sink that keeps the fields of every [eval.batch] event,
+   in emission order. *)
+let eval_batch_events f =
+  let events = ref [] in
+  let write ~t:_ ~seq:_ ~name fields = if name = "eval.batch" then events := fields :: !events in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) f;
+  List.rev !events
+
+(* Every no-grad forward, of every model family and from a series or
+   pre-split steps, runs its whole input as one block: it emits exactly
+   one [eval.batch] event naming its tier and its row count (and no
+   block-size fields), and counts each row once in
+   [eval.batch.samples]. *)
+let test_one_event_per_forward () =
+  Qgen.check ~count:12 ~name:"one eval.batch event per forward" ~pp:pp_model_case model_case
+    (fun (model, x, seed) ->
+      List.for_all
+        (fun precision ->
+          let opts = { Batch.default with precision } in
+          List.for_all
+            (fun forward ->
+              let s0 = samples_count () in
+              let events =
+                eval_batch_events (fun () ->
+                    ignore (forward ~opts ~draw:(draw_of ~seed ~level:0.1) model))
+              in
+              samples_count () - s0 = T.rows x
+              &&
+              match events with
+              | [ fields ] ->
+                  List.assoc_opt "precision" fields = Some (Obs.Str (Batch.precision_name precision))
+                  && List.assoc_opt "rows" fields = Some (Obs.Int (T.rows x))
+                  && (not (List.mem_assoc "batch_size" fields))
+                  && not (List.mem_assoc "blocks" fields)
+              | _ -> false)
+            [
+              (fun ~opts ~draw model -> Model.logits_batch_t ~opts ~draw model x);
+              (fun ~opts ~draw model -> Model.logits_multi_batch_t ~opts ~draw model (T.columns x));
+            ])
+        [ `Exact; `Fast ])
+
+(* Steps whose row counts disagree are rejected, whichever step is the
+   odd one: the whole-batch forward never reads a longer later step
+   only up to the first step's rows. *)
+let test_ragged_steps_rejected () =
+  let rng = Rng.create ~seed:21 in
+  let models =
+    [
+      Model.Reference (Elman.create ~hidden:3 rng ~inputs:1 ~classes:2);
+      Model.Circuit (Network.create ~hidden:3 rng Network.Ptpnc ~inputs:1 ~classes:2);
+      Model.Circuit (Network.create ~hidden:3 rng Network.Adapt ~inputs:1 ~classes:2);
+    ]
+  in
+  let step rows = T.uniform rng ~rows ~cols:1 ~lo:(-1.) ~hi:1. in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun rows_of_steps ->
+          let steps = Array.map step rows_of_steps in
+          match
+            Model.logits_multi_batch_t ~draw:(draw_of ~seed:5 ~level:0.1) model steps
+          with
+          | _ ->
+              Alcotest.failf "%s: steps of %s rows were accepted" (Model.label model)
+                (String.concat "/" (Array.to_list (Array.map string_of_int rows_of_steps)))
+          | exception (Assert_failure _ | Invalid_argument _) -> ())
+        [ [| 4; 5; 5 |]; [| 5; 4; 5 |]; [| 4; 4; 5 |] ])
+    models
+
 let () =
   Alcotest.run "pnc_batch"
     [
@@ -612,15 +624,16 @@ let () =
         [
           Alcotest.test_case "logits_batch_t = Var logits" `Quick test_logits_batch_parity;
           Alcotest.test_case "predict_batch = Var argmax" `Quick test_predict_batch_parity;
-          Alcotest.test_case "ADAPT_PNC_BATCH parity" `Quick test_env_knob_parity;
-          Alcotest.test_case "resolve precedence" `Quick test_resolve_precedence;
+          Alcotest.test_case "one eval.batch event per forward" `Quick
+            test_one_event_per_forward;
+          Alcotest.test_case "ragged steps rejected" `Quick test_ragged_steps_rejected;
         ] );
       ( "consumers",
         [
-          Alcotest.test_case "Train.accuracy" `Quick test_accuracy_batch_invariance;
-          Alcotest.test_case "accuracy under variation, pool x batch" `Quick
-            test_accuracy_under_variation_pool_batch_invariance;
-          Alcotest.test_case "Mc_loss.expected_value" `Quick test_mc_loss_batch_invariance;
+          Alcotest.test_case "Train.accuracy" `Quick test_accuracy_vs_var;
+          Alcotest.test_case "accuracy under variation, pool" `Quick
+            test_accuracy_under_variation_pool_invariance;
+          Alcotest.test_case "Mc_loss.expected_value" `Quick test_mc_loss_pool_invariance;
           Alcotest.test_case "Sensitivity rows = Var oracle" `Quick test_sensitivity_wiring;
         ] );
       ( "steps and allocation",

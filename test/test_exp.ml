@@ -147,6 +147,25 @@ let test_variation_sweep_on_fake_grid () =
     rows;
   E.print_variation_sweep ~threshold:0.5 rows
 
+(* The sweep scores at the tier the grid was trained and scored at:
+   under a `Fast config every batched forward reports "fast". *)
+let test_variation_sweep_keeps_precision () =
+  let module Obs = Pnc_obs.Obs in
+  let cfg = { (smoke_cfg ()) with Config.precision = `Fast } in
+  let grid = fake_grid cfg in
+  let tiers = ref [] in
+  let write ~t:_ ~seq:_ ~name fields =
+    if name = "eval.batch" then
+      tiers :=
+        (match List.assoc_opt "precision" fields with Some (Obs.Str s) -> s | _ -> "missing")
+        :: !tiers
+  in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) (fun () ->
+      ignore (E.variation_sweep_of_grid ~levels:[ 0.; 0.1 ] ~threshold:0.5 cfg grid));
+  Alcotest.(check bool) "the sweep ran batched forwards" true (!tiers <> []);
+  List.iter (Alcotest.(check string) "eval.batch precision" "fast") !tiers
+
 (* A cell whose model header names impossible dimensions loads as
    [None] (and is recomputed), for a circuit and an Elman cell alike. *)
 let test_bad_cell_dimensions () =
@@ -220,6 +239,8 @@ let () =
         [
           Alcotest.test_case "print paths" `Quick test_print_paths_do_not_raise;
           Alcotest.test_case "variation sweep (fake grid)" `Quick test_variation_sweep_on_fake_grid;
+          Alcotest.test_case "variation sweep keeps the precision tier" `Quick
+            test_variation_sweep_keeps_precision;
           Alcotest.test_case "bad cell dimensions -> None" `Quick test_bad_cell_dimensions;
           Alcotest.test_case "fig6 entries" `Quick test_fig6_entries;
           Alcotest.test_case "paper table embedded" `Quick test_paper_table1_embedded;

@@ -28,7 +28,7 @@ module Variation = Pnc_core.Variation
 module Config = Pnc_exp.Config
 module Var = Pnc_autodiff.Var
 
-let tier ?batch_size precision = { Batch.default with batch_size; precision }
+let tier precision = { Batch.default with precision }
 
 let gpovy_split () =
   let raw = Registry.load ~seed:3 ~n:80 "GPOVY" in
@@ -65,13 +65,8 @@ let test_exact_is_bit_identical () =
   let model = make_circuit 5 in
   let draw_of seed = Variation.make_draw (Rng.create ~seed) (Variation.uniform 0.1) in
   let reference = Var.value (Model.logits ~draw:(draw_of 11) model x) in
-  let default_logits =
-    Model.logits_batch_t ~opts:{ Batch.default with batch_size = Some 7 } ~draw:(draw_of 11)
-      model x
-  in
-  let exact_logits =
-    Model.logits_batch_t ~opts:(tier ~batch_size:7 `Exact) ~draw:(draw_of 11) model x
-  in
+  let default_logits = Model.logits_batch_t ~draw:(draw_of 11) model x in
+  let exact_logits = Model.logits_batch_t ~opts:(tier `Exact) ~draw:(draw_of 11) model x in
   Alcotest.(check bool) "default = Var at eps 0" true
     (T.equal_eps ~eps:0. reference default_logits);
   Alcotest.(check bool) "`Exact = Var at eps 0" true
@@ -150,9 +145,9 @@ let test_fingerprint_records_fast_only () =
 let test_resolution_precedence () =
   (* Explicit argument always wins. *)
   Alcotest.(check string) "explicit fast" "fast"
-    (Batch.precision_name (Batch.resolve_precision ~precision:`Fast ()));
+    (Batch.precision_name (Batch.entry_precision ~precision:`Fast ()));
   Alcotest.(check string) "explicit exact" "exact"
-    (Batch.precision_name (Batch.resolve_precision ~precision:`Exact ()));
+    (Batch.precision_name (Batch.entry_precision ~precision:`Exact ()));
   (* Without an argument, resolution follows the current environment —
      whatever the env-matrix rerun set it to. *)
   let expected =
@@ -162,7 +157,7 @@ let test_resolution_precedence () =
   in
   Alcotest.(check string) "env default"
     (Batch.precision_name expected)
-    (Batch.precision_name (Batch.resolve_precision ()));
+    (Batch.precision_name (Batch.entry_precision ()));
   Alcotest.(check bool) "Config.from_env agrees" true
     ((Config.from_env ()).Config.precision = expected)
 

@@ -11,8 +11,8 @@
      the offline batched path: with adaptation off, stride = width and
      `V0 states, the streaming overall accuracy equals offline
      Train.accuracy on the same realizations bit-for-bit, results are
-     invariant to POOL_SIZE and ADAPT_PNC_BATCH (the dune rules re-run
-     this binary under both knobs), and an adaptation-off pass never
+     invariant to POOL_SIZE (the dune rules re-run this binary under
+     POOL_SIZE=1/4), and an adaptation-off pass never
      mutates a single parameter byte (checkpoint-image comparison).
 
    - Online adaptation actually helps: on an injected label-rotation
@@ -275,8 +275,8 @@ let param_image model =
 
 let eval_seed = 6011
 
-let eval ?batch_size ?pool ?(protocol = Online.default_protocol) ?(with_spec = true) model rz =
-  Online.eval ~opts:{ Pnc_core.Batch.default with batch_size } ?pool
+let eval ?pool ?(protocol = Online.default_protocol) ?(with_spec = true) model rz =
+  Online.eval ?pool
     ?spec:(if with_spec then Some spec else None)
     ~rng:(Rng.create ~seed:eval_seed) protocol model rz
 
@@ -316,11 +316,10 @@ let test_offline_parity () =
     (float_of_int correct /. float_of_int (Array.length rz.Scenario.x))
     streamed.Online.overall_acc
 
-(* Results are invariant to the pool size and to batch chunking, for
-   both `V0 and `Randomized window states (the dune rules re-run this
-   under POOL_SIZE=1/4 crossed with ADAPT_PNC_BATCH=1/5, exercising
-   the env-default resolution path end to end). *)
-let test_pool_and_batch_invariance () =
+(* Results are invariant to the pool size, for both `V0 and
+   `Randomized window states (the dune rules re-run this under
+   POOL_SIZE=1/4). *)
+let test_pool_invariance () =
   let r = Lazy.force trained in
   let rz = Scenario.realize (scenario ()) in
   List.iter
@@ -331,13 +330,7 @@ let test_pool_and_batch_invariance () =
         Pool.with_pool ~size:env_pool_size (fun pool -> eval ~pool ~protocol r.E.model rz)
       in
       check_b "pooled points identical" true
-        (pooled.Online.points = reference.Online.points);
-      List.iter
-        (fun batch_size ->
-          let chunked = eval ~batch_size ~protocol r.E.model rz in
-          check_b "chunked points identical" true
-            (chunked.Online.points = reference.Online.points))
-        [ 1; 3; 64 ])
+        (pooled.Online.points = reference.Online.points))
     [ `V0; `Randomized 0.1 ]
 
 (* An adaptation-off evaluation never touches a parameter: the full
@@ -473,8 +466,7 @@ let () =
       ( "evaluator",
         [
           Alcotest.test_case "streaming = offline, eps 0" `Slow test_offline_parity;
-          Alcotest.test_case "pool and batch invariance" `Slow
-            test_pool_and_batch_invariance;
+          Alcotest.test_case "pool invariance" `Slow test_pool_invariance;
           Alcotest.test_case "frozen pass never mutates params" `Slow
             test_frozen_never_mutates;
         ] );

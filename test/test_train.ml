@@ -11,7 +11,6 @@ module Network = Pnc_core.Network
 module Elman = Pnc_core.Elman
 module Model = Pnc_core.Model
 module Train = Pnc_core.Train
-module Batch = Pnc_core.Batch
 module Variation = Pnc_core.Variation
 module Printed = Pnc_core.Printed
 module Filter_layer = Pnc_core.Filter_layer
@@ -29,10 +28,7 @@ let test_adapt_learns_separable () =
   let model = Model.Circuit net in
   let cfg = { smoke with Train.max_epochs = 120; patience = 15; mc_samples = 2 } in
   let _ = Train.train ~rng cfg model split in
-  (* A ragged explicit batch size: the accuracy must be identical to
-     the whole-split evaluation (batch parity), so this end-to-end
-     assert also exercises the chunked path. *)
-  let acc = Train.accuracy ~opts:{ Batch.default with batch_size = Some 7 } model split.Dataset.test in
+  let acc = Train.accuracy model split.Dataset.test in
   Alcotest.(check bool) (Printf.sprintf "adapt beats chance strongly (%.3f)" acc) true (acc >= 0.8)
 
 let test_baseline_learns_separable () =
@@ -44,7 +40,7 @@ let test_baseline_learns_separable () =
     { smoke with Train.max_epochs = 120; patience = 15; mc_samples = 1; variation = Variation.none }
   in
   let _ = Train.train ~rng cfg model split in
-  let acc = Train.accuracy ~opts:{ Batch.default with batch_size = Some 7 } model split.Dataset.test in
+  let acc = Train.accuracy model split.Dataset.test in
   Alcotest.(check bool) (Printf.sprintf "baseline beats chance (%.3f)" acc) true (acc >= 0.7)
 
 let test_elman_learns_separable () =
