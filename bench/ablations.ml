@@ -17,7 +17,6 @@
    (uses a reduced budget; ADAPT_PNC_SCALE is not consulted here). *)
 
 module T = Pnc_tensor.Tensor
-module Var = Pnc_autodiff.Var
 module Rng = Pnc_util.Rng
 module Table = Pnc_util.Table
 module Dataset = Pnc_data.Dataset
@@ -83,17 +82,17 @@ let train_with_readout ~readout split ~classes =
   let x, y = Train.to_xy split.Dataset.train in
   let params = Network.params net in
   let opt = Optimizer.adamw ~params () in
+  let steps = T.columns x and model = Model.Circuit net in
   let sched = Pnc_optim.Scheduler.plateau ~patience:12 ~init_lr:0.05 () in
   let xv, yv = Train.to_xy split.Dataset.valid in
   let opts = { Batch.default with readout } in
   (try
      for _ = 1 to 180 do
-       Optimizer.zero_grads opt;
-       let logits = Network.forward ~readout ~draw:Variation.deterministic net x in
-       Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y);
-       Optimizer.clip_grad_norm opt ~max_norm:5.;
-       Optimizer.step opt ~lr:(Pnc_optim.Scheduler.lr sched);
-       Network.clamp net;
+       let loss =
+         Pnc_core.Adjoint.expected ~n:1 ~tasks:[| [| Variation.deterministic |] |] ~readout net
+           ~steps ~labels:y
+       in
+       Train.descend ~clip:5. opt ~lr:(Pnc_optim.Scheduler.lr sched) model loss;
        let vl =
          Pnc_autodiff.Loss.cross_entropy_value
            ~logits:(Network.forward_batch_t ~opts ~draw:Variation.deterministic net xv)
@@ -329,8 +328,7 @@ let artifact_microbench () =
     let rng = Rng.create ~seed:99 in
     let net = Network.create ~hidden:6 rng Network.Adapt ~inputs:1 ~classes:3 in
     let x = Pnc_tensor.Tensor.uniform rng ~rows:64 ~cols:64 ~lo:(-1.) ~hi:1. in
-    fun () ->
-      ignore (Network.forward ~draw:Pnc_core.Variation.deterministic net x)
+    fun () -> ignore (Network.forward_batch_t ~draw:Pnc_core.Variation.deterministic net x)
   in
   let tests =
     Test.make_grouped ~name:"artifact" ~fmt:"%s %s"
@@ -339,7 +337,7 @@ let artifact_microbench () =
         Test.make ~name:"mu-extraction" (Staged.stage mu_extract);
         Test.make ~name:"filter-ac-cutoff" (Staged.stage filter_cutoff);
         Test.make ~name:"ptanh-characterize" (Staged.stage ptanh_char);
-        Test.make ~name:"adapt-forward-64x64" (Staged.stage forward_pass);
+        Test.make ~name:"adapt-forward-batch-t-64x64" (Staged.stage forward_pass);
       ]
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in

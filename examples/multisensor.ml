@@ -13,9 +13,12 @@
    separates all three alone — the circuit has to fuse them, which is
    exactly what the input crossbar of the pTPB does.
 
-   The training loop here works directly on Network.forward_multi
-   (one [batch x 2] tensor per time step), showing the multivariate
-   API that Table-I experiments (univariate UCR) do not exercise.
+   The training loop here works directly on pre-split multi-input
+   steps (one [batch x 2] tensor per time step): each epoch takes one
+   gradient step on the fused training node (Adjoint.expected) and
+   evaluates on the no-grad engine (Network.forward_multi_batch_t),
+   the multivariate API that Table-I experiments (univariate UCR) do
+   not exercise.
 
    Run with: dune exec examples/multisensor.exe *)
 
@@ -23,6 +26,7 @@ module T = Pnc_tensor.Tensor
 module Var = Pnc_autodiff.Var
 module Rng = Pnc_util.Rng
 module Network = Pnc_core.Network
+module Model = Pnc_core.Model
 module Variation = Pnc_core.Variation
 module Optimizer = Pnc_optim.Optimizer
 
@@ -89,15 +93,13 @@ let () =
   let opt = Optimizer.adamw ~params () in
   let vrng = Rng.create ~seed:33 in
   for epoch = 1 to 250 do
-    Optimizer.zero_grads opt;
     (* variation-aware: a fresh ±10% physical sample per epoch *)
     let draw = Variation.make_draw vrng (Variation.uniform 0.1) in
-    let logits = Network.forward_multi ~draw net train_steps in
-    let loss = Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y_train in
-    Var.backward loss;
-    Optimizer.clip_grad_norm opt ~max_norm:5.;
-    Optimizer.step opt ~lr:0.03;
-    Network.clamp net;
+    let loss =
+      Pnc_core.Adjoint.expected ~n:1 ~tasks:[| [| draw |] |] ~readout:Pnc_core.Batch.Integrated
+        net ~steps:train_steps ~labels:y_train
+    in
+    Pnc_core.Train.descend ~clip:5. opt ~lr:0.03 (Model.Circuit net) loss;
     if epoch mod 50 = 0 then
       Printf.printf "epoch %3d: train loss %.4f\n%!" epoch (T.get_scalar (Var.value loss))
   done;

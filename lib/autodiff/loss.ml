@@ -20,8 +20,6 @@ let softmax_rows logits =
   done;
   out
 
-let predictions logits = T.argmax_rows logits
-
 let softmax_cross_entropy ~logits ~labels =
   let b = T.rows (Var.value logits) in
   assert (Array.length labels = b);
@@ -55,7 +53,3 @@ let cross_entropy_value ~logits ~labels =
     loss := !loss -. log (Float.max 1e-12 (T.get probs r labels.(r)))
   done;
   !loss /. float_of_int b
-
-let mse ~pred ~target =
-  let diff = Var.sub pred (Var.const target) in
-  Var.mean (Var.sqr diff)

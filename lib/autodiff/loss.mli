@@ -1,8 +1,7 @@
 (** Training losses.
 
     The classification objective used throughout the paper is the
-    softmax cross-entropy over the circuit's output voltages at the
-    final time step. The op is fused (forward log-sum-exp, backward
+    softmax cross-entropy over the circuit's class scores. The op is fused (forward log-sum-exp, backward
     [softmax - onehot]) for numerical stability. *)
 
 val softmax_cross_entropy : logits:Var.t -> labels:int array -> Var.t
@@ -14,11 +13,5 @@ val cross_entropy_value : logits:Pnc_tensor.Tensor.t -> labels:int array -> floa
     counterpart of {!softmax_cross_entropy}, same clipping and
     summation order. *)
 
-val mse : pred:Var.t -> target:Pnc_tensor.Tensor.t -> Var.t
-(** Mean squared error against a constant target of the same shape. *)
-
 val softmax_rows : Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
 (** Row-wise softmax of raw values (used for reporting, not training). *)
-
-val predictions : Pnc_tensor.Tensor.t -> int array
-(** Row-wise argmax of logits. *)

@@ -99,7 +99,6 @@ let leaf ~requires value =
 
 let param value = leaf ~requires:true value
 let const value = leaf ~requires:false value
-let scalar x = const (T.scalar x)
 let zero_grad v = v.grad <- None
 
 let accumulate v g =
@@ -173,26 +172,14 @@ let unary f df v =
   let y = T.map f v.value in
   mk y [ (v, fun g -> T.mul g (df v.value y)) ]
 
-let neg v = mk (T.neg v.value) [ (v, T.neg) ]
 let scale k v = mk (T.scale k v.value) [ (v, T.scale k) ]
 let add_scalar k v = mk (T.add_scalar k v.value) [ (v, Fun.id) ]
 
 let tanh v = unary Stdlib.tanh (fun _ y -> T.map (fun t -> 1. -. (t *. t)) y) v
 
-let sigmoid_f x = if x >= 0. then 1. /. (1. +. Stdlib.exp (-.x)) else
-    let e = Stdlib.exp x in
-    e /. (1. +. e)
-
-let sigmoid v = unary sigmoid_f (fun _ y -> T.map (fun s -> s *. (1. -. s)) y) v
-let relu v = unary (fun x -> Float.max 0. x) (fun x _ -> T.map (fun u -> if u > 0. then 1. else 0.) x) v
-let exp v = unary Stdlib.exp (fun _ y -> y) v
-let log v = unary Stdlib.log (fun x _ -> T.map (fun u -> 1. /. u) x) v
 let abs v = unary Float.abs (fun x _ -> T.map (fun u -> if u > 0. then 1. else if u < 0. then -1. else 0.) x) v
 
-let softplus_f x = if x > 30. then x else if x < -30. then Stdlib.exp x else Stdlib.log1p (Stdlib.exp x)
-let softplus v = unary softplus_f (fun x _ -> T.map sigmoid_f x) v
 let sqr v = unary (fun x -> x *. x) (fun x _ -> T.scale 2. x) v
-let reciprocal v = unary (fun x -> 1. /. x) (fun x _ -> T.map (fun u -> -1. /. (u *. u)) x) v
 
 (* Linear algebra and reductions ---------------------------------------- *)
 
@@ -200,8 +187,6 @@ let matmul a b =
   mk (T.matmul a.value b.value)
     [ (a, fun g -> T.matmul g (T.transpose b.value));
       (b, fun g -> T.matmul (T.transpose a.value) g) ]
-
-let transpose v = mk (T.transpose v.value) [ (v, T.transpose) ]
 
 let sum v =
   let rows = T.rows v.value and cols = T.cols v.value in
@@ -217,36 +202,6 @@ let sum_rows v =
   mk (T.sum_rows v.value)
     [ (v, fun g -> T.init ~rows ~cols:(T.cols g) (fun _ c -> T.get g 0 c)) ]
 
-let concat_cols vs =
-  assert (vs <> []);
-  let rows = T.rows (List.hd vs).value in
-  List.iter (fun v -> assert (T.rows v.value = rows)) vs;
-  let total = List.fold_left (fun acc v -> acc + T.cols v.value) 0 vs in
-  let out = T.zeros ~rows ~cols:total in
-  let offsets = ref [] in
-  let _ =
-    List.fold_left
-      (fun off v ->
-        let c = T.cols v.value in
-        offsets := (v, off, c) :: !offsets;
-        for r = 0 to rows - 1 do
-          for j = 0 to c - 1 do
-            T.set out r (off + j) (T.get v.value r j)
-          done
-        done;
-        off + c)
-      0 vs
-  in
-  let parents =
-    List.map
-      (fun (v, off, c) ->
-        ( v,
-          fun g ->
-            T.init ~rows ~cols:c (fun r j -> T.get g r (off + j)) ))
-      !offsets
-  in
-  mk out parents
-
 (* Fused nodes ---------------------------------------------------------- *)
 
 let swept_edge _ = invalid_arg "Var: a fused node's edges are swept, not called"
@@ -256,17 +211,6 @@ let fused value ~parents sweep =
   mk ~sweep value (List.map (fun p -> (p, swept_edge)) parents)
 
 (* Backward ------------------------------------------------------------- *)
-
-let reachable root =
-  let seen = Hashtbl.create 64 in
-  let rec go v =
-    if not (Hashtbl.mem seen v.id) then begin
-      Hashtbl.add seen v.id v;
-      List.iter (fun (p, _) -> go p) v.parents
-    end
-  in
-  go root;
-  seen
 
 let backward root =
   accumulate root (T.create ~rows:(T.rows root.value) ~cols:(T.cols root.value) 1.);
@@ -306,4 +250,3 @@ let backward root =
     decr i
   done
 
-let n_nodes root = Hashtbl.length (reachable root)

@@ -56,9 +56,6 @@ val param : Pnc_tensor.Tensor.t -> t
 val const : Pnc_tensor.Tensor.t -> t
 (** Non-trainable leaf (inputs, sampled variation factors, targets). *)
 
-val scalar : float -> t
-(** Constant [1 x 1] node. *)
-
 val zero_grad : t -> unit
 (** Reset the accumulated gradient of a leaf to zeros. *)
 
@@ -91,39 +88,23 @@ val affine_rv : t -> t -> t -> t -> t
 
 (** {1 Unary} *)
 
-val neg : t -> t
 val scale : float -> t -> t
 val add_scalar : float -> t -> t
 val tanh : t -> t
-val sigmoid : t -> t
-val relu : t -> t
-val exp : t -> t
-val log : t -> t
-(** Requires strictly positive values. *)
-
 val abs : t -> t
 (** Subgradient 0 at 0. *)
 
-val softplus : t -> t
-(** [log (1 + exp x)], numerically stable; used to keep physical
-    component values (resistances, capacitances) strictly positive. *)
-
 val sqr : t -> t
-val reciprocal : t -> t
 
 (** {1 Linear algebra and reductions} *)
 
 val matmul : t -> t -> t
-val transpose : t -> t
 val sum : t -> t
 (** Sum of all elements, as a [1 x 1] node. *)
 
 val mean : t -> t
 val sum_rows : t -> t
 (** [m x n -> 1 x n]. *)
-
-val concat_cols : t list -> t
-(** Horizontal concatenation of matrices with equal row counts. *)
 
 (** {1 Fused nodes} *)
 
@@ -154,6 +135,3 @@ val backward : t -> unit
     single reverse walk of the tape — no per-call reachability
     collection or sort. Multiple calls accumulate; call {!zero_grad} on
     the leaves between steps. *)
-
-val n_nodes : t -> int
-(** Number of distinct nodes reachable from [t] (diagnostics). *)

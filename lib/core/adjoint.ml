@@ -156,7 +156,7 @@ let forward_step ~rows ~t lw (l : Network.layer_t) (x : T.buffer) xo ~rs ~ks =
     tanh_keep_pass ~rows l c lw.th lw.out fo
   done
 
-let forward ws (d : sample) (steps : T.t array) =
+let forward ws ~readout (d : sample) (steps : T.t array) =
   let rows = ws.rows and n_layers = Array.length ws.lws in
   Array.iteri
     (fun li lw ->
@@ -182,13 +182,20 @@ let forward ws (d : sample) (steps : T.t array) =
       forward_step ~rows ~t ws.lws.(li) d.reals.(li) prev.out (t * prev.n_out * rows) ~rs:1
         ~ks:rows
     done;
-    (* Read-out, as [T.add_inplace] on the last layer's activations. *)
-    let ad = acc.T.data in
-    for i = 0 to plane_last - 1 do
-      BA.unsafe_set ad i (BA.unsafe_get ad i +. BA.unsafe_get last.out ((t * plane_last) + i))
-    done
+    (* Read-out: [T.add_inplace] of the last layer's activations, or
+       the final step's alone. *)
+    let ad = acc.T.data and lo = t * plane_last in
+    match readout with
+    | Batch.Integrated ->
+        for i = 0 to plane_last - 1 do
+          BA.unsafe_set ad i (BA.unsafe_get ad i +. BA.unsafe_get last.out (lo + i))
+        done
+    | Last_step ->
+        if t = ws.steps - 1 then BA.blit (BA.sub last.out lo plane_last) (BA.sub ad 0 plane_last)
   done;
-  T.transpose (T.scale (1. /. float_of_int ws.steps) acc)
+  match readout with
+  | Integrated -> T.transpose (T.scale (1. /. float_of_int ws.steps) acc)
+  | Last_step -> T.transpose acc
 
 (* {1 Reverse sweep}
 
@@ -229,17 +236,23 @@ let ptanh_back ~rows ~first (gout : T.buffer) go (th : T.buffer) fo (s : T.buffe
   add_into ~first g4 c !s4
 
 (* Stage [i] of one feature: [scratch] holds the input-side gradient of
-   S_i(t); [gst] carries dL/dS_i(t+1) and leaves with dL/dS_i(t). The
+   S_i(t), absent when [carry] (the output stage of a last-step read-out
+   before the final step, whose tanh the per-op graph never reaches);
+   [gst] carries dL/dS_i(t+1) and leaves with dL/dS_i(t). The
    coefficient contributions use S_i(t-1) ([prev]) and the stage input
    ([xin]); [scratch] leaves holding dL/dS_i(t) * b, the input-side
    gradient of the stage below (or of the crossbar output). *)
-let stage_back ~rows ~first (gst : T.buffer) go (scratch : T.buffer) (prev : T.buffer) po
+let stage_back ~rows ~first ~carry (gst : T.buffer) go (scratch : T.buffer) (prev : T.buffer) po
     (xin : T.buffer) xo (a : T.buffer) ao (b : T.buffer) bo (g_a : T.buffer) (g_b : T.buffer) c =
   let a = BA.unsafe_get a ao and b = BA.unsafe_get b bo in
   let sa = ref 0. and sb = ref 0. in
   for r = 0 to rows - 1 do
-    let inp = BA.unsafe_get scratch r in
-    let g = if first then inp else (BA.unsafe_get gst (go + r) *. a) +. inp in
+    let g =
+      if carry then BA.unsafe_get gst (go + r) *. a
+      else
+        let inp = BA.unsafe_get scratch r in
+        if first then inp else (BA.unsafe_get gst (go + r) *. a) +. inp
+    in
     BA.unsafe_set gst (go + r) g;
     sa := !sa +. (g *. BA.unsafe_get prev (po + r));
     sb := !sb +. (g *. BA.unsafe_get xin (xo + r));
@@ -284,8 +297,10 @@ let input_back ~rows (gin : T.buffer) gio (scratch : T.buffer) (w : T.buffer) wo
     if g <> 0. then BA.unsafe_set gin (gio + r) (BA.unsafe_get gin (gio + r) +. (g *. w))
   done
 
-(* Sweep step [t] of layer [li], whose dL/d activations are in [gout]. *)
-let sweep_step ws (d : sample) (steps : T.t array) ~t ~li (gout : T.buffer) =
+(* Sweep step [t] of layer [li], whose dL/d activations are in [gout];
+   [live] is false where they have none (the top layer of a last-step
+   read-out before the final step). *)
+let sweep_step ws (d : sample) (steps : T.t array) ~t ~li ~live (gout : T.buffer) =
   let rows = ws.rows and lw = ws.lws.(li) and l = d.reals.(li) in
   let first = t = ws.steps - 1 in
   let n_out = lw.n_out and n_st = Array.length lw.st in
@@ -302,12 +317,14 @@ let sweep_step ws (d : sample) (steps : T.t array) ~t ~li (gout : T.buffer) =
   if li > 0 then BA.fill ws.lws.(li - 1).gout 0.;
   for c = 0 to n_out - 1 do
     let go = c * rows and fo = (t * plane) + (c * rows) in
-    ptanh_back ~rows ~first gout go lw.th fo lw.st.(n_st - 1) (fo + plane) ws.scratch e2.T.data
-      (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c) g1 g2 g3 g4 c;
+    if live then
+      ptanh_back ~rows ~first gout go lw.th fo lw.st.(n_st - 1) (fo + plane) ws.scratch e2.T.data
+        (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c) g1 g2 g3 g4 c;
     for i = n_st - 1 downto 0 do
       let a = l.filt.stages_t.(i).a and b = l.filt.stages_t.(i).b in
       let xin = if i = 0 then lw.dv else lw.st.(i - 1) and xio = if i = 0 then fo else fo + plane in
-      stage_back ~rows ~first lw.gst.(i) go ws.scratch lw.st.(i) fo xin xio a.T.data
+      let carry = (not live) && i = n_st - 1 in
+      stage_back ~rows ~first ~carry lw.gst.(i) go ws.scratch lw.st.(i) fo xin xio a.T.data
         (a.T.off + c) b.T.data (b.T.off + c) lw.g_a.(i).T.data lw.g_b.(i).T.data c
     done;
     normalise_back ~rows ~first ws.scratch lw.dv fo inv.T.data (inv.T.off + c) lw.g_den.T.data
@@ -378,22 +395,26 @@ let realization_back ~emit (smp : sample) lw (l : Network.layer_t) (cb, fl, act)
 
 (* One draw's reverse sweep. [gl] is dL/d(this draw's cross-entropy);
    the trajectory in [ws] must be this draw's. *)
-let sweep ws (smp : sample) steps ~gl ~labels ~emit net =
+let sweep ws ~readout (smp : sample) steps ~gl ~labels ~emit net =
   let rows = ws.rows and n_layers = Array.length ws.lws in
   let top = ws.lws.(n_layers - 1) in
-  (* dL/d(output activations), the same at every step: the read-out's
-     1/T times the cross-entropy's (softmax − onehot)/batch. *)
+  (* dL/d(output activations): the cross-entropy's (softmax −
+     onehot)/batch, times the integrated read-out's 1/T at every step,
+     or at the final step alone for a last-step read-out (times 1,
+     exactly as the per-op graph, which has no scale node there). *)
   let probs = Loss.softmax_rows smp.logits in
-  let inv_t = 1. /. float_of_int ws.steps and nb = float_of_int rows in
+  let k = match readout with Batch.Integrated -> 1. /. float_of_int ws.steps | Last_step -> 1. in
+  let nb = float_of_int rows in
   for c = 0 to top.n_out - 1 do
     for r = 0 to rows - 1 do
       let y = if labels.(r) = c then 1. else 0. in
-      BA.unsafe_set top.gout ((c * rows) + r) (inv_t *. (gl *. ((T.get probs r c -. y) /. nb)))
+      BA.unsafe_set top.gout ((c * rows) + r) (k *. (gl *. ((T.get probs r c -. y) /. nb)))
     done
   done;
   for t = ws.steps - 1 downto 0 do
     for li = n_layers - 1 downto 0 do
-      sweep_step ws smp steps ~t ~li ws.lws.(li).gout
+      let live = li < n_layers - 1 || readout = Batch.Integrated || t = ws.steps - 1 in
+      sweep_step ws smp steps ~t ~li ~live ws.lws.(li).gout
     done
   done;
   List.iteri
@@ -402,11 +423,14 @@ let sweep ws (smp : sample) steps ~gl ~labels ~emit net =
 
 (* {1 The node} *)
 
-let expected ~n ~tasks net ~x ~labels =
-  let steps = T.columns x in
-  let rows = T.rows x and n_steps = Array.length steps in
-  (* The passes read unchecked: univariate steps into a one-input net. *)
-  assert (n_steps > 0 && Network.inputs net = 1 && Array.length labels = rows);
+let expected ~n ~tasks ~readout net ~steps ~labels =
+  let n_steps = Array.length steps in
+  assert (n_steps > 0);
+  let rows = T.rows steps.(0) in
+  (* The passes read unchecked: every step is [rows x inputs]. *)
+  assert (
+    Array.for_all (fun s -> T.rows s = rows && T.cols s = Network.inputs net) steps
+    && Array.length labels = rows);
   let samples = Array.map (Array.map (fun d -> realize_draw d net ~rows)) tasks in
   (* The per-op objective summed the tasks in order and built a pair as
      [Var.add (loss d1) (loss d2)], whose arguments OCaml evaluates
@@ -419,7 +443,7 @@ let expected ~n ~tasks net ~x ~labels =
      in the workspace is the first one the sweep needs. *)
   for k = Array.length order - 1 downto 0 do
     let smp = order.(k) in
-    smp.logits <- forward ws smp steps;
+    smp.logits <- forward ws ~readout smp steps;
     smp.value <- Loss.cross_entropy_value ~logits:smp.logits ~labels
   done;
   ws.stamp <- stamp;
@@ -436,8 +460,8 @@ let expected ~n ~tasks net ~x ~labels =
       Array.iteri
         (fun k smp ->
           if k > 0 || ws.stamp <> stamp then begin
-            ignore (forward ws smp steps);
+            ignore (forward ws ~readout smp steps);
             ws.stamp <- 0
           end;
-          sweep ws smp steps ~gl ~labels ~emit net)
+          sweep ws ~readout smp steps ~gl ~labels ~emit net)
         order)

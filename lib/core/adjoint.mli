@@ -9,7 +9,7 @@
     activations in a per-domain workspace, allocated once and reused
     across draws, nodes and epochs. Its backward pass is a hand-written
     reverse-time sweep over every draw: the softmax cross-entropy, the
-    integrated read-out, the printed tanh's η₁..η₄, the filter stages
+    read-out (integrated or last-step), the printed tanh's η₁..η₄, the filter stages
     (a/b through R, C, drift, µ and τ) and the crossbar's θ/θ_b with its
     |θ_eff| denominator, under plain or straight-through folds.
     Each draw is realized once, by {!Network.realize_net_t}: the forward
@@ -17,24 +17,31 @@
     intermediate values (ε, µ, r_eff, c_eff, µτ + Δt, θ_b·ε) they keep.
 
     {b Accumulation-order contract.} The sweep evaluates every backward
-    closure of the per-op graph that [Network.forward] and
+    closure of the per-op graph that [Network.forward_multi] and
     [Loss.softmax_cross_entropy] build, with the same operands, and sums
     contributions in [Var.backward]'s order: steps from last to first,
     draws in the tape's reverse order, the |θ_eff| and realization terms
-    last. The gradients it leaves on the leaves are therefore
+    last. Closures that graph never reaches are skipped, not evaluated
+    as zeros: under a last-step read-out, the top layer's tanh before
+    the final step. The gradients it leaves on the leaves are therefore
     bit-identical to the per-op tape's, and the node's value equals
-    {!Mc_loss.expected_value}'s bit for bit. *)
+    the no-grad objective's ({!Mc_loss.expected_value}'s) bit for
+    bit. *)
 
 val expected :
   n:int ->
   tasks:Variation.draw array array ->
+  readout:Batch.readout ->
   Network.t ->
-  x:Pnc_tensor.Tensor.t ->
+  steps:Pnc_tensor.Tensor.t array ->
   labels:int array ->
   Pnc_autodiff.Var.t
-(** [expected ~n ~tasks net ~x ~labels] is [1/n] times the sum over
-    [tasks] of each task's summed per-draw mean cross-entropy on the
-    univariate [batch x time] input [x] (a [1 x 1] node). A task is one
+(** [expected ~n ~tasks ~readout net ~steps ~labels] is [1/n] times the
+    sum over [tasks] of each task's summed per-draw mean cross-entropy
+    of the class scores read out by [readout] (a [1 x 1] node). [steps]
+    are the pre-split time steps, one [batch x inputs] tensor each for
+    a net of any input width ({!Pnc_tensor.Tensor.columns} of a
+    univariate [batch x time] input); they are only read. A task is one
     draw or an antithetic pair [[| d1; d2 |]]; draws marked [ste] fold
     their variation straight through. The draws are realized here, in
     order, each consuming its own stream. *)

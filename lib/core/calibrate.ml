@@ -1,5 +1,4 @@
 module T = Pnc_tensor.Tensor
-module Var = Pnc_autodiff.Var
 module Rng = Pnc_util.Rng
 module Optimizer = Pnc_optim.Optimizer
 
@@ -17,12 +16,10 @@ let trim ?(epochs = 60) ?(lr = 0.02) ~chip net dataset =
   let x, y = Train.to_xy dataset in
   let params = bias_params net in
   let opt = Optimizer.adam ~params () in
+  let steps = T.columns x and model = Model.Circuit net in
   for _ = 1 to epochs do
-    Optimizer.zero_grads opt;
-    let logits = Network.forward ~draw:(chip ()) net x in
-    Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y);
-    Optimizer.step opt ~lr;
-    Network.clamp net
+    let loss = Mc_loss.objective ~n:1 ~tasks:[| [| chip () |] |] model ~steps ~labels:y in
+    Train.descend opt ~lr model loss
   done
 
 type outcome = { before : float; after : float }
@@ -33,10 +30,10 @@ let chip_accuracy ~chip net dataset =
   Pnc_util.Stats.accuracy ~pred ~truth:y
 
 let evaluate ?epochs ?lr ~chip net ~calibration ~test =
-  let saved = List.map (fun p -> T.copy (Var.value p)) (bias_params net) in
+  let saved = Train.snapshot (bias_params net) in
   let before = chip_accuracy ~chip net test in
   trim ?epochs ?lr ~chip net calibration;
   let after = chip_accuracy ~chip net test in
   (* Restore the design: each physical chip is trimmed independently. *)
-  List.iter2 (fun p s -> T.blit_into ~dst:(Var.value p) s) (bias_params net) saved;
+  Train.restore (bias_params net) saved;
   { before; after }

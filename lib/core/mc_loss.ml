@@ -68,6 +68,16 @@ let task_draws ?(ste = false) ~antithetic ~rng ~spec ~n model =
   in
   (n, tasks)
 
+(* The one dispatch between the two gradient engines: a circuit trains
+   through the fused node, and the reference RNN, which has no
+   components and so ignores the draws, stays on the per-op tape. *)
+let objective ~n ~tasks model ~steps ~labels =
+  match model with
+  | Model.Circuit net -> Adjoint.expected ~n ~tasks ~readout:Batch.Integrated net ~steps ~labels
+  | Model.Reference m ->
+      Var.scale (1. /. float_of_int n)
+        (Loss.softmax_cross_entropy ~logits:(Elman.forward_multi m steps) ~labels)
+
 let expected ?(antithetic = false) ?(ni = false) ~rng ~spec ~n model ~x ~labels =
   assert (n >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
@@ -75,17 +85,7 @@ let expected ?(antithetic = false) ?(ni = false) ~rng ~spec ~n model ~x ~labels 
      the reported objective) are bit-identical to the plain estimator;
      only the gradients change. *)
   let n, tasks = task_draws ~ste:ni ~antithetic ~rng ~spec ~n model in
-  let result =
-    match model with
-    | Model.Circuit net -> Adjoint.expected ~n ~tasks net ~x ~labels
-    | Model.Reference _ ->
-        (* The reference RNN stays on the per-op tape: one deterministic
-           draw, [n = 1]. *)
-        let loss draw =
-          Loss.softmax_cross_entropy ~logits:(Model.logits ~draw model x) ~labels
-        in
-        Var.scale (1. /. float_of_int n) (loss tasks.(0).(0))
-  in
+  let result = objective ~n ~tasks model ~steps:(Pnc_tensor.Tensor.columns x) ~labels in
   Obs.Counter.add draws_counter n;
   emit_eval ~path:"var" ~n ~t0;
   emit_corr ~spec ~n;

@@ -14,6 +14,27 @@
     {!Pnc_util.Pool} of any worker count, and the training node and the
     tensor path consume randomness identically. *)
 
+val objective :
+  n:int ->
+  tasks:Variation.draw array array ->
+  Model.t ->
+  steps:Pnc_tensor.Tensor.t array ->
+  labels:int array ->
+  Pnc_autodiff.Var.t
+(** The training objective over caller-held draws, on pre-split time
+    steps (one [batch x inputs] tensor each, only read): [1/n] times
+    the sum over [tasks] (one draw, or an antithetic pair) of each
+    draw's mean cross-entropy, a [1 x 1] node. A circuit model is one
+    fused tape node ({!Adjoint.expected}, integrated read-out), whose
+    gradients equal those of the per-op graph built from
+    {!Network.forward_multi} and
+    {!Pnc_autodiff.Loss.softmax_cross_entropy} bit for bit. The
+    reference RNN has no components: it ignores the draws and builds
+    that per-op graph from {!Elman.forward_multi}. This is the one
+    point where a model picks its gradient engine: {!expected}, online
+    adaptation and calibration trimming (with [n = 1] and a replayed
+    draw) all build their objective here. Emits no telemetry. *)
+
 val expected :
   ?antithetic:bool ->
   ?ni:bool ->
@@ -24,12 +45,9 @@ val expected :
   x:Pnc_tensor.Tensor.t ->
   labels:int array ->
   Pnc_autodiff.Var.t
-(** Mean cross-entropy over [n] Monte-Carlo draws (a [1 x 1] node).
-    For a circuit model it is one fused tape node ({!Adjoint.expected}):
-    its value equals {!expected_value}'s bit for bit, and its gradients
-    equal those of the per-op graph built from {!Network.forward} and
-    {!Pnc_autodiff.Loss.softmax_cross_entropy} bit for bit. The
-    reference RNN builds that per-op graph.
+(** Mean cross-entropy over [n] Monte-Carlo draws (a [1 x 1] node):
+    {!objective} over the draws of this estimator. Its value equals
+    {!expected_value}'s bit for bit.
     With [antithetic] (default false; an extension, not in the paper),
     draws come in mirrored pairs ({!Variation.antithetic_pair}), which
     reduces the estimator's variance at equal cost. With [ni] (default

@@ -56,10 +56,10 @@ val forward :
     device throughout the sequence. Only the [varied] families (default
     all) take the draw; the others run nominal, which lets
     {!Sensitivity} attribute robustness loss to one family. This is the
-    per-op graph: circuits train their Monte-Carlo objective through
-    {!Adjoint}'s fused node, which is tested against it; online
-    adaptation and calibration trimming take their gradient steps
-    through it; and it is the oracle of the no-grad engine below. *)
+    per-op graph. Every circuit trainer takes its gradient from
+    {!Adjoint}'s fused node instead, which is tested against it bit for
+    bit; it remains the oracle of that node and of the no-grad engine
+    below, and {!Model.logits} is its only caller in the library. *)
 
 val forward_multi :
   ?readout:Batch.readout ->

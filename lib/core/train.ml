@@ -67,30 +67,24 @@ let to_xy (d : Dataset.t) = (T.of_rows d.x, d.y)
 
 let snapshot params = List.map (fun p -> T.copy (Var.value p)) params
 
-let restore params snap =
-  List.iter2
-    (fun p s ->
-      let v = Var.value p in
-      for r = 0 to T.rows v - 1 do
-        for c = 0 to T.cols v - 1 do
-          T.set v r c (T.get s r c)
-        done
-      done)
-    params snap
+let restore params snap = List.iter2 (fun p s -> T.blit_into ~dst:(Var.value p) s) params snap
+
+let descend ?clip opt ~lr model loss =
+  Optimizer.zero_grads opt;
+  Var.backward loss;
+  Option.iter (fun m -> Optimizer.clip_grad_norm opt ~max_norm:m) clip;
+  Optimizer.step opt ~lr;
+  Model.clamp model
 
 (* One full-batch training step, shared by [train] and [epoch]: the MC
-   objective of [cfg], its gradient, clipping per [cfg.grad_clip], one
-   optimizer step and the printability clamp. Returns the objective. *)
+   objective of [cfg] and one [descend] with [cfg.grad_clip]. Returns
+   the objective. *)
 let step cfg opt ~rng ~lr model ~x ~labels =
-  Optimizer.zero_grads opt;
   let loss =
     Mc_loss.expected ~antithetic:cfg.antithetic ~ni:cfg.noise_injection ~rng ~spec:cfg.variation
       ~n:cfg.mc_samples model ~x ~labels
   in
-  Var.backward loss;
-  Option.iter (fun m -> Optimizer.clip_grad_norm opt ~max_norm:m) cfg.grad_clip;
-  Optimizer.step opt ~lr;
-  Model.clamp model;
+  descend ?clip:cfg.grad_clip opt ~lr model loss;
   T.get_scalar (Var.value loss)
 
 exception Killed of int

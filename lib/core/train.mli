@@ -51,6 +51,20 @@ type history = {
 val to_xy : Pnc_data.Dataset.t -> Pnc_tensor.Tensor.t * int array
 (** Dataset to ([batch x time] tensor, labels). *)
 
+val descend :
+  ?clip:float -> Pnc_optim.Optimizer.t -> lr:float -> Model.t -> Pnc_autodiff.Var.t -> unit
+(** [descend ?clip opt ~lr model loss] is the one optimizer step of
+    every trainer: zero [opt]'s gradients, backpropagate [loss], clip
+    their global norm to [clip] when given, step [opt] at [lr] and
+    project [model] back into the printable window ({!Model.clamp}).
+    {!train} clips per its config, online adaptation at 5, calibration
+    trimming not at all. *)
+
+val snapshot : Pnc_autodiff.Var.t list -> Pnc_tensor.Tensor.t list
+val restore : Pnc_autodiff.Var.t list -> Pnc_tensor.Tensor.t list -> unit
+(** Deep-copy the values of parameter leaves, and copy such a snapshot
+    back into them in place. *)
+
 exception Killed of int
 (** Raised by [train] right after writing the checkpoint for epoch [e]
     when called with [~die_at_epoch:e] — a deterministic crash point

@@ -322,9 +322,49 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
   end
 
+(* Train one grid cell, or reuse it from the on-disk cell cache keyed by
+   Config.fingerprint — the grid's cells and a streaming run over an
+   already-computed grid pay only for what is missing. *)
+let trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed =
+  let path = Option.map (fun dir -> cell_path ~dir cfg ~dataset ~variant ~seed) cache_dir in
+  let cached = Option.bind path (fun path -> load_cell ~path cfg ~dataset ~variant ~seed) in
+  match (cached, path) with
+  | Some r, Some path ->
+      Obs.Counter.incr cache_hits_counter;
+      if Obs.enabled () then
+        Obs.emit "grid.cell.cached"
+          [
+            ("path", Obs.Str path);
+            ("dataset", Obs.Str dataset);
+            ("variant", Obs.Str (variant_tag variant));
+            ("seed", Obs.Int seed);
+          ];
+      r
+  | _ ->
+      let r = train_run ?pool cfg ~dataset ~variant ~seed in
+      Option.iter
+        (fun path ->
+          Option.iter mkdir_p cache_dir;
+          save_cell ~path cfg r)
+        path;
+      if Obs.enabled () then
+        Obs.emit "grid.result"
+          [
+            ("dataset", Obs.Str dataset);
+            ("variant", Obs.Str (variant_name variant));
+            ("seed", Obs.Int seed);
+            ("clean_acc", Obs.Float r.clean_acc);
+            ("clean_var_acc", Obs.Float r.clean_var_acc);
+            ("aug_var_acc", Obs.Float r.aug_var_acc);
+            ("pert_var_acc", Obs.Float r.pert_var_acc);
+            ("corr_var_acc", Obs.Float r.corr_var_acc);
+            ("train_seconds", Obs.Float r.train_seconds);
+            ("epochs", Obs.Int r.epochs);
+          ];
+      r
+
 let run_grid ?(progress = fun _ -> ()) ?pool ?cache_dir cfg ~variants =
   Obs.Span.with_ "grid" @@ fun () ->
-  Option.iter mkdir_p cache_dir;
   List.map
     (fun (dataset, variant, seed) ->
       progress (Printf.sprintf "%s / %s / seed %d" dataset (variant_name variant) seed);
@@ -338,47 +378,7 @@ let run_grid ?(progress = fun _ -> ()) ?pool ?cache_dir cfg ~variants =
         else []
       in
       Obs.Span.with_ ~attrs "grid.cell" @@ fun () ->
-      let cached =
-        match cache_dir with
-        | None -> None
-        | Some dir ->
-            let path = cell_path ~dir cfg ~dataset ~variant ~seed in
-            let r = load_cell ~path cfg ~dataset ~variant ~seed in
-            if r <> None then begin
-              Obs.Counter.incr cache_hits_counter;
-              if Obs.enabled () then
-                Obs.emit "grid.cell.cached"
-                  [
-                    ("path", Obs.Str path);
-                    ("dataset", Obs.Str dataset);
-                    ("variant", Obs.Str (variant_tag variant));
-                    ("seed", Obs.Int seed);
-                  ]
-            end;
-            r
-      in
-      match cached with
-      | Some r -> r
-      | None ->
-          let r = train_run ?pool cfg ~dataset ~variant ~seed in
-          (match cache_dir with
-          | Some dir -> save_cell ~path:(cell_path ~dir cfg ~dataset ~variant ~seed) cfg r
-          | None -> ());
-          if Obs.enabled () then
-            Obs.emit "grid.result"
-              [
-                ("dataset", Obs.Str dataset);
-                ("variant", Obs.Str (variant_name variant));
-                ("seed", Obs.Int seed);
-                ("clean_acc", Obs.Float r.clean_acc);
-                ("clean_var_acc", Obs.Float r.clean_var_acc);
-                ("aug_var_acc", Obs.Float r.aug_var_acc);
-                ("pert_var_acc", Obs.Float r.pert_var_acc);
-                ("corr_var_acc", Obs.Float r.corr_var_acc);
-                ("train_seconds", Obs.Float r.train_seconds);
-                ("epochs", Obs.Int r.epochs);
-              ];
-          r)
+      trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed)
     (grid_keys cfg ~variants)
 
 (* Streaming protocol ----------------------------------------------------- *)
@@ -398,27 +398,6 @@ type stream_run = {
 let stream_fingerprint cfg ~scenario ~protocol =
   String.concat "|"
     [ Config.fingerprint cfg; Scenario.fingerprint scenario; Online.fingerprint protocol ]
-
-(* Train one grid cell, or reuse it from the same on-disk cell cache the
-   grid harness keys by Config.fingerprint — a streaming run over an
-   already-computed grid pays only the evaluation. *)
-let trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed =
-  let path = Option.map (fun dir -> cell_path ~dir cfg ~dataset ~variant ~seed) cache_dir in
-  let cached =
-    match path with
-    | None -> None
-    | Some path -> load_cell ~path cfg ~dataset ~variant ~seed
-  in
-  match cached with
-  | Some r -> r
-  | None ->
-      let r = train_run ?pool cfg ~dataset ~variant ~seed in
-      Option.iter
-        (fun path ->
-          Option.iter mkdir_p cache_dir;
-          save_cell ~path cfg r)
-        path;
-      r
 
 let stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
   Obs.Span.with_ "stream" @@ fun () ->

@@ -1,10 +1,10 @@
 module T = Pnc_tensor.Tensor
-module Var = Pnc_autodiff.Var
 module Rng = Pnc_util.Rng
 module Pool = Pnc_util.Pool
-module Loss = Pnc_autodiff.Loss
 module Optimizer = Pnc_optim.Optimizer
 module Model = Pnc_core.Model
+module Mc_loss = Pnc_core.Mc_loss
+module Train = Pnc_core.Train
 module Network = Pnc_core.Network
 module Filter_layer = Pnc_core.Filter_layer
 module Variation = Pnc_core.Variation
@@ -73,10 +73,8 @@ let samples_counter = Obs.Counter.make "stream.samples"
 let adapt_steps_counter = Obs.Counter.make "stream.adapt_steps"
 let window_seconds_hist = Obs.Histogram.make "stream.window_seconds"
 
-let snapshot_params model = List.map (fun p -> T.copy (Var.value p)) (Model.params model)
-
-let restore_params model snap =
-  List.iter2 (fun p s -> T.blit_into ~dst:(Var.value p) s) (Model.params model) snap
+let snapshot_params model = Train.snapshot (Model.params model)
+let restore_params model snap = Train.restore (Model.params model) snap
 
 let adapt_params protocol model =
   match (protocol.adapt, model) with
@@ -147,10 +145,13 @@ let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol mo
     | `Zero -> `Zero
     | `Randomized sigma -> `Gaussian (state_rngs.(w), sigma)
   in
+  let window_steps (win : Window.t) =
+    Array.map (T.rows_view ~row:win.Window.start ~len:win.Window.len) steps_all
+  in
   let score w =
     let t0 = if Obs.enabled () then Clock.now () else 0. in
     let win = windows.(w) in
-    let steps = Array.map (T.rows_view ~row:win.Window.start ~len:win.Window.len) steps_all in
+    let steps = window_steps win in
     let pred =
       T.argmax_rows
         (Model.logits_multi_batch_t
@@ -183,23 +184,19 @@ let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol mo
     | _ :: _, _ ->
         (* Test-then-train (prequential): score window w with the
            current parameters, then take [adapt_steps] optimizer steps
-           on its (x, y) buffer through the tape engine. Inherently
-           sequential — the pool is not used (the tape is main-domain
-           state, and window w+1 must see the post-w parameters). *)
+           on its (x, y) buffer, each on the training objective of the
+           replayed physical instance. Inherently sequential — the pool
+           is not used (the tape is main-domain state, and window w+1
+           must see the post-w parameters). *)
         let opt = Optimizer.adamw ~params () in
         Array.init nw (fun w ->
             let point = score w in
             let win = windows.(w) in
-            let xw = T.rows_view x_all ~row:win.Window.start ~len:win.Window.len in
-            let yw = Array.sub rz.Scenario.y win.Window.start win.Window.len in
+            let steps = window_steps win in
+            let labels = Array.sub rz.Scenario.y win.Window.start win.Window.len in
             for _ = 1 to protocol.adapt_steps do
-              Optimizer.zero_grads opt;
-              let logits = Model.logits ~draw:(mk_draw ()) model xw in
-              let loss = Loss.softmax_cross_entropy ~logits ~labels:yw in
-              Var.backward loss;
-              Optimizer.clip_grad_norm opt ~max_norm:5.;
-              Optimizer.step opt ~lr:protocol.adapt_lr;
-              Model.clamp model;
+              let loss = Mc_loss.objective ~n:1 ~tasks:[| [| mk_draw () |] |] model ~steps ~labels in
+              Train.descend ~clip:5. opt ~lr:protocol.adapt_lr model loss;
               Obs.Counter.incr adapt_steps_counter
             done;
             point)

@@ -4,8 +4,11 @@
     The stream is cut into windows ({!Window.slice}); each window is
     scored on the no-grad engine ({!Pnc_core.Model.logits_multi_batch_t})
     and, when adaptation is on, the model then takes a few optimizer
-    steps on that window's (x, y) buffer through the tape engine before
-    the next window arrives.
+    steps ({!Pnc_core.Train.descend}, gradient norm clipped at 5) on
+    that window's (x, y) buffer before the next window arrives, each on
+    the training objective of the replayed physical instance
+    ({!Pnc_core.Mc_loss.objective}: the fused training node for a
+    circuit), whose gradients equal the per-op tape's bit for bit.
 
     {b Determinism contract.} [rng] is split once: child 0 is the
     physical-instance stream — the variation draw is replayed from a
@@ -92,5 +95,6 @@ val eval :
 
 val snapshot_params : Pnc_core.Model.t -> Pnc_tensor.Tensor.t list
 val restore_params : Pnc_core.Model.t -> Pnc_tensor.Tensor.t list -> unit
-(** Deep-copy / restore every trainable parameter tensor — the frozen /
-    adapted ablation runs the same trained model twice via these. *)
+(** {!Pnc_core.Train.snapshot} / {!Pnc_core.Train.restore} over every
+    trainable parameter of the model — the frozen / adapted ablation
+    runs the same trained model twice via these. *)

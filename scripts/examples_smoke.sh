@@ -1,9 +1,9 @@
 #!/bin/sh
 # Runs every program under examples/ to completion, each under a
 # timeout, and fails if one exits non-zero or runs out of time. The
-# examples are the only callers of some library paths (the multi-input
-# per-op forward of examples/multisensor.ml, for one), so building them
-# is not enough.
+# examples are the only callers of some library paths (the fused
+# training node's sweep over multi-input steps, in
+# examples/multisensor.ml, for one), so building them is not enough.
 #
 # Usage: scripts/examples_smoke.sh
 set -eu

@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 status=0
-files=$(find lib bin bench test -name '*.ml' -o -name '*.mli' -o -name 'dune' | sort)
+files=$(find lib bin bench test examples perfbench -name '*.ml' -o -name '*.mli' -o -name 'dune' | sort)
 
 for f in $files; do
   if grep -n "$(printf '\t')" "$f" >/dev/null 2>&1; then

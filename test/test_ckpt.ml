@@ -551,6 +551,22 @@ let test_grid_cache_corrupt_recomputed () =
     (E.cell_path ~dir cfg ~dataset:"GPOVY" ~variant:E.Base ~seed:0
     <> E.cell_path ~dir cfg' ~dataset:"GPOVY" ~variant:E.Base ~seed:0)
 
+(* A streaming run loads its trained cell through the grid's own cache
+   path: over a cached grid it trains nothing, counts one cache hit and
+   streams the grid's model. *)
+let test_stream_run_reuses_grid_cell () =
+  with_env_pool @@ fun pool ->
+  let cfg = grid_cfg () in
+  let dir = path "grid-cache" in
+  let grid = E.run_grid ?pool ~cache_dir:dir cfg ~variants:[ E.Full ] in
+  let scenario = Pnc_stream.Scenario.make ~dataset:"GPOVY" ~n_samples:16 ~seed:11 () in
+  let protocol = Pnc_stream.Online.default_protocol in
+  let hits_before = counter_value "grid.cache_hits" in
+  let sr = E.stream_run ?pool ~cache_dir:dir cfg ~scenario ~protocol ~variant:E.Full ~seed:0 in
+  Alcotest.(check int) "the stream's cell came from the cache" (hits_before + 1)
+    (counter_value "grid.cache_hits");
+  check_same_run "stream cell = grid cell" (List.find (fun r -> r.E.seed = 0) grid) sr.E.sr_run
+
 (* ------------------------------------------------------------------------- *)
 
 let () =
@@ -598,5 +614,7 @@ let () =
           Alcotest.test_case "warm cache bit-identical to cold" `Quick
             test_grid_cache_warm_equals_cold;
           Alcotest.test_case "corrupt cell recomputed" `Quick test_grid_cache_corrupt_recomputed;
+          Alcotest.test_case "stream run reuses the grid's cell" `Quick
+            test_stream_run_reuses_grid_cell;
         ] );
     ]

@@ -955,6 +955,37 @@ let test_evaluate_restores_design () =
   Alcotest.(check bool) "design restored" true
     (List.for_all2 (T.equal_eps ~eps:0.) bias_before bias_after)
 
+(* Trimming takes its steps on the fused training node: the biases it
+   leaves equal, bit for bit, a replay of the same Adam steps on the
+   per-op tape ([Network.forward] + [Loss.softmax_cross_entropy] on the
+   replayed chip). *)
+let test_trim_equals_per_op_replay () =
+  let split =
+    Pnc_data.Dataset.preprocess (Rng.create ~seed:4) (Pnc_data.Registry.load ~seed:3 ~n:40 "GPOVY")
+  in
+  let fresh () = Network.create ~hidden:3 (Rng.create ~seed:12) Network.Adapt ~inputs:1 ~classes:2 in
+  let chip = Pnc_core.Calibrate.chip ~seed:9 (Variation.uniform 0.2) in
+  let lr = 0.02 and epochs = 12 in
+  let trimmed = fresh () in
+  Pnc_core.Calibrate.trim ~epochs ~lr ~chip trimmed split.Pnc_data.Dataset.valid;
+  let replayed = fresh () in
+  let x, y = Pnc_core.Train.to_xy split.Pnc_data.Dataset.valid in
+  let opt = Pnc_optim.Optimizer.adam ~params:(Pnc_core.Calibrate.bias_params replayed) () in
+  for _ = 1 to epochs do
+    Pnc_optim.Optimizer.zero_grads opt;
+    let logits = Network.forward ~draw:(chip ()) replayed x in
+    Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels:y);
+    Pnc_optim.Optimizer.step opt ~lr;
+    Network.clamp replayed
+  done;
+  let bits net =
+    List.map
+      (fun p -> Array.map Int64.bits_of_float (T.to_row_array (Var.value p)))
+      (Network.params net)
+  in
+  Alcotest.(check bool) "every parameter bit-identical" true (bits trimmed = bits replayed);
+  Alcotest.(check bool) "the trim moved the biases" false (bits trimmed = bits (fresh ()))
+
 (* Properties ----------------------------------------------------------------------- *)
 
 let prop_crossbar_bounded_under_variation =
@@ -1102,6 +1133,8 @@ let () =
           Alcotest.test_case "bias subset" `Quick test_bias_params_subset;
           Alcotest.test_case "trim scope" `Quick test_trim_moves_only_biases;
           Alcotest.test_case "evaluate restores" `Quick test_evaluate_restores_design;
+          Alcotest.test_case "trim = per-op tape replay, eps 0" `Quick
+            test_trim_equals_per_op_replay;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -399,6 +399,63 @@ let test_adaptation_beats_frozen () =
   check_b "stream_run restores the trained weights" true
     (String.equal before (param_image r.E.model))
 
+(* Each adaptation step runs on the training objective's dispatch
+   ([Mc_loss.objective], the fused node for a circuit): the parameters
+   left by [Online.eval] equal, bit for bit, a replay of the same
+   windows, replayed physical instance and AdamW steps on the per-op
+   tape ([Model.logits] + [Loss.softmax_cross_entropy]). *)
+let per_op_adapt ~protocol ~params model (rz : Scenario.realized) =
+  let x_all = T.of_rows rz.Scenario.x in
+  let instance = (Rng.split_n (Rng.create ~seed:eval_seed) 2).(0) in
+  let opt = Pnc_optim.Optimizer.adamw ~params () in
+  List.iter
+    (fun (win : Window.t) ->
+      let xw = T.rows_view x_all ~row:win.Window.start ~len:win.Window.len in
+      let labels = Array.sub rz.Scenario.y win.Window.start win.Window.len in
+      for _ = 1 to protocol.Online.adapt_steps do
+        Pnc_optim.Optimizer.zero_grads opt;
+        let draw = Variation.make_draw (Rng.copy instance) spec in
+        let logits = Model.logits ~draw model xw in
+        Pnc_autodiff.Var.backward (Pnc_autodiff.Loss.softmax_cross_entropy ~logits ~labels);
+        Pnc_optim.Optimizer.clip_grad_norm opt ~max_norm:5.;
+        Pnc_optim.Optimizer.step opt ~lr:protocol.Online.adapt_lr;
+        Model.clamp model
+      done)
+    (Window.slice ~n:(Array.length rz.Scenario.x) ~width:protocol.Online.width
+       ~stride:protocol.Online.stride)
+
+let test_adaptation_equals_per_op_replay () =
+  let rz = Scenario.realize drift_scenario in
+  let circuit = (Lazy.force trained).E.model in
+  let reference =
+    Model.Reference (Pnc_core.Elman.create ~hidden:4 (Rng.create ~seed:5) ~inputs:1 ~classes:2)
+  in
+  let filters =
+    match circuit with
+    | Model.Circuit net ->
+        List.concat_map
+          (fun (_, fl, _) -> Pnc_core.Filter_layer.params fl)
+          (Pnc_core.Network.layers net)
+    | Model.Reference _ -> assert false
+  in
+  List.iter
+    (fun (name, model, adapt, params) ->
+      let protocol = { drift_protocol with Online.adapt; adapt_lr = 0.2; adapt_steps = 2 } in
+      let snap = Online.snapshot_params model and before = param_image model in
+      ignore (eval ~protocol model rz);
+      let adapted = param_image model in
+      Online.restore_params model snap;
+      per_op_adapt ~protocol ~params model rz;
+      let replayed = param_image model in
+      Online.restore_params model snap;
+      check_b (name ^ ": adaptation moved the parameters") false (String.equal before adapted);
+      check_b (name ^ ": adapted = per-op replay, every byte") true (String.equal adapted replayed))
+    [
+      ("circuit, all", circuit, Online.All, Model.params circuit);
+      ("circuit, filters", circuit, Online.Filters, filters);
+      ("reference, all", reference, Online.All, Model.params reference);
+    ]
+
 (* Fingerprints ----------------------------------------------------------- *)
 
 let test_fingerprints () =
@@ -475,6 +532,8 @@ let () =
           Alcotest.test_case "drift detected with bounded latency" `Slow test_drift_detected;
           Alcotest.test_case "adaptation beats frozen after drift" `Slow
             test_adaptation_beats_frozen;
+          Alcotest.test_case "adapted = per-op tape replay, eps 0" `Slow
+            test_adaptation_equals_per_op_replay;
           Alcotest.test_case "fingerprints" `Quick test_fingerprints;
         ] );
       ( "sensitivity",

@@ -135,6 +135,63 @@ let test_epoch_seconds_positive () =
   let s = Pnc_util.Timer.time_mean ~repeats:1 (Train.epoch smoke (Model.Circuit net) split) in
   Alcotest.(check bool) "positive" true (s > 0.)
 
+let param_bits params =
+  List.map (fun p -> Array.map Int64.bits_of_float (T.to_row_array (Var.value p))) params
+
+(* [snapshot] is a deep copy, and [restore] writes it back into the
+   same leaf tensors (the optimizer's moments stay bound to them). *)
+let test_snapshot_restore () =
+  let net = Network.create ~hidden:3 (Rng.create ~seed:14) Network.Adapt ~inputs:1 ~classes:2 in
+  let params = Network.params net in
+  let leaves = List.map Var.value params and before = param_bits params in
+  let snap = Train.snapshot params in
+  List.iter (fun p -> T.fill (Var.value p) 0.25) params;
+  Alcotest.(check bool) "snapshot unchanged by later writes" true
+    (List.for_all2 (fun s b -> Array.map Int64.bits_of_float (T.to_row_array s) = b) snap before);
+  Train.restore params snap;
+  Alcotest.(check bool) "restored bit for bit" true (param_bits params = before);
+  Alcotest.(check bool) "restored in place" true
+    (List.for_all2 ( == ) leaves (List.map Var.value params))
+
+(* [descend] zeroes whatever gradient the leaves hold before it
+   backpropagates, and leaves the circuit in the printable window even
+   after a step far outside it. *)
+let test_descend_drops_stale_grads_and_clamps () =
+  let split = gpovy_split () in
+  let x, labels = Train.to_xy split.Dataset.train in
+  let fresh () =
+    Model.Circuit (Network.create ~hidden:3 (Rng.create ~seed:15) Network.Adapt ~inputs:1 ~classes:2)
+  in
+  let loss ?(labels = labels) model =
+    Pnc_core.Mc_loss.expected ~rng:(Rng.create ~seed:16) ~spec:(Variation.uniform 0.1) ~n:2 model
+      ~x ~labels
+  in
+  let stale = fresh () and clean = fresh () in
+  (* a gradient pointing elsewhere: the objective with flipped labels *)
+  Var.backward (loss ~labels:(Array.map (fun l -> 1 - l) labels) stale);
+  List.iter
+    (fun model ->
+      let opt = Pnc_optim.Optimizer.adamw ~params:(Model.params model) () in
+      Train.descend ~clip:5. opt ~lr:50. model (loss model))
+    [ stale; clean ];
+  Alcotest.(check bool) "stale gradient dropped" true
+    (param_bits (Model.params stale) = param_bits (Model.params clean));
+  Alcotest.(check bool) "the step moved the parameters" false
+    (param_bits (Model.params clean) = param_bits (Model.params (fresh ())));
+  match clean with
+  | Model.Circuit net ->
+      List.iter
+        (fun (cb, fl, _) ->
+          Alcotest.(check bool) "theta clamped" true
+            (T.max_abs (Pnc_core.Crossbar.theta_values cb) <= 1. +. 1e-9);
+          Array.iter
+            (Array.iter (fun r ->
+                 Alcotest.(check bool) "R printable" true
+                   (r >= Printed.filter_r_min -. 1e-6 && r <= Printed.filter_r_max +. 1e-6)))
+            (Filter_layer.r_values fl))
+        (Network.layers net)
+  | Model.Reference _ -> assert false
+
 let test_variation_aware_helps_under_variation () =
   (* Train the same architecture with and without the MC objective and
      compare accuracy under strong (25%) component variation. The VA
@@ -187,5 +244,8 @@ let () =
           Alcotest.test_case "printable invariants" `Quick test_printable_invariants_after_training;
           Alcotest.test_case "variation accuracy bounds" `Quick test_accuracy_under_variation_bounds;
           Alcotest.test_case "epoch seconds" `Quick test_epoch_seconds_positive;
+          Alcotest.test_case "snapshot/restore in place" `Quick test_snapshot_restore;
+          Alcotest.test_case "descend: stale grads dropped, clamped" `Quick
+            test_descend_drops_stale_grads_and_clamps;
         ] );
     ]
