@@ -89,6 +89,15 @@ stream-smoke:
 examples-smoke:
 	./scripts/examples_smoke.sh
 
+# End-to-end bit parity against a git revision: scripts/parity.sh
+# builds REV and the working tree, runs the seeded examples, the
+# ablation bench, the streaming smoke and a smoke grid on both, and
+# prints "identical" or the outputs that differ. PARITY_OUT keeps both
+# sides' outputs (outside the repository).
+parity:
+	@test -n "$(REV)" || { echo "usage: make parity REV=<git revision>" >&2; exit 2; }
+	./scripts/parity.sh $(REV) $(PARITY_OUT)
+
 # Powers-of-five table gate: regenerates lib/obs/pow5.ml (the 128-bit
 # table of the Eisel-Lemire number parser in Obs.Json) from
 # scripts/gen_pow5.py and fails on any difference from the checked-in
@@ -96,4 +105,4 @@ examples-smoke:
 pow5-check:
 	python3 scripts/gen_pow5.py | diff -u lib/obs/pow5.ml - && echo "pow5-check: OK"
 
-.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-smoke grid-smoke stream-smoke examples-smoke
+.PHONY: check bench golden fmt-check unboxed-check pow5-check resume-demo serve-smoke grid-smoke stream-smoke examples-smoke parity

@@ -5,48 +5,28 @@ module BA = Bigarray.Array1
 
 (* {1 One draw}
 
-   What the sweep needs of one draw: the records that
-   [Network.realize_net_t] realized it into, which keep the variation
-   factors beside the effective values the per-op graph computed from
-   them, and each layer's initial filter states. Everything is captured
-   when the node is built, as the tape captures its node values. *)
+   What the sweep needs of one draw: the circuit instance
+   [Network.instantiate] realized it into, whose records keep the
+   variation factors beside the effective values the per-op graph
+   computed from them. Everything is captured when the node is built,
+   as the tape captures its node values. *)
 
 type sample = {
   ste : bool;
-  reals : Network.layer_t array;
-  init : T.t array array; (* per layer, the initial filter states, [rows x n_out] per stage *)
+  inst : Network.instance;
   mutable logits : T.t;
   mutable value : float; (* the draw's cross-entropy *)
 }
 
-let realize_draw d net ~rows =
-  let reals = Array.of_list (Network.realize_net_t ~varied:Batch.all_families ~draw:d net) in
-  {
-    ste = d.Variation.ste;
-    reals;
-    init =
-      Array.map (fun (r : Network.layer_t) -> Filter_layer.init_state_t r.filt ~batch:rows) reals;
-    logits = T.zeros ~rows:0 ~cols:0;
-    value = nan;
-  }
-
 (* {1 Workspace}
 
-   One draw's trajectory plus the sweep's scratch, feature-major like
-   the no-grad engine's block workspace: a slot is an [n_out x rows]
-   plane, feature [c] at offset [c * rows]. States keep steps + 1 slots
-   (slot 0 is the initial state, slot t + 1 the state after step t);
-   the filter inputs, tanh values and activations keep one per step.
-   One workspace per domain is kept and reused for as long as the
-   shapes match, across draws, nodes and epochs. *)
+   One draw's trajectory, which [Network.forward_trajectory] fills,
+   plus the sweep's scratch, feature-major like the trajectory: a
+   gradient slot is an [n_out x rows] plane, feature [c] at offset
+   [c * rows]. One workspace per domain is kept and reused for as long
+   as the shapes match, across draws, nodes and epochs. *)
 
-type layer_ws = {
-  n_in : int;
-  n_out : int;
-  st : T.buffer array;
-  dv : T.buffer; (* normalised crossbar output, the filter input *)
-  th : T.buffer; (* tanh of the scaled filter output *)
-  out : T.buffer; (* activations *)
+type layer_grads = {
   gst : T.buffer array; (* per stage, dL/dS at the step being swept *)
   gout : T.buffer; (* dL/d activations at the step being swept *)
   (* The gradients of one draw's realization nodes, summed over the
@@ -60,142 +40,57 @@ type layer_ws = {
 }
 
 type ws = {
-  rows : int;
-  steps : int;
-  lws : layer_ws array;
+  tr : Network.trajectory;
+  grads : layer_grads array;
   scratch : T.buffer; (* one feature's running gradient, [rows] *)
-  acc : T.t; (* read-out sums, [classes x rows] *)
   mutable stamp : int; (* the node whose last forwarded draw the trajectory holds *)
 }
 
 let buffer n = (T.zeros ~rows:1 ~cols:n).T.data
 let row n = T.zeros ~rows:1 ~cols:n
 
-let make_ws ~rows ~steps (d : sample) =
-  let lws =
+let make_ws ~rows ~steps kern =
+  let tr = Network.trajectory ~rows ~steps kern in
+  let grads =
     Array.map
-      (fun (l : Network.layer_t) ->
-        let n_in = T.rows l.cb.theta_eff and n_out = T.cols l.cb.theta_eff in
-        let n_st = Array.length l.filt.stages_t in
-        let plane = n_out * rows in
+      (fun (lw : Network.layer_trajectory) ->
+        let n_st = Array.length lw.st and n_out = lw.n_out in
         {
-          n_in;
-          n_out;
-          st = Array.init n_st (fun _ -> buffer ((steps + 1) * plane));
-          dv = buffer (steps * plane);
-          th = buffer (steps * plane);
-          out = buffer (steps * plane);
-          gst = Array.init n_st (fun _ -> buffer plane);
-          gout = buffer plane;
-          g_theta = T.zeros ~rows:n_in ~cols:n_out;
+          gst = Array.init n_st (fun _ -> buffer (n_out * rows));
+          gout = buffer (n_out * rows);
+          g_theta = T.zeros ~rows:lw.n_in ~cols:n_out;
           g_bias = row n_out;
           g_den = row n_out;
           g_a = Array.init n_st (fun _ -> row n_out);
           g_b = Array.init n_st (fun _ -> row n_out);
           g_eta = Array.init 4 (fun _ -> row n_out);
         })
-      d.reals
+      tr.per_layer
   in
-  let classes = lws.(Array.length lws - 1).n_out in
-  { rows; steps; lws; scratch = buffer rows; acc = T.zeros ~rows:classes ~cols:rows; stamp = 0 }
+  { tr; grads; scratch = buffer rows; stamp = 0 }
 
-let fits ws ~rows ~steps (d : sample) =
-  ws.rows = rows && ws.steps = steps
-  && Array.length ws.lws = Array.length d.reals
+let fits ws ~rows ~steps (kern : Network.layer_t array) =
+  ws.tr.rows = rows && ws.tr.steps = steps
+  && Array.length ws.tr.per_layer = Array.length kern
   && Array.for_all2
-       (fun lw (l : Network.layer_t) ->
+       (fun (lw : Network.layer_trajectory) (l : Network.layer_t) ->
          lw.n_in = T.rows l.cb.theta_eff
          && lw.n_out = T.cols l.cb.theta_eff
          && Array.length lw.st = Array.length l.filt.stages_t)
-       ws.lws d.reals
+       ws.tr.per_layer kern
 
 let ws_key : ws option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let workspace ~rows ~steps d =
+let workspace ~rows ~steps kern =
   let cell = Domain.DLS.get ws_key in
   match !cell with
-  | Some ws when fits ws ~rows ~steps d -> ws
+  | Some ws when fits ws ~rows ~steps kern -> ws
   | _ ->
-      let ws = make_ws ~rows ~steps d in
+      let ws = make_ws ~rows ~steps kern in
       cell := Some ws;
       ws
 
 let stamps = Atomic.make 0
-
-(* {1 Forward}
-
-   [Network.forward_block]'s passes over the whole batch, with each
-   step's states, filter inputs, tanh values and activations left in
-   the workspace. The logits are bit-identical to the no-grad engine's:
-   the filter pass reads each state from plane t and writes plane t + 1
-   with the same arithmetic, and the tanh pass below evaluates
-   [Network]'s `Exact expression with the tanh kept. *)
-
-(* Feature [c]'s tanh of the pre-activations in [th], kept in place,
-   and its activations [tanh *. e2 +. e1] into [o]. *)
-let tanh_keep_pass ~rows (l : Network.layer_t) c (th : T.buffer) (o : T.buffer) fo =
-  let e1 = l.act.eta.(0) and e2 = l.act.eta.(1) in
-  let e1 = BA.unsafe_get e1.T.data (e1.T.off + c) and e2 = BA.unsafe_get e2.T.data (e2.T.off + c) in
-  for r = 0 to rows - 1 do
-    let y = Stdlib.tanh (BA.unsafe_get th (fo + r)) in
-    BA.unsafe_set th (fo + r) y;
-    BA.unsafe_set o (fo + r) ((y *. e2) +. e1)
-  done
-
-(* Step [t] of one layer: input element [(r, k)] is at
-   [xo + r * rs + k * ks]. *)
-let forward_step ~rows ~t lw (l : Network.layer_t) (x : T.buffer) xo ~rs ~ks =
-  let n_out = lw.n_out in
-  let plane = n_out * rows in
-  let th = l.cb.theta_eff in
-  for c = 0 to n_out - 1 do
-    let fo = (t * plane) + (c * rows) in
-    Network.crossbar_pass ~rows lw.dv fo x xo ~rs ~ks ~n_in:lw.n_in th.T.data (th.T.off + c)
-      ~n_out;
-    Network.filter_pass ~rows l c lw.dv fo lw.st ~rd:fo ~wr:(fo + plane) lw.th fo;
-    tanh_keep_pass ~rows l c lw.th lw.out fo
-  done
-
-let forward ws ~readout (d : sample) (steps : T.t array) =
-  let rows = ws.rows and n_layers = Array.length ws.lws in
-  Array.iteri
-    (fun li lw ->
-      Array.iteri
-        (fun i s ->
-          let s0 = d.init.(li).(i) in
-          for c = 0 to lw.n_out - 1 do
-            for r = 0 to rows - 1 do
-              BA.unsafe_set s ((c * rows) + r) (T.get s0 r c)
-            done
-          done)
-        lw.st)
-    ws.lws;
-  let acc = ws.acc in
-  T.fill acc 0.;
-  let last = ws.lws.(n_layers - 1) in
-  let plane_last = last.n_out * rows in
-  for t = 0 to ws.steps - 1 do
-    let x = steps.(t) in
-    forward_step ~rows ~t ws.lws.(0) d.reals.(0) x.T.data x.T.off ~rs:ws.lws.(0).n_in ~ks:1;
-    for li = 1 to n_layers - 1 do
-      let prev = ws.lws.(li - 1) in
-      forward_step ~rows ~t ws.lws.(li) d.reals.(li) prev.out (t * prev.n_out * rows) ~rs:1
-        ~ks:rows
-    done;
-    (* Read-out: [T.add_inplace] of the last layer's activations, or
-       the final step's alone. *)
-    let ad = acc.T.data and lo = t * plane_last in
-    match readout with
-    | Batch.Integrated ->
-        for i = 0 to plane_last - 1 do
-          BA.unsafe_set ad i (BA.unsafe_get ad i +. BA.unsafe_get last.out (lo + i))
-        done
-    | Last_step ->
-        if t = ws.steps - 1 then BA.blit (BA.sub last.out lo plane_last) (BA.sub ad 0 plane_last)
-  done;
-  match readout with
-  | Integrated -> T.transpose (T.scale (1. /. float_of_int ws.steps) acc)
-  | Last_step -> T.transpose acc
 
 (* {1 Reverse sweep}
 
@@ -297,153 +192,175 @@ let input_back ~rows (gin : T.buffer) gio (scratch : T.buffer) (w : T.buffer) wo
     if g <> 0. then BA.unsafe_set gin (gio + r) (BA.unsafe_get gin (gio + r) +. (g *. w))
   done
 
-(* Sweep step [t] of layer [li], whose dL/d activations are in [gout];
-   [live] is false where they have none (the top layer of a last-step
-   read-out before the final step). *)
-let sweep_step ws (d : sample) (steps : T.t array) ~t ~li ~live (gout : T.buffer) =
-  let rows = ws.rows and lw = ws.lws.(li) and l = d.reals.(li) in
-  let first = t = ws.steps - 1 in
-  let n_out = lw.n_out and n_st = Array.length lw.st in
-  let plane = n_out * rows in
+(* Sweep step [t] of layer [li], whose dL/d activations are in its
+   [gout]; [live] is false where they have none (the top layer of a
+   last-step read-out before the final step). Without [theta], the
+   layer's θ is not stepped and its gradient is not formed. *)
+let sweep_step ws (d : sample) (steps : T.t array) ~t ~li ~live ~theta =
+  let tr = ws.tr and gr = ws.grads.(li) in
+  let rows = tr.rows and lw = tr.per_layer.(li) and l = d.inst.kern.(li) in
+  let first = t = tr.steps - 1 in
+  let n_out = lw.n_out and n_st = Array.length lw.st and plane = lw.stride in
   let th = l.cb.theta_eff and inv = l.cb.inv_den in
   let e2 = l.act.eta.(1) and e3 = l.act.eta.(2) and e4 = l.act.eta.(3) in
-  let g1 = lw.g_eta.(0).T.data and g2 = lw.g_eta.(1).T.data in
-  let g3 = lw.g_eta.(2).T.data and g4 = lw.g_eta.(3).T.data in
+  let g1 = gr.g_eta.(0).T.data and g2 = gr.g_eta.(1).T.data in
+  let g3 = gr.g_eta.(2).T.data and g4 = gr.g_eta.(3).T.data in
   (* The layer input at step t: the data, or the layer below. *)
-  let below = ws.lws.(if li = 0 then 0 else li - 1) in
+  let below = tr.per_layer.(if li = 0 then 0 else li - 1) in
   let x = if li = 0 then steps.(t).T.data else below.out in
-  let xo = if li = 0 then steps.(t).T.off else t * below.n_out * rows in
+  let xo = if li = 0 then steps.(t).T.off else t * below.stride in
   let rs = if li = 0 then lw.n_in else 1 and ks = if li = 0 then 1 else rows in
-  if li > 0 then BA.fill ws.lws.(li - 1).gout 0.;
+  if li > 0 then BA.fill ws.grads.(li - 1).gout 0.;
   for c = 0 to n_out - 1 do
     let go = c * rows and fo = (t * plane) + (c * rows) in
     if live then
-      ptanh_back ~rows ~first gout go lw.th fo lw.st.(n_st - 1) (fo + plane) ws.scratch e2.T.data
-        (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c) g1 g2 g3 g4 c;
+      ptanh_back ~rows ~first gr.gout go lw.th fo lw.st.(n_st - 1) (fo + plane) ws.scratch
+        e2.T.data (e2.T.off + c) e3.T.data (e3.T.off + c) e4.T.data (e4.T.off + c) g1 g2 g3 g4 c;
     for i = n_st - 1 downto 0 do
       let a = l.filt.stages_t.(i).a and b = l.filt.stages_t.(i).b in
       let xin = if i = 0 then lw.dv else lw.st.(i - 1) and xio = if i = 0 then fo else fo + plane in
       let carry = (not live) && i = n_st - 1 in
-      stage_back ~rows ~first ~carry lw.gst.(i) go ws.scratch lw.st.(i) fo xin xio a.T.data
-        (a.T.off + c) b.T.data (b.T.off + c) lw.g_a.(i).T.data lw.g_b.(i).T.data c
+      stage_back ~rows ~first ~carry gr.gst.(i) go ws.scratch lw.st.(i) fo xin xio a.T.data
+        (a.T.off + c) b.T.data (b.T.off + c) gr.g_a.(i).T.data gr.g_b.(i).T.data c
     done;
-    normalise_back ~rows ~first ws.scratch lw.dv fo inv.T.data (inv.T.off + c) lw.g_den.T.data
-      lw.g_bias.T.data c;
-    for i = 0 to lw.n_in - 1 do
-      theta_back ~rows ~first x (xo + (i * ks)) ~rs ws.scratch lw.g_theta.T.data
-        ((i * n_out) + c)
-    done;
+    normalise_back ~rows ~first ws.scratch lw.dv fo inv.T.data (inv.T.off + c) gr.g_den.T.data
+      gr.g_bias.T.data c;
+    if theta then
+      for i = 0 to lw.n_in - 1 do
+        theta_back ~rows ~first x (xo + (i * ks)) ~rs ws.scratch gr.g_theta.T.data
+          ((i * n_out) + c)
+      done;
     if li > 0 then
       for i = 0 to lw.n_in - 1 do
-        input_back ~rows ws.lws.(li - 1).gout (i * rows) ws.scratch th.T.data
+        input_back ~rows ws.grads.(li - 1).gout (i * rows) ws.scratch th.T.data
           (th.T.off + (i * n_out) + c)
       done
   done
 
 let sign u = if u > 0. then 1. else if u < 0. then -1. else 0.
 
+let crossbar_leaves cb =
+  match Crossbar.params cb with [ theta; theta_b ] -> (theta, theta_b) | _ -> assert false
+
 (* The realization nodes of one layer, from the step gradients summed in
    the accumulators to each leaf's contribution (computed in place),
-   then emitted. Per feature, the scalar arithmetic of the per-op
-   nodes: the crossbar's V_supply·θ_b numerator and |θ_eff|
-   denominator, the filter's a = τ/(µτ + Δt) and b = Δt/(µτ + Δt) with
-   τ = τ_max·R·C and drift-scaled R and C, and each fold (×ε, or
-   straight through under noise injection). *)
-let realization_back ~emit (smp : sample) lw (l : Network.layer_t) (cb, fl, act) =
+   then emitted to the leaves in [on]. Per feature, the scalar
+   arithmetic of the per-op nodes: the crossbar's V_supply·θ_b numerator
+   and |θ_eff| denominator, the filter's a = τ/(µτ + Δt) and
+   b = Δt/(µτ + Δt) with τ = τ_max·R·C and drift-scaled R and C, and
+   each fold (×ε, or straight through under noise injection). *)
+let realization_back ~emit ~on (smp : sample) (lw : Network.layer_trajectory) gr
+    (l : Network.layer_t) (cb, fl, act) =
   let fold g eps = if smp.ste then g else g *. eps in
   let n_out = lw.n_out in
-  let theta, theta_b = match Crossbar.params cb with [ t; b ] -> (t, b) | _ -> assert false in
+  let theta, theta_b = crossbar_leaves cb in
   for c = 0 to n_out - 1 do
-    let gden = T.get lw.g_den 0 c in
+    let gden = T.get gr.g_den 0 c in
     let gb =
-      (gden *. sign (T.get l.cb.bias_eff 0 c)) +. (Printed.v_supply *. T.get lw.g_bias 0 c)
+      (gden *. sign (T.get l.cb.bias_eff 0 c)) +. (Printed.v_supply *. T.get gr.g_bias 0 c)
     in
-    T.set lw.g_bias 0 c (fold gb (T.get l.cb.bias_eps 0 c));
-    for i = 0 to lw.n_in - 1 do
-      let g = T.get lw.g_theta i c +. (gden *. sign (T.get l.cb.theta_eff i c)) in
-      T.set lw.g_theta i c (fold g (T.get l.cb.theta_eps i c))
-    done
+    T.set gr.g_bias 0 c (fold gb (T.get l.cb.bias_eps 0 c));
+    if on theta then
+      for i = 0 to lw.n_in - 1 do
+        let g = T.get gr.g_theta i c +. (gden *. sign (T.get l.cb.theta_eff i c)) in
+        T.set gr.g_theta i c (fold g (T.get l.cb.theta_eps i c))
+      done
   done;
-  emit theta lw.g_theta;
-  emit theta_b lw.g_bias;
+  if on theta then emit theta gr.g_theta;
+  if on theta_b then emit theta_b gr.g_bias;
   let leaves = Array.of_list (Filter_layer.params fl) in
   let drift m g = if m = 1. then g else m *. g in
   Array.iteri
     (fun i (s : Filter_layer.stage_t) ->
       for c = 0 to n_out - 1 do
-        let ga = T.get lw.g_a.(i) 0 c and gb = T.get lw.g_b.(i) 0 c in
+        let ga = T.get gr.g_a.(i) 0 c and gb = T.get gr.g_b.(i) 0 c in
         let den = T.get s.den 0 c in
         let gden = -.(gb *. T.get s.b 0 c /. den) +. -.(ga *. T.get s.a 0 c /. den) in
         let gtau = (ga /. den) +. (gden *. T.get s.mu 0 c) in
         let gm = Filter_layer.tau_max *. gtau in
-        let gr = drift l.filt.r_mult (gm *. T.get s.c_eff 0 c)
-        and gc = drift l.filt.c_mult (gm *. T.get s.r_eff 0 c) in
-        T.set lw.g_a.(i) 0 c (fold gr (T.get s.eps_r 0 c));
-        T.set lw.g_b.(i) 0 c (fold gc (T.get s.eps_c 0 c))
+        let g_r = drift l.filt.r_mult (gm *. T.get s.c_eff 0 c)
+        and g_c = drift l.filt.c_mult (gm *. T.get s.r_eff 0 c) in
+        T.set gr.g_a.(i) 0 c (fold g_r (T.get s.eps_r 0 c));
+        T.set gr.g_b.(i) 0 c (fold g_c (T.get s.eps_c 0 c))
       done;
-      emit leaves.(2 * i) lw.g_a.(i);
-      emit leaves.((2 * i) + 1) lw.g_b.(i))
+      if on leaves.(2 * i) then emit leaves.(2 * i) gr.g_a.(i);
+      if on leaves.((2 * i) + 1) then emit leaves.((2 * i) + 1) gr.g_b.(i))
     l.filt.stages_t;
   List.iteri
     (fun j eta ->
-      let g = lw.g_eta.(j) in
-      for c = 0 to n_out - 1 do
-        T.set g 0 c (fold (T.get g 0 c) (T.get l.act.eps.(j) 0 c))
-      done;
-      emit eta g)
+      if on eta then begin
+        let g = gr.g_eta.(j) in
+        for c = 0 to n_out - 1 do
+          T.set g 0 c (fold (T.get g 0 c) (T.get l.act.eps.(j) 0 c))
+        done;
+        emit eta g
+      end)
     (Ptanh.params act)
 
 (* One draw's reverse sweep. [gl] is dL/d(this draw's cross-entropy);
    the trajectory in [ws] must be this draw's. *)
-let sweep ws ~readout (smp : sample) steps ~gl ~labels ~emit net =
-  let rows = ws.rows and n_layers = Array.length ws.lws in
-  let top = ws.lws.(n_layers - 1) in
+let sweep ws ~readout (smp : sample) steps ~gl ~labels ~emit ~on net =
+  let tr = ws.tr in
+  let rows = tr.rows and n_layers = Array.length tr.per_layer in
+  let top = tr.per_layer.(n_layers - 1) and gtop = ws.grads.(n_layers - 1).gout in
   (* dL/d(output activations): the cross-entropy's (softmax −
      onehot)/batch, times the integrated read-out's 1/T at every step,
      or at the final step alone for a last-step read-out (times 1,
      exactly as the per-op graph, which has no scale node there). *)
   let probs = Loss.softmax_rows smp.logits in
-  let k = match readout with Batch.Integrated -> 1. /. float_of_int ws.steps | Last_step -> 1. in
+  let k = match readout with Batch.Integrated -> 1. /. float_of_int tr.steps | Last_step -> 1. in
   let nb = float_of_int rows in
   for c = 0 to top.n_out - 1 do
     for r = 0 to rows - 1 do
       let y = if labels.(r) = c then 1. else 0. in
-      BA.unsafe_set top.gout ((c * rows) + r) (k *. (gl *. ((T.get probs r c -. y) /. nb)))
+      BA.unsafe_set gtop ((c * rows) + r) (k *. (gl *. ((T.get probs r c -. y) /. nb)))
     done
   done;
-  for t = ws.steps - 1 downto 0 do
+  let layers = Array.of_list (Network.layers net) in
+  let theta = Array.map (fun (cb, _, _) -> on (fst (crossbar_leaves cb))) layers in
+  for t = tr.steps - 1 downto 0 do
     for li = n_layers - 1 downto 0 do
-      let live = li < n_layers - 1 || readout = Batch.Integrated || t = ws.steps - 1 in
-      sweep_step ws smp steps ~t ~li ~live ws.lws.(li).gout
+      let live = li < n_layers - 1 || readout = Batch.Integrated || t = tr.steps - 1 in
+      sweep_step ws smp steps ~t ~li ~live ~theta:theta.(li)
     done
   done;
-  List.iteri
-    (fun li layer -> realization_back ~emit smp ws.lws.(li) smp.reals.(li) layer)
-    (Network.layers net)
+  Array.iteri
+    (fun li layer ->
+      realization_back ~emit ~on smp tr.per_layer.(li) ws.grads.(li) smp.inst.kern.(li) layer)
+    layers
 
 (* {1 The node} *)
 
-let expected ~n ~tasks ~readout net ~steps ~labels =
+let expected ?params ~n ~tasks ~readout net ~steps ~labels =
+  let params = match params with Some ps -> ps | None -> Network.params net in
+  let on p = List.memq p params in
   let n_steps = Array.length steps in
-  assert (n_steps > 0);
+  assert (n_steps > 0 && Array.length labels = T.rows steps.(0));
   let rows = T.rows steps.(0) in
-  (* The passes read unchecked: every step is [rows x inputs]. *)
-  assert (
-    Array.for_all (fun s -> T.rows s = rows && T.cols s = Network.inputs net) steps
-    && Array.length labels = rows);
-  let samples = Array.map (Array.map (fun d -> realize_draw d net ~rows)) tasks in
+  let samples =
+    Array.map
+      (Array.map (fun d ->
+           {
+             ste = d.Variation.ste;
+             inst = Network.instantiate ~opts:Batch.default ~draw:d net ~rows;
+             logits = T.zeros ~rows:0 ~cols:0;
+             value = nan;
+           }))
+      tasks
+  in
   (* The per-op objective summed the tasks in order and built a pair as
      [Var.add (loss d1) (loss d2)], whose arguments OCaml evaluates
      right to left: the tape swept tasks last to first and, within a
      pair, d1 before d2. The sweep visits the samples in that order. *)
   let order = Array.concat (List.rev (Array.to_list samples)) in
-  let ws = workspace ~rows ~steps:n_steps order.(0) in
+  let kern = order.(0).inst.kern in
+  let ws = workspace ~rows ~steps:n_steps kern in
   let stamp = 1 + Atomic.fetch_and_add stamps 1 in
   (* Forward in the reverse of the sweep's order, so the trajectory left
      in the workspace is the first one the sweep needs. *)
   for k = Array.length order - 1 downto 0 do
     let smp = order.(k) in
-    smp.logits <- forward ws ~readout smp steps;
+    smp.logits <- Network.forward_trajectory ws.tr ~readout smp.inst steps;
     smp.value <- Loss.cross_entropy_value ~logits:smp.logits ~labels
   done;
   ws.stamp <- stamp;
@@ -454,14 +371,14 @@ let expected ~n ~tasks ~readout net ~steps ~labels =
     | _ -> invalid_arg "Adjoint.expected: a task holds one draw or an antithetic pair"
   in
   let value = 1. /. float_of_int n *. Array.fold_left ( +. ) 0. (Array.map task_value samples) in
-  Var.fused (T.scalar value) ~parents:(Network.params net) (fun g emit ->
+  Var.fused (T.scalar value) ~parents:params (fun g emit ->
       let gl = 1. /. float_of_int n *. T.get_scalar g in
-      let ws = workspace ~rows ~steps:n_steps order.(0) in
+      let ws = workspace ~rows ~steps:n_steps kern in
       Array.iteri
         (fun k smp ->
           if k > 0 || ws.stamp <> stamp then begin
-            ignore (forward ws ~readout smp steps);
+            ignore (Network.forward_trajectory ws.tr ~readout smp.inst steps);
             ws.stamp <- 0
           end;
-          sweep ws ~readout smp steps ~gl ~labels ~emit net)
+          sweep ws ~readout smp steps ~gl ~labels ~emit ~on net)
         order)

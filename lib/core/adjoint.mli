@@ -2,18 +2,19 @@
 
     {!expected} evaluates the Monte-Carlo cross-entropy of {!Mc_loss}
     (Eq. 12–14) over a set of variation draws and returns it as a single
-    {!Pnc_autodiff.Var.fused} node whose parents are the network's
-    parameter leaves. Its value comes from a forward pass that runs
-    {!Network}'s no-grad layer passes over the whole batch and keeps
-    each step's filter states, filter inputs, tanh values and
-    activations in a per-domain workspace, allocated once and reused
-    across draws, nodes and epochs. Its backward pass is a hand-written
-    reverse-time sweep over every draw: the softmax cross-entropy, the
-    read-out (integrated or last-step), the printed tanh's η₁..η₄, the filter stages
-    (a/b through R, C, drift, µ and τ) and the crossbar's θ/θ_b with its
-    |θ_eff| denominator, under plain or straight-through folds.
-    Each draw is realized once, by {!Network.realize_net_t}: the forward
-    runs its records' coefficients and the sweep reads the factors and
+    {!Pnc_autodiff.Var.fused} node whose parents are the parameter
+    leaves the caller steps. Its value comes from {!Network}'s block
+    forward ({!Network.forward_trajectory}), the loop that evaluation
+    runs, over a per-domain workspace that keeps each step's filter
+    states, filter inputs, tanh values and activations, allocated once
+    and reused across draws, nodes and epochs. Its backward pass is a
+    hand-written reverse-time sweep over that trajectory for every draw:
+    the softmax cross-entropy, the read-out (integrated or last-step),
+    the printed tanh's η₁..η₄, the filter stages (a/b through R, C,
+    drift, µ and τ) and the crossbar's θ/θ_b with its |θ_eff|
+    denominator, under plain or straight-through folds. Each draw is
+    realized once, by {!Network.instantiate}: the forward runs its
+    records' coefficients and the sweep reads the factors and
     intermediate values (ε, µ, r_eff, c_eff, µτ + Δt, θ_b·ε) they keep.
 
     {b Accumulation-order contract.} The sweep evaluates every backward
@@ -23,12 +24,13 @@
     draws in the tape's reverse order, the |θ_eff| and realization terms
     last. Closures that graph never reaches are skipped, not evaluated
     as zeros: under a last-step read-out, the top layer's tanh before
-    the final step. The gradients it leaves on the leaves are therefore
-    bit-identical to the per-op tape's, and the node's value equals
-    the no-grad objective's ({!Mc_loss.expected_value}'s) bit for
-    bit. *)
+    the final step. The gradients it leaves on the stepped leaves are
+    therefore bit-identical to the per-op tape's, and the node's value
+    equals the no-grad objective's ({!Mc_loss.expected_value}'s) bit
+    for bit. *)
 
 val expected :
+  ?params:Pnc_autodiff.Var.t list ->
   n:int ->
   tasks:Variation.draw array array ->
   readout:Batch.readout ->
@@ -44,4 +46,6 @@ val expected :
     univariate [batch x time] input); they are only read. A task is one
     draw or an antithetic pair [[| d1; d2 |]]; draws marked [ste] fold
     their variation straight through. The draws are realized here, in
-    order, each consuming its own stream. *)
+    order, each consuming its own stream. Gradients reach only the
+    leaves in [params] (default: every leaf of the net); a layer whose
+    θ is not among them skips θ's gradient altogether. *)

@@ -18,7 +18,7 @@ let trim ?(epochs = 60) ?(lr = 0.02) ~chip net dataset =
   let opt = Optimizer.adam ~params () in
   let steps = T.columns x and model = Model.Circuit net in
   for _ = 1 to epochs do
-    let loss = Mc_loss.objective ~n:1 ~tasks:[| [| chip () |] |] model ~steps ~labels:y in
+    let loss = Mc_loss.objective ~params ~n:1 ~tasks:[| [| chip () |] |] model ~steps ~labels:y in
     Train.descend opt ~lr model loss
   done
 

@@ -30,8 +30,8 @@ val trim :
 (** Gradient-trim the biases of this chip against the calibration set
     (default 60 epochs of Adam at lr 0.02, unclipped), each step on the
     training objective of the replayed chip ({!Mc_loss.objective}, the
-    fused training node). Only θ_b moves; everything else keeps its
-    printed value. *)
+    fused training node). Only θ_b moves, and only θ_b takes
+    gradients; everything else keeps its printed value. *)
 
 type outcome = { before : float; after : float }
 

@@ -71,9 +71,10 @@ let task_draws ?(ste = false) ~antithetic ~rng ~spec ~n model =
 (* The one dispatch between the two gradient engines: a circuit trains
    through the fused node, and the reference RNN, which has no
    components and so ignores the draws, stays on the per-op tape. *)
-let objective ~n ~tasks model ~steps ~labels =
+let objective ~params ~n ~tasks model ~steps ~labels =
   match model with
-  | Model.Circuit net -> Adjoint.expected ~n ~tasks ~readout:Batch.Integrated net ~steps ~labels
+  | Model.Circuit net ->
+      Adjoint.expected ~params ~n ~tasks ~readout:Batch.Integrated net ~steps ~labels
   | Model.Reference m ->
       Var.scale (1. /. float_of_int n)
         (Loss.softmax_cross_entropy ~logits:(Elman.forward_multi m steps) ~labels)
@@ -85,7 +86,10 @@ let expected ?(antithetic = false) ?(ni = false) ~rng ~spec ~n model ~x ~labels 
      the reported objective) are bit-identical to the plain estimator;
      only the gradients change. *)
   let n, tasks = task_draws ~ste:ni ~antithetic ~rng ~spec ~n model in
-  let result = objective ~n ~tasks model ~steps:(Pnc_tensor.Tensor.columns x) ~labels in
+  let result =
+    objective ~params:(Model.params model) ~n ~tasks model ~steps:(Pnc_tensor.Tensor.columns x)
+      ~labels
+  in
   Obs.Counter.add draws_counter n;
   emit_eval ~path:"var" ~n ~t0;
   emit_corr ~spec ~n;

@@ -15,6 +15,7 @@
     tensor path consume randomness identically. *)
 
 val objective :
+  params:Pnc_autodiff.Var.t list ->
   n:int ->
   tasks:Variation.draw array array ->
   Model.t ->
@@ -24,13 +25,15 @@ val objective :
 (** The training objective over caller-held draws, on pre-split time
     steps (one [batch x inputs] tensor each, only read): [1/n] times
     the sum over [tasks] (one draw, or an antithetic pair) of each
-    draw's mean cross-entropy, a [1 x 1] node. A circuit model is one
-    fused tape node ({!Adjoint.expected}, integrated read-out), whose
-    gradients equal those of the per-op graph built from
+    draw's mean cross-entropy, a [1 x 1] node. [params] are the leaves
+    the caller steps. A circuit model is one fused tape node
+    ({!Adjoint.expected}, integrated read-out) that sends gradients to
+    those leaves alone, equal to those of the per-op graph built from
     {!Network.forward_multi} and
     {!Pnc_autodiff.Loss.softmax_cross_entropy} bit for bit. The
     reference RNN has no components: it ignores the draws and builds
-    that per-op graph from {!Elman.forward_multi}. This is the one
+    that per-op graph from {!Elman.forward_multi}, over all its
+    leaves. This is the one
     point where a model picks its gradient engine: {!expected}, online
     adaptation and calibration trimming (with [n = 1] and a replayed
     draw) all build their objective here. Emits no telemetry. *)
@@ -46,7 +49,8 @@ val expected :
   labels:int array ->
   Pnc_autodiff.Var.t
 (** Mean cross-entropy over [n] Monte-Carlo draws (a [1 x 1] node):
-    {!objective} over the draws of this estimator. Its value equals
+    {!objective} over the draws of this estimator and every leaf of
+    the model ({!Model.params}). Its value equals
     {!expected_value}'s bit for bit.
     With [antithetic] (default false; an extension, not in the paper),
     draws come in mirrored pairs ({!Variation.antithetic_pair}), which

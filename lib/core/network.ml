@@ -147,18 +147,65 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
    Realization (the RNG-consuming part) is separated from the
    workspace (state + scratch buffers): the draw is realized ONCE per
    forward and the whole batch then runs through that one physical
-   circuit instance. *)
+   circuit instance. The same loop is the forward of Adjoint's training
+   node, over a workspace that keeps every step for its reverse
+   sweep. *)
 
-(* Workspace of one layer, stored feature-major ([features x rows],
-   owned, offset 0): row [c] holds feature [c] for every row of the
+type instance = { kern : layer_t array; init : T.t array array }
+
+let instantiate ~(opts : Batch.opts) ~draw net ~rows =
+  let kern = Array.of_list (realize_net_t ~varied:opts.varied ~draw net) in
+  (* Like the draw, the initial state describes the physical situation:
+     it is drawn once for the whole batch. *)
+  let init =
+    Array.map (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.filt ~batch:rows) kern
+  in
+  { kern; init }
+
+(* Workspace of one layer, stored feature-major: a slot is an [n_out x
+   rows] plane whose row [c] holds feature [c] for every row of the
    batch, so each pass below is a unit-stride loop over the rows that
-   reads the feature's coefficients once. *)
-type layer_ws = {
-  kern : layer_t;
-  states : T.buffer array; (* one [n_out x rows] filter state per stage *)
-  pre : T.t; (* crossbar sums, then the normalised filter input *)
-  out : T.t; (* the layer's activations *)
+   reads the feature's coefficients once. Time step [t]'s slot sits
+   [t * stride] floats in. Evaluation keeps one plane per buffer (stride
+   0): states update in place and the tanh is written over the
+   pre-activations, in [out]. Training keeps every step (stride one
+   plane) for the reverse sweep: states hold steps + 1 slots, slot 0 the
+   initial state and slot t + 1 the state after step t. *)
+type layer_trajectory = {
+  n_in : int;
+  n_out : int;
+  stride : int;
+  st : T.buffer array; (* per stage, the filter states *)
+  dv : T.buffer; (* crossbar sums, then the normalised filter input *)
+  th : T.buffer; (* pre-activations, then their tanh *)
+  out : T.buffer; (* the layer's activations *)
 }
+
+type trajectory = { rows : int; steps : int; per_layer : layer_trajectory array; acc : T.t }
+
+let make_trajectory ~keep ~rows ~steps kern =
+  let layers =
+    Array.map
+      (fun l ->
+        let n_in = T.rows l.cb.theta_eff and n_out = T.cols l.cb.theta_eff in
+        let plane = n_out * rows in
+        let buffer slots = (T.zeros ~rows:(if keep then slots else 1) ~cols:plane).T.data in
+        let out = buffer steps in
+        {
+          n_in;
+          n_out;
+          stride = (if keep then plane else 0);
+          st = Array.map (fun _ -> buffer (steps + 1)) l.filt.stages_t;
+          dv = buffer steps;
+          th = (if keep then buffer steps else out);
+          out;
+        })
+      kern
+  in
+  let classes = layers.(Array.length layers - 1).n_out in
+  { rows; steps; per_layer = layers; acc = T.zeros ~rows:classes ~cols:rows }
+
+let trajectory ~rows ~steps kern = make_trajectory ~keep:true ~rows ~steps kern
 
 (* The three passes of the fused layer step: crossbar, filter, tanh.
    Each runs over the [rows] elements of one feature and evaluates
@@ -245,42 +292,43 @@ let filter_pass ~rows (l : layer_t) c (d : T.buffer) doff (st : T.buffer array) 
       done
   | _ -> invalid_arg "Network.filter_pass: one state per stage, one or two stages"
 
-(* The rest of [Ptanh.apply_batch_t] for feature [c], in place over the
-   pre-activations in [o]: tanh, then the e2/e1 affine. `Fast runs the
-   tanh as [Fast_math.apply_range] over the row (one unboxed in-module
-   loop, <=1e-7 absolute error; see docs/BATCHING.md). `Exact calls the
-   unboxed [Stdlib.tanh] extern inside the same expression, bit-identical
-   to the Var path. *)
-let tanh_pass ~fast ~rows (l : layer_t) c (o : T.buffer) oo =
+(* The rest of [Ptanh.apply_batch_t] for feature [c]: the tanh of the
+   pre-activations in [th], kept in place, then the e2/e1 affine into
+   [o] (the same buffer under evaluation, where the activation
+   overwrites the tanh). `Fast runs the tanh as [Fast_math.apply_range]
+   over the row (one unboxed in-module loop, <=1e-7 absolute error; see
+   docs/BATCHING.md). `Exact calls the unboxed [Stdlib.tanh] extern,
+   bit-identical to the Var path. *)
+let tanh_pass ~fast ~rows (l : layer_t) c (th : T.buffer) (o : T.buffer) fo =
   let module BA = Bigarray.Array1 in
   let e1 = l.act.eta.(0) and e2 = l.act.eta.(1) in
   let e1 = BA.unsafe_get e1.T.data (e1.T.off + c) and e2 = BA.unsafe_get e2.T.data (e2.T.off + c) in
   if fast then begin
-    Pnc_tensor.Fast_math.apply_range o ~off:oo ~len:rows;
+    Pnc_tensor.Fast_math.apply_range th ~off:fo ~len:rows;
     for r = 0 to rows - 1 do
-      BA.unsafe_set o (oo + r) ((BA.unsafe_get o (oo + r) *. e2) +. e1)
+      BA.unsafe_set o (fo + r) ((BA.unsafe_get th (fo + r) *. e2) +. e1)
     done
   end
   else
     for r = 0 to rows - 1 do
-      BA.unsafe_set o (oo + r) ((Stdlib.tanh (BA.unsafe_get o (oo + r)) *. e2) +. e1)
+      let y = Stdlib.tanh (BA.unsafe_get th (fo + r)) in
+      BA.unsafe_set th (fo + r) y;
+      BA.unsafe_set o (fo + r) ((y *. e2) +. e1)
     done
 
-(* One time step of one layer: for each output feature, the crossbar,
-   filter and tanh passes in turn, the filter states updated in place.
-   Input element [(r, k)] is [x.{xo + r * rs + k * ks}]: the first
-   layer reads its row-major [rows x n_in] step with [rs = n_in, ks =
-   1], later layers the previous feature-major activations with [rs =
-   1, ks = rows]. *)
-let fused_step_layer ~fast ~rows lr (x : T.buffer) xo ~rs ~ks =
-  let th = lr.kern.cb.theta_eff in
-  let n_in = T.rows th and n_out = T.cols th in
-  let pd = lr.pre.T.data and od = lr.out.T.data in
+(* Time step [t] of one layer: for each output feature, the crossbar,
+   filter and tanh passes in turn, each state read from slot [t] and
+   written to slot [t + 1]. Input element [(r, k)] is [x.{xo + r * rs +
+   k * ks}]: the first layer reads its row-major [rows x n_in] step with
+   [rs = n_in, ks = 1], later layers the previous feature-major
+   activations with [rs = 1, ks = rows]. *)
+let step_layer ~fast ~rows ~t lw (l : layer_t) (x : T.buffer) xo ~rs ~ks =
+  let th = l.cb.theta_eff and n_out = lw.n_out in
   for c = 0 to n_out - 1 do
-    let fo = c * rows in
-    crossbar_pass ~rows pd fo x xo ~rs ~ks ~n_in th.T.data (th.T.off + c) ~n_out;
-    filter_pass ~rows lr.kern c pd fo lr.states ~rd:fo ~wr:fo od fo;
-    tanh_pass ~fast ~rows lr.kern c od fo
+    let fo = (t * lw.stride) + (c * rows) in
+    crossbar_pass ~rows lw.dv fo x xo ~rs ~ks ~n_in:lw.n_in th.T.data (th.T.off + c) ~n_out;
+    filter_pass ~rows l c lw.dv fo lw.st ~rd:fo ~wr:(fo + lw.stride) lw.th fo;
+    tanh_pass ~fast ~rows l c lw.th lw.out fo
   done
 
 (* The batch input: one [rows x n_in] tensor per time step, or one
@@ -291,75 +339,84 @@ type input = Steps of T.t array | Series of T.t
 let input_steps = function Steps steps -> Array.length steps | Series x -> T.cols x
 let input_rows = function Steps steps -> T.rows steps.(0) | Series x -> T.rows x
 
-(* Run the batch through all time steps against an already realized
-   circuit instance, from the row-major filter [states]. The batch reads
-   each step in place (a series at row stride [T.cols x]), transposes
-   its states in once and its logits out once, and allocates nothing
-   per time step. *)
-let forward_block ~fast ~readout ~classes kernels states input =
-  let rows = input_rows input in
-  let fm ~n = T.zeros ~rows:n ~cols:rows in
-  let ws =
-    Array.of_list
-      (List.map2
-         (fun kern st ->
-           let n_out = T.cols kern.cb.theta_eff in
-           List.iter
-             (fun t -> assert (T.rows t = 1 && T.cols t = n_out))
-             (kern.cb.bias_num :: kern.cb.inv_den :: Array.to_list kern.act.eta);
-           assert (Array.length st = Array.length kern.filt.stages_t);
-           Array.iter2
-             (fun s (sr : Filter_layer.stage_t) ->
-               assert (T.rows s = rows && T.cols s = n_out);
-               assert (T.cols sr.a = n_out && T.cols sr.b = n_out))
-             st kern.filt.stages_t;
-           {
-             kern;
-             states = Array.map (fun s -> (T.transpose s).T.data) st;
-             pre = fm ~n:n_out;
-             out = fm ~n:n_out;
-           })
-         kernels states)
-  in
-  let n_layers = Array.length ws in
-  for l = 1 to n_layers - 1 do
-    assert (T.rows ws.(l).kern.cb.theta_eff = T.cols ws.(l - 1).kern.cb.theta_eff)
-  done;
-  let n_in = T.rows ws.(0).kern.cb.theta_eff and last = ws.(n_layers - 1).out in
-  assert (T.rows last = classes);
-  let acc = fm ~n:classes in
-  let n_steps = input_steps input in
+(* Run the batch through all time steps of one circuit instance in the
+   workspace [tr]. The batch reads each step in place (a series at row
+   stride [T.cols x]), transposes its initial states in once and its
+   logits out once, and allocates nothing per time step. *)
+let forward_block ~fast ~readout tr inst input =
+  let module BA = Bigarray.Array1 in
+  let rows = tr.rows and n_steps = tr.steps and layers = tr.per_layer in
+  let n_layers = Array.length layers in
+  assert (
+    input_rows input = rows && input_steps input = n_steps && Array.length inst.kern = n_layers);
+  Array.iteri
+    (fun li lw ->
+      let l = inst.kern.(li) and init = inst.init.(li) in
+      assert (T.rows l.cb.theta_eff = lw.n_in && T.cols l.cb.theta_eff = lw.n_out);
+      assert (li = 0 || lw.n_in = layers.(li - 1).n_out);
+      List.iter
+        (fun t -> assert (T.rows t = 1 && T.cols t = lw.n_out))
+        (l.cb.bias_num :: l.cb.inv_den :: Array.to_list l.act.eta);
+      assert (Array.length lw.st = Array.length l.filt.stages_t);
+      assert (Array.length init = Array.length lw.st);
+      Array.iteri
+        (fun i s ->
+          let sr = l.filt.stages_t.(i) and s0 = init.(i) in
+          assert (T.rows s0 = rows && T.cols s0 = lw.n_out);
+          assert (T.cols sr.a = lw.n_out && T.cols sr.b = lw.n_out);
+          for c = 0 to lw.n_out - 1 do
+            for r = 0 to rows - 1 do
+              BA.unsafe_set s ((c * rows) + r) (BA.unsafe_get s0.T.data (s0.T.off + (r * lw.n_out) + c))
+            done
+          done)
+        lw.st)
+    layers;
+  let n_in = layers.(0).n_in and last = layers.(n_layers - 1) in
+  assert (T.rows tr.acc = last.n_out && T.cols tr.acc = rows);
   (match input with Series _ -> assert (n_in = 1) | Steps _ -> ());
+  T.fill tr.acc 0.;
+  let ad = tr.acc.T.data and plane = last.n_out * rows in
   for t = 0 to n_steps - 1 do
     (match input with
     | Steps steps ->
         let x = steps.(t) in
         assert (T.cols x = n_in && T.rows x = rows);
-        fused_step_layer ~fast ~rows ws.(0) x.T.data x.T.off ~rs:n_in ~ks:1
-    | Series x -> fused_step_layer ~fast ~rows ws.(0) x.T.data (x.T.off + t) ~rs:n_steps ~ks:1);
+        step_layer ~fast ~rows ~t layers.(0) inst.kern.(0) x.T.data x.T.off ~rs:n_in ~ks:1
+    | Series x ->
+        step_layer ~fast ~rows ~t layers.(0) inst.kern.(0) x.T.data (x.T.off + t) ~rs:n_steps ~ks:1);
     for l = 1 to n_layers - 1 do
-      fused_step_layer ~fast ~rows ws.(l) ws.(l - 1).out.T.data 0 ~rs:1 ~ks:rows
+      let prev = layers.(l - 1) in
+      step_layer ~fast ~rows ~t layers.(l) inst.kern.(l) prev.out (t * prev.stride) ~rs:1 ~ks:rows
     done;
-    match readout with Batch.Integrated -> T.add_inplace acc last | Last_step -> ()
+    (* Read-out: [T.add_inplace] of the last layer's activations, or
+       the final step's alone. *)
+    let lo = t * last.stride in
+    match readout with
+    | Batch.Integrated ->
+        for i = 0 to plane - 1 do
+          BA.unsafe_set ad i (BA.unsafe_get ad i +. BA.unsafe_get last.out (lo + i))
+        done
+    | Last_step ->
+        if t = n_steps - 1 then
+          for i = 0 to plane - 1 do
+            BA.unsafe_set ad i (BA.unsafe_get last.out (lo + i))
+          done
   done;
   match readout with
-  | Integrated -> T.transpose (T.scale (1. /. float_of_int n_steps) acc)
-  | Last_step -> T.transpose last
+  | Integrated -> T.transpose (T.scale (1. /. float_of_int n_steps) tr.acc)
+  | Last_step -> T.transpose tr.acc
+
+let forward_trajectory tr ~readout inst steps =
+  forward_block ~fast:false ~readout tr inst (Steps steps)
 
 let forward_input ~(opts : Batch.opts) ~draw net input =
   assert (input_steps input > 0);
-  let rows = input_rows input in
-  let kernels = realize_net_t ~varied:opts.varied ~draw net in
-  (* Like the draw, the initial state describes the physical situation:
-     it is drawn once for the whole batch. *)
-  let states =
-    List.map
-      (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.filt ~batch:rows)
-      kernels
-  in
+  let rows = input_rows input and steps = input_steps input in
+  let inst = instantiate ~opts ~draw net ~rows in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
   Batch.timed opts ~rows (fun () ->
-      forward_block ~fast ~readout:opts.readout ~classes:net.n_classes kernels states input)
+      let tr = make_trajectory ~keep:false ~rows ~steps inst.kern in
+      forward_block ~fast ~readout:opts.readout tr inst input)
 
 let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   forward_input ~opts ~draw net (Steps steps)

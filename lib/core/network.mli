@@ -95,12 +95,13 @@ val forward_batch_t :
     per-step tensors are built. Bit-identical to
     [forward_multi_batch_t (Tensor.columns x)]. *)
 
-(** {1 Kernel internals}
+(** {1 Training trajectory}
 
-    The pieces of the no-grad engine that {!Adjoint}'s training sweep
-    reuses, so its saved forward runs the very passes above. Buffers
-    are addressed as [(buffer, offset)] and each pass covers [rows]
-    consecutive elements of one feature. *)
+    {!Adjoint}'s training node runs the very loop above, the block
+    forward, over a workspace that keeps every time step, and its
+    reverse sweep reads what that loop left. Buffers are feature-major:
+    a slot is an [n_out x rows] plane, feature [c] at offset
+    [c * rows]. *)
 
 type layer_t = {
   cb : Crossbar.realization_t;
@@ -116,39 +117,44 @@ val realize_net_t : varied:Batch.families -> draw:Variation.draw -> t -> layer_t
     builds its nodes from these records, so every path runs the same
     physical instance. *)
 
-val crossbar_pass :
-  rows:int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  rs:int ->
-  ks:int ->
-  n_in:int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  n_out:int ->
-  unit
-(** Crossbar sums of one output feature; input element [(r, k)] is at
-    [xo + r * rs + k * ks], weight [k] at [tho + k * n_out]. *)
+type instance = { kern : layer_t array; init : Pnc_tensor.Tensor.t array array }
+(** One physical circuit instance: every layer realized under one draw
+    ({!realize_net_t}) and, per layer, the initial filter state of each
+    stage, [rows x n_out]. *)
 
-val filter_pass :
-  rows:int ->
-  layer_t ->
-  int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  Pnc_tensor.Tensor.buffer array ->
-  rd:int ->
-  wr:int ->
-  Pnc_tensor.Tensor.buffer ->
-  int ->
-  unit
-(** [filter_pass ~rows l c d doff st ~rd ~wr o oo]: for output feature
-    [c], the crossbar sums in [d] are normalised in place, run through
-    every filter stage (stage [i]'s state read from [st.(i)] at
-    [rd + r], written at [wr + r]) and scaled into the activation's
-    pre-activation [(v - e3) * e4], written to [o]. *)
+val instantiate : opts:Batch.opts -> draw:Variation.draw -> t -> rows:int -> instance
+(** The instance a [rows]-row batch runs through: [opts]' families take
+    the draw and [opts]' initial state fills the filters. *)
+
+type layer_trajectory = {
+  n_in : int;
+  n_out : int;
+  stride : int;  (** floats between consecutive steps' slots: one plane *)
+  st : Pnc_tensor.Tensor.buffer array;
+      (** per stage, steps + 1 state slots: slot 0 the initial state,
+          slot [t + 1] the state after step [t] *)
+  dv : Pnc_tensor.Tensor.buffer;  (** per step, the normalised crossbar sums (the filter input) *)
+  th : Pnc_tensor.Tensor.buffer;  (** per step, the tanh of the scaled filter output *)
+  out : Pnc_tensor.Tensor.buffer;  (** per step, the activations *)
+}
+
+type trajectory = {
+  rows : int;
+  steps : int;
+  per_layer : layer_trajectory array;
+  acc : Pnc_tensor.Tensor.t;  (** read-out scratch, [classes x rows] *)
+}
+
+val trajectory : rows:int -> steps:int -> layer_t array -> trajectory
+(** A workspace for [steps] steps of a [rows]-row batch through layers
+    shaped like these. *)
+
+val forward_trajectory :
+  trajectory -> readout:Batch.readout -> instance -> Pnc_tensor.Tensor.t array -> Pnc_tensor.Tensor.t
+(** The block forward of {!forward_multi_batch_t} at [`Exact]
+    precision over pre-split steps, with every step left in the
+    trajectory: bit-identical logits. The workspace and the instance
+    must have the same shapes. *)
 
 val clamp : t -> unit
 (** Project every component value into its printable window. *)

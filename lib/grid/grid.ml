@@ -52,12 +52,20 @@ module Proto = struct
       (try Sys.readdir dir with Sys_error _ -> [||]);
     !reaped
 
-  (* One pass over the cell list; returns (all_valid, advanced). *)
-  let pass ?lease_ttl ~progress ~owner ~computed cells =
+  (* One pass over the cell list; returns (all_valid, advanced).
+     [seen.(i)] records that cell [i] was found valid: a published cell
+     stays published, so every later check by this worker skips it
+     instead of reloading it. A cell this worker computed is validated
+     by the next check like any other. *)
+  let pass ?lease_ttl ~progress ~owner ~computed ~seen cells =
     let advanced = ref false in
-    List.iter
-      (fun c ->
-        if not (c.is_valid ()) then begin
+    let valid i c =
+      seen.(i) <- seen.(i) || c.is_valid ();
+      seen.(i)
+    in
+    Array.iteri
+      (fun i c ->
+        if not (valid i c) then begin
           let claim = claim_path c.path in
           match Lease.try_acquire ?ttl:lease_ttl ~owner claim with
           | (`Acquired | `Reaped_and_acquired) as got ->
@@ -72,7 +80,7 @@ module Proto = struct
                   (* Recheck under the claim: a sibling may have
                      published between our validity probe and the
                      acquisition. *)
-                  if not (c.is_valid ()) then begin
+                  if not (valid i c) then begin
                     ignore (reap_tmp ~path:c.path);
                     progress (Printf.sprintf "[%s] computing %s" owner c.cell_id);
                     let attrs =
@@ -97,7 +105,8 @@ module Proto = struct
                   ]
         end)
       cells;
-    (List.for_all (fun c -> c.is_valid ()) cells, !advanced)
+    let rec all_valid i = i = Array.length cells || (valid i cells.(i) && all_valid (i + 1)) in
+    (all_valid 0, !advanced)
 
   let work ?lease_ttl ?(poll_s = 0.25) ?(progress = fun _ -> ()) ~owner cells =
     let computed = ref 0 in
@@ -106,9 +115,11 @@ module Proto = struct
         [ ("owner", Obs.Str owner); ("cells", Obs.Int (List.length cells)) ]
       else []
     in
+    let cells = Array.of_list cells in
+    let seen = Array.make (Array.length cells) false in
     Obs.Span.with_ ~attrs "grid.worker" (fun () ->
         let rec loop () =
-          let all_valid, advanced = pass ?lease_ttl ~progress ~owner ~computed cells in
+          let all_valid, advanced = pass ?lease_ttl ~progress ~owner ~computed ~seen cells in
           if not all_valid then begin
             (* Everything left is claimed by live siblings: poll until
                they publish — or die, at which point their claims go

@@ -67,7 +67,9 @@ module Proto : sig
     int
   (** Run the worker loop until every cell in the list is valid;
       returns the number of cells this worker computed. Each pass:
-      skip valid cells; try to claim an invalid one (reaping stale
+      skip valid cells (a cell found valid is remembered and never
+      validated again, so a complete cache costs one [is_valid] per
+      cell); try to claim an invalid one (reaping stale
       claims per {!Pnc_ckpt.Lease.try_acquire}); recheck validity
       under the claim (a sibling may have published first), reap dead
       writers' temp litter, compute, publish, release. When every

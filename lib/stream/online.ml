@@ -195,7 +195,9 @@ let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol mo
             let steps = window_steps win in
             let labels = Array.sub rz.Scenario.y win.Window.start win.Window.len in
             for _ = 1 to protocol.adapt_steps do
-              let loss = Mc_loss.objective ~n:1 ~tasks:[| [| mk_draw () |] |] model ~steps ~labels in
+              let loss =
+                Mc_loss.objective ~params ~n:1 ~tasks:[| [| mk_draw () |] |] model ~steps ~labels
+              in
               Train.descend ~clip:5. opt ~lr:protocol.adapt_lr model loss;
               Obs.Counter.incr adapt_steps_counter
             done;

@@ -8,7 +8,8 @@
     that window's (x, y) buffer before the next window arrives, each on
     the training objective of the replayed physical instance
     ({!Pnc_core.Mc_loss.objective}: the fused training node for a
-    circuit), whose gradients equal the per-op tape's bit for bit.
+    circuit), whose gradients equal the per-op tape's bit for bit and
+    reach only the adapted leaves.
 
     {b Determinism contract.} [rng] is split once: child 0 is the
     physical-instance stream — the variation draw is replayed from a

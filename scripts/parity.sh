@@ -1,0 +1,92 @@
+#!/bin/sh
+# End-to-end bit parity between a git revision and the working tree.
+# Builds REV from a `git archive` export and the working tree in place,
+# runs the same seeded programs on both and cmp's what they print:
+#
+#   - examples/quickstart and examples/multisensor (training through the
+#     fused node, evaluation under variation);
+#   - bench/ablations.exe (read-out, discretization, calibration
+#     trimming, ...), minus the Bechamel timing lines of its section H;
+#   - scripts/stream_smoke.sh's frozen and adapted streaming tables;
+#   - a smoke-scale `grid run` over two datasets: the `grid merge`
+#     tables, and every cell's trained parameters (the stream smoke's
+#     cell included). Whole cells are not compared: each stores the
+#     wall-clock train_seconds of its run, inside its checksums.
+#
+# Prints "identical" (exit 0) or names every output that differs
+# (exit 1). An export, not a `git worktree`, keeps the repository's
+# .git untouched even when the script is interrupted.
+#
+# Usage: scripts/parity.sh REV [OUTDIR]
+# OUTDIR (default: a fresh temp directory) keeps both sides' outputs;
+# it must lie outside the repository, or dune would take the export for
+# part of this workspace.
+set -eu
+
+REV=${1:?usage: scripts/parity.sh REV [OUTDIR]}
+OUT=${2:-$(mktemp -d "${TMPDIR:-/tmp}/parity-XXXXXX")}
+ROOT=$(git rev-parse --show-toplevel)
+COMMIT=$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")
+GRID_ARGS="--scale smoke -d GPOVY -d PowerCons"
+OUTPUTS="quickstart.txt multisensor.txt ablations.txt stream/stream-j1.txt stream/stream-j4.txt
+grid-merged.txt cell-params.txt"
+
+mkdir -p "$OUT/rev-src"
+git -C "$ROOT" archive "$COMMIT" | tar -x -C "$OUT/rev-src"
+
+# The parameter sections of a grid cell: its payload up to the metrics
+# section, which comes last (Experiments.save_cell) and holds
+# train_seconds. Parameters are printed %.17g, so equal text is equal
+# bits.
+cell_params() {
+  loc=$(grep -ao '"name":"metrics","kind":"f64","rows":[0-9]*,"cols":[0-9]*,"offset":[0-9]*,"len":[0-9]*' "$1" |
+    sed 's/.*"offset":\([0-9]*\),"len":\([0-9]*\)/\1 \2/')
+  set -- "$1" $loc
+  tail -c "$(($2 + $3))" "$1" | head -c "$2"
+}
+
+# side NAME SRC: build SRC and leave its outputs in $OUT/NAME.
+side() {
+  name=$1
+  src=$2
+  out=$OUT/$name
+  bin=$src/_build/default
+  mkdir -p "$out"
+  echo "-- $name: build --"
+  dune build --root "$src" bin/adapt_pnc.exe examples/quickstart.exe examples/multisensor.exe \
+    bench/ablations.exe
+  echo "-- $name: examples --"
+  (cd "$src" && "$bin/examples/quickstart.exe") >"$out/quickstart.txt"
+  (cd "$src" && "$bin/examples/multisensor.exe") >"$out/multisensor.txt"
+  echo "-- $name: ablation bench --"
+  (cd "$src" && "$bin/bench/ablations.exe") >"$out/ablations-timed.txt"
+  sed '/^H\. /,/^done\./{/^  /d}' "$out/ablations-timed.txt" >"$out/ablations.txt"
+  echo "-- $name: stream smoke --"
+  (cd "$src" && sh scripts/stream_smoke.sh "$out/stream") >/dev/null
+  echo "-- $name: smoke grid --"
+  "$bin/bin/adapt_pnc.exe" grid run --cache-dir "$out/grid" --shards 1 $GRID_ARGS >/dev/null
+  "$bin/bin/adapt_pnc.exe" grid merge --cache-dir "$out/grid" $GRID_ARGS >"$out/grid-merged.txt"
+  for f in "$out"/grid/*.ckpt "$out"/stream/cells/*.ckpt; do
+    echo "== ${f#"$out"/}"
+    cell_params "$f"
+    echo
+  done >"$out/cell-params.txt"
+}
+
+echo "== parity: $REV ($COMMIT) vs the working tree, outputs in $OUT =="
+side rev "$OUT/rev-src"
+side work "$ROOT"
+
+differ=""
+for f in $OUTPUTS; do
+  cmp -s "$OUT/rev/$f" "$OUT/work/$f" || differ="$differ $f"
+done
+if [ -z "$differ" ]; then
+  echo "identical"
+else
+  for f in $differ; do
+    echo "differs: $f"
+    diff "$OUT/rev/$f" "$OUT/work/$f" | head -20 || true
+  done
+  exit 1
+fi

@@ -986,6 +986,23 @@ let test_trim_equals_per_op_replay () =
   Alcotest.(check bool) "every parameter bit-identical" true (bits trimmed = bits replayed);
   Alcotest.(check bool) "the trim moved the biases" false (bits trimmed = bits (fresh ()))
 
+(* Trimming steps the biases alone, and only they take gradients from
+   the training node: every other leaf keeps none. *)
+let test_trim_grads_only_biases () =
+  let net = Network.create ~hidden:3 (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
+  let split =
+    Pnc_data.Dataset.preprocess (Rng.create ~seed:4) (Pnc_data.Registry.load ~seed:3 ~n:40 "GPOVY")
+  in
+  let chip = Pnc_core.Calibrate.chip ~seed:9 (Variation.uniform 0.2) in
+  Pnc_core.Calibrate.trim ~epochs:3 ~chip net split.Pnc_data.Dataset.valid;
+  let biases = Pnc_core.Calibrate.bias_params net in
+  Alcotest.(check bool) "the biases took gradients" true
+    (List.for_all (fun p -> Option.is_some (Var.grad_opt p)) biases);
+  Alcotest.(check bool) "theta, filter and ptanh leaves took none" true
+    (List.for_all
+       (fun p -> List.memq p biases || Option.is_none (Var.grad_opt p))
+       (Network.params net))
+
 (* Properties ----------------------------------------------------------------------- *)
 
 let prop_crossbar_bounded_under_variation =
@@ -1135,6 +1152,8 @@ let () =
           Alcotest.test_case "evaluate restores" `Quick test_evaluate_restores_design;
           Alcotest.test_case "trim = per-op tape replay, eps 0" `Quick
             test_trim_equals_per_op_replay;
+          Alcotest.test_case "trim: gradients only for the biases" `Quick
+            test_trim_grads_only_biases;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

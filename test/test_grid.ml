@@ -21,6 +21,8 @@ module Lease = Pnc_ckpt.Lease
 module Config = Pnc_exp.Config
 module E = Pnc_exp.Experiments
 module Rng = Pnc_util.Rng
+module Ckpt = Pnc_ckpt.Ckpt
+module Obs = Pnc_obs.Obs
 
 (* Helpers ------------------------------------------------------------------ *)
 
@@ -204,6 +206,34 @@ let test_proto_reap_tmp () =
 
 (* qgen: merged state is invariant to shard count, completion order and
    duplicate workers; atomic rename gives exactly-once computation. *)
+
+(* A cell cached as a real checkpoint, validated by a full [Ckpt.load]
+   like the experiment grid's cells: the [ckpt.loads] counter counts
+   its validations. *)
+let ckpt_cell ~dir name =
+  let path = Filename.concat dir (name ^ ".ckpt") in
+  {
+    Proto.cell_id = name;
+    path;
+    is_valid = (fun () -> Result.is_ok (Ckpt.load ~path));
+    compute = (fun () -> Ckpt.save ~path ~kind:"grid-cell" ~meta:[] ~sections:[]);
+  }
+
+let ckpt_loads () =
+  List.fold_left
+    (fun acc (n, fields) ->
+      match (n, List.assoc_opt "value" fields) with
+      | "ckpt.loads", Some (Obs.Int v) -> acc + v
+      | _ -> acc)
+    0 (Obs.metrics_snapshot ())
+
+let test_proto_complete_cache_loads_once () =
+  let dir = fresh_dir () in
+  let cells = List.init 5 (fun i -> ckpt_cell ~dir (Printf.sprintf "c%d" i)) in
+  Alcotest.(check int) "computes every cell" 5 (Proto.work ~owner:"w0" cells);
+  let before = ckpt_loads () in
+  Alcotest.(check int) "complete cache: nothing computed" 0 (Proto.work ~owner:"w1" cells);
+  Alcotest.(check int) "one load per cell" (List.length cells) (ckpt_loads () - before)
 
 let shuffle rng l =
   let a = Array.of_list l in
@@ -404,6 +434,8 @@ let () =
           Alcotest.test_case "corrupt cell recomputed" `Quick test_proto_corrupt_cell_recomputed;
           Alcotest.test_case "stale claims reaped" `Quick test_proto_stale_claims_reaped;
           Alcotest.test_case "dead writers' tmp litter reaped" `Quick test_proto_reap_tmp;
+          Alcotest.test_case "complete cache loads each cell once" `Quick
+            test_proto_complete_cache_loads_once;
           Qgen.test_case ~count:25 ~pp:pp_case "merge invariant to shards/order/duplicates"
             gen_case shard_invariance;
         ] );

@@ -456,6 +456,35 @@ let test_adaptation_equals_per_op_replay () =
       ("reference, all", reference, Online.All, Model.params reference);
     ]
 
+(* A [Filters] adaptation steps the filter leaves alone, and only they
+   take gradients from the training node: the crossbar and ptanh leaves
+   keep none. *)
+let test_filters_adaptation_grads_only_filters () =
+  let rz = Scenario.realize drift_scenario in
+  let model = (Lazy.force trained).E.model in
+  let layers =
+    match model with
+    | Model.Circuit net -> Pnc_core.Network.layers net
+    | Model.Reference _ -> assert false
+  in
+  let filters = List.concat_map (fun (_, fl, _) -> Pnc_core.Filter_layer.params fl) layers in
+  let others =
+    List.concat_map
+      (fun (cb, _, act) -> Pnc_core.Crossbar.params cb @ Pnc_core.Ptanh.params act)
+      layers
+  in
+  List.iter Pnc_autodiff.Var.zero_grad (Model.params model);
+  let snap = Online.snapshot_params model in
+  let protocol =
+    { drift_protocol with Online.adapt = Online.Filters; adapt_lr = 0.2; adapt_steps = 2 }
+  in
+  ignore (eval ~protocol model rz);
+  Online.restore_params model snap;
+  let has_grad p = Option.is_some (Pnc_autodiff.Var.grad_opt p) in
+  check_b "the filter leaves took gradients" true (List.for_all has_grad filters);
+  check_b "crossbar and ptanh leaves took none" false (List.exists has_grad others);
+  List.iter Pnc_autodiff.Var.zero_grad filters
+
 (* Fingerprints ----------------------------------------------------------- *)
 
 let test_fingerprints () =
@@ -534,6 +563,8 @@ let () =
             test_adaptation_beats_frozen;
           Alcotest.test_case "adapted = per-op tape replay, eps 0" `Slow
             test_adaptation_equals_per_op_replay;
+          Alcotest.test_case "filters adaptation: gradients only for the filters" `Quick
+            test_filters_adaptation_grads_only_filters;
           Alcotest.test_case "fingerprints" `Quick test_fingerprints;
         ] );
       ( "sensitivity",
