@@ -113,13 +113,7 @@ let readout_ablation () =
       let split, classes = load name 0 in
       let eval readout =
         let net = train_with_readout ~readout split ~classes in
-        let x, y = Train.to_xy split.Dataset.test in
-        let pred =
-          T.argmax_rows
-            (Network.forward_batch_t ~opts:{ Batch.default with readout }
-               ~draw:Variation.deterministic net x)
-        in
-        Pnc_util.Stats.accuracy ~pred ~truth:y
+        Train.accuracy ~opts:{ Batch.default with readout } (Model.Circuit net) split.Dataset.test
       in
       Table.add_row t
         [

@@ -270,8 +270,7 @@ let eval_cmd =
           Printf.eprintf "cannot load %s: %s\n" load (Pnc_ckpt.Ckpt.error_to_string e);
           exit 1
     in
-    let raw = Registry.load ?n:cfg.Pnc_exp.Config.dataset_n ~seed dataset in
-    let split = Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw in
+    let split, _ = Experiments.load_split cfg ~dataset ~seed in
     let test = split.Dataset.test in
     with_obs ~metrics_out ~trace (fun () ->
         with_jobs jobs (fun pool ->
@@ -1037,8 +1036,7 @@ let sensitivity_cmd =
             let r = Experiments.train_run ?pool cfg ~dataset ~variant:Experiments.Full ~seed in
             match r.Experiments.model with
             | Pnc_core.Model.Circuit net ->
-                let raw = Registry.load ?n:cfg.Pnc_exp.Config.dataset_n ~seed dataset in
-                let split = Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw in
+                let split, _ = Experiments.load_split cfg ~dataset ~seed in
                 let rows =
                   Pnc_core.Sensitivity.analyze ?pool ~rng:(Rng.create ~seed:77) ~level ~draws:10
                     net split.Dataset.test
@@ -1064,8 +1062,7 @@ let discretize_cmd =
     let r = Experiments.train_run cfg ~dataset ~variant:Experiments.Full ~seed in
     match r.Experiments.model with
     | Pnc_core.Model.Circuit net ->
-        let raw = Registry.load ?n:cfg.Pnc_exp.Config.dataset_n ~seed dataset in
-        let split = Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw in
+        let split, _ = Experiments.load_split cfg ~dataset ~seed in
         let ladder =
           Pnc_core.Discretize.accuracy_ladder ~levels_list:[ 2; 3; 4; 6; 8; 16; 32 ] net
             split.Dataset.test

@@ -24,10 +24,7 @@ let trim ?(epochs = 60) ?(lr = 0.02) ~chip net dataset =
 
 type outcome = { before : float; after : float }
 
-let chip_accuracy ~chip net dataset =
-  let x, y = Train.to_xy dataset in
-  let pred = T.argmax_rows (Network.forward_batch_t ~draw:(chip ()) net x) in
-  Pnc_util.Stats.accuracy ~pred ~truth:y
+let chip_accuracy ~chip net dataset = Train.accuracy ~draw:(chip ()) (Model.Circuit net) dataset
 
 let evaluate ?epochs ?lr ~chip net ~calibration ~test =
   let saved = Train.snapshot (bias_params net) in

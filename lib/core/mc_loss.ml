@@ -45,11 +45,11 @@ let emit_corr ~spec ~n =
    owns one child generator derived by indexed splitting from the
    caller's stream. Draw i is then a function of (parent state, i)
    alone, so the per-draw values are identical whether the draws run
-   sequentially or distributed over a domain pool of any size, and both
-   estimators below consume randomness identically. A task is [n/2]
-   mirrored pairs (plus one plain draw if [n] is odd) or [n] plain
-   draws; the reference RNN takes one deterministic draw. [ste] marks
-   every draw as straight-through. *)
+   sequentially or distributed over a domain pool of any size, and every
+   estimator built on these draws consumes randomness identically. A
+   task is [n/2] mirrored pairs (plus one plain draw if [n] is odd) or
+   [n] plain draws; the reference RNN takes one deterministic draw.
+   [ste] marks every draw as straight-through. *)
 let task_draws ?(ste = false) ~antithetic ~rng ~spec ~n model =
   let circuit = Model.is_circuit model in
   let n = if circuit then n else 1 in
@@ -67,6 +67,11 @@ let task_draws ?(ste = false) ~antithetic ~rng ~spec ~n model =
       rngs
   in
   (n, tasks)
+
+let map_tasks ?pool f tasks =
+  match pool with
+  | None -> Array.map f tasks
+  | Some p -> Pool.init p ~n:(Array.length tasks) (fun j -> f tasks.(j))
 
 (* The one dispatch between the two gradient engines: a circuit trains
    through the fused node, and the reference RNN, which has no
@@ -112,16 +117,8 @@ let expected_value ?(antithetic = false) ?opts ?pool ~rng ~spec ~n model ~x ~lab
   let n, tasks = task_draws ~antithetic ~rng ~spec ~n model in
   let steps = Pnc_tensor.Tensor.columns x in
   let value draw = value_of_draw ?opts ~draw model ~steps ~labels in
-  let task j =
-    match tasks.(j) with
-    | [| d1; d2 |] -> value d1 +. value d2
-    | ds -> value ds.(0)
-  in
-  let n_tasks = Array.length tasks in
   let values =
-    match pool with
-    | None -> Array.init n_tasks task
-    | Some p -> Pool.init p ~n:n_tasks task
+    map_tasks ?pool (function [| d1; d2 |] -> value d1 +. value d2 | ds -> value ds.(0)) tasks
   in
   let result = 1. /. float_of_int n *. Array.fold_left ( +. ) 0. values in
   Obs.Counter.add draws_counter n;

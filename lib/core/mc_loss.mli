@@ -6,13 +6,40 @@
     V₀ᵢ). With [spec = Variation.none] and [n = 1] this reduces to the
     ordinary (no-variation-aware) objective used by the baseline.
 
-    {b Determinism contract.} Both estimators pre-split one child
+    {!task_draws} and {!map_tasks} are the one Monte-Carlo sampler:
+    every estimate under variation draws and evaluates its printed
+    instances through them ({!Train.accuracy_under_variation} and so
+    {!Sensitivity.analyze}, {!Yield.estimate}, the estimators here).
+
+    {b Determinism contract.} {!task_draws} pre-splits one child
     generator per draw (per antithetic pair) from [rng] via
     {!Pnc_util.Rng.split_n}: draw i consumes child i and nothing else,
     so the per-draw values — and their fixed-order sum — are identical
     whether the draws run sequentially or distributed over a
     {!Pnc_util.Pool} of any worker count, and the training node and the
     tensor path consume randomness identically. *)
+
+val task_draws :
+  ?ste:bool ->
+  antithetic:bool ->
+  rng:Pnc_util.Rng.t ->
+  spec:Variation.spec ->
+  n:int ->
+  Model.t ->
+  int * Variation.draw array array
+(** [(n', tasks)]: one estimate's instances, grouped into pool tasks,
+    from one {!Pnc_util.Rng.split_n} of [rng]. For a circuit, [n' = n]
+    and each task is one plain draw ({!Variation.make_draw}) or, with
+    [antithetic] and [n >= 2], a mirrored pair
+    ({!Variation.antithetic_pair}), plus one plain draw when [n] is
+    odd. The reference RNN has no components: it is one deterministic
+    instance, [n' = 1], whatever [n]. Estimates divide by [n']. [ste]
+    (default false) marks every draw as straight-through. *)
+
+val map_tasks :
+  ?pool:Pnc_util.Pool.t -> (Variation.draw array -> 'a) -> Variation.draw array array -> 'a array
+(** [Array.map], on [pool]'s domains when given; the result is in task
+    order either way. [f] must not touch the gradient tape. *)
 
 val objective :
   params:Pnc_autodiff.Var.t list ->

@@ -1,6 +1,3 @@
-module T = Pnc_tensor.Tensor
-module Rng = Pnc_util.Rng
-module Stats = Pnc_util.Stats
 module Obs = Pnc_obs.Obs
 module Clock = Pnc_obs.Clock
 
@@ -22,43 +19,22 @@ let varied = function
   | Activation_eta -> { Batch.crossbar = false; filter = false; activation = true }
   | All_families -> Batch.all_families
 
-(* Runs on the no-grad engine (bit-identical to the Var-path forward
-   under the same draw and family selection): pool tasks must not touch
-   the global gradient tape, and the analysis needs no gradients
-   anyway. Draw i owns child stream i, so the mean is
-   worker-count-invariant. *)
-let accuracy_with ~opts ?pool ~rng ~spec ~draws net steps y =
-  let rngs = Rng.split_n rng draws in
-  let instance i =
-    let draw = Variation.make_draw rngs.(i) spec in
-    let logits = Network.forward_multi_batch_t ~opts ~draw net steps in
-    Stats.accuracy ~pred:(T.argmax_rows logits) ~truth:y
-  in
-  let accs =
-    match pool with
-    | None -> Array.init draws instance
-    | Some p -> Pnc_util.Pool.init p ~n:draws instance
-  in
-  Array.fold_left ( +. ) 0. accs /. float_of_int draws
-
+(* Each row is the shared scorer, [Train.accuracy_under_variation], on
+   the no-grad engine with the row's families varied: pool tasks must
+   not touch the global gradient tape, and the analysis needs no
+   gradients anyway. *)
 let analyze ?(opts = Batch.default) ?pool ~rng ~level ~draws net dataset =
   assert (draws >= 1 && level >= 0.);
   Obs.Span.with_ ~attrs:[ ("level", Obs.Float level); ("draws", Obs.Int draws) ]
     "sensitivity.analyze"
   @@ fun () ->
-  let x, y = Train.to_xy dataset in
-  (* Split into time steps once: every family and draw reads them. *)
-  let steps = T.columns x in
-  let spec = Variation.uniform level in
-  let nominal_pred =
-    T.argmax_rows (Network.forward_multi_batch_t ~opts ~draw:Variation.deterministic net steps)
-  in
-  let nominal = Stats.accuracy ~pred:nominal_pred ~truth:y in
+  let model = Model.Circuit net and spec = Variation.uniform level in
+  let nominal = Train.accuracy ~opts model dataset in
   List.map
     (fun family ->
       let t0 = if Obs.enabled () then Clock.now () else 0. in
       let opts = { opts with varied = varied family } in
-      let accuracy = accuracy_with ~opts ?pool ~rng ~spec ~draws net steps y in
+      let accuracy = Train.accuracy_under_variation ~opts ?pool ~rng ~spec ~draws model dataset in
       Obs.Counter.add draws_counter draws;
       if Obs.enabled () then begin
         let dt = Clock.elapsed t0 in

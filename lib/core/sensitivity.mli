@@ -31,11 +31,15 @@ val analyze :
   Pnc_data.Dataset.t ->
   row list
 (** Rows for the three families plus [All_families], ordered as
-    declared. The [All_families] row reproduces the standard
-    evaluation-under-variation number. Runs on the no-grad engine
-    with [opts] (its [varied] is set per row) and splits the input into
-    time steps once; with [pool] the per-family Monte-Carlo draws
-    evaluate in parallel with worker-count-invariant results (pre-split
-    child streams). *)
+    declared. Each row is {!Train.accuracy_under_variation} of
+    [Model.Circuit net] under uniform ±[level] with [draws] draws, on
+    the no-grad engine with [opts] whose [varied] is set per row. The
+    rows draw from [rng] in that order, so the [All_families] row is
+    {!Train.accuracy_under_variation} at [opts] on [rng] as the three
+    family rows leave it, bit for bit: the standard
+    evaluation-under-variation number.
+    The nominal accuracy the drops are taken from is {!Train.accuracy}.
+    With [pool] the draws evaluate in parallel with
+    worker-count-invariant results (pre-split child streams). *)
 
 val report : row list -> string

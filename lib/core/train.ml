@@ -205,20 +205,13 @@ let accuracy_under_variation ?opts ?pool ~rng ~spec ~draws model d =
   (* Split into time steps once per estimate: every draw and pool
      worker reads the same steps. *)
   let steps = T.columns x in
-  (* One pre-split child stream per sampled instance — values and
-     summation order are identical for every pool worker count. *)
-  let rngs = Rng.split_n rng draws in
-  let instance i =
-    let draw = Variation.make_draw rngs.(i) spec in
+  let draws, tasks = Mc_loss.task_draws ~antithetic:false ~rng ~spec ~n:draws model in
+  let instance ds =
     Pnc_util.Stats.accuracy
-      ~pred:(T.argmax_rows (Model.logits_multi_batch_t ?opts ~draw model steps))
+      ~pred:(T.argmax_rows (Model.logits_multi_batch_t ?opts ~draw:ds.(0) model steps))
       ~truth:y
   in
-  let accs =
-    match pool with
-    | None -> Array.init draws instance
-    | Some p -> Pnc_util.Pool.init p ~n:draws instance
-  in
+  let accs = Mc_loss.map_tasks ?pool instance tasks in
   let acc = Array.fold_left ( +. ) 0. accs /. float_of_int draws in
   Obs.Counter.add eval_draws_counter draws;
   if Obs.enabled () then begin

@@ -109,10 +109,15 @@ val accuracy_under_variation :
   Pnc_data.Dataset.t ->
   float
 (** Mean accuracy over [draws] independent physical instances — the
-    paper's "tested under ±10 % variation" protocol. Each instance owns
-    a pre-split child stream; with [pool] the instances evaluate in
-    parallel with a result identical to the sequential one. The input
-    is split into time steps once per estimate. *)
+    paper's "tested under ±10 % variation" protocol, and the scorer
+    {!Sensitivity.analyze} runs per row. The instances are
+    {!Mc_loss.task_draws}' plain draws, evaluated through
+    {!Mc_loss.map_tasks}: each owns a pre-split child stream, so with
+    [pool] the result is identical to the sequential one. The mean is
+    the draw-order sum divided by the instance count. A reference
+    model is one deterministic instance, so its result is {!accuracy}
+    bit for bit and it counts as one draw. The input is split into time
+    steps once per estimate. *)
 
 val epoch : ?rng:Pnc_util.Rng.t -> config -> Model.t -> Pnc_data.Dataset.split -> unit -> unit
 (** [epoch cfg model split] builds the optimizer once and returns a

@@ -32,28 +32,9 @@ let estimate ?opts ?pool ~rng ~spec ~threshold ~draws model dataset =
   assert (draws >= 1);
   let t0 = if Obs.enabled () then Clock.now () else 0. in
   let x, y = Train.to_xy dataset in
-  let accs =
-    if Model.is_circuit model then begin
-      (* One pre-split child stream per printed instance: instance i is
-         a function of (rng state, i) alone, so the sampled accuracies
-         are identical in value and order for every pool worker
-         count (and with no pool at all). *)
-      let rngs = Pnc_util.Rng.split_n rng draws in
-      let steps = Pnc_tensor.Tensor.columns x in
-      let instance i =
-        let draw = Variation.make_draw rngs.(i) spec in
-        let logits = Model.logits_multi_batch_t ?opts ~draw model steps in
-        Pnc_util.Stats.accuracy ~pred:(Pnc_tensor.Tensor.argmax_rows logits) ~truth:y
-      in
-      match pool with
-      | None -> Array.init draws instance
-      | Some p -> Pnc_util.Pool.init p ~n:draws instance
-    end
-    else
-      [|
-        Pnc_util.Stats.accuracy ~pred:(Model.predict_batch ?opts model x) ~truth:y;
-      |]
-  in
+  let _, tasks = Mc_loss.task_draws ~antithetic:false ~rng ~spec ~n:draws model in
+  let instance ds = Stats.accuracy ~pred:(Model.predict_batch ?opts ~draw:ds.(0) model x) ~truth:y in
+  let accs = Mc_loss.map_tasks ?pool instance tasks in
   let r = of_accuracies ~threshold accs in
   Obs.Counter.add draws_counter r.draws;
   if Obs.enabled () then begin

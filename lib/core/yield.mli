@@ -4,8 +4,9 @@
     story is manufacturing yield: out of N printed instances of the
     same trained design, how many meet an accuracy specification once
     their components have been scattered by the process? This module
-    samples physical instances via {!Variation} draws and reports the
-    distribution of their accuracies. *)
+    samples physical instances with the one Monte-Carlo sampler
+    ({!Mc_loss.task_draws}) and reports the distribution of their
+    accuracies. *)
 
 type result = {
   draws : int;
@@ -27,12 +28,16 @@ val estimate :
   Model.t ->
   Pnc_data.Dataset.t ->
   result
-(** Reference (non-circuit) models have a single deterministic instance;
-    their result collapses to that accuracy. With [pool], the sampled
-    instances are evaluated in parallel on the pool's domains; each
-    instance owns a pre-split child stream, so the result is identical
-    for every worker count. Each instance evaluates on the no-grad
-    engine with [opts]. *)
+(** Statistics over the per-instance accuracies (on the no-grad engine
+    with [opts], the dataset converted once per estimate) of the
+    instances {!Mc_loss.task_draws} samples, evaluated through
+    {!Mc_loss.map_tasks}. The draws are those of
+    {!Train.accuracy_under_variation} for the same [rng], [spec] and
+    [draws], so [mean_acc] equals its result bit for bit. A reference
+    (non-circuit) model is one deterministic instance; its result
+    collapses to that accuracy. With [pool], the instances evaluate in
+    parallel on the pool's domains; each owns a pre-split child stream,
+    so the result is identical for every worker count. *)
 
 val sweep_levels :
   ?opts:Batch.opts ->
@@ -45,6 +50,9 @@ val sweep_levels :
   Pnc_data.Dataset.t ->
   (float * result) list
 (** Yield as a function of the process-variation level (uniform ±level)
-    — the ablation bench behind the paper's Fig. 5 narrative. *)
+    — the ablation bench behind the paper's Fig. 5 narrative. Each
+    level is one {!estimate} on the shared [rng]; level 0 is the
+    nominal circuit, one draw of {!Variation.none}, whatever
+    [draws]. *)
 
 val describe : result -> string

@@ -85,9 +85,18 @@ let adapt_hidden ~classes = Stdlib.min 8 (Stdlib.max 4 (2 * classes))
 let uses_variation_aware = function Va | Full | Ni -> true | _ -> false
 let uses_augmented_training = function At | Full | Ni -> true | _ -> false
 
-let load_split cfg ~dataset ~seed =
+let load_split ?(augment = false) cfg ~dataset ~seed =
   let raw = Registry.load ?n:cfg.Config.dataset_n ~seed dataset in
-  (Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw, raw.Dataset.n_classes)
+  let split = Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw in
+  (* Augment the training split only: model selection must see the
+     clean validation data, or the augmentation policy leaks into the
+     eval protocol. *)
+  let aug d =
+    Augment.augment_dataset (Rng.create ~seed:(seed + 2000)) Augment.default_policy
+      ~copies:cfg.Config.aug_copies d
+  in
+  ((if augment then { split with Dataset.train = aug split.Dataset.train } else split),
+   raw.Dataset.n_classes)
 
 let build_model cfg ~variant ~classes ~seed =
   ignore cfg;
@@ -103,7 +112,9 @@ let build_model cfg ~variant ~classes ~seed =
 
 let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
     cfg ~dataset ~variant ~seed =
-  let split, classes = load_split cfg ~dataset ~seed in
+  let split, classes =
+    load_split ~augment:(uses_augmented_training variant) cfg ~dataset ~seed
+  in
   let model = build_model cfg ~variant ~classes ~seed in
   let train_cfg =
     if uses_variation_aware variant then cfg.Config.train_va else cfg.Config.train_base
@@ -124,25 +135,14 @@ let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoc
       }
     else train_cfg
   in
-  let split_for_training =
-    if uses_augmented_training variant then begin
-      let arng = Rng.create ~seed:(seed + 2000) in
-      let aug d = Augment.augment_dataset arng Augment.default_policy ~copies:cfg.Config.aug_copies d in
-      (* Augment the training split only: model selection must see the
-         clean validation data, or the augmentation policy leaks into
-         the eval protocol. *)
-      { split with Dataset.train = aug split.Dataset.train }
-    end
-    else split
-  in
   let rng = Rng.create ~seed:(seed + 3000) in
   let (history, dt) =
     Pnc_util.Timer.time (fun () ->
         Train.train ~rng ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
-          train_cfg model split_for_training)
+          train_cfg model split)
   in
-  (* Evaluation protocols. The circuit models are evaluated under +-10%
-     component variation; the reference RNN has no physical components. *)
+  (* Evaluation protocols under +-10% component variation; the reference
+     RNN is scored as its one deterministic instance. *)
   let spec = Variation.uniform cfg.Config.eval_level in
   let erng = Rng.create ~seed:(seed + 4000) in
   let prng = Rng.create ~seed:(seed + 5000) in
@@ -154,11 +154,8 @@ let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoc
   (* The configured tier flows into every no-grad evaluation below; a
      `Fast run keys its cells separately via the fingerprint. *)
   let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
-  let under_variation d =
-    if Model.is_circuit model then
-      Train.accuracy_under_variation ~opts ?pool ~rng:erng ~spec
-        ~draws:cfg.Config.eval_draws model d
-    else Train.accuracy ~opts model d
+  let under_variation ?(rng = erng) ?(spec = spec) ?(draws = cfg.Config.eval_draws) d =
+    Train.accuracy_under_variation ~opts ?pool ~rng ~spec ~draws model d
   in
   (* Accuracy under spatially correlated variation (every variant gets
      the column, trained with NI or not). The draw stream comes from a
@@ -168,24 +165,24 @@ let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoc
      the eps field move together), so this metric uses 4x the i.i.d.
      draw budget. *)
   let corr_var_acc =
-    if Model.is_circuit model then
-      let corr_spec =
-        { (Variation.uniform cfg.Config.eval_level) with Variation.corr = Some (corr_of_cfg cfg) }
-      in
-      Train.accuracy_under_variation ~opts ?pool
-        ~rng:(Rng.create ~seed:(seed + 7000))
-        ~spec:corr_spec ~draws:(4 * cfg.Config.eval_draws) model test
-    else Train.accuracy ~opts model test
+    under_variation
+      ~rng:(Rng.create ~seed:(seed + 7000))
+      ~spec:{ spec with Variation.corr = Some (corr_of_cfg cfg) }
+      ~draws:(4 * cfg.Config.eval_draws) test
   in
+  (* The other three protocols share [erng], in this order. *)
+  let pert_var_acc = under_variation pert_test in
+  let aug_var_acc = under_variation aug_test in
+  let clean_var_acc = under_variation test in
   {
     dataset;
     variant;
     seed;
     model;
     clean_acc = Train.accuracy ~opts model test;
-    clean_var_acc = under_variation test;
-    aug_var_acc = under_variation aug_test;
-    pert_var_acc = under_variation pert_test;
+    clean_var_acc;
+    aug_var_acc;
+    pert_var_acc;
     corr_var_acc;
     train_seconds = dt;
     epochs = history.Train.epochs_run;
@@ -404,14 +401,12 @@ let stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
   let dataset = scenario.Scenario.dataset in
   let r = trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed in
   let rz = Scenario.realize scenario in
-  (* Same physical-instance policy as the offline protocols: circuits
-     stream under ±eval_level component variation, the reference RNN
-     has no components. seed+6000 keeps the streaming eval stream
-     disjoint from the train/eval/perturb streams of train_run. *)
+  (* Same physical-instance policy as the offline protocols: ±eval_level
+     component variation, which the reference RNN ignores. seed+6000
+     keeps the streaming eval stream disjoint from the train/eval/perturb
+     streams of train_run. *)
   let spec =
-    if Model.is_circuit r.model && cfg.Config.eval_level > 0. then
-      Some (Variation.uniform cfg.Config.eval_level)
-    else None
+    if cfg.Config.eval_level > 0. then Some (Variation.uniform cfg.Config.eval_level) else None
   in
   let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let eval_rng () = Rng.create ~seed:(seed + 6000) in
@@ -806,13 +801,14 @@ let variation_sweep_of_grid ?(levels = [ 0.; 0.05; 0.1; 0.2; 0.3 ]) ?(threshold 
              match top_k_by_clean cfg (slice runs ~dataset ~variant) with
              | best :: _ ->
                  let split, _ = load_split cfg ~dataset ~seed:best.seed in
+                 (* A fresh stream per level; [sweep_levels] owns the
+                    level-0 rule. *)
                  let r =
-                   Yield.estimate ~opts ?pool
-                     ~rng:(Rng.create ~seed:4242)
-                     ~spec:(if level = 0. then Variation.none else Variation.uniform level)
-                     ~threshold
-                     ~draws:(if level = 0. then 1 else cfg.Config.eval_draws)
-                     best.model split.Dataset.test
+                   List.assoc level
+                     (Yield.sweep_levels ~opts ?pool
+                        ~rng:(Rng.create ~seed:4242)
+                        ~levels:[ level ] ~threshold ~draws:cfg.Config.eval_draws best.model
+                        split.Dataset.test)
                  in
                  (r.Yield.mean_acc, r.Yield.yield)
              | [] -> (0., 0.))

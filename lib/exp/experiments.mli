@@ -40,6 +40,17 @@ val corr_of_cfg : Config.t -> Pnc_core.Variation.corr
     the [corr_var_acc] metric: [cfg.corr] when set, else
     {!Pnc_core.Variation.default_corr}. *)
 
+val load_split :
+  ?augment:bool -> Config.t -> dataset:string -> seed:int -> Pnc_data.Dataset.split * int
+(** The split of one (dataset, seed) run and its class count: the
+    dataset drawn by {!Pnc_data.Registry.load} at [cfg.dataset_n]
+    samples and preprocessed with stream [seed + 1000]. With [augment]
+    (default false), the training split alone gains [cfg.aug_copies]
+    augmented copies of each series (stream [seed + 2000]); validation
+    and test stay clean, so model selection and scoring never see the
+    augmentation policy. {!train_run} and {!Search.evaluate} load
+    their splits here. *)
+
 type run = {
   dataset : string;
   variant : variant;

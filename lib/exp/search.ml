@@ -1,6 +1,5 @@
 module Rng = Pnc_util.Rng
 module Dataset = Pnc_data.Dataset
-module Augment = Pnc_augment.Augment
 module Network = Pnc_core.Network
 module Filter_layer = Pnc_core.Filter_layer
 module Model = Pnc_core.Model
@@ -33,23 +32,13 @@ let random_genome rng =
   }
 
 let evaluate cfg ~dataset ~seed genome =
-  let raw = Pnc_data.Registry.load ?n:cfg.Config.dataset_n ~seed dataset in
-  let split = Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw in
-  let classes = raw.Dataset.n_classes in
+  let split, classes = Experiments.load_split ~augment:genome.use_at cfg ~dataset ~seed in
   (* The filter order decides between the two circuit families. *)
   let arch = match genome.order with Filter_layer.First -> Network.Ptpnc | Filter_layer.Second -> Network.Adapt in
   let net = Network.create ~hidden:genome.hidden (Rng.create ~seed:(seed + 77)) arch ~inputs:1 ~classes in
   let model = Model.Circuit net in
   let train_cfg = if genome.use_va then cfg.Config.train_va else cfg.Config.train_base in
-  let split_for_training =
-    if genome.use_at then begin
-      let arng = Rng.create ~seed:(seed + 2000) in
-      let aug d = Augment.augment_dataset arng Augment.default_policy ~copies:cfg.Config.aug_copies d in
-      { split with Dataset.train = aug split.Dataset.train; valid = aug split.Dataset.valid }
-    end
-    else split
-  in
-  let _ = Train.train ~rng:(Rng.create ~seed:(seed + 3000)) train_cfg model split_for_training in
+  let _ = Train.train ~rng:(Rng.create ~seed:(seed + 3000)) train_cfg model split in
   let spec = Variation.uniform cfg.Config.eval_level in
   let eval d =
     Train.accuracy_under_variation ~rng:(Rng.create ~seed:(seed + 4000)) ~spec

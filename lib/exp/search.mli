@@ -31,7 +31,9 @@ val random_genome : Pnc_util.Rng.t -> genome
 
 val evaluate :
   Config.t -> dataset:string -> seed:int -> genome -> candidate
-(** Train the genome's circuit with the config's budget and score it. *)
+(** Train the genome's circuit with the config's budget on
+    {!Experiments.load_split}'s split (augmented training data for a
+    [use_at] genome; validation and test stay clean) and score it. *)
 
 val random_search :
   ?progress:(string -> unit) ->

@@ -5,6 +5,8 @@
 #
 #   - examples/quickstart and examples/multisensor (training through the
 #     fused node, evaluation under variation);
+#   - examples/yield_analysis (Yield.sweep_levels) and `adapt_pnc
+#     sensitivity -d GPOVY` (Sensitivity.analyze's per-family rows);
 #   - bench/ablations.exe (read-out, discretization, calibration
 #     trimming, ...), minus the Bechamel timing lines of its section H;
 #   - scripts/stream_smoke.sh's frozen and adapted streaming tables;
@@ -28,8 +30,8 @@ OUT=${2:-$(mktemp -d "${TMPDIR:-/tmp}/parity-XXXXXX")}
 ROOT=$(git rev-parse --show-toplevel)
 COMMIT=$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")
 GRID_ARGS="--scale smoke -d GPOVY -d PowerCons"
-OUTPUTS="quickstart.txt multisensor.txt ablations.txt stream/stream-j1.txt stream/stream-j4.txt
-grid-merged.txt cell-params.txt"
+OUTPUTS="quickstart.txt multisensor.txt yield_analysis.txt sensitivity.txt ablations.txt
+stream/stream-j1.txt stream/stream-j4.txt grid-merged.txt cell-params.txt"
 
 mkdir -p "$OUT/rev-src"
 git -C "$ROOT" archive "$COMMIT" | tar -x -C "$OUT/rev-src"
@@ -54,10 +56,13 @@ side() {
   mkdir -p "$out"
   echo "-- $name: build --"
   dune build --root "$src" bin/adapt_pnc.exe examples/quickstart.exe examples/multisensor.exe \
-    bench/ablations.exe
+    examples/yield_analysis.exe bench/ablations.exe
   echo "-- $name: examples --"
   (cd "$src" && "$bin/examples/quickstart.exe") >"$out/quickstart.txt"
   (cd "$src" && "$bin/examples/multisensor.exe") >"$out/multisensor.txt"
+  (cd "$src" && "$bin/examples/yield_analysis.exe") >"$out/yield_analysis.txt"
+  echo "-- $name: sensitivity --"
+  (cd "$src" && "$bin/bin/adapt_pnc.exe" sensitivity -d GPOVY 2>/dev/null) >"$out/sensitivity.txt"
   echo "-- $name: ablation bench --"
   (cd "$src" && "$bin/bench/ablations.exe") >"$out/ablations-timed.txt"
   sed '/^H\. /,/^done\./{/^  /d}' "$out/ablations-timed.txt" >"$out/ablations.txt"

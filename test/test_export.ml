@@ -17,6 +17,12 @@ module Netlist_export = Pnc_core.Netlist_export
 module Yield = Pnc_core.Yield
 module Search = Pnc_exp.Search
 module Config = Pnc_exp.Config
+module Experiments = Pnc_exp.Experiments
+module Train = Pnc_core.Train
+module Batch = Pnc_core.Batch
+module Sensitivity = Pnc_core.Sensitivity
+module Hardware = Pnc_core.Hardware
+module Obs = Pnc_obs.Obs
 
 (* Substring search helper (Stdlib.String has no [contains] for substrings). *)
 module Str_contains = struct
@@ -168,6 +174,50 @@ let test_yield_describe () =
   in
   Alcotest.(check bool) "mentions yield" true (Str_contains.contains (Yield.describe r) "90%")
 
+(* One sampler ------------------------------------------------------------------- *)
+
+(* Every estimate under variation draws its instances through
+   [Mc_loss]: the scorers below must agree bit for bit on the same
+   stream. *)
+
+let counter name =
+  List.fold_left
+    (fun acc (n, fields) ->
+      match (n, List.assoc_opt "value" fields) with
+      | n', Some (Obs.Int v) when n' = name -> acc + v
+      | _ -> acc)
+    0 (Obs.metrics_snapshot ())
+
+let same_bits name a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then Alcotest.failf "%s: %h <> %h" name a b
+
+let test_reference_one_instance () =
+  let model = Model.Reference (Pnc_core.Elman.create (rng ()) ~inputs:1 ~classes:2) in
+  let d = toy_dataset () in
+  let before = counter "eval.variation_draws" in
+  let acc =
+    Train.accuracy_under_variation ~rng:(rng ()) ~spec:(Variation.uniform 0.1) ~draws:7 model d
+  in
+  Alcotest.(check int) "one draw counted" 1 (counter "eval.variation_draws" - before);
+  same_bits "= Train.accuracy" (Train.accuracy model d) acc
+
+let test_scorers_agree () =
+  let net = Network.create ~hidden:3 (rng ()) Network.Adapt ~inputs:1 ~classes:2 in
+  let model = Model.Circuit net and d = toy_dataset () in
+  let spec = Variation.uniform 0.2 and draws = 5 in
+  let under ?opts rng = Train.accuracy_under_variation ?opts ~rng ~spec ~draws model d in
+  let y = Yield.estimate ~rng:(Rng.create ~seed:3) ~spec ~threshold:0.5 ~draws model d in
+  same_bits "yield mean_acc" (under (Rng.create ~seed:3)) y.Yield.mean_acc;
+  (* The rows draw from one stream in declaration order; the last,
+     [All_families], runs at the default [varied]. *)
+  let rows = Sensitivity.analyze ~rng:(Rng.create ~seed:4) ~level:0.2 ~draws net d in
+  let r = Rng.create ~seed:4 in
+  List.iter
+    (fun (row : Sensitivity.row) ->
+      let opts = { Batch.default with varied = Sensitivity.varied row.family } in
+      same_bits (Sensitivity.family_name row.family) (under ~opts r) row.accuracy)
+    rows
+
 (* Search ------------------------------------------------------------------------ *)
 
 let test_random_genome_ranges () =
@@ -215,6 +265,38 @@ let test_search_smoke () =
     (fun c -> Alcotest.(check bool) "devices positive" true (c.Search.devices > 0))
     candidates
 
+(* The anchor genome is the Full variant's design: the same split
+   (training copies augmented, validation clean), the same initial
+   circuit and training stream, so the same trained circuit. *)
+let test_search_anchor_is_full () =
+  let cfg = { (Config.of_scale Config.Smoke) with Config.dataset_n = Some 40 } in
+  let dataset = "GPOVY" and seed = 0 in
+  let split, classes = Experiments.load_split cfg ~dataset ~seed in
+  let anchor =
+    {
+      Search.hidden = Stdlib.min 8 (Stdlib.max 4 (2 * classes));
+      order = Filter_layer.Second;
+      use_va = true;
+      use_at = true;
+    }
+  in
+  let c = Search.evaluate cfg ~dataset ~seed anchor in
+  let run = Experiments.train_run cfg ~dataset ~variant:Experiments.Full ~seed in
+  let net = match run.Experiments.model with Model.Circuit n -> n | Model.Reference _ -> assert false in
+  Alcotest.(check int) "devices" (Hardware.total (Hardware.of_network net)) c.Search.devices;
+  same_bits "power (trained conductances)" (Hardware.power_mw net) c.Search.power_mw;
+  (* [train_run]'s clean_var_acc draws from the seed+4000 stream after
+     the perturbed and augmented protocols; the search scores each
+     split on a fresh seed+4000 stream. *)
+  let score d =
+    Train.accuracy_under_variation
+      ~rng:(Rng.create ~seed:(seed + 4000))
+      ~spec:(Variation.uniform cfg.Config.eval_level) ~draws:cfg.Config.eval_draws
+      run.Experiments.model d
+  in
+  same_bits "test_acc" (score split.Pnc_data.Dataset.test) c.Search.test_acc;
+  same_bits "val_acc" (score split.Pnc_data.Dataset.valid) c.Search.val_acc
+
 let () =
   Alcotest.run "pnc_export_ext"
     [
@@ -239,11 +321,17 @@ let () =
           Alcotest.test_case "sweep levels" `Quick test_yield_sweep_levels;
           Alcotest.test_case "describe" `Quick test_yield_describe;
         ] );
+      ( "one sampler",
+        [
+          Alcotest.test_case "reference = one instance" `Quick test_reference_one_instance;
+          Alcotest.test_case "yield, sensitivity = scorer" `Quick test_scorers_agree;
+        ] );
       ( "search",
         [
           Alcotest.test_case "genome ranges" `Quick test_random_genome_ranges;
           Alcotest.test_case "describe genome" `Quick test_describe_genome;
           Alcotest.test_case "pareto front" `Quick test_pareto_front;
           Alcotest.test_case "random search smoke" `Slow test_search_smoke;
+          Alcotest.test_case "anchor = Full run" `Slow test_search_anchor_is_full;
         ] );
     ]
