@@ -215,7 +215,7 @@ let sensitivity_summary () =
       in
       let drop f =
         let r = List.find (fun r -> r.Pnc_core.Sensitivity.family = f) rows in
-        Printf.sprintf "%+.3f" (-.r.Pnc_core.Sensitivity.drop)
+        Printf.sprintf "%+.3f" r.Pnc_core.Sensitivity.drop
       in
       Table.add_row t
         [

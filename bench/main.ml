@@ -17,6 +17,7 @@
 
 module Config = Pnc_exp.Config
 module Experiments = Pnc_exp.Experiments
+module Grid = Pnc_grid.Grid
 module Obs = Pnc_obs.Obs
 
 let progress msg = Printf.eprintf "[bench] %s\n%!" msg
@@ -173,20 +174,22 @@ let run_all () =
   Experiments.filter_characterization ();
   bench_ni ~pool cfg;
 
-  (* The shared training grid behind Table I, Fig. 5, Fig. 7, Table III. *)
-  let variants = Experiments.Reference :: Experiments.fig7_variants in
-  (* ADAPT_PNC_CACHE_DIR=path caches each trained cell on disk, so an
-     interrupted or re-run harness skips completed training runs. *)
-  let cache_dir =
+  (* The shared training grid behind Table I, Fig. 5, Fig. 7, Table III,
+     cached in ADAPT_PNC_CACHE_DIR, so an interrupted or re-run harness
+     skips completed training runs. Unset, the cache is a fresh
+     directory: cells are keyed by the config, not by the code that
+     trained them, so a shared default would serve stale cells. *)
+  let variants = Experiments.all_variants in
+  let dir =
     match Sys.getenv_opt "ADAPT_PNC_CACHE_DIR" with
-    | Some d when String.trim d <> "" -> Some d
-    | _ -> None
+    | Some d when String.trim d <> "" -> d
+    | _ ->
+        let d = Filename.temp_dir "adapt_pnc_bench" "" in
+        progress ("grid cells cached in " ^ d);
+        d
   in
-  let grid = Experiments.run_grid ~progress ~pool ?cache_dir cfg ~variants in
-  Experiments.print_table1 (Experiments.table1_of_grid cfg grid);
-  Experiments.print_fig5 (Experiments.fig5_of_grid cfg grid);
-  Experiments.print_fig7 (Experiments.fig7_of_grid cfg grid);
-  Experiments.print_table3 (Experiments.table3_of_grid cfg grid);
+  let grid = Grid.run ~pool ~progress ~dir cfg ~variants in
+  Grid.print_merged cfg ~variants grid;
 
   (* Extension ablation: robustness and manufacturing yield as the
      process variation grows beyond the paper's 10% operating point. *)

@@ -13,6 +13,7 @@ open Cmdliner
 
 module Config = Pnc_exp.Config
 module Experiments = Pnc_exp.Experiments
+module Grid = Pnc_grid.Grid
 module Registry = Pnc_data.Registry
 module Dataset = Pnc_data.Dataset
 module Rng = Pnc_util.Rng
@@ -447,9 +448,16 @@ let stream_cmd =
     in
     with_obs ~metrics_out ~trace (fun () ->
         with_jobs jobs (fun pool ->
-            let sr =
-              Experiments.stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed
+            let run =
+              match cache_dir with
+              | Some dir ->
+                  (* The grid's own cell: the fingerprint leaves datasets
+                     and seeds out. *)
+                  let one = { cfg with Config.datasets = [ dataset ]; seeds = [ seed ] } in
+                  List.hd (Grid.run ?pool ~dir one ~variants:[ variant ])
+              | None -> Experiments.train_run ?pool cfg ~dataset ~variant ~seed
             in
+            let sr = Experiments.stream_run ?pool cfg ~scenario ~protocol run in
             Experiments.print_stream ~scenario ~protocol sr))
   in
   Cmd.v
@@ -586,8 +594,6 @@ let ckpt_cmd =
    invariant, and `merge` is byte-identical however the cells got
    there. *)
 
-module Grid = Pnc_grid.Grid
-
 let cache_dir_arg =
   let doc =
     "Grid cache directory — the only coordination channel between workers. Created by \
@@ -677,19 +683,15 @@ let grid_run_cmd =
     end;
     let variants = grid_variants_of ~variants:variants_s in
     let cfg = grid_config ~scale ~precision ~datasets in
-    Experiments.mkdir_p cache_dir;
     with_obs ~metrics_out ~trace (fun () ->
         if shards = 1 then begin
-          let cells = Grid.cells_of_config ~dir:cache_dir cfg ~variants in
-          let n =
-            Grid.Proto.work ~lease_ttl ~progress:(Printf.eprintf "%s\n%!") ~owner:"worker-0"
-              cells
+          let runs =
+            Grid.run ~lease_ttl ~progress:(Printf.eprintf "%s\n%!") ~dir:cache_dir cfg ~variants
           in
-          Printf.printf "grid complete: %d cells (%d computed, %d from cache)\n"
-            (List.length cells) n
-            (List.length cells - n)
+          Printf.printf "grid complete: %d cells\n" (List.length runs)
         end
         else begin
+          Experiments.mkdir_p cache_dir;
           let precision_s =
             Pnc_core.Batch.precision_name cfg.Pnc_exp.Config.precision
           in

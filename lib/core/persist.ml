@@ -90,13 +90,6 @@ let tensor_section v = Ckpt.F64 { rows = T.rows v; cols = T.cols v; data = T.to_
 let param_sections ?(prefix = "param/") m =
   List.map (fun (name, p) -> (prefix ^ name, tensor_section (Var.value p))) (Model.named_params m)
 
-let blit_tensor dst src =
-  for r = 0 to T.rows dst - 1 do
-    for c = 0 to T.cols dst - 1 do
-      T.set dst r c (T.get src r c)
-    done
-  done
-
 (* Read [prefix ^ name] for every named parameter, validating each shape
    against the live parameter; nothing is written to the model. *)
 let read_param_tensors ck ~prefix named =
@@ -119,7 +112,7 @@ let read_param_tensors ck ~prefix named =
 let load_params_into ?(prefix = "param/") m ck =
   let named = Model.named_params m in
   let* tensors = read_param_tensors ck ~prefix named in
-  List.iter2 (fun (_, p) t -> blit_tensor (Var.value p) t) named tensors;
+  List.iter2 (fun (_, p) t -> T.blit_into ~dst:(Var.value p) t) named tensors;
   Ok ()
 
 (* Model checkpoints ------------------------------------------------------- *)
@@ -272,7 +265,7 @@ let load_train_state ~path ~model ~opt ~sched =
       Ok ()
     with Invalid_argument msg -> Error (Ckpt.Bad_section msg)
   in
-  List.iter2 (fun (_, p) t -> blit_tensor (Var.value p) t) named params;
+  List.iter2 (fun (_, p) t -> T.blit_into ~dst:(Var.value p) t) named params;
   Ok
     {
       r_epoch = epoch;

@@ -55,6 +55,5 @@ let report rows =
   String.concat "\n"
     (List.map
        (fun r ->
-         Printf.sprintf "%-32s acc %.3f (drop %+.3f)" (family_name r.family) r.accuracy
-           (-.r.drop))
+         Printf.sprintf "%-32s acc %.3f (drop %+.3f)" (family_name r.family) r.accuracy r.drop)
        rows)

@@ -190,15 +190,14 @@ let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoc
 
 (* On-disk cell cache ---------------------------------------------------- *)
 
-let cache_hits_counter = Obs.Counter.make "grid.cache_hits"
 let stale_cells_counter = Obs.Counter.make "grid.stale_cells"
 
 let all_variants = Reference :: fig7_variants
 
 (* Canonical cell enumeration: dataset-major, then variant, then seed.
-   run_grid and the process-sharded orchestrator (Pnc_grid) both walk
-   this order, so merged tables never depend on which worker computed
-   a cell or when it finished. *)
+   The grid driver (Pnc_grid) walks and merges in this order, so merged
+   tables never depend on which worker computed a cell or when it
+   finished. *)
 let grid_keys cfg ~variants =
   List.concat_map
     (fun dataset ->
@@ -319,65 +318,6 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
   end
 
-(* Train one grid cell, or reuse it from the on-disk cell cache keyed by
-   Config.fingerprint — the grid's cells and a streaming run over an
-   already-computed grid pay only for what is missing. *)
-let trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed =
-  let path = Option.map (fun dir -> cell_path ~dir cfg ~dataset ~variant ~seed) cache_dir in
-  let cached = Option.bind path (fun path -> load_cell ~path cfg ~dataset ~variant ~seed) in
-  match (cached, path) with
-  | Some r, Some path ->
-      Obs.Counter.incr cache_hits_counter;
-      if Obs.enabled () then
-        Obs.emit "grid.cell.cached"
-          [
-            ("path", Obs.Str path);
-            ("dataset", Obs.Str dataset);
-            ("variant", Obs.Str (variant_tag variant));
-            ("seed", Obs.Int seed);
-          ];
-      r
-  | _ ->
-      let r = train_run ?pool cfg ~dataset ~variant ~seed in
-      Option.iter
-        (fun path ->
-          Option.iter mkdir_p cache_dir;
-          save_cell ~path cfg r)
-        path;
-      if Obs.enabled () then
-        Obs.emit "grid.result"
-          [
-            ("dataset", Obs.Str dataset);
-            ("variant", Obs.Str (variant_name variant));
-            ("seed", Obs.Int seed);
-            ("clean_acc", Obs.Float r.clean_acc);
-            ("clean_var_acc", Obs.Float r.clean_var_acc);
-            ("aug_var_acc", Obs.Float r.aug_var_acc);
-            ("pert_var_acc", Obs.Float r.pert_var_acc);
-            ("corr_var_acc", Obs.Float r.corr_var_acc);
-            ("train_seconds", Obs.Float r.train_seconds);
-            ("epochs", Obs.Int r.epochs);
-          ];
-      r
-
-let run_grid ?(progress = fun _ -> ()) ?pool ?cache_dir cfg ~variants =
-  Obs.Span.with_ "grid" @@ fun () ->
-  List.map
-    (fun (dataset, variant, seed) ->
-      progress (Printf.sprintf "%s / %s / seed %d" dataset (variant_name variant) seed);
-      let attrs =
-        if Obs.enabled () then
-          [
-            ("dataset", Obs.Str dataset);
-            ("variant", Obs.Str (variant_name variant));
-            ("seed", Obs.Int seed);
-          ]
-        else []
-      in
-      Obs.Span.with_ ~attrs "grid.cell" @@ fun () ->
-      trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed)
-    (grid_keys cfg ~variants)
-
 (* Streaming protocol ----------------------------------------------------- *)
 
 module Scenario = Pnc_stream.Scenario
@@ -396,10 +336,12 @@ let stream_fingerprint cfg ~scenario ~protocol =
   String.concat "|"
     [ Config.fingerprint cfg; Scenario.fingerprint scenario; Online.fingerprint protocol ]
 
-let stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
+let stream_run ?pool cfg ~scenario ~protocol (r : run) =
+  if r.dataset <> scenario.Scenario.dataset then
+    invalid_arg
+      (Printf.sprintf "Experiments.stream_run: a %s model over a %s stream" r.dataset
+         scenario.Scenario.dataset);
   Obs.Span.with_ "stream" @@ fun () ->
-  let dataset = scenario.Scenario.dataset in
-  let r = trained_cell ?pool ?cache_dir cfg ~dataset ~variant ~seed in
   let rz = Scenario.realize scenario in
   (* Same physical-instance policy as the offline protocols: ±eval_level
      component variation, which the reference RNN ignores. seed+6000
@@ -409,7 +351,7 @@ let stream_run ?pool ?cache_dir cfg ~scenario ~protocol ~variant ~seed =
     if cfg.Config.eval_level > 0. then Some (Variation.uniform cfg.Config.eval_level) else None
   in
   let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
-  let eval_rng () = Rng.create ~seed:(seed + 6000) in
+  let eval_rng () = Rng.create ~seed:(r.seed + 6000) in
   let snap = Online.snapshot_params r.model in
   let frozen =
     Online.eval ~opts ?pool ?spec ~rng:(eval_rng ())

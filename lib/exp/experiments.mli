@@ -93,10 +93,9 @@ val all_variants : variant list
 
 val grid_keys : Config.t -> variants:variant list -> (string * variant * int) list
 (** The (dataset, variant, seed) cells of the grid in canonical order
-    (dataset-major, then variant, then seed). {!run_grid} and the
-    process-sharded {!Pnc_grid} orchestrator share this enumeration,
-    which is why merged tables are independent of completion order and
-    worker count. *)
+    (dataset-major, then variant, then seed). The {!Pnc_grid} driver
+    computes and merges in this order, which is why merged tables are
+    independent of completion order and worker count. *)
 
 val cell_path :
   dir:string -> Config.t -> dataset:string -> variant:variant -> seed:int -> string
@@ -118,26 +117,9 @@ val load_cell :
     silently recomputed on the next full run. *)
 
 val mkdir_p : string -> unit
-(** Recursive, race-tolerant directory creation (the cache dir is
-    created by whichever of [run_grid], `grid run` or `grid worker`
-    gets there first). *)
-
-val run_grid :
-  ?progress:(string -> unit) ->
-  ?pool:Pnc_util.Pool.t ->
-  ?cache_dir:string ->
-  Config.t ->
-  variants:variant list ->
-  run list
-(** All datasets × variants × seeds of the config.
-
-    With [cache_dir] (created if missing), every computed cell is
-    written to {!cell_path} as a ["grid-cell"] checkpoint (model
-    parameters + metrics) and subsequent runs load it back bit-identical
-    instead of retraining — emitting a [grid.cell.cached] event. A
-    missing, corrupt or stale entry (any decode error, or a fingerprint
-    / dataset / variant / seed mismatch) is silently recomputed and
-    rewritten, never trusted. *)
+(** Recursive, race-tolerant directory creation: the cache directory
+    is created by whichever of [Grid.run] or `grid worker` gets there
+    first. *)
 
 (** {1 Streaming protocol}
 
@@ -164,21 +146,21 @@ val stream_fingerprint :
 
 val stream_run :
   ?pool:Pnc_util.Pool.t ->
-  ?cache_dir:string ->
   Config.t ->
   scenario:Pnc_stream.Scenario.t ->
   protocol:Pnc_stream.Online.protocol ->
-  variant:variant ->
-  seed:int ->
+  run ->
   stream_run
-(** Trains (or loads from the grid cell cache — same files, same keys
-    as {!run_grid}) the (scenario dataset, variant, seed) cell, then
-    streams the realized scenario over it: always the frozen baseline,
-    plus the adapted pass when the protocol enables adaptation. The
-    model keeps its trained weights on return. Circuits stream under
-    ±[eval_level] component variation on one replayed physical
-    instance; evaluation randomness comes from seed+6000, disjoint
-    from every training/eval stream of {!train_run}. *)
+(** Streams the realized scenario over a trained cell (from
+    {!train_run}, or from the grid cache through [Grid.run]): always
+    the frozen baseline, plus the adapted pass when the protocol
+    enables adaptation. The model keeps its trained weights on return.
+    Circuits stream under ±[eval_level] component variation on one
+    replayed physical instance; evaluation randomness comes from the
+    run's seed+6000, disjoint from every training/eval stream of
+    {!train_run}.
+    @raise Invalid_argument when the run was trained on another
+    dataset than the scenario streams. *)
 
 val print_stream :
   scenario:Pnc_stream.Scenario.t ->

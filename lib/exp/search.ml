@@ -40,8 +40,9 @@ let evaluate cfg ~dataset ~seed genome =
   let train_cfg = if genome.use_va then cfg.Config.train_va else cfg.Config.train_base in
   let _ = Train.train ~rng:(Rng.create ~seed:(seed + 3000)) train_cfg model split in
   let spec = Variation.uniform cfg.Config.eval_level in
+  let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let eval d =
-    Train.accuracy_under_variation ~rng:(Rng.create ~seed:(seed + 4000)) ~spec
+    Train.accuracy_under_variation ~opts ~rng:(Rng.create ~seed:(seed + 4000)) ~spec
       ~draws:cfg.Config.eval_draws model d
   in
   {

@@ -9,6 +9,7 @@ module Table = Pnc_util.Table
    docs/OBSERVABILITY.md). Bumped whether or not a sink is installed;
    the events around them are gated on [Obs.enabled]. *)
 let computed_counter = Obs.Counter.make "grid.worker.computed"
+let cache_hits_counter = Obs.Counter.make "grid.cache_hits"
 let claim_conflicts_counter = Obs.Counter.make "grid.claim_conflicts"
 let claims_reaped_counter = Obs.Counter.make "grid.claims_reaped"
 let tmp_reaped_counter = Obs.Counter.make "grid.tmp_reaped"
@@ -56,11 +57,22 @@ module Proto = struct
      [seen.(i)] records that cell [i] was found valid: a published cell
      stays published, so every later check by this worker skips it
      instead of reloading it. A cell this worker computed is validated
-     by the next check like any other. *)
-  let pass ?lease_ttl ~progress ~owner ~computed ~seen cells =
+     by the next check like any other. [checked.(i)] records that cell
+     [i] has been checked at all: a cell valid at its first check is a
+     cache hit. *)
+  let pass ?lease_ttl ~progress ~owner ~computed ~seen ~checked cells =
     let advanced = ref false in
     let valid i c =
-      seen.(i) <- seen.(i) || c.is_valid ();
+      if not seen.(i) then begin
+        seen.(i) <- c.is_valid ();
+        if seen.(i) && not checked.(i) then begin
+          Obs.Counter.incr cache_hits_counter;
+          if Obs.enabled () then
+            Obs.emit "grid.cell.cached"
+              [ ("cell", Obs.Str c.cell_id); ("path", Obs.Str c.path); ("owner", Obs.Str owner) ]
+        end;
+        checked.(i) <- true
+      end;
       seen.(i)
     in
     Array.iteri
@@ -117,9 +129,12 @@ module Proto = struct
     in
     let cells = Array.of_list cells in
     let seen = Array.make (Array.length cells) false in
+    let checked = Array.make (Array.length cells) false in
     Obs.Span.with_ ~attrs "grid.worker" (fun () ->
         let rec loop () =
-          let all_valid, advanced = pass ?lease_ttl ~progress ~owner ~computed ~seen cells in
+          let all_valid, advanced =
+            pass ?lease_ttl ~progress ~owner ~computed ~seen ~checked cells
+          in
           if not all_valid then begin
             (* Everything left is claimed by live siblings: poll until
                they publish — or die, at which point their claims go
@@ -134,18 +149,37 @@ end
 
 (* The experiment-grid instance ------------------------------------------- *)
 
-let cells_of_config ~dir cfg ~variants =
+let cell_label ~dataset ~variant ~seed =
+  Printf.sprintf "%s/%s/seed%d" dataset (E.variant_tag variant) seed
+
+(* The one place a cell is trained and published: every computed cell
+   emits [grid.result], whoever computes it. *)
+let cells_of_config ?pool ~dir cfg ~variants =
   List.map
     (fun (dataset, variant, seed) ->
       let path = E.cell_path ~dir cfg ~dataset ~variant ~seed in
       {
-        Proto.cell_id = Printf.sprintf "%s/%s/seed%d" dataset (E.variant_tag variant) seed;
+        Proto.cell_id = cell_label ~dataset ~variant ~seed;
         path;
         is_valid = (fun () -> E.load_cell ~path cfg ~dataset ~variant ~seed <> None);
         compute =
           (fun () ->
-            let r = E.train_run cfg ~dataset ~variant ~seed in
-            E.save_cell ~path cfg r);
+            let r = E.train_run ?pool cfg ~dataset ~variant ~seed in
+            E.save_cell ~path cfg r;
+            if Obs.enabled () then
+              Obs.emit "grid.result"
+                [
+                  ("dataset", Obs.Str dataset);
+                  ("variant", Obs.Str (E.variant_name variant));
+                  ("seed", Obs.Int seed);
+                  ("clean_acc", Obs.Float r.E.clean_acc);
+                  ("clean_var_acc", Obs.Float r.E.clean_var_acc);
+                  ("aug_var_acc", Obs.Float r.E.aug_var_acc);
+                  ("pert_var_acc", Obs.Float r.E.pert_var_acc);
+                  ("corr_var_acc", Obs.Float r.E.corr_var_acc);
+                  ("train_seconds", Obs.Float r.E.train_seconds);
+                  ("epochs", Obs.Int r.E.epochs);
+                ]);
       })
     (E.grid_keys cfg ~variants)
 
@@ -245,7 +279,7 @@ let status ?lease_ttl ~dir cfg ~variants =
     cells;
   }
 
-let cell_id c = Printf.sprintf "%s/%s/seed%d" c.dataset (E.variant_tag c.variant) c.seed
+let cell_id c = cell_label ~dataset:c.dataset ~variant:c.variant ~seed:c.seed
 
 let status_json_lines st =
   List.map
@@ -324,8 +358,7 @@ let merge ~dir cfg ~variants =
         match E.load_cell ~path cfg ~dataset ~variant ~seed with
         | Some r -> Some r
         | None ->
-            missing :=
-              Printf.sprintf "%s/%s/seed%d" dataset (E.variant_tag variant) seed :: !missing;
+            missing := cell_label ~dataset ~variant ~seed :: !missing;
             None)
       (E.grid_keys cfg ~variants)
   in
@@ -337,3 +370,13 @@ let print_merged cfg ~variants runs =
   if has E.Base then E.print_fig5 (E.fig5_of_grid cfg runs);
   if List.for_all has E.fig7_variants then E.print_fig7 (E.fig7_of_grid cfg runs);
   if has E.Base && has E.Full then E.print_table3 (E.table3_of_grid cfg runs)
+
+(* Driver ------------------------------------------------------------------- *)
+
+let run ?pool ?lease_ttl ?progress ~dir cfg ~variants =
+  E.mkdir_p dir;
+  let cells = cells_of_config ?pool ~dir cfg ~variants in
+  ignore (Proto.work ?lease_ttl ?progress ~owner:"worker-0" cells);
+  match merge ~dir cfg ~variants with
+  | Ok runs -> runs
+  | Error missing -> failwith ("Grid.run: cells invalid after the run: " ^ String.concat ", " missing)

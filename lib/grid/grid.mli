@@ -69,8 +69,9 @@ module Proto : sig
       returns the number of cells this worker computed. Each pass:
       skip valid cells (a cell found valid is remembered and never
       validated again, so a complete cache costs one [is_valid] per
-      cell); try to claim an invalid one (reaping stale
-      claims per {!Pnc_ckpt.Lease.try_acquire}); recheck validity
+      cell; a cell valid at its first check counts [grid.cache_hits]
+      and emits [grid.cell.cached]); try to claim an invalid one
+      (reaping stale claims per {!Pnc_ckpt.Lease.try_acquire}); recheck validity
       under the claim (a sibling may have published first), reap dead
       writers' temp litter, compute, publish, release. When every
       remaining cell is claimed by a live sibling, sleep [poll_s]
@@ -82,6 +83,7 @@ end
 (** {1 The experiment grid instance} *)
 
 val cells_of_config :
+  ?pool:Pnc_util.Pool.t ->
   dir:string ->
   Config.t ->
   variants:Experiments.variant list ->
@@ -89,7 +91,9 @@ val cells_of_config :
 (** One {!Proto.cell} per {!Pnc_exp.Experiments.grid_keys} entry:
     [is_valid] is a full {!Pnc_exp.Experiments.load_cell} (CRC +
     fingerprint + identity), [compute] is
-    {!Pnc_exp.Experiments.train_run} + {!Pnc_exp.Experiments.save_cell}. *)
+    {!Pnc_exp.Experiments.train_run} (its evaluations on [pool]) +
+    {!Pnc_exp.Experiments.save_cell}, and emits a [grid.result] event.
+    This is the only code that trains and publishes a cell. *)
 
 val variants_of_string : string -> Experiments.variant list
 (** ["all"] (the six-variant grid), ["table1"] or ["fig7"].
@@ -176,3 +180,21 @@ val print_merged : Config.t -> variants:Experiments.variant list -> Experiments.
     timestamps, so it is byte-identical across shard counts,
     completion orders and crash/resume histories — enforced by
     [test/test_grid.ml] and the CI grid job. *)
+
+(** {1 Driver} *)
+
+val run :
+  ?pool:Pnc_util.Pool.t ->
+  ?lease_ttl:float ->
+  ?progress:(string -> unit) ->
+  dir:string ->
+  Config.t ->
+  variants:Experiments.variant list ->
+  Experiments.run list
+(** Fill [dir]'s cache in-process and read it back: {!Proto.work} as
+    ["worker-0"] over {!cells_of_config}, then {!merge}. Returns the
+    runs in {!Experiments.grid_keys} order, each loaded from its cell
+    file, so a warm call returns what the cold call computed. It takes
+    each cell's claim, so it shares [dir] safely with `grid worker`
+    processes; results do not depend on [pool].
+    @raise Failure if a cell fails to load after the run. *)

@@ -10,10 +10,13 @@
 #   - bench/ablations.exe (read-out, discretization, calibration
 #     trimming, ...), minus the Bechamel timing lines of its section H;
 #   - scripts/stream_smoke.sh's frozen and adapted streaming tables;
+#   - the smoke-scale bench harness (bench/main.exe), minus its Table II
+#     timing block;
 #   - a smoke-scale `grid run` over two datasets: the `grid merge`
 #     tables, and every cell's trained parameters (the stream smoke's
-#     cell included). Whole cells are not compared: each stores the
-#     wall-clock train_seconds of its run, inside its checksums.
+#     and the bench harness's cells included). Whole cells are not
+#     compared: each stores the wall-clock train_seconds of its run,
+#     inside its checksums.
 #
 # Prints "identical" (exit 0) or names every output that differs
 # (exit 1). An export, not a `git worktree`, keeps the repository's
@@ -31,7 +34,7 @@ ROOT=$(git rev-parse --show-toplevel)
 COMMIT=$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")
 GRID_ARGS="--scale smoke -d GPOVY -d PowerCons"
 OUTPUTS="quickstart.txt multisensor.txt yield_analysis.txt sensitivity.txt ablations.txt
-stream/stream-j1.txt stream/stream-j4.txt grid-merged.txt cell-params.txt"
+stream/stream-j1.txt stream/stream-j4.txt bench.txt grid-merged.txt cell-params.txt"
 
 mkdir -p "$OUT/rev-src"
 git -C "$ROOT" archive "$COMMIT" | tar -x -C "$OUT/rev-src"
@@ -56,7 +59,7 @@ side() {
   mkdir -p "$out"
   echo "-- $name: build --"
   dune build --root "$src" bin/adapt_pnc.exe examples/quickstart.exe examples/multisensor.exe \
-    examples/yield_analysis.exe bench/ablations.exe
+    examples/yield_analysis.exe bench/ablations.exe bench/main.exe
   echo "-- $name: examples --"
   (cd "$src" && "$bin/examples/quickstart.exe") >"$out/quickstart.txt"
   (cd "$src" && "$bin/examples/multisensor.exe") >"$out/multisensor.txt"
@@ -68,10 +71,14 @@ side() {
   sed '/^H\. /,/^done\./{/^  /d}' "$out/ablations-timed.txt" >"$out/ablations.txt"
   echo "-- $name: stream smoke --"
   (cd "$src" && sh scripts/stream_smoke.sh "$out/stream") >/dev/null
+  echo "-- $name: smoke bench --"
+  (cd "$src" && ADAPT_PNC_SCALE=smoke ADAPT_PNC_CACHE_DIR="$out/bench-cells" \
+    "$bin/bench/main.exe" 2>/dev/null) >"$out/bench-timed.txt"
+  sed '/^Table II - runtime/,/^done\./{/^done\./!d}' "$out/bench-timed.txt" >"$out/bench.txt"
   echo "-- $name: smoke grid --"
   "$bin/bin/adapt_pnc.exe" grid run --cache-dir "$out/grid" --shards 1 $GRID_ARGS >/dev/null
   "$bin/bin/adapt_pnc.exe" grid merge --cache-dir "$out/grid" $GRID_ARGS >"$out/grid-merged.txt"
-  for f in "$out"/grid/*.ckpt "$out"/stream/cells/*.ckpt; do
+  for f in "$out"/grid/*.ckpt "$out"/stream/cells/*.ckpt "$out"/bench-cells/*.ckpt; do
     echo "== ${f#"$out"/}"
     cell_params "$f"
     echo

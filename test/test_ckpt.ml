@@ -28,6 +28,7 @@ module Model = Pnc_core.Model
 module Train = Pnc_core.Train
 module Persist = Pnc_core.Persist
 module Variation = Pnc_core.Variation
+module Grid = Pnc_grid.Grid
 module Optimizer = Pnc_optim.Optimizer
 module Scheduler = Pnc_optim.Scheduler
 module Obs = Pnc_obs.Obs
@@ -511,16 +512,19 @@ let test_grid_cache_warm_equals_cold () =
   let cfg = grid_cfg () in
   let dir = path "grid-cache" in
   let variants = [ E.Base; E.Full ] in
-  let cold = E.run_grid ?pool ~cache_dir:dir cfg ~variants in
+  let cold = Grid.run ?pool ~dir cfg ~variants in
   let hits_before = counter_value "grid.cache_hits" in
-  let warm = E.run_grid ?pool ~cache_dir:dir cfg ~variants in
+  let warm = Grid.run ?pool ~dir cfg ~variants in
   Alcotest.(check int) "every warm cell came from the cache"
     (List.length cold)
     (counter_value "grid.cache_hits" - hits_before);
   List.iter2 (check_same_run "warm=cold") cold warm;
   (* an uncached run must agree too (the cache changes nothing) *)
-  let direct = E.run_grid ?pool cfg ~variants in
-  List.iter2 (check_same_run "direct=cached") cold direct
+  List.iter
+    (fun (c : E.run) ->
+      check_same_run "train_run=cached" c
+        (E.train_run ?pool cfg ~dataset:c.E.dataset ~variant:c.E.variant ~seed:c.E.seed))
+    cold
 
 let test_grid_cache_corrupt_recomputed () =
   with_env_pool @@ fun pool ->
@@ -531,7 +535,7 @@ let test_grid_cache_corrupt_recomputed () =
   let good = read_file cell in
   write_file cell (flip good (String.length good / 3) 0x10);
   let hits_before = counter_value "grid.cache_hits" in
-  let runs = E.run_grid ?pool ~cache_dir:dir cfg ~variants:[ E.Base ] in
+  let runs = Grid.run ?pool ~dir cfg ~variants:[ E.Base ] in
   Alcotest.(check int) "corrupt cell not trusted" hits_before
     (counter_value "grid.cache_hits");
   Alcotest.(check int) "recomputed" 1 (List.length runs);
@@ -541,7 +545,7 @@ let test_grid_cache_corrupt_recomputed () =
   (match Ckpt.load ~path:cell with
   | Ok ck -> Alcotest.(check string) "cell kind" "grid-cell" ck.Ckpt.kind
   | Error e -> Alcotest.failf "rewritten cell unreadable: %s" (Ckpt.error_to_string e));
-  let warm = E.run_grid ?pool ~cache_dir:dir cfg ~variants:[ E.Base ] in
+  let warm = Grid.run ?pool ~dir cfg ~variants:[ E.Base ] in
   Alcotest.(check int) "rewritten cell warm-loads" (hits_before + 1)
     (counter_value "grid.cache_hits");
   List.iter2 (check_same_run "recomputed=warm") runs warm;
@@ -551,18 +555,23 @@ let test_grid_cache_corrupt_recomputed () =
     (E.cell_path ~dir cfg ~dataset:"GPOVY" ~variant:E.Base ~seed:0
     <> E.cell_path ~dir cfg' ~dataset:"GPOVY" ~variant:E.Base ~seed:0)
 
-(* A streaming run loads its trained cell through the grid's own cache
-   path: over a cached grid it trains nothing, counts one cache hit and
-   streams the grid's model. *)
+(* A streaming run gets its trained cell the way the CLI's
+   [stream --cache-dir] does, through [Grid.run] over its one key: over
+   a cached grid it trains nothing, counts one cache hit and streams
+   the grid's model. *)
 let test_stream_run_reuses_grid_cell () =
   with_env_pool @@ fun pool ->
   let cfg = grid_cfg () in
   let dir = path "grid-cache" in
-  let grid = E.run_grid ?pool ~cache_dir:dir cfg ~variants:[ E.Full ] in
+  let grid = Grid.run ?pool ~dir cfg ~variants:[ E.Full ] in
   let scenario = Pnc_stream.Scenario.make ~dataset:"GPOVY" ~n_samples:16 ~seed:11 () in
   let protocol = Pnc_stream.Online.default_protocol in
   let hits_before = counter_value "grid.cache_hits" in
-  let sr = E.stream_run ?pool ~cache_dir:dir cfg ~scenario ~protocol ~variant:E.Full ~seed:0 in
+  let one = { cfg with Config.seeds = [ 0 ] } in
+  let sr =
+    E.stream_run ?pool cfg ~scenario ~protocol
+      (List.hd (Grid.run ?pool ~dir one ~variants:[ E.Full ]))
+  in
   Alcotest.(check int) "the stream's cell came from the cache" (hits_before + 1)
     (counter_value "grid.cache_hits");
   check_same_run "stream cell = grid cell" (List.find (fun r -> r.E.seed = 0) grid) sr.E.sr_run

@@ -3,6 +3,7 @@
 
 module Config = Pnc_exp.Config
 module E = Pnc_exp.Experiments
+module Grid = Pnc_grid.Grid
 
 let smoke_cfg () =
   let cfg = Config.of_scale Config.Smoke in
@@ -55,7 +56,7 @@ let test_train_run_record () =
 let test_grid_and_artifacts () =
   let cfg = smoke_cfg () in
   let variants = E.Reference :: E.fig7_variants in
-  let grid = E.run_grid cfg ~variants in
+  let grid = Grid.run ~dir:(Filename.temp_dir "pnc_exp_grid" "") cfg ~variants in
   Alcotest.(check int) "grid size = datasets*variants*seeds"
     (List.length cfg.Config.datasets * List.length variants * List.length cfg.Config.seeds)
     (List.length grid);

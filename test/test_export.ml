@@ -218,6 +218,14 @@ let test_scorers_agree () =
       same_bits (Sensitivity.family_name row.family) (under ~opts r) row.accuracy)
     rows
 
+(* A row's [drop] is nominal minus varied accuracy: a loss prints as a
+   positive drop. *)
+let test_sensitivity_report_drop () =
+  let row = { Sensitivity.family = Sensitivity.Filter_rc; accuracy = 0.8; drop = 0.017 } in
+  let line = Sensitivity.report [ row ] in
+  Alcotest.(check bool) ("a loss reads positive: " ^ line) true
+    (Str_contains.contains line "(drop +0.017)")
+
 (* Search ------------------------------------------------------------------------ *)
 
 let test_random_genome_ranges () =
@@ -297,6 +305,26 @@ let test_search_anchor_is_full () =
   same_bits "test_acc" (score split.Pnc_data.Dataset.test) c.Search.test_acc;
   same_bits "val_acc" (score split.Pnc_data.Dataset.valid) c.Search.val_acc
 
+(* The search scores at the configured precision tier, as [train_run]
+   does: a `Fast config's [evaluate] runs its scoring forwards `Fast.
+   (Model selection inside training stays `Exact, as in [train_run].) *)
+let test_search_evaluate_precision () =
+  let cfg =
+    { (Config.of_scale Config.Smoke) with Config.dataset_n = Some 40; precision = `Fast }
+  in
+  let genome = { Search.hidden = 4; order = Filter_layer.Second; use_va = false; use_at = false } in
+  let tiers = ref [] in
+  let write ~t:_ ~seq:_ ~name fields =
+    if name = "eval.batch" then
+      tiers :=
+        (match List.assoc_opt "precision" fields with Some (Obs.Str s) -> s | _ -> "missing")
+        :: !tiers
+  in
+  Obs.set_sink (Some { Obs.write; flush = ignore });
+  Fun.protect ~finally:(fun () -> Obs.set_sink None) (fun () ->
+      ignore (Search.evaluate cfg ~dataset:"GPOVY" ~seed:0 genome));
+  Alcotest.(check bool) "evaluate scored at the fast tier" true (List.mem "fast" !tiers)
+
 let () =
   Alcotest.run "pnc_export_ext"
     [
@@ -325,6 +353,8 @@ let () =
         [
           Alcotest.test_case "reference = one instance" `Quick test_reference_one_instance;
           Alcotest.test_case "yield, sensitivity = scorer" `Quick test_scorers_agree;
+          Alcotest.test_case "sensitivity report: a loss is a positive drop" `Quick
+            test_sensitivity_report_drop;
         ] );
       ( "search",
         [
@@ -333,5 +363,7 @@ let () =
           Alcotest.test_case "pareto front" `Quick test_pareto_front;
           Alcotest.test_case "random search smoke" `Slow test_search_smoke;
           Alcotest.test_case "anchor = Full run" `Slow test_search_anchor_is_full;
+          Alcotest.test_case "evaluate scores at the configured precision" `Quick
+            test_search_evaluate_precision;
         ] );
     ]

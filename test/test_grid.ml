@@ -416,6 +416,44 @@ let test_stale_claim_reaped_by_run () =
   Alcotest.(check int) "reap+recompute exits 0" 0 r.code;
   Alcotest.(check string) "merge byte-identical after reap" expected (must_merge dir)
 
+(* The telemetry of a real 1-shard `grid run`: a cold run emits one
+   [grid.result] per computed cell, and a warm run counts every cell as
+   a cache hit and computes none. *)
+let test_run_telemetry () =
+  let module Json = Obs.Json in
+  let dir = fresh_dir () in
+  let cells = Filename.concat dir "cells" in
+  let run name =
+    let out = Filename.concat dir name in
+    let r = run_cli ([ "grid"; "run"; "--shards"; "1"; "--metrics-out"; out ] @ grid_args cells) in
+    Alcotest.(check int) (name ^ ": run exits 0") 0 r.code;
+    List.map Json.parse (In_channel.with_open_bin out In_channel.input_lines)
+  in
+  let field k e = Json.member k e in
+  let events name evs =
+    List.length (List.filter (fun e -> field "event" e = Some (Json.String name)) evs)
+  in
+  let counter name evs =
+    List.find_map
+      (fun e ->
+        if field "event" e = Some (Json.String "metric") && field "name" e = Some (Json.String name)
+        then Option.map Json.to_int (field "value" e)
+        else None)
+      evs
+  in
+  let n = List.length (E.grid_keys (smoke_cfg ()) ~variants:E.table1_variants) in
+  let cold = run "cold.jsonl" in
+  Alcotest.(check int) "cold: one grid.result per cell" n (events "grid.result" cold);
+  Alcotest.(check (option int)) "cold: every cell computed" (Some n)
+    (counter "grid.worker.computed" cold);
+  let warm = run "warm.jsonl" in
+  Alcotest.(check (option int)) "warm: every cell a cache hit" (Some n)
+    (counter "grid.cache_hits" warm);
+  Alcotest.(check int) "warm: every cell reported cached" n (events "grid.cell.cached" warm);
+  Alcotest.(check (option int)) "warm: no cell computed" (Some 0)
+    (counter "grid.worker.computed" warm);
+  Alcotest.(check int) "warm: no grid.result" 0 (events "grid.result" warm)
+
 let () =
   Random.self_init ();
   Alcotest.run "grid"
@@ -451,5 +489,10 @@ let () =
           Alcotest.test_case "corrupt/truncated cells recomputed" `Quick
             test_corrupt_cells_recomputed;
           Alcotest.test_case "stale claim reaped by run" `Quick test_stale_claim_reaped_by_run;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "cold run reports each cell, warm run hits every cell" `Quick
+            test_run_telemetry;
         ] );
     ]

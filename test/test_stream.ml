@@ -386,9 +386,7 @@ let test_adaptation_beats_frozen () =
       adapt_steps = 4;
     }
   in
-  let sr =
-    E.stream_run smoke_cfg ~scenario:drift_scenario ~protocol ~variant:E.Full ~seed:0
-  in
+  let sr = E.stream_run smoke_cfg ~scenario:drift_scenario ~protocol r in
   let adapted = match sr.E.sr_adapted with Some a -> a | None -> Alcotest.fail "no adapted pass" in
   let frozen = sr.E.sr_frozen in
   check_b "adapted beats frozen overall" true
