@@ -36,6 +36,16 @@ let load name seed =
   let raw = Registry.load ~seed ~n:160 name in
   (Dataset.preprocess (Rng.create ~seed:(seed + 1)) raw, raw.Dataset.n_classes)
 
+(* The ADAPT net the sections study, its initial draw from [seed]. *)
+let adapt_net ~seed ~classes =
+  Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed) Network.Adapt ~inputs:1 ~classes
+
+(* [adapt_net] trained with [cfg] (default [budget]) on stream [seed + 1]. *)
+let train_adapt ?(cfg = budget) ~seed split ~classes =
+  let net = adapt_net ~seed ~classes in
+  let _ = Train.train ~rng:(Rng.create ~seed:(seed + 1)) cfg (Model.Circuit net) split in
+  net
+
 (* A. mu-prior ablation ----------------------------------------------------- *)
 
 (* Train with the given variation spec but control whether mu is sampled
@@ -51,14 +61,8 @@ let mu_ablation () =
     (fun name ->
       let split, classes = load name 0 in
       let train_with variation mc =
-        let net =
-          Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:7) Network.Adapt
-            ~inputs:1 ~classes
-        in
-        let model = Model.Circuit net in
-        let cfg = { budget with Train.variation; mc_samples = mc } in
-        let _ = Train.train ~rng:(Rng.create ~seed:8) cfg model split in
-        model
+        Model.Circuit
+          (train_adapt ~cfg:{ budget with Train.variation; mc_samples = mc } ~seed:7 split ~classes)
       in
       let fixed = train_with Variation.none 1 in
       let sampled = train_with (Variation.uniform 0.1) 2 in
@@ -75,10 +79,7 @@ let mu_ablation () =
 (* B. read-out ablation ------------------------------------------------------- *)
 
 let train_with_readout ~readout split ~classes =
-  let net =
-    Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:17) Network.Adapt ~inputs:1
-      ~classes
-  in
+  let net = adapt_net ~seed:17 ~classes in
   let x, y = Train.to_xy split.Dataset.train in
   let params = Network.params net in
   let opt = Optimizer.adamw ~params () in
@@ -135,12 +136,7 @@ let filter_placement () =
   List.iter
     (fun name ->
       let split, classes = load name 0 in
-      let net =
-        Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:27) Network.Adapt
-          ~inputs:1 ~classes
-      in
-      let model = Model.Circuit net in
-      let _ = Train.train ~rng:(Rng.create ~seed:28) budget model split in
+      let net = train_adapt ~seed:27 split ~classes in
       (* Spectral content at the physical rate 1/dt. *)
       let fs = 1. /. Pnc_core.Printed.dt in
       let rolloffs =
@@ -176,13 +172,8 @@ let discretization_ladder () =
   List.iter
     (fun name ->
       let split, classes = load name 0 in
-      let net =
-        Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:37) Network.Adapt
-          ~inputs:1 ~classes
-      in
-      let model = Model.Circuit net in
-      let _ = Train.train ~rng:(Rng.create ~seed:38) budget model split in
-      let continuous = Train.accuracy model split.Dataset.test in
+      let net = train_adapt ~seed:37 split ~classes in
+      let continuous = Train.accuracy (Model.Circuit net) split.Dataset.test in
       let ladder =
         Pnc_core.Discretize.accuracy_ladder ~levels_list:levels net split.Dataset.test
       in
@@ -203,12 +194,7 @@ let sensitivity_summary () =
   List.iter
     (fun name ->
       let split, classes = load name 0 in
-      let net =
-        Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:47) Network.Adapt
-          ~inputs:1 ~classes
-      in
-      let model = Model.Circuit net in
-      let _ = Train.train ~rng:(Rng.create ~seed:48) budget model split in
+      let net = train_adapt ~seed:47 split ~classes in
       let rows =
         Pnc_core.Sensitivity.analyze ~rng:(Rng.create ~seed:49) ~level:0.15 ~draws:8 net
           split.Dataset.test
@@ -240,12 +226,7 @@ let calibration_study () =
   List.iter
     (fun name ->
       let split, classes = load name 0 in
-      let net =
-        Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:57) Network.Adapt
-          ~inputs:1 ~classes
-      in
-      let model = Model.Circuit net in
-      let _ = Train.train ~rng:(Rng.create ~seed:58) budget model split in
+      let net = train_adapt ~seed:57 split ~classes in
       List.iter
         (fun chip_seed ->
           let chip = Pnc_core.Calibrate.chip ~seed:chip_seed (Variation.uniform 0.2) in
@@ -272,15 +253,11 @@ let variation_model_study () =
   List.iter
     (fun name ->
       let split, classes = load name 0 in
-      let net =
-        Network.create ~hidden:(min 8 (2 * classes)) (Rng.create ~seed:67) Network.Adapt
-          ~inputs:1 ~classes
-      in
-      let model = Model.Circuit net in
-      let _ =
-        Train.train ~rng:(Rng.create ~seed:68)
-          { budget with Train.variation = Variation.uniform 0.1; mc_samples = 2 }
-          model split
+      let model =
+        Model.Circuit
+          (train_adapt
+             ~cfg:{ budget with Train.variation = Variation.uniform 0.1; mc_samples = 2 }
+             ~seed:67 split ~classes)
       in
       let eval spec =
         Train.accuracy_under_variation ~rng:(Rng.create ~seed:69) ~spec ~draws:8 model

@@ -22,41 +22,23 @@ module Obs = Pnc_obs.Obs
 
 let progress msg = Printf.eprintf "[bench] %s\n%!" msg
 
-(* Table II microbenchmark: one Bechamel test per model family, each
-   running a single full-batch training epoch on the first dataset. *)
+(* Table II microbenchmark: Bechamel stages the epoch closure Table II's
+   Timer means run, one test per model family, on the first dataset. *)
 let bechamel_table2 cfg =
   let open Bechamel in
   let open Toolkit in
   let dataset = List.hd cfg.Config.datasets in
-  let raw = Pnc_data.Registry.load ?n:cfg.Config.dataset_n ~seed:0 dataset in
-  let split = Pnc_data.Dataset.preprocess (Pnc_util.Rng.create ~seed:1) raw in
-  let classes = raw.Pnc_data.Dataset.n_classes in
-  let rng = Pnc_util.Rng.create ~seed:2 in
-  (* The same epoch closure Table II's Timer means run. *)
-  let epoch train_cfg model = Pnc_core.Train.epoch train_cfg model split in
-  let elman =
-    epoch cfg.Config.train_base
-      (Pnc_core.Model.Reference (Pnc_core.Elman.create rng ~inputs:1 ~classes))
-  in
-  let ptpnc =
-    epoch cfg.Config.train_base
-      (Pnc_core.Model.Circuit
-         (Pnc_core.Network.create ~hidden:(max 2 classes) rng Pnc_core.Network.Ptpnc ~inputs:1
-            ~classes))
-  in
-  let adapt =
-    epoch cfg.Config.train_va
-      (Pnc_core.Model.Circuit
-         (Pnc_core.Network.create ~hidden:(max 4 (2 * classes)) rng Pnc_core.Network.Adapt
-            ~inputs:1 ~classes))
+  let test (name, variant) =
+    Test.make ~name (Staged.stage (Experiments.table2_epoch cfg ~dataset variant))
   in
   let tests =
     Test.make_grouped ~name:"epoch" ~fmt:"%s %s"
-      [
-        Test.make ~name:"elman-rnn" (Staged.stage elman);
-        Test.make ~name:"ptpnc-baseline" (Staged.stage ptpnc);
-        Test.make ~name:"adapt-pnc" (Staged.stage adapt);
-      ]
+      (List.map test
+         [
+           ("elman-rnn", Experiments.Reference);
+           ("ptpnc-baseline", Experiments.Base);
+           ("adapt-pnc", Experiments.Full);
+         ])
   in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Instance.[ monotonic_clock ] in

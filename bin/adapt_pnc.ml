@@ -654,7 +654,7 @@ let grid_worker_cmd =
     with_obs ~metrics_out ~trace (fun () ->
         let cells = Grid.cells_of_config ~dir:cache_dir cfg ~variants in
         let owner = Printf.sprintf "worker-%d" worker_id in
-        let n =
+        let n, _ =
           Grid.Proto.work ~lease_ttl ~progress:(Printf.eprintf "%s\n%!") ~owner cells
         in
         Printf.printf "[%s] grid complete: computed %d of %d cells\n" owner n
@@ -917,21 +917,19 @@ let tune_aug_cmd =
   in
   let run dataset seed budget =
     check_dataset dataset;
-    let raw = Registry.load ~seed dataset in
-    let split = Dataset.preprocess (Rng.create ~seed:(seed + 1)) raw in
+    let cfg = config_of ~scale:"smoke" in
     let eval policy =
-      (* Score a policy by validation accuracy of a quickly trained
-         ADAPT-pNC on policy-augmented data. *)
-      let arng = Rng.create ~seed:(seed + 2) in
-      let aug d = Pnc_augment.Augment.augment_dataset arng policy ~copies:1 d in
-      let s = { split with Dataset.train = aug split.Dataset.train; valid = aug split.Dataset.valid } in
-      let net =
-        Pnc_core.Network.create (Rng.create ~seed:(seed + 3)) Pnc_core.Network.Adapt ~inputs:1
-          ~classes:raw.Dataset.n_classes
+      (* Score a policy by the clean validation accuracy of the Full
+         ADAPT-pNC recipe trained at smoke scale, its training copies
+         augmented by the policy. *)
+      let t =
+        Experiments.prepare cfg ~dataset ~seed (fun ~classes ->
+            { (Experiments.recipe ~classes Experiments.Full) with Experiments.at = Some policy })
       in
-      let model = Pnc_core.Model.Circuit net in
-      let _ = Pnc_core.Train.train ~rng:(Rng.create ~seed:(seed + 4)) Pnc_core.Train.smoke_config model s in
-      let acc = Pnc_core.Train.accuracy model split.Dataset.valid in
+      let _ = Experiments.fit t in
+      let acc =
+        Pnc_core.Train.accuracy t.Experiments.tr_model t.Experiments.tr_split.Dataset.valid
+      in
       Printf.eprintf "  %.3f  %s\n%!" acc (Pnc_augment.Augment.describe_policy policy);
       acc
     in

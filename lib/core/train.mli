@@ -83,6 +83,12 @@ val train :
 (** Trains in place (the model's parameter tensors are mutated);
     restores the best-validation snapshot before returning.
 
+    Training takes no {!Batch.opts}: the objective and the validation
+    pass that selects the restored snapshot (model selection) always
+    run at [`Exact] precision. Only scoring after training (e.g.
+    {!accuracy} or {!accuracy_under_variation} with [opts]) follows a
+    configured tier.
+
     With [checkpoint_path], a ["train"] checkpoint is written
     atomically every [checkpoint_every] epochs (default 1) and always
     at the final epoch. With [resume_from], the loop state — including

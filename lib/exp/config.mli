@@ -19,8 +19,10 @@ type t = {
   dataset_n : int option;  (** override generated sample count *)
   datasets : string list;
   precision : Pnc_core.Batch.precision;
-      (** activation tier for no-grad evaluation ([`Exact] default;
-          [`Fast] is recorded in {!fingerprint}) *)
+      (** activation tier for scoring after training ([`Exact]
+          default; [`Fast] is recorded in {!fingerprint}).
+          {!Pnc_core.Train.train}'s objective and its validation
+          (model selection) always run [`Exact]. *)
   corr : Pnc_core.Variation.corr option;
       (** correlated-variation spec for the [+NI] training variant and
           the correlated-robustness metric; [None] (the default at

@@ -38,16 +38,6 @@ let variant_tag = function
   | Full -> "full"
   | Ni -> "ni"
 
-let variant_of_tag = function
-  | "reference" -> Some Reference
-  | "base" -> Some Base
-  | "va" -> Some Va
-  | "at" -> Some At
-  | "so_lf" -> Some So_lf
-  | "full" -> Some Full
-  | "ni" -> Some Ni
-  | _ -> None
-
 let table1_variants = [ Reference; Base; Full ]
 let fig7_variants = [ Base; Va; At; So_lf; Full ]
 
@@ -76,56 +66,72 @@ type run = {
   epochs : int;
 }
 
+(* One training recipe ------------------------------------------------------ *)
+
+type family = Rnn | Circuit of Network.arch
+
+type recipe = {
+  family : family;
+  hidden : int;
+  va : bool;
+  at : Augment.policy option;
+  ni : bool;
+}
+
 (* Architecture sizing: the baseline circuits of Table III carry roughly
    one filter channel per class in the hidden layer; the proposed design
-   doubles the hidden width (the paper reports ~1.9x devices). *)
-let base_hidden ~classes = Stdlib.max 2 classes
-let adapt_hidden ~classes = Stdlib.min 8 (Stdlib.max 4 (2 * classes))
+   doubles the hidden width (the paper reports ~1.9x devices). The
+   reference RNN keeps Elman.create's default width. *)
+let recipe ~classes variant =
+  let family, hidden =
+    match variant with
+    | Reference -> (Rnn, 8)
+    | Base | Va | At -> (Circuit Network.Ptpnc, Stdlib.max 2 classes)
+    | So_lf | Full | Ni -> (Circuit Network.Adapt, Stdlib.min 8 (Stdlib.max 4 (2 * classes)))
+  in
+  {
+    family;
+    hidden;
+    va = List.mem variant [ Va; Full; Ni ];
+    at = (if List.mem variant [ At; Full; Ni ] then Some Augment.default_policy else None);
+    ni = variant = Ni;
+  }
 
-let uses_variation_aware = function Va | Full | Ni -> true | _ -> false
-let uses_augmented_training = function At | Full | Ni -> true | _ -> false
-
-let load_split ?(augment = false) cfg ~dataset ~seed =
+let load_split ?augment cfg ~dataset ~seed =
   let raw = Registry.load ?n:cfg.Config.dataset_n ~seed dataset in
   let split = Dataset.preprocess (Rng.create ~seed:(seed + 1000)) raw in
   (* Augment the training split only: model selection must see the
      clean validation data, or the augmentation policy leaks into the
      eval protocol. *)
-  let aug d =
-    Augment.augment_dataset (Rng.create ~seed:(seed + 2000)) Augment.default_policy
-      ~copies:cfg.Config.aug_copies d
+  let aug policy =
+    Augment.augment_dataset (Rng.create ~seed:(seed + 2000)) policy
+      ~copies:cfg.Config.aug_copies split.Dataset.train
   in
-  ((if augment then { split with Dataset.train = aug split.Dataset.train } else split),
+  ((match augment with None -> split | Some p -> { split with Dataset.train = aug p }),
    raw.Dataset.n_classes)
 
-let build_model cfg ~variant ~classes ~seed =
-  ignore cfg;
-  let rng = Rng.create ~seed:(seed + 77) in
-  match variant with
-  | Reference -> Model.Reference (Elman.create rng ~inputs:1 ~classes)
-  | Base | Va | At ->
-      Model.Circuit
-        (Network.create ~hidden:(base_hidden ~classes) rng Network.Ptpnc ~inputs:1 ~classes)
-  | So_lf | Full | Ni ->
-      Model.Circuit
-        (Network.create ~hidden:(adapt_hidden ~classes) rng Network.Adapt ~inputs:1 ~classes)
+type training = {
+  tr_split : Dataset.split;
+  tr_model : Model.t;
+  tr_cfg : Train.config;
+  tr_seed : int;
+}
 
-let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
-    cfg ~dataset ~variant ~seed =
-  let split, classes =
-    load_split ~augment:(uses_augmented_training variant) cfg ~dataset ~seed
+let prepare cfg ~dataset ~seed recipe_of =
+  let r = recipe_of ~classes:(Registry.find dataset).Registry.n_classes in
+  let split, classes = load_split ?augment:r.at cfg ~dataset ~seed in
+  let rng = Rng.create ~seed:(seed + 77) in
+  let model =
+    match r.family with
+    | Rnn -> Model.Reference (Elman.create ~hidden:r.hidden rng ~inputs:1 ~classes)
+    | Circuit arch -> Model.Circuit (Network.create ~hidden:r.hidden rng arch ~inputs:1 ~classes)
   in
-  let model = build_model cfg ~variant ~classes ~seed in
-  let train_cfg =
-    if uses_variation_aware variant then cfg.Config.train_va else cfg.Config.train_base
-  in
-  (* [Ni] is the Full architecture + training budget, trained through
+  let train_cfg = if r.va then cfg.Config.train_va else cfg.Config.train_base in
+  (* Noise injection keeps the rest of the recipe and trains through
      correlated perturbed realizations with straight-through gradients
-     to the clean parameters (the noise-injection robust-training
-     variant). Everything else about the run - splits, streams,
-     evaluation - is identical to [Full]. *)
+     to the clean parameters. *)
   let train_cfg =
-    if variant = Ni then
+    if r.ni then
       {
         train_cfg with
         Train.variation =
@@ -135,11 +141,19 @@ let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoc
       }
     else train_cfg
   in
-  let rng = Rng.create ~seed:(seed + 3000) in
+  { tr_split = split; tr_model = model; tr_cfg = train_cfg; tr_seed = seed }
+
+let fit ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch t =
+  Train.train ~rng:(Rng.create ~seed:(t.tr_seed + 3000)) ?checkpoint_every ?checkpoint_path
+    ?resume_from ?die_at_epoch t.tr_cfg t.tr_model t.tr_split
+
+let train_run ?pool ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
+    cfg ~dataset ~variant ~seed =
+  let t = prepare cfg ~dataset ~seed (recipe variant) in
+  let split = t.tr_split and model = t.tr_model in
   let (history, dt) =
     Pnc_util.Timer.time (fun () ->
-        Train.train ~rng ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch
-          train_cfg model split)
+        fit ?checkpoint_every ?checkpoint_path ?resume_from ?die_at_epoch t)
   in
   (* Evaluation protocols under +-10% component variation; the reference
      RNN is scored as its one deterministic instance. *)
@@ -329,13 +343,6 @@ type stream_run = {
   sr_adapted : Online.result option;
 }
 
-(* Adaptation knobs change the reported numbers, so they are part of the
-   cache/provenance key; the pool size is result-invariant and
-   deliberately absent — same policy as Config.fingerprint. *)
-let stream_fingerprint cfg ~scenario ~protocol =
-  String.concat "|"
-    [ Config.fingerprint cfg; Scenario.fingerprint scenario; Online.fingerprint protocol ]
-
 let stream_run ?pool cfg ~scenario ~protocol (r : run) =
   if r.dataset <> scenario.Scenario.dataset then
     invalid_arg
@@ -520,6 +527,10 @@ let print_table1 rows =
 
 (* Table II ---------------------------------------------------------------- *)
 
+let table2_epoch cfg ~dataset variant =
+  let t = prepare cfg ~dataset ~seed:0 (recipe variant) in
+  Train.epoch t.tr_cfg t.tr_model t.tr_split
+
 let table2 ?(progress = fun _ -> ()) cfg =
   let sample_datasets =
     match cfg.Config.datasets with a :: b :: c :: _ -> [ a; b; c ] | l -> l
@@ -529,12 +540,7 @@ let table2 ?(progress = fun _ -> ()) cfg =
       List.map
         (fun dataset ->
           progress (Printf.sprintf "timing %s on %s" (variant_name variant) dataset);
-          let split, classes = load_split cfg ~dataset ~seed:0 in
-          let model = build_model cfg ~variant ~classes ~seed:0 in
-          let train_cfg =
-            if uses_variation_aware variant then cfg.Config.train_va else cfg.Config.train_base
-          in
-          let epoch = Train.epoch train_cfg model split in
+          let epoch = table2_epoch cfg ~dataset variant in
           (* One warm-up epoch, then the timed mean of three. *)
           epoch ();
           Pnc_util.Timer.time_mean ~repeats:3 epoch)

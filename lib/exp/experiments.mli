@@ -21,9 +21,6 @@ val variant_tag : variant -> string
     metadata (["reference"], ["base"], ["va"], ["at"], ["so_lf"],
     ["full"]). *)
 
-val variant_of_tag : string -> variant option
-(** Inverse of {!variant_tag}. *)
-
 val table1_variants : variant list
 (** [Reference; Base; Full]. *)
 
@@ -41,15 +38,54 @@ val corr_of_cfg : Config.t -> Pnc_core.Variation.corr
     {!Pnc_core.Variation.default_corr}. *)
 
 val load_split :
-  ?augment:bool -> Config.t -> dataset:string -> seed:int -> Pnc_data.Dataset.split * int
+  ?augment:Pnc_augment.Augment.policy -> Config.t -> dataset:string -> seed:int ->
+  Pnc_data.Dataset.split * int
 (** The split of one (dataset, seed) run and its class count: the
     dataset drawn by {!Pnc_data.Registry.load} at [cfg.dataset_n]
-    samples and preprocessed with stream [seed + 1000]. With [augment]
-    (default false), the training split alone gains [cfg.aug_copies]
-    augmented copies of each series (stream [seed + 2000]); validation
+    samples and preprocessed with stream [seed + 1000]. With [augment],
+    the training split alone gains [cfg.aug_copies] copies of each
+    series augmented by that policy (stream [seed + 2000]); validation
     and test stay clean, so model selection and scoring never see the
-    augmentation policy. {!train_run} and {!Search.evaluate} load
-    their splits here. *)
+    augmentation policy. *)
+
+(** {1 One training recipe}
+
+    Every model the grid, the architecture search, both Table II
+    timers and [adapt_pnc tune-aug] train is built by {!prepare}. *)
+
+type family = Rnn | Circuit of Pnc_core.Network.arch
+
+type recipe = {
+  family : family;
+  hidden : int;
+  va : bool;  (** [cfg.train_va], else [cfg.train_base] *)
+  at : Pnc_augment.Augment.policy option;  (** the training copies' policy *)
+  ni : bool;  (** noise injection at {!corr_of_cfg}, antithetic pairs *)
+}
+
+val recipe : classes:int -> variant -> recipe
+(** A variant's recipe on a dataset of [classes] classes: VA for [Va],
+    [Full], [Ni]; AT with {!Pnc_augment.Augment.default_policy} for
+    [At], [Full], [Ni]; NI for [Ni]. *)
+
+type training = {
+  tr_split : Pnc_data.Dataset.split;
+  tr_model : Pnc_core.Model.t;
+  tr_cfg : Pnc_core.Train.config;
+  tr_seed : int;
+}
+
+val prepare : Config.t -> dataset:string -> seed:int -> (classes:int -> recipe) -> training
+(** What one training run is made of, for the recipe at the dataset's
+    class count: {!load_split}'s split augmented by the recipe's AT
+    policy, the initial model drawn from stream [seed + 77], and the
+    budget. *)
+
+val fit :
+  ?checkpoint_every:int -> ?checkpoint_path:string -> ?resume_from:string ->
+  ?die_at_epoch:int -> training -> Pnc_core.Train.history
+(** {!Pnc_core.Train.train} of the prepared run on training stream
+    [seed + 3000]. *)
 
 type run = {
   dataset : string;
@@ -79,13 +115,13 @@ val train_run :
   variant:variant ->
   seed:int ->
   run
-(** Training itself stays on the (sequential) autodiff path; [pool]
+(** {!fit} of the variant's {!prepare}d run, then its scores.
+    Training itself stays on the (sequential) autodiff path; [pool]
     parallelizes the Monte-Carlo evaluation protocols with
     worker-count-invariant results, so it does not enter
     {!Config.fingerprint}; every evaluation runs at the configured
-    [cfg.precision] tier. The
-    checkpoint arguments are passed through to
-    {!Pnc_core.Train.train}. *)
+    [cfg.precision] tier. The checkpoint arguments are passed through
+    to {!fit}. *)
 
 val all_variants : variant list
 (** [Reference :: fig7_variants] — the six-variant grid that feeds
@@ -137,13 +173,6 @@ type stream_run = {
           same eval rng as the frozen run *)
 }
 
-val stream_fingerprint :
-  Config.t -> scenario:Pnc_stream.Scenario.t -> protocol:Pnc_stream.Online.protocol -> string
-(** Provenance key for one streaming result:
-    {!Config.fingerprint} + scenario + protocol. Adaptation knobs are
-    result-affecting and included; the pool size is result-invariant
-    and excluded (same policy as the grid cache). *)
-
 val stream_run :
   ?pool:Pnc_util.Pool.t ->
   Config.t ->
@@ -190,8 +219,12 @@ val table1_of_grid : Config.t -> run list -> table1_row list
 
 val print_table1 : table1_row list -> unit
 
+val table2_epoch : Config.t -> dataset:string -> variant -> unit -> unit
+(** The epoch Table II times: {!Pnc_core.Train.epoch} of the variant's
+    {!prepare}d seed-0 run, on the split the grid trains it on. *)
+
 val table2 : ?progress:(string -> unit) -> Config.t -> (string * float) list
-(** Mean seconds of one training epoch per model family, averaged over
+(** Mean seconds of one {!table2_epoch} per model family, averaged over
     a sample of datasets (Table II). *)
 
 val print_table2 : (string * float) list -> unit

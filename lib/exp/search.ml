@@ -31,14 +31,17 @@ let random_genome rng =
     use_at = Rng.bool rng;
   }
 
-let evaluate cfg ~dataset ~seed genome =
-  let split, classes = Experiments.load_split ~augment:genome.use_at cfg ~dataset ~seed in
+let recipe g ~classes:_ =
   (* The filter order decides between the two circuit families. *)
-  let arch = match genome.order with Filter_layer.First -> Network.Ptpnc | Filter_layer.Second -> Network.Adapt in
-  let net = Network.create ~hidden:genome.hidden (Rng.create ~seed:(seed + 77)) arch ~inputs:1 ~classes in
-  let model = Model.Circuit net in
-  let train_cfg = if genome.use_va then cfg.Config.train_va else cfg.Config.train_base in
-  let _ = Train.train ~rng:(Rng.create ~seed:(seed + 3000)) train_cfg model split in
+  let arch = match g.order with Filter_layer.First -> Network.Ptpnc | Filter_layer.Second -> Network.Adapt in
+  let at = if g.use_at then Some Pnc_augment.Augment.default_policy else None in
+  { Experiments.family = Circuit arch; hidden = g.hidden; va = g.use_va; at; ni = false }
+
+let evaluate cfg ~dataset ~seed genome =
+  let t = Experiments.prepare cfg ~dataset ~seed (recipe genome) in
+  let _ = Experiments.fit t in
+  let model = t.Experiments.tr_model and split = t.Experiments.tr_split in
+  let net = match model with Model.Circuit net -> net | Model.Reference _ -> assert false in
   let spec = Variation.uniform cfg.Config.eval_level in
   let opts = { Pnc_core.Batch.default with precision = cfg.Config.precision } in
   let eval d =
@@ -53,9 +56,10 @@ let evaluate cfg ~dataset ~seed genome =
     power_mw = Hardware.power_mw net;
   }
 
+(* The paper's ADAPT-pNC design: the Full variant. *)
 let anchor_genome ~classes =
   {
-    hidden = Stdlib.min 8 (Stdlib.max 4 (2 * classes));
+    hidden = (Experiments.recipe ~classes Experiments.Full).Experiments.hidden;
     order = Filter_layer.Second;
     use_va = true;
     use_at = true;
@@ -63,10 +67,9 @@ let anchor_genome ~classes =
 
 let random_search ?(progress = fun _ -> ()) cfg ~dataset ~seed ~budget =
   assert (budget >= 0);
-  let raw = Pnc_data.Registry.load ?n:cfg.Config.dataset_n ~seed dataset in
   let rng = Rng.create ~seed:(seed + 9000) in
   let genomes =
-    anchor_genome ~classes:raw.Dataset.n_classes
+    anchor_genome ~classes:(Pnc_data.Registry.find dataset).Pnc_data.Registry.n_classes
     :: List.init budget (fun _ -> random_genome rng)
   in
   let candidates =

@@ -15,10 +15,10 @@ let claims_reaped_counter = Obs.Counter.make "grid.claims_reaped"
 let tmp_reaped_counter = Obs.Counter.make "grid.tmp_reaped"
 
 module Proto = struct
-  type cell = {
+  type 'a cell = {
     cell_id : string;
     path : string;
-    is_valid : unit -> bool;
+    load : unit -> 'a option;
     compute : unit -> unit;
   }
 
@@ -54,18 +54,18 @@ module Proto = struct
     !reaped
 
   (* One pass over the cell list; returns (all_valid, advanced).
-     [seen.(i)] records that cell [i] was found valid: a published cell
+     [seen.(i)] holds cell [i]'s value once it loaded: a published cell
      stays published, so every later check by this worker skips it
-     instead of reloading it. A cell this worker computed is validated
-     by the next check like any other. [checked.(i)] records that cell
-     [i] has been checked at all: a cell valid at its first check is a
-     cache hit. *)
+     instead of reloading it. A cell this worker computed is loaded
+     back from its file by the next check like any other. [checked.(i)]
+     records that cell [i] has been checked at all: a cell valid at its
+     first check is a cache hit. *)
   let pass ?lease_ttl ~progress ~owner ~computed ~seen ~checked cells =
     let advanced = ref false in
     let valid i c =
-      if not seen.(i) then begin
-        seen.(i) <- c.is_valid ();
-        if seen.(i) && not checked.(i) then begin
+      if Option.is_none seen.(i) then begin
+        seen.(i) <- c.load ();
+        if Option.is_some seen.(i) && not checked.(i) then begin
           Obs.Counter.incr cache_hits_counter;
           if Obs.enabled () then
             Obs.emit "grid.cell.cached"
@@ -73,7 +73,7 @@ module Proto = struct
         end;
         checked.(i) <- true
       end;
-      seen.(i)
+      Option.is_some seen.(i)
     in
     Array.iteri
       (fun i c ->
@@ -128,7 +128,7 @@ module Proto = struct
       else []
     in
     let cells = Array.of_list cells in
-    let seen = Array.make (Array.length cells) false in
+    let seen = Array.make (Array.length cells) None in
     let checked = Array.make (Array.length cells) false in
     Obs.Span.with_ ~attrs "grid.worker" (fun () ->
         let rec loop () =
@@ -144,7 +144,7 @@ module Proto = struct
           end
         in
         loop ());
-    !computed
+    (!computed, Array.to_list (Array.map Option.get seen))
 end
 
 (* The experiment-grid instance ------------------------------------------- *)
@@ -161,7 +161,7 @@ let cells_of_config ?pool ~dir cfg ~variants =
       {
         Proto.cell_id = cell_label ~dataset ~variant ~seed;
         path;
-        is_valid = (fun () -> E.load_cell ~path cfg ~dataset ~variant ~seed <> None);
+        load = (fun () -> E.load_cell ~path cfg ~dataset ~variant ~seed);
         compute =
           (fun () ->
             let r = E.train_run ?pool cfg ~dataset ~variant ~seed in
@@ -188,12 +188,6 @@ let variants_of_string = function
   | "table1" -> E.table1_variants
   | "fig7" -> E.fig7_variants
   | s -> invalid_arg ("unknown variant set: " ^ s ^ " (expected all|table1|fig7)")
-
-let variants_name variants =
-  if variants = E.all_variants then "all"
-  else if variants = E.table1_variants then "table1"
-  else if variants = E.fig7_variants then "fig7"
-  else String.concat "," (List.map E.variant_tag variants)
 
 (* Status ------------------------------------------------------------------ *)
 
@@ -376,7 +370,4 @@ let print_merged cfg ~variants runs =
 let run ?pool ?lease_ttl ?progress ~dir cfg ~variants =
   E.mkdir_p dir;
   let cells = cells_of_config ?pool ~dir cfg ~variants in
-  ignore (Proto.work ?lease_ttl ?progress ~owner:"worker-0" cells);
-  match merge ~dir cfg ~variants with
-  | Ok runs -> runs
-  | Error missing -> failwith ("Grid.run: cells invalid after the run: " ^ String.concat ", " missing)
+  snd (Proto.work ?lease_ttl ?progress ~owner:"worker-0" cells)

@@ -30,19 +30,19 @@ module Experiments := Pnc_exp.Experiments
 (** {1 The claim/compute/publish protocol, generically}
 
     [Proto] is deliberately ignorant of models and datasets: a cell is
-    just a target path plus [is_valid]/[compute] callbacks. The
+    just a target path plus [load]/[compute] callbacks. The
     fault-injection battery ([test/test_grid.ml]) drives it with cheap
     synthetic cells; the experiment grid instantiates it via
     {!cells_of_config}. *)
 
 module Proto : sig
-  type cell = {
+  type 'a cell = {
     cell_id : string;  (** human-readable label for progress/telemetry *)
     path : string;  (** final artifact location (published atomically) *)
-    is_valid : unit -> bool;
-        (** [true] iff a trustworthy result is present at [path] —
-            must fully validate (decode + checksums), never trust
-            existence. *)
+    load : unit -> 'a option;
+        (** The result at [path], or [None] unless a trustworthy one is
+            there — must fully validate (decode + checksums), never
+            trust existence. *)
     compute : unit -> unit;
         (** Produce the result and publish it at [path] by atomic
             rename (e.g. {!Pnc_ckpt.Ckpt.save}). Must be idempotent
@@ -63,17 +63,20 @@ module Proto : sig
     ?poll_s:float ->
     ?progress:(string -> unit) ->
     owner:string ->
-    cell list ->
-    int
+    'a cell list ->
+    int * 'a list
   (** Run the worker loop until every cell in the list is valid;
-      returns the number of cells this worker computed. Each pass:
-      skip valid cells (a cell found valid is remembered and never
-      validated again, so a complete cache costs one [is_valid] per
-      cell; a cell valid at its first check counts [grid.cache_hits]
-      and emits [grid.cell.cached]); try to claim an invalid one
+      returns the number of cells this worker computed and every
+      cell's loaded value, in list order. Each pass: skip valid cells
+      (a cell's value is kept from the check that loaded it, so a
+      complete cache costs one [load] per cell; a cell valid at its
+      first check counts [grid.cache_hits] and emits
+      [grid.cell.cached]); try to claim an invalid one
       (reaping stale claims per {!Pnc_ckpt.Lease.try_acquire}); recheck validity
       under the claim (a sibling may have published first), reap dead
-      writers' temp litter, compute, publish, release. When every
+      writers' temp litter, compute, publish, release. A computed cell
+      is loaded back from its file by the next check, never taken from
+      [compute]. When every
       remaining cell is claimed by a live sibling, sleep [poll_s]
       (default 0.25 s) and rescan. If [compute] raises, the claim is
       released and the exception propagates (the cell returns to the
@@ -87,9 +90,9 @@ val cells_of_config :
   dir:string ->
   Config.t ->
   variants:Experiments.variant list ->
-  Proto.cell list
+  Experiments.run Proto.cell list
 (** One {!Proto.cell} per {!Pnc_exp.Experiments.grid_keys} entry:
-    [is_valid] is a full {!Pnc_exp.Experiments.load_cell} (CRC +
+    [load] is a full {!Pnc_exp.Experiments.load_cell} (CRC +
     fingerprint + identity), [compute] is
     {!Pnc_exp.Experiments.train_run} (its evaluations on [pool]) +
     {!Pnc_exp.Experiments.save_cell}, and emits a [grid.result] event.
@@ -98,8 +101,6 @@ val cells_of_config :
 val variants_of_string : string -> Experiments.variant list
 (** ["all"] (the six-variant grid), ["table1"] or ["fig7"].
     @raise Invalid_argument otherwise. *)
-
-val variants_name : Experiments.variant list -> string
 
 (** {1 Status} *)
 
@@ -192,9 +193,8 @@ val run :
   variants:Experiments.variant list ->
   Experiments.run list
 (** Fill [dir]'s cache in-process and read it back: {!Proto.work} as
-    ["worker-0"] over {!cells_of_config}, then {!merge}. Returns the
-    runs in {!Experiments.grid_keys} order, each loaded from its cell
+    ["worker-0"] over {!cells_of_config}. Returns the runs in
+    {!Experiments.grid_keys} order, each loaded once from its cell
     file, so a warm call returns what the cold call computed. It takes
     each cell's claim, so it shares [dir] safely with `grid worker`
-    processes; results do not depend on [pool].
-    @raise Failure if a cell fails to load after the run. *)
+    processes; results do not depend on [pool]. *)

@@ -7,6 +7,8 @@
 #     fused node, evaluation under variation);
 #   - examples/yield_analysis (Yield.sweep_levels) and `adapt_pnc
 #     sensitivity -d GPOVY` (Sensitivity.analyze's per-family rows);
+#   - `adapt_pnc nas -d GPOVY --scale smoke --budget 2` (the architecture
+#     search trains its candidates through Experiments.prepare);
 #   - bench/ablations.exe (read-out, discretization, calibration
 #     trimming, ...), minus the Bechamel timing lines of its section H;
 #   - scripts/stream_smoke.sh's frozen and adapted streaming tables;
@@ -33,7 +35,7 @@ OUT=${2:-$(mktemp -d "${TMPDIR:-/tmp}/parity-XXXXXX")}
 ROOT=$(git rev-parse --show-toplevel)
 COMMIT=$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")
 GRID_ARGS="--scale smoke -d GPOVY -d PowerCons"
-OUTPUTS="quickstart.txt multisensor.txt yield_analysis.txt sensitivity.txt ablations.txt
+OUTPUTS="quickstart.txt multisensor.txt yield_analysis.txt sensitivity.txt nas.txt ablations.txt
 stream/stream-j1.txt stream/stream-j4.txt bench.txt grid-merged.txt cell-params.txt"
 
 mkdir -p "$OUT/rev-src"
@@ -66,6 +68,8 @@ side() {
   (cd "$src" && "$bin/examples/yield_analysis.exe") >"$out/yield_analysis.txt"
   echo "-- $name: sensitivity --"
   (cd "$src" && "$bin/bin/adapt_pnc.exe" sensitivity -d GPOVY 2>/dev/null) >"$out/sensitivity.txt"
+  echo "-- $name: nas --"
+  (cd "$src" && "$bin/bin/adapt_pnc.exe" nas -d GPOVY --scale smoke --budget 2 2>/dev/null) >"$out/nas.txt"
   echo "-- $name: ablation bench --"
   (cd "$src" && "$bin/bench/ablations.exe") >"$out/ablations-timed.txt"
   sed '/^H\. /,/^done\./{/^  /d}' "$out/ablations-timed.txt" >"$out/ablations.txt"

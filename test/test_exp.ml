@@ -38,6 +38,26 @@ let test_variant_names () =
   Alcotest.(check int) "table1 variants" 3 (List.length E.table1_variants);
   Alcotest.(check string) "full name" "VA+SO-LF+AT" (E.variant_name E.Full)
 
+(* Augmentation touches the training split alone: validation and test
+   stay bit-equal to the clean split's, and the training split keeps
+   its clean rows and gains [aug_copies] augmented copies of each. *)
+let test_load_split_augments_train_only () =
+  let module D = Pnc_data.Dataset in
+  let cfg = { (smoke_cfg ()) with Config.aug_copies = 2 } in
+  let policy = Pnc_augment.Tune.random_policy (Pnc_util.Rng.create ~seed:3) in
+  let clean, classes = E.load_split cfg ~dataset:"GPOVY" ~seed:0 in
+  let aug, aug_classes = E.load_split ~augment:policy cfg ~dataset:"GPOVY" ~seed:0 in
+  let bits (d : D.t) = (Array.map (Array.map Int64.bits_of_float) d.D.x, d.D.y) in
+  let head n (d : D.t) =
+    bits { d with D.x = Array.sub d.D.x 0 n; y = Array.sub d.D.y 0 n }
+  in
+  Alcotest.(check int) "classes" classes aug_classes;
+  Alcotest.(check bool) "valid bit-equal" true (bits clean.D.valid = bits aug.D.valid);
+  Alcotest.(check bool) "test bit-equal" true (bits clean.D.test = bits aug.D.test);
+  let n = D.n_samples clean.D.train in
+  Alcotest.(check int) "train gains aug_copies copies" (3 * n) (D.n_samples aug.D.train);
+  Alcotest.(check bool) "clean rows first" true (bits clean.D.train = head n aug.D.train)
+
 let test_train_run_record () =
   let cfg = smoke_cfg () in
   let r = E.train_run cfg ~dataset:"GPOVY" ~variant:E.Base ~seed:0 in
@@ -233,6 +253,8 @@ let () =
       ( "grid",
         [
           Alcotest.test_case "variant names" `Quick test_variant_names;
+          Alcotest.test_case "load_split augments the training split only" `Quick
+            test_load_split_augments_train_only;
           Alcotest.test_case "train_run record" `Slow test_train_run_record;
           Alcotest.test_case "grid + artifacts" `Slow test_grid_and_artifacts;
         ] );

@@ -137,7 +137,7 @@ let test_lease_ttl () =
 (* Proto with synthetic cells ----------------------------------------------- *)
 
 (* A synthetic cell publishes a deterministic payload by write-temp +
-   atomic rename, exactly like the real cell checkpoints; validity is a
+   atomic rename, exactly like the real cell checkpoints; loading is a
    full content check, so truncation or garbage is never trusted. *)
 let payload name = Printf.sprintf "cell(%s) deterministic payload\n" name
 
@@ -146,10 +146,11 @@ let synth_cell ?(delay = 0.) ~dir name =
   {
     Proto.cell_id = name;
     path;
-    is_valid =
+    load =
       (fun () ->
-        Sys.file_exists path
-        && match read_file path with s -> s = payload name | exception Sys_error _ -> false);
+        match read_file path with
+        | s when s = payload name -> Some ()
+        | _ | (exception Sys_error _) -> None);
     compute =
       (fun () ->
         if delay > 0. then Thread.delay delay;
@@ -158,12 +159,14 @@ let synth_cell ?(delay = 0.) ~dir name =
         Sys.rename tmp path);
   }
 
+let valid c = Option.is_some (c.Proto.load ())
+
 let test_proto_computes_all () =
   let dir = fresh_dir () in
   let cells = List.init 4 (fun i -> synth_cell ~dir (Printf.sprintf "c%d" i)) in
-  Alcotest.(check int) "computes every cell" 4 (Proto.work ~owner:"w0" cells);
-  Alcotest.(check bool) "all valid" true (List.for_all (fun c -> c.Proto.is_valid ()) cells);
-  Alcotest.(check int) "second pass is pure cache" 0 (Proto.work ~owner:"w0" cells)
+  Alcotest.(check int) "computes every cell" 4 (fst (Proto.work ~owner:"w0" cells));
+  Alcotest.(check bool) "all valid" true (List.for_all valid cells);
+  Alcotest.(check int) "second pass is pure cache" 0 (fst (Proto.work ~owner:"w0" cells))
 
 let test_proto_corrupt_cell_recomputed () =
   let dir = fresh_dir () in
@@ -172,7 +175,7 @@ let test_proto_corrupt_cell_recomputed () =
   let victim = List.nth cells 1 in
   (* truncation and garbage both fail the content check *)
   write_file victim.Proto.path "torn";
-  Alcotest.(check int) "only the corrupt cell recomputes" 1 (Proto.work ~owner:"w0" cells);
+  Alcotest.(check int) "only the corrupt cell recomputes" 1 (fst (Proto.work ~owner:"w0" cells));
   Alcotest.(check string) "content restored" (payload "c1") (read_file victim.Proto.path)
 
 let test_proto_stale_claims_reaped () =
@@ -184,7 +187,8 @@ let test_proto_stale_claims_reaped () =
     ~path:(Proto.claim_path (List.nth cells 0).Proto.path)
     ~pid:(dead_pid ()) ~owner:"ghost" ~since:(Unix.gettimeofday ());
   write_file (Proto.claim_path (List.nth cells 1).Proto.path) "garbage claim";
-  Alcotest.(check int) "all cells computed despite stale claims" 3 (Proto.work ~owner:"w0" cells);
+  Alcotest.(check int) "all cells computed despite stale claims" 3
+    (fst (Proto.work ~owner:"w0" cells));
   List.iter
     (fun c ->
       Alcotest.(check bool) "claim released" false (Sys.file_exists (Proto.claim_path c.Proto.path)))
@@ -207,15 +211,15 @@ let test_proto_reap_tmp () =
 (* qgen: merged state is invariant to shard count, completion order and
    duplicate workers; atomic rename gives exactly-once computation. *)
 
-(* A cell cached as a real checkpoint, validated by a full [Ckpt.load]
+(* A cell cached as a real checkpoint, loaded by a full [Ckpt.load]
    like the experiment grid's cells: the [ckpt.loads] counter counts
-   its validations. *)
+   its loads. *)
 let ckpt_cell ~dir name =
   let path = Filename.concat dir (name ^ ".ckpt") in
   {
     Proto.cell_id = name;
     path;
-    is_valid = (fun () -> Result.is_ok (Ckpt.load ~path));
+    load = (fun () -> Result.to_option (Ckpt.load ~path));
     compute = (fun () -> Ckpt.save ~path ~kind:"grid-cell" ~meta:[] ~sections:[]);
   }
 
@@ -230,9 +234,9 @@ let ckpt_loads () =
 let test_proto_complete_cache_loads_once () =
   let dir = fresh_dir () in
   let cells = List.init 5 (fun i -> ckpt_cell ~dir (Printf.sprintf "c%d" i)) in
-  Alcotest.(check int) "computes every cell" 5 (Proto.work ~owner:"w0" cells);
+  Alcotest.(check int) "computes every cell" 5 (fst (Proto.work ~owner:"w0" cells));
   let before = ckpt_loads () in
-  Alcotest.(check int) "complete cache: nothing computed" 0 (Proto.work ~owner:"w1" cells);
+  Alcotest.(check int) "complete cache: nothing computed" 0 (fst (Proto.work ~owner:"w1" cells));
   Alcotest.(check int) "one load per cell" (List.length cells) (ckpt_loads () - before)
 
 let shuffle rng l =
@@ -282,11 +286,11 @@ let shard_invariance case =
         let order = shuffle rng cells in
         let owner = Printf.sprintf "worker-%d" (w mod case.shards) in
         Thread.create
-          (fun () -> computed.(w) <- Proto.work ~poll_s:0.001 ~owner order)
+          (fun () -> computed.(w) <- fst (Proto.work ~poll_s:0.001 ~owner order))
           ())
   in
   List.iter Thread.join workers;
-  List.for_all (fun c -> c.Proto.is_valid ()) cells
+  List.for_all valid cells
   && Array.fold_left ( + ) 0 computed = case.n_cells (* exactly once *)
   && canonical_image cells = expected
 
@@ -324,6 +328,18 @@ let test_interrupted_cell_write_is_stale () =
   Lease.release ~path:(Proto.claim_path path);
   Alcotest.(check bool) "reclaim" true (Lease.acquire ~path:(Proto.claim_path path) ~owner:"me");
   Alcotest.(check string) "live claim is claimed" "claimed" (Grid.state_name (classify ()))
+
+(* [Grid.run] returns the runs its workers loaded: on a complete cache it
+   decodes each cell once, and the warm runs equal the cold ones. *)
+let test_warm_run_loads_each_cell_once () =
+  let cfg = smoke_cfg () and dir = fresh_dir () and variants = [ E.Base; E.Full ] in
+  let cold = Grid.run ~dir cfg ~variants in
+  let before = ckpt_loads () in
+  let warm = Grid.run ~dir cfg ~variants in
+  Alcotest.(check int) "one load per cell" (List.length cold) (ckpt_loads () - before);
+  Alcotest.(check (list (float 0.))) "warm runs are the cold runs"
+    (List.map (fun r -> r.E.clean_var_acc) cold)
+    (List.map (fun r -> r.E.clean_var_acc) warm)
 
 (* Real binary: SIGKILL, corrupt, resume, byte-identical merge -------------- *)
 
@@ -494,5 +510,7 @@ let () =
         [
           Alcotest.test_case "cold run reports each cell, warm run hits every cell" `Quick
             test_run_telemetry;
+          Alcotest.test_case "warm run loads each cell once" `Quick
+            test_warm_run_loads_each_cell_once;
         ] );
     ]

@@ -492,13 +492,7 @@ let test_fingerprints () =
        (Online.fingerprint { p with Online.adapt = Online.All }));
   let s1 = scenario () and s2 = scenario ~seed:12 () in
   check_b "seed enters the scenario fingerprint" false
-    (String.equal (Scenario.fingerprint s1) (Scenario.fingerprint s2));
-  check_b "scenario and protocol both enter the stream fingerprint" true
-    (let fp = E.stream_fingerprint smoke_cfg ~scenario:s1 ~protocol:p in
-     fp <> E.stream_fingerprint smoke_cfg ~scenario:s2 ~protocol:p
-     && fp
-        <> E.stream_fingerprint smoke_cfg ~scenario:s1
-             ~protocol:{ p with Online.width = 8 })
+    (String.equal (Scenario.fingerprint s1) (Scenario.fingerprint s2))
 
 (* Battery sensitivity ---------------------------------------------------- *)
 
