@@ -934,8 +934,11 @@ let tune_aug_cmd =
       acc
     in
     let best = Pnc_augment.Tune.search (Rng.create ~seed:(seed + 5)) ~budget ~eval in
-    Printf.printf "best policy (val acc %.3f): %s\n" best.Pnc_augment.Tune.score
-      (Pnc_augment.Augment.describe_policy best.Pnc_augment.Tune.policy)
+    let policy = Pnc_augment.Augment.describe_policy best.Pnc_augment.Tune.policy in
+    if best.Pnc_augment.Tune.ties > 1 then
+      Printf.printf "tie: %d policies share the best val acc %.3f; the first evaluated: %s\n"
+        best.Pnc_augment.Tune.ties best.Pnc_augment.Tune.score policy
+    else Printf.printf "best policy (val acc %.3f): %s\n" best.Pnc_augment.Tune.score policy
   in
   Cmd.v
     (Cmd.info "tune-aug"

@@ -1,6 +1,6 @@
 module Rng = Pnc_util.Rng
 
-type candidate = { policy : Augment.policy; score : float }
+type candidate = { policy : Augment.policy; score : float; ties : int }
 
 let random_policy rng =
   {
@@ -21,8 +21,9 @@ let search rng ~budget ~eval =
   let consider best policy =
     let score = eval policy in
     match best with
-    | Some b when b.score >= score -> best
-    | _ -> Some { policy; score }
+    | Some b when b.score > score -> best
+    | Some b when b.score = score -> Some { b with ties = b.ties + 1 }
+    | _ -> Some { policy; score; ties = 1 }
   in
   let best = ref (consider None Augment.default_policy) in
   for _ = 1 to budget do

@@ -5,7 +5,11 @@
     dataset on validation accuracy; [search] draws candidate policies
     from the same space and keeps the best-scoring one. *)
 
-type candidate = { policy : Augment.policy; score : float }
+type candidate = { policy : Augment.policy; score : float; ties : int }
+(** [ties] counts the evaluated candidates that scored exactly [score],
+    this one included: 1 when the best is unique. Among tied
+    candidates [policy] is the first evaluated, so above 1 the choice
+    between them is the draw order's, not the score's. *)
 
 val random_policy : Pnc_util.Rng.t -> Augment.policy
 (** One policy with strengths drawn from the paper-motivated ranges:
@@ -15,5 +19,6 @@ val random_policy : Pnc_util.Rng.t -> Augment.policy
 
 val search :
   Pnc_util.Rng.t -> budget:int -> eval:(Augment.policy -> float) -> candidate
-(** Evaluates [budget] random candidates plus {!Augment.default_policy}
-    and returns the argmax (higher scores better). *)
+(** Evaluates {!Augment.default_policy}, then [budget] random
+    candidates, and returns the argmax (higher scores better) with the
+    number of candidates that share its score. *)

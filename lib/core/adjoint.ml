@@ -5,15 +5,15 @@ module BA = Bigarray.Array1
 
 (* {1 One draw}
 
-   What the sweep needs of one draw: the circuit instance
-   [Network.instantiate] realized it into, whose records keep the
+   What the sweep needs of one draw: the layers
+   [Network.realize_net_t] realized it into, whose records keep the
    variation factors beside the effective values the per-op graph
    computed from them. Everything is captured when the node is built,
    as the tape captures its node values. *)
 
 type sample = {
   ste : bool;
-  inst : Network.instance;
+  kern : Network.layer_t array;
   mutable logits : T.t;
   mutable value : float; (* the draw's cross-entropy *)
 }
@@ -69,22 +69,12 @@ let make_ws ~rows ~steps kern =
   in
   { tr; grads; scratch = buffer rows; stamp = 0 }
 
-let fits ws ~rows ~steps (kern : Network.layer_t array) =
-  ws.tr.rows = rows && ws.tr.steps = steps
-  && Array.length ws.tr.per_layer = Array.length kern
-  && Array.for_all2
-       (fun (lw : Network.layer_trajectory) (l : Network.layer_t) ->
-         lw.n_in = T.rows l.cb.theta_eff
-         && lw.n_out = T.cols l.cb.theta_eff
-         && Array.length lw.st = Array.length l.filt.stages_t)
-       ws.tr.per_layer kern
-
 let ws_key : ws option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let workspace ~rows ~steps kern =
   let cell = Domain.DLS.get ws_key in
   match !cell with
-  | Some ws when fits ws ~rows ~steps kern -> ws
+  | Some ws when Network.fits ws.tr ~rows ~steps kern -> ws
   | _ ->
       let ws = make_ws ~rows ~steps kern in
       cell := Some ws;
@@ -198,7 +188,7 @@ let input_back ~rows (gin : T.buffer) gio (scratch : T.buffer) (w : T.buffer) wo
    layer's θ is not stepped and its gradient is not formed. *)
 let sweep_step ws (d : sample) (steps : T.t array) ~t ~li ~live ~theta =
   let tr = ws.tr and gr = ws.grads.(li) in
-  let rows = tr.rows and lw = tr.per_layer.(li) and l = d.inst.kern.(li) in
+  let rows = tr.rows and lw = tr.per_layer.(li) and l = d.kern.(li) in
   let first = t = tr.steps - 1 in
   let n_out = lw.n_out and n_st = Array.length lw.st and plane = lw.stride in
   let th = l.cb.theta_eff and inv = l.cb.inv_den in
@@ -326,7 +316,7 @@ let sweep ws ~readout (smp : sample) steps ~gl ~labels ~emit ~on net =
   done;
   Array.iteri
     (fun li layer ->
-      realization_back ~emit ~on smp tr.per_layer.(li) ws.grads.(li) smp.inst.kern.(li) layer)
+      realization_back ~emit ~on smp tr.per_layer.(li) ws.grads.(li) smp.kern.(li) layer)
     layers
 
 (* {1 The node} *)
@@ -342,7 +332,7 @@ let expected ?params ~n ~tasks ~readout net ~steps ~labels =
       (Array.map (fun d ->
            {
              ste = d.Variation.ste;
-             inst = Network.instantiate ~opts:Batch.default ~draw:d net ~rows;
+             kern = Array.of_list (Network.realize_net_t ~varied:Batch.all_families ~draw:d net);
              logits = T.zeros ~rows:0 ~cols:0;
              value = nan;
            }))
@@ -353,14 +343,14 @@ let expected ?params ~n ~tasks ~readout net ~steps ~labels =
      right to left: the tape swept tasks last to first and, within a
      pair, d1 before d2. The sweep visits the samples in that order. *)
   let order = Array.concat (List.rev (Array.to_list samples)) in
-  let kern = order.(0).inst.kern in
+  let kern = order.(0).kern in
   let ws = workspace ~rows ~steps:n_steps kern in
   let stamp = 1 + Atomic.fetch_and_add stamps 1 in
   (* Forward in the reverse of the sweep's order, so the trajectory left
      in the workspace is the first one the sweep needs. *)
   for k = Array.length order - 1 downto 0 do
     let smp = order.(k) in
-    smp.logits <- Network.forward_trajectory ws.tr ~readout smp.inst steps;
+    smp.logits <- Network.forward_trajectory ws.tr ~readout smp.kern steps;
     smp.value <- Loss.cross_entropy_value ~logits:smp.logits ~labels
   done;
   ws.stamp <- stamp;
@@ -377,7 +367,7 @@ let expected ?params ~n ~tasks ~readout net ~steps ~labels =
       Array.iteri
         (fun k smp ->
           if k > 0 || ws.stamp <> stamp then begin
-            ignore (Network.forward_trajectory ws.tr ~readout smp.inst steps);
+            ignore (Network.forward_trajectory ws.tr ~readout smp.kern steps);
             ws.stamp <- 0
           end;
           sweep ws ~readout smp steps ~gl ~labels ~emit ~on net)

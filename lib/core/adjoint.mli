@@ -13,7 +13,7 @@
     the printed tanh's η₁..η₄, the filter stages (a/b through R, C,
     drift, µ and τ) and the crossbar's θ/θ_b with its |θ_eff|
     denominator, under plain or straight-through folds. Each draw is
-    realized once, by {!Network.instantiate}: the forward runs its
+    realized once, by {!Network.realize_net_t}: the forward runs its
     records' coefficients and the sweep reads the factors and
     intermediate values (ε, µ, r_eff, c_eff, µτ + Δt, θ_b·ε) they keep.
 

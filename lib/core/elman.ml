@@ -68,30 +68,43 @@ let forward m x = forward_multi m (T.columns x)
 
 (* No-grad forward — same floating-point operation sequence as the Var
    path, no autodiff nodes. [`Fast] swaps the per-element
-   transcendental only. *)
-let cell_step_t ~precision c h x =
-  let pre =
-    T.add_rv (T.add (T.matmul x (Var.value c.w)) (T.matmul h (Var.value c.u))) (Var.value c.b)
-  in
-  match precision with
-  | `Exact -> T.map Stdlib.tanh pre
-  | `Fast ->
-      (* In-place over the freshly allocated pre-activation (off = 0):
-         one unboxed in-module loop instead of a boxing per-element
-         cross-module call. *)
-      Pnc_tensor.Fast_math.apply_range pre.T.data ~off:pre.T.off ~len:(T.numel pre);
-      pre
+   transcendental only. One forward allocates each layer's buffers
+   once, not per step: a step writes [x w] into [pre], adds [h u] and
+   the bias in place, applies tanh in place and swaps [pre] with [h].
+   Element for element that is [T.add_rv (T.add (T.matmul x w)
+   (T.matmul h u)) b], then tanh. *)
+type cell_ws = { mutable h : T.t; mutable pre : T.t; hu : T.t }
+
+let cell_ws ~rows ~hidden =
+  let z () = T.zeros ~rows ~cols:hidden in
+  { h = z (); pre = z (); hu = z () }
+
+let cell_step_t ~precision c ws x =
+  let pre = ws.pre in
+  T.matmul_into ~dst:pre x (Var.value c.w);
+  T.matmul_into ~dst:ws.hu ws.h (Var.value c.u);
+  T.add_inplace pre ws.hu;
+  T.add_rv_inplace pre (Var.value c.b);
+  let d = pre.T.data and off = pre.T.off and len = T.numel pre in
+  (match precision with
+  | `Exact ->
+      (* A direct loop: [T.map] would box every element. *)
+      for i = off to off + len - 1 do
+        Bigarray.Array1.unsafe_set d i (Stdlib.tanh (Bigarray.Array1.unsafe_get d i))
+      done
+  | `Fast -> Pnc_tensor.Fast_math.apply_range d ~off ~len);
+  ws.pre <- ws.h;
+  ws.h <- pre
 
 let forward_block ~precision m steps =
-  let batch = T.rows steps.(0) in
-  let h1 = ref (T.zeros ~rows:batch ~cols:m.n_hidden) in
-  let h2 = ref (T.zeros ~rows:batch ~cols:m.n_hidden) in
+  let rows = T.rows steps.(0) in
+  let l1 = cell_ws ~rows ~hidden:m.n_hidden and l2 = cell_ws ~rows ~hidden:m.n_hidden in
   Array.iter
     (fun x_t ->
-      h1 := cell_step_t ~precision m.l1 !h1 x_t;
-      h2 := cell_step_t ~precision m.l2 !h2 !h1)
+      cell_step_t ~precision m.l1 l1 x_t;
+      cell_step_t ~precision m.l2 l2 l1.h)
     steps;
-  T.add_rv (T.matmul !h2 (Var.value m.w_out)) (Var.value m.b_out)
+  T.add_rv (T.matmul l2.h (Var.value m.w_out)) (Var.value m.b_out)
 
 let forward_multi_batch_t ?(opts = Batch.default) m steps =
   assert (Array.length steps > 0);

@@ -141,26 +141,16 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
 (* No-grad engine: same sampling order and same floating-point
    operation sequence as the Var path, but no autodiff nodes are
    allocated and each layer step runs as a few fused passes over
-   preallocated feature-major buffers. Logits are bit-identical to
-   [forward_multi] under the same draw and options.
+   feature-major buffers. Logits are bit-identical to [forward_multi]
+   under the same draw and options.
 
    Realization (the RNG-consuming part) is separated from the
    workspace (state + scratch buffers): the draw is realized ONCE per
    forward and the whole batch then runs through that one physical
-   circuit instance. The same loop is the forward of Adjoint's training
+   circuit instance. The workspace is kept per domain and reused while
+   the shapes fit. The same loop is the forward of Adjoint's training
    node, over a workspace that keeps every step for its reverse
    sweep. *)
-
-type instance = { kern : layer_t array; init : T.t array array }
-
-let instantiate ~(opts : Batch.opts) ~draw net ~rows =
-  let kern = Array.of_list (realize_net_t ~varied:opts.varied ~draw net) in
-  (* Like the draw, the initial state describes the physical situation:
-     it is drawn once for the whole batch. *)
-  let init =
-    Array.map (fun k -> Filter_layer.init_state_t ~init:opts.state_init k.filt ~batch:rows) kern
-  in
-  { kern; init }
 
 (* Workspace of one layer, stored feature-major: a slot is an [n_out x
    rows] plane whose row [c] holds feature [c] for every row of the
@@ -206,6 +196,16 @@ let make_trajectory ~keep ~rows ~steps kern =
   { rows; steps; per_layer = layers; acc = T.zeros ~rows:classes ~cols:rows }
 
 let trajectory ~rows ~steps kern = make_trajectory ~keep:true ~rows ~steps kern
+
+let fits tr ~rows ~steps kern =
+  tr.rows = rows && tr.steps = steps
+  && Array.length tr.per_layer = Array.length kern
+  && Array.for_all2
+       (fun lw l ->
+         lw.n_in = T.rows l.cb.theta_eff
+         && lw.n_out = T.cols l.cb.theta_eff
+         && Array.length lw.st = Array.length l.filt.stages_t)
+       tr.per_layer kern
 
 (* The three passes of the fused layer step: crossbar, filter, tanh.
    Each runs over the [rows] elements of one feature and evaluates
@@ -339,38 +339,67 @@ type input = Steps of T.t array | Series of T.t
 let input_steps = function Steps steps -> Array.length steps | Series x -> T.cols x
 let input_rows = function Steps steps -> T.rows steps.(0) | Series x -> T.rows x
 
+(* The initial filter states, written into slot 0 of every stage's
+   state buffer. Like the draw, they describe the physical situation:
+   one fill for the whole batch. `V0 repeats the draw's sampled
+   voltages down the rows; `Gaussian draws its stream layer by layer,
+   then stage-major, then row-major, as [Filter_layer.init_state_t]
+   over each layer's [rows x n_out] state does. *)
+let init_states ~init ~rows tr kern =
+  let module BA = Bigarray.Array1 in
+  Array.iteri
+    (fun li lw ->
+      let l = kern.(li) in
+      Array.iteri
+        (fun i s ->
+          let n_out = lw.n_out in
+          match init with
+          | `V0 ->
+              let v0 = l.filt.stages_t.(i).v0 in
+              assert (T.rows v0 = 1 && T.cols v0 = n_out);
+              for c = 0 to n_out - 1 do
+                let v = BA.unsafe_get v0.T.data (v0.T.off + c) in
+                for r = 0 to rows - 1 do
+                  BA.unsafe_set s ((c * rows) + r) v
+                done
+              done
+          | `Zero ->
+              for j = 0 to (n_out * rows) - 1 do
+                BA.unsafe_set s j 0.
+              done
+          | `Gaussian (rng, sigma) ->
+              for r = 0 to rows - 1 do
+                for c = 0 to n_out - 1 do
+                  BA.unsafe_set s ((c * rows) + r) (Pnc_util.Rng.gaussian ~sigma rng)
+                done
+              done)
+        lw.st)
+    tr.per_layer
+
 (* Run the batch through all time steps of one circuit instance in the
-   workspace [tr]. The batch reads each step in place (a series at row
-   stride [T.cols x]), transposes its initial states in once and its
-   logits out once, and allocates nothing per time step. *)
-let forward_block ~fast ~readout tr inst input =
+   workspace [tr], starting from the [init] filter states. The batch
+   reads each step in place (a series at row stride [T.cols x]),
+   allocates nothing per time step, and returns fresh [rows x classes]
+   logits. *)
+let forward_block ~fast ~readout ~init tr kern input =
   let module BA = Bigarray.Array1 in
   let rows = tr.rows and n_steps = tr.steps and layers = tr.per_layer in
   let n_layers = Array.length layers in
   assert (
-    input_rows input = rows && input_steps input = n_steps && Array.length inst.kern = n_layers);
+    input_rows input = rows && input_steps input = n_steps && fits tr ~rows ~steps:n_steps kern);
   Array.iteri
     (fun li lw ->
-      let l = inst.kern.(li) and init = inst.init.(li) in
-      assert (T.rows l.cb.theta_eff = lw.n_in && T.cols l.cb.theta_eff = lw.n_out);
+      let l = kern.(li) in
       assert (li = 0 || lw.n_in = layers.(li - 1).n_out);
       List.iter
         (fun t -> assert (T.rows t = 1 && T.cols t = lw.n_out))
         (l.cb.bias_num :: l.cb.inv_den :: Array.to_list l.act.eta);
-      assert (Array.length lw.st = Array.length l.filt.stages_t);
-      assert (Array.length init = Array.length lw.st);
-      Array.iteri
-        (fun i s ->
-          let sr = l.filt.stages_t.(i) and s0 = init.(i) in
-          assert (T.rows s0 = rows && T.cols s0 = lw.n_out);
-          assert (T.cols sr.a = lw.n_out && T.cols sr.b = lw.n_out);
-          for c = 0 to lw.n_out - 1 do
-            for r = 0 to rows - 1 do
-              BA.unsafe_set s ((c * rows) + r) (BA.unsafe_get s0.T.data (s0.T.off + (r * lw.n_out) + c))
-            done
-          done)
-        lw.st)
+      Array.iter
+        (fun (sr : Filter_layer.stage_t) ->
+          assert (T.cols sr.a = lw.n_out && T.cols sr.b = lw.n_out))
+        l.filt.stages_t)
     layers;
+  init_states ~init ~rows tr kern;
   let n_in = layers.(0).n_in and last = layers.(n_layers - 1) in
   assert (T.rows tr.acc = last.n_out && T.cols tr.acc = rows);
   (match input with Series _ -> assert (n_in = 1) | Steps _ -> ());
@@ -381,12 +410,12 @@ let forward_block ~fast ~readout tr inst input =
     | Steps steps ->
         let x = steps.(t) in
         assert (T.cols x = n_in && T.rows x = rows);
-        step_layer ~fast ~rows ~t layers.(0) inst.kern.(0) x.T.data x.T.off ~rs:n_in ~ks:1
+        step_layer ~fast ~rows ~t layers.(0) kern.(0) x.T.data x.T.off ~rs:n_in ~ks:1
     | Series x ->
-        step_layer ~fast ~rows ~t layers.(0) inst.kern.(0) x.T.data (x.T.off + t) ~rs:n_steps ~ks:1);
+        step_layer ~fast ~rows ~t layers.(0) kern.(0) x.T.data (x.T.off + t) ~rs:n_steps ~ks:1);
     for l = 1 to n_layers - 1 do
       let prev = layers.(l - 1) in
-      step_layer ~fast ~rows ~t layers.(l) inst.kern.(l) prev.out (t * prev.stride) ~rs:1 ~ks:rows
+      step_layer ~fast ~rows ~t layers.(l) kern.(l) prev.out (t * prev.stride) ~rs:1 ~ks:rows
     done;
     (* Read-out: [T.add_inplace] of the last layer's activations, or
        the final step's alone. *)
@@ -402,21 +431,54 @@ let forward_block ~fast ~readout tr inst input =
             BA.unsafe_set ad i (BA.unsafe_get last.out (lo + i))
           done
   done;
-  match readout with
-  | Integrated -> T.transpose (T.scale (1. /. float_of_int n_steps) tr.acc)
-  | Last_step -> T.transpose tr.acc
+  (* The logits, transposed out of the feature-major accumulator: the
+     integrated read-out's [T.scale] by 1/T element by element. *)
+  let classes = last.n_out in
+  let logits = T.zeros ~rows ~cols:classes in
+  let ld = logits.T.data in
+  (match readout with
+  | Integrated ->
+      let k = 1. /. float_of_int n_steps in
+      for c = 0 to classes - 1 do
+        for r = 0 to rows - 1 do
+          BA.unsafe_set ld ((r * classes) + c) (k *. BA.unsafe_get ad ((c * rows) + r))
+        done
+      done
+  | Last_step ->
+      for c = 0 to classes - 1 do
+        for r = 0 to rows - 1 do
+          BA.unsafe_set ld ((r * classes) + c) (BA.unsafe_get ad ((c * rows) + r))
+        done
+      done);
+  logits
 
-let forward_trajectory tr ~readout inst steps =
-  forward_block ~fast:false ~readout tr inst (Steps steps)
+let forward_trajectory tr ~readout kern steps =
+  forward_block ~fast:false ~readout ~init:`V0 tr kern (Steps steps)
+
+(* Each domain's evaluation workspace. A caller checks it out by
+   emptying the slot and puts it back when done, so systhreads of one
+   domain never share it: one that finds the slot empty builds its
+   own. *)
+let eval_slot : trajectory option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
 
 let forward_input ~(opts : Batch.opts) ~draw net input =
   assert (input_steps input > 0);
   let rows = input_rows input and steps = input_steps input in
-  let inst = instantiate ~opts ~draw net ~rows in
+  let kern = Array.of_list (realize_net_t ~varied:opts.varied ~draw net) in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
-  Batch.timed opts ~rows (fun () ->
-      let tr = make_trajectory ~keep:false ~rows ~steps inst.kern in
-      forward_block ~fast ~readout:opts.readout tr inst input)
+  let slot = Domain.DLS.get eval_slot in
+  let tr =
+    match Atomic.exchange slot None with
+    | Some tr when fits tr ~rows ~steps kern -> tr
+    | _ -> make_trajectory ~keep:false ~rows ~steps kern
+  in
+  let logits =
+    Batch.timed opts ~rows (fun () ->
+        forward_block ~fast ~readout:opts.readout ~init:opts.state_init tr kern input)
+  in
+  Atomic.set slot (Some tr);
+  logits
 
 let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
   forward_input ~opts ~draw net (Steps steps)

@@ -76,7 +76,10 @@ val forward_multi :
     {!forward_multi} — logits are bit-identical under the same draw and
     options at [`Exact] precision — but no autodiff nodes are
     allocated, each layer step is one fused pass over preallocated
-    buffers, and the call is safe inside a {!Pnc_util.Pool} task. *)
+    buffers, and the call is safe inside a {!Pnc_util.Pool} task and
+    from concurrent threads. Each domain keeps its workspace and reuses
+    it while the shapes fit, so a repeated call of the same shape
+    allocates only the realized draw and the logits it returns. *)
 
 val forward_multi_batch_t :
   ?opts:Batch.opts ->
@@ -117,15 +120,6 @@ val realize_net_t : varied:Batch.families -> draw:Variation.draw -> t -> layer_t
     builds its nodes from these records, so every path runs the same
     physical instance. *)
 
-type instance = { kern : layer_t array; init : Pnc_tensor.Tensor.t array array }
-(** One physical circuit instance: every layer realized under one draw
-    ({!realize_net_t}) and, per layer, the initial filter state of each
-    stage, [rows x n_out]. *)
-
-val instantiate : opts:Batch.opts -> draw:Variation.draw -> t -> rows:int -> instance
-(** The instance a [rows]-row batch runs through: [opts]' families take
-    the draw and [opts]' initial state fills the filters. *)
-
 type layer_trajectory = {
   n_in : int;
   n_out : int;
@@ -149,12 +143,21 @@ val trajectory : rows:int -> steps:int -> layer_t array -> trajectory
 (** A workspace for [steps] steps of a [rows]-row batch through layers
     shaped like these. *)
 
+val fits : trajectory -> rows:int -> steps:int -> layer_t array -> bool
+(** Whether a workspace has the shapes of [steps] steps of a [rows]-row
+    batch through these layers, so a forward can reuse it. *)
+
 val forward_trajectory :
-  trajectory -> readout:Batch.readout -> instance -> Pnc_tensor.Tensor.t array -> Pnc_tensor.Tensor.t
+  trajectory ->
+  readout:Batch.readout ->
+  layer_t array ->
+  Pnc_tensor.Tensor.t array ->
+  Pnc_tensor.Tensor.t
 (** The block forward of {!forward_multi_batch_t} at [`Exact]
-    precision over pre-split steps, with every step left in the
-    trajectory: bit-identical logits. The workspace and the instance
-    must have the same shapes. *)
+    precision and [`V0] initial states over pre-split steps, through
+    the layers of one draw ({!realize_net_t}), with every step left in
+    the trajectory: bit-identical logits. The workspace must {!fits}
+    the layers and steps. *)
 
 val clamp : t -> unit
 (** Project every component value into its printable window. *)

@@ -27,8 +27,10 @@
    computed whole on the lane's thread; every row is computed
    independently of its neighbours (the batched-kernel parity
    contract), so the grouping never changes a served number. The
-   domains [run] spawns run on a fixed small minor heap
-   ([minor_heap_words]), so resident memory barely grows with [n].
+   domains [run] spawns start through [Pool.spawn], on its small minor
+   heap, so resident memory barely grows with [n]. What a request
+   allocates dies young (a 10 s benchmark run promotes 0.25 of 145
+   Mwords), so the smaller heap costs few promotions.
 
    Copies: a connection reads into one byte buffer it owns; the body
    is decoded where it lies, straight into the connection's float
@@ -995,14 +997,6 @@ let handle_conn t fd =
 
 let stop t = Atomic.set t.stop_flag true
 
-(* The minor heap, in words, of each handler domain [run] spawns: 32k
-   words (256 KB) in place of the runtime's 256k (2 MB), which a
-   spawned OCaml 5 domain gets whatever its parent set. What a request
-   allocates dies young (a 10 s benchmark run promotes 0.25 of 145
-   Mwords), so the smaller heap costs few promotions, and the [n - 1]
-   spawned domains hold little more memory than the caller's alone. *)
-let minor_heap_words = 32 * 1024
-
 (* A handler domain's inbox: [run] hands it each accepted socket, then
    [None] once no more will come. *)
 type inbox = { i_mu : Mutex.t; i_cv : Condition.t; i_fds : Unix.file_descr option Queue.t }
@@ -1018,7 +1012,6 @@ let hand_over ib fd =
    ends only after every thread it started has, so joining the domain
    joins its handlers. *)
 let spawner t i ib () =
-  Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words };
   Domain.DLS.set domain_index i;
   let rec next () =
     Mutex.lock ib.i_mu;
@@ -1058,7 +1051,9 @@ let run ?(handle_signals = true) t =
     List.iter Domain.join !domains
   in
   (match
-     Array.iteri (fun i ib -> domains := Domain.spawn (spawner t (i + 1) ib) :: !domains) inboxes
+     Array.iteri
+       (fun i ib -> domains := Pnc_util.Pool.spawn (spawner t (i + 1) ib) :: !domains)
+       inboxes
    with
   | () -> ()
   | exception e ->

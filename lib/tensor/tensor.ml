@@ -138,13 +138,70 @@ let map2 f a b =
   done;
   { a with off = 0; data }
 
-let add a b = map2 ( +. ) a b
-let sub a b = map2 ( -. ) a b
-let mul a b = map2 ( *. ) a b
-let div a b = map2 ( /. ) a b
-let neg t = map (fun x -> -.x) t
-let scale k t = map (fun x -> k *. x) t
-let add_scalar k t = map (fun x -> k +. x) t
+(* The element-wise ops below are written out as direct loops: through
+   [map]/[map2], the closure call boxes every element it returns. Each
+   evaluates the same single float op per element. *)
+
+let add a b =
+  assert (same_shape a b);
+  let n = numel a and ad = a.data and bd = b.data and ao = a.off and bo = b.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (A.unsafe_get ad (ao + i) +. A.unsafe_get bd (bo + i))
+  done;
+  { a with off = 0; data }
+
+let sub a b =
+  assert (same_shape a b);
+  let n = numel a and ad = a.data and bd = b.data and ao = a.off and bo = b.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (A.unsafe_get ad (ao + i) -. A.unsafe_get bd (bo + i))
+  done;
+  { a with off = 0; data }
+
+let mul a b =
+  assert (same_shape a b);
+  let n = numel a and ad = a.data and bd = b.data and ao = a.off and bo = b.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (A.unsafe_get ad (ao + i) *. A.unsafe_get bd (bo + i))
+  done;
+  { a with off = 0; data }
+
+let div a b =
+  assert (same_shape a b);
+  let n = numel a and ad = a.data and bd = b.data and ao = a.off and bo = b.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (A.unsafe_get ad (ao + i) /. A.unsafe_get bd (bo + i))
+  done;
+  { a with off = 0; data }
+
+let neg t =
+  let n = numel t and td = t.data and o = t.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (-.A.unsafe_get td (o + i))
+  done;
+  { t with off = 0; data }
+
+let scale k t =
+  let n = numel t and td = t.data and o = t.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (k *. A.unsafe_get td (o + i))
+  done;
+  { t with off = 0; data }
+
+let add_scalar k t =
+  let n = numel t and td = t.data and o = t.off in
+  let data = alloc n in
+  for i = 0 to n - 1 do
+    A.unsafe_set data i (k +. A.unsafe_get td (o + i))
+  done;
+  { t with off = 0; data }
+
 let fill t v = fill_range t.data t.off (numel t) v
 
 let blit_into ~dst src =
@@ -378,7 +435,17 @@ let one_hot ~n_classes labels =
     labels;
   t
 
-let argmax_rows t = Array.init t.rows (fun r -> Pnc_util.Vec.argmax (row t r))
+(* [Vec.argmax] of each row, read in place: the first index of the
+   row's maximum. *)
+let argmax_rows t =
+  let d = t.data in
+  Array.init t.rows (fun r ->
+      let o = t.off + (r * t.cols) in
+      let best = ref 0 in
+      for c = 1 to t.cols - 1 do
+        if A.unsafe_get d (o + c) > A.unsafe_get d (o + !best) then best := c
+      done;
+      !best)
 
 let equal_eps ~eps a b =
   same_shape a b

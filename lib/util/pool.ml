@@ -19,6 +19,22 @@ type t = {
 
 let default_size () = Stdlib.max 0 (Domain.recommended_domain_count () - 1)
 
+(* 32k words (256 KB) in place of the runtime's 256k (2 MB). Every
+   OCaml 5 domain owns a minor heap, so the default makes each worker
+   cost 2 MB of resident memory. Workers run no-grad forwards: a
+   circuit draw reuses its domain's workspace and allocates its
+   realized parameters and its logits (2.7 kwords at the [mc] shape),
+   an Elman forward its few buffers once per call. A minor collection
+   stops every domain, so code that workers run must not box each
+   element or take a fresh tensor per time step: on this heap that
+   collects several times per task. *)
+let minor_heap_words = 32 * 1024
+
+let spawn f =
+  Domain.spawn (fun () ->
+      Gc.set { (Gc.get ()) with minor_heap_size = minor_heap_words };
+      f ())
+
 (* Set in each worker domain so that nested submission — a pool task
    submitting to a pool, which would deadlock a full pool — is rejected
    eagerly instead of wedging. *)
@@ -76,7 +92,7 @@ let create ?size () =
     let started = ref [] in
     (try
        for w = 0 to size - 1 do
-         started := Domain.spawn (worker_loop pool w) :: !started
+         started := spawn (worker_loop pool w) :: !started
        done
      with e ->
        (* The runtime ran out of domains: stop the workers already

@@ -25,6 +25,16 @@ val default_size : unit -> int
     worker per available core, leaving a core for the submitting
     domain. *)
 
+val minor_heap_words : int
+(** The minor heap size, in words, of every domain the library spawns
+    (32k words, 256 KB, against the runtime's default 256k). *)
+
+val spawn : (unit -> 'a) -> 'a Domain.t
+(** [Domain.spawn f], with the new domain's minor heap set to
+    {!minor_heap_words} before [f] runs. The pool's workers and the
+    serving daemon's handler domains start through it; the caller's
+    own heap is left as it is. *)
+
 val create : ?size:int -> unit -> t
 (** Spawn a pool of [size] workers (default {!default_size}). Sizes 0
     and 1 spawn {e no} domains: every task then runs sequentially in

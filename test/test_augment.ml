@@ -204,6 +204,18 @@ let test_tune_includes_default () =
   let c = Tune.search (rng ()) ~budget:0 ~eval:(fun _ -> 42.) in
   Alcotest.(check (float 0.)) "default evaluated" 42. c.Tune.score
 
+let test_tune_reports_ties () =
+  (* Two candidates with equal scores are a tie of two: the first
+     evaluated, the default, is kept. A unique best is a tie of one. *)
+  let c = Tune.search (rng ()) ~budget:1 ~eval:(fun _ -> 0.5) in
+  Alcotest.(check int) "two tied" 2 c.Tune.ties;
+  Alcotest.(check bool) "first evaluated kept" true (c.Tune.policy = Augment.default_policy);
+  let c =
+    Tune.search (rng ()) ~budget:3 ~eval:(fun p -> if p = Augment.default_policy then 0.9 else 0.5)
+  in
+  Alcotest.(check int) "unique best" 1 c.Tune.ties;
+  Alcotest.(check (float 0.)) "its score" 0.9 c.Tune.score
+
 let test_random_policy_ranges () =
   let r = rng () in
   for _ = 1 to 100 do
@@ -296,6 +308,7 @@ let () =
         [
           Alcotest.test_case "argmax search" `Quick test_tune_picks_argmax;
           Alcotest.test_case "default included" `Quick test_tune_includes_default;
+          Alcotest.test_case "ties reported" `Quick test_tune_reports_ties;
           Alcotest.test_case "random policy ranges" `Quick test_random_policy_ranges;
         ] );
       ( "properties",

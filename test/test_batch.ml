@@ -59,7 +59,8 @@ let pp_circuit_case (_, x, seed) =
 (* The engine recomposed from the unfused per-layer kernels, one time
    step at a time, in the engine's sampling order (filter, activation,
    crossbar) with one explicit draw per component family. *)
-let unfused_forward_multi ~precision ~readout ~draws:(d_crossbar, d_filter, d_act) net steps =
+let unfused_forward_multi ?(init = `V0) ~precision ~readout ~draws:(d_crossbar, d_filter, d_act) net
+    steps =
   let rows = T.rows steps.(0) in
   let layers =
     List.map
@@ -67,7 +68,7 @@ let unfused_forward_multi ~precision ~readout ~draws:(d_crossbar, d_filter, d_ac
         let f = Filter_layer.realize_t ~draw:d_filter fl in
         let a = Ptanh.realize_t ~draw:d_act act in
         let c = Crossbar.realize_t ~draw:d_crossbar cb in
-        (c, f, a, Filter_layer.init_state_t f ~batch:rows))
+        (c, f, a, Filter_layer.init_state_t ~init f ~batch:rows))
       (Network.layers net)
   in
   let acc = T.zeros ~rows ~cols:(Network.classes net) in
@@ -88,8 +89,8 @@ let unfused_forward_multi ~precision ~readout ~draws:(d_crossbar, d_filter, d_ac
   | Batch.Integrated -> T.scale (1. /. float_of_int (Array.length steps)) acc
   | Last_step -> !last
 
-let unfused_forward ~precision ~readout ~draws net x =
-  unfused_forward_multi ~precision ~readout ~draws net (T.columns x)
+let unfused_forward ?init ~precision ~readout ~draws net x =
+  unfused_forward_multi ?init ~precision ~readout ~draws net (T.columns x)
 
 let tiers_and_readouts =
   [ (`Exact, Batch.Integrated); (`Exact, Last_step); (`Fast, Integrated); (`Fast, Last_step) ]
@@ -107,6 +108,31 @@ let test_fused_vs_unfused () =
                 (Network.forward_batch_t ~opts:{ Batch.default with precision; readout }
                    ~draw:(draw_of ~seed ~level:0.1) net x))
             tiers_and_readouts)
+        nets)
+
+(* The fused engine writes the initial filter states straight into its
+   workspace; under every [state_init] they must be the states
+   [Filter_layer.init_state_t] builds, a `Gaussian stream consumed
+   layer by layer, stage-major, then row-major. *)
+let test_state_init_parity () =
+  Qgen.check ~count:20 ~name:"fused engine = unfused kernels, every state_init"
+    ~pp:pp_circuit_case circuit_case (fun (nets, x, seed) ->
+      List.for_all
+        (fun net ->
+          List.for_all
+            (fun init ->
+              let d = draw_of ~seed ~level:0.1 in
+              eq0
+                (unfused_forward ~init:(init ()) ~precision:`Exact ~readout:Batch.Integrated
+                   ~draws:(d, d, d) net x)
+                (Network.forward_batch_t
+                   ~opts:{ Batch.default with state_init = init () }
+                   ~draw:(draw_of ~seed ~level:0.1) net x))
+            [
+              (fun () -> `V0);
+              (fun () -> `Zero);
+              (fun () -> `Gaussian (Rng.create ~seed:(seed + 1), 0.3));
+            ])
         nets)
 
 (* [forward_batch_t] reads a [rows x time] series in place, at row
@@ -505,7 +531,57 @@ let test_forward_alloc_per_step () =
           (Batch.precision_name precision)
           (match readout with Batch.Integrated -> "integrated" | Last_step -> "last step")
           per_step w64 w128)
-    tiers_and_readouts
+    tiers_and_readouts;
+  (* The reference RNN's forward takes its buffers once per call: per
+     step only the time-step views remain. *)
+  let rnn = Elman.create ~hidden:8 (Rng.create ~seed:3) ~inputs:1 ~classes:3 in
+  List.iter
+    (fun precision ->
+      let words x =
+        let run () =
+          ignore
+            (Elman.forward_multi_batch_t ~opts:{ Batch.default with precision } rnn
+               (T.columns x))
+        in
+        run ();
+        let w0 = words_allocated () in
+        run ();
+        words_allocated () -. w0
+      in
+      let w64 = words x64 and w128 = words x128 in
+      let per_step = (w128 -. w64) /. 64. in
+      if per_step > 16. then
+        Alcotest.failf "Elman, %s: %.0f words per extra time step (%.0f at 64 steps, %.0f at 128)"
+          (Batch.precision_name precision) per_step w64 w128)
+    [ `Exact; `Fast ]
+
+(* Each domain keeps its evaluation workspace: a call of the shape the
+   last one had reuses it, so its allocation neither depends on the
+   batch rows nor includes a workspace, while a change of shape builds
+   one. *)
+let test_forward_alloc_per_row () =
+  let net = Network.create ~hidden:4 (Rng.create ~seed:3) Network.Adapt ~inputs:1 ~classes:3 in
+  let x rows = T.uniform (Rng.create ~seed:4) ~rows ~cols:64 ~lo:(-1.) ~hi:1. in
+  let x32 = x 32 and x200 = x 200 in
+  let words x =
+    let draw = draw_of ~seed:9 ~level:0.1 in
+    let w0 = words_allocated () in
+    ignore (Network.forward_batch_t ~draw net x);
+    words_allocated () -. w0
+  in
+  ignore (words x200);
+  let refit32 = words x32 in
+  let w32 = words x32 and w32' = words x32 in
+  let refit200 = words x200 in
+  let w200 = words x200 in
+  Alcotest.(check (float 0.)) "a repeated call allocates exactly the same" w32 w32';
+  if Float.abs (w200 -. w32) > 16. then
+    Alcotest.failf "%.0f words at 32 rows, %.0f at 200" w32 w200;
+  if not (refit32 > w32 && refit200 > w200) then
+    Alcotest.failf
+      "a repeated shape allocates %.0f (32 rows) and %.0f (200 rows) words, a new shape %.0f \
+       and %.0f"
+      w32 w200 refit32 refit200
 
 (* Splitting the input once per estimate changes nothing: the estimate
    equals the per-draw mean over [Model.predict_batch] on [x]. *)
@@ -616,6 +692,7 @@ let () =
       ( "fused engine",
         [
           Alcotest.test_case "fused = unfused kernels" `Quick test_fused_vs_unfused;
+          Alcotest.test_case "initial states = init_state_t" `Quick test_state_init_parity;
           Alcotest.test_case "multi-input steps with zeros" `Quick test_multi_input_parity;
           Alcotest.test_case "series read in place = split steps" `Quick test_series_in_place;
           Alcotest.test_case "per-family batched = Var" `Quick test_family_parity;
@@ -641,6 +718,8 @@ let () =
           Alcotest.test_case "columns = col" `Quick test_columns_match_col;
           Alcotest.test_case "col bounds" `Quick test_col_bounds;
           Alcotest.test_case "forward allocation per step" `Quick test_forward_alloc_per_step;
+          Alcotest.test_case "forward allocation per row, workspace reuse" `Quick
+            test_forward_alloc_per_row;
           Alcotest.test_case "accuracy under variation splits once" `Quick
             test_accuracy_split_once;
         ] );

@@ -257,6 +257,87 @@ let test_sweep_worker_count_invariance () =
             sens_seq sens))
     [ 2; 4 ]
 
+(* Per-domain workspaces --------------------------------------------------- *)
+
+(* Every domain the pool spawns runs on the small minor heap; the
+   caller's domain keeps its own. *)
+let test_worker_minor_heap () =
+  let caller = (Gc.get ()).minor_heap_size in
+  Alcotest.(check int) "Pool.spawn" Pool.minor_heap_words
+    (Domain.join (Pool.spawn (fun () -> (Gc.get ()).minor_heap_size)));
+  Pool.with_pool ~size:2 (fun pool ->
+      Array.iter
+        (Alcotest.(check int) "worker minor heap words" Pool.minor_heap_words)
+        (Pool.init pool ~n:8 (fun _ -> (Gc.get ()).minor_heap_size)));
+  Alcotest.(check int) "caller's heap untouched" caller (Gc.get ()).minor_heap_size
+
+(* Forwards of mixed shapes (rows, steps, first- and second-order
+   filters) interleaved on the workers' per-domain workspaces: every
+   task's logits equal the sequential run's, bit for bit. *)
+let mixed_forwards () =
+  let rng = Rng.create ~seed:91 in
+  let nets =
+    List.map
+      (fun arch -> Network.create ~hidden:3 rng arch ~inputs:1 ~classes:3)
+      [ Network.Ptpnc; Network.Adapt ]
+  in
+  let xs =
+    List.map
+      (fun (rows, time) -> T.uniform rng ~rows ~cols:time ~lo:(-1.) ~hi:1.)
+      [ (3, 9); (17, 9); (17, 24); (40, 5) ]
+  in
+  let cases = Array.of_list (List.concat_map (fun net -> List.map (fun x -> (net, x)) xs) nets) in
+  Array.init 48 (fun i ->
+      let net, x = cases.((i * 5) mod Array.length cases) in
+      fun () ->
+        let draw = Variation.make_draw (Rng.create ~seed:i) (Variation.uniform 0.1) in
+        Network.forward_batch_t ~draw net x)
+
+let test_mixed_shapes_on_workers () =
+  let tasks = mixed_forwards () in
+  let sequential = Array.map (fun f -> f ()) tasks in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let pooled = Pool.init pool ~n:(Array.length tasks) (fun i -> tasks.(i) ()) in
+          Array.iteri
+            (fun i l ->
+              Alcotest.(check bool)
+                (Printf.sprintf "task %d at %d workers" i size)
+                true
+                (T.equal_eps ~eps:0. l sequential.(i)))
+            pooled))
+    [ 2; 4; env_pool_size ]
+
+(* Estimates on one pool across a change of shape, which refits every
+   worker's workspace, and back: identical to the sequential ones at
+   1, 2 and 4 workers. *)
+let test_estimates_across_shape_change () =
+  let net = Network.create ~hidden:3 (Rng.create ~seed:78) Network.Adapt ~inputs:1 ~classes:2 in
+  let model = Model.Circuit net in
+  let spec = Variation.uniform 0.15 in
+  let a = small_dataset ~classes:2 ~batch:8 ~time:12 1
+  and b = small_dataset ~classes:2 ~batch:5 ~time:20 2 in
+  let estimate ?pool d =
+    Train.accuracy_under_variation ?pool ~rng:(Rng.create ~seed:5) ~spec ~draws:7 model d
+  in
+  let loss ?pool (d : Pnc_data.Dataset.t) =
+    let x = T.of_rows d.x in
+    Mc_loss.expected_value ?pool ~rng:(Rng.create ~seed:6) ~spec ~n:5 model ~x ~labels:d.y
+  in
+  let run ?pool () =
+    [ estimate ?pool a; loss ?pool b; estimate ?pool b; loss ?pool a; estimate ?pool a ]
+  in
+  let sequential = run () in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          Alcotest.(check bool)
+            (Printf.sprintf "estimates at %d workers" size)
+            true
+            (run ~pool () = sequential)))
+    [ 1; 2; 4 ]
+
 (* RNG stream independence ----------------------------------------------- *)
 
 let test_split_n_reproducible_and_distinct () =
@@ -396,6 +477,14 @@ let () =
           Alcotest.test_case "mc POOL_SIZE parity" `Quick test_mc_parity_at_env_pool_size;
           Alcotest.test_case "sweeps worker-count-invariant" `Quick
             test_sweep_worker_count_invariance;
+        ] );
+      ( "workspaces",
+        [
+          Alcotest.test_case "workers run on the small minor heap" `Quick test_worker_minor_heap;
+          Alcotest.test_case "mixed shapes on workers = sequential" `Quick
+            test_mixed_shapes_on_workers;
+          Alcotest.test_case "estimates across a shape change" `Quick
+            test_estimates_across_shape_change;
         ] );
       ( "rng-streams",
         [

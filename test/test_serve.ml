@@ -1082,8 +1082,9 @@ let test_flushes_spread_over_domains () =
   Sys.remove ckpt
 
 (* Each OCaml 5 domain has its own minor heap. The handler domains
-   [run] spawns set theirs to [Serve.minor_heap_words] (32k words); the
-   caller's domain keeps its own. A flush runs on its handler's domain,
+   [run] spawns start through [Pool.spawn], which sets theirs to
+   [Pool.minor_heap_words] (32k words); the caller's domain keeps its
+   own. A flush runs on its handler's domain,
    so the sink reads that domain's heap size for each [serve.batch]. *)
 let test_handler_domain_minor_heap () =
   let ckpt = fresh_ckpt () in
@@ -1118,10 +1119,55 @@ let test_handler_domain_minor_heap () =
                     [ c0; c1 ]))));
   Alcotest.(check (list (pair int int)))
     "minor heap words per flushing domain"
-    [ (0, caller); (1, 32 * 1024) ]
+    [ (0, caller); (1, Pnc_util.Pool.minor_heap_words) ]
     (List.sort compare !heaps);
   Alcotest.(check int) "caller's heap untouched" caller (Gc.get ()).minor_heap_size;
   Sys.remove ckpt
+
+(* Handler systhreads of one domain compute at the same time. Each
+   checks the domain's evaluation workspace out, or builds its own while
+   another thread holds it, so with shapes mixed across threads (rows,
+   steps, filter order) every forward's logits equal the sequential
+   run's, bit for bit. *)
+let test_systhreads_mixed_shapes () =
+  let rng = Rng.create ~seed:93 in
+  let models =
+    [
+      make_model 94;
+      Model.Circuit (Network.create ~hidden:4 rng Network.Ptpnc ~inputs:1 ~classes:2);
+    ]
+  in
+  let xs =
+    List.map
+      (fun (rows, time) -> T.uniform rng ~rows ~cols:time ~lo:(-1.) ~hi:1.)
+      [ (32, 64); (5, 64); (32, 16); (120, 64) ]
+  in
+  let cases = Array.of_list (List.concat_map (fun m -> List.map (fun x -> (m, x)) xs) models) in
+  let n = Array.length cases in
+  let forward k =
+    let m, x = cases.(k mod n) in
+    let draw =
+      Pnc_core.Variation.make_draw (Rng.create ~seed:k) (Pnc_core.Variation.uniform 0.1)
+    in
+    Model.logits_batch_t ~draw m x
+  in
+  let expected = Array.init n forward in
+  (* The threads yield between forwards, as handlers block on their
+     sockets between requests, so they walk the cases nearly in step,
+     eight forwards of a shape at a time: when the runtime's 50 ms tick
+     switches threads mid-forward, the next thread is about to run the
+     same shape. 0.5 s on one core spans several ticks. *)
+  let rounds = 200 and threads = 4 in
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for j = 0 to rounds - 1 do
+      let k = j / 8 mod n in
+      if not (T.equal_eps ~eps:0. (forward k) expected.(k)) then Atomic.incr mismatches;
+      Thread.yield ()
+    done
+  in
+  List.iter Thread.join (List.init threads (fun _ -> Thread.create worker ()));
+  Alcotest.(check int) "forwards that differ from the sequential run" 0 (Atomic.get mismatches)
 
 (* Start, serve and stop a 4-domain daemon 50 times. Each cycle spawns
    n - 1 = 3 handler domains, so a [run] that left them running would
@@ -1501,6 +1547,8 @@ let () =
           Alcotest.test_case "flushes spread over domains" `Quick test_flushes_spread_over_domains;
           Alcotest.test_case "handler domains run a 32k-word minor heap" `Quick
             test_handler_domain_minor_heap;
+          Alcotest.test_case "systhreads of one domain, mixed shapes" `Quick
+            test_systhreads_mixed_shapes;
           Alcotest.test_case "no domain leaks over 50 runs" `Quick test_no_domain_leak;
           Alcotest.test_case "pool_size over the domain limit rejected" `Quick
             test_pool_size_over_limit_rejected;

@@ -579,6 +579,59 @@ let prop_sum_rows_consistent =
   QCheck.Test.make ~count:200 ~name:"sum of sum_rows = sum" tensor_arb (fun t ->
       approx ~eps:1e-6 (T.sum (T.sum_rows t)) (T.sum t))
 
+(* The element-wise ops are direct loops. Each must equal its [map] or
+   [map2] definition bit for bit, on views too, and allocate the same
+   few words whatever the size: through a closure, every element it
+   returned would be boxed. [argmax_rows] reads its rows in place. *)
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let binary_ops =
+  [ ("add", T.add, ( +. )); ("sub", T.sub, ( -. )); ("mul", T.mul, ( *. )); ("div", T.div, ( /. )) ]
+
+let unary_ops =
+  [
+    ("neg", T.neg, fun x -> -.x);
+    ("scale", T.scale 1.7, fun x -> 1.7 *. x);
+    ("add_scalar", T.add_scalar (-0.3), fun x -> -0.3 +. x);
+  ]
+
+let same_bits a b =
+  T.same_shape a b
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       (T.to_row_array a) (T.to_row_array b)
+
+let test_elementwise_loops () =
+  let rng = Rng.create ~seed:17 in
+  let view () = T.rows_view (T.uniform rng ~rows:5 ~cols:7 ~lo:(-2.) ~hi:2.) ~row:1 ~len:3 in
+  let a = view () and b = view () in
+  List.iter
+    (fun (name, op, f) ->
+      Alcotest.(check bool) (name ^ " = map2") true (same_bits (op a b) (T.map2 f a b)))
+    binary_ops;
+  List.iter
+    (fun (name, op, f) ->
+      Alcotest.(check bool) (name ^ " = map") true (same_bits (op a) (T.map f a)))
+    unary_ops;
+  let words n op =
+    let u = T.uniform rng ~rows:1 ~cols:n ~lo:1. ~hi:2.
+    and v = T.uniform rng ~rows:1 ~cols:n ~lo:1. ~hi:2. in
+    ignore (op u v);
+    let w0 = words_allocated () in
+    ignore (op u v);
+    words_allocated () -. w0
+  in
+  let flat name op =
+    let small = words 10 op and large = words 1000 op in
+    if large <> small || large > 64. then
+      Alcotest.failf "%s allocates %.0f words at 10 elements, %.0f at 1000" name small large
+  in
+  List.iter (fun (name, op, _) -> flat name op) binary_ops;
+  List.iter (fun (name, op, _) -> flat name (fun u _ -> op u)) unary_ops;
+  flat "argmax_rows" (fun u _ -> T.argmax_rows u)
+
 let () =
   let qc =
     List.map QCheck_alcotest.to_alcotest
@@ -610,6 +663,7 @@ let () =
           Alcotest.test_case "matmul_into rejects aliasing" `Quick
             test_matmul_into_rejects_aliasing;
           Alcotest.test_case "rows_view semantics" `Quick test_rows_view_semantics;
+          Alcotest.test_case "element-wise loops" `Quick test_elementwise_loops;
         ] );
       ( "differential",
         [
