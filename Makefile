@@ -68,7 +68,8 @@ grid-smoke:
 
 # End-to-end smoke of the real `adapt_pnc serve` daemon over HTTP:
 # train a smoke checkpoint, boot the daemon, drive health/inference/
-# malformed-body requests with curl, SIGTERM, require a clean drain.
+# malformed-body requests with curl, hot-reload a second checkpoint,
+# SIGTERM, require a clean drain.
 # `make serve-smoke JOBS=n` serves on n domains (`serve --jobs n`);
 # without JOBS on the command line the daemon takes its default.
 serve-smoke:

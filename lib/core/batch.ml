@@ -1,11 +1,13 @@
 (* Evaluation options and telemetry for the batched no-grad evaluation
-   path (see docs/BATCHING.md). Every forward realizes its variation
-   draw once and runs the whole input as one block. *)
+   path (see docs/BATCHING.md). A circuit instance is realized once
+   under its variation draw and every forward on it runs the whole
+   input as one block. *)
 
 module Obs = Pnc_obs.Obs
 module Clock = Pnc_obs.Clock
 
 let samples_counter = Obs.Counter.make "eval.batch.samples"
+let realizations_counter = Obs.Counter.make "eval.realizations"
 let seconds_hist = Obs.Histogram.make "eval.batch_seconds"
 
 (* Precision-tier resolution for entry points (CLI, serve, bench,
@@ -65,6 +67,8 @@ let default =
     readout = Integrated;
     varied = all_families;
   }
+
+let count_realization () = Obs.Counter.incr realizations_counter
 
 let timed opts ~rows f =
   let t0 = if Obs.enabled () then Clock.now () else 0. in

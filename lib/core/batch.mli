@@ -1,7 +1,9 @@
 (** Evaluation options of the batched no-grad evaluation path.
 
-    Every no-grad forward takes one {!opts} record, realizes its
-    variation draw once and runs the whole input as one block. *)
+    An evaluation realizes a circuit instance once under its variation
+    draw ({!Network.realize}, {!Model.realize}); every no-grad forward
+    on that instance takes one {!opts} record and runs the whole input
+    as one block. *)
 
 type precision = [ `Exact | `Fast ]
 (** Activation tier for the batched no-grad kernels. [`Exact] is
@@ -42,6 +44,8 @@ type opts = {
           whole batch *)
   readout : readout;
   varied : families;
+      (** read only where an instance is realized: a forward on a
+          held instance runs the families it was realized with *)
 }
 (** Options of one no-grad evaluation. Models without a component
     (the reference RNN has no filters, no draw and a fixed read-out)
@@ -49,6 +53,11 @@ type opts = {
 
 val default : opts
 (** [{ precision = `Exact; state_init = `V0; readout = Integrated; varied = all_families }]. *)
+
+val count_realization : unit -> unit
+(** Bumps the [eval.realizations] counter: one per instance built for
+    evaluation. An atomic add with no clock read, so the null sink
+    stays free. *)
 
 val timed : opts -> rows:int -> (unit -> 'a) -> 'a
 (** [timed opts ~rows f] runs [f], one no-grad forward over [rows]

@@ -145,12 +145,12 @@ let forward ?readout ?varied ~draw net x = forward_multi ?readout ?varied ~draw 
    under the same draw and options.
 
    Realization (the RNG-consuming part) is separated from the
-   workspace (state + scratch buffers): the draw is realized ONCE per
-   forward and the whole batch then runs through that one physical
-   circuit instance. The workspace is kept per domain and reused while
-   the shapes fit. The same loop is the forward of Adjoint's training
-   node, over a workspace that keeps every step for its reverse
-   sweep. *)
+   workspace (state + scratch buffers): a draw is realized ONCE per
+   instance, and every forward on the instance runs its whole batch
+   through that one physical circuit. The workspace is kept per domain
+   and reused while the shapes fit. The same loop is the forward of
+   Adjoint's training node, over a workspace that keeps every step for
+   its reverse sweep. *)
 
 (* Workspace of one layer, stored feature-major: a slot is an [n_out x
    rows] plane whose row [c] holds feature [c] for every row of the
@@ -462,10 +462,18 @@ let forward_trajectory tr ~readout kern steps =
 let eval_slot : trajectory option Atomic.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Atomic.make None)
 
-let forward_input ~(opts : Batch.opts) ~draw net input =
+(* One physical circuit instance: the layers realized under one draw.
+   Its records are only read by a forward, so one instance may be run
+   by any number of domains and threads at once. *)
+type instance = layer_t array
+
+let realize ~varied ~draw net =
+  Batch.count_realization ();
+  Array.of_list (realize_net_t ~varied ~draw net)
+
+let forward_input ~(opts : Batch.opts) (kern : instance) input =
   assert (input_steps input > 0);
   let rows = input_rows input and steps = input_steps input in
-  let kern = Array.of_list (realize_net_t ~varied:opts.varied ~draw net) in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
   let slot = Domain.DLS.get eval_slot in
   let tr =
@@ -481,9 +489,10 @@ let forward_input ~(opts : Batch.opts) ~draw net input =
   logits
 
 let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =
-  forward_input ~opts ~draw net (Steps steps)
+  forward_input ~opts (realize ~varied:opts.varied ~draw net) (Steps steps)
 
-let forward_batch_t ?(opts = Batch.default) ~draw net x = forward_input ~opts ~draw net (Series x)
+let forward_batch_t ?(opts = Batch.default) ~draw net x =
+  forward_input ~opts (realize ~varied:opts.varied ~draw net) (Series x)
 
 let clamp net =
   List.iter

@@ -70,41 +70,11 @@ val forward_multi :
   Pnc_autodiff.Var.t
 (** Multivariate variant: one [batch x inputs] tensor per time step. *)
 
-(** {1 No-grad engine}
+(** {1 Instances}
 
-    Same sampling order and floating-point operation sequence as
-    {!forward_multi} — logits are bit-identical under the same draw and
-    options at [`Exact] precision — but no autodiff nodes are
-    allocated, each layer step is one fused pass over preallocated
-    buffers, and the call is safe inside a {!Pnc_util.Pool} task and
-    from concurrent threads. Each domain keeps its workspace and reuses
-    it while the shapes fit, so a repeated call of the same shape
-    allocates only the realized draw and the logits it returns. *)
-
-val forward_multi_batch_t :
-  ?opts:Batch.opts ->
-  draw:Variation.draw ->
-  t ->
-  Pnc_tensor.Tensor.t array ->
-  Pnc_tensor.Tensor.t
-(** Logits over pre-split time steps (one [batch x inputs] tensor per
-    step, e.g. from {!Pnc_tensor.Tensor.columns}); the steps are only
-    read, so many-draw callers split their input once. *)
-
-val forward_batch_t :
-  ?opts:Batch.opts -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
-(** {!forward_multi_batch_t} on a univariate [batch x time] input,
-    read in place: step [t] is column [t] at row stride [time], so no
-    per-step tensors are built. Bit-identical to
-    [forward_multi_batch_t (Tensor.columns x)]. *)
-
-(** {1 Training trajectory}
-
-    {!Adjoint}'s training node runs the very loop above, the block
-    forward, over a workspace that keeps every time step, and its
-    reverse sweep reads what that loop left. Buffers are feature-major:
-    a slot is an [n_out x rows] plane, feature [c] at offset
-    [c * rows]. *)
+    A printed circuit's variation is fixed when it is made: an
+    instance is the circuit realized under one draw, and every input
+    then runs through that one physical device. *)
 
 type layer_t = {
   cb : Crossbar.realization_t;
@@ -119,6 +89,62 @@ val realize_net_t : varied:Batch.families -> draw:Variation.draw -> t -> layer_t
     families left out of [varied] realize nominal. {!forward_multi}
     builds its nodes from these records, so every path runs the same
     physical instance. *)
+
+type instance = layer_t array
+(** One physical circuit instance: its layers realized under one draw.
+    A forward only reads it, so one instance may be run by many
+    domains and threads at once; it stays valid while the network's
+    parameters are left alone. *)
+
+val realize : varied:Batch.families -> draw:Variation.draw -> t -> instance
+(** {!realize_net_t} as an instance, counted in [eval.realizations]. *)
+
+(** {1 No-grad engine}
+
+    Same sampling order and floating-point operation sequence as
+    {!forward_multi} — logits are bit-identical under the same draw and
+    options at [`Exact] precision — but no autodiff nodes are
+    allocated, each layer step is one fused pass over preallocated
+    buffers, and the call is safe inside a {!Pnc_util.Pool} task and
+    from concurrent threads. Each domain keeps its workspace and reuses
+    it while the shapes fit, so a repeated forward of the same shape
+    on a held instance allocates only the logits it returns. *)
+
+type input =
+  | Steps of Pnc_tensor.Tensor.t array
+      (** one [batch x inputs] tensor per time step *)
+  | Series of Pnc_tensor.Tensor.t
+      (** a univariate [batch x time] input, read in place: step [t] is
+          column [t] at row stride [time] *)
+
+val forward_input : opts:Batch.opts -> instance -> input -> Pnc_tensor.Tensor.t
+(** Logits of one instance over a batch; [opts.varied] is not read (the
+    instance was realized with its families). *)
+
+val forward_multi_batch_t :
+  ?opts:Batch.opts ->
+  draw:Variation.draw ->
+  t ->
+  Pnc_tensor.Tensor.t array ->
+  Pnc_tensor.Tensor.t
+(** {!realize} under [draw] and [opts.varied], then {!forward_input} over
+    pre-split time steps (one [batch x inputs] tensor per step, e.g.
+    from {!Pnc_tensor.Tensor.columns}); the steps are only read, so
+    many-draw callers split their input once. *)
+
+val forward_batch_t :
+  ?opts:Batch.opts -> draw:Variation.draw -> t -> Pnc_tensor.Tensor.t -> Pnc_tensor.Tensor.t
+(** {!forward_multi_batch_t} on a univariate [batch x time] input, read
+    in place ({!Series}), so no per-step tensors are built.
+    Bit-identical to [forward_multi_batch_t (Tensor.columns x)]. *)
+
+(** {1 Training trajectory}
+
+    {!Adjoint}'s training node runs the very loop above, the block
+    forward, over a workspace that keeps every time step, and its
+    reverse sweep reads what that loop left. Buffers are feature-major:
+    a slot is an [n_out x rows] plane, feature [c] at offset
+    [c * rows]. *)
 
 type layer_trajectory = {
   n_in : int;

@@ -1,5 +1,5 @@
 (* Model-serving daemon: HTTP/1.1 over Unix sockets, work-conserving
-   admission into micro-batches for Model.logits_batch_t, handler
+   admission into micro-batches for Model.run_batch_t, handler
    threads spread over domains, checkpoint hot reload, graceful drain
    on shutdown. See serve.mli and docs/SERVING.md for the contracts.
 
@@ -128,11 +128,14 @@ type t = {
   listen_fd : Unix.file_descr;
   actual_port : int;
   started : float;
-  (* current model; the mutex orders reload swaps against flush
-     snapshots (a snapshot is two field reads, kept atomic w.r.t. the
-     swap so a batch never pairs new params with an old version). *)
+  (* current model, its nominal instance (realized once per model
+     version) and the version number; the mutex orders reload swaps
+     against flush snapshots, so a flush reads the instance and the
+     version of one load and a batch never pairs one version's circuit
+     with another's number. *)
   model_mu : Mutex.t;
   mutable model : Model.t;
+  mutable instance : Model.instance;
   mutable version : int;
   mutable ckpt_sig : ckpt_sig option;
   (* admission queue and the lanes flushing it: [busy] of [lanes] *)
@@ -212,6 +215,7 @@ let create ?(config = default_config) ~checkpoint () =
               started = Clock.now ();
               model_mu = Mutex.create ();
               model;
+              instance = Model.realize model;
               version = 1;
               ckpt_sig = stat_sig checkpoint;
               q_mu = Mutex.create ();
@@ -695,7 +699,7 @@ let domain_index : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 let flush t buf ~trigger ~extra group =
   let t0 = Clock.now () in
   Mutex.lock t.model_mu;
-  let model = t.model and version = t.version in
+  let instance = t.instance and version = t.version in
   Mutex.unlock t.model_mu;
   let n = List.fold_left (fun n p -> n + p.p_block.rows) 0 group in
   let x = batch_input buf ~rows:n ~cols:(List.hd group).p_block.cols in
@@ -710,7 +714,7 @@ let flush t buf ~trigger ~extra group =
          off + len)
        x.Tensor.off group);
   let opts = { Pnc_core.Batch.default with precision = t.cfg.precision } in
-  let logits = Model.logits_batch_t ~opts model x in
+  let logits = Model.run_batch_t ~opts instance x in
   ignore
     (List.fold_left
        (fun first p ->
@@ -825,8 +829,10 @@ let try_reload t =
   | Some sg -> (
       match Persist.load_model ~path:t.ckpt_path with
       | Ok m ->
+          let instance = Model.realize m in
           Mutex.lock t.model_mu;
           t.model <- m;
+          t.instance <- instance;
           t.version <- t.version + 1;
           t.ckpt_sig <- Some sg;
           let v = t.version in

@@ -3,7 +3,7 @@
     This is the "millions of users" front-end over the batched no-grad
     inference engine: a TCP (HTTP/1.1 over [Unix]) daemon that admits
     concurrent JSON requests into a shared queue and coalesces them
-    into blocks for {!Pnc_core.Model.logits_batch_t}. Connection
+    into blocks for {!Pnc_core.Model.run_batch_t}. Connection
     handlers are spread round-robin over [pool_size] domains, and at
     most [pool_size] lanes (flush loops) run at once. A request that
     finds a lane free computes at once on its own handler thread,
@@ -29,6 +29,10 @@
     never sees a partial file). Every response echoes the
     [model_version] (1 for the initial load, +1 per successful reload)
     that produced it; a failed reload keeps the old model serving.
+    Each model version's nominal circuit is realized once, when it
+    loads ({!Pnc_core.Model.realize}), and swapped in together with
+    the model and its version number, so every block of a version runs
+    that version's one instance.
 
     {b Shutdown.} SIGINT/SIGTERM (or {!stop}) stop admission, drain
     every in-flight request, answer it, then close connections and

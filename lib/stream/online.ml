@@ -126,9 +126,11 @@ let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol mo
      views of them. *)
   let steps_all = T.columns x_all in
   (* rng layout (part of the parity contract pinned by test_stream):
-     child 0 carries the physical-instance draw — replayed per window
-     via Rng.copy, so every window (and an offline comparator using a
-     copy of the same child) sees the same physical circuit; child 1
+     child 0 carries the physical-instance draw — realized once for a
+     frozen stream, replayed via Rng.copy for every window and
+     adaptation step of an adapted one, so every window (and an offline
+     comparator using a copy of the same child) sees the same physical
+     circuit; child 1
      parents one pre-split state stream per window, so `Randomized
      initial states are a function of the window index alone (pool-
      and order-invariant). *)
@@ -148,15 +150,15 @@ let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol mo
   let window_steps (win : Window.t) =
     Array.map (T.rows_view ~row:win.Window.start ~len:win.Window.len) steps_all
   in
-  let score w =
+  (* The physical instance under the current parameters. *)
+  let realize () = Model.realize ~varied:opts.varied ~draw:(mk_draw ()) model in
+  let score inst w =
     let t0 = if Obs.enabled () then Clock.now () else 0. in
     let win = windows.(w) in
     let steps = window_steps win in
     let pred =
       T.argmax_rows
-        (Model.logits_multi_batch_t
-           ~opts:{ opts with state_init = state_init_for w }
-           ~draw:(mk_draw ()) model steps)
+        (Model.run_multi_batch_t ~opts:{ opts with state_init = state_init_for w } inst steps)
     in
     let correct = ref 0 in
     Array.iteri
@@ -174,23 +176,27 @@ let eval ?(opts = Pnc_core.Batch.default) ?pool ?spec ?v0_sigma ~rng protocol mo
   in
   let params = adapt_params protocol model in
   let scored =
-    match (params, pool) with
-    | [], Some p ->
-        (* Frozen model: windows are independent read-only evaluations,
-           and each one's randomness is pre-split — pooling them cannot
+    match params with
+    | [] -> (
+        (* Frozen model: one instance for the whole stream, which pool
+           workers only read; windows are independent evaluations, and
+           each one's randomness is pre-split — pooling them cannot
            change a bit. *)
-        Pool.init p ~n:nw score
-    | [], None -> Array.init nw score
-    | _ :: _, _ ->
+        let inst = realize () in
+        match pool with
+        | Some p -> Pool.init p ~n:nw (score inst)
+        | None -> Array.init nw (score inst))
+    | _ :: _ ->
         (* Test-then-train (prequential): score window w with the
-           current parameters, then take [adapt_steps] optimizer steps
+           current parameters, realized again after the previous
+           window's steps, then take [adapt_steps] optimizer steps
            on its (x, y) buffer, each on the training objective of the
            replayed physical instance. Inherently sequential — the pool
            is not used (the tape is main-domain state, and window w+1
            must see the post-w parameters). *)
         let opt = Optimizer.adamw ~params () in
         Array.init nw (fun w ->
-            let point = score w in
+            let point = score (realize ()) w in
             let win = windows.(w) in
             let steps = window_steps win in
             let labels = Array.sub rz.Scenario.y win.Window.start win.Window.len in

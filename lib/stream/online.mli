@@ -2,8 +2,12 @@
     adaptation (prequential, test-then-train).
 
     The stream is cut into windows ({!Window.slice}); each window is
-    scored on the no-grad engine ({!Pnc_core.Model.logits_multi_batch_t})
-    and, when adaptation is on, the model then takes a few optimizer
+    scored on the no-grad engine ({!Pnc_core.Model.run_multi_batch_t})
+    through the stream's physical instance ({!Pnc_core.Model.realize}):
+    a frozen stream realizes it once and shares it read-only with the
+    pool workers, an adapted one realizes it again for every window,
+    under the parameters the previous window's steps left. When
+    adaptation is on, the model then takes a few optimizer
     steps ({!Pnc_core.Train.descend}, gradient norm clipped at 5) on
     that window's (x, y) buffer before the next window arrives, each on
     the training objective of the replayed physical instance
@@ -12,8 +16,8 @@
     reach only the adapted leaves.
 
     {b Determinism contract.} [rng] is split once: child 0 is the
-    physical-instance stream — the variation draw is replayed from a
-    {!Pnc_util.Rng.copy} of it for {e every} window (and every
+    physical-instance stream — the variation draw is made from a
+    {!Pnc_util.Rng.copy} of it for every realization (and every
     adaptation step), so the whole stream runs on one physical circuit
     instance, and an offline comparator that builds
     [Variation.make_draw] from a copy of the same child sees logits

@@ -2,8 +2,9 @@
 # End-to-end smoke of the real serving daemon: train a smoke-scale
 # checkpoint, boot `adapt_pnc serve` on it, drive the HTTP API
 # (health, single + batch inference, a case-insensitive Connection:
-# Close, malformed bodies), then SIGTERM
-# it and require a clean graceful drain.
+# Close, malformed bodies), hot-reload a second checkpoint trained on
+# another seed and renamed over the served path, then SIGTERM it and
+# require a clean graceful drain.
 #
 # Usage: [JOBS=N] scripts/serve_smoke.sh [OUTDIR]
 # Needs curl. OUTDIR keeps the checkpoint and daemon log so CI can
@@ -75,6 +76,24 @@ curl -sf "http://127.0.0.1:$PORT/healthz" >/dev/null
 echo "-- metrics --"
 curl -sf "http://127.0.0.1:$PORT/metrics" | grep -q 'serve.requests'
 
+echo "-- hot reload: a checkpoint of another seed, renamed over the served path --"
+$CLI train -d "$DATASET" --scale "$SCALE" --seed 1 --checkpoint-dir "$OUT/ckpt2"
+cp "$OUT/ckpt2/model.ckpt" "$OUT/ckpt/model.ckpt.next"
+mv "$OUT/ckpt/model.ckpt.next" "$OUT/ckpt/model.ckpt"
+i=0
+until curl -sf "http://127.0.0.1:$PORT/healthz" | grep -q '"model_version":2'; do
+  i=$((i + 1))
+  [ "$i" -le 60 ] || { echo "reload never reached /healthz"; cat "$OUT/serve.log"; exit 1; }
+  sleep 0.5
+done
+curl -sf -X POST --data '{"series":[0.1,-0.2,0.3,0.05]}' \
+  "http://127.0.0.1:$PORT/v1/logits" | grep -q '"model_version":2' || {
+  echo "expected model_version 2 from /v1/logits after the reload"; exit 1;
+}
+grep -q "reloaded .* (model version 2)" "$OUT/serve.log" || {
+  echo "daemon did not log the reload"; cat "$OUT/serve.log"; exit 1;
+}
+
 echo "-- graceful shutdown --"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
@@ -82,4 +101,4 @@ trap - EXIT
 grep -q "drained and stopped" "$OUT/serve.log" || {
   echo "daemon did not report a clean drain"; cat "$OUT/serve.log"; exit 1;
 }
-echo "OK: daemon served, survived malformed input, and drained cleanly"
+echo "OK: daemon served, survived malformed input, hot-reloaded, and drained cleanly"

@@ -255,6 +255,49 @@ let test_family_parity () =
             family_selections)
         nets)
 
+(* Held instances --------------------------------------------------------- *)
+
+(* A forward on a held instance is the draw-taking entry without its
+   realization: for both circuit architectures, both tiers and both
+   read-outs, series and pre-split steps, over a row view at an offset,
+   the logits are bit-equal, and the instance gives the same logits
+   every time it is run. The families an instance was realized with are
+   the ones it runs: [opts.varied] is read where the instance is made. *)
+let test_held_instance_parity () =
+  let case rng =
+    let classes = 2 + Rng.int rng 3 and rows = 1 + Rng.int rng 40 and time = 2 + Rng.int rng 10 in
+    let seed = Rng.int rng 10_000 in
+    let nets =
+      List.map
+        (fun arch -> Network.create ~hidden:(2 + Rng.int rng 4) rng arch ~inputs:1 ~classes)
+        [ Network.Ptpnc; Network.Adapt ]
+    in
+    let x = T.uniform rng ~rows:(rows + 3) ~cols:time ~lo:(-1.) ~hi:1. in
+    (nets, T.rows_view x ~row:2 ~len:rows, seed)
+  in
+  Qgen.check ~count:15 ~name:"held instance = draw-taking entry" ~pp:pp_circuit_case case
+    (fun (nets, x, seed) ->
+      let steps = T.columns x in
+      List.for_all
+        (fun net ->
+          let model = Model.Circuit net in
+          List.for_all
+            (fun (_, varied) ->
+              let inst = Model.realize ~varied ~draw:(draw_of ~seed ~level:0.2) model in
+              List.for_all
+                (fun (precision, readout) ->
+                  let opts = { Batch.default with precision; readout; varied } in
+                  let draw () = draw_of ~seed ~level:0.2 in
+                  let series = Model.logits_batch_t ~opts ~draw:(draw ()) model x
+                  and multi = Model.logits_multi_batch_t ~opts ~draw:(draw ()) model steps in
+                  let held = { opts with varied = Batch.all_families } in
+                  eq0 series (Model.run_batch_t ~opts:held inst x)
+                  && eq0 multi (Model.run_multi_batch_t ~opts:held inst steps)
+                  && eq0 series (Model.run_batch_t ~opts:held inst x))
+                tiers_and_readouts)
+            family_selections)
+        nets)
+
 (* End-to-end parity ----------------------------------------------------- *)
 
 (* The input is a row view at a non-zero offset into a larger tensor,
@@ -583,6 +626,35 @@ let test_forward_alloc_per_row () =
        and %.0f"
       w32 w200 refit32 refit200
 
+(* A forward on a held instance allocates only its logits and a
+   constant: on the hidden-4 net, a realizing forward of a 32 x 64
+   batch under a +-10% draw allocates 2.9k words (mostly the realized
+   circuit), and one on a held instance, whose workspace the domain
+   already keeps, 145; the bound is 256, both tiers, both read-outs. *)
+let test_held_instance_alloc () =
+  let net = Network.create ~hidden:4 (Rng.create ~seed:3) Network.Adapt ~inputs:1 ~classes:3 in
+  let model = Model.Circuit net in
+  let x = T.uniform (Rng.create ~seed:4) ~rows:32 ~cols:64 ~lo:(-1.) ~hi:1. in
+  let inst = Model.realize ~draw:(draw_of ~seed:9 ~level:0.1) model in
+  let words f =
+    f ();
+    let w0 = words_allocated () in
+    f ();
+    words_allocated () -. w0
+  in
+  List.iter
+    (fun (precision, readout) ->
+      let opts = { Batch.default with precision; readout } in
+      let realizing =
+        words (fun () ->
+            ignore (Model.logits_batch_t ~opts ~draw:(draw_of ~seed:9 ~level:0.1) model x))
+      in
+      let held = words (fun () -> ignore (Model.run_batch_t ~opts inst x)) in
+      if held > 256. || realizing < 4. *. held then
+        Alcotest.failf "%s: %.0f words on a held instance, %.0f realizing"
+          (Batch.precision_name precision) held realizing)
+    tiers_and_readouts
+
 (* Splitting the input once per estimate changes nothing: the estimate
    equals the per-draw mean over [Model.predict_batch] on [x]. *)
 let test_accuracy_split_once () =
@@ -696,6 +768,12 @@ let () =
           Alcotest.test_case "multi-input steps with zeros" `Quick test_multi_input_parity;
           Alcotest.test_case "series read in place = split steps" `Quick test_series_in_place;
           Alcotest.test_case "per-family batched = Var" `Quick test_family_parity;
+        ] );
+      ( "held instances",
+        [
+          Alcotest.test_case "held instance = draw-taking entry" `Quick test_held_instance_parity;
+          Alcotest.test_case "held instance allocates only its logits" `Quick
+            test_held_instance_alloc;
         ] );
       ( "end-to-end",
         [

@@ -819,6 +819,75 @@ let test_decoder_alloc_per_body () =
         Alcotest.failf "%.0f minor words to decode a %dx64 body (bound 128)" words rows)
     [ 8; 32 ]
 
+let realizations () =
+  match List.assoc_opt "eval.realizations" (Obs.metrics_snapshot ()) with
+  | Some fields -> ( match List.assoc_opt "value" fields with Some (Obs.Int n) -> n | _ -> -1)
+  | None -> -1
+
+(* What the daemon allocates per request, on the benchmark's shape: an
+   ADAPT net of hidden width 4 over 2 classes, 32-row bodies of
+   64-step series. The daemon runs on one domain, the caller's, and
+   its client on a domain of its own, so the caller's minor words are
+   the daemon's: the accept loop, the handler's read, decode, flush and
+   reply rendering. The circuit is realized when a model version loads,
+   never per flush, so what is left is 1.0k words per request (decode
+   81, the logits and the rendered reply); the bound is 1,500, where a
+   realization per flush made it 2.6k. A reload realizes the new
+   version once. *)
+let test_words_per_request () =
+  let ckpt = fresh_ckpt () in
+  let net seed = Network.create ~hidden:4 (Rng.create ~seed) Network.Adapt ~inputs:1 ~classes:2 in
+  let model_a = Model.Circuit (net 71) and model_b = Model.Circuit (net 72) in
+  save_model ckpt model_a;
+  let rng = Rng.create ~seed:73 in
+  let rows = Array.init 32 (fun _ -> Array.init 64 (fun _ -> Rng.uniform rng ~lo:(-1.5) ~hi:1.5)) in
+  let body =
+    Json.render
+      (Json.Obj
+         [
+           ( "batch",
+             Json.List
+               (Array.to_list
+                  (Array.map (fun r -> Json.List (Array.to_list (Array.map (fun v -> Json.Num v) r)))
+                     rows)) );
+         ])
+  in
+  let config =
+    { Serve.default_config with max_batch = 64; reload_every_s = 0.02; pool_size = 1 }
+  in
+  let r0 = realizations () in
+  with_server ~config ckpt (fun srv ->
+      Alcotest.(check int) "realizations at load" 1 (realizations () - r0);
+      let client n () =
+        with_conn srv (fun c ->
+            for _ = 1 to n do
+              let r = Serve.Client.request c ~meth:"POST" ~path:"/v1/logits" ~body () in
+              if r.Serve.Client.status <> 200 then failwith r.Serve.Client.body
+            done)
+      in
+      Domain.join (Domain.spawn (client 20));
+      let n = 200 in
+      let w0 = Gc.minor_words () in
+      Domain.join (Domain.spawn (client n));
+      let per_request = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_request > 1500. then
+        Alcotest.failf "%.0f minor words per 32-row request in the daemon (bound 1500)" per_request;
+      Alcotest.(check int) "no realization per flush" 1 (realizations () - r0);
+      save_model ckpt model_b;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Serve.model_version srv < 2 do
+        if Unix.gettimeofday () > deadline then Alcotest.fail "checkpoint swap never picked up";
+        Thread.delay 0.01
+      done;
+      Alcotest.(check int) "one realization per model version" 2 (realizations () - r0);
+      with_conn srv (fun c ->
+          let v, got = ok "post-reload" (Serve.Client.logits_batch c rows) in
+          Alcotest.(check int) "reloaded version" 2 v;
+          Array.iteri
+            (fun i e -> check_bits (Printf.sprintf "post-reload row %d" i) e got.(i))
+            (offline model_b rows)));
+  Sys.remove ckpt
+
 (* The daemon's peak resident set, in kB ([None] off Linux). *)
 let vm_hwm_kb () =
   match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
@@ -1534,6 +1603,7 @@ let () =
           Alcotest.test_case "malformed bodies survive" `Quick test_malformed_bodies;
           Alcotest.test_case "decoder = parse + shape rules" `Quick test_decoder_vs_oracle;
           Alcotest.test_case "decoder allocation per body" `Quick test_decoder_alloc_per_body;
+          Alcotest.test_case "daemon words per request" `Quick test_words_per_request;
           Alcotest.test_case "deep nesting body: 400, bounded memory" `Quick test_deep_nesting_body;
           Alcotest.test_case "hot reload mid-load" `Quick (test_hot_reload_mid_load 4);
           Alcotest.test_case "hot reload mid-load, 64 connections" `Quick

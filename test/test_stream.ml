@@ -345,6 +345,91 @@ let test_frozen_never_mutates () =
   check_b "adaptation-off leaves every parameter byte" true
     (String.equal before (param_image r.E.model))
 
+(* One realization per frozen stream ----------------------------------------- *)
+
+let realizations () =
+  match List.assoc_opt "eval.realizations" (Pnc_obs.Obs.metrics_snapshot ()) with
+  | Some fields -> (
+      match List.assoc_opt "value" fields with Some (Pnc_obs.Obs.Int n) -> n | _ -> -1)
+  | None -> -1
+
+(* [f ()] and the instances it realized. *)
+let counting_realizations f =
+  let n0 = realizations () in
+  let v = f () in
+  (v, realizations () - n0)
+
+(* Each window's correct count as a per-window realizing evaluation
+   finds it: the window's own draw from a copy of the instance stream,
+   its own pre-split state stream. *)
+let per_window_correct ~protocol model (rz : Scenario.realized) =
+  let x = T.of_rows rz.Scenario.x in
+  let windows =
+    Array.of_list
+      (Window.slice ~n:(Array.length rz.Scenario.x) ~width:protocol.Online.width
+         ~stride:protocol.Online.stride)
+  in
+  let top = Rng.split_n (Rng.create ~seed:eval_seed) 2 in
+  let state_rngs = Rng.split_n top.(1) (Array.length windows) in
+  Array.mapi
+    (fun w (win : Window.t) ->
+      let state_init =
+        match protocol.Online.state_init with
+        | `V0 -> `V0
+        | `Zero -> `Zero
+        | `Randomized sigma -> `Gaussian (state_rngs.(w), sigma)
+      in
+      let pred =
+        Model.predict_batch
+          ~opts:{ Pnc_core.Batch.default with state_init }
+          ~draw:(Variation.make_draw (Rng.copy top.(0)) spec)
+          model
+          (T.rows_view x ~row:win.Window.start ~len:win.Window.len)
+      in
+      let correct = ref 0 in
+      Array.iteri (fun j p -> if p = rz.Scenario.y.(win.Window.start + j) then incr correct) pred;
+      !correct)
+    windows
+
+(* A frozen stream realizes its one physical instance once, sequential
+   and pooled, and every window's count is the one a per-window
+   realization gives, for `V0 and `Randomized states over overlapping
+   windows. An adapted stream realizes once per window, under the
+   parameters the previous window's steps left. *)
+let test_one_realization_per_frozen_stream () =
+  let r = Lazy.force trained in
+  let rz = Scenario.realize (scenario ()) in
+  List.iter
+    (fun state_init ->
+      let protocol = { Online.default_protocol with Online.width = 8; stride = 6; state_init } in
+      let expect = per_window_correct ~protocol r.E.model rz in
+      let nw = Array.length expect in
+      let seq, n_seq = counting_realizations (fun () -> eval ~protocol r.E.model rz) in
+      let pooled, n_pooled =
+        counting_realizations (fun () ->
+            Pool.with_pool ~size:env_pool_size (fun pool -> eval ~pool ~protocol r.E.model rz))
+      in
+      check_i "frozen, sequential: realizations" 1 n_seq;
+      check_i "frozen, pooled: realizations" 1 n_pooled;
+      List.iter
+        (fun (what, (res : Online.result)) ->
+          check_i (what ^ ": windows") nw (Array.length res.Online.points);
+          Array.iteri
+            (fun w (p : Online.point) ->
+              check_i (Printf.sprintf "%s: window %d correct" what w) expect.(w) p.Online.correct)
+            res.Online.points)
+        [ ("sequential", seq); ("pooled", pooled) ];
+      let snap = Online.snapshot_params r.E.model in
+      let adapted, n_adapted =
+        counting_realizations (fun () ->
+            eval ~protocol:{ protocol with Online.adapt = Online.Filters; adapt_steps = 1 }
+              r.E.model rz)
+      in
+      Online.restore_params r.E.model snap;
+      check_i "adapted: realizations" nw n_adapted;
+      check_i "adapted: first window as frozen" expect.(0) adapted.Online.points.(0).Online.correct)
+    [ `V0; `Randomized 0.1 ]
+
 (* Drift response --------------------------------------------------------- *)
 
 let drift_scenario =
@@ -547,6 +632,8 @@ let () =
           Alcotest.test_case "pool invariance" `Slow test_pool_invariance;
           Alcotest.test_case "frozen pass never mutates params" `Slow
             test_frozen_never_mutates;
+          Alcotest.test_case "one realization per frozen stream" `Slow
+            test_one_realization_per_frozen_stream;
         ] );
       ( "adaptation",
         [
