@@ -92,8 +92,9 @@ examples-smoke:
 
 # End-to-end bit parity against a git revision: scripts/parity.sh
 # builds REV and the working tree, runs the seeded examples, the
-# ablation bench, the streaming smoke and a smoke grid on both, and
-# prints "identical" or the outputs that differ. PARITY_OUT keeps both
+# ablation bench, the streaming smoke, a smoke grid and the serve
+# daemon's raw responses to a fixed request set (needs python3) on
+# both, and prints "identical" or the outputs that differ. PARITY_OUT keeps both
 # sides' outputs (outside the repository).
 parity:
 	@test -n "$(REV)" || { echo "usage: make parity REV=<git revision>" >&2; exit 2; }

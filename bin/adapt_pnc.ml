@@ -507,8 +507,8 @@ let serve_cmd =
       "Domains the daemon serves on (default: the runtime's recommended domain count, one per \
        core, at most 128). Connection handlers are spread round-robin over N domains, and at \
        most N lanes compute blocks at once, each on its handler's thread; 1 runs everything \
-       on one domain. Every domain it spawns runs on a fixed 256 KB minor heap, so memory \
-       stays close to that of a one-domain daemon. A throughput knob only — served logits \
+       on one domain. Every domain it serves on, its own included, runs on a fixed 256 KB \
+       minor heap, so memory stays close to that of a one-domain daemon. A throughput knob only — served logits \
        are identical for every value."
     in
     Arg.(
@@ -545,6 +545,11 @@ let serve_cmd =
                SIGINT/SIGTERM drain and exit\n%!"
               max_batch (max 1 jobs) (if jobs > 1 then "s" else "")
               (if reload_ms > 0. then Printf.sprintf "every %.0f ms" reload_ms else "off");
+            (* This domain runs the accept loop and the handlers of every
+               n-th connection: give it the small minor heap the handler
+               domains start on. The library leaves an embedding
+               caller's domain as it is. *)
+            Gc.set { (Gc.get ()) with minor_heap_size = Pnc_util.Pool.minor_heap_words };
             Pnc_serve.Serve.run srv;
             (* [run] ignores SIGPIPE, so if the reader of stdout is gone
                this write fails with EPIPE; the drain itself succeeded,

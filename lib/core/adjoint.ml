@@ -82,6 +82,16 @@ let workspace ~rows ~steps kern =
 
 let stamps = Atomic.make 0
 
+(* Every forward the node runs: one per draw before the sweep, and one
+   per draw but the first again inside it, whose trajectory the
+   workspace no longer holds (so a 2-draw epoch runs 3). An atomic add,
+   no clock read. *)
+let forwards_counter = Pnc_obs.Obs.Counter.make "train.node_forwards"
+
+let forward ws ~readout kern steps =
+  Pnc_obs.Obs.Counter.incr forwards_counter;
+  Network.forward_trajectory ws.tr ~readout kern steps
+
 (* {1 Reverse sweep}
 
    Each pass covers one feature of one step and evaluates, per element,
@@ -350,7 +360,7 @@ let expected ?params ~n ~tasks ~readout net ~steps ~labels =
      in the workspace is the first one the sweep needs. *)
   for k = Array.length order - 1 downto 0 do
     let smp = order.(k) in
-    smp.logits <- Network.forward_trajectory ws.tr ~readout smp.kern steps;
+    smp.logits <- forward ws ~readout smp.kern steps;
     smp.value <- Loss.cross_entropy_value ~logits:smp.logits ~labels
   done;
   ws.stamp <- stamp;
@@ -367,7 +377,7 @@ let expected ?params ~n ~tasks ~readout net ~steps ~labels =
       Array.iteri
         (fun k smp ->
           if k > 0 || ws.stamp <> stamp then begin
-            ignore (Network.forward_trajectory ws.tr ~readout smp.kern steps);
+            ignore (forward ws ~readout smp.kern steps);
             ws.stamp <- 0
           end;
           sweep ws ~readout smp steps ~gl ~labels ~emit ~on net)

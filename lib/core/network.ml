@@ -476,8 +476,9 @@ let forward_input ~(opts : Batch.opts) (kern : instance) input =
   let rows = input_rows input and steps = input_steps input in
   let fast = match opts.precision with `Fast -> true | `Exact -> false in
   let slot = Domain.DLS.get eval_slot in
+  let cell = Atomic.exchange slot None in
   let tr =
-    match Atomic.exchange slot None with
+    match cell with
     | Some tr when fits tr ~rows ~steps kern -> tr
     | _ -> make_trajectory ~keep:false ~rows ~steps kern
   in
@@ -485,7 +486,10 @@ let forward_input ~(opts : Batch.opts) (kern : instance) input =
     Batch.timed opts ~rows (fun () ->
         forward_block ~fast ~readout:opts.readout ~init:opts.state_init tr kern input)
   in
-  Atomic.set slot (Some tr);
+  (* The checked-out cell goes back as it came when it still holds the
+     workspace: a fresh [Some] per forward would be young in the slot at
+     every minor collection, and promoted. *)
+  Atomic.set slot (match cell with Some tr' when tr' == tr -> cell | _ -> Some tr);
   logits
 
 let forward_multi_batch_t ?(opts = Batch.default) ~draw net steps =

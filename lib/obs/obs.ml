@@ -158,27 +158,41 @@ module Gauge = struct
 end
 
 module Histogram = struct
+  (* The sum is a flat float, added to under [sum_mu] (observers run on
+     any domain). A CAS on a boxed float would allocate a new total per
+     observation, and the one the atomic holds at each minor collection
+     would be promoted. *)
+  type sum = { mutable total : float }
+
   type t = {
     name : string;
     counts : int Atomic.t array; (* 64 fixed log-scale buckets *)
     n : int Atomic.t;
-    total : float Atomic.t; (* summed with a CAS loop: observers run on any domain *)
+    sum_mu : Mutex.t;
+    sum : sum;
   }
 
   let n_buckets = 64
 
-  (* Bucket i covers [2^(i-33), 2^(i-32)): frexp gives v = m * 2^e with
-     m in [0.5, 1), i.e. v in [2^(e-1), 2^e), mapping e to i = e + 32.
-     The extreme buckets absorb under- and overflow. *)
+  (* Bucket i covers [2^(i-33), 2^(i-32)): frexp's v = m * 2^e with m
+     in [0.5, 1), i.e. v in [2^(e-1), 2^e), maps e to i = e + 32. The
+     extreme buckets absorb under- and overflow. [e] is read off the
+     biased exponent bits (e = biased - 1022 for a normal [v]; a
+     subnormal lands in bucket 0 either way), so an observation
+     allocates no [frexp] pair. *)
   let bucket_of v =
     if not (Float.is_finite v) || v <= 0. then 0
     else
-      let _, e = Float.frexp v in
-      Stdlib.max 0 (Stdlib.min (n_buckets - 1) (e + 32))
+      let biased = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 52) in
+      Stdlib.max 0 (Stdlib.min (n_buckets - 1) (biased - 1022 + 32))
 
   let upper_bound i = Float.ldexp 1. (i - 32)
   let count t = Atomic.get t.n
-  let sum t = Atomic.get t.total
+  let sum t =
+    Mutex.lock t.sum_mu;
+    let v = t.sum.total in
+    Mutex.unlock t.sum_mu;
+    v
 
   let buckets t =
     let out = ref [] in
@@ -194,7 +208,8 @@ module Histogram = struct
         name;
         counts = Array.init n_buckets (fun _ -> Atomic.make 0);
         n = Atomic.make 0;
-        total = Atomic.make 0.;
+        sum_mu = Mutex.create ();
+        sum = { total = 0. };
       }
     in
     register
@@ -212,20 +227,18 @@ module Histogram = struct
           (fun () ->
             Array.iter (fun c -> Atomic.set c 0) t.counts;
             Atomic.set t.n 0;
-            Atomic.set t.total 0.);
+            Mutex.lock t.sum_mu;
+            t.sum.total <- 0.;
+            Mutex.unlock t.sum_mu);
       };
     t
 
   let observe t v =
     ignore (Atomic.fetch_and_add t.counts.(bucket_of v) 1);
     ignore (Atomic.fetch_and_add t.n 1);
-    (* The CAS compares the boxed float read just before by identity,
-       so it fails exactly when another observer added in between. *)
-    let rec add () =
-      let old = Atomic.get t.total in
-      if not (Atomic.compare_and_set t.total old (old +. v)) then add ()
-    in
-    add ()
+    Mutex.lock t.sum_mu;
+    t.sum.total <- t.sum.total +. v;
+    Mutex.unlock t.sum_mu
 end
 
 let metrics_snapshot () =

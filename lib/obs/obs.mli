@@ -106,9 +106,10 @@ module Histogram : sig
       absorbing under-/overflow. *)
 
   val observe : t -> float -> unit
-  (** Safe to call from any domain: the bucket, the count and the sum
-      are each updated atomically, so concurrent observers lose
-      nothing. *)
+  (** Safe to call from any domain: the bucket and the count are
+      updated atomically and the sum under a mutex, so concurrent
+      observers lose nothing. Allocates nothing but the boxed argument
+      (when the caller's float is not already boxed). *)
 
   val count : t -> int
   val sum : t -> float

@@ -28,15 +28,28 @@
    independently of its neighbours (the batched-kernel parity
    contract), so the grouping never changes a served number. The
    domains [run] spawns start through [Pool.spawn], on its small minor
-   heap, so resident memory barely grows with [n]. What a request
-   allocates dies young (a 10 s benchmark run promotes 0.25 of 145
-   Mwords), so the smaller heap costs few promotions.
+   heap, so resident memory barely grows with [n].
 
-   Copies: a connection reads into one byte buffer it owns; the body
-   is decoded where it lies, straight into the connection's float
-   buffer; the lane copies the group's rows into its own batch tensor,
-   which the kernels read in place; and the reply is rendered from the
-   logits rows into the connection's reply buffer. *)
+   A request's state lives in its connection. Every minor collection
+   stops all domains and promotes whatever young data is live, so
+   per-request records that live through a request grow the major heap
+   with uptime. A connection has one request in flight, so it allocates
+   its request record (Http), decode block, admission entry and reply
+   mailbox once and reuses them; the queue links entries through the
+   entries themselves. What a request still allocates (the rendered
+   numbers, the forward's logits, about 560 words for 32 rows) is
+   garbage within its phase: under the serve benchmark the daemon
+   promotes about 0.1 words per request, where fresh records promoted
+   2.2.
+
+   Copies: a connection reads into one byte buffer it owns; the head is
+   parsed and the body decoded where they lie, the numbers straight
+   into the connection's block; the lane copies the group's rows into
+   its own batch tensor, which the kernels read in place, and each
+   request's logits rows into its connection's reply slots; the reply
+   is rendered from those into the connection's reply buffer, and the
+   response head written in front of it in the connection's write
+   buffer. *)
 
 module Model = Pnc_core.Model
 module Persist = Pnc_core.Persist
@@ -85,40 +98,75 @@ let default_config =
     max_rows = 1024;
   }
 
-(* Admission queue entries. A request is one or more equal-length rows
-   plus its connection's mailbox, which whichever lane flushes the
-   request fulfills; the handler thread blocks on the mailbox condition
-   until its reply arrives, or until a leaving lane hands it a lane
-   ([mb_lane]). A reply is rows [first, first + rows) of the flushed
-   block's logits, which no later flush writes to. *)
-
-type reply =
-  | R_ok of { version : int; logits : Tensor.t; first : int }
-  | R_shutdown
-
-type mailbox = {
-  mb_mu : Mutex.t;
-  mb_cv : Condition.t;
-  mutable mb_reply : reply option;
-  mutable mb_lane : bool;
+(* A decoded request body: [rows x cols] values, row-major, in the
+   first [rows * cols] slots of [data]. Each connection decodes into one
+   block it owns. *)
+type block = {
+  mutable data : floatarray;
+  mutable rows : int;
+  mutable cols : int;
+  mutable single : bool;
 }
 
-(* A decoded request body: [rows x cols] values, row-major, in the
-   first [rows * cols] slots of [data]. *)
-type block = { data : floatarray; rows : int; cols : int; single : bool }
+(* A monotonic reading held flat: a record of one float field is
+   stored unboxed, so writing it allocates nothing. *)
+type stamp = { mutable at : float }
 
-(* [p_block.data] is the handler's decode buffer: the handler blocks in
-   [submit] until [flush] has copied the block out and replied, so the
-   buffer is reused only after the flush is done with it. [p_lane]: the
-   request's handler runs (or has been handed) a lane; [p_taken]: a
-   lane has taken the request off the queue. Both under [q_mu]. *)
+(* A connection's admission entry and reply mailbox, allocated with the
+   connection and reused by each of its requests: a connection has one
+   request in flight, and its handler blocks in [submit] until a lane
+   has copied the block out and replied. So the entry, its block and
+   the reply slots below are reused only once every lane is done with
+   them.
+
+   Queue side, under [t.q_mu]: [p_next] links the queued entries
+   ([p_self] is [Link p], made once so queueing allocates nothing);
+   [p_lane]: the request's handler runs (or has been handed) a lane;
+   [p_taken]: a lane has taken the request off the queue.
+
+   Mailbox side, under [p_mu]: the lane that flushes the request copies
+   its logits rows into [p_out] (row-major, [p_classes] a row) and sets
+   [p_replied] and [p_version]; a leaving lane sets [p_handed] to hand
+   the handler a lane. The flushed block's logits tensor is thus dead
+   once the flush returns, and no reply is held past its rendering. *)
 type pending = {
   p_block : block;
-  p_enq_t : float;
-  p_mb : mailbox;
+  p_enq : stamp;
+  p_mu : Mutex.t;
+  p_cv : Condition.t;
   mutable p_lane : bool;
   mutable p_taken : bool;
+  mutable p_next : link;
+  mutable p_self : link;
+  mutable p_replied : bool;
+  mutable p_handed : bool;
+  mutable p_version : int;
+  mutable p_out : floatarray;
+  mutable p_classes : int;
 }
+
+and link = Nil | Link of pending
+
+let pending () =
+  let p =
+    {
+      p_block = { data = Float.Array.create 0; rows = 0; cols = 0; single = false };
+      p_enq = { at = 0. };
+      p_mu = Mutex.create ();
+      p_cv = Condition.create ();
+      p_lane = false;
+      p_taken = false;
+      p_next = Nil;
+      p_self = Nil;
+      p_replied = false;
+      p_handed = false;
+      p_version = 0;
+      p_out = Float.Array.create 0;
+      p_classes = 0;
+    }
+  in
+  p.p_self <- Link p;
+  p
 
 type ckpt_sig = { cs_ino : int; cs_mtime : float; cs_size : int }
 
@@ -138,9 +186,12 @@ type t = {
   mutable instance : Model.instance;
   mutable version : int;
   mutable ckpt_sig : ckpt_sig option;
-  (* admission queue and the lanes flushing it: [busy] of [lanes] *)
+  opts : Pnc_core.Batch.opts;
+  (* admission queue, linked through [p_next] from [q_head] to
+     [q_tail], and the lanes flushing it: [busy] of [lanes] *)
   q_mu : Mutex.t;
-  q : pending Queue.t;
+  mutable q_head : link;
+  mutable q_tail : link;
   lanes : int;
   mutable busy : int;
   inflight : int Atomic.t; (* rows admitted, response not yet written *)
@@ -218,8 +269,10 @@ let create ?(config = default_config) ~checkpoint () =
               instance = Model.realize model;
               version = 1;
               ckpt_sig = stat_sig checkpoint;
+              opts = { Pnc_core.Batch.default with precision = config.precision };
               q_mu = Mutex.create ();
-              q = Queue.create ();
+              q_head = Nil;
+              q_tail = Nil;
               lanes = max 1 config.pool_size;
               busy = 0;
               inflight = Atomic.make 0;
@@ -230,329 +283,143 @@ let create ?(config = default_config) ~checkpoint () =
               live_handlers = 0;
             })
 
-(* HTTP plumbing ---------------------------------------------------------- *)
-
-exception Bad_request of string
-
-(* Shared by the server side and [Client]: buffered reads off a socket
-   into one byte buffer per connection, so pipelined requests and
-   keep-alive reuse just work without a copy per read. *)
-module Http = struct
-  (* The unread bytes are [buf.[pos .. lim - 1]]. The buffer is
-     compacted in place and grown to the largest message read so far;
-     a server connection never grows it past [max_head + max_body]. *)
-  type bufconn = {
-    fd : Unix.file_descr;
-    mutable buf : Bytes.t;
-    mutable pos : int;
-    mutable lim : int;
-    max_body : int;
-  }
-
-  let max_head = 16 * 1024
-
-  let bufconn ~max_body fd = { fd; buf = Bytes.create 4096; pos = 0; lim = 0; max_body }
-
-  (* Room for [need] unread bytes from [pos]: move the unread bytes to
-     the front, growing the buffer when even that is not enough. *)
-  let reserve c need =
-    if c.pos + need > Bytes.length c.buf then begin
-      let have = c.lim - c.pos in
-      let cap = if c.max_body > max_int - max_head then max_int else max_head + c.max_body in
-      let len = Bytes.length c.buf in
-      let dst = if need > len then Bytes.create (max need (min cap (2 * len))) else c.buf in
-      Bytes.blit c.buf c.pos dst 0 have;
-      c.buf <- dst;
-      c.pos <- 0;
-      c.lim <- have
-    end
-
-  (* One read into the free tail, which [reserve] made non-empty. *)
-  let read_more c =
-    let k = Unix.read c.fd c.buf c.lim (Bytes.length c.buf - c.lim) in
-    if k = 0 then raise End_of_file;
-    c.lim <- c.lim + k
-
-  (* Index of the first CRLFCRLF in [buf.[from .. lim - 1]]. *)
-  let find_blank_line c from =
-    let b = c.buf in
-    let rec go i =
-      if i + 4 > c.lim then None
-      else if Bytes.unsafe_get b (i + 3) <> '\n' then go (i + 1)
-      else if Bytes.unsafe_get b i = '\r' && Bytes.unsafe_get b (i + 1) = '\n'
-              && Bytes.unsafe_get b (i + 2) = '\r'
-      then Some i
-      else go (i + 1)
-    in
-    go from
-
-  (* Read up to and including the blank line; returns the head (without
-     the terminating CRLFCRLF) and consumes it. *)
-  let read_head c =
-    let rec go seen =
-      match find_blank_line c (c.pos + max 0 (seen - 3)) with
-      | Some i ->
-          let head = Bytes.sub_string c.buf c.pos (i - c.pos) in
-          c.pos <- i + 4;
-          head
-      | None ->
-          let have = c.lim - c.pos in
-          if have > max_head then raise (Bad_request "headers too large");
-          reserve c (have + 1);
-          read_more c;
-          go have
-    in
-    go 0
-
-  (* Consume the next [n] bytes, reading until they are all buffered;
-     returns their offset in [buf], valid until the next read on [c]. *)
-  let take c n =
-    if c.lim - c.pos < n then begin
-      reserve c n;
-      while c.lim - c.pos < n do
-        read_more c
-      done
-    end;
-    let off = c.pos in
-    c.pos <- c.pos + n;
-    off
-
-  let read_n c n =
-    let off = take c n in
-    Bytes.sub_string c.buf off n
-
-  let split_lines head = String.split_on_char '\n' head |> List.map (fun l ->
-      let l = if String.length l > 0 && l.[String.length l - 1] = '\r' then
-          String.sub l 0 (String.length l - 1) else l in
-      l)
-
-  let parse_headers lines =
-    List.filter_map
-      (fun line ->
-        match String.index_opt line ':' with
-        | None -> None
-        | Some i ->
-            let k = String.lowercase_ascii (String.trim (String.sub line 0 i)) in
-            let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-            Some (k, v))
-      lines
-
-  let header hs k = List.assoc_opt k hs
-
-  (* Whether the Connection header asks to close: its value is a
-     comma-separated list of case-insensitive options (RFC 9110
-     §7.6.1), so "Close" and "keep-alive, close" both do. *)
-  let wants_close hs =
-    match header hs "connection" with
-    | None -> false
-    | Some v ->
-        List.exists
-          (fun o -> String.lowercase_ascii (String.trim o) = "close")
-          (String.split_on_char ',' v)
-
-  (* A non-negative decimal integer as HTTP writes one: [1*DIGIT], no
-     sign, no [_] separators, no [0x]/[0o]/[0b] prefix (all of which
-     [int_of_string_opt] accepts). [None] also when the value would
-     exceed [max_int]. *)
-  let digits s =
-    let n = String.length s in
-    let rec go i acc =
-      if i = n then Some acc
-      else
-        match s.[i] with
-        | '0' .. '9' as ch ->
-            let d = Char.code ch - Char.code '0' in
-            if acc > (max_int - d) / 10 then None else go (i + 1) ((acc * 10) + d)
-        | _ -> None
-    in
-    if n = 0 then None else go 0 0
-
-  let write_bytes fd b n =
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd b !off (n - !off)
-    done
-
-  let write_all fd s =
-    let n = String.length s in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write_substring fd s !off (n - !off)
-    done
-
-  let status_text = function
-    | 200 -> "OK"
-    | 400 -> "Bad Request"
-    | 404 -> "Not Found"
-    | 405 -> "Method Not Allowed"
-    | 413 -> "Payload Too Large"
-    | 503 -> "Service Unavailable"
-    | _ -> "Error"
-
-  let response_head ~status ~keep_alive ~length =
-    Printf.sprintf
-      "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: \
-       %s\r\n\r\n"
-      status (status_text status) length
-      (if keep_alive then "keep-alive" else "close")
-end
-
 (* Per-connection buffers are kept across requests up to
    [scratch_keep] floats (512 KB, a full [max_rows] batch of 64-step
    rows at the defaults), so an idle connection never holds on to one
    huge body's worth of decoded numbers. *)
 let scratch_keep = 1 lsl 16
 
-(* One server connection: its receive buffer, the decode buffer its
-   request bodies are read into, the buffers its replies are rendered
-   and written from, its reply mailbox and the batch input tensor of
-   the blocks it flushes. All of it lives as long as the connection:
-   one request at a time is in flight on it. *)
+(* One server connection: its receive buffer (which holds the parsed
+   head), its admission entry (with the block its request bodies are
+   decoded into), the buffers its replies are rendered and written
+   from, and the batch input tensor of the blocks it flushes. All of it
+   lives as long as the connection: one request at a time is in flight
+   on it. [admitted] is the rows of the request in hand that the
+   graceful drain waits on. *)
 type conn = {
-  rx : Http.bufconn;
-  mutable scratch : floatarray;
+  rx : Http.conn;
+  p : pending;
   reply : Buffer.t;
   mutable tx : Bytes.t;
-  mb : mailbox;
   batch : Tensor.t ref;
+  mutable admitted : int;
 }
 
 let conn ~max_body fd =
   {
-    rx = Http.bufconn ~max_body fd;
-    scratch = Float.Array.create 0;
+    rx = Http.conn ~max_body fd;
+    p = pending ();
     reply = Buffer.create 4096;
     tx = Bytes.create 0;
-    mb = { mb_mu = Mutex.create (); mb_cv = Condition.create (); mb_reply = None; mb_lane = false };
     batch = ref (Tensor.zeros ~rows:0 ~cols:0);
+    admitted = 0;
   }
 
 (* Write the response: status line and headers, then [c.reply] as the
    body, assembled in [c.tx] for one write loop. *)
 let respond c ~status ~keep_alive =
-  let head = Http.response_head ~status ~keep_alive ~length:(Buffer.length c.reply) in
-  let h = String.length head and n = Buffer.length c.reply in
-  if Bytes.length c.tx < h + n then c.tx <- Bytes.create (max (h + n) (2 * Bytes.length c.tx));
-  Bytes.blit_string head 0 c.tx 0 h;
+  let n = Buffer.length c.reply in
+  let need = Http.max_response_head + n in
+  if Bytes.length c.tx < need then c.tx <- Bytes.create (max need (2 * Bytes.length c.tx));
+  let h = Http.write_response_head c.tx ~status ~keep_alive ~length:n in
   Buffer.blit c.reply 0 c.tx h n;
   Http.write_bytes c.rx.Http.fd c.tx (h + n)
 
-type request = {
-  meth : string;
-  path : string;
-  http11 : bool;
-  headers : (string * string) list;
-  body_off : int;
-  body_len : int;
-}
-
-(* Read one request off the connection. [End_of_file] propagates (end
-   of keep-alive); framing errors raise [Bad_request]. The body stays in
-   the receive buffer, at [body_off]. *)
-let read_request c =
-  let rx = c.rx in
-  let head = Http.read_head rx in
-  match Http.split_lines head with
-  | [] -> raise (Bad_request "empty request")
-  | request_line :: header_lines -> (
-      match String.split_on_char ' ' request_line with
-      | [ meth; path; version ]
-        when version = "HTTP/1.1" || version = "HTTP/1.0" ->
-          let headers = Http.parse_headers header_lines in
-          (* Bodies are framed by Content-Length alone. A chunked body
-             read as empty would leave its chunks to be parsed as the
-             next request, so any Transfer-Encoding, like lengths that
-             disagree, is a framing error. *)
-          if Http.header headers "transfer-encoding" <> None then
-            raise (Bad_request "Transfer-Encoding is not supported");
-          let lengths =
-            List.filter_map (fun (k, v) -> if k = "content-length" then Some v else None) headers
-          in
-          let body_len =
-            match List.sort_uniq compare lengths with
-            | [] -> 0
-            | [ v ] -> (
-                match Http.digits v with
-                | Some n ->
-                    if n > rx.Http.max_body then raise (Bad_request "body too large") else n
-                | None -> raise (Bad_request "malformed Content-Length"))
-            | _ -> raise (Bad_request "conflicting Content-Length headers")
-          in
-          let body_off = Http.take rx body_len in
-          let path = match String.index_opt path '?' with
-            | Some i -> String.sub path 0 i
-            | None -> path
-          in
-          { meth; path; http11 = version = "HTTP/1.1"; headers; body_off; body_len }
-      | _ -> raise (Bad_request "malformed request line"))
+let read_request c = Http.read_request c.rx
 
 (* JSON bodies ------------------------------------------------------------ *)
 
 let shape_error = "body must have exactly one of \"series\" or \"batch\""
 
+module C = Json.Cursor
+
 (* Decode {"series":[…]} or {"batch":[[…],…]} in one pass over the
-   body, numbers going straight into [into] (grown when too small).
-   Unknown members are validated and skipped; of duplicate keys the
-   first counts. Raises [Failure] on every malformed body — a served
-   body must never crash the daemon, so everything funnels into a
-   400. *)
-let decode_body ~max_rows ?(into = Float.Array.create 0) ?(off = 0) ?len body =
-  let module C = Json.Cursor in
-  let c =
-    C.make_sub body ~off ~len:(match len with Some l -> l | None -> String.length body - off)
-  in
-  let data = ref into and len = ref 0 in
-  (* One array of numbers; returns its length, failing as soon as it
-     passes [limit]. A loop, not a recursive closure, so a row
-     allocates nothing: each number is written into [data] in place. *)
-  let row ~limit =
-    if C.peek c <> '[' then failwith "expected an array of numbers";
-    C.advance c;
-    if C.peek c = ']' then failwith "empty series";
-    let k = ref 0 and more = ref true in
-    while !more do
-      (match C.peek c with
-      | '{' | '[' | '"' | 't' | 'f' | 'n' -> failwith "expected a number"
-      | _ ->
-          if !len = Float.Array.length !data then begin
-            let bigger = Float.Array.create (max 64 (2 * !len)) in
-            Float.Array.blit !data 0 bigger 0 !len;
-            data := bigger
-          end;
-          C.number_into c !data !len;
-          if not (Float.is_finite (Float.Array.unsafe_get !data !len)) then
-            failwith "non-finite number in input";
-          incr len);
-      incr k;
-      if !k > limit then failwith "ragged batch rows";
-      match C.peek c with
-      | ',' -> C.advance c
-      | ']' ->
-          C.advance c;
-          more := false
-      | _ -> C.fail c "expected , or ]"
-    done;
-    !k
-  in
-  let rows = ref 0 and cols = ref 0 in
-  let batch () =
-    if C.peek c <> '[' then failwith "batch must be an array of rows";
-    C.advance c;
-    if C.peek c = ']' then failwith "empty batch";
-    let rec next () =
-      if !rows = max_rows then failwith "too many rows in one request";
-      let k = row ~limit:(if !rows = 0 then max_int else !cols) in
-      if !rows = 0 then cols := k else if k <> !cols then failwith "ragged batch rows";
-      incr rows;
-      match C.peek c with
-      | ',' ->
-          C.advance c;
-          next ()
-      | ']' -> C.advance c
-      | _ -> C.fail c "expected , or ]"
-    in
-    next ()
-  in
+   body, numbers going straight into the block's [data] (grown when too
+   small). Unknown members are validated and skipped; of duplicate keys
+   the first counts. Raises [Failure] on every malformed body — a
+   served body must never crash the daemon, so everything funnels into
+   a 400. The scanners are top-level functions that keep their state in
+   the block, not closures over refs, so a body allocates only its
+   cursor and its member names. While row [blk.rows] is read,
+   [blk.cols] is the width of the rows before it (0 for the first), so
+   its numbers go from slot [blk.rows * blk.cols] on. *)
+
+(* The numbers of one row from its [k]-th on; returns the row's length,
+   failing as soon as it passes [limit]. *)
+let rec row_items c blk ~limit ~base k =
+  (match C.peek c with
+  | '{' | '[' | '"' | 't' | 'f' | 'n' -> failwith "expected a number"
+  | _ ->
+      let i = base + k in
+      if i = Float.Array.length blk.data then begin
+        let bigger = Float.Array.create (max 64 (2 * i)) in
+        Float.Array.blit blk.data 0 bigger 0 i;
+        blk.data <- bigger
+      end;
+      C.number_into c blk.data i;
+      if not (Float.is_finite (Float.Array.unsafe_get blk.data i)) then
+        failwith "non-finite number in input");
+  let k = k + 1 in
+  if k > limit then failwith "ragged batch rows";
+  match C.peek c with
+  | ',' ->
+      C.advance c;
+      row_items c blk ~limit ~base k
+  | ']' ->
+      C.advance c;
+      k
+  | _ -> C.fail c "expected , or ]"
+
+(* One array of numbers. *)
+let row c blk ~limit =
+  if C.peek c <> '[' then failwith "expected an array of numbers";
+  C.advance c;
+  if C.peek c = ']' then failwith "empty series";
+  row_items c blk ~limit ~base:(blk.rows * blk.cols) 0
+
+let rec batch_rows c blk ~max_rows =
+  if blk.rows = max_rows then failwith "too many rows in one request";
+  let k = row c blk ~limit:(if blk.rows = 0 then max_int else blk.cols) in
+  if blk.rows = 0 then blk.cols <- k else if k <> blk.cols then failwith "ragged batch rows";
+  blk.rows <- blk.rows + 1;
+  match C.peek c with
+  | ',' ->
+      C.advance c;
+      batch_rows c blk ~max_rows
+  | ']' -> C.advance c
+  | _ -> C.fail c "expected , or ]"
+
+(* The object's members: "series" read marks the block [single], a
+   "batch" read leaves it rows and not [single]. *)
+let rec members c blk ~max_rows =
+  let k = C.string c in
+  C.expect c ':';
+  let batched = blk.rows > 0 && not blk.single in
+  (match k with
+  | "series" when not blk.single ->
+      if batched then failwith shape_error;
+      blk.single <- true;
+      blk.cols <- row c blk ~limit:max_int;
+      blk.rows <- 1
+  | "batch" when not batched ->
+      if blk.single then failwith shape_error;
+      if C.peek c <> '[' then failwith "batch must be an array of rows";
+      C.advance c;
+      if C.peek c = ']' then failwith "empty batch";
+      batch_rows c blk ~max_rows
+  | _ -> ignore (C.value c ~depth:1));
+  match C.peek c with
+  | ',' ->
+      C.advance c;
+      members c blk ~max_rows
+  | '}' -> C.advance c
+  | _ -> C.fail c "expected , or }"
+
+let decode_into ~max_rows blk body ~off ~len =
+  let c = C.make_sub body ~off ~len in
+  blk.rows <- 0;
+  blk.cols <- 0;
+  blk.single <- false;
   if C.peek c <> '{' then begin
     (* Valid JSON but not an object: it has neither key. *)
     ignore (C.value c ~depth:0);
@@ -560,52 +427,33 @@ let decode_body ~max_rows ?(into = Float.Array.create 0) ?(off = 0) ?len body =
     failwith shape_error
   end;
   C.advance c;
-  let series = ref false and batched = ref false in
-  if C.peek c = '}' then C.advance c
-  else begin
-    let rec members () =
-      let k = C.string c in
-      C.expect c ':';
-      (match k with
-      | "series" when not !series ->
-          if !batched then failwith shape_error;
-          series := true;
-          cols := row ~limit:max_int;
-          rows := 1
-      | "batch" when not !batched ->
-          if !series then failwith shape_error;
-          batched := true;
-          batch ()
-      | _ -> ignore (C.value c ~depth:1));
-      match C.peek c with
-      | ',' ->
-          C.advance c;
-          members ()
-      | '}' -> C.advance c
-      | _ -> C.fail c "expected , or }"
-    in
-    members ()
-  end;
+  if C.peek c = '}' then C.advance c else members c blk ~max_rows;
   C.finish c;
-  if !rows = 0 then failwith shape_error;
-  { data = !data; rows = !rows; cols = !cols; single = !series }
+  if blk.rows = 0 then failwith shape_error
 
-(* The body of [req], decoded where it lies in the receive buffer. The
-   bytes are only read, and only until the next read on [c]. *)
-let decode_request ~max_rows ?into c req =
-  decode_body ~max_rows ?into ~off:req.body_off ~len:req.body_len
-    (Bytes.unsafe_to_string c.rx.Http.buf)
+let decode_body ~max_rows ?(into = Float.Array.create 0) ?(off = 0) ?len body =
+  let blk = { data = into; rows = 0; cols = 0; single = false } in
+  decode_into ~max_rows blk body ~off
+    ~len:(match len with Some l -> l | None -> String.length body - off);
+  blk
+
+(* The body of the request last read on [c], decoded where it lies in
+   the receive buffer into the connection's block. The bytes are only
+   read, and only until the next read on [c]. *)
+let decode_request ~max_rows c =
+  let r = c.rx.Http.req and blk = c.p.p_block in
+  decode_into ~max_rows blk (Bytes.unsafe_to_string c.rx.Http.buf) ~off:r.Http.body_off
+    ~len:r.Http.body_len;
+  blk
 
 let error_body msg = Json.render (Json.Obj [ ("error", Json.String msg) ])
 
-(* A /v1 reply written straight from rows [first, first + rows) of the
-   logits: byte for byte the [Json.render] of
+(* A /v1 reply written straight from [rows] logits rows of [k] values
+   each, row-major in [out]: byte for byte the [Json.render] of
    {"model_version":v,"precision":p,"logits":…} (or "classes", the
    argmax per row), a bare row or class for a single-series request.
    Precision names need no JSON escaping. *)
-let render_reply b ~version ~precision ~classes ~single (logits : Tensor.t) ~first ~rows =
-  let d = logits.Tensor.data and k = Tensor.cols logits in
-  let base r = logits.Tensor.off + ((first + r) * k) in
+let render_reply b ~version ~precision ~classes ~single (out : floatarray) ~k ~rows =
   Buffer.add_string b "{\"model_version\":";
   Json.add_number b (float_of_int version);
   Buffer.add_string b ",\"precision\":\"";
@@ -614,11 +462,11 @@ let render_reply b ~version ~precision ~classes ~single (logits : Tensor.t) ~fir
   if not single then Buffer.add_char b '[';
   for r = 0 to rows - 1 do
     if r > 0 then Buffer.add_char b ',';
-    let o = base r in
+    let o = r * k in
     if classes then begin
       let best = ref 0 in
       for i = 1 to k - 1 do
-        if Bigarray.Array1.unsafe_get d (o + i) > Bigarray.Array1.unsafe_get d (o + !best) then
+        if Float.Array.unsafe_get out (o + i) > Float.Array.unsafe_get out (o + !best) then
           best := i
       done;
       Json.add_number b (float_of_int !best)
@@ -627,7 +475,7 @@ let render_reply b ~version ~precision ~classes ~single (logits : Tensor.t) ~fir
       Buffer.add_char b '[';
       for i = 0 to k - 1 do
         if i > 0 then Buffer.add_char b ',';
-        Json.add_number b (Bigarray.Array1.unsafe_get d (o + i))
+        Json.add_number b (Float.Array.unsafe_get out (o + i))
       done;
       Buffer.add_char b ']'
     end
@@ -637,11 +485,26 @@ let render_reply b ~version ~precision ~classes ~single (logits : Tensor.t) ~fir
 
 (* Batching ---------------------------------------------------------------- *)
 
-let fulfill (p : pending) reply =
-  Mutex.lock p.p_mb.mb_mu;
-  p.p_mb.mb_reply <- Some reply;
-  Condition.signal p.p_mb.mb_cv;
-  Mutex.unlock p.p_mb.mb_mu
+(* Queue [p] at the tail; [q_mu] held. *)
+let push t p =
+  p.p_next <- Nil;
+  (match t.q_tail with Link last -> last.p_next <- p.p_self | Nil -> t.q_head <- p.p_self);
+  t.q_tail <- p.p_self
+
+(* Reply to [p] with rows [first, first + p's rows) of [logits]. *)
+let fulfill p ~version (logits : Tensor.t) ~first =
+  let k = Tensor.cols logits and d = logits.Tensor.data in
+  let n = p.p_block.rows * k and base = logits.Tensor.off + (first * k) in
+  if Float.Array.length p.p_out < n then p.p_out <- Float.Array.create n;
+  for i = 0 to n - 1 do
+    Float.Array.unsafe_set p.p_out i (Bigarray.Array1.unsafe_get d (base + i))
+  done;
+  Mutex.lock p.p_mu;
+  p.p_version <- version;
+  p.p_classes <- k;
+  p.p_replied <- true;
+  Condition.signal p.p_cv;
+  Mutex.unlock p.p_mu
 
 (* Why a lane flushed: its request found a lane free, or it is taking
    queued work (after its own group, or handed the backlog by a
@@ -652,36 +515,31 @@ let trigger_name = function Free_lane -> "free_lane" | Backlog -> "backlog"
 
 (* Pop a maximal run of equal-width requests from the queue head, up to
    [max_batch] coalesced rows (the first request is always taken whole,
-   even if it alone exceeds the threshold). Caller holds [q_mu]. *)
-let take_group t =
-  match Queue.peek_opt t.q with
-  | None -> []
-  | Some head ->
-      let cols = head.p_block.cols in
-      let acc = ref [] in
-      let rows = ref 0 in
-      let stop = ref false in
-      while not !stop do
-        match Queue.peek_opt t.q with
-        | Some p
-          when p.p_block.cols = cols
-               && (!rows = 0 || !rows + p.p_block.rows <= t.cfg.max_batch) ->
-            ignore (Queue.pop t.q);
-            p.p_taken <- true;
-            rows := !rows + p.p_block.rows;
-            acc := p :: !acc
-        | _ -> stop := true
-      done;
-      List.rev !acc
+   even if it alone exceeds the threshold), and return how many. The
+   run stays linked through [p_next] from the old head. [rows] counts
+   the rows taken so far, [k] the requests. Caller holds [q_mu]. *)
+let rec take_group t ~cols ~rows k =
+  match t.q_head with
+  | Link p
+    when p.p_block.cols = cols && (rows = 0 || rows + p.p_block.rows <= t.cfg.max_batch) ->
+      t.q_head <- p.p_next;
+      if p.p_next == Nil then t.q_tail <- Nil;
+      p.p_taken <- true;
+      take_group t ~cols ~rows:(rows + p.p_block.rows) (k + 1)
+  | _ -> k
 
-(* The [rows x cols] batch input, a view of the lane's own tensor
-   [buf], which is regrown when too small and kept up to [scratch_keep]
+(* The entry after [p] in a taken run. *)
+let next p = match p.p_next with Link q -> q | Nil -> invalid_arg "Serve.next"
+
+(* The [rows x cols] batch input, the lane's own tensor [buf] or a view
+   of it; [buf] is regrown when too small and kept up to [scratch_keep]
    floats. A connection's handler runs one flush at a time, so its
    tensor is free again once [flush] returns: the kernels only read it,
    and the logits are fresh. *)
 let batch_input buf ~rows ~cols =
   let x = !buf in
-  if Tensor.cols x = cols && Tensor.rows x >= rows then Tensor.rows_view x ~row:0 ~len:rows
+  if Tensor.cols x = cols && Tensor.rows x = rows then x
+  else if Tensor.cols x = cols && Tensor.rows x > rows then Tensor.rows_view x ~row:0 ~len:rows
   else begin
     let x = Tensor.zeros ~rows ~cols in
     if rows * cols <= scratch_keep then buf := x;
@@ -693,35 +551,44 @@ let batch_input buf ~rows ~cols =
    only for telemetry. *)
 let domain_index : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
-(* Compute [group] as one block and fulfill each request's mailbox.
-   [extra] counts the groups the lane has taken since its own request
-   was taken, this one included (the starvation bound keeps it <= 1). *)
-let flush t buf ~trigger ~extra group =
+(* Compute the run of [count] requests from [first] as one block and
+   fulfill each request's mailbox. [extra] counts the groups the lane
+   has taken since its own request was taken, this one included (the
+   starvation bound keeps it <= 1). *)
+let flush t buf ~trigger ~extra first count =
   let t0 = Clock.now () in
   Mutex.lock t.model_mu;
   let instance = t.instance and version = t.version in
   Mutex.unlock t.model_mu;
-  let n = List.fold_left (fun n p -> n + p.p_block.rows) 0 group in
-  let x = batch_input buf ~rows:n ~cols:(List.hd group).p_block.cols in
-  let dst = x.Tensor.data in
-  ignore
-    (List.fold_left
-       (fun off { p_block = b; _ } ->
-         let len = b.rows * b.cols in
-         for i = 0 to len - 1 do
-           Bigarray.Array1.unsafe_set dst (off + i) (Float.Array.unsafe_get b.data i)
-         done;
-         off + len)
-       x.Tensor.off group);
-  let opts = { Pnc_core.Batch.default with precision = t.cfg.precision } in
-  let logits = Model.run_batch_t ~opts instance x in
-  ignore
-    (List.fold_left
-       (fun first p ->
-         Obs.Histogram.observe queue_wait_h (t0 -. p.p_enq_t);
-         fulfill p (R_ok { version; logits; first });
-         first + p.p_block.rows)
-       0 group);
+  let n = ref 0 and p = ref first in
+  for k = 1 to count do
+    n := !n + !p.p_block.rows;
+    if k < count then p := next !p
+  done;
+  let n = !n in
+  let x = batch_input buf ~rows:n ~cols:first.p_block.cols in
+  let dst = x.Tensor.data and off = ref x.Tensor.off and p = ref first in
+  for k = 1 to count do
+    let b = !p.p_block in
+    let len = b.rows * b.cols in
+    for i = 0 to len - 1 do
+      Bigarray.Array1.unsafe_set dst (!off + i) (Float.Array.unsafe_get b.data i)
+    done;
+    off := !off + len;
+    if k < count then p := next !p
+  done;
+  let logits = Model.run_batch_t ~opts:t.opts instance x in
+  let row = ref 0 and p = ref first in
+  for k = 1 to count do
+    (* Read all of an entry before fulfilling it: its handler reuses
+       the entry as soon as the reply is in. *)
+    let q = !p in
+    let rows = q.p_block.rows and link = q.p_next in
+    Obs.Histogram.observe queue_wait_h (t0 -. q.p_enq.at);
+    fulfill q ~version logits ~first:!row;
+    row := !row + rows;
+    if k < count then p := (match link with Link q -> q | Nil -> invalid_arg "Serve.flush")
+  done;
   Obs.Counter.incr batches_c;
   Obs.Counter.add rows_c n;
   Obs.Histogram.observe batch_fill_h (float_of_int n);
@@ -729,7 +596,7 @@ let flush t buf ~trigger ~extra group =
     Obs.emit "serve.batch"
       [
         ("rows", Obs.Int n);
-        ("requests", Obs.Int (List.length group));
+        ("requests", Obs.Int count);
         ("cols", Obs.Int (Tensor.cols x));
         ("model_version", Obs.Int version);
         ("trigger", Obs.Str (trigger_name trigger));
@@ -738,6 +605,9 @@ let flush t buf ~trigger ~extra group =
         ("compute_s", Obs.Float (Clock.elapsed t0));
       ]
 
+(* The first queued entry from [l] on whose handler runs no lane. *)
+let rec first_laneless l = match l with Link p when p.p_lane -> first_laneless p.p_next | _ -> l
+
 (* Leave a lane, [q_mu] held. If work is still queued, the lane's slot
    goes to the first queued request whose handler runs no lane: it is
    marked and its mailbox signalled before [q_mu] is released, so no
@@ -745,79 +615,78 @@ let flush t buf ~trigger ~extra group =
    If every queued request belongs to a running lane, those lanes stay
    until their requests are taken, and the slot is simply freed. *)
 let leave_lane t =
-  (match Seq.find (fun p -> not p.p_lane) (Queue.to_seq t.q) with
-  | Some p ->
+  (match first_laneless t.q_head with
+  | Link p ->
       p.p_lane <- true;
-      let mb = p.p_mb in
-      Mutex.lock mb.mb_mu;
-      mb.mb_lane <- true;
-      Condition.signal mb.mb_cv;
-      Mutex.unlock mb.mb_mu
-  | None -> t.busy <- t.busy - 1);
+      Mutex.lock p.p_mu;
+      p.p_handed <- true;
+      Condition.signal p.p_cv;
+      Mutex.unlock p.p_mu
+  | Nil -> t.busy <- t.busy - 1);
   Mutex.unlock t.q_mu
 
-(* Run a lane for request [p] of connection [c], holding [q_mu] and one
-   of the [lanes] slots: flush groups off the queue head until the
-   queue is empty, or until [p] has been taken and one further group
+(* Run a lane for connection [c]'s request, holding [q_mu] and one of
+   the [lanes] slots: flush groups off the queue head until the queue
+   is empty, or until the request has been taken and one further group
    flushed (so a handler whose reply is ready writes it after at most
    one more block), then leave. Returns with [q_mu] released. *)
-let run_lane t c p ~trigger =
-  let rec go trigger extra =
-    if Queue.is_empty t.q || (p.p_taken && extra >= 1) then leave_lane t
-    else begin
-      let extra = if p.p_taken then extra + 1 else extra in
-      let group = take_group t in
+let rec run_lane t c ~trigger ~extra =
+  match t.q_head with
+  | Link head when not (c.p.p_taken && extra >= 1) ->
+      let extra = if c.p.p_taken then extra + 1 else extra in
+      let count = take_group t ~cols:head.p_block.cols ~rows:0 0 in
       Mutex.unlock t.q_mu;
-      flush t c.batch ~trigger ~extra group;
+      flush t c.batch ~trigger ~extra head count;
       Mutex.lock t.q_mu;
-      go Backlog extra
-    end
-  in
-  go trigger 0
+      run_lane t c ~trigger:Backlog ~extra
+  | _ -> leave_lane t
 
-(* Admit [block] and wait for its reply. A request that finds fewer
-   than [lanes] lanes running opens one and computes at once; otherwise
-   it queues, and its handler waits for a lane to answer it or to hand
-   it a lane. The stop check and the push share the queue mutex, and
-   queued work always has a lane, so a request is either admitted and
-   answered, or rejected — never admitted and dropped. *)
-let submit t c block =
-  let mb = c.mb in
-  mb.mb_reply <- None;
-  let p = { p_block = block; p_enq_t = Clock.now (); p_mb = mb; p_lane = false; p_taken = false } in
+(* Wait for the reply to [c]'s request, running a lane whenever a
+   leaving one hands it over. *)
+let rec await t c =
+  let p = c.p in
+  Mutex.lock p.p_mu;
+  while (not p.p_replied) && not p.p_handed do
+    Condition.wait p.p_cv p.p_mu
+  done;
+  if p.p_handed then begin
+    p.p_handed <- false;
+    Mutex.unlock p.p_mu;
+    Mutex.lock t.q_mu;
+    run_lane t c ~trigger:Backlog ~extra:0;
+    await t c
+  end
+  else Mutex.unlock p.p_mu
+
+(* Admit the block in [c]'s entry and wait for its reply; [false] when
+   the daemon is shutting down. A request that finds fewer than [lanes]
+   lanes running opens one and computes at once; otherwise it queues,
+   and its handler waits for a lane to answer it or to hand it a lane.
+   The stop check and the push share the queue mutex, and queued work
+   always has a lane, so a request is either admitted and answered, or
+   rejected — never admitted and dropped. *)
+let submit t c =
+  let p = c.p in
+  p.p_replied <- false;
+  p.p_lane <- false;
+  p.p_taken <- false;
+  p.p_enq.at <- Clock.now ();
   Mutex.lock t.q_mu;
   if Atomic.get t.stop_flag then begin
     Mutex.unlock t.q_mu;
-    R_shutdown
+    false
   end
   else begin
-    Queue.push p t.q;
-    Atomic.fetch_and_add t.inflight block.rows |> ignore;
+    push t p;
+    Atomic.fetch_and_add t.inflight p.p_block.rows |> ignore;
     if t.busy < t.lanes then begin
       t.busy <- t.busy + 1;
       p.p_lane <- true;
-      run_lane t c p ~trigger:Free_lane
+      run_lane t c ~trigger:Free_lane ~extra:0
     end
     else Mutex.unlock t.q_mu;
-    let rec await () =
-      Mutex.lock mb.mb_mu;
-      while mb.mb_reply = None && not mb.mb_lane do
-        Condition.wait mb.mb_cv mb.mb_mu
-      done;
-      if mb.mb_lane then begin
-        mb.mb_lane <- false;
-        Mutex.unlock mb.mb_mu;
-        Mutex.lock t.q_mu;
-        run_lane t c p ~trigger:Backlog;
-        await ()
-      end
-      else begin
-        let r = Option.get mb.mb_reply in
-        Mutex.unlock mb.mb_mu;
-        r
-      end
-    in
-    await ()
+    await t c;
+    true
   end
 
 (* Hot reload ------------------------------------------------------------- *)
@@ -898,45 +767,56 @@ let metrics_body t =
     (Json.Obj
        (("model_version", Json.Num (float_of_int (model_version t))) :: metrics))
 
-(* Handle one parsed request, rendering the response body into
-   [c.reply]; returns (status, admitted) where [admitted] is the number
-   of in-flight rows the handler must release after the response bytes
-   are written (the graceful-drain barrier in [run] waits for that
+(* A block's buffer grown past [scratch_keep] for one outsized body
+   goes back to the one it replaced once that body is done with. *)
+let drop_outsized blk kept = if Float.Array.length blk.data > scratch_keep then blk.data <- kept
+
+(* Handle the request just read on [c], rendering the response body
+   into [c.reply]; returns the status, and leaves in [c.admitted] the
+   number of in-flight rows the handler must release after the response
+   bytes are written (the graceful-drain barrier in [run] waits for that
    release). *)
-let route t c req =
+let route t c (req : Http.request) =
   let b = c.reply in
   Buffer.clear b;
-  match (req.meth, req.path) with
-  | "GET", "/healthz" ->
+  c.admitted <- 0;
+  match (req.meth, req.route) with
+  | Get, Healthz ->
       Buffer.add_string b (healthz_body t);
-      (200, 0)
-  | "GET", "/metrics" ->
+      200
+  | Get, Metrics ->
       Buffer.add_string b (metrics_body t);
-      (200, 0)
-  | "POST", ("/v1/logits" | "/v1/predict") -> (
-      let block =
-        match decode_request ~max_rows:t.cfg.max_rows ~into:c.scratch c req with
-        | b -> b
-        | exception Failure msg -> raise (Bad_request msg)
-      in
-      if Float.Array.length block.data <= scratch_keep then c.scratch <- block.data;
-      match submit t c block with
-      | R_shutdown ->
-          Buffer.add_string b (error_body "shutting down");
-          (503, 0)
-      | R_ok { version; logits; first } ->
-          (* The tier is echoed so clients of a `Fast deployment can
-             tell their logits carry the ≤1e-7 approximation. *)
-          render_reply b ~version ~precision:t.cfg.precision
-            ~classes:(req.path = "/v1/predict") ~single:block.single logits ~first
-            ~rows:block.rows;
-          (200, block.rows))
-  | _, ("/healthz" | "/metrics" | "/v1/logits" | "/v1/predict") ->
+      200
+  | Post, (Logits | Predict) ->
+      let p = c.p in
+      let blk = p.p_block in
+      let kept = blk.data in
+      (match decode_request ~max_rows:t.cfg.max_rows c with
+      | _ -> ()
+      | exception Failure msg ->
+          drop_outsized blk kept;
+          raise (Http.Bad_request msg));
+      if not (submit t c) then begin
+        drop_outsized blk kept;
+        Buffer.add_string b (error_body "shutting down");
+        503
+      end
+      else begin
+        (* The tier is echoed so clients of a `Fast deployment can
+           tell their logits carry the ≤1e-7 approximation. *)
+        render_reply b ~version:p.p_version ~precision:t.cfg.precision
+          ~classes:(req.route = Predict) ~single:blk.single p.p_out ~k:p.p_classes ~rows:blk.rows;
+        c.admitted <- blk.rows;
+        drop_outsized blk kept;
+        if Float.Array.length p.p_out > scratch_keep then p.p_out <- Float.Array.create 0;
+        200
+      end
+  | _, (Healthz | Metrics | Logits | Predict) ->
       Buffer.add_string b (error_body "method not allowed");
-      (405, 0)
-  | _ ->
+      405
+  | _, Unknown ->
       Buffer.add_string b (error_body "not found");
-      (404, 0)
+      404
 
 let deregister_conn t fd =
   Mutex.lock t.conn_mu;
@@ -963,7 +843,7 @@ let handle_conn t fd =
   let rec loop () =
     match read_request c with
     | exception End_of_file -> ()
-    | exception Bad_request msg ->
+    | exception Http.Bad_request msg ->
         (* Framing is broken: answer and drop the connection (we cannot
            trust the stream position any more). *)
         error msg;
@@ -971,18 +851,15 @@ let handle_conn t fd =
     | req ->
         Obs.Counter.incr requests_c;
         let t0 = Clock.now () in
-        let status, admitted =
+        let status =
           match route t c req with
-          | sa -> sa
-          | exception Bad_request msg ->
+          | status -> status
+          | exception Http.Bad_request msg ->
               error msg;
-              (400, 0)
+              400
         in
         let keep_alive =
-          req.http11
-          && not (Http.wants_close req.headers)
-          && status <> 503
-          && not (Atomic.get t.stop_flag)
+          req.http11 && (not req.close) && status <> 503 && not (Atomic.get t.stop_flag)
         in
         let write_result =
           match respond c ~status ~keep_alive with () -> Ok () | exception e -> Error e
@@ -991,7 +868,7 @@ let handle_conn t fd =
            write attempt: [run]'s graceful-drain barrier waits for
            in-flight rows to reach zero before it starts closing
            sockets, so a computed reply always gets its write. *)
-        if admitted > 0 then ignore (Atomic.fetch_and_add t.inflight (-admitted));
+        if c.admitted > 0 then ignore (Atomic.fetch_and_add t.inflight (-c.admitted));
         (match write_result with Error e -> raise e | Ok () -> ());
         Obs.Histogram.observe latency_h (Clock.elapsed t0);
         if keep_alive then loop ()
@@ -1084,9 +961,9 @@ let run ?(handle_signals = true) t =
   (* Accept loop: select with a short timeout so a signal-flipped stop
      flag is noticed promptly. Connection [k] goes to domain [k mod n],
      0 being this one. *)
-  let accepted = ref 0 in
+  let accepted = ref 0 and listening = [ t.listen_fd ] in
   while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.listen_fd ] [] [] 0.05 with
+    match Unix.select listening [] [] 0.05 with
     | [ _ ], _, _ -> (
         match Unix.accept t.listen_fd with
         | fd, _ ->
@@ -1135,7 +1012,7 @@ let run ?(handle_signals = true) t =
 (* Client ----------------------------------------------------------------- *)
 
 module Client = struct
-  type conn = Http.bufconn
+  type conn = Http.conn
 
   let connect ?(host = "127.0.0.1") ~port () =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1145,7 +1022,7 @@ module Client = struct
      with e ->
        (try Unix.close fd with _ -> ());
        raise e);
-    Http.bufconn ~max_body:max_int fd
+    Http.conn ~max_body:max_int fd
 
   let close (c : conn) = try Unix.close c.Http.fd with Unix.Unix_error _ -> ()
 
@@ -1157,27 +1034,8 @@ module Client = struct
       (Printf.sprintf "%s %s HTTP/1.1\r\nHost: localhost%s\r\n\r\n%s" meth path
          (if has_body then Printf.sprintf "\r\nContent-Length: %d" (String.length body) else "")
          body);
-    let head = Http.read_head c in
-    match Http.split_lines head with
-    | status_line :: header_lines -> (
-        match String.split_on_char ' ' status_line with
-        | _http :: code :: _ -> (
-            (* status-code is exactly 3DIGIT. *)
-            match Http.digits code with
-            | Some status when String.length code = 3 ->
-                let headers = Http.parse_headers header_lines in
-                let body =
-                  match Http.header headers "content-length" with
-                  | Some v -> (
-                      match Http.digits v with
-                      | Some n -> Http.read_n c n
-                      | None -> failwith ("Client: malformed Content-Length: " ^ v))
-                  | None -> ""
-                in
-                { status; body }
-            | _ -> failwith ("Client: malformed status line: " ^ status_line))
-        | _ -> failwith ("Client: malformed status line: " ^ status_line))
-    | [] -> failwith "Client: empty response"
+    let status, body = Http.read_response c in
+    { status; body }
 
   let post_json c ~path j =
     let { status; body } = request c ~meth:"POST" ~path ~body:(Json.render j) () in

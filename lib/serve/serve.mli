@@ -134,10 +134,15 @@ val stop : t -> unit
 
 (** {1 Request bodies} *)
 
-type block = { data : floatarray; rows : int; cols : int; single : bool }
+type block = {
+  mutable data : floatarray;
+  mutable rows : int;
+  mutable cols : int;
+  mutable single : bool;
+}
 (** A decoded [/v1] request body: [rows x cols] values, row-major, in
     the first [rows * cols] slots of [data]; [single] for a ["series"]
-    body (one row). *)
+    body (one row). Each connection decodes into one block it owns. *)
 
 val decode_body :
   max_rows:int -> ?into:floatarray -> ?off:int -> ?len:int -> string -> block
@@ -163,36 +168,26 @@ val decode_body :
 (** {1 Receive path}
 
     How a handler reads its connection: one byte buffer per
-    connection, bodies decoded where they lie in it. *)
+    connection ({!Http.conn}), heads parsed and bodies decoded where
+    they lie in it, into records the connection owns. *)
 
 type conn
 (** The server side of one connection: its receive buffer (compacted
     in place and grown to the largest message, never past 16 KiB of
-    head plus [max_body]), its decode, reply and batch buffers. *)
+    head plus [max_body]), its admission entry and decode block, its
+    reply and batch buffers. *)
 
 val conn : max_body:int -> Unix.file_descr -> conn
 
-type request = {
-  meth : string;
-  path : string;  (** without the query string *)
-  http11 : bool;
-  headers : (string * string) list;  (** lower-cased names, trimmed values *)
-  body_off : int;  (** where the body lies in the receive buffer *)
-  body_len : int;
-}
+val read_request : conn -> Http.request
+(** {!Http.read_request} on the connection: its one request record,
+    overwritten by the next read. Raises [End_of_file] when the peer
+    closes and {!Http.Bad_request} on a framing error. *)
 
-exception Bad_request of string
-(** A framing error, with the message of its 400 answer. *)
-
-val read_request : conn -> request
-(** Read one request, head and [Content-Length] body, however the
-    bytes arrive (split across reads, or pipelined behind the previous
-    request). Raises [End_of_file] when the peer closes and
-    [Bad_request] on a framing error. *)
-
-val decode_request : max_rows:int -> ?into:floatarray -> conn -> request -> block
-(** {!decode_body} of the request's body, in place in the receive
-    buffer. Valid only before the next {!read_request} on the
+val decode_request : max_rows:int -> conn -> block
+(** {!decode_body} of the last request's body, in place in the receive
+    buffer, into the connection's block (returned; overwritten by the
+    next decode). Valid only before the next {!read_request} on the
     connection, which may move or overwrite those bytes. *)
 
 (** {1 Client}

@@ -18,7 +18,14 @@
 #     tables, and every cell's trained parameters (the stream smoke's
 #     and the bench harness's cells included). Whole cells are not
 #     compared: each stores the wall-clock train_seconds of its run,
-#     inside its checksums.
+#     inside its checksums;
+#   - `adapt_pnc serve` on one checkpoint (trained once, by REV's
+#     binary): a fixed set of raw requests, one connection each, and
+#     every byte of every response — status line, headers and body.
+#     The set covers series and batch /v1/logits, /v1/predict, a
+#     malformed body, Transfer-Encoding, conflicting Content-Length,
+#     404 and 405, Connection: close, HTTP/1.0 and two pipelined
+#     requests. Needs python3 for the raw socket client.
 #
 # Prints "identical" (exit 0) or names every output that differs
 # (exit 1). An export, not a `git worktree`, keeps the repository's
@@ -36,7 +43,7 @@ ROOT=$(git rev-parse --show-toplevel)
 COMMIT=$(git -C "$ROOT" rev-parse --verify "$REV^{commit}")
 GRID_ARGS="--scale smoke -d GPOVY -d PowerCons"
 OUTPUTS="quickstart.txt multisensor.txt yield_analysis.txt sensitivity.txt nas.txt ablations.txt
-stream/stream-j1.txt stream/stream-j4.txt bench.txt grid-merged.txt cell-params.txt"
+stream/stream-j1.txt stream/stream-j4.txt bench.txt grid-merged.txt cell-params.txt serve.txt"
 
 mkdir -p "$OUT/rev-src"
 git -C "$ROOT" archive "$COMMIT" | tar -x -C "$OUT/rev-src"
@@ -50,6 +57,70 @@ cell_params() {
     sed 's/.*"offset":\([0-9]*\),"len":\([0-9]*\)/\1 \2/')
   set -- "$1" $loc
   tail -c "$(($2 + $3))" "$1" | head -c "$2"
+}
+
+# The serve leg's requests, one connection each, each followed by a
+# line "--". Bodies are framed by the Content-Length written here.
+serve_requests() {
+  req() { # METHOD PATH EXTRA-HEADERS BODY [VERSION]
+    printf '%s %s %s\r\nHost: parity\r\n%bContent-Length: %d\r\n\r\n%s' \
+      "$1" "$2" "${5:-HTTP/1.1}" "$3" "${#4}" "$4"
+  }
+  series='{"series":[0.1,-0.2,0.3,0.05,0.7,-0.4,0.25,0.0]}'
+  batch='{"batch":[[0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8],[1,2,3,4,-1,-2,-3,-4],[0,0,0,0,0,0,0,1e-3]]}'
+  req POST /v1/logits "" "$series"; echo; echo --
+  req POST /v1/logits "" "$batch"; echo; echo --
+  req POST /v1/predict "" "$batch"; echo; echo --
+  req POST "/v1/predict?x=1" "" "$series"; echo; echo --
+  req POST /v1/logits "" '{"series":[1,2,'; echo; echo --
+  req POST /v1/logits "" '{"rows":[[1]]}'; echo; echo --
+  printf 'POST /v1/logits HTTP/1.1\r\nHost: parity\r\nTransfer-Encoding: chunked\r\n\r\n3\r\n{}\n\r\n0\r\n\r\n'
+  echo; echo --
+  printf 'POST /v1/logits HTTP/1.1\r\nContent-Length: %d\r\nContent-Length: %d\r\n\r\n%s' \
+    "${#series}" "$((${#series} + 1))" "$series"
+  echo; echo --
+  req GET /nope "" ""; echo; echo --
+  req GET /v1/logits "" ""; echo; echo --
+  req POST /v1/logits "Connection: close\r\n" "$series"; echo; echo --
+  req POST /v1/logits "" "$series" HTTP/1.0; echo; echo --
+  req POST /v1/logits "" "$series"
+  req POST /v1/predict "Connection: keep-alive, Close\r\n" "$series"
+  echo; echo --
+}
+
+# serve_leg EXE OUTFILE: serve $OUT/serve-ckpt/model.ckpt with EXE and
+# write every response of the request set, in order, to OUTFILE.
+serve_leg() {
+  log=$2.log
+  "$1" serve --load "$OUT/serve-ckpt/model.ckpt" --port 0 --reload-every-ms 0 >"$log" 2>&1 &
+  pid=$!
+  i=0
+  until port=$(sed -n 's|.*on http://127.0.0.1:\([0-9]*\).*|\1|p' "$log") && [ -n "$port" ]; do
+    i=$((i + 1))
+    [ "$i" -le 600 ] && kill -0 "$pid" 2>/dev/null || { cat "$log"; kill "$pid" 2>/dev/null; return 1; }
+    sleep 0.1
+  done
+  serve_requests | python3 -c '
+import socket, sys
+port = int(sys.argv[1])
+for raw in sys.stdin.buffer.read().split(b"\n--\n")[:-1]:
+    s = socket.create_connection(("127.0.0.1", port))
+    s.sendall(raw)
+    s.shutdown(socket.SHUT_WR)
+    got = b""
+    try:
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                break
+            got += chunk
+    except ConnectionResetError:
+        got += b"<connection reset>"
+    s.close()
+    sys.stdout.buffer.write(got + b"\n== next connection ==\n")
+' "$port" >"$2"
+  kill -TERM "$pid"
+  wait "$pid"
 }
 
 # side NAME SRC: build SRC and leave its outputs in $OUT/NAME.
@@ -87,6 +158,10 @@ side() {
     cell_params "$f"
     echo
   done >"$out/cell-params.txt"
+  echo "-- $name: serve --"
+  [ -f "$OUT/serve-ckpt/model.ckpt" ] ||
+    "$bin/bin/adapt_pnc.exe" train -d GPOVY --scale smoke --checkpoint-dir "$OUT/serve-ckpt" >/dev/null
+  serve_leg "$bin/bin/adapt_pnc.exe" "$out/serve.txt"
 }
 
 echo "== parity: $REV ($COMMIT) vs the working tree, outputs in $OUT =="

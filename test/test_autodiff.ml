@@ -818,6 +818,29 @@ let check_fused_parity ~what ~readout ~antithetic ~ni ~spec ~n ~seed net ~x ~lab
           (T.max_abs (T.sub a b)))
     (List.combine gf gr)
 
+(* [train.node_forwards] counts the node's forwards: an antithetic pair
+   (n = 2) runs two before the sweep and, the workspace holding only the
+   last trajectory, one more inside it. *)
+let test_node_forward_count () =
+  let rng = Rng.create ~seed:417 in
+  let net, x, labels = random_circuit ~arch:Network.Adapt rng in
+  let forwards () =
+    match List.assoc_opt "train.node_forwards" (Pnc_obs.Obs.metrics_snapshot ()) with
+    | Some fields -> (
+        match List.assoc_opt "value" fields with Some (Pnc_obs.Obs.Int n) -> n | _ -> -1)
+    | None -> Alcotest.fail "train.node_forwards is not registered"
+  in
+  let f0 = forwards () in
+  let tasks =
+    mc_tasks ~antithetic:true ~ni:false ~rng:(Rng.create ~seed:418) ~spec:(Variation.uniform 0.1) ~n:2
+  in
+  let node =
+    Adjoint.expected ~n:2 ~tasks ~readout:Batch.Integrated net ~steps:(steps_of net x) ~labels
+  in
+  Alcotest.(check int) "forwards before the sweep" 2 (forwards () - f0);
+  Var.backward node;
+  Alcotest.(check int) "forwards of a 2-draw step" 3 (forwards () - f0)
+
 (* Correlated variation plus a temperature/aging drift point, so the
    filter's drift multipliers are not 1. *)
 let drift_spec =
@@ -1032,6 +1055,7 @@ let () =
           Alcotest.test_case "central differences (h/eps under ni)" `Quick test_fused_fd_oracle;
           Alcotest.test_case "one node, bounded allocation per epoch" `Quick
             test_fused_epoch_tape_and_allocation;
+          Alcotest.test_case "forward count of a 2-draw step" `Quick test_node_forward_count;
         ] );
       ( "correlated invariance",
         [
